@@ -2,15 +2,25 @@
 Testing single candidates 2^k * n - 1
 =====================================
 
-A tour of the four decision routes and what their verdicts carry.
+A tour of the three decision routes and what their verdicts carry.
 Run as: python demos/01_single_candidates.py
 """
 
-from ecriesel import FormCandidate, auto_test, factor_witness, replay_verdict
+from ecriesel import (
+    Curve,
+    FormCandidate,
+    Point,
+    auto_test,
+    factor_witness,
+    replay_verdict,
+    run_sequence,
+    scalar_mul,
+)
 
 # Each candidate is carried as its decomposition (k, n); p is derived.
 # The dispatcher picks a route from the shape of n and the applicability
-# gates, so the same call covers all four algorithms.
+# gates, so the same call covers all three algorithms (plus trial division
+# for tiny p).
 candidates = [
     FormCandidate(k=13, n=1),                            # Mersenne M_13 = 8191
     FormCandidate(k=7, n=3),                             # small n: p = 383
@@ -18,6 +28,7 @@ candidates = [
     FormCandidate(k=2, n=2633),                          # n prime:  p = 10531
     FormCandidate(k=2, n=2503),                          # n prime:  p = 10011 = 3*47*71
     FormCandidate(k=2, n=250127, n_factors=(389, 643)),  # n = q1*q2: p = 1000507
+    FormCandidate(k=2, n=105, n_factors=(3, 5, 7)),      # n = 3*5*7:  p = 419
 ]
 
 for c in candidates:
@@ -35,13 +46,19 @@ for c in candidates:
 print("\nAll verdicts replayed successfully.")
 
 # A closer look at one certificate: the small-n route records the curve
-# coefficient, the constructed point, and the whole denominator chain.
+# coefficient, the constructed point, the chain's start x0 = x(n*Q) and its
+# outcome.  The chain itself is not stored: replay recomputes it, and so
+# can anyone else, with run_sequence.
 c = FormCandidate(k=7, n=3)
 verdict = auto_test(c)
 cert = verdict.certificate
 print(f"\nCertificate for p = {c.p}:")
 print(f"  type       : {cert['type']}")
 print(f"  curve      : y^2 = x^3 - {cert['m']}x  (mod {c.p})")
-print(f"  base point : {tuple(cert['base_point'])}, multiplied by n = {cert['multiplier']}")
-print(f"  S chain    : {cert['s_chain']}")
+print(f"  base point : {tuple(cert['base_point'])}, multiplied by n = {c.n}")
+print(f"  x0         : {cert['x0']}")
 print(f"  outcome    : {cert['outcome']}  (zero at step k justifies 'prime')")
+
+start = scalar_mul(Curve(c.p, cert["m"]), c.n, Point(*cert["base_point"]))
+_, trace = run_sequence(c.p, cert["m"], start.x, c.k)
+print(f"  S chain    : {list(trace.s_values)}  (recomputed)")

@@ -61,10 +61,9 @@ from .primality import (
     construct_curve_point,
     factor_witness,
     replay_verdict,
-    test_large_prime_n,
+    test_large_n,
     test_mersenne,
     test_small_n,
-    test_two_prime_n,
 )
 from .sequence import (
     EARLY_INFINITY,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +39,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/1"
+SCHEMA = "ecriesel.run-record/2"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -47,8 +48,6 @@ ORACLE_BOUND_ENV = "ECRIESEL_ORACLE_BOUND"
 
 def _stringify(value):
     """Render every int inside a certificate as a decimal string."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, int):
         return str(value)
     if isinstance(value, list):
@@ -58,17 +57,36 @@ def _stringify(value):
     return value
 
 
-def _destringify(value):
-    """Best-effort inverse of _stringify for replay input."""
-    if isinstance(value, str):
-        if value.lstrip("-").isdigit():
-            return int(value)
-        return value
-    if isinstance(value, list):
-        return [_destringify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _destringify(v) for k, v in value.items()}
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _parse_int(text) -> int:
+    """A canonical ASCII decimal string, as _stringify writes it."""
+    if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a canonical decimal string: {text!r}")
+    return int(text)
+
+
+def _parse_int_list(values) -> list[int]:
+    if not isinstance(values, list):
+        raise ValueError(f"not a list: {values!r}")
+    return [_parse_int(v) for v in values]
+
+
+def _parse_text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"not a string: {value!r}")
     return value
+
+
+# How replay reads each certificate field; any other key is malformed.
+CERTIFICATE_FIELDS = {
+    **dict.fromkeys(
+        ("m", "x0", "step", "divisor", "residue", "least_factor", "attempts"), _parse_int
+    ),
+    **dict.fromkeys(("base_point", "factors"), _parse_int_list),
+    **dict.fromkeys(("type", "outcome", "stage", "gate", "reason", "detail"), _parse_text),
+}
 
 
 def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = None) -> dict:
@@ -87,12 +105,26 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
 
 
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
-    """Rebuild the candidate and verdict held in a JSON run record."""
+    """Rebuild the candidate and verdict held in a JSON run record.
+
+    Raises ValueError on a record of another schema, a certificate key
+    outside CERTIFICATE_FIELDS, or an integer that is not a canonical
+    decimal string.
+    """
+    if not isinstance(record, dict) or record.get("schema") != SCHEMA:
+        raise ValueError(f"not an {SCHEMA} record")
     cand = record["candidate"]
-    c = FormCandidate(k=int(cand["k"]), n=int(cand["n"]))
-    if c.p != int(cand["p"]):
+    c = FormCandidate(k=_parse_int(cand["k"]), n=_parse_int(cand["n"]))
+    if c.p != _parse_int(cand["p"]):
         raise ValueError("record p does not match 2^k * n - 1")
-    cert = _destringify(record["certificate"])
+    fields = record["certificate"]
+    if not isinstance(fields, dict):
+        raise ValueError("certificate must be a JSON object")
+    cert = {}
+    for key, value in fields.items():
+        if key not in CERTIFICATE_FIELDS:
+            raise ValueError(f"unknown certificate field {key!r}")
+        cert[key] = CERTIFICATE_FIELDS[key](value)
     verdict = Verdict(
         status=record["verdict"],
         algorithm=record["algorithm"],
@@ -172,9 +204,11 @@ def _cmd_replay(args, out, err) -> int:
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        record = json.loads(text.strip().splitlines()[0] if "\n" in text.strip() else text)
-        c, verdict = record_to_inputs(record)
-    except (OSError, ValueError, KeyError, IndexError) as exc:
+        lines = [line for line in text.splitlines() if line.strip()]
+        if len(lines) != 1:
+            raise ValueError(f"expected one record line, found {len(lines)}")
+        c, verdict = record_to_inputs(json.loads(lines[0]))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         err.write(f"replay: malformed record: {exc}\n")
         return 3
     ok = replay_verdict(c, verdict)

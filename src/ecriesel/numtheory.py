@@ -28,7 +28,7 @@ class FormCandidate:
 
     k >= 2 and n odd force p = 3 (mod 4).  ``n_factors`` optionally records
     a known factorization of n (never computed here; factoring n is out of
-    scope and the two-prime test needs it supplied).
+    scope, so the large-n test needs it supplied for composite n).
     """
 
     k: int

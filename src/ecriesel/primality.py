@@ -1,12 +1,12 @@
 """Decision procedures for p = 2^k * n - 1 and their replayable certificates.
 
-Four routes, chosen by the shape of n and the applicability gates:
+Three routes, chosen by the shape of n and the applicability gates:
 
-  * mersenne        n = 1, k >= 3: fixed curve and start, pure sequence run;
-  * small-n         n small enough for gate_small_n: construct a curve and
-                    point, multiply by n, then run the k-step sequence;
-  * large-prime-n   n = q prime with gate_large_n: order pattern of 2^k * Q;
-  * two-prime-n     n = q1 * q2 with gate_large_n: same with three multiples.
+  * mersenne   n = 1, k >= 3: fixed curve and start, pure sequence run;
+  * small-n    n small enough for gate_small_n: construct a curve and
+               point, multiply by n, then run the k-step sequence;
+  * large-n    n with a known prime factorization and gate_large_n:
+               2^k * Q has order exactly n.
 
 Every Prime/Composite verdict carries a certificate that replay_verdict can
 re-validate from scratch using only the arithmetic layers below.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 
 from .ecring import Curve, FactorFound, Point, double_x_only, on_curve, scalar_mul
 from .numtheory import (
@@ -34,7 +34,6 @@ from .sequence import (
     FINAL_NONZERO,
     FINAL_ZERO,
     GCD_HIT,
-    STrace,
     SequenceOutcome,
     mersenne_sequence,
     run_sequence,
@@ -167,22 +166,10 @@ def _factor_verdict(algorithm: str, exc: FactorFound, stage: str, iterations: in
 
 
 def _sequence_certificate(
-    m: int,
-    outcome: SequenceOutcome,
-    trace: STrace,
-    *,
-    base_point: Point | None = None,
-    multiplier: int | None = None,
+    m: int, outcome: SequenceOutcome, x0: int, base_point: Point | None = None
 ) -> dict:
-    cert = {
-        "type": "sequence",
-        "m": m,
-        "x0": trace.x_values[0],
-        "four_factor": trace.four_factor,
-        "x_chain": list(trace.x_values),
-        "s_chain": list(trace.s_values),
-        "outcome": outcome.kind,
-    }
+    """What replay needs to recompute the chain: the chain itself is left out."""
+    cert = {"type": "sequence", "m": m, "x0": x0, "outcome": outcome.kind}
     if outcome.step is not None:
         cert["step"] = outcome.step
     if outcome.divisor is not None:
@@ -191,7 +178,6 @@ def _sequence_certificate(
         cert["residue"] = outcome.residue
     if base_point is not None:
         cert["base_point"] = [base_point.x, base_point.y]
-        cert["multiplier"] = multiplier
     return cert
 
 
@@ -232,15 +218,10 @@ def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     except FactorFound as exc:
         return _factor_verdict(algorithm, exc, "scalar-multiplication")
     if start.is_infinity:
-        cert = {
-            "type": "vanished-multiple",
-            "m": m,
-            "base_point": [base.x, base.y],
-            "multiplier": c.n,
-        }
+        cert = {"type": "vanished-multiple", "m": m, "base_point": [base.x, base.y]}
         return Verdict(COMPOSITE, algorithm, cert)
-    outcome, trace = run_sequence(p, m, start.x, c.k, four_factor=True)
-    cert = _sequence_certificate(m, outcome, trace, base_point=base, multiplier=c.n)
+    outcome, _ = run_sequence(p, m, start.x, c.k, four_factor=True)
+    cert = _sequence_certificate(m, outcome, start.x, base)
     status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
     return Verdict(status, algorithm, cert)
 
@@ -252,24 +233,32 @@ def test_mersenne(k: int) -> Verdict:
     so the verdict is the sequence classification directly.
     """
     outcome, trace = mersenne_sequence(k)
-    cert = _sequence_certificate(3, outcome, trace)
+    cert = _sequence_certificate(3, outcome, trace.x_values[0])
     status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
     return Verdict(status, "mersenne", cert)
 
 
-def test_large_prime_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
-    """n = q prime route: p is prime iff q * (2^k * Q) = infinity.
+def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
+    """Order route for n = q_1 * ... * q_r with every q_i prime.
 
-    2^k * Q = infinity sends the scan to the next y (the constructed point
-    happened to have small order); after retry_cap such misses the test
-    gives up with an inconclusive verdict rather than looping forever.
+    The factors are c.n_factors, or n itself when none are supplied.  With
+    D = 2^k * Q, p is prime iff n * D = infinity while (n/q) * D is finite
+    for each distinct q: D then has order exactly n modulo every prime
+    divisor of p, and the gate puts n above the Hasse bound of any divisor
+    below sqrt(p) (Goldwasser-Kilian).  An infinite (n/q) * D (for one
+    factor, D itself) decides nothing, so the scan moves to the next y;
+    after retry_cap such misses the test gives up as inconclusive rather
+    than looping forever.  The paper's large-prime-n and two-prime-n tests
+    are the one- and two-factor cases.
     """
-    algorithm = "large-prime-n"
+    algorithm = "large-n"
     if not gate_large_n(c):
         return _gate_fallback(c, cfg, algorithm, "large-n")
-    q = c.n
-    if not _probable_prime(q, cfg):
-        raise ValueError(f"n = {q} must be prime for the {algorithm} test")
+    factors = c.n_factors or (c.n,)
+    for q in factors:
+        if not _probable_prime(q, cfg):
+            raise ValueError(f"factor {q} of n is not prime")
+    cofactors = [c.n // q for q in dict.fromkeys(factors)]
     p = c.p
     attempts = 0
     try:
@@ -277,65 +266,16 @@ def test_large_prime_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> 
             attempts += 1
             curve = Curve(p, m)
             doubled = scalar_mul(curve, 1 << c.k, base)
-            if doubled.is_infinity:
+            if any(scalar_mul(curve, s, doubled).is_infinity for s in cofactors):
                 continue
-            result = scalar_mul(curve, q, doubled)
+            result = scalar_mul(curve, c.n, doubled)
             cert = {
                 "type": "order",
                 "m": m,
                 "base_point": [base.x, base.y],
-                "power_of_two": c.k,
-                "doubled_point": [doubled.x, doubled.y],
-                "multiple_checks": [[q, "infinity" if result.is_infinity else [result.x, result.y]]],
+                "factors": list(factors),
             }
             status = PRIME if result.is_infinity else COMPOSITE
-            return Verdict(status, algorithm, cert, iterations=attempts)
-    except FactorFound as exc:
-        stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
-        return _factor_verdict(algorithm, exc, stage, iterations=max(attempts, 1))
-    cert = {"type": "retries-exhausted", "attempts": attempts}
-    return Verdict(INCONCLUSIVE, algorithm, cert, iterations=max(attempts, 1))
-
-
-def test_two_prime_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
-    """n = q1 * q2 route: decide by q1*q2 * (2^k * Q) once both single
-    multiples are finite; any infinite single multiple means another y."""
-    algorithm = "two-prime-n"
-    if not gate_large_n(c):
-        return _gate_fallback(c, cfg, algorithm, "large-n")
-    if c.n_factors is None or len(c.n_factors) != 2:
-        raise ValueError("the two-prime test needs n supplied as a pair of primes")
-    q1, q2 = c.n_factors
-    for q in (q1, q2):
-        if not _probable_prime(q, cfg):
-            raise ValueError(f"supplied factor {q} is not prime")
-    p = c.p
-    attempts = 0
-    try:
-        for m, base in islice(_curve_point_candidates(p, cfg), cfg.retry_cap):
-            attempts += 1
-            curve = Curve(p, m)
-            doubled = scalar_mul(curve, 1 << c.k, base)
-            if doubled.is_infinity:
-                continue
-            first = scalar_mul(curve, q1, doubled)
-            second = scalar_mul(curve, q2, doubled)
-            if first.is_infinity or second.is_infinity:
-                continue
-            final = scalar_mul(curve, q1 * q2, doubled)
-            cert = {
-                "type": "order",
-                "m": m,
-                "base_point": [base.x, base.y],
-                "power_of_two": c.k,
-                "doubled_point": [doubled.x, doubled.y],
-                "multiple_checks": [
-                    [q1, [first.x, first.y]],
-                    [q2, [second.x, second.y]],
-                    [q1 * q2, "infinity" if final.is_infinity else [final.x, final.y]],
-                ],
-            }
-            status = PRIME if final.is_infinity else COMPOSITE
             return Verdict(status, algorithm, cert, iterations=attempts)
     except FactorFound as exc:
         stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
@@ -348,23 +288,17 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
     """Route a candidate to the one applicable test.
 
     n = 1 goes to the Mersenne path; a passing small-n gate wins next;
-    otherwise prime n or a supplied two-prime split uses the large-n path.
-    With no route left, small p is settled by trial division and anything
-    else is not applicable.
+    otherwise prime n, or n supplied with its prime factorization, uses the
+    large-n path.  With no route left, small p is settled by trial division
+    and anything else is not applicable.
     """
     if c.n == 1 and c.k >= 3:
         return test_mersenne(c.k)
     if gate_small_n(c):
         return test_small_n(c, cfg)
     if gate_large_n(c) and c.n > 1:
-        if _probable_prime(c.n, cfg):
-            return test_large_prime_n(c, cfg)
-        if (
-            c.n_factors is not None
-            and len(c.n_factors) == 2
-            and all(_probable_prime(q, cfg) for q in c.n_factors)
-        ):
-            return test_two_prime_n(c, cfg)
+        if all(_probable_prime(q, cfg) for q in c.n_factors or (c.n,)):
+            return test_large_n(c, cfg)
     if c.p <= cfg.oracle_bound:
         return _oracle_verdict(c.p)
     reason = "no applicable route: gates fail or n needs an unavailable factorization"
@@ -373,48 +307,25 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
 
 # --- independent certificate replay -------------------------------------
 
-def _replay_sequence_chain(p: int, cert: dict, k: int) -> bool:
-    """Recompute the whole chain and confirm values and classification."""
-    m = cert["m"] % p
-    x = cert["x0"] % p
-    xs = cert["x_chain"]
-    ss = cert["s_chain"]
-    if not xs or xs[0] != x or len(xs) != len(ss):
-        return False
+def _replay_chain(p: int, m: int, x: int, k: int, c_const: int) -> dict:
+    """Recompute the k-step chain from x and return the outcome fields
+    (outcome plus step, divisor or residue) its certificate must carry."""
     curve = Curve(p, m)
-    c_const = 4 if cert["four_factor"] else 1
-    outcome = cert["outcome"]
     for i in range(1, k + 1):
         s = c_const * x * ((x * x - m) % p) % p
-        if i > len(ss) or ss[i - 1] != s:
-            return False
         if i == k:
-            if s == 0:
-                return outcome == FINAL_ZERO and len(ss) == k
-            return (
-                outcome == FINAL_NONZERO
-                and cert.get("residue") == s
-                and len(ss) == k
-            )
+            return {"outcome": FINAL_ZERO} if s == 0 else {"outcome": FINAL_NONZERO, "residue": s}
         if s == 0:
-            return outcome == EARLY_INFINITY and cert.get("step") == i and len(ss) == i
+            return {"outcome": EARLY_INFINITY, "step": i}
         g = gcd(s, p)
         if g > 1:
-            return (
-                outcome == GCD_HIT
-                and cert.get("step") == i
-                and cert.get("divisor") == g
-                and len(ss) == i
-            )
+            return {"outcome": GCD_HIT, "step": i, "divisor": g}
         x = double_x_only(curve, x)
-        if x is None or i >= len(xs) or xs[i] != x:
-            return False
-    return False
 
 
 def _replay_constructed_point(p: int, m: int, base: Point) -> bool:
     """The jacobi conditions that make the constructed point usable."""
-    if base.is_infinity:
+    if base.is_infinity or not (0 < m < p and 0 <= base.x < p and 0 <= base.y < p):
         return False
     curve = Curve(p, m)
     return (
@@ -429,6 +340,8 @@ def replay_verdict(c: FormCandidate, verdict: Verdict, cfg: SearchConfig = DEFAU
 
     Uses only the integer and curve layers (no test or sequence code), so a
     passing replay is independent evidence for the recorded conclusion.
+    Every chain step and every multiple is recomputed; the multipliers
+    (n, 2^k, n/q) come from the candidate, never from the certificate.
     Inconclusive and not-applicable verdicts carry nothing decidable and
     are accepted structurally.
     """
@@ -460,71 +373,56 @@ def _replay(c: FormCandidate, verdict: Verdict, cfg: SearchConfig) -> bool:
         return status == (PRIME if f == p else COMPOSITE)
 
     if kind == "vanished-multiple":
-        if status != COMPOSITE:
-            return False
         m = cert["m"]
         base = Point(*cert["base_point"])
-        if not _replay_constructed_point(p, m, base):
-            return False
-        return scalar_mul(Curve(p, m), cert["multiplier"], base).is_infinity
+        return (
+            status == COMPOSITE
+            and verdict.algorithm == "small-n"
+            and _replay_constructed_point(p, m, base)
+            and scalar_mul(Curve(p, m), c.n, base).is_infinity
+        )
 
     if kind == "sequence":
+        m, x0 = cert["m"], cert["x0"]
+        expected = {"type": "sequence", "m": m, "x0": x0}
         if verdict.algorithm == "mersenne":
-            if c.n != 1 or c.k < 3:
+            if c.n != 1 or c.k < 3 or m != 3 or x0 != p - 1:
                 return False
-            if cert["m"] != 3 or cert["x0"] != p - 1 or cert["four_factor"]:
-                return False
-        else:
+            c_const = 1
+        elif verdict.algorithm == "small-n":
             base = Point(*cert["base_point"])
-            if cert.get("multiplier") != c.n:
+            if not _replay_constructed_point(p, m, base):
                 return False
-            if not _replay_constructed_point(p, cert["m"], base):
-                return False
-            start = scalar_mul(Curve(p, cert["m"]), c.n, base)
-            if start.is_infinity or start.x != cert["x0"]:
+            start = scalar_mul(Curve(p, m), c.n, base)
+            if start.is_infinity or start.x != x0:
                 return False
             if status == PRIME and not gate_small_n(c):
                 return False
-        if not _replay_sequence_chain(p, cert, c.k):
+            expected["base_point"] = [base.x, base.y]
+            c_const = 4
+        else:
             return False
-        return status == (PRIME if cert["outcome"] == FINAL_ZERO else COMPOSITE)
+        expected.update(_replay_chain(p, m, x0, c.k, c_const))
+        if cert != expected:
+            return False
+        return status == (PRIME if expected["outcome"] == FINAL_ZERO else COMPOSITE)
 
     if kind == "order":
         m = cert["m"]
         base = Point(*cert["base_point"])
-        if cert["power_of_two"] != c.k:
+        factors = cert["factors"]
+        if verdict.algorithm != "large-n" or prod(factors) != c.n:
+            return False
+        if not all(_probable_prime(q, cfg) for q in factors):
             return False
         if not _replay_constructed_point(p, m, base):
             return False
         curve = Curve(p, m)
         doubled = scalar_mul(curve, 1 << c.k, base)
-        if doubled.is_infinity or [doubled.x, doubled.y] != cert["doubled_point"]:
-            return False
-        checks = cert["multiple_checks"]
-        for scalar, recorded in checks:
-            result = scalar_mul(curve, scalar, doubled)
-            if recorded == "infinity":
-                if not result.is_infinity:
-                    return False
-            elif result.is_infinity or [result.x, result.y] != recorded:
-                return False
-        if len(checks) == 1:
-            (q, final_rec), = checks
-            if q != c.n or not _probable_prime(q, cfg):
-                return False
-        elif len(checks) == 3:
-            q1, q2 = checks[0][0], checks[1][0]
-            if q1 * q2 != c.n or checks[2][0] != q1 * q2:
-                return False
-            if not (_probable_prime(q1, cfg) and _probable_prime(q2, cfg)):
-                return False
-            if checks[0][1] == "infinity" or checks[1][1] == "infinity":
-                return False
-            final_rec = checks[2][1]
-        else:
+        if any(scalar_mul(curve, c.n // q, doubled).is_infinity for q in set(factors)):
             return False
         if status == PRIME and not gate_large_n(c):
             return False
-        return status == (PRIME if final_rec == "infinity" else COMPOSITE)
+        return status == (PRIME if scalar_mul(curve, c.n, doubled).is_infinity else COMPOSITE)
 
     return False

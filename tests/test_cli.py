@@ -40,7 +40,7 @@ class TestTestCommand:
         code, out, _ = run_cli("test", "2", "250127", "--q1", "389", "--q2", "643", "--json")
         assert code == 0
         rec = json_lines(out)[0]
-        assert rec["algorithm"] == "two-prime-n"
+        assert rec["algorithm"] == "large-n"
 
     def test_not_applicable_exit_code(self):
         code, _, _ = run_cli("test", "2", "10395")
@@ -59,18 +59,18 @@ class TestTestCommand:
         assert "divisor=3" in out
 
     def test_big_integers_are_decimal_strings(self):
-        code, out, _ = run_cli("test", "89", "1", "--json")
+        code, out, _ = run_cli("test", "89", "19", "--json")
         assert code == 0
         rec = json_lines(out)[0]
-        assert rec["candidate"]["p"] == str((1 << 89) - 1)
+        assert rec["candidate"]["p"] == str((19 << 89) - 1)
         cert = rec["certificate"]
         assert isinstance(cert["m"], str) and isinstance(cert["x0"], str)
-        assert all(isinstance(x, str) for x in cert["x_chain"])
+        assert all(isinstance(x, str) for x in cert["base_point"])
 
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/1")
+            assert json.loads(line)["schema"].endswith("/2")
 
 
 class TestReplayCommand:
@@ -113,6 +113,66 @@ class TestReplayCommand:
             path.write_text(out)
             code, _, _ = run_cli("test", "--replay", str(path))
             assert code == 0, case
+
+
+class TestStrictReplayInput:
+    """Replay reads each certificate field by name and takes one record."""
+
+    @staticmethod
+    def replay(tmp_path, text):
+        path = tmp_path / "record.json"
+        path.write_text(text)
+        return run_cli("test", "--replay", str(path))
+
+    @staticmethod
+    def record(*argv):
+        return json.loads(run_cli("test", *argv, "--json")[1])
+
+    def test_forged_vanished_multiple(self, tmp_path):
+        # p = 383 is prime; the record claims 3 * Q = infinity
+        rec = self.record("7", "3")
+        rec["verdict"] = "composite"
+        rec["certificate"] = {"type": "vanished-multiple", "m": "178", "base_point": ["5", "1"]}
+        code, out, _ = self.replay(tmp_path, json.dumps(rec))
+        assert code == 1 and "INVALID" in out
+        for multiplier in ("0", "384"):
+            rec["certificate"]["multiplier"] = multiplier
+            assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+
+    def test_non_canonical_decimals(self, tmp_path):
+        for m in ("\u0661\u0667\u0668", "0178", "+178", " 178", "178.0"):
+            rec = self.record("7", "3")
+            rec["certificate"]["m"] = m
+            code, _, err = self.replay(tmp_path, json.dumps(rec))
+            assert code == 3 and "malformed" in err, m
+        rec = self.record("7", "3")
+        rec["candidate"]["n"] = "03"
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+
+    def test_field_types(self, tmp_path):
+        for field, value in (("m", 178), ("base_point", "5"), ("outcome", ["final-zero"])):
+            rec = self.record("7", "3")
+            rec["certificate"][field] = value
+            assert self.replay(tmp_path, json.dumps(rec))[0] == 3, field
+
+    def test_unknown_key_and_schema(self, tmp_path):
+        rec = self.record("7", "3")
+        rec["certificate"]["s_chain"] = ["0"]
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+        rec = self.record("7", "3")
+        rec["schema"] = "ecriesel.run-record/1"
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+        rec["certificate"]["junk"] = "1"
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+
+    def test_one_record_per_input(self, tmp_path):
+        good = json.dumps(self.record("7", "3"))
+        bad = self.record("7", "3")
+        bad["verdict"] = "composite"
+        assert self.replay(tmp_path, good + "\n" + json.dumps(bad) + "\n")[0] == 3
+        assert self.replay(tmp_path, good + "\n" + good)[0] == 3
+        assert self.replay(tmp_path, "\n" + good + "\n\n")[0] == 0
+        assert self.replay(tmp_path, "")[0] == 3
 
 
 class TestMersenneCommand:

@@ -4,6 +4,7 @@ import pytest
 
 from ecriesel.ecring import FactorFound, Point
 from ecriesel.numtheory import FormCandidate, jacobi, lucas_lehmer, trial_division
+from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
 from ecriesel.primality import (
     COMPOSITE,
     INCONCLUSIVE,
@@ -18,10 +19,9 @@ from ecriesel.primality import (
 )
 
 # aliased so pytest does not collect the library's test_* entry points
-from ecriesel.primality import test_large_prime_n as large_prime_n_test
+from ecriesel.primality import test_large_n as large_n_test
 from ecriesel.primality import test_mersenne as mersenne_test
 from ecriesel.primality import test_small_n as small_n_test
-from ecriesel.primality import test_two_prime_n as two_prime_n_test
 
 # two-prime fixtures: smallest gate-passing instances of p = 4*q1*q2 - 1,
 # and the smallest at or above 10^6, all selected by trial division
@@ -122,34 +122,34 @@ class TestMersenne:
 class TestLargePrimeN:
     def test_prime_10531(self):
         c = FormCandidate(k=2, n=2633)
-        v = large_prime_n_test(c)
+        v = large_n_test(c)
         assert v.status == PRIME
-        assert v.algorithm == "large-prime-n"
-        assert v.certificate["multiple_checks"][-1][1] == "infinity"
+        assert v.algorithm == "large-n"
+        assert v.certificate["factors"] == [2633]
         assert replay_verdict(c, v)
 
     def test_composite_10011(self):
         c = FormCandidate(k=2, n=2503)
-        v = large_prime_n_test(c)
+        v = large_n_test(c)
         assert v.status == COMPOSITE
         assert replay_verdict(c, v)
 
     def test_gate_failure_falls_back(self):
         c = FormCandidate(k=2, n=5)  # p = 19
-        v = large_prime_n_test(c)
+        v = large_n_test(c)
         assert v.status == PRIME
         assert v.algorithm == "trial-division"
 
     def test_rejects_composite_n(self):
         with pytest.raises(ValueError):
-            large_prime_n_test(FormCandidate(k=2, n=2501))  # 2501 = 41 * 61
+            large_n_test(FormCandidate(k=2, n=2501))  # 2501 = 41 * 61
 
     def test_exhausted_scan_is_inconclusive(self):
         # at p = 10011 the scan picks x = 2 but rejects y = 1, so a
         # one-value scan budget dries up before any candidate point
         c = FormCandidate(k=2, n=2503)
         assert jacobi(2, c.p) == -1 and jacobi(2**3 - 1, c.p) == -1
-        v = large_prime_n_test(c, SearchConfig(scan_limit=1))
+        v = large_n_test(c, SearchConfig(scan_limit=1))
         assert v.status == INCONCLUSIVE
         assert v.certificate["type"] == "retries-exhausted"
         assert replay_verdict(c, v)
@@ -157,43 +157,43 @@ class TestLargePrimeN:
 
 class TestTwoPrimeN:
     def test_smallest_gate_passing_instances(self):
-        v = two_prime_n_test(TWO_PRIME_SMALL_PRIME)
+        v = large_n_test(TWO_PRIME_SMALL_PRIME)
         assert v.status == PRIME
         assert trial_division(TWO_PRIME_SMALL_PRIME.p) == 131
         assert replay_verdict(TWO_PRIME_SMALL_PRIME, v)
 
-        v = two_prime_n_test(TWO_PRIME_SMALL_COMPOSITE)
+        v = large_n_test(TWO_PRIME_SMALL_COMPOSITE)
         assert v.status == COMPOSITE
         assert trial_division(TWO_PRIME_SMALL_COMPOSITE.p) == 5
         assert replay_verdict(TWO_PRIME_SMALL_COMPOSITE, v)
 
     def test_million_scale_instances(self):
-        v = two_prime_n_test(TWO_PRIME_BIG_PRIME)
+        v = large_n_test(TWO_PRIME_BIG_PRIME)
         assert v.status == PRIME
         assert trial_division(TWO_PRIME_BIG_PRIME.p) == TWO_PRIME_BIG_PRIME.p
         assert replay_verdict(TWO_PRIME_BIG_PRIME, v)
 
-        v = two_prime_n_test(TWO_PRIME_BIG_COMPOSITE)
+        v = large_n_test(TWO_PRIME_BIG_COMPOSITE)
         assert v.status == COMPOSITE
         assert trial_division(TWO_PRIME_BIG_COMPOSITE.p) < TWO_PRIME_BIG_COMPOSITE.p
         assert replay_verdict(TWO_PRIME_BIG_COMPOSITE, v)
 
     def test_gate_failing_tiny_candidate(self):
         c = FormCandidate(k=2, n=9, n_factors=(3, 3))  # p = 35
-        v = two_prime_n_test(c)
+        v = large_n_test(c)
         assert v.status == COMPOSITE and v.algorithm == "trial-division"
-        v = two_prime_n_test(c, SearchConfig(oracle_bound=10))
+        v = large_n_test(c, SearchConfig(oracle_bound=10))
         assert v.status == NOT_APPLICABLE
 
     def test_requires_supplied_factors(self):
         with pytest.raises(ValueError):
-            two_prime_n_test(FormCandidate(k=2, n=33))
+            large_n_test(FormCandidate(k=2, n=33))
         with pytest.raises(ValueError):
-            two_prime_n_test(FormCandidate(k=2, n=45, n_factors=(3, 15)))
+            large_n_test(FormCandidate(k=2, n=45, n_factors=(3, 15)))
 
     def test_repeated_prime_factor(self):
         c = FormCandidate(k=4, n=121, n_factors=(11, 11))  # p = 1935 = 3 * 645
-        v = two_prime_n_test(c)
+        v = large_n_test(c)
         truth = PRIME if trial_division(c.p) == c.p else COMPOSITE
         assert v.status == truth
         assert replay_verdict(c, v)
@@ -216,11 +216,26 @@ class TestAutoTest:
         c = FormCandidate(k=2, n=2633)
         assert not gate_small_n(c) and gate_large_n(c)
         v = auto_test(c)
-        assert v.algorithm == "large-prime-n" and v.status == PRIME
+        assert v.algorithm == "large-n" and v.status == PRIME
 
     def test_routes_two_prime_with_supplied_factors(self):
         v = auto_test(TWO_PRIME_BIG_PRIME)
-        assert v.algorithm == "two-prime-n" and v.status == PRIME
+        assert v.algorithm == "large-n" and v.status == PRIME
+
+    def test_routes_any_prime_factorization(self):
+        cfg = SearchConfig(oracle_bound=10)
+        c = FormCandidate(k=2, n=105, n_factors=(3, 5, 7))  # p = 419, prime
+        v = auto_test(c, cfg)
+        assert v.algorithm == "large-n" and v.status == PRIME
+        assert v.certificate["factors"] == [3, 5, 7]
+        assert trial_division(c.p) == c.p
+        assert replay_verdict(c, v)
+
+        c = FormCandidate(k=2, n=231, n_factors=(3, 7, 11))  # p = 923 = 13 * 71
+        v = auto_test(c, cfg)
+        assert v.algorithm == "large-n" and v.status == COMPOSITE
+        assert trial_division(c.p) == 13
+        assert replay_verdict(c, v)
 
     def test_small_p_oracle_fallback(self):
         v = auto_test(FormCandidate(k=2, n=1))  # p = 3
@@ -255,8 +270,8 @@ class TestDeterminismAndConfig:
     def test_seeded_mode_is_reproducible_and_sound(self):
         c = FormCandidate(k=2, n=2633)
         cfg = SearchConfig(seed=99)
-        a = large_prime_n_test(c, cfg)
-        b = large_prime_n_test(c, cfg)
+        a = large_n_test(c, cfg)
+        b = large_n_test(c, cfg)
         assert a == b
         assert a.status == PRIME
         assert replay_verdict(c, a)
@@ -268,13 +283,25 @@ class TestDeterminismAndConfig:
 
 class TestReplayRejectsTampering:
     def test_flipped_sequence_value(self):
-        c = FormCandidate(k=7, n=3)
-        v = small_n_test(c)
-        cert = dict(v.certificate)
-        chain = list(cert["s_chain"])
-        chain[2] = (chain[2] + 1) % c.p
-        cert["s_chain"] = chain
-        assert not replay_verdict(c, Verdict(v.status, v.algorithm, cert))
+        # one certificate per outcome, so each outcome field is present in one
+        cases = [
+            (FormCandidate(k=7, n=3), small_n_test),  # final-zero
+            (FormCandidate(k=7, n=7), small_n_test),  # gcd-hit: step, divisor
+            (FormCandidate(k=7, n=37), small_n_test),  # final-nonzero: residue
+            (FormCandidate(k=4, n=1), lambda c: mersenne_test(c.k)),  # final-nonzero
+        ]
+        for c, route in cases:
+            v = route(c)
+            assert v.certificate["type"] == "sequence" and replay_verdict(c, v)
+            for field in ("x0", "outcome", "step", "divisor", "residue"):
+                cert = dict(v.certificate)
+                if field == "outcome":
+                    cert[field] = FINAL_ZERO if cert[field] != FINAL_ZERO else FINAL_NONZERO
+                elif field in cert:
+                    cert[field] = (cert[field] + 1) % c.p
+                else:
+                    cert[field] = 1  # a field the outcome does not carry
+                assert not replay_verdict(c, Verdict(v.status, v.algorithm, cert)), (c, field)
 
     def test_flipped_status(self):
         c = FormCandidate(k=7, n=3)
@@ -290,16 +317,39 @@ class TestReplayRejectsTampering:
 
     def test_wrong_candidate(self):
         c = FormCandidate(k=2, n=2633)
-        v = large_prime_n_test(c)
+        v = large_n_test(c)
         other = FormCandidate(k=2, n=2503)
         assert not replay_verdict(other, v)
 
     def test_tampered_order_point(self):
-        c = FormCandidate(k=2, n=2633)
-        v = large_prime_n_test(c)
-        cert = json.loads(json.dumps(v.certificate))
-        cert["doubled_point"][0] = (cert["doubled_point"][0] + 1) % c.p
-        assert not replay_verdict(c, Verdict(v.status, v.algorithm, cert))
+        cases = [
+            FormCandidate(k=2, n=2633),
+            TWO_PRIME_BIG_PRIME,
+            FormCandidate(k=2, n=105, n_factors=(3, 5, 7)),
+        ]
+        for c in cases:
+            v = large_n_test(c, SearchConfig(oracle_bound=10))
+            assert v.certificate["type"] == "order" and replay_verdict(c, v)
+            x, y = v.certificate["base_point"]
+            forgeries = [
+                {"base_point": [(x + 1) % c.p, y]},
+                {"base_point": [x, (y + 1) % c.p]},
+                {"m": (v.certificate["m"] + 1) % c.p},
+                {"factors": [c.n]} if len(v.certificate["factors"]) > 1 else {"factors": [1, c.n]},
+                {"factors": v.certificate["factors"][1:]},
+            ]
+            for change in forgeries:
+                cert = {**v.certificate, **change}
+                assert not replay_verdict(c, Verdict(v.status, v.algorithm, cert)), (c, change)
+
+    def test_vanished_multiple_multiplies_by_n(self):
+        # p = 383 is prime, so 3 * Q is finite whatever the record claims
+        c = FormCandidate(k=7, n=3)
+        cert = {"type": "vanished-multiple", "m": 178, "base_point": [5, 1]}
+        assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
+        for multiplier in (0, 384):
+            forged = {**cert, "multiplier": multiplier}
+            assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", forged))
 
     def test_oracle_certificate_must_match_recomputation(self):
         c = FormCandidate(k=3, n=5)
