@@ -18,6 +18,7 @@ from .ecring import (
     add,
     double,
     double_x_only,
+    double_x_only_chain,
     on_curve,
     scalar_mul,
 )
@@ -72,6 +73,7 @@ from .sequence import (
     GCD_HIT,
     STrace,
     SequenceOutcome,
+    chain_outcome,
     mersenne_sequence,
     run_sequence,
 )

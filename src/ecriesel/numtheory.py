@@ -89,16 +89,21 @@ def jacobi(a: int, n: int) -> int:
 
 
 def mod_inverse(a: int, n: int) -> InverseOutcome:
-    """Invert a mod n, or report the proper divisor / zero outcome instead."""
+    """Invert a mod n, or report the proper divisor / zero outcome instead.
+
+    Units (the common case) cost one extended Euclid pass inside pow; the
+    gcd is computed only when pow reports that a is not a unit.
+    """
     if n < 2:
         raise ValueError("modulus must be at least 2")
     a %= n
-    g = gcd(a, n)
-    if g == 1:
+    try:
         return InverseOutcome(inverse=pow(a, -1, n))
-    if g == n:
+    except ValueError:
+        pass
+    if a == 0:
         return InverseOutcome()
-    return InverseOutcome(divisor=g)
+    return InverseOutcome(divisor=gcd(a, n))
 
 
 def iroot4(t: int) -> int:

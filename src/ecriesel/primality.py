@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd, prod
 
-from .ecring import Curve, FactorFound, Point, double_x_only, on_curve, scalar_mul
+from .ecring import (
+    Curve,
+    FactorFound,
+    Point,
+    double_x_only,
+    double_x_only_chain,
+    on_curve,
+    scalar_mul,
+)
 from .numtheory import (
     FormCandidate,
     gate_large_n,
@@ -35,8 +43,8 @@ from .sequence import (
     FINAL_ZERO,
     GCD_HIT,
     SequenceOutcome,
-    mersenne_sequence,
-    run_sequence,
+    chain_outcome,
+    run_sequence,  # noqa: F401  (perfbench/tracing.py patches primality.run_sequence)
 )
 
 PRIME = "prime"
@@ -220,7 +228,7 @@ def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     if start.is_infinity:
         cert = {"type": "vanished-multiple", "m": m, "base_point": [base.x, base.y]}
         return Verdict(COMPOSITE, algorithm, cert)
-    outcome, _ = run_sequence(p, m, start.x, c.k, four_factor=True)
+    outcome = chain_outcome(p, m, start.x, c.k, four_factor=True)
     cert = _sequence_certificate(m, outcome, start.x, base)
     status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
     return Verdict(status, algorithm, cert)
@@ -232,8 +240,11 @@ def test_mersenne(k: int) -> Verdict:
     The fixed start x_0 = -1 on y^2 = x^3 - 3x is valid for every exponent,
     so the verdict is the sequence classification directly.
     """
-    outcome, trace = mersenne_sequence(k)
-    cert = _sequence_certificate(3, outcome, trace.x_values[0])
+    if k < 3:
+        raise ValueError("Mersenne exponent must be at least 3")
+    p = (1 << k) - 1
+    outcome = chain_outcome(p, 3, p - 1, k, four_factor=False)
+    cert = _sequence_certificate(3, outcome, p - 1)
     status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
     return Verdict(status, "mersenne", cert)
 
@@ -251,13 +262,18 @@ def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     than looping forever.  The paper's large-prime-n and two-prime-n tests
     are the one- and two-factor cases.
     """
-    algorithm = "large-n"
     if not gate_large_n(c):
-        return _gate_fallback(c, cfg, algorithm, "large-n")
+        return _gate_fallback(c, cfg, "large-n", "large-n")
     factors = c.n_factors or (c.n,)
     for q in factors:
         if not _probable_prime(q, cfg):
             raise ValueError(f"factor {q} of n is not prime")
+    return _order_route(c, factors, cfg)
+
+
+def _order_route(c: FormCandidate, factors: tuple[int, ...], cfg: SearchConfig) -> Verdict:
+    """test_large_n once the gate has passed and every factor is known prime."""
+    algorithm = "large-n"
     cofactors = [c.n // q for q in dict.fromkeys(factors)]
     p = c.p
     attempts = 0
@@ -297,8 +313,9 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
     if gate_small_n(c):
         return test_small_n(c, cfg)
     if gate_large_n(c) and c.n > 1:
-        if all(_probable_prime(q, cfg) for q in c.n_factors or (c.n,)):
-            return test_large_n(c, cfg)
+        factors = c.n_factors or (c.n,)
+        if all(_probable_prime(q, cfg) for q in factors):
+            return _order_route(c, factors, cfg)
     if c.p <= cfg.oracle_bound:
         return _oracle_verdict(c.p)
     reason = "no applicable route: gates fail or n needs an unavailable factorization"
@@ -311,16 +328,20 @@ def _replay_chain(p: int, m: int, x: int, k: int, c_const: int) -> dict:
     """Recompute the k-step chain from x and return the outcome fields
     (outcome plus step, divisor or residue) its certificate must carry."""
     curve = Curve(p, m)
-    for i in range(1, k + 1):
-        s = c_const * x * ((x * x - m) % p) % p
-        if i == k:
-            return {"outcome": FINAL_ZERO} if s == 0 else {"outcome": FINAL_NONZERO, "residue": s}
-        if s == 0:
-            return {"outcome": EARLY_INFINITY, "step": i}
-        g = gcd(s, p)
-        if g > 1:
-            return {"outcome": GCD_HIT, "step": i, "divisor": g}
-        x = double_x_only(curve, x)
+    last = double_x_only_chain(curve, x, k - 1)
+    if last is None:
+        # some S_i with i < k is not a unit: walk step by step to find it
+        for i in range(1, k):
+            s = c_const * x * ((x * x - m) % p) % p
+            if s == 0:
+                return {"outcome": EARLY_INFINITY, "step": i}
+            g = gcd(s, p)
+            if g > 1:
+                return {"outcome": GCD_HIT, "step": i, "divisor": g}
+            x = double_x_only(curve, x)
+        last = x
+    s = c_const * last * ((last * last - m) % p) % p
+    return {"outcome": FINAL_ZERO} if s == 0 else {"outcome": FINAL_NONZERO, "residue": s}
 
 
 def _replay_constructed_point(p: int, m: int, base: Point) -> bool:

@@ -6,6 +6,11 @@ and advances x through the x-only doubling map while S_i stays a unit.
 Over a prime modulus S_i is, up to the constant, the square of the
 y-coordinate of the (i-1)-fold doubling of any lift of x_0, so the chain
 reads off exactly when the doubled point first hits 2-torsion or infinity.
+
+chain_outcome decides a run with projective doubling and one gcd
+(ecring.double_x_only_chain); run_sequence walks it step by step and keeps
+the trace.  Both return the same outcome: chain_outcome falls back to the
+walk whenever the deferred gcd reports a non-unit S_i.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .ecring import Curve, double_x_only
+from .ecring import Curve, double_x_only, double_x_only_chain
 
 # Outcome kinds for a k-step run.
 FINAL_ZERO = "final-zero"  # every S_i (i < k) a unit and S_k = 0: the prime pattern
@@ -45,6 +50,20 @@ class STrace:
         return len(self.s_values)
 
 
+def _check_chain(modulus: int, k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if modulus < 3 or modulus % 2 == 0:
+        raise ValueError("modulus must be odd and >= 3")
+
+
+def _final_outcome(s: int) -> SequenceOutcome:
+    """Classification by S_k once S_1 .. S_{k-1} were all units."""
+    if s == 0:
+        return SequenceOutcome(FINAL_ZERO)
+    return SequenceOutcome(FINAL_NONZERO, residue=s)
+
+
 def run_sequence(
     modulus: int, m: int, x0: int, k: int, four_factor: bool = True
 ) -> tuple[SequenceOutcome, STrace]:
@@ -53,10 +72,7 @@ def run_sequence(
     For steps 1..k-1 a proper gcd is GCD_HIT and a vanishing S_i is
     EARLY_INFINITY; at step k only the residue class of S_k matters.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if modulus < 3 or modulus % 2 == 0:
-        raise ValueError("modulus must be odd and >= 3")
+    _check_chain(modulus, k)
     m %= modulus
     curve = Curve(modulus, m)
     c = 4 if four_factor else 1
@@ -68,10 +84,7 @@ def run_sequence(
         s = c * x * ((x * x - m) % modulus) % modulus
         ss.append(s)
         if i == k:
-            if s == 0:
-                outcome = SequenceOutcome(FINAL_ZERO)
-            else:
-                outcome = SequenceOutcome(FINAL_NONZERO, residue=s)
+            outcome = _final_outcome(s)
             break
         if s == 0:
             outcome = SequenceOutcome(EARLY_INFINITY, step=i)
@@ -86,6 +99,25 @@ def run_sequence(
         xs.append(x)
     trace = STrace(modulus, m, four_factor, tuple(xs), tuple(ss))
     return outcome, trace
+
+
+def chain_outcome(
+    modulus: int, m: int, x0: int, k: int, four_factor: bool = True
+) -> SequenceOutcome:
+    """The outcome of run_sequence(modulus, m, x0, k, four_factor), untraced.
+
+    The k - 1 doublings run projectively with one gcd at the end; S_i is a
+    unit iff the i-th doubling denominator is, so a unit result leaves only
+    S_k to classify.  Otherwise the step-by-step walk finds the first
+    non-unit S_i with its step and divisor.
+    """
+    _check_chain(modulus, k)
+    m %= modulus
+    x = double_x_only_chain(Curve(modulus, m), x0, k - 1)
+    if x is None:
+        return run_sequence(modulus, m, x0, k, four_factor)[0]
+    c = 4 if four_factor else 1
+    return _final_outcome(c * x * ((x * x - m) % modulus) % modulus)
 
 
 def mersenne_sequence(k: int) -> tuple[SequenceOutcome, STrace]:
