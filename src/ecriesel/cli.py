@@ -21,7 +21,8 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache, partial
 
 from . import __version__
 from .numtheory import FormCandidate, lucas_lehmer
@@ -46,10 +47,31 @@ EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 ORACLE_BOUND_ENV = "ECRIESEL_ORACLE_BOUND"
 
 
+def _past_digit_limit(convert, value):
+    """convert(value), where convert is int or str, also when the value is
+    longer than Python's int<->str digit limit (4300 digits by default).
+
+    Only the conversion that the limit refuses is retried, with the limit
+    lifted; the caller's setting is restored afterwards.
+    """
+    try:
+        return convert(value)
+    except ValueError:
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            raise
+        saved = sys.get_int_max_str_digits()
+        set_limit(0)
+        try:
+            return convert(value)
+        finally:
+            set_limit(saved)
+
+
 def _stringify(value):
     """Render every int inside a certificate as a decimal string."""
     if isinstance(value, int):
-        return str(value)
+        return _past_digit_limit(str, value)
     if isinstance(value, list):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -64,7 +86,7 @@ def _parse_int(text) -> int:
     """A canonical ASCII decimal string, as _stringify writes it."""
     if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
         raise ValueError(f"not a canonical decimal string: {text!r}")
-    return int(text)
+    return _past_digit_limit(int, text)
 
 
 def _parse_int_list(values) -> list[int]:
@@ -93,7 +115,11 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
     record = {
         "schema": SCHEMA,
         "tool_version": __version__,
-        "candidate": {"k": str(c.k), "n": str(c.n), "p": str(c.p)},
+        "candidate": {
+            "k": _past_digit_limit(str, c.k),
+            "n": _past_digit_limit(str, c.n),
+            "p": _past_digit_limit(str, c.p),
+        },
         "algorithm": verdict.algorithm,
         "verdict": verdict.status,
         "iterations": verdict.iterations,
@@ -208,12 +234,13 @@ def _cmd_replay(args, out, err) -> int:
         if len(lines) != 1:
             raise ValueError(f"expected one record line, found {len(lines)}")
         c, verdict = record_to_inputs(json.loads(lines[0]))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the decoder can follow
         err.write(f"replay: malformed record: {exc}\n")
         return 3
     ok = replay_verdict(c, verdict)
     out.write(f"replay: {'valid' if ok else 'INVALID'} "
-              f"({verdict.status} via {verdict.algorithm} for p={c.p})\n")
+              f"({verdict.status} via {verdict.algorithm} for p={_stringify(c.p)})\n")
     return 0 if ok else 1
 
 
@@ -295,7 +322,14 @@ def _cmd_verify(args, out, err) -> int:
     return 0 if not report["violations"] else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main call.
+
+    It holds no per-call state: every default is a constant, the
+    environment is read in _config_from_args, and parse_args returns a
+    fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="ecriesel",
         description="Elliptic-curve primality tests for integers 2^k * n - 1",
@@ -349,11 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
+    """Run one command; all output, argparse's usage errors and --version
+    included, goes to out and err (default: the process's streams)."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return 3 if exc.code not in (0, None) else 0

@@ -12,16 +12,18 @@ double_x_only invert each denominator as it arises.  The fast paths defer
 that work: double_x_only_chain runs x-only doubling on (X:Z) (Montgomery
 1987), and scalar_mul keeps every operation but the last in Jacobian
 coordinates.  Each multiplies all denominators into Z and takes one gcd at
-the end.  Z is a unit iff every denominator was, and then the result is
-the affine one exactly.  Otherwise the affine walk runs again from the
-start and meets the failure where it happens: the exact step, the same
-FactorFound divisor, the same infinity.  Deferring the gcd moves where it
-is taken; it hides no failure and no witness.
+the end; the chain also takes one after doublings 1, 2, 4, 8, ... to stop
+early once Z is no longer a unit.  Z is a unit iff every denominator was,
+and then the result is the affine one exactly.  Otherwise the affine walk
+runs again from the start and meets the failure where it happens: the
+exact step, the same FactorFound divisor, the same infinity.  Deferring
+the gcd moves where it is taken; it hides no failure and no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .numtheory import mod_inverse
 
@@ -190,48 +192,59 @@ def double_x_only_chain(curve: Curve, x: int, times: int) -> int | None:
     Z' = 4 X Z (X^2 - m Z^2), so Z collects every denominator that
     double_x_only would invert.  Returns None when one of them is not a
     unit mod the modulus (a divisor, or infinity, on the way); repeating
-    double_x_only then finds which step.  A modulus 2^j - 1 with j >= 3 is
-    reduced by shift-and-fold, since 2^j = 1 there; any other by division.
+    double_x_only then finds which step.  A non-unit Z stays one, so a gcd
+    after doublings 1, 2, 4, 8, ... stops a failed chain within twice the
+    failing step, for about log2(times) gcds per chain.  A modulus 2^j - 1
+    with j >= 3 is reduced by shift-and-fold, since 2^j = 1 there; any
+    other by division.
     """
     n = curve.modulus
     m = curve.m % n
     X, Z = x % n, 1
     j = n.bit_length()
-    if n & (n + 1) == 0 and j >= 3:
-        # every folded value is below 4 n^2 < 2^(2j+2): two folds leave it
-        # at most n + 4, and one subtraction brings it below n
-        for _ in range(times):
-            t = X * X
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            xx = t - n if t >= n else t
-            t = Z * Z
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            t = m * (t - n if t >= n else t)
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            mzz = t - n if t >= n else t
-            t = X * Z
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            d = xx - mzz
-            t = 4 * (t - n if t >= n else t) * (d + n if d < 0 else d)
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            Z = t - n if t >= n else t
-            t = xx + mzz
-            t = t * t
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            X = t - n if t >= n else t
-    else:
-        for _ in range(times):
-            xx = X * X % n
-            mzz = m * (Z * Z % n) % n
-            Z = 4 * X * Z % n * (xx - mzz) % n
-            t = xx + mzz
-            X = t * t % n
+    fold = n & (n + 1) == 0 and j >= 3
+    done, checkpoint = 0, 1
+    while done < times:
+        if done and gcd(Z, n) != 1:
+            return None
+        run = min(checkpoint, times) - done
+        done += run
+        checkpoint *= 2
+        if fold:
+            # every folded value is below 4 n^2 < 2^(2j+2): two folds leave
+            # it at most n + 4, and one subtraction brings it below n
+            for _ in range(run):
+                t = X * X
+                t = (t & n) + (t >> j)
+                t = (t & n) + (t >> j)
+                xx = t - n if t >= n else t
+                t = Z * Z
+                t = (t & n) + (t >> j)
+                t = (t & n) + (t >> j)
+                t = m * (t - n if t >= n else t)
+                t = (t & n) + (t >> j)
+                t = (t & n) + (t >> j)
+                mzz = t - n if t >= n else t
+                t = X * Z
+                t = (t & n) + (t >> j)
+                t = (t & n) + (t >> j)
+                d = xx - mzz
+                t = 4 * (t - n if t >= n else t) * (d + n if d < 0 else d)
+                t = (t & n) + (t >> j)
+                t = (t & n) + (t >> j)
+                Z = t - n if t >= n else t
+                t = xx + mzz
+                t = t * t
+                t = (t & n) + (t >> j)
+                t = (t & n) + (t >> j)
+                X = t - n if t >= n else t
+        else:
+            for _ in range(run):
+                xx = X * X % n
+                mzz = m * (Z * Z % n) % n
+                Z = 4 * X * Z % n * (xx - mzz) % n
+                t = xx + mzz
+                X = t * t % n
     inv = mod_inverse(Z, n).inverse
     if inv is None:
         return None

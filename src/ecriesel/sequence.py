@@ -7,7 +7,7 @@ Over a prime modulus S_i is, up to the constant, the square of the
 y-coordinate of the (i-1)-fold doubling of any lift of x_0, so the chain
 reads off exactly when the doubled point first hits 2-torsion or infinity.
 
-chain_outcome decides a run with projective doubling and one gcd
+chain_outcome decides a run with projective doubling and a deferred gcd
 (ecring.double_x_only_chain); run_sequence walks it step by step and keeps
 the trace.  Both return the same outcome: chain_outcome falls back to the
 walk whenever the deferred gcd reports a non-unit S_i.
@@ -106,7 +106,7 @@ def chain_outcome(
 ) -> SequenceOutcome:
     """The outcome of run_sequence(modulus, m, x0, k, four_factor), untraced.
 
-    The k - 1 doublings run projectively with one gcd at the end; S_i is a
+    The k - 1 doublings run projectively with a deferred gcd; S_i is a
     unit iff the i-th doubling denominator is, so a unit result leaves only
     S_k to classify.  Otherwise the step-by-step walk finds the first
     non-unit S_i with its step and divisor.

@@ -1,7 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from ecriesel import cli
 from ecriesel.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*argv):
@@ -174,6 +181,10 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, "\n" + good + "\n\n")[0] == 0
         assert self.replay(tmp_path, "")[0] == 3
 
+    def test_deeply_nested_json(self, tmp_path):
+        code, out, err = self.replay(tmp_path, "[" * 200000 + "]" * 200000)
+        assert code == 3 and out == "" and "malformed" in err
+
 
 class TestMersenneCommand:
     def test_range_finds_known_exponents(self):
@@ -197,6 +208,24 @@ class TestMersenneCommand:
     def test_bad_range(self):
         assert run_cli("mersenne", "2", "5")[0] == 3
         assert run_cli("mersenne", "9", "5")[0] == 3
+
+    def test_beyond_the_int_digit_limit(self, tmp_path):
+        # p = 2^14400 - 1 has 4335 digits, past Python's default 4300
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, _ = run_cli("mersenne", "14400", "14400", "--json")
+        assert code == 0
+        rec = json_lines(out)[0]
+        assert rec["verdict"] == "composite" and rec["certificate"]["outcome"] == "gcd-hit"
+        assert len(rec["candidate"]["p"]) == 4335
+        assert cli._parse_int(rec["candidate"]["p"]) == (1 << 14400) - 1
+        assert run_cli("test", "14400", "1", "--json")[:2] == (1, out)
+        path = tmp_path / "record.json"
+        path.write_text(out)
+        code, out, _ = run_cli("test", "--replay", str(path))
+        assert code == 0 and out.startswith("replay: valid")
+        assert run_cli("mersenne", "14400", "14400")[0] == 0
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
 
 
 class TestSearchCommand:
@@ -265,3 +294,59 @@ class TestDeterminismAndEnv:
         monkeypatch.delenv("ECRIESEL_ORACLE_BOUND")
         code, _, _ = run_cli("test", "3", "5", "--json")
         assert code == 1
+
+
+class TestOneParserPerProcess:
+    """main() reuses one parser, and all its output goes to out and err."""
+
+    @staticmethod
+    def fresh_process(argv, stdin_text, env_bound):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("ECRIESEL_ORACLE_BOUND", None)
+        if env_bound is not None:
+            env["ECRIESEL_ORACLE_BOUND"] = env_bound
+        done = subprocess.run([sys.executable, "-m", "ecriesel", *argv], input=stdin_text,
+                              capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, done.stdout
+
+    def test_interleaved_calls_match_fresh_processes(self, monkeypatch):
+        record = run_cli("test", "7", "3", "--json")[1]
+        forged = json.loads(record)
+        forged["verdict"] = "composite"
+        calls = [
+            (("test", "7", "3", "--json"), None, None),
+            (("test", "--replay", "-"), record, None),
+            (("test", "3", "5", "--json"), None, "10"),  # oracle bound: not-applicable
+            (("mersenne", "3", "13", "--json"), None, None),
+            (("test", "3", "5", "--json"), None, None),  # default bound: composite
+            (("test", "--bogus"), None, None),
+            (("search", "--k", "7", "--n-max", "15", "--json"), None, "10"),
+            (("test", "--replay", "-"), json.dumps(forged), None),
+            (("verify", "--p-max", "50"), None, None),
+            (("search", "--k", "1", "--n-max", "5"), None, None),
+            (("--version",), None, None),
+            (("test", "2", "2633", "--json"), None, "10"),
+            (("test", "--replay", "-"), record, None),
+        ]
+        builds = cli._build_parser.cache_info().misses
+        for argv, stdin_text, env_bound in calls:
+            if env_bound is None:
+                monkeypatch.delenv("ECRIESEL_ORACLE_BOUND", raising=False)
+            else:
+                monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", env_bound)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text or ""))
+            code, out, _ = run_cli(*argv)
+            assert (code, out) == self.fresh_process(argv, stdin_text, env_bound), argv
+        assert cli._build_parser.cache_info().misses == builds  # no parser rebuilt
+
+    def test_parser_output_goes_to_the_given_streams(self, capsys):
+        for argv in (("test", "--bogus"), ("no-such-command",), ("mersenne", "3"),
+                     ("verify", "--p-max", "nope")):
+            code, out, err = run_cli(*argv)
+            assert code == 3 and out == "" and err.startswith("usage: ecriesel"), argv
+        code, out, err = run_cli("--version")
+        assert code == 0 and out == f"ecriesel {cli.__version__}\n" and err == ""
+        code, out, err = run_cli("test", "--help")
+        assert code == 0 and out.startswith("usage: ecriesel test") and err == ""
+        assert capsys.readouterr() == ("", "")

@@ -93,6 +93,41 @@ def test_replay_chain_equals_traced_walk(curve, data, k, four):
     assert _replay_chain(n, curve.m, x0, k, 4 if four else 1) == fields
 
 
+# Chains long enough to pass several of the gcd checkpoints at doublings
+# 1, 2, 4, 8, ... and to fail between any two of them.
+long_chains = st.integers(41, 400)
+
+
+@PROFILE
+@given(curve=curves(), data=st.data(), k=long_chains, four=st.booleans())
+def test_long_chain_outcome_equals_traced_walk(curve, data, k, four):
+    n = curve.modulus
+    x0 = data.draw(st.integers(0, 2 * n))
+    walked, _ = run_sequence(n, curve.m, x0, k, four_factor=four)
+    assert chain_outcome(n, curve.m, x0, k, four_factor=four) == walked
+
+
+@PROFILE
+@given(curve=curves(), data=st.data(), k=long_chains)
+def test_long_replay_chain_equals_traced_walk(curve, data, k):
+    n = curve.modulus
+    x0 = data.draw(st.integers(0, n - 1))
+    walked, _ = run_sequence(n, curve.m, x0, k, four_factor=True)
+    fields = {"outcome": walked.kind}
+    for name in ("step", "divisor", "residue"):
+        if getattr(walked, name) is not None:
+            fields[name] = getattr(walked, name)
+    assert _replay_chain(n, curve.m, x0, k, 4) == fields
+
+
+@PROFILE
+@given(curve=curves(), data=st.data(), times=long_chains)
+def test_long_chain_equals_repeated_doubling(curve, data, times):
+    # the division path, unmasked by chain_outcome's affine fallback
+    x = data.draw(st.integers(0, curve.modulus - 1))
+    assert double_x_only_chain(curve, x, times) == repeated_doubling(curve, x, times)
+
+
 @PROFILE
 @given(curve=curves(), data=st.data(), s=st.integers(0, 2**40))
 def test_scalar_mul_equals_affine_double_and_add(curve, data, s):
@@ -118,6 +153,15 @@ def test_scalar_mul_small_moduli_hit_every_outcome(curve, data, s):
 @PROFILE
 @given(j=st.integers(3, 260), data=st.data(), times=st.integers(0, 30))
 def test_mersenne_fold_equals_division(j, data, times):
+    n = (1 << j) - 1
+    curve = Curve(n, data.draw(st.integers(1, n - 1)))
+    x = data.draw(st.integers(0, n - 1))
+    assert double_x_only_chain(curve, x, times) == repeated_doubling(curve, x, times)
+
+
+@PROFILE
+@given(j=st.integers(3, 260), data=st.data(), times=long_chains)
+def test_long_mersenne_fold_equals_division(j, data, times):
     n = (1 << j) - 1
     curve = Curve(n, data.draw(st.integers(1, n - 1)))
     x = data.draw(st.integers(0, n - 1))

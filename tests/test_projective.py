@@ -82,6 +82,12 @@ class TestChainFallback:
         assert out == run_sequence(35, 3, 5, 4, four_factor=False)[0]
         assert out.kind == GCD_HIT and 35 % out.divisor == 0
 
+    def test_failed_chain_stops_at_a_checkpoint(self):
+        # x0 = 0 makes Z = 0 at doubling 1; all 10^7 doublings would take
+        # minutes, so only the gcd after doubling 1 can end this in time
+        for n in ((1 << 61) - 1, 1001):  # shift-and-fold, then division
+            assert double_x_only_chain(Curve(n, 3), 0, 10**7) is None
+
     def test_unit_chain_is_repeated_doubling(self):
         curve = Curve(31, 3)
         x = 30
