@@ -25,7 +25,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, partial
 
 from . import __version__
-from .numtheory import FormCandidate, lucas_lehmer
+from .numtheory import FormCandidate, lucas_lehmer, presieve
 from .oracle import verify_theorems
 from .primality import (
     COMPOSITE,
@@ -134,8 +134,8 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
     Raises ValueError on a record of another schema, a certificate key
-    outside CERTIFICATE_FIELDS, or an integer that is not a canonical
-    decimal string.
+    outside CERTIFICATE_FIELDS, an integer that is not a canonical decimal
+    string, or an iterations count that is not a JSON integer >= 1.
     """
     if not isinstance(record, dict) or record.get("schema") != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")
@@ -151,11 +151,14 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
         if key not in CERTIFICATE_FIELDS:
             raise ValueError(f"unknown certificate field {key!r}")
         cert[key] = CERTIFICATE_FIELDS[key](value)
+    iterations = record["iterations"]
+    if type(iterations) is not int or iterations < 1:
+        raise ValueError(f"iterations must be a JSON integer >= 1: {iterations!r}")
     verdict = Verdict(
         status=record["verdict"],
         algorithm=record["algorithm"],
         certificate=cert,
-        iterations=int(record.get("iterations", 1)),
+        iterations=iterations,
     )
     return c, verdict
 
@@ -274,18 +277,27 @@ def _search_candidate(n: int, k: int, cfg: SearchConfig) -> dict:
     return _run_one(FormCandidate(k=k, n=n), cfg, want_timing=False)
 
 
+def _sieve_record(n: int, k: int, divisor: int) -> dict:
+    cert = {"type": "factor", "divisor": divisor, "stage": "sieve"}
+    return build_record(FormCandidate(k=k, n=n), Verdict(COMPOSITE, "sieve", cert))
+
+
 def _cmd_search(args, out, err) -> int:
     if args.k < 2 or args.n_min < 1 or args.n_min > args.n_max or args.workers < 1:
         err.write("search: need k >= 2, 1 <= n-min <= n-max and workers >= 1\n")
         return 3
     cfg = _config_from_args(args)
-    ns = [n for n in range(args.n_min, args.n_max + 1) if n % 2 == 1]
+    ns = range(args.n_min | 1, args.n_max + 1, 2)
+    # A small prime factor settles n here; only the rest reach the curve routes.
+    sieved = presieve(args.k, ns)
+    unsieved = [n for n in ns if n not in sieved]
     counts = {PRIME: 0, COMPOSITE: 0, INCONCLUSIVE: 0, NOT_APPLICABLE: 0}
     worker = partial(_search_candidate, k=args.k, cfg=cfg)
 
-    def emit_all(records) -> None:
+    def emit_all(tested) -> None:
         # map() preserves input order, so emission stays ascending in n
-        for record in records:
+        for n in ns:
+            record = _sieve_record(n, args.k, sieved[n]) if n in sieved else next(tested)
             counts[record["verdict"]] += 1
             if args.json:
                 _emit_json(record, out)
@@ -293,10 +305,10 @@ def _cmd_search(args, out, err) -> int:
                 _emit_human(record, out)
 
     if args.workers == 1:
-        emit_all(map(worker, ns))
+        emit_all(map(worker, unsieved))
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            emit_all(pool.map(worker, ns, chunksize=16))
+            emit_all(pool.map(worker, unsieved, chunksize=16))
     summary = {"summary": {v: counts[v] for v in sorted(counts)}}
     if args.json:
         _emit_json(summary, out)

@@ -3,14 +3,17 @@
 Everything here is exact integer arithmetic: Jacobi symbols, three-way
 modular inversion (the divisor branch doubles as a factor extractor),
 integer roots, the applicability gates for the elliptic tests, the
-special-form fast reduction for moduli 2^k*n - 1, and the classical
-baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles.
+special-form fast reduction for moduli 2^k*n - 1, the classical
+baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles, and
+the small-prime presieve of a search range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 # Hard cap for exact trial-division answers.
@@ -20,6 +23,13 @@ ORACLE_LIMIT = 10**12
 # count the test is known exact far beyond anything this package feeds it.
 # Used only as a prefilter or cross-check, never as the verdict of record.
 MR_DEFAULT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest prime that presieves a search range.
+SIEVE_BOUND = 1 << 16
+# Sieving bound per candidate of the range, so that a narrow range builds
+# and walks few primes: a prime costs about one modular power (a microsecond),
+# a candidate that reaches the curve routes tens of microseconds or more.
+SIEVE_BOUND_PER_CANDIDATE = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,4 +238,50 @@ def sieve_primes(limit: int) -> list[int]:
     for i in range(2, isqrt(limit) + 1):
         if mark[i]:
             mark[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return [i for i, m in enumerate(mark) if m]
+    return list(compress(range(limit + 1), mark))
+
+
+@lru_cache(maxsize=1)
+def _odd_primes(limit: int) -> list[int]:
+    """The odd primes <= limit; a search repeated in one process builds them once."""
+    return sieve_primes(limit)[1:]
+
+
+def presieve_bound(k: int, ns: range) -> int:
+    """The largest prime presieve(k, ns) sieves by.
+
+    SIEVE_BOUND, lowered to sqrt(p) of the range's largest p (the least
+    factor of a composite p lies below it, so this drops no mark) and to
+    SIEVE_BOUND_PER_CANDIDATE per candidate (a narrow range pays for few
+    primes).
+    """
+    if not ns:
+        return 0
+    p_max = (ns[-1] << k) - 1
+    return min(SIEVE_BOUND, isqrt(p_max), SIEVE_BOUND_PER_CANDIDATE * len(ns))
+
+
+def presieve(k: int, ns: range) -> dict[int, int]:
+    """Least prime factor l <= presieve_bound(k, ns) of p = 2^k * n - 1,
+    for each n in ns whose p has one below p itself.
+
+    ns is a range of odd n with step 2.  An odd prime l divides p iff
+    n = 2^-k (mod l), so l marks every l-th entry of ns from the first one
+    in that class.  The n with p = l is skipped: a prime p is never marked.
+    Primes go in descending order, so the least one writes last.
+    """
+    if not ns:
+        return {}
+    if ns.step != 2 or ns.start < 1 or ns.start % 2 == 0:
+        raise ValueError("ns must be a range of positive odd n with step 2")
+    start, count = ns.start, len(ns)
+    least = [0] * count
+    for ell in reversed(_odd_primes(presieve_bound(k, ns))):
+        half = (ell + 1) >> 1  # 2^-1 (mod l)
+        # first i with start + 2i = 2^-k (mod l)
+        i = (pow(half, k, ell) - start) * half % ell
+        if k <= ell.bit_length() and ((start + 2 * i) << k) - 1 == ell:
+            i += ell
+        if i < count:
+            least[i::ell] = [ell] * len(range(i, count, ell))
+    return {start + 2 * i: ell for i, ell in enumerate(least) if ell}

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ecriesel import cli
 from ecriesel.cli import main
 
@@ -185,6 +187,18 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, "[" * 200000 + "]" * 200000)
         assert code == 3 and out == "" and "malformed" in err
 
+    @pytest.mark.parametrize("iterations", [True, 1.9, "0007", -5, 0, None],
+                             ids=["bool", "float", "string", "negative", "zero", "missing"])
+    def test_iterations_must_be_a_positive_json_int(self, tmp_path, iterations):
+        rec = self.record("7", "3")
+        assert rec["iterations"] == 1
+        if iterations is None:
+            del rec["iterations"]
+        else:
+            rec["iterations"] = iterations
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert code == 3 and out == "" and "malformed" in err
+
 
 class TestMersenneCommand:
     def test_range_finds_known_exponents(self):
@@ -248,12 +262,22 @@ class TestSearchCommand:
         recs = json_lines(out)
         summary = recs[-1]["summary"]
         assert sum(summary.values()) == len(recs) - 1
+        # p = 4n - 1; the presieve runs to 9, so p = 3 is a sieving prime and stays prime
+        by_p = {int(r["candidate"]["p"]): r for r in recs[:-1]}
+        primes = [p for p, r in by_p.items() if r["verdict"] == "prime"]
+        assert primes == [3, 11, 19, 43, 59, 67, 83] and summary["prime"] == len(primes)
+        sieved = {p: r["certificate"] for p, r in by_p.items() if r["algorithm"] == "sieve"}
+        assert sieved == {p: {"type": "factor", "divisor": str(d), "stage": "sieve"}
+                          for p, d in ((27, 3), (35, 5), (51, 3), (75, 3), (91, 7), (99, 3))}
+        assert all(by_p[p]["verdict"] == "composite" for p in sieved)
 
     def test_worker_count_does_not_change_bytes(self):
-        args = ("search", "--k", "5", "--n-min", "1", "--n-max", "31", "--json")
-        _, seq_out, _ = run_cli(*args)
-        _, par_out, _ = run_cli(*args, "--workers", "4")
-        assert seq_out == par_out
+        for args in (("search", "--k", "5", "--n-min", "1", "--n-max", "31", "--json"),
+                     ("search", "--k", "31", "--n-min", "40001", "--n-max", "40199", "--json")):
+            _, seq_out, _ = run_cli(*args, "--workers", "1")
+            _, par_out, _ = run_cli(*args, "--workers", "4")
+            assert seq_out == par_out
+        assert '"algorithm":"sieve"' in seq_out
 
     def test_bad_arguments(self):
         assert run_cli("search", "--k", "2", "--n-min", "9", "--n-max", "3")[0] == 3
