@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .ecring import (
     INFINITY,
+    ChainFailure,
     Curve,
     FactorFound,
     Point,

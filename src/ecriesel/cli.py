@@ -167,6 +167,14 @@ def _emit_json(record: dict, out) -> None:
     out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _emit(record: dict, as_json: bool, out) -> None:
+    """Write one run record: a JSON line, or the human-readable line."""
+    if as_json:
+        _emit_json(record, out)
+    else:
+        _emit_human(record, out)
+
+
 def _emit_human(record: dict, out) -> None:
     cand = record["candidate"]
     out.write(
@@ -218,10 +226,7 @@ def _cmd_test(args, out, err) -> int:
     except ValueError as exc:
         err.write(f"test: {exc}\n")
         return 3
-    if args.json:
-        _emit_json(record, out)
-    else:
-        _emit_human(record, out)
+    _emit(record, args.json, out)
     return EXIT_BY_VERDICT[record["verdict"]]
 
 
@@ -263,10 +268,7 @@ def _cmd_mersenne(args, out, err) -> int:
             record["lucas_lehmer"] = classical
             record["match"] = classical == verdict.status
             mismatches += 0 if record["match"] else 1
-        if args.json:
-            _emit_json(record, out)
-        else:
-            _emit_human(record, out)
+        _emit(record, args.json, out)
     if mismatches:
         err.write(f"mersenne: {mismatches} disagreement(s) with the classical test\n")
         return 1
@@ -286,7 +288,11 @@ def _cmd_search(args, out, err) -> int:
     if args.k < 2 or args.n_min < 1 or args.n_min > args.n_max or args.workers < 1:
         err.write("search: need k >= 2, 1 <= n-min <= n-max and workers >= 1\n")
         return 3
-    cfg = _config_from_args(args)
+    try:
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        err.write(f"search: {exc}\n")
+        return 3
     ns = range(args.n_min | 1, args.n_max + 1, 2)
     # A small prime factor settles n here; only the rest reach the curve routes.
     sieved = presieve(args.k, ns)
@@ -299,15 +305,15 @@ def _cmd_search(args, out, err) -> int:
         for n in ns:
             record = _sieve_record(n, args.k, sieved[n]) if n in sieved else next(tested)
             counts[record["verdict"]] += 1
-            if args.json:
-                _emit_json(record, out)
-            else:
-                _emit_human(record, out)
+            _emit(record, args.json, out)
 
-    if args.workers == 1:
+    # a fork-started pool starts all its workers at the first submit, so
+    # never ask for more than there are candidates or CPUs
+    workers = min(args.workers, len(unsieved), os.cpu_count() or 1)
+    if workers <= 1:
         emit_all(map(worker, unsieved))
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             emit_all(pool.map(worker, unsieved, chunksize=16))
     summary = {"summary": {v: counts[v] for v in sorted(counts)}}
     if args.json:

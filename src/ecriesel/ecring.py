@@ -11,12 +11,14 @@ One backend, two coordinate systems.  The affine double, add and
 double_x_only invert each denominator as it arises.  The fast paths defer
 that work: double_x_only_chain runs x-only doubling on (X:Z) (Montgomery
 1987), and scalar_mul keeps every operation but the last in Jacobian
-coordinates.  Each multiplies all denominators into Z and takes one gcd at
-the end; the chain also takes one after doublings 1, 2, 4, 8, ... to stop
-early once Z is no longer a unit.  Z is a unit iff every denominator was,
-and then the result is the affine one exactly.  Otherwise the affine walk
+coordinates.  Each multiplies all denominators into Z, and Z is a unit iff
+every denominator was; then the result is the affine one exactly.
+scalar_mul takes one gcd at the end, and on a non-unit Z its affine walk
 runs again from the start and meets the failure where it happens: the
-exact step, the same FactorFound divisor, the same infinity.  Deferring
+same FactorFound divisor, the same infinity.  The chain takes a gcd after
+doublings 1, 2, 4, 8, ... and after the last, and on a non-unit Z redoes
+only the doublings since its last unit checkpoint, one gcd each, which
+names the exact failing step and its divisor (ChainFailure).  Deferring
 the gcd moves where it is taken; it hides no failure and no witness.
 """
 
@@ -185,70 +187,95 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     return add(curve, acc, point) if ops[-1] == "A" else double(curve, acc)
 
 
-def double_x_only_chain(curve: Curve, x: int, times: int) -> int | None:
+@dataclass(frozen=True, slots=True)
+class ChainFailure:
+    """The first doubling of a chain whose denominator is not a unit.
+
+    step counts doublings from 1; divisor is gcd(denominator, modulus),
+    which is the modulus itself when that doubling reaches infinity.
+    """
+
+    step: int
+    divisor: int
+
+
+def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) -> tuple[int, int]:
+    """(X:Z) doubled `times` times: X' = (X^2 + m Z^2)^2, Z' = 4 X Z (X^2 - m Z^2).
+
+    With fold, n = 2^j - 1 and every product is reduced by shift-and-fold,
+    since 2^j = 1 there; otherwise by division.
+    """
+    if fold:
+        j = n.bit_length()
+        # every folded value is below 4 n^2 < 2^(2j+2): two folds leave
+        # it at most n + 4, and one subtraction brings it below n
+        for _ in range(times):
+            t = X * X
+            t = (t & n) + (t >> j)
+            t = (t & n) + (t >> j)
+            xx = t - n if t >= n else t
+            t = Z * Z
+            t = (t & n) + (t >> j)
+            t = (t & n) + (t >> j)
+            t = m * (t - n if t >= n else t)
+            t = (t & n) + (t >> j)
+            t = (t & n) + (t >> j)
+            mzz = t - n if t >= n else t
+            t = X * Z
+            t = (t & n) + (t >> j)
+            t = (t & n) + (t >> j)
+            d = xx - mzz
+            t = 4 * (t - n if t >= n else t) * (d + n if d < 0 else d)
+            t = (t & n) + (t >> j)
+            t = (t & n) + (t >> j)
+            Z = t - n if t >= n else t
+            t = xx + mzz
+            t = t * t
+            t = (t & n) + (t >> j)
+            t = (t & n) + (t >> j)
+            X = t - n if t >= n else t
+    else:
+        for _ in range(times):
+            xx = X * X % n
+            mzz = m * (Z * Z % n) % n
+            Z = 4 * X * Z % n * (xx - mzz) % n
+            t = xx + mzz
+            X = t * t % n
+    return X, Z
+
+
+def double_x_only_chain(curve: Curve, x: int, times: int) -> int | ChainFailure:
     """x-coordinate of 2^times * P from that of P, with one inversion.
 
-    Projective x-only doubling: X' = (X^2 + m Z^2)^2 and
-    Z' = 4 X Z (X^2 - m Z^2), so Z collects every denominator that
-    double_x_only would invert.  Returns None when one of them is not a
-    unit mod the modulus (a divisor, or infinity, on the way); repeating
-    double_x_only then finds which step.  A non-unit Z stays one, so a gcd
-    after doublings 1, 2, 4, 8, ... stops a failed chain within twice the
-    failing step, for about log2(times) gcds per chain.  A modulus 2^j - 1
-    with j >= 3 is reduced by shift-and-fold, since 2^j = 1 there; any
-    other by division.
+    Projective x-only doubling collects in Z every denominator that
+    double_x_only would invert, and a non-unit Z stays one, so a gcd after
+    doublings 1, 2, 4, 8, ... and after the last one finds a failed chain
+    within twice its failing step, for about log2(times) gcds per chain.
+    The failure is then pinned down by redoing the doublings since the last
+    unit checkpoint one at a time, with a gcd after each: while the earlier
+    Z is a unit, the new Z is a unit multiple of this doubling's
+    denominator, so the first non-unit Z gives the exact step and divisor
+    that double_x_only would meet.  A modulus 2^j - 1 with j >= 3 is
+    reduced by shift-and-fold, any other by division.
     """
     n = curve.modulus
     m = curve.m % n
+    fold = n & (n + 1) == 0 and n.bit_length() >= 3
     X, Z = x % n, 1
-    j = n.bit_length()
-    fold = n & (n + 1) == 0 and j >= 3
     done, checkpoint = 0, 1
     while done < times:
-        if done and gcd(Z, n) != 1:
-            return None
         run = min(checkpoint, times) - done
+        X2, Z2 = _x_only_doublings(X, Z, run, n, m, fold)
+        if gcd(Z2, n) != 1:
+            for step in range(done + 1, done + run + 1):
+                X, Z = _x_only_doublings(X, Z, 1, n, m, fold)
+                g = gcd(Z, n)
+                if g != 1:
+                    return ChainFailure(step, g)
+        X, Z = X2, Z2
         done += run
         checkpoint *= 2
-        if fold:
-            # every folded value is below 4 n^2 < 2^(2j+2): two folds leave
-            # it at most n + 4, and one subtraction brings it below n
-            for _ in range(run):
-                t = X * X
-                t = (t & n) + (t >> j)
-                t = (t & n) + (t >> j)
-                xx = t - n if t >= n else t
-                t = Z * Z
-                t = (t & n) + (t >> j)
-                t = (t & n) + (t >> j)
-                t = m * (t - n if t >= n else t)
-                t = (t & n) + (t >> j)
-                t = (t & n) + (t >> j)
-                mzz = t - n if t >= n else t
-                t = X * Z
-                t = (t & n) + (t >> j)
-                t = (t & n) + (t >> j)
-                d = xx - mzz
-                t = 4 * (t - n if t >= n else t) * (d + n if d < 0 else d)
-                t = (t & n) + (t >> j)
-                t = (t & n) + (t >> j)
-                Z = t - n if t >= n else t
-                t = xx + mzz
-                t = t * t
-                t = (t & n) + (t >> j)
-                t = (t & n) + (t >> j)
-                X = t - n if t >= n else t
-        else:
-            for _ in range(run):
-                xx = X * X % n
-                mzz = m * (Z * Z % n) % n
-                Z = 4 * X * Z % n * (xx - mzz) % n
-                t = xx + mzz
-                X = t * t % n
-    inv = mod_inverse(Z, n).inverse
-    if inv is None:
-        return None
-    return X * inv % n
+    return X * pow(Z, -1, n) % n
 
 
 def double_x_only(curve: Curve, x: int) -> int | None:

@@ -20,10 +20,10 @@ from itertools import islice
 from math import gcd, prod
 
 from .ecring import (
+    ChainFailure,
     Curve,
     FactorFound,
     Point,
-    double_x_only,
     double_x_only_chain,
     on_curve,
     scalar_mul,
@@ -327,19 +327,12 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
 def _replay_chain(p: int, m: int, x: int, k: int, c_const: int) -> dict:
     """Recompute the k-step chain from x and return the outcome fields
     (outcome plus step, divisor or residue) its certificate must carry."""
-    curve = Curve(p, m)
-    last = double_x_only_chain(curve, x, k - 1)
-    if last is None:
-        # some S_i with i < k is not a unit: walk step by step to find it
-        for i in range(1, k):
-            s = c_const * x * ((x * x - m) % p) % p
-            if s == 0:
-                return {"outcome": EARLY_INFINITY, "step": i}
-            g = gcd(s, p)
-            if g > 1:
-                return {"outcome": GCD_HIT, "step": i, "divisor": g}
-            x = double_x_only(curve, x)
-        last = x
+    last = double_x_only_chain(Curve(p, m), x, k - 1)
+    if isinstance(last, ChainFailure):
+        # S_i with i < k is not a unit: it vanishes, or shares a factor with p
+        if last.divisor == p:
+            return {"outcome": EARLY_INFINITY, "step": last.step}
+        return {"outcome": GCD_HIT, "step": last.step, "divisor": last.divisor}
     s = c_const * last * ((last * last - m) % p) % p
     return {"outcome": FINAL_ZERO} if s == 0 else {"outcome": FINAL_NONZERO, "residue": s}
 

@@ -8,9 +8,10 @@ y-coordinate of the (i-1)-fold doubling of any lift of x_0, so the chain
 reads off exactly when the doubled point first hits 2-torsion or infinity.
 
 chain_outcome decides a run with projective doubling and a deferred gcd
-(ecring.double_x_only_chain); run_sequence walks it step by step and keeps
-the trace.  Both return the same outcome: chain_outcome falls back to the
-walk whenever the deferred gcd reports a non-unit S_i.
+(ecring.double_x_only_chain), which also names the first non-unit S_i
+with its step and divisor.  run_sequence walks the chain affinely step by
+step and keeps the trace; it is the reference chain_outcome is tested
+against, and no decision or replay path calls it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .ecring import Curve, double_x_only, double_x_only_chain
+from .ecring import ChainFailure, Curve, double_x_only, double_x_only_chain
 
 # Outcome kinds for a k-step run.
 FINAL_ZERO = "final-zero"  # every S_i (i < k) a unit and S_k = 0: the prime pattern
@@ -106,16 +107,18 @@ def chain_outcome(
 ) -> SequenceOutcome:
     """The outcome of run_sequence(modulus, m, x0, k, four_factor), untraced.
 
-    The k - 1 doublings run projectively with a deferred gcd; S_i is a
-    unit iff the i-th doubling denominator is, so a unit result leaves only
-    S_k to classify.  Otherwise the step-by-step walk finds the first
-    non-unit S_i with its step and divisor.
+    The k - 1 doublings run projectively with a deferred gcd.  The i-th
+    doubling denominator is a unit multiple of S_i, so the first non-unit
+    one gives the step and divisor of a GCD_HIT, or EARLY_INFINITY when it
+    vanishes mod the modulus; a unit result leaves only S_k to classify.
     """
     _check_chain(modulus, k)
     m %= modulus
     x = double_x_only_chain(Curve(modulus, m), x0, k - 1)
-    if x is None:
-        return run_sequence(modulus, m, x0, k, four_factor)[0]
+    if isinstance(x, ChainFailure):
+        if x.divisor == modulus:
+            return SequenceOutcome(EARLY_INFINITY, step=x.step)
+        return SequenceOutcome(GCD_HIT, step=x.step, divisor=x.divisor)
     c = 4 if four_factor else 1
     return _final_outcome(c * x * ((x * x - m) % modulus) % modulus)
 

@@ -284,6 +284,51 @@ class TestSearchCommand:
         assert run_cli("search", "--k", "2", "--n-max", "5", "--workers", "0")[0] == 3
         assert run_cli("search", "--k", "1", "--n-max", "5")[0] == 3
 
+    def test_bad_config_is_a_usage_error(self, monkeypatch):
+        code, out, err = run_cli("search", "--k", "5", "--n-max", "9", "--retries", "0")
+        assert (code, out) == (3, "") and err.startswith("search: ") and "retry_cap" in err
+        monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", "abc")
+        code, out, err = run_cli("search", "--k", "5", "--n-max", "9")
+        assert (code, out) == (3, "") and err.startswith("search: ") and "'abc'" in err
+
+    def test_pool_size_is_bounded(self, monkeypatch):
+        # a fake pool: no process is started, whatever --workers asks for
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        argv = ("search", "--k", "31", "--n-min", "40001", "--n-max", "40199", "--json")
+        expected = run_cli(*argv, "--workers", "1")[1]
+        unsieved = sum(1 for line in expected.splitlines()[:-1] if '"algorithm":"sieve"' not in line)
+        assert 8 < unsieved < 10**6
+        for cpus, workers, size in ((8, 10**6, 8), (10**6, 10**6, unsieved), (3, 2, 2)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+            sizes.clear()
+            assert run_cli(*argv, "--workers", str(workers)) == (0, expected, "")
+            assert sizes == [size], (cpus, workers)
+        for cpus in (None, 1):  # one CPU, or an unknown count: no pool
+            monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+            sizes.clear()
+            assert run_cli(*argv, "--workers", "64") == (0, expected, "")
+            assert sizes == []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        # one candidate past the presieve: no pool either
+        one = ("search", "--k", "7", "--n-min", "3", "--n-max", "3", "--json")
+        assert run_cli(*one, "--workers", "64") == run_cli(*one, "--workers", "1")
+        assert sizes == []
+
 
 class TestVerifyCommand:
     def test_clean_report(self):

@@ -1,7 +1,9 @@
 """Property-based differential tests: deferred-gcd backend versus affine walks.
 
 Moduli are random odd integers, composites included, so non-unit
-denominators, factor witnesses and infinities all reach the fallbacks.
+denominators, factor witnesses and infinities all occur: the chain must
+name the same failing step and divisor as the affine walk, and scalar_mul
+must reach its affine fallback.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ecriesel.ecring import (  # noqa: E402
     INFINITY,
+    ChainFailure,
     Curve,
     FactorFound,
     Point,
@@ -59,15 +62,16 @@ def affine_multiple(curve, s, pt):
 
 
 def repeated_doubling(curve, x, times):
-    """Affine reference for double_x_only_chain: None on any non-unit step."""
+    """Affine reference for double_x_only_chain: the first non-unit step
+    ends it, with its divisor, or the modulus when it reaches infinity."""
     x %= curve.modulus
-    for _ in range(times):
+    for step in range(1, times + 1):
         try:
             x = double_x_only(curve, x)
-        except FactorFound:
-            return None
+        except FactorFound as exc:
+            return ChainFailure(step, exc.divisor)
         if x is None:
-            return None
+            return ChainFailure(step, curve.modulus)
     return x
 
 
@@ -123,7 +127,7 @@ def test_long_replay_chain_equals_traced_walk(curve, data, k):
 @PROFILE
 @given(curve=curves(), data=st.data(), times=long_chains)
 def test_long_chain_equals_repeated_doubling(curve, data, times):
-    # the division path, unmasked by chain_outcome's affine fallback
+    # the division path, failing step and divisor included
     x = data.draw(st.integers(0, curve.modulus - 1))
     assert double_x_only_chain(curve, x, times) == repeated_doubling(curve, x, times)
 

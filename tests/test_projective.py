@@ -1,8 +1,9 @@
 """The deferred-gcd backend against the affine walks it replaces.
 
 double_x_only_chain and the Jacobian scalar_mul must return exactly what
-the step-by-step affine code returns, and hand every non-unit case back
-to it; these fixtures pin the fallback paths and the routes built on them.
+the step-by-step affine code returns.  The chain names a non-unit
+doubling's step and divisor itself; scalar_mul hands a non-unit case back
+to the affine walk.  These fixtures pin both and the routes built on them.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ecriesel import primality
 from ecriesel.ecring import (
     INFINITY,
+    ChainFailure,
     Curve,
     FactorFound,
     Point,
@@ -58,7 +60,7 @@ class TestMersenneSweep:
             walked, _ = run_sequence(n, 3, n - 1, k, four_factor=False)
             assert chain_outcome(n, 3, n - 1, k, four_factor=False) == walked, k
             kinds.add(walked.kind)
-        # composite exponents send the chain through the affine fallback
+        # composite exponents make the chain name its failing step
         assert {GCD_HIT, FINAL_NONZERO, FINAL_ZERO} <= kinds
 
     def test_verdicts_and_replay_to_300(self):
@@ -71,22 +73,23 @@ class TestMersenneSweep:
 class TestChainFallback:
     def test_early_infinity_found_by_walk(self):
         # x0 = 0 is 2-torsion: S_1 = 0 on y^2 = x^3 - 3x over F_31
-        assert double_x_only_chain(Curve(31, 3), 0, 4) is None
+        assert double_x_only_chain(Curve(31, 3), 0, 4) == ChainFailure(1, 31)
         out = chain_outcome(31, 3, 0, 5)
         assert out.kind == EARLY_INFINITY and out.step == 1
         assert out == run_sequence(31, 3, 0, 5)[0]
 
     def test_gcd_hit_found_by_walk(self):
-        assert double_x_only_chain(Curve(35, 3), 5, 3) is None
+        # S_1 = 5 * (25 - 3) shares the factor 5 with 35
+        assert double_x_only_chain(Curve(35, 3), 5, 3) == ChainFailure(1, 5)
         out = chain_outcome(35, 3, 5, 4, four_factor=False)
         assert out == run_sequence(35, 3, 5, 4, four_factor=False)[0]
-        assert out.kind == GCD_HIT and 35 % out.divisor == 0
+        assert out.kind == GCD_HIT and (out.step, out.divisor) == (1, 5)
 
     def test_failed_chain_stops_at_a_checkpoint(self):
         # x0 = 0 makes Z = 0 at doubling 1; all 10^7 doublings would take
         # minutes, so only the gcd after doubling 1 can end this in time
         for n in ((1 << 61) - 1, 1001):  # shift-and-fold, then division
-            assert double_x_only_chain(Curve(n, 3), 0, 10**7) is None
+            assert double_x_only_chain(Curve(n, 3), 0, 10**7) == ChainFailure(1, n)
 
     def test_unit_chain_is_repeated_doubling(self):
         curve = Curve(31, 3)
