@@ -7,9 +7,18 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte under the default config; wall-clock timing is
 therefore only emitted on request (--timings) or in human-readable mode.
 
+Each JSON line is written field by field in sorted-key order
+(_record_line); only a certificate goes through the JSON encoder, which is
+built once.  A presieved search candidate's line is written from k, n and
+its divisor alone.  build_record gives the same record as a dict: the
+human-readable output reads it, and the tests compare every line against
+it.
+
 Exit codes for `test`: 0 prime, 1 composite, 2 inconclusive,
 3 not-applicable or usage error.  Batch commands exit 0 on completion,
-1 on an internal mismatch or violation, 3 on usage errors.
+1 on an internal mismatch or violation, 3 on usage errors.  Every command
+exits 141 (128 + SIGPIPE, as a shell reports a filter killed by a closed
+pipe) when the reader of stdout goes away, and writes nothing to stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +55,12 @@ EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
 ORACLE_BOUND_ENV = "ECRIESEL_ORACLE_BOUND"
 
+EXIT_CLOSED_PIPE = 141
+
+# One encoder for every JSON line, bound at import: json.dumps builds a new
+# encoder per call, and no json attribute is looked up per record.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def _past_digit_limit(convert, value):
     """convert(value), where convert is int or str, also when the value is
@@ -68,10 +83,14 @@ def _past_digit_limit(convert, value):
             set_limit(saved)
 
 
+def _decimal(value: int) -> str:
+    return _past_digit_limit(str, value)
+
+
 def _stringify(value):
     """Render every int inside a certificate as a decimal string."""
     if isinstance(value, int):
-        return _past_digit_limit(str, value)
+        return _decimal(value)
     if isinstance(value, list):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -115,11 +134,7 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
     record = {
         "schema": SCHEMA,
         "tool_version": __version__,
-        "candidate": {
-            "k": _past_digit_limit(str, c.k),
-            "n": _past_digit_limit(str, c.n),
-            "p": _past_digit_limit(str, c.p),
-        },
+        "candidate": {"k": _decimal(c.k), "n": _decimal(c.n), "p": _decimal(c.p)},
         "algorithm": verdict.algorithm,
         "verdict": verdict.status,
         "iterations": verdict.iterations,
@@ -163,16 +178,42 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     return c, verdict
 
 
-def _emit_json(record: dict, out) -> None:
-    out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+_RECORD_TAIL = f'"schema":"{SCHEMA}","tool_version":"{__version__}","verdict":'
 
 
-def _emit(record: dict, as_json: bool, out) -> None:
-    """Write one run record: a JSON line, or the human-readable line."""
+def _record_line(k: str, n: str, p: str, algorithm: str, status: str, iterations: int,
+                 certificate: str, elapsed_ms: float | None = None,
+                 lucas_lehmer: str | None = None) -> str:
+    """The JSON line of one run record, the only writer of record lines.
+
+    Byte for byte json.dumps(record, sort_keys=True, separators=(",", ":"))
+    plus a newline, where record is build_record's dict, with lucas_lehmer
+    and match added when the classical verdict is given.  k, n and p are
+    decimal strings and certificate is the certificate's JSON; algorithm,
+    status and lucas_lehmer are the package's own names, which JSON writes
+    unescaped.
+    """
+    line = (f'{{"algorithm":"{algorithm}","candidate":{{"k":"{k}","n":"{n}","p":"{p}"}},'
+            f'"certificate":{certificate},')
+    if elapsed_ms is not None:
+        line += f'"elapsed_ms":{elapsed_ms!r},'
+    line += f'"iterations":{iterations},'
+    if lucas_lehmer is not None:
+        match = "true" if lucas_lehmer == status else "false"
+        line += f'"lucas_lehmer":"{lucas_lehmer}","match":{match},'
+    return f'{line}{_RECORD_TAIL}"{status}"}}\n'
+
+
+def _emit(out, as_json: bool, c: FormCandidate, verdict: Verdict,
+          elapsed_ms: float | None = None, lucas_lehmer: str | None = None) -> None:
+    """Write one run record: its JSON line, or the human-readable line."""
     if as_json:
-        _emit_json(record, out)
+        out.write(_record_line(_decimal(c.k), _decimal(c.n), _decimal(c.p), verdict.algorithm,
+                               verdict.status, verdict.iterations,
+                               _ENCODE(_stringify(verdict.certificate)), elapsed_ms,
+                               lucas_lehmer))
     else:
-        _emit_human(record, out)
+        _emit_human(build_record(c, verdict, elapsed_ms), out)
 
 
 def _emit_human(record: dict, out) -> None:
@@ -202,11 +243,11 @@ def _config_from_args(args) -> SearchConfig:
     )
 
 
-def _run_one(c: FormCandidate, cfg: SearchConfig, want_timing: bool) -> dict:
+def _timed(decide, *args) -> tuple[Verdict, float]:
+    """decide(*args) and its wall time in milliseconds."""
     start = time.perf_counter()
-    verdict = auto_test(c, cfg)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return build_record(c, verdict, elapsed if want_timing else None)
+    verdict = decide(*args)
+    return verdict, (time.perf_counter() - start) * 1000.0
 
 
 def _cmd_test(args, out, err) -> int:
@@ -221,13 +262,12 @@ def _cmd_test(args, out, err) -> int:
     factors = (args.q1, args.q2) if args.q1 is not None else None
     try:
         c = FormCandidate(k=args.k, n=args.n, n_factors=factors)
-        cfg = _config_from_args(args)
-        record = _run_one(c, cfg, want_timing=args.timings or not args.json)
+        verdict, elapsed = _timed(auto_test, c, _config_from_args(args))
     except ValueError as exc:
         err.write(f"test: {exc}\n")
         return 3
-    _emit(record, args.json, out)
-    return EXIT_BY_VERDICT[record["verdict"]]
+    _emit(out, args.json, c, verdict, elapsed if args.timings or not args.json else None)
+    return EXIT_BY_VERDICT[verdict.status]
 
 
 def _cmd_replay(args, out, err) -> int:
@@ -248,7 +288,7 @@ def _cmd_replay(args, out, err) -> int:
         return 3
     ok = replay_verdict(c, verdict)
     out.write(f"replay: {'valid' if ok else 'INVALID'} "
-              f"({verdict.status} via {verdict.algorithm} for p={_stringify(c.p)})\n")
+              f"({verdict.status} via {verdict.algorithm} for p={_decimal(c.p)})\n")
     return 0 if ok else 1
 
 
@@ -258,30 +298,31 @@ def _cmd_mersenne(args, out, err) -> int:
         return 3
     mismatches = 0
     for k in range(args.k_min, args.k_max + 1):
-        c = FormCandidate(k=k, n=1)
-        start = time.perf_counter()
-        verdict = test_mersenne(k)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        record = build_record(c, verdict, elapsed if (args.timings or not args.json) else None)
+        verdict, elapsed = _timed(test_mersenne, k)
+        classical = None
         if args.compare_lucas_lehmer:
             classical = PRIME if lucas_lehmer(k) else COMPOSITE
-            record["lucas_lehmer"] = classical
-            record["match"] = classical == verdict.status
-            mismatches += 0 if record["match"] else 1
-        _emit(record, args.json, out)
+            mismatches += classical != verdict.status
+        _emit(out, args.json, FormCandidate(k=k, n=1), verdict,
+              elapsed if args.timings or not args.json else None, classical)
     if mismatches:
         err.write(f"mersenne: {mismatches} disagreement(s) with the classical test\n")
         return 1
     return 0
 
 
-def _search_candidate(n: int, k: int, cfg: SearchConfig) -> dict:
-    return _run_one(FormCandidate(k=k, n=n), cfg, want_timing=False)
+def _search_candidate(n: int, k: int, cfg: SearchConfig) -> Verdict:
+    return auto_test(FormCandidate(k=k, n=n), cfg)
 
 
-def _sieve_record(n: int, k: int, divisor: int) -> dict:
-    cert = {"type": "factor", "divisor": divisor, "stage": "sieve"}
-    return build_record(FormCandidate(k=k, n=n), Verdict(COMPOSITE, "sieve", cert))
+def _sieve_verdict(divisor: int) -> Verdict:
+    return Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": divisor, "stage": "sieve"})
+
+
+def _sieve_line(k_text: str, k: int, n: int, divisor: int) -> str:
+    """The JSON line of n's _sieve_verdict, written from k, n and the divisor alone."""
+    return _record_line(k_text, _decimal(n), _decimal((n << k) - 1), "sieve", COMPOSITE, 1,
+                        f'{{"divisor":"{_decimal(divisor)}","stage":"sieve","type":"factor"}}')
 
 
 def _cmd_search(args, out, err) -> int:
@@ -299,13 +340,19 @@ def _cmd_search(args, out, err) -> int:
     unsieved = [n for n in ns if n not in sieved]
     counts = {PRIME: 0, COMPOSITE: 0, INCONCLUSIVE: 0, NOT_APPLICABLE: 0}
     worker = partial(_search_candidate, k=args.k, cfg=cfg)
+    k_text = _decimal(args.k)
 
     def emit_all(tested) -> None:
         # map() preserves input order, so emission stays ascending in n
         for n in ns:
-            record = _sieve_record(n, args.k, sieved[n]) if n in sieved else next(tested)
-            counts[record["verdict"]] += 1
-            _emit(record, args.json, out)
+            divisor = sieved.get(n)
+            if divisor is not None and args.json:
+                out.write(_sieve_line(k_text, args.k, n, divisor))
+                counts[COMPOSITE] += 1
+                continue
+            verdict = next(tested) if divisor is None else _sieve_verdict(divisor)
+            counts[verdict.status] += 1
+            _emit(out, args.json, FormCandidate(k=args.k, n=n), verdict)
 
     # a fork-started pool starts all its workers at the first submit, so
     # never ask for more than there are candidates or CPUs
@@ -314,10 +361,14 @@ def _cmd_search(args, out, err) -> int:
         emit_all(map(worker, unsieved))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            emit_all(pool.map(worker, unsieved, chunksize=16))
-    summary = {"summary": {v: counts[v] for v in sorted(counts)}}
+            try:
+                emit_all(pool.map(worker, unsieved, chunksize=16))
+            except BaseException:
+                # a closed stdout or an interrupt: drop the chunks not yet started
+                pool.shutdown(cancel_futures=True)
+                raise
     if args.json:
-        _emit_json(summary, out)
+        out.write(_ENCODE({"summary": counts}) + "\n")
     else:
         out.write(
             "summary: "
@@ -336,7 +387,7 @@ def _cmd_verify(args, out, err) -> int:
     except ValueError as exc:
         err.write(f"verify: {exc}\n")
         return 3
-    out.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    out.write(_ENCODE(report) + "\n")
     return 0 if not report["violations"] else 1
 
 
@@ -355,13 +406,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def config_options(sp):
         sp.add_argument("--retries", type=int, default=DEFAULT_CONFIG.retry_cap,
                         help="retry cap for the large-n point searches")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for randomized scans (default: deterministic)")
         sp.add_argument("--oracle-bound", type=int, default=None,
                         help=f"trial-division fallback bound (env {ORACLE_BOUND_ENV})")
+
+    def output_options(sp):
         sp.add_argument("--json", action="store_true", help="emit JSON lines")
         sp.add_argument("--timings", action="store_true",
                         help="include elapsed_ms in JSON output (breaks byte-level determinism)")
@@ -373,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--q2", type=int, default=None, help="second prime factor of n, if known")
     t.add_argument("--replay", metavar="RECORD", default=None,
                    help="re-validate a run record (path or - for stdin) instead of testing")
-    common(t)
+    config_options(t)
+    output_options(t)
     t.set_defaults(func=_cmd_test)
 
     m = sub.add_parser("mersenne", help="scan Mersenne exponents k_min..k_max")
@@ -381,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("k_max", type=int)
     m.add_argument("--compare-lucas-lehmer", action="store_true",
                    help="also run the classical test and record agreement")
-    common(m)
+    output_options(m)
     m.set_defaults(func=_cmd_mersenne)
 
     s = sub.add_parser("search", help="test every odd n in a range for fixed k")
@@ -389,7 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-min", type=int, default=1)
     s.add_argument("--n-max", type=int, required=True)
     s.add_argument("--workers", type=int, default=1)
-    common(s)
+    config_options(s)
+    output_options(s)
     s.set_defaults(func=_cmd_search)
 
     v = sub.add_parser("verify", help="brute-force check of the group-structure facts")
@@ -405,6 +460,22 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     included, goes to out and err (default: the process's streams)."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    try:
+        status = _run(argv, out, err)
+        out.flush()
+    except BrokenPipeError:
+        # The reader of out went away (`... | head`): stop quietly.  Point the
+        # process's stdout at os.devnull, so the interpreter's final flush of
+        # what is still buffered cannot raise again.
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return EXIT_CLOSED_PIPE
+    return status
+
+
+def _run(argv, out, err) -> int:
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = _build_parser().parse_args(argv)

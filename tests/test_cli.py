@@ -419,3 +419,67 @@ class TestOneParserPerProcess:
         code, out, err = run_cli("test", "--help")
         assert code == 0 and out.startswith("usage: ecriesel test") and err == ""
         assert capsys.readouterr() == ("", "")
+
+
+class TestMersenneOptions:
+    """mersenne takes the output options only; it reads no search config."""
+
+    @pytest.mark.parametrize("option", [("--retries", "0"), ("--seed", "3"),
+                                        ("--oracle-bound", "5")])
+    def test_config_option_is_a_usage_error(self, option):
+        code, out, err = run_cli("mersenne", "3", "5", *option)
+        assert (code, out) == (3, "") and err.startswith("usage: ecriesel")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
+    def test_output_options_stay(self):
+        code, out, _ = run_cli("mersenne", "3", "5", "--json", "--timings")
+        assert code == 0 and all("elapsed_ms" in r for r in json_lines(out))
+
+
+class TestClosedPipe:
+    """A reader that stops early ends the run quietly, with exit 141."""
+
+    class ClosedStream(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("argv", [
+        ("mersenne", "3", "9", "--json"),
+        ("search", "--k", "31", "--n-min", "40001", "--n-max", "40199", "--json"),
+        ("search", "--k", "7", "--n-max", "99"),
+        ("test", "7", "3", "--json"),
+        ("verify", "--p-max", "50"),
+    ])
+    def test_in_process(self, argv):
+        err = io.StringIO()
+        assert main(list(argv), out=self.ClosedStream(), err=err) == cli.EXIT_CLOSED_PIPE
+        assert err.getvalue() == ""
+
+    @staticmethod
+    def read_one_line(*argv):
+        """Start python with argv, read one line of stdout, then close it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen([sys.executable, *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), first, err
+
+    @pytest.mark.parametrize("argv", [
+        ("mersenne", "3", "400", "--json"),  # about 150 KB of records
+        ("search", "--k", "31", "--n-min", "1", "--n-max", "400001", "--json",
+         "--workers", "2"),
+    ])
+    def test_process_reading_one_line(self, argv):
+        code, first, err = self.read_one_line("-m", "ecriesel", *argv)
+        assert (code, err) == (141, b"")
+        assert json.loads(first)["candidate"]["n"] == "1"
+
+    def test_final_flush_goes_to_devnull(self):
+        # what is still buffered on stdout at exit must not raise again
+        script = ("import sys; from ecriesel.cli import main; "
+                  "code = main(['mersenne', '3', '400', '--json']); "
+                  "sys.stdout.write('buffered'); sys.exit(code)")
+        assert self.read_one_line("-c", script)[::2] == (141, b"")
