@@ -10,9 +10,9 @@ therefore only emitted on request (--timings) or in human-readable mode.
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
 built once.  A presieved search candidate's line is written from k, n and
-its divisor alone.  build_record gives the same record as a dict: the
-human-readable output reads it, and the tests compare every line against
-it.
+its divisor alone.  build_record gives the same record as a dict, the
+reference the tests compare every line against; the human-readable line is
+written from the Verdict itself.
 
 Exit codes for `test`: 0 prime, 1 composite, 2 inconclusive,
 3 not-applicable or usage error.  Batch commands exit 0 on completion,
@@ -45,6 +45,7 @@ from .primality import (
     SearchConfig,
     Verdict,
     auto_test,
+    factor_witness,
     replay_verdict,
     test_mersenne,
 )
@@ -150,13 +151,18 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
 
     Raises ValueError on a record of another schema, a certificate key
     outside CERTIFICATE_FIELDS, an integer that is not a canonical decimal
-    string, or an iterations count that is not a JSON integer >= 1.
+    string, a k above the bit length of the record's p, or an iterations
+    count that is not a JSON integer >= 1.
     """
     if not isinstance(record, dict) or record.get("schema") != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")
     cand = record["candidate"]
-    c = FormCandidate(k=_parse_int(cand["k"]), n=_parse_int(cand["n"]))
-    if c.p != _parse_int(cand["p"]):
+    k, n, p = _parse_int(cand["k"]), _parse_int(cand["n"]), _parse_int(cand["p"])
+    # p = 2^k * n - 1 has at least k bits, so this bounds the cost of forming c.p
+    if k > p.bit_length():
+        raise ValueError("record k exceeds the bit length of its p")
+    c = FormCandidate(k=k, n=n)
+    if c.p != p:
         raise ValueError("record p does not match 2^k * n - 1")
     fields = record["certificate"]
     if not isinstance(fields, dict):
@@ -212,24 +218,12 @@ def _emit(out, as_json: bool, c: FormCandidate, verdict: Verdict,
                                verdict.status, verdict.iterations,
                                _ENCODE(_stringify(verdict.certificate)), elapsed_ms,
                                lucas_lehmer))
-    else:
-        _emit_human(build_record(c, verdict, elapsed_ms), out)
-
-
-def _emit_human(record: dict, out) -> None:
-    cand = record["candidate"]
-    out.write(
-        f"k={cand['k']} n={cand['n']} p={cand['p']}: "
-        f"{record['verdict']} [{record['algorithm']}]"
-    )
-    cert = record["certificate"]
-    if cert.get("divisor"):
-        out.write(f" divisor={cert['divisor']}")
-    if cert.get("type") == "oracle" and record["verdict"] == COMPOSITE:
-        out.write(f" divisor={cert['least_factor']}")
-    if "elapsed_ms" in record:
-        out.write(f" ({record['elapsed_ms']:.2f} ms)")
-    out.write("\n")
+        return
+    witness = factor_witness(verdict)
+    out.write(f"k={_decimal(c.k)} n={_decimal(c.n)} p={_decimal(c.p)}: "
+              f"{verdict.status} [{verdict.algorithm}]"
+              + (f" divisor={_decimal(witness)}" if witness is not None else "")
+              + (f" ({elapsed_ms:.2f} ms)" if elapsed_ms is not None else "") + "\n")
 
 
 def _config_from_args(args) -> SearchConfig:
@@ -256,16 +250,13 @@ def _cmd_test(args, out, err) -> int:
     if args.k is None or args.n is None:
         err.write("test: k and n are required unless --replay is given\n")
         return 3
-    if (args.q1 is None) != (args.q2 is None):
-        err.write("test: --q1 and --q2 must be given together\n")
-        return 3
-    factors = (args.q1, args.q2) if args.q1 is not None else None
     try:
-        c = FormCandidate(k=args.k, n=args.n, n_factors=factors)
-        verdict, elapsed = _timed(auto_test, c, _config_from_args(args))
+        c = FormCandidate(k=args.k, n=args.n, n_factors=tuple(args.q) if args.q else None)
+        cfg = _config_from_args(args)
     except ValueError as exc:
         err.write(f"test: {exc}\n")
         return 3
+    verdict, elapsed = _timed(auto_test, c, cfg)
     _emit(out, args.json, c, verdict, elapsed if args.timings or not args.json else None)
     return EXIT_BY_VERDICT[verdict.status]
 
@@ -422,8 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("test", help="test one candidate 2^k * n - 1")
     t.add_argument("k", type=int, nargs="?")
     t.add_argument("n", type=int, nargs="?")
-    t.add_argument("--q1", type=int, default=None, help="first prime factor of n, if known")
-    t.add_argument("--q2", type=int, default=None, help="second prime factor of n, if known")
+    t.add_argument("--q", "--q1", "--q2", dest="q", type=int, action="append",
+                   help="a prime factor of n, once per factor in any order, if known "
+                        "(--q1 and --q2 are other spellings)")
     t.add_argument("--replay", metavar="RECORD", default=None,
                    help="re-validate a run record (path or - for stdin) instead of testing")
     config_options(t)

@@ -19,9 +19,11 @@ from math import gcd, isqrt
 # Hard cap for exact trial-division answers.
 ORACLE_LIMIT = 10**12
 
-# First 12 primes; Composite answers are always exact, and at this base
-# count the test is known exact far beyond anything this package feeds it.
-# Used only as a prefilter or cross-check, never as the verdict of record.
+# First 12 primes.  Composite answers are always exact; a probable-prime
+# answer is proven only below psi_12 = 318665857834031151167461
+# (Sorenson-Webster 2017).  The large-n route accepts a factor above
+# max(oracle bound, 10^6) on this test, so its prime verdicts are
+# conditional when a factor lies beyond psi_12.
 MR_DEFAULT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest prime that presieves a search range.

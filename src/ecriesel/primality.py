@@ -161,10 +161,12 @@ def _oracle_verdict(p: int) -> Verdict:
     return Verdict(status, "trial-division", {"type": "oracle", "least_factor": f})
 
 
-def _gate_fallback(c: FormCandidate, cfg: SearchConfig, algorithm: str, gate: str) -> Verdict:
+def _fallback(c: FormCandidate, cfg: SearchConfig, algorithm: str, gate: str,
+              reason: str) -> Verdict:
+    """The verdict when a route cannot decide c: trial division up to the
+    oracle bound, otherwise not-applicable with a gate-failure certificate."""
     if c.p <= cfg.oracle_bound:
         return _oracle_verdict(c.p)
-    reason = f"{gate} applicability gate fails and p exceeds the oracle bound"
     return Verdict(NOT_APPLICABLE, algorithm, {"type": "gate-failure", "gate": gate, "reason": reason})
 
 
@@ -191,7 +193,10 @@ def _sequence_certificate(
 
 def _probable_prime(q: int, cfg: SearchConfig) -> bool:
     """Primality of a cofactor: exact while trial division stays cheap
-    (the oracle bound, and in any case up to 10^6), Miller-Rabin above."""
+    (the oracle bound, and in any case up to 10^6), 12-base Miller-Rabin
+    above.  That test is proven exact only below
+    psi_12 = 318665857834031151167461 (Sorenson-Webster 2017), so a prime
+    verdict resting on a larger factor is conditional on it."""
     if q < 2:
         return False
     if q == 2:
@@ -212,7 +217,8 @@ def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     """
     algorithm = "small-n"
     if not gate_small_n(c):
-        return _gate_fallback(c, cfg, algorithm, "small-n")
+        return _fallback(c, cfg, algorithm, "small-n",
+                         "small-n applicability gate fails and p exceeds the oracle bound")
     p = c.p
     try:
         m, base = construct_curve_point(p, cfg)
@@ -260,20 +266,18 @@ def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     factor, D itself) decides nothing, so the scan moves to the next y;
     after retry_cap such misses the test gives up as inconclusive rather
     than looping forever.  The paper's large-prime-n and two-prime-n tests
-    are the one- and two-factor cases.
+    are the one- and two-factor cases.  A factor that is not prime falls
+    back as a failing gate does.
     """
+    algorithm = "large-n"
     if not gate_large_n(c):
-        return _gate_fallback(c, cfg, "large-n", "large-n")
+        return _fallback(c, cfg, algorithm, "large-n",
+                         "large-n applicability gate fails and p exceeds the oracle bound")
     factors = c.n_factors or (c.n,)
     for q in factors:
         if not _probable_prime(q, cfg):
-            raise ValueError(f"factor {q} of n is not prime")
-    return _order_route(c, factors, cfg)
-
-
-def _order_route(c: FormCandidate, factors: tuple[int, ...], cfg: SearchConfig) -> Verdict:
-    """test_large_n once the gate has passed and every factor is known prime."""
-    algorithm = "large-n"
+            return _fallback(c, cfg, algorithm, "large-n",
+                             f"factor {q} of n is not prime and p exceeds the oracle bound")
     cofactors = [c.n // q for q in dict.fromkeys(factors)]
     p = c.p
     attempts = 0
@@ -304,22 +308,20 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
     """Route a candidate to the one applicable test.
 
     n = 1 goes to the Mersenne path; a passing small-n gate wins next;
-    otherwise prime n, or n supplied with its prime factorization, uses the
-    large-n path.  With no route left, small p is settled by trial division
-    and anything else is not applicable.
+    otherwise any n > 1 goes to the large-n path, which decides prime n or
+    n supplied with its prime factorization.  With no route left, small p
+    is settled by trial division and anything else is not applicable.
     """
     if c.n == 1 and c.k >= 3:
         return test_mersenne(c.k)
     if gate_small_n(c):
         return test_small_n(c, cfg)
-    if gate_large_n(c) and c.n > 1:
-        factors = c.n_factors or (c.n,)
-        if all(_probable_prime(q, cfg) for q in factors):
-            return _order_route(c, factors, cfg)
-    if c.p <= cfg.oracle_bound:
-        return _oracle_verdict(c.p)
-    reason = "no applicable route: gates fail or n needs an unavailable factorization"
-    return Verdict(NOT_APPLICABLE, "auto", {"type": "gate-failure", "gate": "dispatch", "reason": reason})
+    if c.n > 1:
+        verdict = test_large_n(c, cfg)
+        if verdict.status != NOT_APPLICABLE:
+            return verdict
+    return _fallback(c, cfg, "auto", "dispatch",
+                     "no applicable route: gates fail or n needs an unavailable factorization")
 
 
 # --- independent certificate replay -------------------------------------

@@ -10,6 +10,8 @@ import pytest
 from ecriesel import cli
 from ecriesel.cli import main
 
+from test_golden import GOLDEN
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -80,6 +82,52 @@ class TestTestCommand:
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
             assert json.loads(line)["schema"].endswith("/2")
+
+
+class TestFactorOption:
+    """--q names one prime factor of n and repeats; --q1 and --q2 are the
+    same option, so any factorization reaches the large-n route."""
+
+    def test_three_factors_decide_and_replay(self, tmp_path):
+        code, out, _ = run_cli("test", "2", "105", "--q", "3", "--q", "5", "--q", "7", "--json")
+        rec = json_lines(out)[0]
+        assert code == 0 and rec["algorithm"] == "large-n" and rec["verdict"] == "prime"
+        assert rec["certificate"]["factors"] == ["3", "5", "7"]
+        path = tmp_path / "record.json"
+        path.write_text(out)
+        assert run_cli("test", "--replay", str(path))[:2] == (
+            0, "replay: valid (prime via large-n for p=419)\n")
+
+    def test_spellings_mix_and_keep_command_line_order(self):
+        golden = [line + "\n" for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+                  if '"n":"250127"' in line]
+        mixed = run_cli("test", "2", "250127", "--q1", "389", "--q", "643", "--json")
+        assert mixed == (0, golden[0], "")
+        code, out, _ = run_cli("test", "2", "250127", "--q2", "643", "--q1", "389", "--json")
+        assert code == 0 and json_lines(out)[0]["certificate"]["factors"] == ["643", "389"]
+
+    def test_composite_factor_is_not_applicable(self):
+        # 27 is not prime and p = 41579 exceeds the oracle bound: the record
+        # is the dispatch gate failure of the same n with no factors given
+        code, out, err = run_cli("test", "2", "10395", "--q", "27", "--q", "385", "--json")
+        assert (code, err) == (3, "")
+        assert out == (
+            '{"algorithm":"auto","candidate":{"k":"2","n":"10395","p":"41579"},'
+            '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
+            'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
+            '"schema":"ecriesel.run-record/2","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+
+    @pytest.mark.parametrize("argv, line", [
+        (("5", "3"), "k=5 n=3 p=95: composite [small-n] divisor=5"),  # factor
+        (("7", "7"), "k=7 n=7 p=895: composite [small-n] divisor=5"),  # gcd-hit
+        (("2", "7"), "k=2 n=7 p=27: composite [trial-division] divisor=3"),  # oracle
+        (("2", "3"), "k=2 n=3 p=11: prime [trial-division]"),
+        (("2", "10395"), "k=2 n=10395 p=41579: not-applicable [auto]"),
+    ])
+    def test_human_line(self, monkeypatch, argv, line):
+        ticks = iter((2.0, 2.0 + 1 / 3))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+        assert run_cli("test", *argv)[1] == line + " (333.33 ms)\n"
 
 
 class TestReplayCommand:
@@ -182,6 +230,15 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, good + "\n" + good)[0] == 3
         assert self.replay(tmp_path, "\n" + good + "\n\n")[0] == 0
         assert self.replay(tmp_path, "")[0] == 3
+
+    @pytest.mark.parametrize("k", [10**20, 18], ids=["huge", "bit-length-plus-one"])
+    def test_k_above_the_bit_length_of_p(self, tmp_path, k):
+        # p = 86015 has 17 bits; 2^k * 21 - 1 is never formed for such a k
+        rec = self.record("12", "21")
+        assert rec["candidate"]["p"] == "86015"
+        rec["candidate"]["k"] = str(k)
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert code == 3 and out == "" and "malformed" in err and "Traceback" not in err
 
     def test_deeply_nested_json(self, tmp_path):
         code, out, err = self.replay(tmp_path, "[" * 200000 + "]" * 200000)

@@ -29,7 +29,7 @@ def dump(obj) -> str:
 def decided(args):
     """(candidate, verdict, extra fields) for each record a command emits."""
     if args.command == "test":
-        factors = (args.q1, args.q2) if args.q1 is not None else None
+        factors = tuple(args.q) if args.q else None
         c = FormCandidate(k=args.k, n=args.n, n_factors=factors)
         yield c, auto_test(c, cli._config_from_args(args)), {}
     elif args.command == "mersenne":

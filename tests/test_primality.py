@@ -141,8 +141,17 @@ class TestLargePrimeN:
         assert v.algorithm == "trial-division"
 
     def test_rejects_composite_n(self):
-        with pytest.raises(ValueError):
-            large_n_test(FormCandidate(k=2, n=2501))  # 2501 = 41 * 61
+        c = FormCandidate(k=2, n=2501)  # 2501 = 41 * 61, p = 10003 = 7 * 1429
+        v = large_n_test(c)
+        assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
+        assert v.certificate["type"] == "gate-failure"
+        assert v.certificate["gate"] == "large-n"
+        assert "factor 2501 " in v.certificate["reason"]
+        assert replay_verdict(c, v)
+        v = large_n_test(c, SearchConfig(oracle_bound=c.p))
+        assert v.status == COMPOSITE and v.algorithm == "trial-division"
+        assert v.certificate == {"type": "oracle", "least_factor": 7}
+        assert replay_verdict(c, v)
 
     def test_exhausted_scan_is_inconclusive(self):
         # at p = 10011 the scan picks x = 2 but rejects y = 1, so a
@@ -186,10 +195,18 @@ class TestTwoPrimeN:
         assert v.status == NOT_APPLICABLE
 
     def test_requires_supplied_factors(self):
-        with pytest.raises(ValueError):
-            large_n_test(FormCandidate(k=2, n=33))
-        with pytest.raises(ValueError):
-            large_n_test(FormCandidate(k=2, n=45, n_factors=(3, 15)))
+        # p = 131 and 179 are prime: the oracle decides them at the default
+        # bound, and below it the non-prime factor makes the route inapplicable
+        for c, factor in ((FormCandidate(k=2, n=33), 33),
+                          (FormCandidate(k=2, n=45, n_factors=(3, 15)), 15)):
+            v = large_n_test(c)
+            assert v.status == PRIME and v.algorithm == "trial-division"
+            assert replay_verdict(c, v)
+            v = large_n_test(c, SearchConfig(oracle_bound=100))
+            assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
+            assert v.certificate["gate"] == "large-n"
+            assert f"factor {factor} " in v.certificate["reason"]
+            assert replay_verdict(c, v)
 
     def test_repeated_prime_factor(self):
         c = FormCandidate(k=4, n=121, n_factors=(11, 11))  # p = 1935 = 3 * 645

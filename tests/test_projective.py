@@ -24,6 +24,7 @@ from ecriesel.ecring import (
 from ecriesel.numtheory import FormCandidate, lucas_lehmer, mod_inverse
 from ecriesel.primality import (
     COMPOSITE,
+    NOT_APPLICABLE,
     PRIME,
     auto_test,
     replay_verdict,
@@ -178,5 +179,9 @@ class TestCofactorCheckOnce:
         assert replay_verdict(c, v)
 
     def test_direct_call_still_rejects_composite_factor(self):
-        with pytest.raises(ValueError):
-            large_n_test(FormCandidate(k=2, n=1000001))  # 101 * 9901
+        c = FormCandidate(k=2, n=1000001)  # 101 * 9901
+        v = large_n_test(c)
+        assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
+        assert v.certificate["gate"] == "large-n"
+        assert "factor 1000001 " in v.certificate["reason"]
+        assert replay_verdict(c, v)

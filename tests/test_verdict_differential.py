@@ -1,0 +1,61 @@
+"""auto_test against sympy.isprime for p above the 10^6 exhaustive sweep.
+
+k runs over [2, 90] and n over odd integers below 2^41.  Two more
+strategies draw prime n, and prime n with a prime p, so that the large-n
+route sees prime n and proves primes.  Every prime or
+composite verdict must be sympy's and must replay.  A candidate that some
+route covers is decided, or gives up as retries-exhausted; any other
+candidate is not applicable, since p is above the oracle bound.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ecriesel.numtheory import FormCandidate, gate_large_n, gate_small_n  # noqa: E402
+from ecriesel.primality import (  # noqa: E402
+    COMPOSITE,
+    NOT_APPLICABLE,
+    PRIME,
+    auto_test,
+    replay_verdict,
+)
+
+exponents = st.integers(2, 90)
+odd_n = st.integers(0, 2**40 - 1).map(lambda h: 2 * h + 1)
+prime_n = st.integers(1, 2**40 - 1).map(lambda h: sympy.nextprime(2 * h + 1))
+
+
+@st.composite
+def prime_n_prime_p(draw):
+    """(k, n): the first prime n at or after a drawn prime with p prime."""
+    k, n = draw(st.integers(2, 40)), draw(prime_n)
+    for _ in range(1000):
+        if sympy.isprime((n << k) - 1):
+            return k, n
+        n = sympy.nextprime(n)
+    assume(False)
+
+
+def routable(c: FormCandidate) -> bool:
+    return ((c.n == 1 and c.k >= 3) or gate_small_n(c)
+            or (sympy.isprime(c.n) and gate_large_n(c)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kn=st.one_of(st.tuples(exponents, st.one_of(odd_n, prime_n)), prime_n_prime_p()))
+def test_auto_test_agrees_with_sympy(kn):
+    c = FormCandidate(*kn)
+    assume(c.p > 10**6)
+    v = auto_test(c)
+    if v.status in (PRIME, COMPOSITE):
+        assert v.status == (PRIME if sympy.isprime(c.p) else COMPOSITE)
+        assert replay_verdict(c, v)
+    if routable(c):
+        assert v.status in (PRIME, COMPOSITE) or v.certificate["type"] == "retries-exhausted"
+    else:
+        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
