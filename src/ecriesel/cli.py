@@ -149,13 +149,15 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema, a certificate key
-    outside CERTIFICATE_FIELDS, an integer that is not a canonical decimal
-    string, a k above the bit length of the record's p, or an iterations
-    count that is not a JSON integer >= 1.
+    Raises ValueError on a record of another schema, an algorithm or
+    tool_version that is not a string, a certificate key outside
+    CERTIFICATE_FIELDS, an integer that is not a canonical decimal string,
+    a k above the bit length of the record's p, or an iterations count
+    that is not a JSON integer >= 1.
     """
     if not isinstance(record, dict) or record.get("schema") != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")
+    _parse_text(record["tool_version"])
     cand = record["candidate"]
     k, n, p = _parse_int(cand["k"]), _parse_int(cand["n"]), _parse_int(cand["p"])
     # p = 2^k * n - 1 has at least k bits, so this bounds the cost of forming c.p
@@ -177,7 +179,7 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
         raise ValueError(f"iterations must be a JSON integer >= 1: {iterations!r}")
     verdict = Verdict(
         status=record["verdict"],
-        algorithm=record["algorithm"],
+        algorithm=_parse_text(record["algorithm"]),
         certificate=cert,
         iterations=iterations,
     )

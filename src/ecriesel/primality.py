@@ -8,26 +8,21 @@ Three routes, chosen by the shape of n and the applicability gates:
   * large-n    n with a known prime factorization and gate_large_n:
                2^k * Q has order exactly n.
 
-Every Prime/Composite verdict carries a certificate that replay_verdict can
-re-validate from scratch using only the arithmetic layers below.
+Each route is a search (scan, gates, retries, fallback), which only
+deciding runs, and an evaluator on a given curve and point
+(_sequence_verdict, _small_n_verdict, _order_verdict).  A Prime/Composite
+verdict's certificate records the choices the search made; replay_verdict
+checks them and recomputes the verdict with the same evaluator.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from math import gcd, prod
 
-from .ecring import (
-    ChainFailure,
-    Curve,
-    FactorFound,
-    Point,
-    double_x_only_chain,
-    on_curve,
-    scalar_mul,
-)
+from .ecring import Curve, FactorFound, Point, on_curve, scalar_mul
 from .numtheory import (
     FormCandidate,
     gate_large_n,
@@ -38,10 +33,7 @@ from .numtheory import (
     trial_division,
 )
 from .sequence import (
-    EARLY_INFINITY,
-    FINAL_NONZERO,
     FINAL_ZERO,
-    GCD_HIT,
     SequenceOutcome,
     chain_outcome,
     run_sequence,  # noqa: F401  (perfbench/tracing.py patches primality.run_sequence)
@@ -208,6 +200,43 @@ def _probable_prime(q: int, cfg: SearchConfig) -> bool:
     return miller_rabin(q)
 
 
+# --- evaluation on a given curve and point, for deciding and replay -------
+
+def _sequence_verdict(algorithm: str, p: int, m: int, x0: int, k: int, four_factor: bool,
+                      base_point: Point | None = None) -> Verdict:
+    """Prime iff the k-step chain from x0 ends in zero."""
+    outcome = chain_outcome(p, m, x0, k, four_factor)
+    cert = _sequence_certificate(m, outcome, x0, base_point)
+    status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
+    return Verdict(status, algorithm, cert)
+
+
+def _small_n_verdict(c: FormCandidate, m: int, base: Point) -> Verdict:
+    """The small-n verdict on (m, base): composite when n * base is already
+    infinity, else the chain from its x-coordinate.  Raises FactorFound."""
+    start = scalar_mul(Curve(c.p, m), c.n, base)
+    if start.is_infinity:
+        cert = {"type": "vanished-multiple", "m": m, "base_point": [base.x, base.y]}
+        return Verdict(COMPOSITE, "small-n", cert)
+    return _sequence_verdict("small-n", c.p, m, start.x, c.k, True, base)
+
+
+def _order_verdict(c: FormCandidate, m: int, base: Point,
+                   factors: tuple[int, ...] | list[int]) -> Verdict | None:
+    """The order verdict on (m, base) for n = prod(factors): with
+    D = 2^k * base, prime iff n * D = infinity.  None when some (n/q) * D
+    is already infinity, which decides nothing.  Raises FactorFound."""
+    curve = Curve(c.p, m)
+    doubled = scalar_mul(curve, 1 << c.k, base)
+    if any(scalar_mul(curve, c.n // q, doubled).is_infinity for q in dict.fromkeys(factors)):
+        return None
+    cert = {"type": "order", "m": m, "base_point": [base.x, base.y], "factors": list(factors)}
+    status = PRIME if scalar_mul(curve, c.n, doubled).is_infinity else COMPOSITE
+    return Verdict(status, "large-n", cert)
+
+
+# --- deciding: search, gates, retries and fallback -------------------------
+
 def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
     """Small-n route: prime iff the k-step sequence from n*Q' ends in zero.
 
@@ -219,25 +248,16 @@ def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     if not gate_small_n(c):
         return _fallback(c, cfg, algorithm, "small-n",
                          "small-n applicability gate fails and p exceeds the oracle bound")
-    p = c.p
     try:
-        m, base = construct_curve_point(p, cfg)
+        m, base = construct_curve_point(c.p, cfg)
     except FactorFound as exc:
         return _factor_verdict(algorithm, exc, "parameter-scan")
     except ScanExhausted as exc:
         return Verdict(INCONCLUSIVE, algorithm, {"type": "scan-exhausted", "detail": str(exc)})
-    curve = Curve(p, m)
     try:
-        start = scalar_mul(curve, c.n, base)
+        return _small_n_verdict(c, m, base)
     except FactorFound as exc:
         return _factor_verdict(algorithm, exc, "scalar-multiplication")
-    if start.is_infinity:
-        cert = {"type": "vanished-multiple", "m": m, "base_point": [base.x, base.y]}
-        return Verdict(COMPOSITE, algorithm, cert)
-    outcome = chain_outcome(p, m, start.x, c.k, four_factor=True)
-    cert = _sequence_certificate(m, outcome, start.x, base)
-    status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
-    return Verdict(status, algorithm, cert)
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -249,10 +269,7 @@ def test_mersenne(k: int) -> Verdict:
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
     p = (1 << k) - 1
-    outcome = chain_outcome(p, 3, p - 1, k, four_factor=False)
-    cert = _sequence_certificate(3, outcome, p - 1)
-    status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
-    return Verdict(status, "mersenne", cert)
+    return _sequence_verdict("mersenne", p, 3, p - 1, k, False)
 
 
 def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
@@ -278,25 +295,13 @@ def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
         if not _probable_prime(q, cfg):
             return _fallback(c, cfg, algorithm, "large-n",
                              f"factor {q} of n is not prime and p exceeds the oracle bound")
-    cofactors = [c.n // q for q in dict.fromkeys(factors)]
-    p = c.p
     attempts = 0
     try:
-        for m, base in islice(_curve_point_candidates(p, cfg), cfg.retry_cap):
+        for m, base in islice(_curve_point_candidates(c.p, cfg), cfg.retry_cap):
             attempts += 1
-            curve = Curve(p, m)
-            doubled = scalar_mul(curve, 1 << c.k, base)
-            if any(scalar_mul(curve, s, doubled).is_infinity for s in cofactors):
-                continue
-            result = scalar_mul(curve, c.n, doubled)
-            cert = {
-                "type": "order",
-                "m": m,
-                "base_point": [base.x, base.y],
-                "factors": list(factors),
-            }
-            status = PRIME if result.is_infinity else COMPOSITE
-            return Verdict(status, algorithm, cert, iterations=attempts)
+            verdict = _order_verdict(c, m, base, factors)
+            if verdict is not None:
+                return replace(verdict, iterations=attempts)
     except FactorFound as exc:
         stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
         return _factor_verdict(algorithm, exc, stage, iterations=max(attempts, 1))
@@ -324,19 +329,14 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
                      "no applicable route: gates fail or n needs an unavailable factorization")
 
 
-# --- independent certificate replay -------------------------------------
+# --- certificate replay ----------------------------------------------------
 
-def _replay_chain(p: int, m: int, x: int, k: int, c_const: int) -> dict:
-    """Recompute the k-step chain from x and return the outcome fields
-    (outcome plus step, divisor or residue) its certificate must carry."""
-    last = double_x_only_chain(Curve(p, m), x, k - 1)
-    if isinstance(last, ChainFailure):
-        # S_i with i < k is not a unit: it vanishes, or shares a factor with p
-        if last.divisor == p:
-            return {"outcome": EARLY_INFINITY, "step": last.step}
-        return {"outcome": GCD_HIT, "step": last.step, "divisor": last.divisor}
-    s = c_const * last * ((last * last - m) % p) % p
-    return {"outcome": FINAL_ZERO} if s == 0 else {"outcome": FINAL_NONZERO, "residue": s}
+# The stages at which each route can meet a divisor of p.
+_FACTOR_STAGES = {
+    "sieve": ("sieve",),
+    "small-n": ("parameter-scan", "scalar-multiplication"),
+    "large-n": ("parameter-scan", "scalar-multiplication"),
+}
 
 
 def _replay_constructed_point(p: int, m: int, base: Point) -> bool:
@@ -354,12 +354,16 @@ def _replay_constructed_point(p: int, m: int, base: Point) -> bool:
 def replay_verdict(c: FormCandidate, verdict: Verdict, cfg: SearchConfig = DEFAULT_CONFIG) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
-    Uses only the integer and curve layers (no test or sequence code), so a
-    passing replay is independent evidence for the recorded conclusion.
+    Checks the recorded choices (the curve and point, the factors of n,
+    the gate behind a prime verdict), then recomputes the verdict with the
+    route's own evaluator and compares status, algorithm and certificate.
     Every chain step and every multiple is recomputed; the multipliers
-    (n, 2^k, n/q) come from the candidate, never from the certificate.
-    Inconclusive and not-applicable verdicts carry nothing decidable and
-    are accepted structurally.
+    (n, 2^k, n/q) come from the candidate, never from the certificate, and
+    no scan, retry, fallback or dispatch runs.  The evaluators are built
+    from the integer and curve layers alone; the independent references
+    for them are the traced walk run_sequence, the oracle and the
+    differential tests.  Inconclusive and not-applicable verdicts carry
+    nothing decidable and are accepted structurally.
     """
     try:
         return _replay(c, verdict, cfg)
@@ -370,75 +374,48 @@ def replay_verdict(c: FormCandidate, verdict: Verdict, cfg: SearchConfig = DEFAU
 def _replay(c: FormCandidate, verdict: Verdict, cfg: SearchConfig) -> bool:
     cert = verdict.certificate
     status = verdict.status
-    kind = cert.get("type")
+    algorithm = verdict.algorithm
     p = c.p
 
     if status in (INCONCLUSIVE, NOT_APPLICABLE):
-        return kind in ("gate-failure", "retries-exhausted", "scan-exhausted")
+        return cert.get("type") in ("gate-failure", "retries-exhausted", "scan-exhausted")
     if status not in (PRIME, COMPOSITE):
         return False
 
-    if kind == "factor":
+    if cert.get("type") == "factor":
         d = cert["divisor"]
-        return status == COMPOSITE and 1 < d < p and p % d == 0
-
-    if kind == "oracle":
-        f = trial_division(p)
-        if cert["least_factor"] != f:
-            return False
-        return status == (PRIME if f == p else COMPOSITE)
-
-    if kind == "vanished-multiple":
-        m = cert["m"]
-        base = Point(*cert["base_point"])
         return (
             status == COMPOSITE
-            and verdict.algorithm == "small-n"
-            and _replay_constructed_point(p, m, base)
-            and scalar_mul(Curve(p, m), c.n, base).is_infinity
+            and cert.keys() == {"type", "divisor", "stage"}
+            and cert["stage"] in _FACTOR_STAGES.get(algorithm, ())
+            and 1 < d < p
+            and p % d == 0
         )
 
-    if kind == "sequence":
-        m, x0 = cert["m"], cert["x0"]
-        expected = {"type": "sequence", "m": m, "x0": x0}
-        if verdict.algorithm == "mersenne":
-            if c.n != 1 or c.k < 3 or m != 3 or x0 != p - 1:
-                return False
-            c_const = 1
-        elif verdict.algorithm == "small-n":
-            base = Point(*cert["base_point"])
-            if not _replay_constructed_point(p, m, base):
-                return False
-            start = scalar_mul(Curve(p, m), c.n, base)
-            if start.is_infinity or start.x != x0:
-                return False
-            if status == PRIME and not gate_small_n(c):
-                return False
-            expected["base_point"] = [base.x, base.y]
-            c_const = 4
-        else:
+    if algorithm == "trial-division":
+        expected = _oracle_verdict(p)
+    elif algorithm == "mersenne":
+        if c.n != 1 or c.k < 3:
             return False
-        expected.update(_replay_chain(p, m, x0, c.k, c_const))
-        if cert != expected:
-            return False
-        return status == (PRIME if expected["outcome"] == FINAL_ZERO else COMPOSITE)
-
-    if kind == "order":
+        expected = test_mersenne(c.k)
+    elif algorithm in ("small-n", "large-n"):
         m = cert["m"]
         base = Point(*cert["base_point"])
-        factors = cert["factors"]
-        if verdict.algorithm != "large-n" or prod(factors) != c.n:
-            return False
-        if not all(_probable_prime(q, cfg) for q in factors):
-            return False
         if not _replay_constructed_point(p, m, base):
             return False
-        curve = Curve(p, m)
-        doubled = scalar_mul(curve, 1 << c.k, base)
-        if any(scalar_mul(curve, c.n // q, doubled).is_infinity for q in set(factors)):
-            return False
-        if status == PRIME and not gate_large_n(c):
-            return False
-        return status == (PRIME if scalar_mul(curve, c.n, doubled).is_infinity else COMPOSITE)
-
-    return False
+        if algorithm == "small-n":
+            if status == PRIME and not gate_small_n(c):
+                return False
+            expected = _small_n_verdict(c, m, base)
+        else:
+            factors = cert["factors"]
+            if prod(factors) != c.n or not all(_probable_prime(q, cfg) for q in factors):
+                return False
+            if status == PRIME and not gate_large_n(c):
+                return False
+            expected = _order_verdict(c, m, base, factors)
+    else:
+        return False
+    return expected is not None and (
+        (expected.status, expected.algorithm, expected.certificate) == (status, algorithm, cert)
+    )

@@ -22,7 +22,7 @@ from ecriesel.ecring import (
     scalar_mul,
 )
 from ecriesel.numtheory import FormCandidate, jacobi
-from ecriesel.primality import _replay_chain, replay_verdict, test_mersenne as mersenne_test
+from ecriesel.primality import replay_verdict, test_mersenne as mersenne_test
 from ecriesel.sequence import EARLY_INFINITY, GCD_HIT, chain_outcome
 
 M17 = (1 << 17) - 1
@@ -138,8 +138,3 @@ class TestNoAffineFallback:
         for four in (True, False):
             out = chain_outcome(n, m, x, k, four_factor=four)
             assert (out.kind, out.step, out.divisor) == (kind, step, divisor)
-        fields = {"outcome": kind, "step": step}
-        if divisor is not None:
-            fields["divisor"] = divisor
-        assert _replay_chain(n, m, x, k, 4) == fields
-

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ecriesel import cli
+from ecriesel import cli, primality
 from ecriesel.cli import main
 
 from test_golden import GOLDEN
@@ -255,6 +255,58 @@ class TestStrictReplayInput:
             rec["iterations"] = iterations
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert code == 3 and out == "" and "malformed" in err
+
+    @staticmethod
+    def golden(algorithm, kind):
+        for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            if rec.get("algorithm") == algorithm and rec["certificate"]["type"] == kind:
+                return rec
+        raise LookupError((algorithm, kind))
+
+    # (algorithm, certificate type) of a golden record, its forgery, exit code
+    FORGERIES = {
+        "factor-without-stage": (("large-n", "factor"),
+                                 lambda r: r["certificate"].pop("stage"), 1),
+        "factor-with-m": (("sieve", "factor"), lambda r: r["certificate"].update(m="3"), 1),
+        "sieve-at-parameter-scan": (("sieve", "factor"),
+                                    lambda r: r["certificate"].update(stage="parameter-scan"), 1),
+        "factor-long-algorithm": (("small-n", "factor"), lambda r: r.update(algorithm="9" * 50), 1),
+        "factor-null-algorithm": (("sieve", "factor"), lambda r: r.update(algorithm=None), 3),
+        "tool-version-list": (("sieve", "factor"), lambda r: r.update(tool_version=[1]), 3),
+        "order-with-x0": (("large-n", "order"), lambda r: r["certificate"].update(x0="5"), 1),
+        "order-with-outcome": (("large-n", "order"),
+                               lambda r: r["certificate"].update(outcome="final-zero"), 1),
+        "oracle-as-small-n": (("trial-division", "oracle"),
+                              lambda r: r.update(algorithm="small-n"), 1),
+        "oracle-null-algorithm": (("trial-division", "oracle"),
+                                  lambda r: r.update(algorithm=None), 3),
+    }
+
+    @pytest.mark.parametrize("name", FORGERIES)
+    def test_forged_record(self, tmp_path, name):
+        source, forge, expected = self.FORGERIES[name]
+        rec = self.golden(*source)
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 0
+        forge(rec)
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert code == expected and "Traceback" not in err
+        assert ("INVALID" in out) if expected == 1 else (out == "" and "malformed" in err)
+
+    def test_replay_never_searches(self, monkeypatch, tmp_path):
+        def boom(*args, **kwargs):
+            raise AssertionError("replay ran the search")
+
+        for name in ("_curve_point_candidates", "construct_curve_point", "_fallback",
+                     "auto_test", "test_small_n", "test_large_n"):
+            monkeypatch.setattr(primality, name, boom)
+        replayed = 0
+        for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+            if "summary" not in json.loads(line):
+                code, out, _ = self.replay(tmp_path, line)
+                assert code == 0 and out.startswith("replay: valid"), line
+                replayed += 1
+        assert replayed == 91
 
 
 class TestMersenneCommand:

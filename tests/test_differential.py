@@ -25,7 +25,6 @@ from ecriesel.ecring import (  # noqa: E402
     double_x_only_chain,
     scalar_mul,
 )
-from ecriesel.primality import _replay_chain  # noqa: E402
 from ecriesel.sequence import chain_outcome, run_sequence  # noqa: E402
 
 PROFILE = settings(max_examples=400, deadline=None, derandomize=True)
@@ -84,19 +83,6 @@ def test_chain_outcome_equals_traced_walk(curve, data, k, four):
     assert chain_outcome(n, curve.m, x0, k, four_factor=four) == walked
 
 
-@PROFILE
-@given(curve=curves(), data=st.data(), k=st.integers(2, 40), four=st.booleans())
-def test_replay_chain_equals_traced_walk(curve, data, k, four):
-    n = curve.modulus
-    x0 = data.draw(st.integers(0, n - 1))
-    walked, _ = run_sequence(n, curve.m, x0, k, four_factor=four)
-    fields = {"outcome": walked.kind}
-    for name in ("step", "divisor", "residue"):
-        if getattr(walked, name) is not None:
-            fields[name] = getattr(walked, name)
-    assert _replay_chain(n, curve.m, x0, k, 4 if four else 1) == fields
-
-
 # Chains long enough to pass several of the gcd checkpoints at doublings
 # 1, 2, 4, 8, ... and to fail between any two of them.
 long_chains = st.integers(41, 400)
@@ -109,19 +95,6 @@ def test_long_chain_outcome_equals_traced_walk(curve, data, k, four):
     x0 = data.draw(st.integers(0, 2 * n))
     walked, _ = run_sequence(n, curve.m, x0, k, four_factor=four)
     assert chain_outcome(n, curve.m, x0, k, four_factor=four) == walked
-
-
-@PROFILE
-@given(curve=curves(), data=st.data(), k=long_chains)
-def test_long_replay_chain_equals_traced_walk(curve, data, k):
-    n = curve.modulus
-    x0 = data.draw(st.integers(0, n - 1))
-    walked, _ = run_sequence(n, curve.m, x0, k, four_factor=True)
-    fields = {"outcome": walked.kind}
-    for name in ("step", "divisor", "residue"):
-        if getattr(walked, name) is not None:
-            fields[name] = getattr(walked, name)
-    assert _replay_chain(n, curve.m, x0, k, 4) == fields
 
 
 @PROFILE
