@@ -56,11 +56,9 @@ from .primality import (
     INCONCLUSIVE,
     NOT_APPLICABLE,
     PRIME,
-    ScanExhausted,
     SearchConfig,
     Verdict,
     auto_test,
-    construct_curve_point,
     factor_witness,
     replay_verdict,
     test_large_n,

@@ -127,7 +127,7 @@ CERTIFICATE_FIELDS = {
         ("m", "x0", "step", "divisor", "residue", "least_factor", "attempts"), _parse_int
     ),
     **dict.fromkeys(("base_point", "factors"), _parse_int_list),
-    **dict.fromkeys(("type", "outcome", "stage", "gate", "reason", "detail"), _parse_text),
+    **dict.fromkeys(("type", "outcome", "stage", "gate", "reason"), _parse_text),
 }
 
 

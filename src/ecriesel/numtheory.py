@@ -161,12 +161,12 @@ def reduce_special(t: int, c: FormCandidate) -> int:
     return 0 if t == block - 1 else t
 
 
-def trial_division(n: int, *, limit: int = ORACLE_LIMIT) -> int:
+def trial_division(n: int) -> int:
     """Least prime factor of n by trial division; n is prime iff result == n."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > limit:
-        raise ValueError(f"{n} exceeds the exact-oracle limit {limit}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"{n} exceeds the exact-oracle limit {ORACLE_LIMIT}")
     if n % 2 == 0:
         return 2
     if n % 3 == 0:
@@ -181,11 +181,11 @@ def trial_division(n: int, *, limit: int = ORACLE_LIMIT) -> int:
     return n
 
 
-def is_prime_oracle(n: int, *, limit: int = ORACLE_LIMIT) -> bool:
-    """Exact primality for n <= limit (trial division ground truth)."""
+def is_prime_oracle(n: int) -> bool:
+    """Exact primality for n <= ORACLE_LIMIT (trial division ground truth)."""
     if n < 2:
         return False
-    return trial_division(n, limit=limit) == n
+    return trial_division(n) == n
 
 
 def miller_rabin(n: int, bases: tuple[int, ...] = MR_DEFAULT_BASES) -> bool:

@@ -47,9 +47,9 @@ class GroupStructure:
         return r
 
 
-def _validated_curve(p: int, m: int, limit: int = ENUMERATION_LIMIT) -> Curve:
-    if p > limit:
-        raise ValueError(f"p = {p} exceeds the enumeration limit {limit}")
+def _validated_curve(p: int, m: int) -> Curve:
+    if p > ENUMERATION_LIMIT:
+        raise ValueError(f"p = {p} exceeds the enumeration limit {ENUMERATION_LIMIT}")
     if p % 4 != 3:
         raise ValueError("p must be 3 mod 4")
     if not is_prime_oracle(p):
@@ -59,9 +59,9 @@ def _validated_curve(p: int, m: int, limit: int = ENUMERATION_LIMIT) -> Curve:
     return Curve(p, m % p)
 
 
-def enumerate_points(p: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> list[Point]:
+def enumerate_points(p: int, m: int) -> list[Point]:
     """All points of y^2 = x^3 - m*x over F_p, infinity first, then (x, y) ascending."""
-    curve = _validated_curve(p, m, limit)
+    curve = _validated_curve(p, m)
     roots: dict[int, list[int]] = {}
     for y in range(p):
         roots.setdefault(y * y % p, []).append(y)
@@ -73,9 +73,9 @@ def enumerate_points(p: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> list[
     return points
 
 
-def point_order(p: int, m: int, point: Point, *, limit: int = ENUMERATION_LIMIT) -> int:
+def point_order(p: int, m: int, point: Point) -> int:
     """Least s >= 1 with s*P = infinity, by plain repeated addition."""
-    curve = _validated_curve(p, m, limit)
+    curve = _validated_curve(p, m)
     if point.is_infinity:
         return 1
     if not on_curve(curve, point):
@@ -104,9 +104,9 @@ def _two_torsion(points: list[Point]) -> list[Point]:
     return [pt for pt in points if not pt.is_infinity and pt.y == 0]
 
 
-def group_structure(p: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> GroupStructure:
+def group_structure(p: int, m: int) -> GroupStructure:
     """Classify the group by its 2-torsion and cross-check the residue prediction."""
-    points = enumerate_points(p, m, limit=limit)
+    points = enumerate_points(p, m)
     torsion = len(_two_torsion(points))
     # x(x^2 - m) has one root when m is a non-residue, three when a residue
     assert torsion in (1, 3), (p, m, torsion)
@@ -241,17 +241,16 @@ def verify_theorems(
     p_max: int,
     *,
     full_sweep_below: int = FULL_SWEEP_BELOW,
-    limit: int = ENUMERATION_LIMIT,
     seed: int = 0,
 ) -> dict:
-    """Check facts 1-3 for every prime p = 3 (mod 4) up to p_max.
+    """Check facts 1-3 for every prime p = 3 (mod 4) up to p_max <= ENUMERATION_LIMIT.
 
     Every m in 1..p-1 is checked below `full_sweep_below`; above it, a
     fixed-seed stratified sample of 5 m values per prime.  The report's
     `violations` list must come back empty.
     """
-    if p_max > limit:
-        raise ValueError(f"p_max exceeds the enumeration limit {limit}")
+    if p_max > ENUMERATION_LIMIT:
+        raise ValueError(f"p_max exceeds the enumeration limit {ENUMERATION_LIMIT}")
     report = {
         "p_max": p_max,
         "full_sweep_below": full_sweep_below,

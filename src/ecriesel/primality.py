@@ -8,22 +8,27 @@ Three routes, chosen by the shape of n and the applicability gates:
   * large-n    n with a known prime factorization and gate_large_n:
                2^k * Q has order exactly n.
 
-Each route is a search (scan, gates, retries, fallback), which only
-deciding runs, and an evaluator on a given curve and point
-(_sequence_verdict, _small_n_verdict, _order_verdict).  A Prime/Composite
-verdict's certificate records the choices the search made; replay_verdict
-checks them and recomputes the verdict with the same evaluator.
+Each route is a search, which only deciding runs, and an evaluator on a
+given curve and point (_sequence_verdict, _small_n_verdict,
+_order_verdict).  Both curve routes share one search, _curve_route: it
+tries the (m, Q) pairs of one scan until the route's evaluator decides,
+maps a divisor met on the way to a factor verdict and gives up as
+retries-exhausted when the scan runs dry.  A Prime/Composite verdict's
+certificate records the choices the search made; replay_verdict checks
+them and recomputes the verdict with the same evaluator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from math import gcd, prod
 
 from .ecring import Curve, FactorFound, Point, on_curve, scalar_mul
 from .numtheory import (
+    ORACLE_LIMIT,
     FormCandidate,
     gate_large_n,
     gate_small_n,
@@ -44,9 +49,9 @@ COMPOSITE = "composite"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not-applicable"
 
-
-class ScanExhausted(Exception):
-    """The curve/point scan ran out of candidates (pathological composite input)."""
+# Most x (and y) values one curve/point scan draws, so that a scan over
+# hostile input ends instead of running for ever.
+SCAN_LIMIT = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,18 +60,21 @@ class SearchConfig:
 
     seed None means deterministic ascending scans (x from 2, y from 1),
     which is the default so certificates are reproducible byte for byte.
-    Candidates at or below oracle_bound are settled by trial division when
-    no elliptic route applies.
+    A curve route tries at most retry_cap scanned (m, Q) pairs.  Candidates
+    at or below oracle_bound are settled by trial division when no elliptic
+    route applies; the bound may not exceed the exact-oracle limit
+    ORACLE_LIMIT (10^12).
     """
 
     seed: int | None = None
     retry_cap: int = 20
     oracle_bound: int = 10_000
-    scan_limit: int = 100_000
 
     def __post_init__(self) -> None:
         if self.retry_cap < 1:
             raise ValueError("retry_cap must be at least 1")
+        if self.oracle_bound > ORACLE_LIMIT:
+            raise ValueError(f"oracle_bound exceeds the exact-oracle limit {ORACLE_LIMIT}")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -98,16 +106,19 @@ def _curve_point_candidates(p: int, cfg: SearchConfig):
     Q = (x, y) then lies on y^2 = x^3 - m*x with (m/p) = -1 by
     multiplicativity.  A zero symbol anywhere in the scan means a shared
     factor with p, raised as FactorFound.  Successive yields keep the same
-    x and move to the next y, which is what the retry loops need.
+    x and move to the next y, which is what _curve_route's retries need.
     """
 
     rng = random.Random(cfg.seed) if cfg.seed is not None else None
-    if rng is None:
-        xs = iter(range(2, min(p - 1, 2 + cfg.scan_limit)))
-    else:
-        xs = (rng.randrange(2, p - 1) for _ in range(cfg.scan_limit))
+
+    def draws(lo: int, hi: int):
+        """Up to SCAN_LIMIT values in [lo, hi): ascending, or drawn by the seeded rng."""
+        if rng is None:
+            return range(lo, min(hi, lo + SCAN_LIMIT))
+        return (rng.randrange(lo, hi) for _ in range(SCAN_LIMIT))
+
     x = None
-    for cand in xs:
+    for cand in draws(2, p - 1):
         j = jacobi(cand, p)
         if j == 0:
             raise FactorFound(gcd(cand, p), p)
@@ -118,11 +129,7 @@ def _curve_point_candidates(p: int, cfg: SearchConfig):
         return
     x_cubed = x * x * x % p
     inv_x = pow(x, -1, p)
-    if rng is None:
-        ys = iter(range(1, min(p, 1 + cfg.scan_limit)))
-    else:
-        ys = (rng.randrange(1, p) for _ in range(cfg.scan_limit))
-    for y in ys:
+    for y in draws(1, p):
         t = (x_cubed - y * y) % p
         if t == 0:
             # x^3 = y^2 would force (x/p) != -1; unreachable, kept as a guard
@@ -132,19 +139,6 @@ def _curve_point_candidates(p: int, cfg: SearchConfig):
             raise FactorFound(gcd(t, p), p)
         if j == 1:
             yield t * inv_x % p, Point(x, y)
-
-
-def construct_curve_point(p: int, cfg: SearchConfig = DEFAULT_CONFIG) -> tuple[int, Point]:
-    """First (m, Q) produced by the deterministic scan for this modulus.
-
-    Raises FactorFound if the scan trips over a divisor of p, ScanExhausted
-    if no candidate exists within the configured scan limit.
-    """
-    if p < 7 or p % 2 == 0:
-        raise ValueError("p must be odd and at least 7")
-    for m, point in _curve_point_candidates(p, cfg):
-        return m, point
-    raise ScanExhausted(f"no curve/point pair found for {p}")
 
 
 def _oracle_verdict(p: int) -> Verdict:
@@ -237,27 +231,40 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
 
 # --- deciding: search, gates, retries and fallback -------------------------
 
+def _curve_route(c: FormCandidate, cfg: SearchConfig, algorithm: str, evaluate) -> Verdict:
+    """The first verdict evaluate(c, m, base) gives on the scanned (m, Q) pairs.
+
+    evaluate returns None when its pair decides nothing; at most retry_cap
+    pairs are tried.  A divisor of p gives a factor verdict: at stage
+    parameter-scan when the scan meets it before the first pair, else at
+    scalar-multiplication.  A scan that runs dry gives retries-exhausted.
+    """
+    attempts = 0
+    try:
+        for m, base in islice(_curve_point_candidates(c.p, cfg), cfg.retry_cap):
+            attempts += 1
+            verdict = evaluate(c, m, base)
+            if verdict is not None:
+                return verdict if attempts == 1 else replace(verdict, iterations=attempts)
+    except FactorFound as exc:
+        stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
+        return _factor_verdict(algorithm, exc, stage, iterations=max(attempts, 1))
+    cert = {"type": "retries-exhausted", "attempts": attempts}
+    return Verdict(INCONCLUSIVE, algorithm, cert, iterations=max(attempts, 1))
+
+
 def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
     """Small-n route: prime iff the k-step sequence from n*Q' ends in zero.
 
     Composite exits: a divisor surfaces anywhere (witnessed), n*Q' is
     already infinity, the sequence vanishes early, or the final value is
-    nonzero.  The gate makes the prime conclusion unconditional.
+    nonzero.  The gate makes the prime conclusion unconditional.  A scan
+    that finds no (m, Q) pair gives up as inconclusive.
     """
-    algorithm = "small-n"
     if not gate_small_n(c):
-        return _fallback(c, cfg, algorithm, "small-n",
+        return _fallback(c, cfg, "small-n", "small-n",
                          "small-n applicability gate fails and p exceeds the oracle bound")
-    try:
-        m, base = construct_curve_point(c.p, cfg)
-    except FactorFound as exc:
-        return _factor_verdict(algorithm, exc, "parameter-scan")
-    except ScanExhausted as exc:
-        return Verdict(INCONCLUSIVE, algorithm, {"type": "scan-exhausted", "detail": str(exc)})
-    try:
-        return _small_n_verdict(c, m, base)
-    except FactorFound as exc:
-        return _factor_verdict(algorithm, exc, "scalar-multiplication")
+    return _curve_route(c, cfg, "small-n", _small_n_verdict)
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -286,27 +293,15 @@ def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     are the one- and two-factor cases.  A factor that is not prime falls
     back as a failing gate does.
     """
-    algorithm = "large-n"
     if not gate_large_n(c):
-        return _fallback(c, cfg, algorithm, "large-n",
+        return _fallback(c, cfg, "large-n", "large-n",
                          "large-n applicability gate fails and p exceeds the oracle bound")
     factors = c.n_factors or (c.n,)
     for q in factors:
         if not _probable_prime(q, cfg):
-            return _fallback(c, cfg, algorithm, "large-n",
+            return _fallback(c, cfg, "large-n", "large-n",
                              f"factor {q} of n is not prime and p exceeds the oracle bound")
-    attempts = 0
-    try:
-        for m, base in islice(_curve_point_candidates(c.p, cfg), cfg.retry_cap):
-            attempts += 1
-            verdict = _order_verdict(c, m, base, factors)
-            if verdict is not None:
-                return replace(verdict, iterations=attempts)
-    except FactorFound as exc:
-        stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
-        return _factor_verdict(algorithm, exc, stage, iterations=max(attempts, 1))
-    cert = {"type": "retries-exhausted", "attempts": attempts}
-    return Verdict(INCONCLUSIVE, algorithm, cert, iterations=max(attempts, 1))
+    return _curve_route(c, cfg, "large-n", partial(_order_verdict, factors=factors))
 
 
 def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
@@ -378,7 +373,7 @@ def _replay(c: FormCandidate, verdict: Verdict, cfg: SearchConfig) -> bool:
     p = c.p
 
     if status in (INCONCLUSIVE, NOT_APPLICABLE):
-        return cert.get("type") in ("gate-failure", "retries-exhausted", "scan-exhausted")
+        return cert.get("type") in ("gate-failure", "retries-exhausted")
     if status not in (PRIME, COMPOSITE):
         return False
 

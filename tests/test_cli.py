@@ -293,12 +293,22 @@ class TestStrictReplayInput:
         assert code == expected and "Traceback" not in err
         assert ("INVALID" in out) if expected == 1 else (out == "" and "malformed" in err)
 
+    def test_scan_exhausted_record_is_malformed(self, tmp_path):
+        # both curve routes give up with retries-exhausted: scan-exhausted
+        # is no certificate type, and detail is no certificate field
+        rec = self.record("7", "3")
+        rec["verdict"] = "inconclusive"
+        rec["certificate"] = {"type": "scan-exhausted",
+                              "detail": "no curve/point pair found for 383"}
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert code == 3 and out == "" and "malformed" in err and "'detail'" in err
+
     def test_replay_never_searches(self, monkeypatch, tmp_path):
         def boom(*args, **kwargs):
             raise AssertionError("replay ran the search")
 
-        for name in ("_curve_point_candidates", "construct_curve_point", "_fallback",
-                     "auto_test", "test_small_n", "test_large_n"):
+        for name in ("_curve_point_candidates", "_fallback", "auto_test", "test_small_n",
+                     "test_large_n"):
             monkeypatch.setattr(primality, name, boom)
         replayed = 0
         for line in GOLDEN.read_text(encoding="utf-8").splitlines():
@@ -463,6 +473,23 @@ class TestDeterminismAndEnv:
         assert "elapsed_ms" in json_lines(out)[0]
         _, out, _ = run_cli("test", "5", "1", "--json")
         assert "elapsed_ms" not in json_lines(out)[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("test", "2", "7625597484987"),
+        ("test", "2", "1000000000039"),
+        ("search", "--k", "2", "--n-min", "7625597484987", "--n-max", "7625597484987"),
+    ], ids=["test-fallback", "test-factor-check", "search"])
+    @pytest.mark.parametrize("via", ["option", "env"])
+    def test_oracle_bound_above_the_exact_oracle_limit(self, monkeypatch, argv, via):
+        bound = "100000000000000000000"
+        if via == "option":
+            argv += ("--oracle-bound", bound)
+        else:
+            monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", bound)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"{argv[0]}: ") and "exact-oracle limit" in err
+        assert "Traceback" not in err
 
     def test_oracle_bound_env(self, monkeypatch):
         monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", "10")

@@ -2,18 +2,20 @@ import json
 
 import pytest
 
+from ecriesel import primality
 from ecriesel.ecring import FactorFound, Point
 from ecriesel.numtheory import FormCandidate, jacobi, lucas_lehmer, trial_division
 from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
 from ecriesel.primality import (
     COMPOSITE,
+    DEFAULT_CONFIG,
     INCONCLUSIVE,
     NOT_APPLICABLE,
     PRIME,
     SearchConfig,
     Verdict,
+    _curve_point_candidates,
     auto_test,
-    construct_curve_point,
     factor_witness,
     replay_verdict,
 )
@@ -32,8 +34,10 @@ TWO_PRIME_BIG_COMPOSITE = FormCandidate(k=2, n=250003, n_factors=(13, 19231))  #
 
 
 class TestConstructCurvePoint:
+    """The first (m, Q) pair of the curve/point scan."""
+
     def test_deterministic_scan_at_31(self):
-        m, q = construct_curve_point(31)
+        m, q = next(_curve_point_candidates(31, DEFAULT_CONFIG))
         assert (m, q) == (6, Point(3, 3))
         assert jacobi(m, 31) == -1
         assert jacobi(q.x, 31) == -1
@@ -41,15 +45,11 @@ class TestConstructCurvePoint:
 
     def test_scan_trips_over_shared_factor(self):
         with pytest.raises(FactorFound) as info:
-            construct_curve_point(15)
+            next(_curve_point_candidates(15, DEFAULT_CONFIG))
         assert info.value.divisor == 3
 
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            construct_curve_point(5)
-
     def test_seeded_scan_still_valid(self):
-        m, q = construct_curve_point(10531, SearchConfig(seed=42))
+        m, q = next(_curve_point_candidates(10531, SearchConfig(seed=42)))
         assert jacobi(m, 10531) == -1
         assert jacobi(q.x, 10531) == -1
         assert (q.y * q.y - q.x**3 + m * q.x) % 10531 == 0
@@ -97,6 +97,16 @@ class TestSmallN:
                 truth = PRIME if trial_division(c.p) == c.p else COMPOSITE
                 assert v.status == truth, (k, n, c.p)
                 assert replay_verdict(c, v)
+
+    def test_exhausted_scan_is_inconclusive(self, monkeypatch):
+        # (2/383) = +1, so a one-value scan budget finds no x at all
+        c = FormCandidate(k=7, n=3)
+        assert jacobi(2, c.p) == 1
+        monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
+        v = small_n_test(c)
+        assert (v.status, v.algorithm) == (INCONCLUSIVE, "small-n")
+        assert v.certificate == {"type": "retries-exhausted", "attempts": 0}
+        assert replay_verdict(c, v)
 
 
 class TestMersenne:
@@ -153,12 +163,13 @@ class TestLargePrimeN:
         assert v.certificate == {"type": "oracle", "least_factor": 7}
         assert replay_verdict(c, v)
 
-    def test_exhausted_scan_is_inconclusive(self):
+    def test_exhausted_scan_is_inconclusive(self, monkeypatch):
         # at p = 10011 the scan picks x = 2 but rejects y = 1, so a
         # one-value scan budget dries up before any candidate point
         c = FormCandidate(k=2, n=2503)
         assert jacobi(2, c.p) == -1 and jacobi(2**3 - 1, c.p) == -1
-        v = large_n_test(c, SearchConfig(scan_limit=1))
+        monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
+        v = large_n_test(c)
         assert v.status == INCONCLUSIVE
         assert v.certificate["type"] == "retries-exhausted"
         assert replay_verdict(c, v)
@@ -296,6 +307,9 @@ class TestDeterminismAndConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(retry_cap=0)
+        assert SearchConfig(oracle_bound=10**12).oracle_bound == 10**12
+        with pytest.raises(ValueError, match="exact-oracle limit"):
+            SearchConfig(oracle_bound=10**12 + 1)
 
 
 class TestReplayRejectsTampering:
