@@ -10,16 +10,18 @@ which matches the honest group law whenever N is prime.
 One backend, two coordinate systems.  The affine double, add and
 double_x_only invert each denominator as it arises.  The fast paths defer
 that work: double_x_only_chain runs x-only doubling on (X:Z) (Montgomery
-1987), and scalar_mul keeps every operation but the last in Jacobian
-coordinates.  Each multiplies all denominators into Z, and Z is a unit iff
-every denominator was; then the result is the affine one exactly.
-scalar_mul takes one gcd at the end, and on a non-unit Z its affine walk
-runs again from the start and meets the failure where it happens: the
-same FactorFound divisor, the same infinity.  The chain takes a gcd after
-doublings 1, 2, 4, 8, ... and after the last, and on a non-unit Z redoes
-only the doublings since its last unit checkpoint, one gcd each, which
-names the exact failing step and its divisor (ChainFailure).  Deferring
-the gcd moves where it is taken; it hides no failure and no witness.
+1987), and scalar_mul runs double-and-add in Jacobian coordinates.  Each
+multiplies all denominators into Z, and Z is a unit iff every denominator
+was; then the result is the affine one exactly.  Both take a gcd at
+checkpoints ever further apart and after the last operation.  On a
+non-unit Z they redo the operations since the last unit checkpoint, one
+gcd each: while the earlier Z is a unit, the new one is a unit multiple
+of this operation's denominator, so the first non-unit Z marks the first
+operation the affine walk cannot complete.  The chain names its step and
+divisor (ChainFailure); scalar_mul hands the walk from there to the
+affine double and add, which meet the same FactorFound divisor or the
+same infinity as an affine walk from the start.  Deferring the gcd moves
+where it is taken; it hides no failure and no witness.
 """
 
 from __future__ import annotations
@@ -126,26 +128,14 @@ def add(curve: Curve, p: Point, q: Point) -> Point:
     return Point(x3, y3)
 
 
-def _double_and_add(curve: Curve, s: int, point: Point) -> Point:
-    """s*P in affine coordinates, one inversion per operation (s >= 1)."""
-    acc = point
-    for bit in bin(s)[3:]:
-        acc = double(curve, acc)
-        if bit == "1":
-            acc = add(curve, acc, point)
-    return acc
-
-
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     """s*P by left-to-right double-and-add (deterministic operation order).
 
-    Every operation but the last runs in Jacobian coordinates
-    (x = X/Z^2, y = Y/Z^3), so the only inversion is the one that returns
-    to affine; the last double or add then runs affinely, which keeps an
-    exact multiple that lands on infinity on this path.  A non-unit Z means
-    some earlier denominator was not a unit, or a partial multiple was
-    infinity: the affine double-and-add then reruns from the start and
-    returns, or raises, exactly what it finds.
+    The operations run in Jacobian coordinates (x = X/Z^2, y = Y/Z^3),
+    with checkpoints after operations 1, 3, 7, 15, ..., the second-to-last
+    and the last.  The affine double and add take over at the first
+    failing operation, a partial multiple at infinity included, and return
+    or raise what the affine walk from the start would.
     """
     if s < 0:
         raise ValueError("scalar must be nonnegative")
@@ -158,33 +148,45 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     n, m = curve.modulus, curve.m
     px, py = point.x % n, point.y % n
     X, Y, Z = px, py, 1
-    for op in ops[:-1]:
-        if op == "D":
-            # lambda = (3x^2 - m) / (2y): Z gains the factor 2*Y
-            yy = Y * Y % n
-            zz = Z * Z % n
-            w = (3 * X * X - m * (zz * zz % n)) % n
-            v = 4 * X * yy % n
-            Z = 2 * Y * Z % n
-            X = (w * w - 2 * v) % n
-            Y = (w * (v - X) - 8 * yy * yy) % n
-        else:
-            # lambda = (py - y) / (px - x): Z gains the factor h
-            zz = Z * Z % n
-            h = (px * zz - X) % n
-            r = (py * zz % n * Z - Y) % n
-            hh = h * h % n
-            hhh = hh * h % n
-            v = X * hh % n
-            Z = Z * h % n
-            X = (r * r - hhh - 2 * v) % n
-            Y = (r * (v - X) - Y * hhh) % n
-    inv = mod_inverse(Z, n).inverse
-    if inv is None:
-        return _double_and_add(curve, s, point)
+    # ops[:done] are applied and Z is a unit
+    done, run, grow, last = 0, 1, 2, len(ops) - 1
+    while done <= last:
+        end = min(done + run, last) if done < last else done + 1
+        sX, sY, sZ = X, Y, Z
+        for op in ops[done:end]:
+            if op == "D":
+                # lambda = (3x^2 - m) / (2y): Z gains the factor 2*Y
+                yy = Y * Y % n
+                zz = Z * Z % n
+                w = (3 * X * X - m * (zz * zz % n)) % n
+                v = 4 * X * yy % n
+                Z = 2 * Y * Z % n
+                X = (w * w - 2 * v) % n
+                Y = (w * (v - X) - 8 * yy * yy) % n
+            else:
+                # lambda = (py - y) / (px - x): Z gains the factor h
+                zz = Z * Z % n
+                h = (px * zz - X) % n
+                r = (py * zz % n * Z - Y) % n
+                hh = h * h % n
+                hhh = hh * h % n
+                v = X * hh % n
+                Z = Z * h % n
+                X = (r * r - hhh - 2 * v) % n
+                Y = (r * (v - X) - Y * hhh) % n
+        if gcd(Z, n) == 1:
+            done, run = end, run * grow
+            continue
+        X, Y, Z = sX, sY, sZ
+        if end - done == 1:
+            break  # ops[done] is the first operation with a non-unit denominator
+        run, grow = 1, 1  # redo the segment one operation at a time
+    inv = pow(Z, -1, n)
     inv2 = inv * inv % n
     acc = Point(X * inv2 % n, Y * inv2 % n * inv % n)
-    return add(curve, acc, point) if ops[-1] == "A" else double(curve, acc)
+    for op in ops[done:]:
+        acc = double(curve, acc) if op == "D" else add(curve, acc, point)
+    return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,25 +209,30 @@ def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) ->
     """
     if fold:
         j = n.bit_length()
-        # every folded value is below 4 n^2 < 2^(2j+2): two folds leave
-        # it at most n + 4, and one subtraction brings it below n
+        # X, Z in [0, n).  A fold t -> (t & n) + (t >> j) keeps t mod n,
+        # and two take any t below 2^(2j+i) to at most n + 2^i.  So xx and
+        # zz (from X^2, Z^2 < 2^(2j)) are at most n + 1, and u (from
+        # 2XZ = (X + Z)^2 - X^2 - Z^2 < 2^(2j+1)) at most n + 2.  Then
+        # m * zz < n(n + 2), 2u(xx - mzz, plus n if negative) <= 2(n + 2)(n + 1)
+        # and (xx + mzz)^2 <= 4n^2 are below 2^(2j+2): each folds to at most
+        # n + 4 < 2n (n >= 7), and one conditional subtraction puts it in
+        # [0, n).
         for _ in range(times):
-            t = X * X
+            x2 = X * X
+            z2 = Z * Z
+            t = X + Z
+            t = t * t - x2 - z2
             t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            xx = t - n if t >= n else t
-            t = Z * Z
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            t = m * (t - n if t >= n else t)
+            u = (t & n) + (t >> j)
+            t = (x2 & n) + (x2 >> j)
+            xx = (t & n) + (t >> j)
+            t = (z2 & n) + (z2 >> j)
+            t = m * ((t & n) + (t >> j))
             t = (t & n) + (t >> j)
             t = (t & n) + (t >> j)
             mzz = t - n if t >= n else t
-            t = X * Z
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
             d = xx - mzz
-            t = 4 * (t - n if t >= n else t) * (d + n if d < 0 else d)
+            t = 2 * u * (d + n if d < 0 else d)
             t = (t & n) + (t >> j)
             t = (t & n) + (t >> j)
             Z = t - n if t >= n else t
@@ -247,16 +254,10 @@ def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) ->
 def double_x_only_chain(curve: Curve, x: int, times: int) -> int | ChainFailure:
     """x-coordinate of 2^times * P from that of P, with one inversion.
 
-    Projective x-only doubling collects in Z every denominator that
-    double_x_only would invert, and a non-unit Z stays one, so a gcd after
-    doublings 1, 2, 4, 8, ... and after the last one finds a failed chain
-    within twice its failing step, for about log2(times) gcds per chain.
-    The failure is then pinned down by redoing the doublings since the last
-    unit checkpoint one at a time, with a gcd after each: while the earlier
-    Z is a unit, the new Z is a unit multiple of this doubling's
-    denominator, so the first non-unit Z gives the exact step and divisor
-    that double_x_only would meet.  A modulus 2^j - 1 with j >= 3 is
-    reduced by shift-and-fold, any other by division.
+    Checkpoints after doublings 1, 2, 4, 8, ... and the last one find a
+    failed chain within twice its failing step, for about log2(times) gcds,
+    and name the step and divisor that double_x_only would meet.  A modulus
+    2^j - 1 with j >= 3 is reduced by shift-and-fold, any other by division.
     """
     n = curve.modulus
     m = curve.m % n

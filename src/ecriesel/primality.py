@@ -219,13 +219,17 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
                    factors: tuple[int, ...] | list[int]) -> Verdict | None:
     """The order verdict on (m, base) for n = prod(factors): with
     D = 2^k * base, prime iff n * D = infinity.  None when some (n/q) * D
-    is already infinity, which decides nothing.  Raises FactorFound."""
+    is already infinity, which decides nothing.  n * D is q * ((n/q) * D)
+    for the last q checked, from that check's multiple.  Raises FactorFound."""
     curve = Curve(c.p, m)
     doubled = scalar_mul(curve, 1 << c.k, base)
-    if any(scalar_mul(curve, c.n // q, doubled).is_infinity for q in dict.fromkeys(factors)):
-        return None
+    q, multiple = 1, doubled  # kept only by an empty factor list, where n = 1
+    for q in dict.fromkeys(factors):
+        multiple = scalar_mul(curve, c.n // q, doubled)
+        if multiple.is_infinity:
+            return None
     cert = {"type": "order", "m": m, "base_point": [base.x, base.y], "factors": list(factors)}
-    status = PRIME if scalar_mul(curve, c.n, doubled).is_infinity else COMPOSITE
+    status = PRIME if scalar_mul(curve, q, multiple).is_infinity else COMPOSITE
     return Verdict(status, "large-n", cert)
 
 
@@ -353,7 +357,7 @@ def replay_verdict(c: FormCandidate, verdict: Verdict, cfg: SearchConfig = DEFAU
     the gate behind a prime verdict), then recomputes the verdict with the
     route's own evaluator and compares status, algorithm and certificate.
     Every chain step and every multiple is recomputed; the multipliers
-    (n, 2^k, n/q) come from the candidate, never from the certificate, and
+    (n, 2^k, n/q, q) come from the candidate and the checked factors, and
     no scan, retry, fallback or dispatch runs.  The evaluators are built
     from the integer and curve layers alone; the independent references
     for them are the traced walk run_sequence, the oracle and the

@@ -31,6 +31,9 @@ TWO_PRIME_SMALL_PRIME = FormCandidate(k=2, n=33, n_factors=(3, 11))  # p = 131
 TWO_PRIME_SMALL_COMPOSITE = FormCandidate(k=2, n=39, n_factors=(3, 13))  # p = 155
 TWO_PRIME_BIG_PRIME = FormCandidate(k=2, n=250127, n_factors=(389, 643))  # p = 1000507
 TWO_PRIME_BIG_COMPOSITE = FormCandidate(k=2, n=250003, n_factors=(13, 19231))  # p = 1000011
+# three-prime fixtures whose verdicts rest on an order certificate
+THREE_PRIME_PRIME = FormCandidate(k=3, n=3 * 23 * 199, n_factors=(3, 23, 199))  # p = 109847
+THREE_PRIME_COMPOSITE = FormCandidate(k=3, n=3 * 29 * 157, n_factors=(3, 29, 157))  # p = 109271
 
 
 class TestConstructCurvePoint:
@@ -218,6 +221,27 @@ class TestTwoPrimeN:
             assert v.certificate["gate"] == "large-n"
             assert f"factor {factor} " in v.certificate["reason"]
             assert replay_verdict(c, v)
+
+    def test_full_multiple_reuses_the_last_check(self, monkeypatch):
+        # n * D is q * ((n/q) * D) for the last distinct q: no multiple by n
+        scalars = []
+        original = primality.scalar_mul
+
+        def recording(curve, s, point):
+            scalars.append(s)
+            return original(curve, s, point)
+
+        monkeypatch.setattr(primality, "scalar_mul", recording)
+        for c, status in ((TWO_PRIME_BIG_PRIME, PRIME), (THREE_PRIME_PRIME, PRIME),
+                          (THREE_PRIME_COMPOSITE, COMPOSITE)):
+            scalars.clear()
+            v = large_n_test(c)
+            assert (v.status, v.certificate["type"]) == (status, "order")
+            qs = c.n_factors
+            assert scalars == [1 << c.k] + [c.n // q for q in qs] + [qs[-1]]
+            scalars.clear()
+            assert replay_verdict(c, v)
+            assert c.n not in scalars and scalars[-1] == qs[-1]
 
     def test_repeated_prime_factor(self):
         c = FormCandidate(k=4, n=121, n_factors=(11, 11))  # p = 1935 = 3 * 645

@@ -2,19 +2,23 @@
 
 double_x_only_chain and the Jacobian scalar_mul must return exactly what
 the step-by-step affine code returns.  The chain names a non-unit
-doubling's step and divisor itself; scalar_mul hands a non-unit case back
-to the affine walk.  These fixtures pin both and the routes built on them.
+doubling's step and divisor itself; scalar_mul finds its first non-unit
+operation the same way and hands the walk from there to the affine double
+and add.  These fixtures pin both and the routes built on them.
 """
+
+from math import gcd
 
 import pytest
 
-from ecriesel import primality
+from ecriesel import ecring, primality
 from ecriesel.ecring import (
     INFINITY,
     ChainFailure,
     Curve,
     FactorFound,
     Point,
+    _x_only_doublings,
     add,
     double,
     double_x_only,
@@ -51,6 +55,45 @@ def affine_multiple(curve, s, pt):
         if bit == "1":
             acc = add(curve, acc, pt)
     return acc
+
+
+def affine_ops(s):
+    """scalar_mul's operations for s: D per bit after the leading one, A after each 1."""
+    return bin(s)[3:].replace("1", "DA").replace("0", "D")
+
+
+def first_failing_op(curve, s, pt):
+    """Index of the affine walk's first operation with a non-unit
+    denominator, and the partial multiple it starts from."""
+    acc = pt
+    for i, op in enumerate(affine_ops(s)):
+        den = 2 * acc.y if op == "D" else acc.x - pt.x
+        if gcd(den, curve.modulus) != 1:
+            return i, acc
+        acc = double(curve, acc) if op == "D" else add(curve, acc, pt)
+    return None, acc
+
+
+@pytest.fixture
+def affine_calls(monkeypatch):
+    """The (op, first point) of every double and add that scalar_mul makes,
+    leaving out the double that add makes for itself."""
+    calls, depth = [], [0]
+
+    def spy(op, fn):
+        def wrapped(curve, acc, *rest):
+            if depth[0] == 0:
+                calls.append((op, acc))
+            depth[0] += 1
+            try:
+                return fn(curve, acc, *rest)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(ecring, "double", spy("D", double))
+    monkeypatch.setattr(ecring, "add", spy("A", add))
+    return calls
 
 
 class TestMersenneSweep:
@@ -106,6 +149,19 @@ class TestChainFallback:
             for m in (1, 3, n - 1):
                 for x0 in (n - 1, n - 2, 2):
                     assert chain_outcome(n, m, x0, 9) == run_sequence(n, m, x0, 9)[0]
+                # the fold leaves 2XZ = (X + Z)^2 - X^2 - Z^2, Z^2 and their
+                # products with m and X^2 - m Z^2 partly reduced; X, Z near N
+                # put each at its bound, and the result must be in [0, N)
+                for xz in ((n - 1, n - 1), (n - 1, n - 2), (n - 2, n - 1), (1, n - 1), (n - 1, 0)):
+                    assert (_x_only_doublings(*xz, 3, n, m, True)
+                            == _x_only_doublings(*xz, 3, n, m, False)), (j, m, xz)
+        # every (X, Z, m) for the smallest moduli, where the slack is least
+        for n in (7, 15, 31):
+            for m in range(1, n):
+                for X in range(n):
+                    for Z in range(n):
+                        assert (_x_only_doublings(X, Z, 1, n, m, True)
+                                == _x_only_doublings(X, Z, 1, n, m, False)), (n, m, X, Z)
 
     def test_replay_recomputes_fallback_outcomes(self):
         # gcd-hit (k = 4: M_4 = 15) and final-nonzero (k = 11) records
@@ -146,6 +202,52 @@ class TestJacobianScalarMul:
         curve, raw = Curve(31, 6), Point(3 + 31, 3 - 62)
         for s in range(2, 20):
             assert scalar_mul(curve, s, raw) == affine_multiple(curve, s, Point(3, 3))
+
+    # (N, m, x, y, s), m = (x^3 - y^2)/x mod N.  N = l * 1000003: the walk
+    # meets the divisor l.  Prime N: a partial multiple is infinity and the
+    # walk goes on from there.
+    FAILING_WALKS = [
+        (11 * 1000003, 5500008, 2, 5, 315),
+        (13 * 1000003, 6500011, 2, 5, 223),
+        (23 * 1000003, 11500026, 2, 5, 375),
+        (31 * 1000003, 7750027, 4, 7, 371),
+        (1009, 508, 2, 1, 365),
+        (10007, 6680, 3, 1, 1669),
+        (65537, 39347, 5, 1, 1539),
+    ]
+
+    @pytest.mark.parametrize("n, m, x, y, s", FAILING_WALKS)
+    def test_affine_tail_starts_at_the_failing_op(self, affine_calls, n, m, x, y, s):
+        curve, pt = Curve(n, m), Point(x, y)
+        assert ecring.on_curve(curve, pt)
+        ops = affine_ops(s)
+        failing, before = first_failing_op(curve, s, pt)
+        # past the checkpoints after ops 1, 3 and 7, and not the last op
+        assert 7 <= failing < len(ops) - 1
+        try:
+            want = affine_multiple(curve, s, pt)
+        except FactorFound as exc:
+            assert exc.divisor not in (1, n)
+            with pytest.raises(FactorFound) as info:
+                scalar_mul(curve, s, pt)
+            assert info.value.divisor == exc.divisor
+            assert [op for op, _ in affine_calls] == [ops[failing]]
+        else:
+            assert scalar_mul(curve, s, pt) == want
+            assert [op for op, _ in affine_calls] == list(ops[failing:])
+        assert affine_calls[0][1] == before
+
+    def test_affine_ops_run_only_from_a_failing_op(self, affine_calls):
+        # a prime modulus far above every multiplier: no partial multiple is infinity
+        n = (1 << 127) - 1
+        curve, pt = Curve(n, 7 * pow(2, -1, n) % n), Point(2, 1)
+        for s in (2, 3, 1 << 40, (1 << 61) - 1):
+            assert scalar_mul(curve, s, pt) == affine_multiple(curve, s, pt)
+        assert affine_calls == []
+        # (6, 3) has order 8 over F_7: 8 * P is infinity at the last operation
+        curve, pt = Curve(7, 3), Point(6, 3)
+        assert scalar_mul(curve, 8, pt).is_infinity
+        assert affine_calls == [("D", affine_multiple(curve, 4, pt))]
 
 
 class TestModInverse:
