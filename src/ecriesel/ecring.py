@@ -8,20 +8,18 @@ denominator that vanishes mod N counts as reaching the point at infinity,
 which matches the honest group law whenever N is prime.
 
 One backend, two coordinate systems.  The affine double, add and
-double_x_only invert each denominator as it arises.  The fast paths defer
-that work: double_x_only_chain runs x-only doubling on (X:Z) (Montgomery
-1987), and scalar_mul runs double-and-add in Jacobian coordinates.  Each
-multiplies all denominators into Z, and Z is a unit iff every denominator
-was; then the result is the affine one exactly.  Both take a gcd at
-checkpoints ever further apart and after the last operation.  On a
-non-unit Z they redo the operations since the last unit checkpoint, one
-gcd each: while the earlier Z is a unit, the new one is a unit multiple
-of this operation's denominator, so the first non-unit Z marks the first
-operation the affine walk cannot complete.  The chain names its step and
-divisor (ChainFailure); scalar_mul hands the walk from there to the
-affine double and add, which meet the same FactorFound divisor or the
-same infinity as an affine walk from the start.  Deferring the gcd moves
-where it is taken; it hides no failure and no witness.
+double_x_only invert each denominator as it arises.  The fast paths,
+double_x_only_chain on (X:Z) (Montgomery 1987) and scalar_mul in Jacobian
+coordinates, multiply all denominators into Z, and Z is a unit iff every
+denominator was; then the result is the affine one exactly.  Both take a
+gcd at checkpoints ever further apart and after the last operation, and on
+a non-unit Z redo the operations since the last unit checkpoint, one gcd
+each: while the earlier Z is a unit, the new one is a unit multiple of this
+operation's denominator, so the first non-unit Z marks the first operation
+the affine walk cannot complete.  The chain names its step and divisor
+(ChainFailure); scalar_mul hands the walk from there to the affine double
+and add, which meet what an affine walk from the start meets.  Deferring
+the gcd moves where it is taken; it hides no failure and no witness.
 """
 
 from __future__ import annotations
@@ -128,14 +126,41 @@ def add(curve: Curve, p: Point, q: Point) -> Point:
     return Point(x3, y3)
 
 
+def _jacobian_ops(X: int, Y: int, Z: int, ops: str, n: int, m: int,
+                  px: int, py: int) -> tuple[int, int, int]:
+    """(X:Y:Z) after the ops: "D" doubles it, "A" adds the affine (px, py)."""
+    for op in ops:
+        if op == "D":
+            # lambda = (3x^2 - m) / (2y): Z gains the factor 2*Y
+            yy = Y * Y % n
+            zz = Z * Z % n
+            w = (3 * X * X - m * (zz * zz % n)) % n
+            v = 4 * X * yy % n
+            Z = 2 * Y * Z % n
+            X = (w * w - 2 * v) % n
+            Y = (w * (v - X) - 8 * yy * yy) % n
+        else:
+            # lambda = (py - y) / (px - x): Z gains the factor h
+            zz = Z * Z % n
+            h = (px * zz - X) % n
+            r = (py * zz % n * Z - Y) % n
+            hh = h * h % n
+            hhh = hh * h % n
+            v = X * hh % n
+            Z = Z * h % n
+            X = (r * r - hhh - 2 * v) % n
+            Y = (r * (v - X) - Y * hhh) % n
+    return X, Y, Z
+
+
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     """s*P by left-to-right double-and-add (deterministic operation order).
 
-    The operations run in Jacobian coordinates (x = X/Z^2, y = Y/Z^3),
-    with checkpoints after operations 1, 3, 7, 15, ..., the second-to-last
-    and the last.  The affine double and add take over at the first
-    failing operation, a partial multiple at infinity included, and return
-    or raise what the affine walk from the start would.
+    Jacobian coordinates (x = X/Z^2, y = Y/Z^3) with checkpoints after
+    operations 1, 3, 7, 15, ..., the second-to-last and the last (so a last
+    operation reaching infinity costs no redo); the affine double and add
+    take over at the first failing one, a partial multiple at infinity
+    included, and return or raise what the affine walk from the start would.
     """
     if s < 0:
         raise ValueError("scalar must be nonnegative")
@@ -148,39 +173,20 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     n, m = curve.modulus, curve.m
     px, py = point.x % n, point.y % n
     X, Y, Z = px, py, 1
-    # ops[:done] are applied and Z is a unit
-    done, run, grow, last = 0, 1, 2, len(ops) - 1
+    done, run, last = 0, 1, len(ops) - 1
     while done <= last:
-        end = min(done + run, last) if done < last else done + 1
-        sX, sY, sZ = X, Y, Z
-        for op in ops[done:end]:
-            if op == "D":
-                # lambda = (3x^2 - m) / (2y): Z gains the factor 2*Y
-                yy = Y * Y % n
-                zz = Z * Z % n
-                w = (3 * X * X - m * (zz * zz % n)) % n
-                v = 4 * X * yy % n
-                Z = 2 * Y * Z % n
-                X = (w * w - 2 * v) % n
-                Y = (w * (v - X) - 8 * yy * yy) % n
-            else:
-                # lambda = (py - y) / (px - x): Z gains the factor h
-                zz = Z * Z % n
-                h = (px * zz - X) % n
-                r = (py * zz % n * Z - Y) % n
-                hh = h * h % n
-                hhh = hh * h % n
-                v = X * hh % n
-                Z = Z * h % n
-                X = (r * r - hhh - 2 * v) % n
-                Y = (r * (v - X) - Y * hhh) % n
-        if gcd(Z, n) == 1:
-            done, run = end, run * grow
-            continue
-        X, Y, Z = sX, sY, sZ
-        if end - done == 1:
-            break  # ops[done] is the first operation with a non-unit denominator
-        run, grow = 1, 1  # redo the segment one operation at a time
+        end = last + 1 if done == last else min(done + run, last)
+        X2, Y2, Z2 = _jacobian_ops(X, Y, Z, ops[done:end], n, m, px, py)
+        if gcd(Z2, n) != 1:
+            # redo the segment one operation at a time, up to the failing one
+            for op in ops[done:end]:
+                X2, Y2, Z2 = _jacobian_ops(X, Y, Z, op, n, m, px, py)
+                if gcd(Z2, n) != 1:
+                    break
+                X, Y, Z, done = X2, Y2, Z2, done + 1
+            break
+        X, Y, Z, done = X2, Y2, Z2, end
+        run *= 2
     inv = pow(Z, -1, n)
     inv2 = inv * inv % n
     acc = Point(X * inv2 % n, Y * inv2 % n * inv % n)

@@ -219,17 +219,29 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
                    factors: tuple[int, ...] | list[int]) -> Verdict | None:
     """The order verdict on (m, base) for n = prod(factors): with
     D = 2^k * base, prime iff n * D = infinity.  None when some (n/q) * D
-    is already infinity, which decides nothing.  n * D is q * ((n/q) * D)
-    for the last q checked, from that check's multiple.  Raises FactorFound."""
+    is already infinity, which decides nothing.  Raises FactorFound.
+
+    With prime factors and the gate, q * ((n/q) * D) = infinity for the
+    last q checked, reached with no divisor met, gives D order n mod every
+    prime l | p, so p is prime and n * D = infinity too.  That walk runs
+    where n != q and p is a base-2 probable prime, which spares a composite
+    p a walk it cannot use; any other outcome of it leaves the verdict to
+    the walk of n * D, whose certificate it is."""
     curve = Curve(c.p, m)
     doubled = scalar_mul(curve, 1 << c.k, base)
-    q, multiple = 1, doubled  # kept only by an empty factor list, where n = 1
+    q, multiple = c.n, doubled  # kept only by an empty factor list, where n = 1
     for q in dict.fromkeys(factors):
         multiple = scalar_mul(curve, c.n // q, doubled)
         if multiple.is_infinity:
             return None
     cert = {"type": "order", "m": m, "base_point": [base.x, base.y], "factors": list(factors)}
-    status = PRIME if scalar_mul(curve, q, multiple).is_infinity else COMPOSITE
+    if q != c.n and gate_large_n(c) and miller_rabin(c.p, (2,)):
+        try:
+            if scalar_mul(curve, q, multiple).is_infinity:
+                return Verdict(PRIME, "large-n", cert)
+        except FactorFound:
+            pass
+    status = PRIME if scalar_mul(curve, c.n, doubled).is_infinity else COMPOSITE
     return Verdict(status, "large-n", cert)
 
 

@@ -1,10 +1,12 @@
 import json
+import random
+from math import prod
 
 import pytest
 
 from ecriesel import primality
-from ecriesel.ecring import FactorFound, Point
-from ecriesel.numtheory import FormCandidate, jacobi, lucas_lehmer, trial_division
+from ecriesel.ecring import Curve, FactorFound, Point, scalar_mul
+from ecriesel.numtheory import FormCandidate, gate_large_n, jacobi, lucas_lehmer, trial_division
 from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
 from ecriesel.primality import (
     COMPOSITE,
@@ -223,7 +225,8 @@ class TestTwoPrimeN:
             assert replay_verdict(c, v)
 
     def test_full_multiple_reuses_the_last_check(self, monkeypatch):
-        # n * D is q * ((n/q) * D) for the last distinct q: no multiple by n
+        # a prime p needs no multiple by n: q * ((n/q) * D) proves it; a
+        # composite p is decided by the walk of n * D, as without the reuse
         scalars = []
         original = primality.scalar_mul
 
@@ -238,10 +241,59 @@ class TestTwoPrimeN:
             v = large_n_test(c)
             assert (v.status, v.certificate["type"]) == (status, "order")
             qs = c.n_factors
-            assert scalars == [1 << c.k] + [c.n // q for q in qs] + [qs[-1]]
+            full = qs[-1] if status == PRIME else c.n
+            assert scalars == [1 << c.k] + [c.n // q for q in qs] + [full]
             scalars.clear()
             assert replay_verdict(c, v)
-            assert c.n not in scalars and scalars[-1] == qs[-1]
+            assert scalars[-1] == full and (status == COMPOSITE) == (c.n in scalars)
+
+    # Composite p with order certificates on which q * ((n/q) * D) meets a
+    # divisor (41, 157) that the walk of n * D does not: found by comparing
+    # both walks over random curves, points valid, gate holding.
+    ORDER_NOT_FACTOR = (
+        (FormCandidate(k=3, n=5851351, n_factors=(11, 521, 1021)), 8098281, (31282030, 3020741)),
+        (FormCandidate(k=3, n=231341443, n_factors=(241, 409, 2347)), 567813339,
+         (1001341953, 954129596)),
+    )
+
+    @pytest.mark.parametrize("probable_prime", [False, True], ids=["as-is", "forced-prp"])
+    def test_composite_order_certificates_keep_replaying(self, monkeypatch, probable_prime):
+        # forcing the base-2 probable-prime test to pass sends each through
+        # the q * ((n/q) * D) walk first, whose FactorFound must not leak
+        if probable_prime:
+            monkeypatch.setattr(primality, "miller_rabin", lambda n, bases=(): True)
+        for c, m, xy in self.ORDER_NOT_FACTOR:
+            cert = {"type": "order", "m": m, "base_point": list(xy), "factors": list(c.n_factors)}
+            v = Verdict(COMPOSITE, "large-n", cert)
+            assert replay_verdict(c, v)
+            assert primality._order_verdict(c, m, Point(*xy), c.n_factors) == v
+            curve, q = Curve(c.p, m), c.n_factors[-1]
+            multiple = scalar_mul(curve, c.n // q, scalar_mul(curve, 1 << c.k, Point(*xy)))
+            with pytest.raises(FactorFound):
+                scalar_mul(curve, q, multiple)
+
+    @pytest.mark.parametrize("p_prime", [True, False], ids=["p-prime", "p-composite"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_multi_prime_n_agrees_with_sympy(self, r, p_prime):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"{r}/{p_prime}")
+        decided = 0
+        for _ in range(200):
+            qs = sorted(sympy.nextprime(rng.randrange(2**8, 2**20)) for _ in range(r))
+            c = FormCandidate(k=rng.randrange(2, 9), n=prod(qs), n_factors=tuple(qs))
+            if sympy.isprime(c.p) != p_prime or not gate_large_n(c):
+                continue
+            v = auto_test(c)
+            assert v.algorithm == "large-n"
+            if v.status == INCONCLUSIVE:
+                assert v.certificate["type"] == "retries-exhausted"
+                continue
+            assert v.status == (PRIME if p_prime else COMPOSITE)
+            assert replay_verdict(c, v)
+            decided += 1
+            if decided == 8:
+                break
+        assert decided == 8
 
     def test_repeated_prime_factor(self):
         c = FormCandidate(k=4, n=121, n_factors=(11, 11))  # p = 1935 = 3 * 645

@@ -5,12 +5,8 @@ strategies draw prime n, and prime n with a prime p, so that the large-n
 route sees prime n and proves primes.  Every prime or
 composite verdict must be sympy's and must replay.  A candidate that some
 route covers is decided, or gives up as retries-exhausted; any other
-candidate is not applicable, since p is above the oracle bound.  A
-seeded sweep over n with two and three prime factors, given to the
-large-n route, covers the order check that reuses (n/q) * D.
+candidate is not applicable, since p is above the oracle bound.
 """
-
-import random
 
 import pytest
 
@@ -23,7 +19,6 @@ from hypothesis import strategies as st  # noqa: E402
 from ecriesel.numtheory import FormCandidate, gate_large_n, gate_small_n  # noqa: E402
 from ecriesel.primality import (  # noqa: E402
     COMPOSITE,
-    INCONCLUSIVE,
     NOT_APPLICABLE,
     PRIME,
     auto_test,
@@ -64,24 +59,3 @@ def test_auto_test_agrees_with_sympy(kn):
         assert v.status in (PRIME, COMPOSITE) or v.certificate["type"] == "retries-exhausted"
     else:
         assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
-
-
-@pytest.mark.parametrize("p_prime", [True, False], ids=["p-prime", "p-composite"])
-@pytest.mark.parametrize("r", [2, 3])
-def test_multi_prime_n_agrees_with_sympy(r, p_prime):
-    rng = random.Random(f"{r}/{p_prime}")
-    decided = 0
-    while decided < 8:
-        qs = sorted(sympy.nextprime(rng.randrange(2**8, 2**20)) for _ in range(r))
-        k = rng.randrange(2, 9)
-        c = FormCandidate(k=k, n=sympy.prod(qs), n_factors=tuple(qs))
-        if sympy.isprime(c.p) != p_prime or not gate_large_n(c):
-            continue
-        v = auto_test(c)
-        assert v.algorithm == "large-n"
-        if v.status == INCONCLUSIVE:
-            assert v.certificate["type"] == "retries-exhausted"
-            continue
-        assert v.status == (PRIME if p_prime else COMPOSITE)
-        assert replay_verdict(c, v)
-        decided += 1
