@@ -6,6 +6,12 @@ side-channel (`ecring`), the iterated-doubling denominator sequence
 (`sequence`), the decision procedures and certificate replay (`primality`),
 a brute-force group-structure oracle for small primes (`oracle`), and the
 command-line front end (`cli`).
+
+The value types (Curve, Point, ChainFailure, FormCandidate, InverseOutcome,
+SequenceOutcome, STrace, SearchConfig, Verdict, GroupStructure) are
+immutable collections.namedtuple subclasses, not dataclasses, so importing
+the package loads neither dataclasses nor inspect.  Each equals any tuple
+of the same fields; _replace skips the ValueError checks of __new__.
 """
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, partial
 
@@ -353,6 +352,9 @@ def _cmd_search(args, out, err) -> int:
     if workers <= 1:
         emit_all(map(worker, unsieved))
     else:
+        # imported here: only a pooled search pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 emit_all(pool.map(worker, unsieved, chunksize=16))

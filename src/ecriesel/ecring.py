@@ -20,11 +20,12 @@ the affine walk cannot complete.  The chain names its step and divisor
 (ChainFailure); scalar_mul hands the walk from there to the affine double
 and add, which meet what an affine walk from the start meets.  Deferring
 the gcd moves where it is taken; it hides no failure and no witness.
+Curve (checked when built), Point and ChainFailure are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .numtheory import mod_inverse
@@ -43,26 +44,23 @@ class FactorFound(Exception):
         self.modulus = modulus
 
 
-@dataclass(frozen=True, slots=True)
-class Curve:
+class Curve(namedtuple("Curve", "modulus m")):
     """y^2 = x^3 - m*x over Z_modulus, modulus odd >= 3, m nonzero mod modulus."""
 
-    modulus: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 3 or self.modulus % 2 == 0:
+    def __new__(cls, modulus: int, m: int):
+        if modulus < 3 or modulus % 2 == 0:
             raise ValueError("curve modulus must be odd and >= 3")
-        if self.m % self.modulus == 0:
+        if m % modulus == 0:
             raise ValueError("m must be nonzero mod the modulus")
+        return super().__new__(cls, modulus, m)
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(namedtuple("Point", "x y")):
     """Affine point (x, y) or the point at infinity (both coordinates None)."""
 
-    x: int | None
-    y: int | None
+    __slots__ = ()
 
     @property
     def is_infinity(self) -> bool:
@@ -134,11 +132,11 @@ def _jacobian_ops(X: int, Y: int, Z: int, ops: str, n: int, m: int,
             # lambda = (3x^2 - m) / (2y): Z gains the factor 2*Y
             yy = Y * Y % n
             zz = Z * Z % n
-            w = (3 * X * X - m * (zz * zz % n)) % n
+            w = (3 * (X * X) - m * (zz * zz % n)) % n
             v = 4 * X * yy % n
             Z = 2 * Y * Z % n
             X = (w * w - 2 * v) % n
-            Y = (w * (v - X) - 8 * yy * yy) % n
+            Y = (w * (v - X) - 8 * (yy * yy)) % n
         else:
             # lambda = (py - y) / (px - x): Z gains the factor h
             zz = Z * Z % n
@@ -195,16 +193,14 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     return acc
 
 
-@dataclass(frozen=True, slots=True)
-class ChainFailure:
+class ChainFailure(namedtuple("ChainFailure", "step divisor")):
     """The first doubling of a chain whose denominator is not a unit.
 
     step counts doublings from 1; divisor is gcd(denominator, modulus),
     which is the modulus itself when that doubling reaches infinity.
     """
 
-    step: int
-    divisor: int
+    __slots__ = ()
 
 
 def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) -> tuple[int, int]:

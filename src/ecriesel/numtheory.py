@@ -5,13 +5,14 @@ modular inversion (the divisor branch doubles as a factor extractor),
 integer roots, the applicability gates for the elliptic tests, the
 special-form fast reduction for moduli 2^k*n - 1, the classical
 baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles, and
-the small-prime presieve of a search range.
+the small-prime presieve of a search range.  FormCandidate (checked when
+built) and InverseOutcome are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
@@ -34,8 +35,7 @@ SIEVE_BOUND = 1 << 16
 SIEVE_BOUND_PER_CANDIDATE = 16
 
 
-@dataclass(frozen=True, slots=True)
-class FormCandidate:
+class FormCandidate(namedtuple("FormCandidate", "k n n_factors")):
     """An integer p = 2^k * n - 1 carried with its decomposition (k, n).
 
     k >= 2 and n odd force p = 3 (mod 4).  ``n_factors`` optionally records
@@ -43,28 +43,26 @@ class FormCandidate:
     scope, so the large-n test needs it supplied for composite n).
     """
 
-    k: int
-    n: int
-    n_factors: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __new__(cls, k: int, n: int, n_factors: tuple[int, ...] | None = None):
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if self.n < 1 or self.n % 2 == 0:
+        if n < 1 or n % 2 == 0:
             raise ValueError("n must be a positive odd integer")
-        if self.n_factors is not None:
-            if math.prod(self.n_factors) != self.n:
+        if n_factors is not None:
+            if math.prod(n_factors) != n:
                 raise ValueError("n_factors does not multiply out to n")
-            if any(f < 2 for f in self.n_factors):
+            if any(f < 2 for f in n_factors):
                 raise ValueError("n_factors entries must exceed 1")
+        return super().__new__(cls, k, n, n_factors)
 
     @property
     def p(self) -> int:
         return (self.n << self.k) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class InverseOutcome:
+class InverseOutcome(namedtuple("InverseOutcome", "inverse divisor", defaults=(None, None))):
     """Result of inverting a mod N.
 
     Exactly one of three shapes:
@@ -74,8 +72,7 @@ class InverseOutcome:
       * neither set: a = 0 (mod N), the whole modulus divides a.
     """
 
-    inverse: int | None = None
-    divisor: int | None = None
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:

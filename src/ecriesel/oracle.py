@@ -14,12 +14,13 @@ whose walk visits all p + 1 points, the split case by exhibiting an
 order-(p+1)/2 point plus an outside involution whose coset fills the rest.
 Orders of walked points then follow from the verified generator order, so
 the fact-3 sweep touches every point without quadratic blowup.
+GroupStructure is an immutable named tuple.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .ecring import INFINITY, Curve, Point, add, on_curve
@@ -32,12 +33,10 @@ CYCLIC = "cyclic"
 PRODUCT_OF_TWO = "product-of-two"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupStructure:
+class GroupStructure(namedtuple("GroupStructure", "kind orders")):
     """Shape of the point group: cyclic of order p+1, or Z_2 x Z_{(p+1)/2}."""
 
-    kind: str
-    orders: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def total_order(self) -> int:

@@ -15,13 +15,14 @@ tries the (m, Q) pairs of one scan until the route's evaluator decides,
 maps a divisor met on the way to a factor verdict and gives up as
 retries-exhausted when the scan runs dry.  A Prime/Composite verdict's
 certificate records the choices the search made; replay_verdict checks
-them and recomputes the verdict with the same evaluator.
+them and recomputes the verdict with the same evaluator.  Verdict and
+SearchConfig (checked when built) are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import partial
 from itertools import islice
 from math import gcd, prod
@@ -54,8 +55,7 @@ NOT_APPLICABLE = "not-applicable"
 SCAN_LIMIT = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class SearchConfig:
+class SearchConfig(namedtuple("SearchConfig", "seed retry_cap oracle_bound")):
     """Knobs for parameter search and fallback behavior.
 
     seed None means deterministic ascending scans (x from 2, y from 1),
@@ -66,28 +66,23 @@ class SearchConfig:
     ORACLE_LIMIT (10^12).
     """
 
-    seed: int | None = None
-    retry_cap: int = 20
-    oracle_bound: int = 10_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.retry_cap < 1:
+    def __new__(cls, seed: int | None = None, retry_cap: int = 20, oracle_bound: int = 10_000):
+        if retry_cap < 1:
             raise ValueError("retry_cap must be at least 1")
-        if self.oracle_bound > ORACLE_LIMIT:
+        if oracle_bound > ORACLE_LIMIT:
             raise ValueError(f"oracle_bound exceeds the exact-oracle limit {ORACLE_LIMIT}")
+        return super().__new__(cls, seed, retry_cap, oracle_bound)
 
 
 DEFAULT_CONFIG = SearchConfig()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status algorithm certificate iterations", defaults=(1,))):
     """Outcome of one test run: status, the algorithm used, and its certificate."""
 
-    status: str
-    algorithm: str
-    certificate: dict
-    iterations: int = 1
+    __slots__ = ()
 
 
 def factor_witness(verdict: Verdict) -> int | None:
@@ -261,7 +256,7 @@ def _curve_route(c: FormCandidate, cfg: SearchConfig, algorithm: str, evaluate) 
             attempts += 1
             verdict = evaluate(c, m, base)
             if verdict is not None:
-                return verdict if attempts == 1 else replace(verdict, iterations=attempts)
+                return verdict if attempts == 1 else verdict._replace(iterations=attempts)
     except FactorFound as exc:
         stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
         return _factor_verdict(algorithm, exc, stage, iterations=max(attempts, 1))

@@ -11,12 +11,13 @@ chain_outcome decides a run with projective doubling and a deferred gcd
 (ecring.double_x_only_chain), which also names the first non-unit S_i
 with its step and divisor.  run_sequence walks the chain affinely step by
 step and keeps the trace; it is the reference chain_outcome is tested
-against, and no decision or replay path calls it.
+against, and no decision or replay path calls it.  SequenceOutcome and
+STrace are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .ecring import ChainFailure, Curve, double_x_only, double_x_only_chain
@@ -28,23 +29,22 @@ EARLY_INFINITY = "early-infinity"  # some S_i (i < k) vanishes mod N: order too 
 FINAL_NONZERO = "final-nonzero"  # units throughout but S_k is not 0
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceOutcome:
-    kind: str
-    step: int | None = None  # 1-based step of a gcd hit / early vanish
-    divisor: int | None = None  # the proper factor for GCD_HIT
-    residue: int | None = None  # S_k for FINAL_NONZERO
+class SequenceOutcome(namedtuple("SequenceOutcome", "kind step divisor residue",
+                                 defaults=(None, None, None))):
+    """A run's kind, with the 1-based step of a gcd hit or early vanish, the
+    proper factor of a GCD_HIT and S_k of a FINAL_NONZERO (None otherwise)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class STrace:
-    """Replayable transcript of a run: the x-chain and the S values seen."""
+class STrace(namedtuple("STrace", "modulus m four_factor x_values s_values")):
+    """Replayable transcript of a run: the x-chain and the S values seen.
 
-    modulus: int
-    m: int
-    four_factor: bool
-    x_values: tuple[int, ...]  # x_0 .. x_last (never advanced past a non-unit S)
-    s_values: tuple[int, ...]  # S_1 .. S_last
+    x_values is x_0 .. x_last (never advanced past a non-unit S), s_values
+    is S_1 .. S_last.
+    """
+
+    __slots__ = ()
 
     @property
     def steps_completed(self) -> int:

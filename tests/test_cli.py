@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -427,7 +428,8 @@ class TestSearchCommand:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # cli imports the pool class when it needs one, so patch where it comes from
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         argv = ("search", "--k", "31", "--n-min", "40001", "--n-max", "40199", "--json")
         expected = run_cli(*argv, "--workers", "1")[1]
         unsieved = sum(1 for line in expected.splitlines()[:-1] if '"algorithm":"sieve"' not in line)
