@@ -14,6 +14,12 @@ its divisor alone.  build_record gives the same record as a dict, the
 reference the tests compare every line against; the human-readable line is
 written from the Verdict itself.
 
+main parses each call once.  When argv[0] names a command, that command's
+own parser, taken from the one cached build, reads the rest of argv, and
+reports an unrecognized argument as `ecriesel test: error: ...`.  The
+top-level parser reads only an empty argv, -h, --version and an unknown
+command.
+
 Exit codes for `test`: 0 prime, 1 composite, 2 inconclusive,
 3 not-applicable or usage error.  Batch commands exit 0 on completion,
 1 on an internal mismatch or violation, 3 on usage errors.  Every command
@@ -148,8 +154,8 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema, an algorithm or
-    tool_version that is not a string, a certificate key outside
+    Raises ValueError on a record of another schema, a verdict, algorithm
+    or tool_version that is not a string, a certificate key outside
     CERTIFICATE_FIELDS, an integer that is not a canonical decimal string,
     a k above the bit length of the record's p, or an iterations count
     that is not a JSON integer >= 1.
@@ -177,7 +183,7 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     if type(iterations) is not int or iterations < 1:
         raise ValueError(f"iterations must be a JSON integer >= 1: {iterations!r}")
     verdict = Verdict(
-        status=record["verdict"],
+        status=_parse_text(record["verdict"]),
         algorithm=_parse_text(record["algorithm"]),
         certificate=cert,
         iterations=iterations,
@@ -471,10 +477,24 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     return status
 
 
+@cache
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser by name, taken from the one _build_parser build."""
+    return next(action.choices for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def _run(argv, out, err) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # A named command is parsed by its own parser alone: the top-level parser
+    # would only hand the same words on to it, a second parse per call.
+    command = _command_parsers().get(argv[0]) if argv else None
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            args = _build_parser().parse_args(argv)
+            if command is None:
+                args = _build_parser().parse_args(argv)
+            else:
+                args = command.parse_args(argv[1:])
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return 3 if exc.code not in (0, None) else 0

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import io
 import json
@@ -282,6 +283,10 @@ class TestStrictReplayInput:
                               lambda r: r.update(algorithm="small-n"), 1),
         "oracle-null-algorithm": (("trial-division", "oracle"),
                                   lambda r: r.update(algorithm=None), 3),
+        "verdict-int": (("small-n", "factor"), lambda r: r.update(verdict=5), 3),
+        "verdict-null": (("sieve", "factor"), lambda r: r.update(verdict=None), 3),
+        "verdict-list": (("large-n", "order"), lambda r: r.update(verdict=["prime"]), 3),
+        "verdict-object": (("small-n", "factor"), lambda r: r.update(verdict={"a": 1}), 3),
     }
 
     @pytest.mark.parametrize("name", FORGERIES)
@@ -557,6 +562,90 @@ class TestOneParserPerProcess:
         code, out, err = run_cli("test", "--help")
         assert code == 0 and out.startswith("usage: ecriesel test") and err == ""
         assert capsys.readouterr() == ("", "")
+
+
+class TestDirectCommandParse:
+    """A call that names a command is parsed once, by that command's parser;
+    the top-level parser takes no argv, -h, --version and unknown commands."""
+
+    ARGVS = [
+        ("test", "7", "3"),
+        ("test", "7", "3", "--json", "--timings"),
+        ("test", "--json", "7", "3"),
+        ("test", "2", "105", "--q", "3", "--q", "5", "--q", "7", "--json"),
+        ("test", "2", "250127", "--q1", "389", "--q2", "643"),
+        ("test", "2", "105", "--q2", "7", "--q", "3", "--q1", "5"),
+        ("test", "--replay", "-"),
+        ("test", "--replay=record.jsonl", "--json"),
+        ("test", "3", "5", "--oracle-bound", "10", "--seed", "4", "--retries", "2"),
+        ("test", "--", "7", "3"),
+        ("mersenne", "3", "13"),
+        ("mersenne", "3", "13", "--json", "--compare-lucas-lehmer", "--timings"),
+        ("search", "--k", "7", "--n-max", "15"),
+        ("search", "--n-max", "40999", "--k", "31", "--n-min", "40001", "--json",
+         "--workers", "2"),
+        ("search", "--k", "5", "--n-max", "9", "--retries", "0", "--seed", "1",
+         "--oracle-bound", "100", "--timings"),
+        ("verify",),
+        ("verify", "--p-max", "50", "--seed", "3"),
+    ]
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        """The prog of every parser that parse_known_args runs, in call order."""
+        progs = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            progs.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        return progs
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_matches_the_top_level_parse(self, argv):
+        top = vars(cli._build_parser().parse_args(list(argv)))
+        assert top.pop("command") == argv[0]
+        direct = vars(cli._command_parsers()[argv[0]].parse_args(list(argv[1:])))
+        assert direct == top
+
+    def test_replay_is_parsed_once(self, monkeypatch):
+        record = run_cli("test", "7", "3", "--json")[1]
+        builds = cli._build_parser.cache_info().misses
+        progs = self.count_parses(monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(record))
+        assert run_cli("test", "--replay", "-")[0] == 0
+        assert progs == ["ecriesel test"]
+        assert cli._build_parser.cache_info().misses == builds
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        expected = run_cli("test", "7", "3", "--json")
+        progs = self.count_parses(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["ecriesel", "test", "7", "3", "--json"])
+        code = main(None)
+        assert (code, *capsys.readouterr()) == expected
+        assert progs == ["ecriesel test"]
+
+    def test_other_argvs_go_to_the_top_level_parser(self, monkeypatch):
+        parser = cli._build_parser()
+        usage = parser.format_usage()
+        progs = self.count_parses(monkeypatch)
+        assert run_cli() == (3, "", usage + "ecriesel: error: the following arguments "
+                                            "are required: command\n")
+        assert run_cli("-h") == (0, parser.format_help(), "")
+        assert run_cli("--version") == (0, f"ecriesel {cli.__version__}\n", "")
+        code, out, err = run_cli("no-such-command")
+        assert (code, out) == (3, "") and err.startswith(usage)
+        assert err[len(usage):].startswith(
+            "ecriesel: error: argument command: invalid choice: 'no-such-command'")
+        assert progs == ["ecriesel"] * 4
+
+    def test_unknown_option_is_reported_by_the_command(self):
+        code, out, err = run_cli("test", "--bogus")
+        assert (code, out) == (3, "")
+        assert err.startswith("usage: ecriesel test ")
+        assert err.endswith("ecriesel test: error: unrecognized arguments: --bogus\n")
 
 
 class TestMersenneOptions:
