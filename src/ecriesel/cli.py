@@ -59,7 +59,7 @@ SCHEMA = "ecriesel.run-record/2"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
-ORACLE_BOUND_ENV = "ECRIESEL_ORACLE_BOUND"
+ORACLE_BOUND_ENV = "ECRIESEL_ORACLE_BOUND"  # no longer read: the exact oracle has no bound to set
 
 EXIT_CLOSED_PIPE = 141
 
@@ -128,9 +128,8 @@ def _parse_text(value) -> str:
 
 # How replay reads each certificate field; any other key is malformed.
 CERTIFICATE_FIELDS = {
-    **dict.fromkeys(
-        ("m", "x0", "step", "divisor", "residue", "least_factor", "attempts"), _parse_int
-    ),
+    **dict.fromkeys(("m", "x0", "step", "divisor", "residue", "least_factor", "witness",
+                     "attempts"), _parse_int),
     **dict.fromkeys(("base_point", "factors"), _parse_int_list),
     **dict.fromkeys(("type", "outcome", "stage", "gate", "reason"), _parse_text),
 }
@@ -151,6 +150,14 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
     return record
 
 
+def _read(field: str, parse, value):
+    """parse(value), with the record field's name in the error it raises."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
@@ -158,13 +165,14 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     or tool_version that is not a string, a certificate key outside
     CERTIFICATE_FIELDS, an integer that is not a canonical decimal string,
     a k above the bit length of the record's p, or an iterations count
-    that is not a JSON integer >= 1.
+    that is not a JSON integer >= 1.  A malformed field is named in the
+    message.
     """
     if not isinstance(record, dict) or record.get("schema") != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")
-    _parse_text(record["tool_version"])
+    _read("tool_version", _parse_text, record["tool_version"])
     cand = record["candidate"]
-    k, n, p = _parse_int(cand["k"]), _parse_int(cand["n"]), _parse_int(cand["p"])
+    k, n, p = (_read(f"candidate.{key}", _parse_int, cand[key]) for key in "knp")
     # p = 2^k * n - 1 has at least k bits, so this bounds the cost of forming c.p
     if k > p.bit_length():
         raise ValueError("record k exceeds the bit length of its p")
@@ -178,13 +186,13 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     for key, value in fields.items():
         if key not in CERTIFICATE_FIELDS:
             raise ValueError(f"unknown certificate field {key!r}")
-        cert[key] = CERTIFICATE_FIELDS[key](value)
+        cert[key] = _read(f"certificate.{key}", CERTIFICATE_FIELDS[key], value)
     iterations = record["iterations"]
     if type(iterations) is not int or iterations < 1:
         raise ValueError(f"iterations must be a JSON integer >= 1: {iterations!r}")
     verdict = Verdict(
-        status=_parse_text(record["verdict"]),
-        algorithm=_parse_text(record["algorithm"]),
+        status=_read("verdict", _parse_text, record["verdict"]),
+        algorithm=_read("algorithm", _parse_text, record["algorithm"]),
         certificate=cert,
         iterations=iterations,
     )
@@ -233,17 +241,6 @@ def _emit(out, as_json: bool, c: FormCandidate, verdict: Verdict,
               + (f" ({elapsed_ms:.2f} ms)" if elapsed_ms is not None else "") + "\n")
 
 
-def _config_from_args(args) -> SearchConfig:
-    bound = args.oracle_bound
-    if bound is None:
-        bound = int(os.environ.get(ORACLE_BOUND_ENV, DEFAULT_CONFIG.oracle_bound))
-    return SearchConfig(
-        seed=args.seed,
-        retry_cap=args.retries,
-        oracle_bound=bound,
-    )
-
-
 def _timed(decide, *args) -> tuple[Verdict, float]:
     """decide(*args) and its wall time in milliseconds."""
     start = time.perf_counter()
@@ -259,7 +256,7 @@ def _cmd_test(args, out, err) -> int:
         return 3
     try:
         c = FormCandidate(k=args.k, n=args.n, n_factors=tuple(args.q) if args.q else None)
-        cfg = _config_from_args(args)
+        cfg = SearchConfig(seed=args.seed, retry_cap=args.retries)
     except ValueError as exc:
         err.write(f"test: {exc}\n")
         return 3
@@ -328,7 +325,7 @@ def _cmd_search(args, out, err) -> int:
         err.write("search: need k >= 2, 1 <= n-min <= n-max and workers >= 1\n")
         return 3
     try:
-        cfg = _config_from_args(args)
+        cfg = SearchConfig(seed=args.seed, retry_cap=args.retries)
     except ValueError as exc:
         err.write(f"search: {exc}\n")
         return 3
@@ -396,9 +393,8 @@ def _cmd_verify(args, out, err) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every main call.
 
-    It holds no per-call state: every default is a constant, the
-    environment is read in _config_from_args, and parse_args returns a
-    fresh Namespace.
+    It holds no per-call state: every default is a constant, no option
+    reads the environment, and parse_args returns a fresh Namespace.
     """
     parser = argparse.ArgumentParser(
         prog="ecriesel",
@@ -412,8 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="retry cap for the large-n point searches")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for randomized scans (default: deterministic)")
-        sp.add_argument("--oracle-bound", type=int, default=None,
-                        help=f"trial-division fallback bound (env {ORACLE_BOUND_ENV})")
 
     def output_options(sp):
         sp.add_argument("--json", action="store_true", help="emit JSON lines")

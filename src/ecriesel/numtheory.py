@@ -22,10 +22,14 @@ ORACLE_LIMIT = 10**12
 
 # First 12 primes.  Composite answers are always exact; a probable-prime
 # answer is proven only below psi_12 = 318665857834031151167461
-# (Sorenson-Webster 2017).  The large-n route accepts a factor above
-# max(oracle bound, 10^6) on this test, so its prime verdicts are
-# conditional when a factor lies beyond psi_12.
+# (Sorenson-Webster 2017).  The large-n route checks a factor at or above
+# PSI_13 on this test, so its prime verdicts are conditional there.
 MR_DEFAULT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# is_prime_oracle: trial division up to TRIAL_LIMIT, then Miller-Rabin on
+# the first 13 primes, a proof below PSI_13 (Sorenson-Webster 2017).
+TRIAL_LIMIT = 10**4
+ORACLE_BASES = MR_DEFAULT_BASES + (41,)
+PSI_13 = 3317044064679887385961981
 
 # Largest prime that presieves a search range.
 SIEVE_BOUND = 1 << 16
@@ -178,11 +182,13 @@ def trial_division(n: int) -> int:
     return n
 
 
-def is_prime_oracle(n: int) -> bool:
-    """Exact primality for n <= ORACLE_LIMIT (trial division ground truth)."""
-    if n < 2:
-        return False
-    return trial_division(n) == n
+def is_prime_oracle(n: int) -> bool | None:
+    """Exact primality of n below PSI_13, None (unknown) at or above it."""
+    if n <= TRIAL_LIMIT:
+        return n >= 2 and trial_division(n) == n
+    if n >= PSI_13:
+        return None
+    return n % 2 == 1 and miller_rabin(n, ORACLE_BASES)
 
 
 def miller_rabin(n: int, bases: tuple[int, ...] = MR_DEFAULT_BASES) -> bool:

@@ -29,7 +29,8 @@ from math import gcd, prod
 
 from .ecring import Curve, FactorFound, Point, on_curve, scalar_mul
 from .numtheory import (
-    ORACLE_LIMIT,
+    ORACLE_BASES,
+    TRIAL_LIMIT,
     FormCandidate,
     gate_large_n,
     gate_small_n,
@@ -55,25 +56,20 @@ NOT_APPLICABLE = "not-applicable"
 SCAN_LIMIT = 100_000
 
 
-class SearchConfig(namedtuple("SearchConfig", "seed retry_cap oracle_bound")):
-    """Knobs for parameter search and fallback behavior.
+class SearchConfig(namedtuple("SearchConfig", "seed retry_cap")):
+    """Knobs for the curve/point search.
 
     seed None means deterministic ascending scans (x from 2, y from 1),
     which is the default so certificates are reproducible byte for byte.
-    A curve route tries at most retry_cap scanned (m, Q) pairs.  Candidates
-    at or below oracle_bound are settled by trial division when no elliptic
-    route applies; the bound may not exceed the exact-oracle limit
-    ORACLE_LIMIT (10^12).
+    A curve route tries at most retry_cap scanned (m, Q) pairs.
     """
 
     __slots__ = ()
 
-    def __new__(cls, seed: int | None = None, retry_cap: int = 20, oracle_bound: int = 10_000):
+    def __new__(cls, seed: int | None = None, retry_cap: int = 20):
         if retry_cap < 1:
             raise ValueError("retry_cap must be at least 1")
-        if oracle_bound > ORACLE_LIMIT:
-            raise ValueError(f"oracle_bound exceeds the exact-oracle limit {ORACLE_LIMIT}")
-        return super().__new__(cls, seed, retry_cap, oracle_bound)
+        return super().__new__(cls, seed, retry_cap)
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -136,19 +132,30 @@ def _curve_point_candidates(p: int, cfg: SearchConfig):
             yield t * inv_x % p, Point(x, y)
 
 
-def _oracle_verdict(p: int) -> Verdict:
-    f = trial_division(p)
-    status = PRIME if f == p else COMPOSITE
-    return Verdict(status, "trial-division", {"type": "oracle", "least_factor": f})
+def _oracle_verdict(p: int) -> Verdict | None:
+    """is_prime_oracle's exact verdict on p, None at or above PSI_13.
+
+    Trial division records p's least factor; Miller-Rabin records the
+    least base that witnesses a composite p.
+    """
+    if p <= TRIAL_LIMIT:
+        f = trial_division(p)
+        return Verdict(PRIME if f == p else COMPOSITE, "trial-division",
+                       {"type": "oracle", "least_factor": f})
+    prime = is_prime_oracle(p)
+    if prime is None:
+        return None
+    if prime:
+        return Verdict(PRIME, "miller-rabin", {"type": "oracle"})
+    witness = next(b for b in ORACLE_BASES if not miller_rabin(p, (b,)))
+    return Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": witness})
 
 
-def _fallback(c: FormCandidate, cfg: SearchConfig, algorithm: str, gate: str,
-              reason: str) -> Verdict:
-    """The verdict when a route cannot decide c: trial division up to the
-    oracle bound, otherwise not-applicable with a gate-failure certificate."""
-    if c.p <= cfg.oracle_bound:
-        return _oracle_verdict(c.p)
-    return Verdict(NOT_APPLICABLE, algorithm, {"type": "gate-failure", "gate": gate, "reason": reason})
+def _fallback(c: FormCandidate, algorithm: str, gate: str, reason: str) -> Verdict:
+    """The verdict when a route cannot decide c: the exact oracle's below
+    PSI_13, otherwise not-applicable with a gate-failure certificate."""
+    return _oracle_verdict(c.p) or Verdict(
+        NOT_APPLICABLE, algorithm, {"type": "gate-failure", "gate": gate, "reason": reason})
 
 
 def _factor_verdict(algorithm: str, exc: FactorFound, stage: str, iterations: int = 1) -> Verdict:
@@ -172,21 +179,12 @@ def _sequence_certificate(
     return cert
 
 
-def _probable_prime(q: int, cfg: SearchConfig) -> bool:
-    """Primality of a cofactor: exact while trial division stays cheap
-    (the oracle bound, and in any case up to 10^6), 12-base Miller-Rabin
-    above.  That test is proven exact only below
-    psi_12 = 318665857834031151167461 (Sorenson-Webster 2017), so a prime
-    verdict resting on a larger factor is conditional on it."""
-    if q < 2:
-        return False
-    if q == 2:
-        return True
-    if q % 2 == 0:
-        return False
-    if q <= max(cfg.oracle_bound, 10**6):
-        return is_prime_oracle(q)
-    return miller_rabin(q)
+def _probable_prime(q: int) -> bool:
+    """Primality of a factor of n: exact below PSI_13 (is_prime_oracle),
+    12-base Miller-Rabin at and above it, so a prime verdict resting on
+    such a factor is conditional on that test."""
+    prime = is_prime_oracle(q)
+    return miller_rabin(q) if prime is None else prime
 
 
 # --- evaluation on a given curve and point, for deciding and replay -------
@@ -273,7 +271,7 @@ def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     that finds no (m, Q) pair gives up as inconclusive.
     """
     if not gate_small_n(c):
-        return _fallback(c, cfg, "small-n", "small-n",
+        return _fallback(c, "small-n", "small-n",
                          "small-n applicability gate fails and p exceeds the oracle bound")
     return _curve_route(c, cfg, "small-n", _small_n_verdict)
 
@@ -305,12 +303,12 @@ def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     back as a failing gate does.
     """
     if not gate_large_n(c):
-        return _fallback(c, cfg, "large-n", "large-n",
+        return _fallback(c, "large-n", "large-n",
                          "large-n applicability gate fails and p exceeds the oracle bound")
     factors = c.n_factors or (c.n,)
     for q in factors:
-        if not _probable_prime(q, cfg):
-            return _fallback(c, cfg, "large-n", "large-n",
+        if not _probable_prime(q):
+            return _fallback(c, "large-n", "large-n",
                              f"factor {q} of n is not prime and p exceeds the oracle bound")
     return _curve_route(c, cfg, "large-n", partial(_order_verdict, factors=factors))
 
@@ -320,8 +318,8 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
 
     n = 1 goes to the Mersenne path; a passing small-n gate wins next;
     otherwise any n > 1 goes to the large-n path, which decides prime n or
-    n supplied with its prime factorization.  With no route left, small p
-    is settled by trial division and anything else is not applicable.
+    n supplied with its prime factorization.  With no route left, p below
+    PSI_13 is settled by the exact oracle and anything else is not applicable.
     """
     if c.n == 1 and c.k >= 3:
         return test_mersenne(c.k)
@@ -331,7 +329,7 @@ def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
         verdict = test_large_n(c, cfg)
         if verdict.status != NOT_APPLICABLE:
             return verdict
-    return _fallback(c, cfg, "auto", "dispatch",
+    return _fallback(c, "auto", "dispatch",
                      "no applicable route: gates fail or n needs an unavailable factorization")
 
 
@@ -357,7 +355,7 @@ def _replay_constructed_point(p: int, m: int, base: Point) -> bool:
     )
 
 
-def replay_verdict(c: FormCandidate, verdict: Verdict, cfg: SearchConfig = DEFAULT_CONFIG) -> bool:
+def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
     Checks the recorded choices (the curve and point, the factors of n,
@@ -372,12 +370,12 @@ def replay_verdict(c: FormCandidate, verdict: Verdict, cfg: SearchConfig = DEFAU
     nothing decidable and are accepted structurally.
     """
     try:
-        return _replay(c, verdict, cfg)
+        return _replay(c, verdict)
     except (FactorFound, ValueError, KeyError, IndexError, TypeError):
         return False
 
 
-def _replay(c: FormCandidate, verdict: Verdict, cfg: SearchConfig) -> bool:
+def _replay(c: FormCandidate, verdict: Verdict) -> bool:
     cert = verdict.certificate
     status = verdict.status
     algorithm = verdict.algorithm
@@ -398,7 +396,7 @@ def _replay(c: FormCandidate, verdict: Verdict, cfg: SearchConfig) -> bool:
             and p % d == 0
         )
 
-    if algorithm == "trial-division":
+    if algorithm in ("trial-division", "miller-rabin"):
         expected = _oracle_verdict(p)
     elif algorithm == "mersenne":
         if c.n != 1 or c.k < 3:
@@ -415,7 +413,7 @@ def _replay(c: FormCandidate, verdict: Verdict, cfg: SearchConfig) -> bool:
             expected = _small_n_verdict(c, m, base)
         else:
             factors = cert["factors"]
-            if prod(factors) != c.n or not all(_probable_prime(q, cfg) for q in factors):
+            if prod(factors) != c.n or not all(_probable_prime(q) for q in factors):
                 return False
             if status == PRIME and not gate_large_n(c):
                 return False

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,10 @@ from ecriesel.cli import main
 from test_golden import GOLDEN
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# n = 3^53: p = 4n - 1 lies above psi_13, where the exact oracle stops, and
+# n is composite, so no route and no oracle decides it
+UNDECIDED_N = str(3**53)
 
 
 def run_cli(*argv):
@@ -56,7 +61,7 @@ class TestTestCommand:
         assert rec["algorithm"] == "large-n"
 
     def test_not_applicable_exit_code(self):
-        code, _, _ = run_cli("test", "2", "10395")
+        code, _, _ = run_cli("test", "2", UNDECIDED_N)
         assert code == 3
 
     def test_usage_errors(self):
@@ -109,12 +114,14 @@ class TestFactorOption:
         assert code == 0 and json_lines(out)[0]["certificate"]["factors"] == ["643", "389"]
 
     def test_composite_factor_is_not_applicable(self):
-        # 27 is not prime and p = 41579 exceeds the oracle bound: the record
-        # is the dispatch gate failure of the same n with no factors given
-        code, out, err = run_cli("test", "2", "10395", "--q", "27", "--q", "385", "--json")
+        # 27 is not prime and p = 4 * 3^53 - 1 is above psi_13: the record is
+        # the dispatch gate failure of the same n with no factors given
+        code, out, err = run_cli("test", "2", UNDECIDED_N, "--q", "27", "--q", str(3**50),
+                                 "--json")
         assert (code, err) == (3, "")
         assert out == (
-            '{"algorithm":"auto","candidate":{"k":"2","n":"10395","p":"41579"},'
+            f'{{"algorithm":"auto","candidate":{{"k":"2","n":"{UNDECIDED_N}",'
+            f'"p":"{4 * 3**53 - 1}"}},'
             '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
             'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
             '"schema":"ecriesel.run-record/2","tool_version":"0.1.0","verdict":"not-applicable"}\n')
@@ -124,7 +131,9 @@ class TestFactorOption:
         (("7", "7"), "k=7 n=7 p=895: composite [small-n] divisor=5"),  # gcd-hit
         (("2", "7"), "k=2 n=7 p=27: composite [trial-division] divisor=3"),  # oracle
         (("2", "3"), "k=2 n=3 p=11: prime [trial-division]"),
-        (("2", "10395"), "k=2 n=10395 p=41579: not-applicable [auto]"),
+        (("2", "10395"), "k=2 n=10395 p=41579: prime [miller-rabin]"),
+        (("2", "7625597484987"), "k=2 n=7625597484987 p=30502389939947: composite [miller-rabin]"),
+        (("2", UNDECIDED_N), f"k=2 n={UNDECIDED_N} p={4 * 3**53 - 1}: not-applicable [auto]"),
     ])
     def test_human_line(self, monkeypatch, argv, line):
         ticks = iter((2.0, 2.0 + 1 / 3))
@@ -283,6 +292,13 @@ class TestStrictReplayInput:
                               lambda r: r.update(algorithm="small-n"), 1),
         "oracle-null-algorithm": (("trial-division", "oracle"),
                                   lambda r: r.update(algorithm=None), 3),
+        # p = 11 is prime, its least factor 11; p = 41579 is prime, no witness
+        "oracle-least-factor": (("trial-division", "oracle"),
+                                lambda r: r["certificate"].update(least_factor="3"), 1),
+        "oracle-as-miller-rabin": (("trial-division", "oracle"),
+                                   lambda r: r.update(algorithm="miller-rabin"), 1),
+        "prime-oracle-with-witness": (("miller-rabin", "oracle"),
+                                      lambda r: r["certificate"].update(witness="2"), 1),
         "verdict-int": (("small-n", "factor"), lambda r: r.update(verdict=5), 3),
         "verdict-null": (("sieve", "factor"), lambda r: r.update(verdict=None), 3),
         "verdict-list": (("large-n", "order"), lambda r: r.update(verdict=["prime"]), 3),
@@ -298,6 +314,51 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert code == expected and "Traceback" not in err
         assert ("INVALID" in out) if expected == 1 else (out == "" and "malformed" in err)
+
+    @pytest.mark.parametrize("field", ["verdict", "algorithm", "tool_version",
+                                       "certificate.type", "certificate.witness",
+                                       "candidate.k"])
+    def test_malformed_field_is_named(self, tmp_path, field):
+        rec = self.record("2", "7625597484987")
+        assert rec["certificate"] == {"type": "oracle", "witness": "2"}
+        *outer, key = field.split(".")
+        (rec[outer[0]] if outer else rec)[key] = 5
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"replay: malformed record: {field}: ") and err.endswith(": 5\n")
+
+    # p = 4 * 3^27 - 1 = 157 * 194282738471, whose least witness base is 2
+    @pytest.mark.parametrize("forge", [
+        lambda r: r["certificate"].update(witness="3"),
+        lambda r: r["certificate"].update(witness="157"),
+        lambda r: r["certificate"].pop("witness"),
+        lambda r: r.update(verdict="prime"),
+        lambda r: r["certificate"].update(least_factor="157"),
+        lambda r: (r.update(algorithm="trial-division"), r["certificate"].pop("witness"),
+                   r["certificate"].update(least_factor="157")),
+    ], ids=["witness-3", "witness-157", "no-witness", "prime", "with-least-factor",
+            "as-trial-division"])
+    def test_forged_oracle_record(self, tmp_path, forge):
+        rec = self.record("2", "7625597484987")
+        assert rec["algorithm"] == "miller-rabin"
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 0
+        forge(rec)
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert code == 1 and "INVALID" in out and err == ""
+
+    @pytest.mark.parametrize("k, n", [(2, UNDECIDED_N), (3999, "3")], ids=["psi13", "4000-bit"])
+    @pytest.mark.parametrize("algorithm", ["miller-rabin", "trial-division"])
+    def test_oracle_record_above_psi13(self, tmp_path, k, n, algorithm):
+        # the exact oracle knows nothing at or above psi_13, so nothing replays
+        # there and nothing long is computed: no trial division, no Miller-Rabin
+        rec = self.record("7", "3")
+        p = (int(n) << k) - 1
+        rec.update(algorithm=algorithm, verdict="prime", certificate={"type": "oracle"},
+                   candidate={"k": str(k), "n": n, "p": str(p)})
+        start = time.perf_counter()
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert (code, err) == (1, "") and "INVALID" in out
+        assert time.perf_counter() - start < 1.0
 
     def test_scan_exhausted_record_is_malformed(self, tmp_path):
         # both curve routes give up with retries-exhausted: scan-exhausted
@@ -322,7 +383,7 @@ class TestStrictReplayInput:
                 code, out, _ = self.replay(tmp_path, line)
                 assert code == 0 and out.startswith("replay: valid"), line
                 replayed += 1
-        assert replayed == 91
+        assert replayed == 93
 
 
 class TestMersenneCommand:
@@ -412,9 +473,11 @@ class TestSearchCommand:
     def test_bad_config_is_a_usage_error(self, monkeypatch):
         code, out, err = run_cli("search", "--k", "5", "--n-max", "9", "--retries", "0")
         assert (code, out) == (3, "") and err.startswith("search: ") and "retry_cap" in err
+        # the former oracle-bound variable is not read, so junk in it is no error
+        expected = run_cli("search", "--k", "5", "--n-max", "9")
         monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", "abc")
-        code, out, err = run_cli("search", "--k", "5", "--n-max", "9")
-        assert (code, out) == (3, "") and err.startswith("search: ") and "'abc'" in err
+        assert run_cli("search", "--k", "5", "--n-max", "9") == expected
+        assert expected[0] == 0
 
     def test_pool_size_is_bounded(self, monkeypatch):
         # a fake pool: no process is started, whatever --workers asks for
@@ -482,30 +545,35 @@ class TestDeterminismAndEnv:
         assert "elapsed_ms" not in json_lines(out)[0]
 
     @pytest.mark.parametrize("argv", [
-        ("test", "2", "7625597484987"),
-        ("test", "2", "1000000000039"),
-        ("search", "--k", "2", "--n-min", "7625597484987", "--n-max", "7625597484987"),
+        ("test", "2", "7625597484987", "--json"),
+        ("test", "2", "1000000000039", "--json"),
+        ("search", "--k", "2", "--n-min", "7625597484987", "--n-max", "7625597484987",
+         "--json"),
     ], ids=["test-fallback", "test-factor-check", "search"])
     @pytest.mark.parametrize("via", ["option", "env"])
     def test_oracle_bound_above_the_exact_oracle_limit(self, monkeypatch, argv, via):
+        # there is no oracle bound to set: --oracle-bound is an unknown
+        # option, and the former environment variable is not read
         bound = "100000000000000000000"
         if via == "option":
-            argv += ("--oracle-bound", bound)
-        else:
-            monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", bound)
-        code, out, err = run_cli(*argv)
-        assert (code, out) == (3, "")
-        assert err.startswith(f"{argv[0]}: ") and "exact-oracle limit" in err
-        assert "Traceback" not in err
+            code, out, err = run_cli(*argv, "--oracle-bound", bound)
+            assert (code, out) == (3, "") and "Traceback" not in err
+            assert f"ecriesel {argv[0]}: error: unrecognized arguments: --oracle-bound" in err
+            return
+        expected = run_cli(*argv)
+        monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", bound)
+        assert run_cli(*argv) == expected
+        # both p are composite: 4 * 3^27 - 1 = 157 * 194282738471, and 5 divides
+        # 4 * 1000000000039 - 1; search completes with exit 0
+        assert expected[0] == (1 if argv[0] == "test" else 0)
 
     def test_oracle_bound_env(self, monkeypatch):
-        monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", "10")
-        code, out, _ = run_cli("test", "3", "5", "--json")  # p = 39, gate fails
-        assert code == 3
-        assert json_lines(out)[0]["verdict"] == "not-applicable"
-        monkeypatch.delenv("ECRIESEL_ORACLE_BOUND")
-        code, _, _ = run_cli("test", "3", "5", "--json")
-        assert code == 1
+        # p = 39 fails both gates and is composite, whatever the variable says
+        expected = run_cli("test", "3", "5", "--json")
+        assert expected[0] == 1 and json_lines(expected[1])[0]["algorithm"] == "trial-division"
+        for value in ("10", "abc"):
+            monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", value)
+            assert run_cli("test", "3", "5", "--json") == expected
 
 
 class TestOneParserPerProcess:
@@ -529,9 +597,9 @@ class TestOneParserPerProcess:
         calls = [
             (("test", "7", "3", "--json"), None, None),
             (("test", "--replay", "-"), record, None),
-            (("test", "3", "5", "--json"), None, "10"),  # oracle bound: not-applicable
+            (("test", "3", "5", "--json"), None, "10"),  # the variable is not read: composite
             (("mersenne", "3", "13", "--json"), None, None),
-            (("test", "3", "5", "--json"), None, None),  # default bound: composite
+            (("test", "3", "5", "--json"), None, None),
             (("test", "--bogus"), None, None),
             (("search", "--k", "7", "--n-max", "15", "--json"), None, "10"),
             (("test", "--replay", "-"), json.dumps(forged), None),
@@ -550,6 +618,9 @@ class TestOneParserPerProcess:
             monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text or ""))
             code, out, _ = run_cli(*argv)
             assert (code, out) == self.fresh_process(argv, stdin_text, env_bound), argv
+            if env_bound is not None:  # the same output without the variable
+                monkeypatch.delenv("ECRIESEL_ORACLE_BOUND")
+                assert run_cli(*argv)[:2] == (code, out), argv
         assert cli._build_parser.cache_info().misses == builds  # no parser rebuilt
 
     def test_parser_output_goes_to_the_given_streams(self, capsys):
@@ -577,15 +648,14 @@ class TestDirectCommandParse:
         ("test", "2", "105", "--q2", "7", "--q", "3", "--q1", "5"),
         ("test", "--replay", "-"),
         ("test", "--replay=record.jsonl", "--json"),
-        ("test", "3", "5", "--oracle-bound", "10", "--seed", "4", "--retries", "2"),
+        ("test", "3", "5", "--seed", "4", "--retries", "2"),
         ("test", "--", "7", "3"),
         ("mersenne", "3", "13"),
         ("mersenne", "3", "13", "--json", "--compare-lucas-lehmer", "--timings"),
         ("search", "--k", "7", "--n-max", "15"),
         ("search", "--n-max", "40999", "--k", "31", "--n-min", "40001", "--json",
          "--workers", "2"),
-        ("search", "--k", "5", "--n-max", "9", "--retries", "0", "--seed", "1",
-         "--oracle-bound", "100", "--timings"),
+        ("search", "--k", "5", "--n-max", "9", "--retries", "0", "--seed", "1", "--timings"),
         ("verify",),
         ("verify", "--p-max", "50", "--seed", "3"),
     ]

@@ -24,7 +24,11 @@ GOLDEN_CALLS = [
     (("search", "--k", "12", "--n-min", "1", "--n-max", "25", "--json"), 0),
     (("test", "2", "3", "--json"), 0),  # oracle, prime
     (("test", "2", "7", "--json"), 1),  # oracle, composite
-    (("test", "2", "10395", "--json"), 3),  # gate-failure at dispatch
+    # no route: Miller-Rabin, prime; p = 4 * 3^27 - 1, composite (witness 2);
+    # above psi_13, gate-failure at dispatch
+    (("test", "2", "10395", "--json"), 0),
+    (("test", "2", "7625597484987", "--json"), 1),
+    (("test", "2", "19383245667680019896796723", "--json"), 3),
     (("test", "2", "17", "--json"), 0),  # order, one factor, prime
     (("test", "2", "257", "--json"), 1),  # order, one factor, composite
     (("test", "2", "250127", "--q1", "389", "--q2", "643", "--json"), 0),  # order, two factors
@@ -71,6 +75,7 @@ def test_golden_set_covers_every_reachable_pair():
     assert pairs == sequence | factors | {
         ("sieve", "factor", "sieve"),
         ("trial-division", "oracle", None),
+        ("miller-rabin", "oracle", None),
         ("auto", "gate-failure", "dispatch"),
         ("large-n", "order", None),
         ("large-n", "retries-exhausted", None),

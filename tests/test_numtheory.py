@@ -203,6 +203,13 @@ class TestTrialDivision:
         primes = set(sieve_primes(2000))
         for n in range(2, 2000):
             assert is_prime_oracle(n) == (n in primes)
+        # Miller-Rabin takes over above 10^4; a strong pseudoprime to the
+        # bases 2 to 23 and the square of a prime are composite all the same
+        primes = set(sieve_primes(30000))
+        for n in range(9000, 30000):
+            assert is_prime_oracle(n) == (n in primes), n
+        assert is_prime_oracle(3825123056546413051) is False
+        assert is_prime_oracle(1000003**2) is False
 
 
 class TestMillerRabin:

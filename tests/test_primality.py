@@ -6,7 +6,16 @@ import pytest
 
 from ecriesel import primality
 from ecriesel.ecring import Curve, FactorFound, Point, scalar_mul
-from ecriesel.numtheory import FormCandidate, gate_large_n, jacobi, lucas_lehmer, trial_division
+from ecriesel.numtheory import (
+    PSI_13,
+    FormCandidate,
+    gate_large_n,
+    is_prime_oracle,
+    jacobi,
+    lucas_lehmer,
+    miller_rabin,
+    trial_division,
+)
 from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
 from ecriesel.primality import (
     COMPOSITE,
@@ -36,6 +45,11 @@ TWO_PRIME_BIG_COMPOSITE = FormCandidate(k=2, n=250003, n_factors=(13, 19231))  #
 # three-prime fixtures whose verdicts rest on an order certificate
 THREE_PRIME_PRIME = FormCandidate(k=3, n=3 * 23 * 199, n_factors=(3, 23, 199))  # p = 109847
 THREE_PRIME_COMPOSITE = FormCandidate(k=3, n=3 * 29 * 157, n_factors=(3, 29, 157))  # p = 109271
+# n = 3^53 is composite and p = 4n - 1 lies above psi_13: nothing decides it
+UNDECIDED = FormCandidate(k=2, n=3**53)
+# psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the first 12
+# primes (Sorenson-Webster 2017); psi_13 passes it on the first 13
+PSI_12 = 318665857834031151167461
 
 
 class TestConstructCurvePoint:
@@ -85,10 +99,15 @@ class TestSmallN:
         assert v.certificate["least_factor"] == 3
 
     def test_gate_failure_above_bound_is_not_applicable(self):
-        c = FormCandidate(k=3, n=5)
-        v = small_n_test(c, SearchConfig(oracle_bound=10))
-        assert v.status == NOT_APPLICABLE
+        assert UNDECIDED.p >= PSI_13
+        v = small_n_test(UNDECIDED)
+        assert (v.status, v.algorithm) == (NOT_APPLICABLE, "small-n")
         assert v.certificate["type"] == "gate-failure"
+        # below psi_13 the gate failure is settled by Miller-Rabin
+        c = FormCandidate(k=2, n=10395)  # p = 41579, prime
+        v = small_n_test(c)
+        assert v == Verdict(PRIME, "miller-rabin", {"type": "oracle"})
+        assert replay_verdict(c, v)
 
     def test_agrees_with_oracle_on_gate_passing_range(self):
         from ecriesel.numtheory import gate_small_n
@@ -156,16 +175,16 @@ class TestLargePrimeN:
         assert v.algorithm == "trial-division"
 
     def test_rejects_composite_n(self):
-        c = FormCandidate(k=2, n=2501)  # 2501 = 41 * 61, p = 10003 = 7 * 1429
-        v = large_n_test(c)
+        v = large_n_test(UNDECIDED)
         assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
         assert v.certificate["type"] == "gate-failure"
         assert v.certificate["gate"] == "large-n"
-        assert "factor 2501 " in v.certificate["reason"]
-        assert replay_verdict(c, v)
-        v = large_n_test(c, SearchConfig(oracle_bound=c.p))
-        assert v.status == COMPOSITE and v.algorithm == "trial-division"
-        assert v.certificate == {"type": "oracle", "least_factor": 7}
+        assert f"factor {3**53} " in v.certificate["reason"]
+        assert replay_verdict(UNDECIDED, v)
+        # below psi_13 the fallback decides: p = 10003 = 7 * 1429
+        c = FormCandidate(k=2, n=2501)  # 2501 = 41 * 61
+        v = large_n_test(c)
+        assert v == Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
         assert replay_verdict(c, v)
 
     def test_exhausted_scan_is_inconclusive(self, monkeypatch):
@@ -207,18 +226,21 @@ class TestTwoPrimeN:
         c = FormCandidate(k=2, n=9, n_factors=(3, 3))  # p = 35
         v = large_n_test(c)
         assert v.status == COMPOSITE and v.algorithm == "trial-division"
-        v = large_n_test(c, SearchConfig(oracle_bound=10))
-        assert v.status == NOT_APPLICABLE
+        c = FormCandidate(k=90, n=9, n_factors=(3, 3))  # p above psi_13
+        assert c.p >= PSI_13 and not gate_large_n(c)
+        v = large_n_test(c)
+        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "large-n"
 
     def test_requires_supplied_factors(self):
-        # p = 131 and 179 are prime: the oracle decides them at the default
-        # bound, and below it the non-prime factor makes the route inapplicable
-        for c, factor in ((FormCandidate(k=2, n=33), 33),
-                          (FormCandidate(k=2, n=45, n_factors=(3, 15)), 15)):
+        # p = 131 and 179 are prime: the oracle decides them, and above
+        # psi_13 the non-prime factor makes the route inapplicable
+        for c in (FormCandidate(k=2, n=33), FormCandidate(k=2, n=45, n_factors=(3, 15))):
             v = large_n_test(c)
             assert v.status == PRIME and v.algorithm == "trial-division"
             assert replay_verdict(c, v)
-            v = large_n_test(c, SearchConfig(oracle_bound=100))
+        for c, factor in ((UNDECIDED, 3**53),
+                          (FormCandidate(k=2, n=3**53, n_factors=(27, 3**50)), 27)):
+            v = large_n_test(c)
             assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
             assert v.certificate["gate"] == "large-n"
             assert f"factor {factor} " in v.certificate["reason"]
@@ -327,16 +349,15 @@ class TestAutoTest:
         assert v.algorithm == "large-n" and v.status == PRIME
 
     def test_routes_any_prime_factorization(self):
-        cfg = SearchConfig(oracle_bound=10)
         c = FormCandidate(k=2, n=105, n_factors=(3, 5, 7))  # p = 419, prime
-        v = auto_test(c, cfg)
+        v = auto_test(c)
         assert v.algorithm == "large-n" and v.status == PRIME
         assert v.certificate["factors"] == [3, 5, 7]
         assert trial_division(c.p) == c.p
         assert replay_verdict(c, v)
 
         c = FormCandidate(k=2, n=231, n_factors=(3, 7, 11))  # p = 923 = 13 * 71
-        v = auto_test(c, cfg)
+        v = auto_test(c)
         assert v.algorithm == "large-n" and v.status == COMPOSITE
         assert trial_division(c.p) == 13
         assert replay_verdict(c, v)
@@ -346,11 +367,14 @@ class TestAutoTest:
         assert v.status == PRIME and v.algorithm == "trial-division"
 
     def test_unroutable_candidate_is_not_applicable(self):
-        # n = 3^3 * 5 * 7 * 11 with no factorization hint, p > oracle bound
+        v = auto_test(UNDECIDED)
+        assert v.status == NOT_APPLICABLE
+        assert v.certificate["type"] == "gate-failure" and v.certificate["gate"] == "dispatch"
+        # n = 3^3 * 5 * 7 * 11 with no factorization hint, p = 41579 below psi_13
         c = FormCandidate(k=2, n=10395)
         v = auto_test(c)
-        assert v.status == NOT_APPLICABLE
-        assert v.certificate["type"] == "gate-failure"
+        assert v == Verdict(PRIME, "miller-rabin", {"type": "oracle"})
+        assert replay_verdict(c, v)
 
     def test_verdict_statuses_cover_exit_codes(self):
         assert {PRIME, COMPOSITE, INCONCLUSIVE, NOT_APPLICABLE} == {
@@ -383,9 +407,9 @@ class TestDeterminismAndConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(retry_cap=0)
-        assert SearchConfig(oracle_bound=10**12).oracle_bound == 10**12
-        with pytest.raises(ValueError, match="exact-oracle limit"):
-            SearchConfig(oracle_bound=10**12 + 1)
+        assert SearchConfig._fields == ("seed", "retry_cap")
+        with pytest.raises(TypeError):
+            SearchConfig(oracle_bound=10)
 
 
 class TestReplayRejectsTampering:
@@ -435,7 +459,7 @@ class TestReplayRejectsTampering:
             FormCandidate(k=2, n=105, n_factors=(3, 5, 7)),
         ]
         for c in cases:
-            v = large_n_test(c, SearchConfig(oracle_bound=10))
+            v = large_n_test(c)
             assert v.certificate["type"] == "order" and replay_verdict(c, v)
             x, y = v.certificate["base_point"]
             forgeries = [
@@ -464,6 +488,55 @@ class TestReplayRejectsTampering:
         assert not replay_verdict(c, Verdict(PRIME, "trial-division", cert))
         cert = {"type": "oracle", "least_factor": 3}
         assert replay_verdict(c, Verdict(COMPOSITE, "trial-division", cert))
+        # p <= 10^4 is trial division's, p above it Miller-Rabin's
+        assert not replay_verdict(c, Verdict(COMPOSITE, "miller-rabin",
+                                             {"type": "oracle", "witness": 2}))
+        c = FormCandidate(k=2, n=2501)  # p = 10003 = 7 * 1429
+        assert not replay_verdict(c, Verdict(COMPOSITE, "trial-division", {
+            "type": "oracle", "least_factor": 7}))
+        for witness in (2, 3, None):
+            cert = {"type": "oracle", "witness": witness} if witness else {"type": "oracle"}
+            assert replay_verdict(c, Verdict(COMPOSITE, "miller-rabin", cert)) == (witness == 2)
+
+
+class TestExactOracleBoundary:
+    """is_prime_oracle is exact below psi_13 and knows nothing above it."""
+
+    def test_psi_12_is_composite(self):
+        assert miller_rabin(PSI_12)  # passes the 12 default bases
+        assert is_prime_oracle(PSI_12) is False
+        assert primality._probable_prime(PSI_12) is False
+
+    def test_psi_13_is_unknown(self):
+        assert miller_rabin(PSI_13, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+        assert is_prime_oracle(PSI_13) is None
+        assert is_prime_oracle(PSI_13 - 2) is not None
+
+    def test_edges(self):
+        assert [is_prime_oracle(n) for n in (-7, 0, 1, 2, 3, 4)] == [
+            False, False, False, True, True, False]
+        assert is_prime_oracle(10**4 + 7) is True and is_prime_oracle(10**4 + 2) is False
+        assert is_prime_oracle(10**12 + 39) is True and is_prime_oracle(10**12 + 41) is False
+
+    def test_psi_12_factor_builds_no_order_certificate(self):
+        # p = 8 * psi_12 - 1 lies below psi_13, so it is decided exactly
+        c = FormCandidate(k=3, n=PSI_12)
+        assert c.p < PSI_13
+        v = auto_test(c)
+        assert v == Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
+        assert replay_verdict(c, v)
+        # the order certificate that 12-base Miller-Rabin let through
+        order = {"type": "order", "m": 849775620890749736446571, "base_point": [3, 1],
+                 "factors": [PSI_12]}
+        assert not replay_verdict(c, Verdict(COMPOSITE, "large-n", order))
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_psi_12_factor_above_psi_13(self, k):
+        # 3 divides p, but only a route run on the composite factor met it
+        c = FormCandidate(k=k, n=PSI_12)
+        assert c.p >= PSI_13
+        v = auto_test(c)
+        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
 
 
 class TestFactorWitnessExtraction:

@@ -269,21 +269,22 @@ class TestCofactorCheckOnce:
         calls = []
         original = primality._probable_prime
 
-        def counting(q, cfg):
+        def counting(q):
             calls.append(q)
-            return original(q, cfg)
+            return original(q)
 
         monkeypatch.setattr(primality, "_probable_prime", counting)
-        c = FormCandidate(k=2, n=1000003)  # q > 10^6: Miller-Rabin territory
+        c = FormCandidate(k=2, n=1000003)  # q > 10^4: Miller-Rabin territory
         v = auto_test(c)
         assert v.algorithm == "large-n" and v.status in (PRIME, COMPOSITE)
         assert calls == [1000003]
         assert replay_verdict(c, v)
 
     def test_direct_call_still_rejects_composite_factor(self):
-        c = FormCandidate(k=2, n=1000001)  # 101 * 9901
+        # n = 101 * 9901 * 3^38, and p = 4n - 1 lies above psi_13
+        c = FormCandidate(k=2, n=1000001 * 3**38)
         v = large_n_test(c)
         assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
         assert v.certificate["gate"] == "large-n"
-        assert "factor 1000001 " in v.certificate["reason"]
+        assert f"factor {c.n} " in v.certificate["reason"]
         assert replay_verdict(c, v)

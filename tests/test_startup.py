@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ecriesel.ecring import ChainFailure, Curve, Point
-from ecriesel.numtheory import ORACLE_LIMIT, FormCandidate, InverseOutcome
+from ecriesel.numtheory import FormCandidate, InverseOutcome
 from ecriesel.oracle import GroupStructure
 from ecriesel.primality import SearchConfig, Verdict
 from ecriesel.sequence import FINAL_ZERO, SequenceOutcome, STrace
@@ -97,8 +97,6 @@ def test_records_are_immutable(record):
     (lambda: FormCandidate(3, 15, (3, 7)), "n_factors does not multiply out to n"),
     (lambda: FormCandidate(3, 1, (1,)), "n_factors entries must exceed 1"),
     (lambda: SearchConfig(retry_cap=0), "retry_cap must be at least 1"),
-    (lambda: SearchConfig(oracle_bound=ORACLE_LIMIT + 1),
-     f"oracle_bound exceeds the exact-oracle limit {ORACLE_LIMIT}"),
 ])
 def test_validation_errors(make, message):
     with pytest.raises(ValueError) as info:

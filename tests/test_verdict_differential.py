@@ -2,10 +2,12 @@
 
 k runs over [2, 90] and n over odd integers below 2^41.  Two more
 strategies draw prime n, and prime n with a prime p, so that the large-n
-route sees prime n and proves primes.  Every prime or
-composite verdict must be sympy's and must replay.  A candidate that some
-route covers is decided, or gives up as retries-exhausted; any other
-candidate is not applicable, since p is above the oracle bound.
+route sees prime n and proves primes; one more draws candidates near
+n = 2^k, on both sides of psi_13, that no route covers.  Every prime or composite verdict must
+be sympy's and must replay.  A candidate that some route covers is
+decided, or gives up as retries-exhausted; any other candidate is decided
+by the exact oracle when p is below psi_13, and is not applicable at
+dispatch only above it.
 """
 
 import pytest
@@ -16,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ecriesel.numtheory import FormCandidate, gate_large_n, gate_small_n  # noqa: E402
+from ecriesel.numtheory import PSI_13, FormCandidate, gate_large_n, gate_small_n  # noqa: E402
 from ecriesel.primality import (  # noqa: E402
     COMPOSITE,
     NOT_APPLICABLE,
@@ -41,13 +43,27 @@ def prime_n_prime_p(draw):
     assume(False)
 
 
+@st.composite
+def unroutable(draw):
+    """(k, n) with n within 2^(k/2 + 1) of 2^k, where neither gate holds:
+    the exact oracle must decide p below psi_13 (k <= 40), and p above it
+    (k >= 42) is not applicable."""
+    k = draw(st.integers(11, 60))
+    half = 1 << (k // 2)
+    n = (1 << k) + 2 * draw(st.integers(-half, half - 1)) + 1
+    c = FormCandidate(k, n)
+    assume(not gate_small_n(c) and not gate_large_n(c))
+    return k, n
+
+
 def routable(c: FormCandidate) -> bool:
     return ((c.n == 1 and c.k >= 3) or gate_small_n(c)
             or (sympy.isprime(c.n) and gate_large_n(c)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(kn=st.one_of(st.tuples(exponents, st.one_of(odd_n, prime_n)), prime_n_prime_p()))
+@given(kn=st.one_of(st.tuples(exponents, st.one_of(odd_n, prime_n)), prime_n_prime_p(),
+                   unroutable()))
 def test_auto_test_agrees_with_sympy(kn):
     c = FormCandidate(*kn)
     assume(c.p > 10**6)
@@ -57,5 +73,7 @@ def test_auto_test_agrees_with_sympy(kn):
         assert replay_verdict(c, v)
     if routable(c):
         assert v.status in (PRIME, COMPOSITE) or v.certificate["type"] == "retries-exhausted"
+    elif c.p < PSI_13:
+        assert v.status in (PRIME, COMPOSITE) and v.algorithm == "miller-rabin"
     else:
         assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
