@@ -8,10 +8,10 @@ a brute-force group-structure oracle for small primes (`oracle`), and the
 command-line front end (`cli`).
 
 The value types (Curve, Point, ChainFailure, FormCandidate, InverseOutcome,
-SequenceOutcome, STrace, SearchConfig, Verdict, GroupStructure) are
-immutable collections.namedtuple subclasses, not dataclasses, so importing
-the package loads neither dataclasses nor inspect.  Each equals any tuple
-of the same fields; _replace skips the ValueError checks of __new__.
+SequenceOutcome, STrace, Verdict, GroupStructure) are immutable
+collections.namedtuple subclasses, not dataclasses, so importing the
+package loads neither dataclasses nor inspect.  Each equals any tuple of
+the same fields; _replace skips the ValueError checks of __new__.
 """
 
 __version__ = "0.1.0"
@@ -58,11 +58,9 @@ from .oracle import (
 )
 from .primality import (
     COMPOSITE,
-    DEFAULT_CONFIG,
     INCONCLUSIVE,
     NOT_APPLICABLE,
     PRIME,
-    SearchConfig,
     Verdict,
     auto_test,
     factor_witness,

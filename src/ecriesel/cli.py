@@ -4,8 +4,8 @@ group-structure verification, and certificate replay.
 Machine output is JSON lines, one self-contained object per record, with
 every certificate integer and the candidate's n and p rendered as decimal
 strings (they outgrow every fixed-width consumer).  Records are
-deterministic byte for byte under the default config; wall-clock timing is
-therefore only emitted on request (--timings) or in human-readable mode.
+deterministic byte for byte; wall-clock timing is therefore only emitted
+on request (--timings) or in human-readable mode.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -16,9 +16,10 @@ written from the Verdict itself.
 
 main parses each call once.  When argv[0] names a command, that command's
 own parser, taken from the one cached build, reads the rest of argv, and
-reports an unrecognized argument as `ecriesel test: error: ...`.  The
-top-level parser reads only an empty argv, -h, --version and an unknown
-command.
+reports an unrecognized argument as `ecriesel test: error: ...`.  Only a
+call with words left over is parsed again, intermixed, so that positionals
+after an option (`test 7 --json 3`) still land.  The top-level parser reads
+only an empty argv, -h, --version and an unknown command.
 
 Exit codes for `test`: 0 prime, 1 composite, 2 inconclusive,
 3 not-applicable or usage error.  Batch commands exit 0 on completion,
@@ -43,15 +44,14 @@ from .numtheory import FormCandidate, lucas_lehmer, presieve
 from .oracle import verify_theorems
 from .primality import (
     COMPOSITE,
-    DEFAULT_CONFIG,
     INCONCLUSIVE,
     NOT_APPLICABLE,
     PRIME,
-    SearchConfig,
     Verdict,
     auto_test,
     factor_witness,
     replay_verdict,
+    sieve_verdict,
     test_mersenne,
 )
 
@@ -256,11 +256,10 @@ def _cmd_test(args, out, err) -> int:
         return 3
     try:
         c = FormCandidate(k=args.k, n=args.n, n_factors=tuple(args.q) if args.q else None)
-        cfg = SearchConfig(seed=args.seed, retry_cap=args.retries)
     except ValueError as exc:
         err.write(f"test: {exc}\n")
         return 3
-    verdict, elapsed = _timed(auto_test, c, cfg)
+    verdict, elapsed = _timed(auto_test, c)
     _emit(out, args.json, c, verdict, elapsed if args.timings or not args.json else None)
     return EXIT_BY_VERDICT[verdict.status]
 
@@ -306,16 +305,12 @@ def _cmd_mersenne(args, out, err) -> int:
     return 0
 
 
-def _search_candidate(n: int, k: int, cfg: SearchConfig) -> Verdict:
-    return auto_test(FormCandidate(k=k, n=n), cfg)
-
-
-def _sieve_verdict(divisor: int) -> Verdict:
-    return Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": divisor, "stage": "sieve"})
+def _search_candidate(n: int, k: int) -> Verdict:
+    return auto_test(FormCandidate(k=k, n=n))
 
 
 def _sieve_line(k_text: str, k: int, n: int, divisor: int) -> str:
-    """The JSON line of n's _sieve_verdict, written from k, n and the divisor alone."""
+    """The JSON line of n's sieve_verdict, written from k, n and the divisor alone."""
     return _record_line(k_text, _decimal(n), _decimal((n << k) - 1), "sieve", COMPOSITE, 1,
                         f'{{"divisor":"{_decimal(divisor)}","stage":"sieve","type":"factor"}}')
 
@@ -324,17 +319,12 @@ def _cmd_search(args, out, err) -> int:
     if args.k < 2 or args.n_min < 1 or args.n_min > args.n_max or args.workers < 1:
         err.write("search: need k >= 2, 1 <= n-min <= n-max and workers >= 1\n")
         return 3
-    try:
-        cfg = SearchConfig(seed=args.seed, retry_cap=args.retries)
-    except ValueError as exc:
-        err.write(f"search: {exc}\n")
-        return 3
     ns = range(args.n_min | 1, args.n_max + 1, 2)
     # A small prime factor settles n here; only the rest reach the curve routes.
     sieved = presieve(args.k, ns)
     unsieved = [n for n in ns if n not in sieved]
     counts = {PRIME: 0, COMPOSITE: 0, INCONCLUSIVE: 0, NOT_APPLICABLE: 0}
-    worker = partial(_search_candidate, k=args.k, cfg=cfg)
+    worker = partial(_search_candidate, k=args.k)
     k_text = _decimal(args.k)
 
     def emit_all(tested) -> None:
@@ -345,7 +335,7 @@ def _cmd_search(args, out, err) -> int:
                 out.write(_sieve_line(k_text, args.k, n, divisor))
                 counts[COMPOSITE] += 1
                 continue
-            verdict = next(tested) if divisor is None else _sieve_verdict(divisor)
+            verdict = next(tested) if divisor is None else sieve_verdict(divisor)
             counts[verdict.status] += 1
             _emit(out, args.json, FormCandidate(k=args.k, n=n), verdict)
 
@@ -403,12 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config_options(sp):
-        sp.add_argument("--retries", type=int, default=DEFAULT_CONFIG.retry_cap,
-                        help="retry cap for the large-n point searches")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized scans (default: deterministic)")
-
     def output_options(sp):
         sp.add_argument("--json", action="store_true", help="emit JSON lines")
         sp.add_argument("--timings", action="store_true",
@@ -422,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(--q1 and --q2 are other spellings)")
     t.add_argument("--replay", metavar="RECORD", default=None,
                    help="re-validate a run record (path or - for stdin) instead of testing")
-    config_options(t)
     output_options(t)
     t.set_defaults(func=_cmd_test)
 
@@ -439,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-min", type=int, default=1)
     s.add_argument("--n-max", type=int, required=True)
     s.add_argument("--workers", type=int, default=1)
-    config_options(s)
     output_options(s)
     s.set_defaults(func=_cmd_search)
 
@@ -488,7 +470,9 @@ def _run(argv, out, err) -> int:
             if command is None:
                 args = _build_parser().parse_args(argv)
             else:
-                args = command.parse_args(argv[1:])
+                args, rest = command.parse_known_args(argv[1:])
+                if rest:
+                    args = command.parse_intermixed_args(argv[1:])
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return 3 if exc.code not in (0, None) else 0

@@ -13,15 +13,15 @@ given curve and point (_sequence_verdict, _small_n_verdict,
 _order_verdict).  Both curve routes share one search, _curve_route: it
 tries the (m, Q) pairs of one scan until the route's evaluator decides,
 maps a divisor met on the way to a factor verdict and gives up as
-retries-exhausted when the scan runs dry.  A Prime/Composite verdict's
-certificate records the choices the search made; replay_verdict checks
-them and recomputes the verdict with the same evaluator.  Verdict and
-SearchConfig (checked when built) are immutable named tuples.
+retries-exhausted when the scan runs dry.  The scan is one fixed
+procedure, so a run's certificate is reproducible byte for byte.  A
+Prime/Composite verdict's certificate records the choices the search made;
+replay_verdict checks them and recomputes the verdict with the same
+evaluator.  Verdict is an immutable named tuple.
 """
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from functools import partial
 from itertools import islice
@@ -37,6 +37,7 @@ from .numtheory import (
     is_prime_oracle,
     jacobi,
     miller_rabin,
+    presieve,
     trial_division,
 )
 from .sequence import (
@@ -51,28 +52,11 @@ COMPOSITE = "composite"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not-applicable"
 
-# Most x (and y) values one curve/point scan draws, so that a scan over
+# Most x (and y) values one curve/point scan tries, so that a scan over
 # hostile input ends instead of running for ever.
 SCAN_LIMIT = 100_000
-
-
-class SearchConfig(namedtuple("SearchConfig", "seed retry_cap")):
-    """Knobs for the curve/point search.
-
-    seed None means deterministic ascending scans (x from 2, y from 1),
-    which is the default so certificates are reproducible byte for byte.
-    A curve route tries at most retry_cap scanned (m, Q) pairs.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, seed: int | None = None, retry_cap: int = 20):
-        if retry_cap < 1:
-            raise ValueError("retry_cap must be at least 1")
-        return super().__new__(cls, seed, retry_cap)
-
-
-DEFAULT_CONFIG = SearchConfig()
+# Most scanned (m, Q) pairs one curve route tries before it gives up.
+RETRY_CAP = 20
 
 
 class Verdict(namedtuple("Verdict", "status algorithm certificate iterations", defaults=(1,))):
@@ -91,25 +75,17 @@ def factor_witness(verdict: Verdict) -> int | None:
     return d
 
 
-def _curve_point_candidates(p: int, cfg: SearchConfig):
+def _curve_point_candidates(p: int):
     """Yield (m, Q) pairs: (x/p) = -1, ((x^3 - y^2)/p) = +1, m = (x^3 - y^2)/x.
 
     Q = (x, y) then lies on y^2 = x^3 - m*x with (m/p) = -1 by
-    multiplicativity.  A zero symbol anywhere in the scan means a shared
-    factor with p, raised as FactorFound.  Successive yields keep the same
-    x and move to the next y, which is what _curve_route's retries need.
+    multiplicativity.  x ascends from 2 and y from 1, up to SCAN_LIMIT
+    values each.  A zero symbol anywhere in the scan means a shared factor
+    with p, raised as FactorFound.  Successive yields keep the same x and
+    move to the next y, which is what _curve_route's retries need.
     """
-
-    rng = random.Random(cfg.seed) if cfg.seed is not None else None
-
-    def draws(lo: int, hi: int):
-        """Up to SCAN_LIMIT values in [lo, hi): ascending, or drawn by the seeded rng."""
-        if rng is None:
-            return range(lo, min(hi, lo + SCAN_LIMIT))
-        return (rng.randrange(lo, hi) for _ in range(SCAN_LIMIT))
-
     x = None
-    for cand in draws(2, p - 1):
+    for cand in range(2, min(p - 1, 2 + SCAN_LIMIT)):
         j = jacobi(cand, p)
         if j == 0:
             raise FactorFound(gcd(cand, p), p)
@@ -120,11 +96,9 @@ def _curve_point_candidates(p: int, cfg: SearchConfig):
         return
     x_cubed = x * x * x % p
     inv_x = pow(x, -1, p)
-    for y in draws(1, p):
+    for y in range(1, min(p, 1 + SCAN_LIMIT)):
+        # t != 0: x^3 = y^2 would give (x/p)^3 = (y/p)^2, never -1
         t = (x_cubed - y * y) % p
-        if t == 0:
-            # x^3 = y^2 would force (x/p) != -1; unreachable, kept as a guard
-            continue
         j = jacobi(t, p)
         if j == 0:
             raise FactorFound(gcd(t, p), p)
@@ -151,11 +125,23 @@ def _oracle_verdict(p: int) -> Verdict | None:
     return Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": witness})
 
 
+def sieve_verdict(divisor: int) -> Verdict:
+    """The composite verdict of a small prime factor the presieve found."""
+    return Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": divisor, "stage": "sieve"})
+
+
 def _fallback(c: FormCandidate, algorithm: str, gate: str, reason: str) -> Verdict:
     """The verdict when a route cannot decide c: the exact oracle's below
-    PSI_13, otherwise not-applicable with a gate-failure certificate."""
-    return _oracle_verdict(c.p) or Verdict(
-        NOT_APPLICABLE, algorithm, {"type": "gate-failure", "gate": gate, "reason": reason})
+    PSI_13; above it a sieve verdict when the presieve finds a small prime
+    factor of p, otherwise not-applicable with a gate-failure certificate."""
+    verdict = _oracle_verdict(c.p)
+    if verdict is not None:
+        return verdict
+    divisor = presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
+    if divisor is not None:
+        return sieve_verdict(divisor)
+    return Verdict(NOT_APPLICABLE, algorithm, {"type": "gate-failure", "gate": gate,
+                                                "reason": reason})
 
 
 def _factor_verdict(algorithm: str, exc: FactorFound, stage: str, iterations: int = 1) -> Verdict:
@@ -240,17 +226,17 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
 
 # --- deciding: search, gates, retries and fallback -------------------------
 
-def _curve_route(c: FormCandidate, cfg: SearchConfig, algorithm: str, evaluate) -> Verdict:
+def _curve_route(c: FormCandidate, algorithm: str, evaluate) -> Verdict:
     """The first verdict evaluate(c, m, base) gives on the scanned (m, Q) pairs.
 
-    evaluate returns None when its pair decides nothing; at most retry_cap
+    evaluate returns None when its pair decides nothing; at most RETRY_CAP
     pairs are tried.  A divisor of p gives a factor verdict: at stage
     parameter-scan when the scan meets it before the first pair, else at
     scalar-multiplication.  A scan that runs dry gives retries-exhausted.
     """
     attempts = 0
     try:
-        for m, base in islice(_curve_point_candidates(c.p, cfg), cfg.retry_cap):
+        for m, base in islice(_curve_point_candidates(c.p), RETRY_CAP):
             attempts += 1
             verdict = evaluate(c, m, base)
             if verdict is not None:
@@ -262,7 +248,7 @@ def _curve_route(c: FormCandidate, cfg: SearchConfig, algorithm: str, evaluate) 
     return Verdict(INCONCLUSIVE, algorithm, cert, iterations=max(attempts, 1))
 
 
-def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
+def test_small_n(c: FormCandidate) -> Verdict:
     """Small-n route: prime iff the k-step sequence from n*Q' ends in zero.
 
     Composite exits: a divisor surfaces anywhere (witnessed), n*Q' is
@@ -273,7 +259,7 @@ def test_small_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     if not gate_small_n(c):
         return _fallback(c, "small-n", "small-n",
                          "small-n applicability gate fails and p exceeds the oracle bound")
-    return _curve_route(c, cfg, "small-n", _small_n_verdict)
+    return _curve_route(c, "small-n", _small_n_verdict)
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -288,7 +274,7 @@ def test_mersenne(k: int) -> Verdict:
     return _sequence_verdict("mersenne", p, 3, p - 1, k, False)
 
 
-def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
+def test_large_n(c: FormCandidate) -> Verdict:
     """Order route for n = q_1 * ... * q_r with every q_i prime.
 
     The factors are c.n_factors, or n itself when none are supplied.  With
@@ -297,7 +283,7 @@ def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
     divisor of p, and the gate puts n above the Hasse bound of any divisor
     below sqrt(p) (Goldwasser-Kilian).  An infinite (n/q) * D (for one
     factor, D itself) decides nothing, so the scan moves to the next y;
-    after retry_cap such misses the test gives up as inconclusive rather
+    after RETRY_CAP such misses the test gives up as inconclusive rather
     than looping forever.  The paper's large-prime-n and two-prime-n tests
     are the one- and two-factor cases.  A factor that is not prime falls
     back as a failing gate does.
@@ -310,23 +296,24 @@ def test_large_n(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdic
         if not _probable_prime(q):
             return _fallback(c, "large-n", "large-n",
                              f"factor {q} of n is not prime and p exceeds the oracle bound")
-    return _curve_route(c, cfg, "large-n", partial(_order_verdict, factors=factors))
+    return _curve_route(c, "large-n", partial(_order_verdict, factors=factors))
 
 
-def auto_test(c: FormCandidate, cfg: SearchConfig = DEFAULT_CONFIG) -> Verdict:
+def auto_test(c: FormCandidate) -> Verdict:
     """Route a candidate to the one applicable test.
 
     n = 1 goes to the Mersenne path; a passing small-n gate wins next;
     otherwise any n > 1 goes to the large-n path, which decides prime n or
     n supplied with its prime factorization.  With no route left, p below
-    PSI_13 is settled by the exact oracle and anything else is not applicable.
+    PSI_13 is settled by the exact oracle, p above it with a prime factor
+    up to 13 by the presieve, and anything else is not applicable.
     """
     if c.n == 1 and c.k >= 3:
         return test_mersenne(c.k)
     if gate_small_n(c):
-        return test_small_n(c, cfg)
+        return test_small_n(c)
     if c.n > 1:
-        verdict = test_large_n(c, cfg)
+        verdict = test_large_n(c)
         if verdict.status != NOT_APPLICABLE:
             return verdict
     return _fallback(c, "auto", "dispatch",

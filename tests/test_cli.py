@@ -13,7 +13,7 @@ import pytest
 from ecriesel import cli, primality
 from ecriesel.cli import main
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, record_lines
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -378,11 +378,10 @@ class TestStrictReplayInput:
                      "test_large_n"):
             monkeypatch.setattr(primality, name, boom)
         replayed = 0
-        for line in GOLDEN.read_text(encoding="utf-8").splitlines():
-            if "summary" not in json.loads(line):
-                code, out, _ = self.replay(tmp_path, line)
-                assert code == 0 and out.startswith("replay: valid"), line
-                replayed += 1
+        for line in record_lines():
+            code, out, _ = self.replay(tmp_path, line)
+            assert code == 0 and out.startswith("replay: valid"), line
+            replayed += 1
         assert replayed == 93
 
 
@@ -471,8 +470,10 @@ class TestSearchCommand:
         assert run_cli("search", "--k", "1", "--n-max", "5")[0] == 3
 
     def test_bad_config_is_a_usage_error(self, monkeypatch):
+        # the search has no settable config left: --retries is no option
         code, out, err = run_cli("search", "--k", "5", "--n-max", "9", "--retries", "0")
-        assert (code, out) == (3, "") and err.startswith("search: ") and "retry_cap" in err
+        assert (code, out) == (3, "") and err.startswith("usage: ecriesel search ")
+        assert err.endswith("ecriesel search: error: unrecognized arguments: --retries 0\n")
         # the former oracle-bound variable is not read, so junk in it is no error
         expected = run_cli("search", "--k", "5", "--n-max", "9")
         monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", "abc")
@@ -648,14 +649,14 @@ class TestDirectCommandParse:
         ("test", "2", "105", "--q2", "7", "--q", "3", "--q1", "5"),
         ("test", "--replay", "-"),
         ("test", "--replay=record.jsonl", "--json"),
-        ("test", "3", "5", "--seed", "4", "--retries", "2"),
+        ("test", "3", "5", "--q2", "5", "--timings"),
         ("test", "--", "7", "3"),
         ("mersenne", "3", "13"),
         ("mersenne", "3", "13", "--json", "--compare-lucas-lehmer", "--timings"),
         ("search", "--k", "7", "--n-max", "15"),
         ("search", "--n-max", "40999", "--k", "31", "--n-min", "40001", "--json",
          "--workers", "2"),
-        ("search", "--k", "5", "--n-max", "9", "--retries", "0", "--seed", "1", "--timings"),
+        ("search", "--k", "5", "--n-max", "9", "--timings"),
         ("verify",),
         ("verify", "--p-max", "50", "--seed", "3"),
     ]
@@ -717,9 +718,32 @@ class TestDirectCommandParse:
         assert err.startswith("usage: ecriesel test ")
         assert err.endswith("ecriesel test: error: unrecognized arguments: --bogus\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("test", "7", "3", "--seed", "1"),
+        ("test", "7", "3", "--retries", "0"),
+        ("search", "--k", "5", "--n-max", "9", "--seed", "1"),
+        ("search", "--k", "5", "--n-max", "9", "--retries", "0"),
+    ], ids=" ".join)
+    def test_search_options_are_gone(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert err.endswith(f"ecriesel {argv[0]}: error: unrecognized arguments: "
+                            f"{' '.join(argv[-2:])}\n")
+
+    def test_positionals_after_an_option(self, monkeypatch):
+        expected = run_cli("test", "7", "3", "--json")
+        assert run_cli("test", "7", "--json", "3") == expected
+        progs = self.count_parses(monkeypatch)
+        assert run_cli("test", "--json", "7", "3") == expected
+        assert progs == ["ecriesel test"]  # no word left over, so no second parse
+        code, out, err = run_cli("test", "7", "3", "4")
+        assert (code, out) == (3, "") and err.startswith("usage: ecriesel test ")
+        assert err.endswith("ecriesel test: error: unrecognized arguments: 4\n")
+
 
 class TestMersenneOptions:
-    """mersenne takes the output options only; it reads no search config."""
+    """mersenne takes the output options only, and no command takes the
+    former search options."""
 
     @pytest.mark.parametrize("option", [("--retries", "0"), ("--seed", "3"),
                                         ("--oracle-bound", "5")])

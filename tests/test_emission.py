@@ -16,7 +16,7 @@ import pytest
 
 from ecriesel import cli
 from ecriesel.numtheory import FormCandidate, lucas_lehmer, presieve
-from ecriesel.primality import COMPOSITE, PRIME, SearchConfig, Verdict, auto_test, replay_verdict
+from ecriesel.primality import COMPOSITE, PRIME, Verdict, auto_test, replay_verdict
 from ecriesel.primality import test_mersenne as decide_mersenne
 
 from test_golden import GOLDEN_CALLS
@@ -31,7 +31,7 @@ def decided(args):
     if args.command == "test":
         factors = tuple(args.q) if args.q else None
         c = FormCandidate(k=args.k, n=args.n, n_factors=factors)
-        yield c, auto_test(c, SearchConfig(seed=args.seed, retry_cap=args.retries)), {}
+        yield c, auto_test(c), {}
     elif args.command == "mersenne":
         for k in range(args.k_min, args.k_max + 1):
             verdict, extras = decide_mersenne(k), {}
@@ -42,14 +42,13 @@ def decided(args):
     else:
         ns = range(args.n_min | 1, args.n_max + 1, 2)
         sieved = presieve(args.k, ns)
-        cfg = SearchConfig(seed=args.seed, retry_cap=args.retries)
         for n in ns:
             c = FormCandidate(k=args.k, n=n)
             if n in sieved:
                 cert = {"type": "factor", "divisor": sieved[n], "stage": "sieve"}
                 yield c, Verdict(COMPOSITE, "sieve", cert), {}
             else:
-                yield c, auto_test(c, cfg), {}
+                yield c, auto_test(c), {}
 
 
 def check_lines(*argv):

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice
 from math import prod
 
 import pytest
@@ -19,11 +20,9 @@ from ecriesel.numtheory import (
 from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
 from ecriesel.primality import (
     COMPOSITE,
-    DEFAULT_CONFIG,
     INCONCLUSIVE,
     NOT_APPLICABLE,
     PRIME,
-    SearchConfig,
     Verdict,
     _curve_point_candidates,
     auto_test,
@@ -56,7 +55,7 @@ class TestConstructCurvePoint:
     """The first (m, Q) pair of the curve/point scan."""
 
     def test_deterministic_scan_at_31(self):
-        m, q = next(_curve_point_candidates(31, DEFAULT_CONFIG))
+        m, q = next(_curve_point_candidates(31))
         assert (m, q) == (6, Point(3, 3))
         assert jacobi(m, 31) == -1
         assert jacobi(q.x, 31) == -1
@@ -64,14 +63,19 @@ class TestConstructCurvePoint:
 
     def test_scan_trips_over_shared_factor(self):
         with pytest.raises(FactorFound) as info:
-            next(_curve_point_candidates(15, DEFAULT_CONFIG))
+            next(_curve_point_candidates(15))
         assert info.value.divisor == 3
 
-    def test_seeded_scan_still_valid(self):
-        m, q = next(_curve_point_candidates(10531, SearchConfig(seed=42)))
-        assert jacobi(m, 10531) == -1
-        assert jacobi(q.x, 10531) == -1
-        assert (q.y * q.y - q.x**3 + m * q.x) % 10531 == 0
+    def test_scan_pairs_are_valid(self):
+        pairs = list(islice(_curve_point_candidates(10531), primality.RETRY_CAP))
+        assert len(pairs) == primality.RETRY_CAP
+        # one x, the least non-residue; y ascends
+        assert {q.x for _, q in pairs} == {2}
+        assert [q.y for _, q in pairs] == sorted({q.y for _, q in pairs})
+        for m, q in pairs:
+            assert jacobi(m, 10531) == -1
+            assert jacobi(q.x, 10531) == -1
+            assert (q.y * q.y - q.x**3 + m * q.x) % 10531 == 0
 
 
 class TestSmallN:
@@ -226,10 +230,15 @@ class TestTwoPrimeN:
         c = FormCandidate(k=2, n=9, n_factors=(3, 3))  # p = 35
         v = large_n_test(c)
         assert v.status == COMPOSITE and v.algorithm == "trial-division"
-        c = FormCandidate(k=90, n=9, n_factors=(3, 3))  # p above psi_13
+        c = FormCandidate(k=90, n=27, n_factors=(3, 3, 3))  # p above psi_13
         assert c.p >= PSI_13 and not gate_large_n(c)
         v = large_n_test(c)
         assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "large-n"
+        # 5 divides 2^90 * 9 - 1, which the fallback's presieve finds
+        c = FormCandidate(k=90, n=9, n_factors=(3, 3))
+        assert not gate_large_n(c)
+        v = large_n_test(c)
+        assert v.algorithm == "sieve" and factor_witness(v) == 5 and replay_verdict(c, v)
 
     def test_requires_supplied_factors(self):
         # p = 131 and 179 are prime: the oracle decides them, and above
@@ -395,21 +404,15 @@ class TestDeterminismAndConfig:
                 b.certificate, sort_keys=True
             )
 
-    def test_seeded_mode_is_reproducible_and_sound(self):
-        c = FormCandidate(k=2, n=2633)
-        cfg = SearchConfig(seed=99)
-        a = large_n_test(c, cfg)
-        b = large_n_test(c, cfg)
-        assert a == b
-        assert a.status == PRIME
-        assert replay_verdict(c, a)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(retry_cap=0)
-        assert SearchConfig._fields == ("seed", "retry_cap")
-        with pytest.raises(TypeError):
-            SearchConfig(oracle_bound=10)
+    def test_retry_cap_bounds_the_pairs_tried(self, monkeypatch):
+        # p = 2671: the first scanned pair decides nothing, the second decides
+        c = FormCandidate(k=4, n=167)
+        assert large_n_test(c).iterations == 2
+        monkeypatch.setattr(primality, "RETRY_CAP", 1)
+        v = large_n_test(c)
+        assert v == Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted",
+                                                       "attempts": 1})
+        assert replay_verdict(c, v)
 
 
 class TestReplayRejectsTampering:
@@ -532,11 +535,15 @@ class TestExactOracleBoundary:
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_psi_12_factor_above_psi_13(self, k):
-        # 3 divides p, but only a route run on the composite factor met it
+        # no route runs on the composite factor, and the fallback's presieve
+        # finds that 3 divides p
         c = FormCandidate(k=k, n=PSI_12)
-        assert c.p >= PSI_13
+        assert c.p >= PSI_13 and c.p % 3 == 0
         v = auto_test(c)
-        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
+        assert v == Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": 3,
+                                                 "stage": "sieve"})
+        assert factor_witness(v) == 3
+        assert replay_verdict(c, v)
 
 
 class TestFactorWitnessExtraction:

@@ -281,8 +281,9 @@ class TestCofactorCheckOnce:
         assert replay_verdict(c, v)
 
     def test_direct_call_still_rejects_composite_factor(self):
-        # n = 101 * 9901 * 3^38, and p = 4n - 1 lies above psi_13
-        c = FormCandidate(k=2, n=1000001 * 3**38)
+        # n = 101 * 9901 * 3^39, and p = 4n - 1 lies above psi_13 with no
+        # prime factor up to 13, which the fallback's presieve would find
+        c = FormCandidate(k=2, n=1000001 * 3**39)
         v = large_n_test(c)
         assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
         assert v.certificate["gate"] == "large-n"

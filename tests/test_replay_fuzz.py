@@ -1,6 +1,6 @@
 """Replay of mutated run records ends in a verdict or a malformed-record exit.
 
-Each example takes a golden record, edits it one to three times (drops a
+Each example takes a golden or frozen record, edits it one to three times (drops a
 key or list entry, swaps in a value of another JSON type, truncates or
 extends a list, inserts a 50-digit decimal) and pipes it through
 `test --replay -`.  Whatever the edit, replay must exit 0 (valid),
@@ -20,10 +20,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ecriesel import cli  # noqa: E402
 
-from test_golden import GOLDEN  # noqa: E402
+from test_golden import record_lines  # noqa: E402
 
-RECORDS = [line for line in GOLDEN.read_text(encoding="utf-8").splitlines()
-           if "summary" not in json.loads(line)]
+RECORDS = record_lines()
 
 junk = st.one_of(
     st.sampled_from([True, None, -5, 1.5, "", "007"]),

@@ -16,7 +16,7 @@ import pytest
 from ecriesel.ecring import ChainFailure, Curve, Point
 from ecriesel.numtheory import FormCandidate, InverseOutcome
 from ecriesel.oracle import GroupStructure
-from ecriesel.primality import SearchConfig, Verdict
+from ecriesel.primality import Verdict
 from ecriesel.sequence import FINAL_ZERO, SequenceOutcome, STrace
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -75,7 +75,6 @@ RECORDS = [
     InverseOutcome(inverse=3),
     SequenceOutcome(FINAL_ZERO),
     STrace(7, 3, True, (1,), (2,)),
-    SearchConfig(),
     Verdict("prime", "small-n", {}),
     GroupStructure("cyclic", (8,)),
 ]
@@ -96,7 +95,6 @@ def test_records_are_immutable(record):
     (lambda: FormCandidate(3, 4), "n must be a positive odd integer"),
     (lambda: FormCandidate(3, 15, (3, 7)), "n_factors does not multiply out to n"),
     (lambda: FormCandidate(3, 1, (1,)), "n_factors entries must exceed 1"),
-    (lambda: SearchConfig(retry_cap=0), "retry_cap must be at least 1"),
 ])
 def test_validation_errors(make, message):
     with pytest.raises(ValueError) as info:

@@ -6,8 +6,9 @@ route sees prime n and proves primes; one more draws candidates near
 n = 2^k, on both sides of psi_13, that no route covers.  Every prime or composite verdict must
 be sympy's and must replay.  A candidate that some route covers is
 decided, or gives up as retries-exhausted; any other candidate is decided
-by the exact oracle when p is below psi_13, and is not applicable at
-dispatch only above it.
+by the exact oracle when p is below psi_13.  Above it, the presieve
+settles a p with a prime factor up to 13, and any other p is not
+applicable at dispatch.
 """
 
 import pytest
@@ -47,7 +48,7 @@ def prime_n_prime_p(draw):
 def unroutable(draw):
     """(k, n) with n within 2^(k/2 + 1) of 2^k, where neither gate holds:
     the exact oracle must decide p below psi_13 (k <= 40), and p above it
-    (k >= 42) is not applicable."""
+    (k >= 42) is not applicable unless it has a prime factor up to 13."""
     k = draw(st.integers(11, 60))
     half = 1 << (k // 2)
     n = (1 << k) + 2 * draw(st.integers(-half, half - 1)) + 1
@@ -76,4 +77,8 @@ def test_auto_test_agrees_with_sympy(kn):
     elif c.p < PSI_13:
         assert v.status in (PRIME, COMPOSITE) and v.algorithm == "miller-rabin"
     else:
-        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
+        small = [ell for ell in (3, 5, 7, 11, 13) if c.p % ell == 0]
+        if small:
+            assert v.algorithm == "sieve" and v.certificate["divisor"] == small[0]
+        else:
+            assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
