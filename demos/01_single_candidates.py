@@ -11,6 +11,7 @@ from ecriesel import (
     FormCandidate,
     Point,
     auto_test,
+    curve_coefficient,
     factor_witness,
     replay_verdict,
     run_sequence,
@@ -45,20 +46,21 @@ for c in candidates:
 
 print("\nAll verdicts replayed successfully.")
 
-# A closer look at one certificate: the small-n route records the curve
-# coefficient, the constructed point, the chain's start x0 = x(n*Q) and its
-# outcome.  The chain itself is not stored: replay recomputes it, and so
-# can anyone else, with run_sequence.
+# A closer look at one certificate: the small-n route records the
+# constructed point and the chain's outcome.  Everything else is derived,
+# by replay and by anyone else: the curve coefficient m from the point,
+# the chain's start x0 = x(n*Q), and the chain itself with run_sequence.
 c = FormCandidate(k=7, n=3)
 verdict = auto_test(c)
 cert = verdict.certificate
+base = Point(*cert["base_point"])
+m = curve_coefficient(c.p, base)
+start = scalar_mul(Curve(c.p, m), c.n, base)
+_, trace = run_sequence(c.p, m, start.x, c.k)
 print(f"\nCertificate for p = {c.p}:")
 print(f"  type       : {cert['type']}")
-print(f"  curve      : y^2 = x^3 - {cert['m']}x  (mod {c.p})")
-print(f"  base point : {tuple(cert['base_point'])}, multiplied by n = {c.n}")
-print(f"  x0         : {cert['x0']}")
+print(f"  base point : {tuple(base)}, multiplied by n = {c.n}")
+print(f"  curve      : y^2 = x^3 - {m}x  (mod {c.p}, m derived from the point)")
+print(f"  x0         : {start.x}  (derived)")
 print(f"  outcome    : {cert['outcome']}  (zero at step k justifies 'prime')")
-
-start = scalar_mul(Curve(c.p, cert["m"]), c.n, Point(*cert["base_point"]))
-_, trace = run_sequence(c.p, cert["m"], start.x, c.k)
 print(f"  S chain    : {list(trace.s_values)}  (recomputed)")

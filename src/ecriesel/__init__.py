@@ -63,6 +63,7 @@ from .primality import (
     PRIME,
     Verdict,
     auto_test,
+    curve_coefficient,
     factor_witness,
     replay_verdict,
     test_large_n,

@@ -7,6 +7,10 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 on request (--timings) or in human-readable mode.
 
+The schema is ecriesel.run-record/3, whose certificates leave out what
+replay derives: m, the chain start x0 and the final residue.  Replay reads
+no other schema, and names a run-record/2 record as no longer read.
+
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
 built once.  A presieved search candidate's line is written from k, n and
@@ -55,7 +59,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/2"
+SCHEMA = "ecriesel.run-record/3"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -128,8 +132,7 @@ def _parse_text(value) -> str:
 
 # How replay reads each certificate field; any other key is malformed.
 CERTIFICATE_FIELDS = {
-    **dict.fromkeys(("m", "x0", "step", "divisor", "residue", "least_factor", "witness",
-                     "attempts"), _parse_int),
+    **dict.fromkeys(("step", "divisor", "least_factor", "witness", "attempts"), _parse_int),
     **dict.fromkeys(("base_point", "factors"), _parse_int_list),
     **dict.fromkeys(("type", "outcome", "stage", "gate", "reason"), _parse_text),
 }
@@ -161,14 +164,17 @@ def _read(field: str, parse, value):
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema, a verdict, algorithm
-    or tool_version that is not a string, a certificate key outside
-    CERTIFICATE_FIELDS, an integer that is not a canonical decimal string,
-    a k above the bit length of the record's p, or an iterations count
-    that is not a JSON integer >= 1.  A malformed field is named in the
-    message.
+    Raises ValueError on a record of another schema (a run-record/2 record
+    is named as no longer read), a verdict, algorithm or tool_version that
+    is not a string, a certificate key outside CERTIFICATE_FIELDS, an
+    integer that is not a canonical decimal string, a k above the bit
+    length of the record's p, or an iterations count that is not a JSON
+    integer >= 1.  A malformed field is named in the message.
     """
-    if not isinstance(record, dict) or record.get("schema") != SCHEMA:
+    schema = record.get("schema") if isinstance(record, dict) else None
+    if schema == "ecriesel.run-record/2":
+        raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
+    if schema != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")
     _read("tool_version", _parse_text, record["tool_version"])
     cand = record["candidate"]

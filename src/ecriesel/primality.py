@@ -15,8 +15,9 @@ tries the (m, Q) pairs of one scan until the route's evaluator decides,
 maps a divisor met on the way to a factor verdict and gives up as
 retries-exhausted when the scan runs dry.  The scan is one fixed
 procedure, so a run's certificate is reproducible byte for byte.  A
-Prime/Composite verdict's certificate records the choices the search made;
-replay_verdict checks them and recomputes the verdict with the same
+Prime/Composite verdict's certificate records the choices the search made
+(the base point, from which curve_coefficient gives m) and where the chain
+ended; replay_verdict checks them and recomputes the verdict with the same
 evaluator.  Verdict is an immutable named tuple.
 """
 
@@ -27,7 +28,7 @@ from functools import partial
 from itertools import islice
 from math import gcd, prod
 
-from .ecring import Curve, FactorFound, Point, on_curve, scalar_mul
+from .ecring import Curve, FactorFound, Point, scalar_mul
 from .numtheory import (
     ORACLE_BASES,
     TRIAL_LIMIT,
@@ -75,8 +76,15 @@ def factor_witness(verdict: Verdict) -> int | None:
     return d
 
 
+def curve_coefficient(p: int, base: Point) -> int:
+    """m = (x^3 - y^2)/x mod p, the one m that puts base = (x, y) on
+    y^2 = x^3 - m*x.  Raises ValueError when x is not invertible mod p."""
+    x, y = base
+    return (x * x * x - y * y) * pow(x, -1, p) % p
+
+
 def _curve_point_candidates(p: int):
-    """Yield (m, Q) pairs: (x/p) = -1, ((x^3 - y^2)/p) = +1, m = (x^3 - y^2)/x.
+    """Yield (m, Q) pairs: (x/p) = -1, ((x^3 - y^2)/p) = +1, m = curve_coefficient(p, Q).
 
     Q = (x, y) then lies on y^2 = x^3 - m*x with (m/p) = -1 by
     multiplicativity.  x ascends from 2 and y from 1, up to SCAN_LIMIT
@@ -95,7 +103,6 @@ def _curve_point_candidates(p: int):
     if x is None:
         return
     x_cubed = x * x * x % p
-    inv_x = pow(x, -1, p)
     for y in range(1, min(p, 1 + SCAN_LIMIT)):
         # t != 0: x^3 = y^2 would give (x/p)^3 = (y/p)^2, never -1
         t = (x_cubed - y * y) % p
@@ -103,7 +110,8 @@ def _curve_point_candidates(p: int):
         if j == 0:
             raise FactorFound(gcd(t, p), p)
         if j == 1:
-            yield t * inv_x % p, Point(x, y)
+            base = Point(x, y)
+            yield curve_coefficient(p, base), base
 
 
 def _oracle_verdict(p: int) -> Verdict | None:
@@ -140,8 +148,12 @@ def _fallback(c: FormCandidate, algorithm: str, gate: str, reason: str) -> Verdi
     divisor = presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
     if divisor is not None:
         return sieve_verdict(divisor)
+    return _gate_failure(algorithm, gate, reason)
+
+
+def _gate_failure(algorithm: str, gate: str, reason: str) -> Verdict:
     return Verdict(NOT_APPLICABLE, algorithm, {"type": "gate-failure", "gate": gate,
-                                                "reason": reason})
+                                               "reason": reason})
 
 
 def _factor_verdict(algorithm: str, exc: FactorFound, stage: str, iterations: int = 1) -> Verdict:
@@ -149,17 +161,14 @@ def _factor_verdict(algorithm: str, exc: FactorFound, stage: str, iterations: in
     return Verdict(COMPOSITE, algorithm, cert, iterations=iterations)
 
 
-def _sequence_certificate(
-    m: int, outcome: SequenceOutcome, x0: int, base_point: Point | None = None
-) -> dict:
-    """What replay needs to recompute the chain: the chain itself is left out."""
-    cert = {"type": "sequence", "m": m, "x0": x0, "outcome": outcome.kind}
+def _sequence_certificate(outcome: SequenceOutcome, base_point: Point | None = None) -> dict:
+    """Where the chain ended, and a constructed curve's base point: replay
+    recomputes the chain, its start x0, m and a final-nonzero's residue."""
+    cert = {"type": "sequence", "outcome": outcome.kind}
     if outcome.step is not None:
         cert["step"] = outcome.step
     if outcome.divisor is not None:
         cert["divisor"] = outcome.divisor
-    if outcome.residue is not None:
-        cert["residue"] = outcome.residue
     if base_point is not None:
         cert["base_point"] = [base_point.x, base_point.y]
     return cert
@@ -179,7 +188,7 @@ def _sequence_verdict(algorithm: str, p: int, m: int, x0: int, k: int, four_fact
                       base_point: Point | None = None) -> Verdict:
     """Prime iff the k-step chain from x0 ends in zero."""
     outcome = chain_outcome(p, m, x0, k, four_factor)
-    cert = _sequence_certificate(m, outcome, x0, base_point)
+    cert = _sequence_certificate(outcome, base_point)
     status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
     return Verdict(status, algorithm, cert)
 
@@ -189,7 +198,7 @@ def _small_n_verdict(c: FormCandidate, m: int, base: Point) -> Verdict:
     infinity, else the chain from its x-coordinate.  Raises FactorFound."""
     start = scalar_mul(Curve(c.p, m), c.n, base)
     if start.is_infinity:
-        cert = {"type": "vanished-multiple", "m": m, "base_point": [base.x, base.y]}
+        cert = {"type": "vanished-multiple", "base_point": [base.x, base.y]}
         return Verdict(COMPOSITE, "small-n", cert)
     return _sequence_verdict("small-n", c.p, m, start.x, c.k, True, base)
 
@@ -213,7 +222,7 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
         multiple = scalar_mul(curve, c.n // q, doubled)
         if multiple.is_infinity:
             return None
-    cert = {"type": "order", "m": m, "base_point": [base.x, base.y], "factors": list(factors)}
+    cert = {"type": "order", "base_point": [base.x, base.y], "factors": list(factors)}
     if q != c.n and gate_large_n(c) and miller_rabin(c.p, (2,)):
         try:
             if scalar_mul(curve, q, multiple).is_infinity:
@@ -266,7 +275,8 @@ def test_mersenne(k: int) -> Verdict:
     """Mersenne route for M_k = 2^k - 1, k >= 3: no curve search at all.
 
     The fixed start x_0 = -1 on y^2 = x^3 - 3x is valid for every exponent,
-    so the verdict is the sequence classification directly.
+    so the verdict is the sequence classification directly, and replay takes
+    m = 3 and x_0 from here rather than from the certificate.
     """
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
@@ -299,6 +309,9 @@ def test_large_n(c: FormCandidate) -> Verdict:
     return _curve_route(c, "large-n", partial(_order_verdict, factors=factors))
 
 
+_DISPATCH_REASON = "no applicable route: gates fail or n needs an unavailable factorization"
+
+
 def auto_test(c: FormCandidate) -> Verdict:
     """Route a candidate to the one applicable test.
 
@@ -316,8 +329,9 @@ def auto_test(c: FormCandidate) -> Verdict:
         verdict = test_large_n(c)
         if verdict.status != NOT_APPLICABLE:
             return verdict
-    return _fallback(c, "auto", "dispatch",
-                     "no applicable route: gates fail or n needs an unavailable factorization")
+        # the large-n route's own fallback already ran the oracle and the presieve
+        return _gate_failure("auto", "dispatch", _DISPATCH_REASON)
+    return _fallback(c, "auto", "dispatch", _DISPATCH_REASON)
 
 
 # --- certificate replay ----------------------------------------------------
@@ -330,25 +344,27 @@ _FACTOR_STAGES = {
 }
 
 
-def _replay_constructed_point(p: int, m: int, base: Point) -> bool:
-    """The jacobi conditions that make the constructed point usable."""
-    if base.is_infinity or not (0 < m < p and 0 <= base.x < p and 0 <= base.y < p):
-        return False
-    curve = Curve(p, m)
-    return (
-        jacobi(base.x, p) == -1
-        and jacobi(m, p) == -1
-        and on_curve(curve, base)
-    )
+def _replay_curve(p: int, base: Point) -> int | None:
+    """The curve coefficient m of a recorded base point, None unless
+    0 <= x, y < p, (x/p) = -1 and (m/p) = -1.
+
+    base lies on y^2 = x^3 - m*x by the choice of m, and m != 0: x^3 = y^2
+    would give (x/p)^3 = (y/p)^2, never -1.
+    """
+    if not (0 <= base.x < p and 0 <= base.y < p and jacobi(base.x, p) == -1):
+        return None
+    m = curve_coefficient(p, base)
+    return m if jacobi(m, p) == -1 else None
 
 
 def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
-    Checks the recorded choices (the curve and point, the factors of n,
-    the gate behind a prime verdict), then recomputes the verdict with the
-    route's own evaluator and compares status, algorithm and certificate.
-    Every chain step and every multiple is recomputed; the multipliers
+    Checks the recorded choices (the base point, whose curve coefficient m
+    it derives, the factors of n, the gate behind a prime verdict), then
+    recomputes the verdict with the route's own evaluator and compares
+    status, algorithm and certificate.  Every chain step, its start and its
+    final residue, and every multiple are recomputed; the multipliers
     (n, 2^k, n/q, q) come from the candidate and the checked factors, and
     no scan, retry, fallback or dispatch runs.  The evaluators are built
     from the integer and curve layers alone; the independent references
@@ -390,9 +406,9 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
             return False
         expected = test_mersenne(c.k)
     elif algorithm in ("small-n", "large-n"):
-        m = cert["m"]
         base = Point(*cert["base_point"])
-        if not _replay_constructed_point(p, m, base):
+        m = _replay_curve(p, base)
+        if m is None:
             return False
         if algorithm == "small-n":
             if status == PRIME and not gate_small_n(c):

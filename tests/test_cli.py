@@ -82,13 +82,14 @@ class TestTestCommand:
         rec = json_lines(out)[0]
         assert rec["candidate"]["p"] == str((19 << 89) - 1)
         cert = rec["certificate"]
-        assert isinstance(cert["m"], str) and isinstance(cert["x0"], str)
+        # m and x0 are derived on replay, so the record carries neither
+        assert cert.keys() == {"type", "outcome", "base_point"}
         assert all(isinstance(x, str) for x in cert["base_point"])
 
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/2")
+            assert json.loads(line)["schema"].endswith("/3")
 
 
 class TestFactorOption:
@@ -124,7 +125,7 @@ class TestFactorOption:
             f'"p":"{4 * 3**53 - 1}"}},'
             '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
             'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/2","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            '"schema":"ecriesel.run-record/3","tool_version":"0.1.0","verdict":"not-applicable"}\n')
 
     @pytest.mark.parametrize("argv, line", [
         (("5", "3"), "k=5 n=3 p=95: composite [small-n] divisor=5"),  # factor
@@ -200,7 +201,7 @@ class TestStrictReplayInput:
         # p = 383 is prime; the record claims 3 * Q = infinity
         rec = self.record("7", "3")
         rec["verdict"] = "composite"
-        rec["certificate"] = {"type": "vanished-multiple", "m": "178", "base_point": ["5", "1"]}
+        rec["certificate"] = {"type": "vanished-multiple", "base_point": ["5", "1"]}
         code, out, _ = self.replay(tmp_path, json.dumps(rec))
         assert code == 1 and "INVALID" in out
         for multiplier in ("0", "384"):
@@ -208,17 +209,18 @@ class TestStrictReplayInput:
             assert self.replay(tmp_path, json.dumps(rec))[0] == 3
 
     def test_non_canonical_decimals(self, tmp_path):
-        for m in ("\u0661\u0667\u0668", "0178", "+178", " 178", "178.0"):
+        for x in ("\u0665", "05", "+5", " 5", "5.0"):
             rec = self.record("7", "3")
-            rec["certificate"]["m"] = m
+            rec["certificate"]["base_point"] = [x, "1"]
             code, _, err = self.replay(tmp_path, json.dumps(rec))
-            assert code == 3 and "malformed" in err, m
+            assert code == 3 and "malformed" in err, x
         rec = self.record("7", "3")
         rec["candidate"]["n"] = "03"
         assert self.replay(tmp_path, json.dumps(rec))[0] == 3
 
     def test_field_types(self, tmp_path):
-        for field, value in (("m", 178), ("base_point", "5"), ("outcome", ["final-zero"])):
+        for field, value in (("base_point", [5, 1]), ("base_point", "5"),
+                             ("outcome", ["final-zero"])):
             rec = self.record("7", "3")
             rec["certificate"][field] = value
             assert self.replay(tmp_path, json.dumps(rec))[0] == 3, field
@@ -232,6 +234,15 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, json.dumps(rec))[0] == 3
         rec["certificate"]["junk"] = "1"
         assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+
+    def test_run_record_2_is_no_longer_read(self, tmp_path):
+        # the /2 record of the same call, which carried m and x0
+        rec = self.record("7", "3")
+        rec["schema"] = "ecriesel.run-record/2"
+        rec["certificate"].update(m="178", x0="39")
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/2 is no longer read; "
+                   "decide the candidate again\n")
 
     def test_one_record_per_input(self, tmp_path):
         good = json.dumps(self.record("7", "3"))
@@ -279,13 +290,17 @@ class TestStrictReplayInput:
     FORGERIES = {
         "factor-without-stage": (("large-n", "factor"),
                                  lambda r: r["certificate"].pop("stage"), 1),
-        "factor-with-m": (("sieve", "factor"), lambda r: r["certificate"].update(m="3"), 1),
+        "factor-with-witness": (("sieve", "factor"),
+                                lambda r: r["certificate"].update(witness="3"), 1),
+        # m and x0 are no certificate fields since run-record/3: malformed
+        "factor-with-m": (("sieve", "factor"), lambda r: r["certificate"].update(m="3"), 3),
         "sieve-at-parameter-scan": (("sieve", "factor"),
                                     lambda r: r["certificate"].update(stage="parameter-scan"), 1),
         "factor-long-algorithm": (("small-n", "factor"), lambda r: r.update(algorithm="9" * 50), 1),
         "factor-null-algorithm": (("sieve", "factor"), lambda r: r.update(algorithm=None), 3),
         "tool-version-list": (("sieve", "factor"), lambda r: r.update(tool_version=[1]), 3),
-        "order-with-x0": (("large-n", "order"), lambda r: r["certificate"].update(x0="5"), 1),
+        "order-with-step": (("large-n", "order"), lambda r: r["certificate"].update(step="5"), 1),
+        "order-with-x0": (("large-n", "order"), lambda r: r["certificate"].update(x0="5"), 3),
         "order-with-outcome": (("large-n", "order"),
                                lambda r: r["certificate"].update(outcome="final-zero"), 1),
         "oracle-as-small-n": (("trial-division", "oracle"),
@@ -314,6 +329,19 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert code == expected and "Traceback" not in err
         assert ("INVALID" in out) if expected == 1 else (out == "" and "malformed" in err)
+
+    @pytest.mark.parametrize("source, field", [
+        (("large-n", "order"), "m"),
+        (("small-n", "sequence"), "m"),
+        (("small-n", "sequence"), "x0"),
+        (("mersenne", "sequence"), "residue"),
+    ])
+    def test_derived_field_is_unknown(self, tmp_path, source, field):
+        # run-record/2 carried these; replay derives them now
+        rec = self.golden(*source)
+        rec["certificate"][field] = "3"
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", f"replay: malformed record: unknown certificate field '{field}'\n")
 
     @pytest.mark.parametrize("field", ["verdict", "algorithm", "tool_version",
                                        "certificate.type", "certificate.witness",

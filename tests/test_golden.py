@@ -9,9 +9,10 @@ tests/data/frozen_records.jsonl holds records of outcomes that no call
 with the fixed curve/point scan is known to reach: a large-n retries-
 exhausted (written with the retry cap at 1) and two small-n early-infinity
 chains (written with other scanned points).  They are replayed and
-fuzzed, never regenerated.  Together the two files reach every certificate
-type and every sequence outcome the CLI can emit, on every route that
-emits it.
+fuzzed, never regenerated; the move to run-record/3 only dropped their m,
+x0 and residue fields and bumped the schema tag.  Together the two files
+reach every certificate type and every sequence outcome the CLI can emit,
+on every route that emits it.
 """
 
 import io
@@ -89,6 +90,15 @@ def test_golden_set_covers_every_reachable_pair():
         ("large-n", "order", None),
         ("large-n", "retries-exhausted", None),
     }
+
+
+def test_no_certificate_carries_a_derived_field():
+    # replay derives m from the base point and re-runs the chain for x0 and
+    # the final residue, so run-record/3 leaves all three out
+    for line in record_lines():
+        record = json.loads(line)
+        assert record["schema"] == "ecriesel.run-record/3", line
+        assert not {"m", "x0", "residue"} & record["certificate"].keys(), line
 
 
 def test_every_record_replays_valid(monkeypatch):

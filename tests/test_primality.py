@@ -26,6 +26,7 @@ from ecriesel.primality import (
     Verdict,
     _curve_point_candidates,
     auto_test,
+    curve_coefficient,
     factor_witness,
     replay_verdict,
 )
@@ -76,6 +77,7 @@ class TestConstructCurvePoint:
             assert jacobi(m, 10531) == -1
             assert jacobi(q.x, 10531) == -1
             assert (q.y * q.y - q.x**3 + m * q.x) % 10531 == 0
+            assert curve_coefficient(10531, q) == m
 
 
 class TestSmallN:
@@ -294,7 +296,9 @@ class TestTwoPrimeN:
         if probable_prime:
             monkeypatch.setattr(primality, "miller_rabin", lambda n, bases=(): True)
         for c, m, xy in self.ORDER_NOT_FACTOR:
-            cert = {"type": "order", "m": m, "base_point": list(xy), "factors": list(c.n_factors)}
+            # run-record/2 stored m; replay now derives the same m from the point
+            assert curve_coefficient(c.p, Point(*xy)) == m
+            cert = {"type": "order", "base_point": list(xy), "factors": list(c.n_factors)}
             v = Verdict(COMPOSITE, "large-n", cert)
             assert replay_verdict(c, v)
             assert primality._order_verdict(c, m, Point(*xy), c.n_factors) == v
@@ -385,6 +389,24 @@ class TestAutoTest:
         assert v == Verdict(PRIME, "miller-rabin", {"type": "oracle"})
         assert replay_verdict(c, v)
 
+    def test_unroutable_candidate_runs_the_fallback_once(self, monkeypatch):
+        # the large-n route's fallback has run the oracle and the presieve;
+        # the dispatch verdict only relabels the gate
+        calls = []
+
+        def counted(name):
+            inner = getattr(primality, name)
+            monkeypatch.setattr(primality, name,
+                                lambda *args: calls.append(name) or inner(*args))
+
+        counted("presieve")
+        counted("_oracle_verdict")
+        v = auto_test(UNDECIDED)
+        assert sorted(calls) == ["_oracle_verdict", "presieve"]
+        assert v == Verdict(NOT_APPLICABLE, "auto", {
+            "type": "gate-failure", "gate": "dispatch",
+            "reason": "no applicable route: gates fail or n needs an unavailable factorization"})
+
     def test_verdict_statuses_cover_exit_codes(self):
         assert {PRIME, COMPOSITE, INCONCLUSIVE, NOT_APPLICABLE} == {
             "prime",
@@ -421,12 +443,13 @@ class TestReplayRejectsTampering:
         cases = [
             (FormCandidate(k=7, n=3), small_n_test),  # final-zero
             (FormCandidate(k=7, n=7), small_n_test),  # gcd-hit: step, divisor
-            (FormCandidate(k=7, n=37), small_n_test),  # final-nonzero: residue
+            (FormCandidate(k=7, n=37), small_n_test),  # final-nonzero
             (FormCandidate(k=4, n=1), lambda c: mersenne_test(c.k)),  # final-nonzero
         ]
         for c, route in cases:
             v = route(c)
             assert v.certificate["type"] == "sequence" and replay_verdict(c, v)
+            # x0 and residue are derived on replay, so the certificate carries neither
             for field in ("x0", "outcome", "step", "divisor", "residue"):
                 cert = dict(v.certificate)
                 if field == "outcome":
@@ -456,6 +479,8 @@ class TestReplayRejectsTampering:
         assert not replay_verdict(other, v)
 
     def test_tampered_order_point(self):
+        # replay derives m from the point, so a point counts only through the
+        # symbols (x/p) = (m/p) = -1 and the order walk it gives
         cases = [
             FormCandidate(k=2, n=2633),
             TWO_PRIME_BIG_PRIME,
@@ -465,10 +490,15 @@ class TestReplayRejectsTampering:
             v = large_n_test(c)
             assert v.certificate["type"] == "order" and replay_verdict(c, v)
             x, y = v.certificate["base_point"]
+            residue_x = next(t for t in range(2, c.p) if jacobi(t, c.p) == 1)
+            residue_m_y = next(t for t in range(1, c.p)
+                               if jacobi(curve_coefficient(c.p, Point(x, t)), c.p) == 1)
             forgeries = [
-                {"base_point": [(x + 1) % c.p, y]},
-                {"base_point": [x, (y + 1) % c.p]},
-                {"m": (v.certificate["m"] + 1) % c.p},
+                {"base_point": [residue_x, y]},  # (x/p) = +1
+                {"base_point": [x, residue_m_y]},  # (m/p) = +1
+                {"base_point": [x + c.p, y]},
+                {"base_point": [x, y, 1]},
+                {"m": curve_coefficient(c.p, Point(x, y))},  # no certificate field
                 {"factors": [c.n]} if len(v.certificate["factors"]) > 1 else {"factors": [1, c.n]},
                 {"factors": v.certificate["factors"][1:]},
             ]
@@ -476,10 +506,42 @@ class TestReplayRejectsTampering:
                 cert = {**v.certificate, **change}
                 assert not replay_verdict(c, Verdict(v.status, v.algorithm, cert)), (c, change)
 
+    def test_any_point_with_both_symbols_certifies_a_prime(self):
+        # p = 10531 is prime: (2, 2) is not the scan's point, yet with
+        # (x/p) = (m/p) = -1 its order walk proves p on its own curve
+        c = FormCandidate(k=2, n=2633)
+        v = large_n_test(c)
+        assert v.certificate["base_point"] != [2, 2]
+        assert jacobi(2, c.p) == jacobi(curve_coefficient(c.p, Point(2, 2)), c.p) == -1
+        other = Verdict(PRIME, "large-n", {**v.certificate, "base_point": [2, 2]})
+        assert replay_verdict(c, other)
+
+    @pytest.mark.parametrize("c, algorithm", [
+        (FormCandidate(k=2, n=2503), "large-n"),  # p = 10011 = 3 * 47 * 71
+        (TWO_PRIME_BIG_COMPOSITE, "large-n"),
+        (THREE_PRIME_COMPOSITE, "large-n"),
+        (FormCandidate(k=8, n=7), "small-n"),  # p = 1791 = 3^2 * 199
+        (FormCandidate(k=7, n=37), "small-n"),  # p = 4735 = 5 * 947
+    ], ids=lambda v: str(getattr(v, "p", v)))
+    def test_prime_claim_on_a_composite_fails_with_any_point(self, c, algorithm):
+        if algorithm == "large-n":
+            cert = {"type": "order", "factors": list(c.n_factors or (c.n,))}
+        else:
+            cert = {"type": "sequence", "outcome": FINAL_ZERO}
+        tried = 0
+        for x in range(2, 40):
+            for y in range(1, 40):
+                forged = {**cert, "base_point": [x, y]}
+                assert not replay_verdict(c, Verdict(PRIME, algorithm, forged)), (x, y)
+                # the points that reach the order walk
+                tried += (jacobi(x, c.p) == -1
+                          and jacobi(curve_coefficient(c.p, Point(x, y)), c.p) == -1)
+        assert tried > 50
+
     def test_vanished_multiple_multiplies_by_n(self):
         # p = 383 is prime, so 3 * Q is finite whatever the record claims
         c = FormCandidate(k=7, n=3)
-        cert = {"type": "vanished-multiple", "m": 178, "base_point": [5, 1]}
+        cert = {"type": "vanished-multiple", "base_point": [5, 1]}
         assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
         for multiplier in (0, 384):
             forged = {**cert, "multiplier": multiplier}
@@ -529,8 +591,7 @@ class TestExactOracleBoundary:
         assert v == Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
         assert replay_verdict(c, v)
         # the order certificate that 12-base Miller-Rabin let through
-        order = {"type": "order", "m": 849775620890749736446571, "base_point": [3, 1],
-                 "factors": [PSI_12]}
+        order = {"type": "order", "base_point": [3, 1], "factors": [PSI_12]}
         assert not replay_verdict(c, Verdict(COMPOSITE, "large-n", order))
 
     @pytest.mark.parametrize("k", [4, 6])
