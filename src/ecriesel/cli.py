@@ -5,11 +5,12 @@ Machine output is JSON lines, one self-contained object per record, with
 every certificate integer and the candidate's n and p rendered as decimal
 strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
-on request (--timings) or in human-readable mode.
+by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/3, whose certificates leave out what
-replay derives: m, the chain start x0 and the final residue.  Replay reads
-no other schema, and names a run-record/2 record as no longer read.
+The schema is ecriesel.run-record/3, whose certificates leave out m and
+the chain start x0, which replay derives, and the chain's final residue,
+which no verdict reads.  Replay reads no other schema, and names a
+run-record/2 record as no longer read.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -256,6 +257,10 @@ def _timed(decide, *args) -> tuple[Verdict, float]:
 
 def _cmd_test(args, out, err) -> int:
     if args.replay is not None:
+        if args.k is not None or args.n is not None or args.q or args.json or args.timings:
+            err.write("test: --replay reads the candidate from its record and takes "
+                      "no k, n, --q, --json or --timings\n")
+            return 3
         return _cmd_replay(args, out, err)
     if args.k is None or args.n is None:
         err.write("test: k and n are required unless --replay is given\n")
@@ -377,7 +382,7 @@ def _cmd_verify(args, out, err) -> int:
         err.write("verify: --p-max must be at least 3\n")
         return 3
     try:
-        report = verify_theorems(args.p_max, seed=args.seed or 0)
+        report = verify_theorems(args.p_max)
     except ValueError as exc:
         err.write(f"verify: {exc}\n")
         return 3
@@ -411,7 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="a prime factor of n, once per factor in any order, if known "
                         "(--q1 and --q2 are other spellings)")
     t.add_argument("--replay", metavar="RECORD", default=None,
-                   help="re-validate a run record (path or - for stdin) instead of testing")
+                   help="re-validate a run record (path or - for stdin) instead of testing; "
+                        "takes no other argument")
     output_options(t)
     t.set_defaults(func=_cmd_test)
 
@@ -428,12 +434,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-min", type=int, default=1)
     s.add_argument("--n-max", type=int, required=True)
     s.add_argument("--workers", type=int, default=1)
-    output_options(s)
+    s.add_argument("--json", action="store_true", help="emit JSON lines")
     s.set_defaults(func=_cmd_search)
 
     v = sub.add_parser("verify", help="brute-force check of the group-structure facts")
     v.add_argument("--p-max", type=int, default=500)
-    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=_cmd_verify)
 
     return parser

@@ -236,25 +236,20 @@ def _sample_ms(p: int, rng: random.Random) -> list[int]:
     return sorted(nonres + res)
 
 
-def verify_theorems(
-    p_max: int,
-    *,
-    full_sweep_below: int = FULL_SWEEP_BELOW,
-    seed: int = 0,
-) -> dict:
+def verify_theorems(p_max: int) -> dict:
     """Check facts 1-3 for every prime p = 3 (mod 4) up to p_max <= ENUMERATION_LIMIT.
 
-    Every m in 1..p-1 is checked below `full_sweep_below`; above it, a
-    fixed-seed stratified sample of 5 m values per prime.  The report's
-    `violations` list must come back empty.
+    Every m in 1..p-1 is checked below FULL_SWEEP_BELOW; above it, a
+    stratified sample of 5 m values per prime, drawn by random.Random(p),
+    so a report depends on p_max alone.  The report's `violations` list
+    must come back empty.
     """
     if p_max > ENUMERATION_LIMIT:
         raise ValueError(f"p_max exceeds the enumeration limit {ENUMERATION_LIMIT}")
     report = {
         "p_max": p_max,
-        "full_sweep_below": full_sweep_below,
+        "full_sweep_below": FULL_SWEEP_BELOW,
         "sampled_m_per_prime": 5,
-        "seed": seed,
         "primes_checked": 0,
         "curves_checked": 0,
         "cyclic_curves": 0,
@@ -267,10 +262,10 @@ def verify_theorems(
             continue
         report["primes_checked"] += 1
         k = ((p + 1) & -(p + 1)).bit_length() - 1
-        if p < full_sweep_below or (p - 1) // 2 < 3:
+        if p < FULL_SWEEP_BELOW or (p - 1) // 2 < 3:
             ms = range(1, p)
         else:
-            ms = _sample_ms(p, random.Random(seed * 1_000_003 + p))
+            ms = _sample_ms(p, random.Random(p))
         for m in ms:
             _check_curve(p, m, k, report)
     return report

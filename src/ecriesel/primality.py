@@ -31,6 +31,7 @@ from math import gcd, prod
 from .ecring import Curve, FactorFound, Point, scalar_mul
 from .numtheory import (
     ORACLE_BASES,
+    PSI_13,
     TRIAL_LIMIT,
     FormCandidate,
     gate_large_n,
@@ -115,21 +116,22 @@ def _curve_point_candidates(p: int):
 
 
 def _oracle_verdict(p: int) -> Verdict | None:
-    """is_prime_oracle's exact verdict on p, None at or above PSI_13.
+    """The exact verdict of is_prime_oracle's test on odd p, None at or
+    above PSI_13.
 
     Trial division records p's least factor; Miller-Rabin records the
-    least base that witnesses a composite p.
+    least base that witnesses a composite p, found by the one pass over
+    ORACLE_BASES that decides p.
     """
     if p <= TRIAL_LIMIT:
         f = trial_division(p)
         return Verdict(PRIME if f == p else COMPOSITE, "trial-division",
                        {"type": "oracle", "least_factor": f})
-    prime = is_prime_oracle(p)
-    if prime is None:
+    if p >= PSI_13:
         return None
-    if prime:
+    witness = next((b for b in ORACLE_BASES if not miller_rabin(p, (b,))), None)
+    if witness is None:
         return Verdict(PRIME, "miller-rabin", {"type": "oracle"})
-    witness = next(b for b in ORACLE_BASES if not miller_rabin(p, (b,)))
     return Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": witness})
 
 
@@ -163,7 +165,7 @@ def _factor_verdict(algorithm: str, exc: FactorFound, stage: str, iterations: in
 
 def _sequence_certificate(outcome: SequenceOutcome, base_point: Point | None = None) -> dict:
     """Where the chain ended, and a constructed curve's base point: replay
-    recomputes the chain, its start x0, m and a final-nonzero's residue."""
+    recomputes the chain, its start x0 and m."""
     cert = {"type": "sequence", "outcome": outcome.kind}
     if outcome.step is not None:
         cert["step"] = outcome.step
@@ -184,10 +186,10 @@ def _probable_prime(q: int) -> bool:
 
 # --- evaluation on a given curve and point, for deciding and replay -------
 
-def _sequence_verdict(algorithm: str, p: int, m: int, x0: int, k: int, four_factor: bool,
+def _sequence_verdict(algorithm: str, p: int, m: int, x0: int, k: int,
                       base_point: Point | None = None) -> Verdict:
     """Prime iff the k-step chain from x0 ends in zero."""
-    outcome = chain_outcome(p, m, x0, k, four_factor)
+    outcome = chain_outcome(p, m, x0, k)
     cert = _sequence_certificate(outcome, base_point)
     status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
     return Verdict(status, algorithm, cert)
@@ -200,7 +202,7 @@ def _small_n_verdict(c: FormCandidate, m: int, base: Point) -> Verdict:
     if start.is_infinity:
         cert = {"type": "vanished-multiple", "base_point": [base.x, base.y]}
         return Verdict(COMPOSITE, "small-n", cert)
-    return _sequence_verdict("small-n", c.p, m, start.x, c.k, True, base)
+    return _sequence_verdict("small-n", c.p, m, start.x, c.k, base)
 
 
 def _order_verdict(c: FormCandidate, m: int, base: Point,
@@ -281,7 +283,7 @@ def test_mersenne(k: int) -> Verdict:
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
     p = (1 << k) - 1
-    return _sequence_verdict("mersenne", p, 3, p - 1, k, False)
+    return _sequence_verdict("mersenne", p, 3, p - 1, k)
 
 
 def test_large_n(c: FormCandidate) -> Verdict:
@@ -363,14 +365,14 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     Checks the recorded choices (the base point, whose curve coefficient m
     it derives, the factors of n, the gate behind a prime verdict), then
     recomputes the verdict with the route's own evaluator and compares
-    status, algorithm and certificate.  Every chain step, its start and its
-    final residue, and every multiple are recomputed; the multipliers
-    (n, 2^k, n/q, q) come from the candidate and the checked factors, and
-    no scan, retry, fallback or dispatch runs.  The evaluators are built
-    from the integer and curve layers alone; the independent references
-    for them are the traced walk run_sequence, the oracle and the
-    differential tests.  Inconclusive and not-applicable verdicts carry
-    nothing decidable and are accepted structurally.
+    status, algorithm and certificate.  Every chain step, its start and
+    every multiple are recomputed; the multipliers (n, 2^k, n/q, q) come
+    from the candidate and the checked factors, and no scan, retry,
+    fallback or dispatch runs.  The evaluators are built from the integer
+    and curve layers alone; the independent references for them are the
+    traced walk run_sequence, the oracle and the differential tests.
+    Inconclusive and not-applicable verdicts carry nothing decidable and
+    are accepted structurally.
     """
     try:
         return _replay(c, verdict)

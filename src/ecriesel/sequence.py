@@ -6,13 +6,16 @@ and advances x through the x-only doubling map while S_i stays a unit.
 Over a prime modulus S_i is, up to the constant, the square of the
 y-coordinate of the (i-1)-fold doubling of any lift of x_0, so the chain
 reads off exactly when the doubled point first hits 2-torsion or infinity.
+A unit c changes no S_i's gcd with N and whether S_k vanishes, so it
+never changes the outcome.
 
 chain_outcome decides a run with projective doubling and a deferred gcd
 (ecring.double_x_only_chain), which also names the first non-unit S_i
-with its step and divisor.  run_sequence walks the chain affinely step by
-step and keeps the trace; it is the reference chain_outcome is tested
-against, and no decision or replay path calls it.  SequenceOutcome and
-STrace are immutable named tuples.
+with its step and divisor, and takes c = 1.  run_sequence walks the chain
+affinely step by step and keeps the trace, with the paper's c = 4 by
+default; it is the reference chain_outcome is tested against, and no
+decision or replay path calls it.  SequenceOutcome and STrace are
+immutable named tuples.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ EARLY_INFINITY = "early-infinity"  # some S_i (i < k) vanishes mod N: order too 
 FINAL_NONZERO = "final-nonzero"  # units throughout but S_k is not 0
 
 
-class SequenceOutcome(namedtuple("SequenceOutcome", "kind step divisor residue",
-                                 defaults=(None, None, None))):
-    """A run's kind, with the 1-based step of a gcd hit or early vanish, the
-    proper factor of a GCD_HIT and S_k of a FINAL_NONZERO (None otherwise)."""
+class SequenceOutcome(namedtuple("SequenceOutcome", "kind step divisor", defaults=(None, None))):
+    """A run's kind, with the 1-based step of a gcd hit or early vanish and
+    the proper factor of a GCD_HIT (None otherwise)."""
 
     __slots__ = ()
 
@@ -58,20 +60,13 @@ def _check_chain(modulus: int, k: int) -> None:
         raise ValueError("modulus must be odd and >= 3")
 
 
-def _final_outcome(s: int) -> SequenceOutcome:
-    """Classification by S_k once S_1 .. S_{k-1} were all units."""
-    if s == 0:
-        return SequenceOutcome(FINAL_ZERO)
-    return SequenceOutcome(FINAL_NONZERO, residue=s)
-
-
 def run_sequence(
     modulus: int, m: int, x0: int, k: int, four_factor: bool = True
 ) -> tuple[SequenceOutcome, STrace]:
     """Run k steps of the chain mod modulus and classify the result.
 
     For steps 1..k-1 a proper gcd is GCD_HIT and a vanishing S_i is
-    EARLY_INFINITY; at step k only the residue class of S_k matters.
+    EARLY_INFINITY; at step k only whether S_k is 0 matters.
     """
     _check_chain(modulus, k)
     m %= modulus
@@ -85,7 +80,7 @@ def run_sequence(
         s = c * x * ((x * x - m) % modulus) % modulus
         ss.append(s)
         if i == k:
-            outcome = _final_outcome(s)
+            outcome = SequenceOutcome(FINAL_ZERO if s == 0 else FINAL_NONZERO)
             break
         if s == 0:
             outcome = SequenceOutcome(EARLY_INFINITY, step=i)
@@ -102,15 +97,14 @@ def run_sequence(
     return outcome, trace
 
 
-def chain_outcome(
-    modulus: int, m: int, x0: int, k: int, four_factor: bool = True
-) -> SequenceOutcome:
-    """The outcome of run_sequence(modulus, m, x0, k, four_factor), untraced.
+def chain_outcome(modulus: int, m: int, x0: int, k: int) -> SequenceOutcome:
+    """The outcome of run_sequence(modulus, m, x0, k), untraced.
 
     The k - 1 doublings run projectively with a deferred gcd.  The i-th
     doubling denominator is a unit multiple of S_i, so the first non-unit
     one gives the step and divisor of a GCD_HIT, or EARLY_INFINITY when it
-    vanishes mod the modulus; a unit result leaves only S_k to classify.
+    vanishes mod the modulus; after k - 1 unit steps the run is FINAL_ZERO
+    exactly when x * (x^2 - m), the last x's S_k up to a unit, is 0.
     """
     _check_chain(modulus, k)
     m %= modulus
@@ -119,8 +113,7 @@ def chain_outcome(
         if x.divisor == modulus:
             return SequenceOutcome(EARLY_INFINITY, step=x.step)
         return SequenceOutcome(GCD_HIT, step=x.step, divisor=x.divisor)
-    c = 4 if four_factor else 1
-    return _final_outcome(c * x * ((x * x - m) % modulus) % modulus)
+    return SequenceOutcome(FINAL_ZERO if x * (x * x - m) % modulus == 0 else FINAL_NONZERO)
 
 
 def mersenne_sequence(k: int) -> tuple[SequenceOutcome, STrace]:

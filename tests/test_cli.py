@@ -183,6 +183,20 @@ class TestReplayCommand:
             code, _, _ = run_cli("test", "--replay", str(path))
             assert code == 0, case
 
+    @pytest.mark.parametrize("extra", [
+        ("99",), ("--q", "3"), ("--q1", "3"), ("--json",), ("--timings",),
+    ], ids=" ".join)
+    def test_replay_rejects_what_it_would_ignore(self, monkeypatch, extra):
+        # the candidate comes from the record: a k, n or factor given beside
+        # it, or an output option, is refused rather than silently dropped
+        record = run_cli("test", "7", "3", "--json")[1]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(record))
+        code, out, err = run_cli("test", "--replay", "-", *extra)
+        assert (code, out) == (3, "")
+        assert err == ("test: --replay reads the candidate from its record and takes "
+                       "no k, n, --q, --json or --timings\n")
+        assert sys.stdin.read() == record  # the record was not even read
+
 
 class TestStrictReplayInput:
     """Replay reads each certificate field by name and takes one record."""
@@ -684,9 +698,7 @@ class TestDirectCommandParse:
         ("search", "--k", "7", "--n-max", "15"),
         ("search", "--n-max", "40999", "--k", "31", "--n-min", "40001", "--json",
          "--workers", "2"),
-        ("search", "--k", "5", "--n-max", "9", "--timings"),
         ("verify",),
-        ("verify", "--p-max", "50", "--seed", "3"),
     ]
 
     @staticmethod
@@ -757,6 +769,26 @@ class TestDirectCommandParse:
         assert (code, out) == (3, "") and "Traceback" not in err
         assert err.endswith(f"ecriesel {argv[0]}: error: unrecognized arguments: "
                             f"{' '.join(argv[-2:])}\n")
+
+    UNREAD_SETTINGS = [
+        (("search", "--k", "5", "--n-max", "9", "--timings"),
+         "ecriesel search: error: unrecognized arguments: --timings\n"),
+        (("verify", "--p-max", "50", "--seed", "3"),
+         "ecriesel verify: error: unrecognized arguments: --seed 3\n"),
+        (("test", "--replay", "-", "7", "3"),
+         "test: --replay reads the candidate from its record and takes "
+         "no k, n, --q, --json or --timings\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", UNREAD_SETTINGS,
+                             ids=[" ".join(argv) for argv, _ in UNREAD_SETTINGS])
+    def test_unread_settings_are_refused(self, monkeypatch, argv, message):
+        # search lines never carry a timing, verify samples one fixed stream,
+        # and replay takes its candidate from the record
+        monkeypatch.setattr(sys, "stdin", io.StringIO(run_cli("test", "7", "3", "--json")[1]))
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert err.endswith(message)
 
     def test_positionals_after_an_option(self, monkeypatch):
         expected = run_cli("test", "7", "3", "--json")

@@ -80,7 +80,7 @@ def test_chain_outcome_equals_traced_walk(curve, data, k, four):
     n = curve.modulus
     x0 = data.draw(st.integers(0, 2 * n))
     walked, _ = run_sequence(n, curve.m, x0, k, four_factor=four)
-    assert chain_outcome(n, curve.m, x0, k, four_factor=four) == walked
+    assert chain_outcome(n, curve.m, x0, k) == walked
 
 
 # Chains long enough to pass several of the gcd checkpoints at doublings
@@ -94,7 +94,7 @@ def test_long_chain_outcome_equals_traced_walk(curve, data, k, four):
     n = curve.modulus
     x0 = data.draw(st.integers(0, 2 * n))
     walked, _ = run_sequence(n, curve.m, x0, k, four_factor=four)
-    assert chain_outcome(n, curve.m, x0, k, four_factor=four) == walked
+    assert chain_outcome(n, curve.m, x0, k) == walked
 
 
 @PROFILE

@@ -62,7 +62,7 @@ def check_lines(*argv):
     for (c, verdict, extras), line in zip(decided(args), records, strict=True):
         # the one field that varies from run to run is taken from the line
         elapsed = json.loads(line).get("elapsed_ms")
-        assert (elapsed is not None) == args.timings
+        assert (elapsed is not None) == getattr(args, "timings", False)
         expected.append(dump({**cli.build_record(c, verdict, elapsed), **extras}))
         counts[verdict.status] += 1
     if args.command == "search":

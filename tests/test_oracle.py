@@ -113,7 +113,23 @@ class TestVerifyTheorems:
             verify_theorems(10**6)
 
     def test_sampling_is_deterministic(self):
-        a = verify_theorems(300, full_sweep_below=10, seed=5)
-        b = verify_theorems(300, full_sweep_below=10, seed=5)
+        a = verify_theorems(300)
+        b = verify_theorems(300)
         assert a == b
         assert a["violations"] == []
+
+    def test_report_to_1000(self):
+        # the sample draws random.Random(p) for each prime p >= 200, the
+        # stream the former default seed 0 drew (Random(0 * 1_000_003 + p)),
+        # so the report is that seed's, with no seed key
+        assert verify_theorems(1000) == {
+            "p_max": 1000,
+            "full_sweep_below": 200,
+            "sampled_m_per_prime": 5,
+            "primes_checked": 87,
+            "curves_checked": 2491,
+            "cyclic_curves": 1277,
+            "split_curves": 1214,
+            "nonresidue_points_checked": 129104,
+            "violations": [],
+        }

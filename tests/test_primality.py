@@ -5,9 +5,10 @@ from math import prod
 
 import pytest
 
-from ecriesel import primality
+from ecriesel import numtheory, primality
 from ecriesel.ecring import Curve, FactorFound, Point, scalar_mul
 from ecriesel.numtheory import (
+    ORACLE_BASES,
     PSI_13,
     FormCandidate,
     gate_large_n,
@@ -582,6 +583,22 @@ class TestExactOracleBoundary:
             False, False, False, True, True, False]
         assert is_prime_oracle(10**4 + 7) is True and is_prime_oracle(10**4 + 2) is False
         assert is_prime_oracle(10**12 + 39) is True and is_prime_oracle(10**12 + 41) is False
+
+    def test_oracle_verdict_runs_one_pass(self, monkeypatch):
+        # p = 8 * 401878969 - 1 = 151 * 751 * 28351 is a strong pseudoprime to
+        # bases 2, 3, 5 and 7, so 11 is its least witness: one pass tries five
+        # bases, where a second pass to find the witness would try ten
+        rounds = []
+        monkeypatch.setattr(numtheory, "pow", lambda b, e, n: rounds.append(b) or pow(b, e, n),
+                            raising=False)
+        p = 3215031751
+        assert p == FormCandidate(k=3, n=401878969).p and 10**4 < p < PSI_13
+        assert primality._oracle_verdict(p) == Verdict(
+            COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 11})
+        assert rounds == [2, 3, 5, 7, 11]
+        rounds.clear()
+        assert primality._oracle_verdict(10**12 + 39).status == PRIME
+        assert rounds == list(ORACLE_BASES)
 
     def test_psi_12_factor_builds_no_order_certificate(self):
         # p = 8 * psi_12 - 1 lies below psi_13, so it is decided exactly

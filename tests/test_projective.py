@@ -102,7 +102,7 @@ class TestMersenneSweep:
         for k in range(3, 601):
             n = (1 << k) - 1
             walked, _ = run_sequence(n, 3, n - 1, k, four_factor=False)
-            assert chain_outcome(n, 3, n - 1, k, four_factor=False) == walked, k
+            assert chain_outcome(n, 3, n - 1, k) == walked, k
             kinds.add(walked.kind)
         # composite exponents make the chain name its failing step
         assert {GCD_HIT, FINAL_NONZERO, FINAL_ZERO} <= kinds
@@ -125,7 +125,7 @@ class TestChainFallback:
     def test_gcd_hit_found_by_walk(self):
         # S_1 = 5 * (25 - 3) shares the factor 5 with 35
         assert double_x_only_chain(Curve(35, 3), 5, 3) == ChainFailure(1, 5)
-        out = chain_outcome(35, 3, 5, 4, four_factor=False)
+        out = chain_outcome(35, 3, 5, 4)
         assert out == run_sequence(35, 3, 5, 4, four_factor=False)[0]
         assert out.kind == GCD_HIT and (out.step, out.divisor) == (1, 5)
 
