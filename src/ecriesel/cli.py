@@ -167,7 +167,8 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
 
     Raises ValueError on a record of another schema (a run-record/2 record
     is named as no longer read), a verdict, algorithm or tool_version that
-    is not a string, a certificate key outside CERTIFICATE_FIELDS, an
+    is not a string, a candidate that is not an object with exactly the
+    keys k, n and p, a certificate key outside CERTIFICATE_FIELDS, an
     integer that is not a canonical decimal string, a k above the bit
     length of the record's p, or an iterations count that is not a JSON
     integer >= 1.  A malformed field is named in the message.
@@ -179,6 +180,12 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
         raise ValueError(f"not an {SCHEMA} record")
     _read("tool_version", _parse_text, record["tool_version"])
     cand = record["candidate"]
+    if not isinstance(cand, dict):
+        raise ValueError("candidate: not a JSON object")
+    if cand.keys() != set("knp"):
+        key = min(cand.keys() ^ set("knp"))
+        raise ValueError(f"candidate.{key}: missing" if key not in cand
+                         else f"unknown candidate field {key!r}")
     k, n, p = (_read(f"candidate.{key}", _parse_int, cand[key]) for key in "knp")
     # p = 2^k * n - 1 has at least k bits, so this bounds the cost of forming c.p
     if k > p.bit_length():

@@ -11,16 +11,17 @@ One backend, two coordinate systems.  The affine double, add and
 double_x_only invert each denominator as it arises.  The fast paths,
 double_x_only_chain on (X:Z) (Montgomery 1987) and scalar_mul in Jacobian
 coordinates, multiply all denominators into Z, and Z is a unit iff every
-denominator was; then the result is the affine one exactly.  Both take a
-gcd at checkpoints ever further apart and after the last operation, and on
-a non-unit Z redo the operations since the last unit checkpoint, one gcd
-each: while the earlier Z is a unit, the new one is a unit multiple of this
-operation's denominator, so the first non-unit Z marks the first operation
-the affine walk cannot complete.  The chain names its step and divisor
-(ChainFailure); scalar_mul hands the walk from there to the affine double
-and add, which meet what an affine walk from the start meets.  Deferring
-the gcd moves where it is taken; it hides no failure and no witness.
-Curve (checked when built), Point and ChainFailure are immutable named tuples.
+denominator was; then the result is the affine one exactly.  Both run one
+checkpoint walk (_checkpointed): a gcd after operations 1, 3, 7, 15, ...,
+the second-to-last and the last, and on a non-unit Z a redo of the run one
+gcd per operation.  While the earlier Z is a unit, the new one is a unit
+multiple of this operation's denominator, so the first non-unit Z marks the
+first operation the affine walk cannot complete.  The chain names its step
+and divisor (ChainFailure); scalar_mul hands the walk from there to the
+affine double and add, which meet what an affine walk from the start meets.
+Deferring the gcd hides no failure and no witness.  On N = 2^j - 1, j >= 5,
+the chain's shift-and-fold keeps |X|, |Z| < 2^(j+1).  Curve (checked when
+built), Point and ChainFailure are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -151,14 +152,33 @@ def _jacobian_ops(X: int, Y: int, Z: int, ops: str, n: int, m: int,
     return X, Y, Z
 
 
+def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, int]:
+    """(state, done, g): step(state, i, j) applies operations i .. j - 1 to a state ending in Z.
+
+    A run whose Z is not a unit is redone one operation at a time; then state
+    is the last unit one, done its operation count and g the failing gcd (else 1).
+    """
+    done, run = 0, 1
+    while done < count:
+        end = count if done == count - 1 else min(done + run, count - 1)
+        new = step(state, done, end)
+        if gcd(new[-1], n) != 1:
+            for i in range(done, end):
+                new = step(state, i, i + 1)
+                g = gcd(new[-1], n)
+                if g != 1:
+                    return state, i, g
+                state = new
+        state, done = new, end
+        run *= 2
+    return state, done, 1
+
+
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     """s*P by left-to-right double-and-add (deterministic operation order).
 
-    Jacobian coordinates (x = X/Z^2, y = Y/Z^3) with checkpoints after
-    operations 1, 3, 7, 15, ..., the second-to-last and the last (so a last
-    operation reaching infinity costs no redo); the affine double and add
-    take over at the first failing one, a partial multiple at infinity
-    included, and return or raise what the affine walk from the start would.
+    Jacobian coordinates (x = X/Z^2, y = Y/Z^3) under the checkpoint walk,
+    then the affine double and add from the first failing operation on.
     """
     if s < 0:
         raise ValueError("scalar must be nonnegative")
@@ -170,21 +190,9 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
         return point
     n, m = curve.modulus, curve.m
     px, py = point.x % n, point.y % n
-    X, Y, Z = px, py, 1
-    done, run, last = 0, 1, len(ops) - 1
-    while done <= last:
-        end = last + 1 if done == last else min(done + run, last)
-        X2, Y2, Z2 = _jacobian_ops(X, Y, Z, ops[done:end], n, m, px, py)
-        if gcd(Z2, n) != 1:
-            # redo the segment one operation at a time, up to the failing one
-            for op in ops[done:end]:
-                X2, Y2, Z2 = _jacobian_ops(X, Y, Z, op, n, m, px, py)
-                if gcd(Z2, n) != 1:
-                    break
-                X, Y, Z, done = X2, Y2, Z2, done + 1
-            break
-        X, Y, Z, done = X2, Y2, Z2, end
-        run *= 2
+    (X, Y, Z), done, _ = _checkpointed(
+        lambda state, i, j: _jacobian_ops(*state, ops[i:j], n, m, px, py),
+        (px, py, 1), len(ops), n)
     inv = pow(Z, -1, n)
     inv2 = inv * inv % n
     acc = Point(X * inv2 % n, Y * inv2 % n * inv % n)
@@ -206,19 +214,19 @@ class ChainFailure(namedtuple("ChainFailure", "step divisor")):
 def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) -> tuple[int, int]:
     """(X:Z) doubled `times` times: X' = (X^2 + m Z^2)^2, Z' = 4 X Z (X^2 - m Z^2).
 
-    With fold, n = 2^j - 1 and every product is reduced by shift-and-fold,
-    since 2^j = 1 there; otherwise by division.
+    With fold, n = 2^j - 1 with j >= 5 and 1 <= m < n, and every product is
+    reduced by shift-and-fold, since 2^j = 1 there; otherwise by division.
     """
     if fold:
         j = n.bit_length()
-        # X, Z in [0, n).  A fold t -> (t & n) + (t >> j) keeps t mod n,
-        # and two take any t below 2^(2j+i) to at most n + 2^i.  So xx and
-        # zz (from X^2, Z^2 < 2^(2j)) are at most n + 1, and u (from
-        # 2XZ = (X + Z)^2 - X^2 - Z^2 < 2^(2j+1)) at most n + 2.  Then
-        # m * zz < n(n + 2), 2u(xx - mzz, plus n if negative) <= 2(n + 2)(n + 1)
-        # and (xx + mzz)^2 <= 4n^2 are below 2^(2j+2): each folds to at most
-        # n + 4 < 2n (n >= 7), and one conditional subtraction puts it in
-        # [0, n).
+        # f(t) = (t & n) + (t >> j) keeps t mod n for t of either sign.  If
+        # |t| < 8 * 4^j, t >> j is in [-8 * 2^j, 8 * 2^j), so f(t) >> j is in
+        # [-8, 8] and f(f(t)) in [-8, n + 8], in [0, n + 8] if t >= 0.  From
+        # |X|, |Z| < 2^(j+1): X^2, Z^2 and 2XZ = (X + Z)^2 - X^2 - Z^2 are
+        # below 8 * 4^j, so xx, zz and mzz (m * zz < n(n + 8)) lie in
+        # [0, n + 8] and u in [-8, n + 8]; then |2u(xx - mzz)| <= 2(n + 8)^2
+        # and (xx + mzz)^2 <= (2n + 16)^2 are below 8 * 4^j for j >= 5, so
+        # Z is in [-8, n + 8] and X in [0, n + 8], below 2^(j+1) again.
         for _ in range(times):
             x2 = X * X
             z2 = Z * Z
@@ -231,18 +239,14 @@ def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) ->
             t = (z2 & n) + (z2 >> j)
             t = m * ((t & n) + (t >> j))
             t = (t & n) + (t >> j)
+            mzz = (t & n) + (t >> j)
+            t = 2 * u * (xx - mzz)
             t = (t & n) + (t >> j)
-            mzz = t - n if t >= n else t
-            d = xx - mzz
-            t = 2 * u * (d + n if d < 0 else d)
-            t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            Z = t - n if t >= n else t
+            Z = (t & n) + (t >> j)
             t = xx + mzz
             t = t * t
             t = (t & n) + (t >> j)
-            t = (t & n) + (t >> j)
-            X = t - n if t >= n else t
+            X = (t & n) + (t >> j)
     else:
         for _ in range(times):
             xx = X * X % n
@@ -256,29 +260,17 @@ def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) ->
 def double_x_only_chain(curve: Curve, x: int, times: int) -> int | ChainFailure:
     """x-coordinate of 2^times * P from that of P, with one inversion.
 
-    Checkpoints after doublings 1, 2, 4, 8, ... and the last one find a
-    failed chain within twice its failing step, for about log2(times) gcds,
-    and name the step and divisor that double_x_only would meet.  A modulus
-    2^j - 1 with j >= 3 is reduced by shift-and-fold, any other by division.
+    (X:Z) under the checkpoint walk, about log2(times) gcds; a failed chain
+    names the step and divisor that double_x_only would meet.  A modulus
+    2^j - 1 with j >= 5 is reduced by shift-and-fold, which keeps |X| and
+    |Z| below 2^(j+1), any other by division.
     """
-    n = curve.modulus
-    m = curve.m % n
-    fold = n & (n + 1) == 0 and n.bit_length() >= 3
-    X, Z = x % n, 1
-    done, checkpoint = 0, 1
-    while done < times:
-        run = min(checkpoint, times) - done
-        X2, Z2 = _x_only_doublings(X, Z, run, n, m, fold)
-        if gcd(Z2, n) != 1:
-            for step in range(done + 1, done + run + 1):
-                X, Z = _x_only_doublings(X, Z, 1, n, m, fold)
-                g = gcd(Z, n)
-                if g != 1:
-                    return ChainFailure(step, g)
-        X, Z = X2, Z2
-        done += run
-        checkpoint *= 2
-    return X * pow(Z, -1, n) % n
+    n, m = curve.modulus, curve.m % curve.modulus
+    fold = n & (n + 1) == 0 and n.bit_length() >= 5
+    (X, Z), done, g = _checkpointed(
+        lambda state, i, j: _x_only_doublings(*state, j - i, n, m, fold),
+        (x % n, 1), times, n)
+    return ChainFailure(done + 1, g) if g != 1 else X * pow(Z, -1, n) % n
 
 
 def double_x_only(curve: Curve, x: int) -> int | None:

@@ -2,9 +2,10 @@
 
 Deciding and replay take a failing step from double_x_only_chain alone:
 no affine re-walk (run_sequence, double_x_only) runs behind them.  The
-fixed cases put the failure at doubling 1, at a gcd checkpoint (2, 4, 8,
-16), just after one (3, 5, 9, 17) and at the last doubling, on moduli
-2^j - 1 (shift-and-fold) and on other moduli (division).
+fixed cases put the failure at doubling 1, at a gcd checkpoint (3, 7,
+15), just after one (2, 4, 8, 16), inside a run (5, 9, 17), and at the
+second-to-last and the last doubling, on moduli 2^j - 1 (shift-and-fold)
+and on other moduli (division).
 """
 
 from math import prod
@@ -17,6 +18,7 @@ from ecriesel.ecring import (
     Curve,
     FactorFound,
     Point,
+    _x_only_doublings,
     double_x_only,
     double_x_only_chain,
     scalar_mul,
@@ -38,7 +40,7 @@ MODULI = {
     "division-gcd": (P18[0] * 1000003, P18[0], (1000003,)),
 }
 
-STEPS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+STEPS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17)
 
 
 def affine_first_failure(curve, x, times):
@@ -100,10 +102,35 @@ def test_chain_names_the_failing_step(name):
     n = MODULI[name][0]
     assert (n & (n + 1) == 0) == name.startswith("fold")
     for step in STEPS:
-        for times in (step, 2 * step + 3):  # last doubling, then mid-chain
+        # the last doubling, the second-to-last, then mid-chain
+        for times in (step, step + 1, 2 * step + 3):
             curve, x, want = failing_case(name, step, times)
             assert double_x_only_chain(curve, x, times) == want, (step, times)
             assert affine_first_failure(curve, x, times) == want, (step, times)
+
+
+@pytest.mark.parametrize("name, prime", [("fold-infinity", (1 << 61) - 1),
+                                         ("division-infinity", 1000003)])
+def test_checkpoint_runs(monkeypatch, name, prime):
+    # runs end after doublings 1, 3, 7, 15, the second-to-last and the last,
+    # and only a failing run is redone, one doubling at a time
+    runs = []
+
+    def spy(X, Z, times, *rest):
+        runs.append(times)
+        return _x_only_doublings(X, Z, times, *rest)
+
+    monkeypatch.setattr(ecring, "_x_only_doublings", spy)
+    curve = Curve(prime, 3)
+    assert double_x_only_chain(curve, 5, 20) == affine_first_failure(curve, 5, 20) > 0
+    assert runs == [1, 2, 4, 8, 4, 1]
+    # fail at the last of 17 doublings (a one-doubling run, redone), then at
+    # the second-to-last of 18 (a two-doubling run, redone one at a time)
+    for times, tail in ((17, [1, 1, 1]), (18, [2, 1, 1])):
+        curve, x, want = failing_case(name, 17, times)
+        runs.clear()
+        assert double_x_only_chain(curve, x, times) == want
+        assert runs == [1, 2, 4, 8, *tail]
 
 
 class TestNoAffineFallback:

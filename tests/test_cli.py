@@ -369,6 +369,19 @@ class TestStrictReplayInput:
         assert (code, out) == (3, "")
         assert err.startswith(f"replay: malformed record: {field}: ") and err.endswith(": 5\n")
 
+    @pytest.mark.parametrize("forge, message", [
+        (lambda c: "7", "candidate: not a JSON object"),
+        (lambda c: [c["k"], c["n"], c["p"]], "candidate: not a JSON object"),
+        (lambda c: {"k": c["k"], "n": c["n"]}, "candidate.p: missing"),
+        (lambda c: {"n": c["n"], "p": c["p"]}, "candidate.k: missing"),
+        (lambda c: {**c, "x": "1"}, "unknown candidate field 'x'"),
+    ], ids=["string", "list", "no-p", "no-k", "extra-x"])
+    def test_malformed_candidate_is_named(self, tmp_path, forge, message):
+        rec = self.record("7", "3")
+        rec["candidate"] = forge(rec["candidate"])
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", f"replay: malformed record: {message}\n")
+
     # p = 4 * 3^27 - 1 = 157 * 194282738471, whose least witness base is 2
     @pytest.mark.parametrize("forge", [
         lambda r: r["certificate"].update(witness="3"),

@@ -84,7 +84,7 @@ def test_chain_outcome_equals_traced_walk(curve, data, k, four):
 
 
 # Chains long enough to pass several of the gcd checkpoints at doublings
-# 1, 2, 4, 8, ... and to fail between any two of them.
+# 1, 3, 7, 15, ... and to fail between any two of them.
 long_chains = st.integers(41, 400)
 
 

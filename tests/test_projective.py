@@ -44,6 +44,9 @@ from ecriesel.sequence import (
     run_sequence,
 )
 
+# the least j for which the bound proved in _x_only_doublings holds
+FOLD_MIN_BITS = 5
+
 
 def affine_multiple(curve, s, pt):
     """Left-to-right affine double-and-add, the reference for scalar_mul."""
@@ -149,19 +152,45 @@ class TestChainFallback:
             for m in (1, 3, n - 1):
                 for x0 in (n - 1, n - 2, 2):
                     assert chain_outcome(n, m, x0, 9) == run_sequence(n, m, x0, 9)[0]
-                # the fold leaves 2XZ = (X + Z)^2 - X^2 - Z^2, Z^2 and their
-                # products with m and X^2 - m Z^2 partly reduced; X, Z near N
-                # put each at its bound, and the result must be in [0, N)
-                for xz in ((n - 1, n - 1), (n - 1, n - 2), (n - 2, n - 1), (1, n - 1), (n - 1, 0)):
-                    assert (_x_only_doublings(*xz, 3, n, m, True)
-                            == _x_only_doublings(*xz, 3, n, m, False)), (j, m, xz)
-        # every (X, Z, m) for the smallest moduli, where the slack is least
-        for n in (7, 15, 31):
-            for m in range(1, n):
-                for X in range(n):
-                    for Z in range(n):
-                        assert (_x_only_doublings(X, Z, 1, n, m, True)
-                                == _x_only_doublings(X, Z, 1, n, m, False)), (n, m, X, Z)
+
+        # the fold leaves X and Z partly reduced, not equal to the division's
+        # X and Z: congruent to them mod N, X in [0, N + 8] and Z in
+        # [-8, N + 8], from any |X|, |Z| < 2^(j+1) once j >= FOLD_MIN_BITS
+        def step_both(fold_xz, div_xz, n, m):
+            fold_xz = _x_only_doublings(*fold_xz, 1, n, m, True)
+            div_xz = _x_only_doublings(*div_xz, 1, n, m, False)
+            X, Z = fold_xz
+            assert (X - div_xz[0]) % n == 0 and (Z - div_xz[1]) % n == 0
+            assert 0 <= X <= n + 8 and -8 <= Z <= n + 8
+            return fold_xz, div_xz
+
+        for j in range(FOLD_MIN_BITS, 128):
+            n, edge = (1 << j) - 1, (1 << (j + 1)) - 1
+            for m in (1, 3, n - 1):
+                for xz in ((edge, -edge), (edge, edge), (-edge, edge), (n - 1, n - 1)):
+                    fold_xz = div_xz = xz
+                    for _ in range(4):
+                        fold_xz, div_xz = step_both(fold_xz, div_xz, n, m)
+        # every (X, Z, m) with |X|, |Z| < 2^(j+1) at the smallest fold modulus
+        j = FOLD_MIN_BITS
+        n, edge = (1 << j) - 1, 1 << (j + 1)
+        for m in range(1, n):
+            for X in range(1 - edge, edge):
+                for Z in range(1 - edge, edge):
+                    step_both((X, Z), (X, Z), n, m)
+
+    def test_fold_starts_at_its_proved_modulus(self, monkeypatch):
+        # 2^j - 1 below 2^FOLD_MIN_BITS is reduced by division
+        seen = set()
+
+        def spy(X, Z, times, n, m, fold):
+            seen.add((n.bit_length(), fold))
+            return _x_only_doublings(X, Z, times, n, m, fold)
+
+        monkeypatch.setattr(ecring, "_x_only_doublings", spy)
+        for j in range(2, FOLD_MIN_BITS + 2):
+            double_x_only_chain(Curve((1 << j) - 1, 1), 2, 1)
+        assert seen == {(j, j >= FOLD_MIN_BITS) for j in range(2, FOLD_MIN_BITS + 2)}
 
     def test_replay_recomputes_fallback_outcomes(self):
         # gcd-hit (k = 4: M_4 = 15) and final-nonzero (k = 11) records
