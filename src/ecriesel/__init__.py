@@ -66,9 +66,7 @@ from .primality import (
     curve_coefficient,
     factor_witness,
     replay_verdict,
-    test_large_n,
     test_mersenne,
-    test_small_n,
 )
 from .sequence import (
     EARLY_INFINITY,

@@ -166,18 +166,21 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
     Raises ValueError on a record of another schema (a run-record/2 record
-    is named as no longer read), a verdict, algorithm or tool_version that
-    is not a string, a candidate that is not an object with exactly the
-    keys k, n and p, a certificate key outside CERTIFICATE_FIELDS, an
-    integer that is not a canonical decimal string, a k above the bit
-    length of the record's p, or an iterations count that is not a JSON
-    integer >= 1.  A malformed field is named in the message.
+    is named as no longer read), a missing top-level key, a verdict,
+    algorithm or tool_version that is not a string, a candidate that is not
+    an object with exactly the keys k, n and p, a certificate key outside
+    CERTIFICATE_FIELDS, an integer that is not a canonical decimal string, a
+    k above the bit length of the record's p, or an iterations count that
+    is not a JSON integer >= 1.  A malformed field is named in the message.
     """
     schema = record.get("schema") if isinstance(record, dict) else None
     if schema == "ecriesel.run-record/2":
         raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
     if schema != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")
+    for key in ("tool_version", "candidate", "certificate", "iterations", "verdict", "algorithm"):
+        if key not in record:
+            raise ValueError(f"{key}: missing")
     _read("tool_version", _parse_text, record["tool_version"])
     cand = record["candidate"]
     if not isinstance(cand, dict):

@@ -130,8 +130,12 @@ def gate_small_n(c: FormCandidate) -> bool:
     Integer form of the feasibility condition n * (p^(1/4) + 1)^2 < p.
     Conservative: p = 3 (mod 4) is never a fourth power, so
     p^(1/4) + 1 < iroot4(p) + 2 strictly, and passing the integer check
-    implies the exact one.  A conservative failure falls back to the
-    small-input oracle.
+    implies the exact one.  A conservative failure leaves c to the other
+    routes.
+
+    Never holds with gate_large_n: for r = iroot4(p) + 2 > p^(1/4), both
+    would give (p + 1) * r^4 = (n * r^2) * (2^k * r^2) <= p^2, so r^4 < p,
+    yet r^4 > p.
     """
     p = c.p
     r = iroot4(p) + 2
@@ -139,7 +143,12 @@ def gate_small_n(c: FormCandidate) -> bool:
 
 
 def gate_large_n(c: FormCandidate) -> bool:
-    """Same idea as gate_small_n for the large-n tests: 2^k (p^(1/4)+1)^2 < p."""
+    """Same idea as gate_small_n for the large-n tests: 2^k (p^(1/4)+1)^2 < p.
+
+    Never holds with gate_small_n: for r = iroot4(p) + 2 > p^(1/4), both
+    would give (p + 1) * r^4 = (n * r^2) * (2^k * r^2) <= p^2, so r^4 < p,
+    yet r^4 > p.
+    """
     p = c.p
     r = iroot4(p) + 2
     return (r * r << c.k) <= p

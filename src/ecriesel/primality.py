@@ -1,20 +1,22 @@
 """Decision procedures for p = 2^k * n - 1 and their replayable certificates.
 
-Three routes, chosen by the shape of n and the applicability gates:
+auto_test, the one decide entry, takes the first route that applies:
 
   * mersenne   n = 1, k >= 3: fixed curve and start, pure sequence run;
-  * small-n    n small enough for gate_small_n: construct a curve and
-               point, multiply by n, then run the k-step sequence;
-  * large-n    n with a known prime factorization and gate_large_n:
-               2^k * Q has order exactly n.
+  * small-n    gate_small_n: construct a curve and point, multiply by n,
+               then run the k-step sequence;
+  * large-n    gate_large_n, every factor of n prime: 2^k * Q has order
+               exactly n (Goldwasser-Kilian).
 
-Each route is a search, which only deciding runs, and an evaluator on a
-given curve and point (_sequence_verdict, _small_n_verdict,
-_order_verdict).  Both curve routes share one search, _curve_route: it
-tries the (m, Q) pairs of one scan until the route's evaluator decides,
-maps a divisor met on the way to a factor verdict and gives up as
-retries-exhausted when the scan runs dry.  The scan is one fixed
-procedure, so a run's certificate is reproducible byte for byte.  A
+The two gates never both hold.  With no route, _fallback decides p by the
+exact oracle or the presieve, or reports not-applicable.
+
+Each route is an evaluator on a given curve and point (_sequence_verdict,
+_small_n_verdict, _order_verdict); both curve routes search through one
+_curve_route: it tries the (m, Q) pairs of one scan until the route's
+evaluator decides, maps a divisor met on the way to a factor verdict and
+gives up as retries-exhausted when the scan runs dry.  The scan is one
+fixed procedure, so a run's certificate is reproducible byte for byte.  A
 Prime/Composite verdict's certificate records the choices the search made
 (the base point, from which curve_coefficient gives m) and where the chain
 ended; replay_verdict checks them and recomputes the verdict with the same
@@ -140,27 +142,25 @@ def sieve_verdict(divisor: int) -> Verdict:
     return Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": divisor, "stage": "sieve"})
 
 
-def _fallback(c: FormCandidate, algorithm: str, gate: str, reason: str) -> Verdict:
-    """The verdict when a route cannot decide c: the exact oracle's below
+_DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
+    "type": "gate-failure", "gate": "dispatch",
+    "reason": "no applicable route: gates fail or n needs an unavailable factorization"})
+
+
+def _sieve_divisor(c: FormCandidate) -> int | None:
+    """The least prime factor of p up to 13 that the presieve finds, if any."""
+    return presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
+
+
+def _fallback(c: FormCandidate) -> Verdict:
+    """The verdict when no route applies to c: the exact oracle's below
     PSI_13; above it a sieve verdict when the presieve finds a small prime
-    factor of p, otherwise not-applicable with a gate-failure certificate."""
+    factor of p, otherwise not-applicable at dispatch."""
     verdict = _oracle_verdict(c.p)
     if verdict is not None:
         return verdict
-    divisor = presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
-    if divisor is not None:
-        return sieve_verdict(divisor)
-    return _gate_failure(algorithm, gate, reason)
-
-
-def _gate_failure(algorithm: str, gate: str, reason: str) -> Verdict:
-    return Verdict(NOT_APPLICABLE, algorithm, {"type": "gate-failure", "gate": gate,
-                                               "reason": reason})
-
-
-def _factor_verdict(algorithm: str, exc: FactorFound, stage: str, iterations: int = 1) -> Verdict:
-    cert = {"type": "factor", "divisor": exc.divisor, "stage": stage}
-    return Verdict(COMPOSITE, algorithm, cert, iterations=iterations)
+    divisor = _sieve_divisor(c)
+    return _DISPATCH if divisor is None else sieve_verdict(divisor)
 
 
 def _sequence_certificate(outcome: SequenceOutcome, base_point: Point | None = None) -> dict:
@@ -254,23 +254,10 @@ def _curve_route(c: FormCandidate, algorithm: str, evaluate) -> Verdict:
                 return verdict if attempts == 1 else verdict._replace(iterations=attempts)
     except FactorFound as exc:
         stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
-        return _factor_verdict(algorithm, exc, stage, iterations=max(attempts, 1))
+        cert = {"type": "factor", "divisor": exc.divisor, "stage": stage}
+        return Verdict(COMPOSITE, algorithm, cert, iterations=max(attempts, 1))
     cert = {"type": "retries-exhausted", "attempts": attempts}
     return Verdict(INCONCLUSIVE, algorithm, cert, iterations=max(attempts, 1))
-
-
-def test_small_n(c: FormCandidate) -> Verdict:
-    """Small-n route: prime iff the k-step sequence from n*Q' ends in zero.
-
-    Composite exits: a divisor surfaces anywhere (witnessed), n*Q' is
-    already infinity, the sequence vanishes early, or the final value is
-    nonzero.  The gate makes the prime conclusion unconditional.  A scan
-    that finds no (m, Q) pair gives up as inconclusive.
-    """
-    if not gate_small_n(c):
-        return _fallback(c, "small-n", "small-n",
-                         "small-n applicability gate fails and p exceeds the oracle bound")
-    return _curve_route(c, "small-n", _small_n_verdict)
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -286,54 +273,22 @@ def test_mersenne(k: int) -> Verdict:
     return _sequence_verdict("mersenne", p, 3, p - 1, k)
 
 
-def test_large_n(c: FormCandidate) -> Verdict:
-    """Order route for n = q_1 * ... * q_r with every q_i prime.
-
-    The factors are c.n_factors, or n itself when none are supplied.  With
-    D = 2^k * Q, p is prime iff n * D = infinity while (n/q) * D is finite
-    for each distinct q: D then has order exactly n modulo every prime
-    divisor of p, and the gate puts n above the Hasse bound of any divisor
-    below sqrt(p) (Goldwasser-Kilian).  An infinite (n/q) * D (for one
-    factor, D itself) decides nothing, so the scan moves to the next y;
-    after RETRY_CAP such misses the test gives up as inconclusive rather
-    than looping forever.  The paper's large-prime-n and two-prime-n tests
-    are the one- and two-factor cases.  A factor that is not prime falls
-    back as a failing gate does.
-    """
-    if not gate_large_n(c):
-        return _fallback(c, "large-n", "large-n",
-                         "large-n applicability gate fails and p exceeds the oracle bound")
-    factors = c.n_factors or (c.n,)
-    for q in factors:
-        if not _probable_prime(q):
-            return _fallback(c, "large-n", "large-n",
-                             f"factor {q} of n is not prime and p exceeds the oracle bound")
-    return _curve_route(c, "large-n", partial(_order_verdict, factors=factors))
-
-
-_DISPATCH_REASON = "no applicable route: gates fail or n needs an unavailable factorization"
-
-
 def auto_test(c: FormCandidate) -> Verdict:
-    """Route a candidate to the one applicable test.
+    """Decide c by the first route that applies (see the module docstring).
 
-    n = 1 goes to the Mersenne path; a passing small-n gate wins next;
-    otherwise any n > 1 goes to the large-n path, which decides prime n or
-    n supplied with its prime factorization.  With no route left, p below
-    PSI_13 is settled by the exact oracle, p above it with a prime factor
-    up to 13 by the presieve, and anything else is not applicable.
+    Large-n takes c.n_factors, or n itself, as n's factorization; the
+    paper's large-prime-n and two-prime-n tests are its one- and two-factor
+    cases.  A curve route that finds no deciding pair gives up as
+    inconclusive.  With no route, _fallback decides or reports not-applicable.
     """
     if c.n == 1 and c.k >= 3:
         return test_mersenne(c.k)
     if gate_small_n(c):
-        return test_small_n(c)
-    if c.n > 1:
-        verdict = test_large_n(c)
-        if verdict.status != NOT_APPLICABLE:
-            return verdict
-        # the large-n route's own fallback already ran the oracle and the presieve
-        return _gate_failure("auto", "dispatch", _DISPATCH_REASON)
-    return _fallback(c, "auto", "dispatch", _DISPATCH_REASON)
+        return _curve_route(c, "small-n", _small_n_verdict)
+    factors = c.n_factors or (c.n,)
+    if gate_large_n(c) and all(_probable_prime(q) for q in factors):
+        return _curve_route(c, "large-n", partial(_order_verdict, factors=factors))
+    return _fallback(c)
 
 
 # --- certificate replay ----------------------------------------------------
@@ -371,8 +326,12 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     fallback or dispatch runs.  The evaluators are built from the integer
     and curve layers alone; the independent references for them are the
     traced walk run_sequence, the oracle and the differential tests.
-    Inconclusive and not-applicable verdicts carry nothing decidable and
-    are accepted structurally.
+    An undecided verdict is checked against what auto_test can give up
+    with, by cheap tests alone (no Miller-Rabin, scan or fallback):
+    not-applicable is _fallback's dispatch verdict, for p >= PSI_13 with
+    gate_small_n failing and no prime factor up to 13; inconclusive is a
+    curve route's retries-exhausted, with that route's gate holding and at
+    most RETRY_CAP pairs tried.
     """
     try:
         return _replay(c, verdict)
@@ -386,8 +345,17 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
     algorithm = verdict.algorithm
     p = c.p
 
-    if status in (INCONCLUSIVE, NOT_APPLICABLE):
-        return cert.get("type") in ("gate-failure", "retries-exhausted")
+    if status == NOT_APPLICABLE:
+        # at p >= PSI_13, n = 1 passes gate_small_n: a Mersenne candidate fails here
+        return (verdict == _DISPATCH and p >= PSI_13 and not gate_small_n(c)
+                and _sieve_divisor(c) is None)
+    curve_route = algorithm in ("small-n", "large-n")
+    gate = gate_small_n if algorithm == "small-n" else gate_large_n
+    if status == INCONCLUSIVE:
+        attempts = cert.get("attempts")
+        return (curve_route and cert == {"type": "retries-exhausted", "attempts": attempts}
+                and 0 <= attempts <= RETRY_CAP and verdict.iterations == max(attempts, 1)
+                and gate(c))
     if status not in (PRIME, COMPOSITE):
         return False
 
@@ -407,20 +375,16 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
         if c.n != 1 or c.k < 3:
             return False
         expected = test_mersenne(c.k)
-    elif algorithm in ("small-n", "large-n"):
+    elif curve_route:
         base = Point(*cert["base_point"])
         m = _replay_curve(p, base)
-        if m is None:
+        if m is None or (status == PRIME and not gate(c)):
             return False
         if algorithm == "small-n":
-            if status == PRIME and not gate_small_n(c):
-                return False
             expected = _small_n_verdict(c, m, base)
         else:
             factors = cert["factors"]
             if prod(factors) != c.n or not all(_probable_prime(q) for q in factors):
-                return False
-            if status == PRIME and not gate_large_n(c):
                 return False
             expected = _order_verdict(c, m, base, factors)
     else:

@@ -135,8 +135,8 @@ def section6_stats():
     prime_c = ec.FormCandidate(k=2, n=2633)
     composite_c = ec.FormCandidate(k=2, n=2503)
     assert ec.gate_large_n(prime_c) and ec.gate_large_n(composite_c)
-    stats["prime_verdict"] = ec.test_large_n(prime_c)
-    stats["composite_verdict"] = ec.test_large_n(composite_c)
+    stats["prime_verdict"] = ec.auto_test(prime_c)
+    stats["composite_verdict"] = ec.auto_test(composite_c)
     for c, v in ((prime_c, stats["prime_verdict"]), (composite_c, stats["composite_verdict"])):
         stats["decided"] += 1
         _check_decided(c, v, stats)

@@ -20,6 +20,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # n = 3^53: p = 4n - 1 lies above psi_13, where the exact oracle stops, and
 # n is composite, so no route and no oracle decides it
 UNDECIDED_N = str(3**53)
+DISPATCH_CERTIFICATE = {"gate": "dispatch", "type": "gate-failure", "reason": (
+    "no applicable route: gates fail or n needs an unavailable factorization")}
 
 
 def run_cli(*argv):
@@ -382,6 +384,34 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", f"replay: malformed record: {message}\n")
 
+    @pytest.mark.parametrize("key", ["tool_version", "candidate", "certificate", "iterations",
+                                     "verdict", "algorithm"])
+    def test_missing_field_is_named(self, tmp_path, key):
+        rec = self.record("7", "3")
+        del rec[key]
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", f"replay: malformed record: {key}: missing\n")
+
+    # p = 383 is prime, so no route gives up on it and nothing sends it to
+    # the fallback: each undecided record replays INVALID
+    @pytest.mark.parametrize("verdict, algorithm, certificate, iterations", [
+        ("not-applicable", "mersenne",
+         {"type": "gate-failure", "gate": "made-up", "reason": "anything"}, 1),
+        ("inconclusive", "sieve", {"type": "gate-failure", "gate": "dispatch",
+                                   "reason": "anything"}, 1),
+        ("not-applicable", "auto", {"type": "retries-exhausted"}, 1),
+        ("inconclusive", "small-n", {"type": "retries-exhausted", "attempts": "999"}, 999),
+        ("not-applicable", "auto", DISPATCH_CERTIFICATE, 1),
+    ], ids=["mersenne-gate-failure", "sieve-inconclusive", "auto-retries-exhausted",
+            "999-attempts", "dispatch-below-psi13"])
+    def test_forged_undecided_record(self, tmp_path, verdict, algorithm, certificate,
+                                     iterations):
+        rec = self.record("7", "3")
+        rec.update(verdict=verdict, algorithm=algorithm, certificate=certificate,
+                   iterations=iterations)
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert (code, err) == (1, "") and out.startswith("replay: INVALID")
+
     # p = 4 * 3^27 - 1 = 157 * 194282738471, whose least witness base is 2
     @pytest.mark.parametrize("forge", [
         lambda r: r["certificate"].update(witness="3"),
@@ -429,8 +459,7 @@ class TestStrictReplayInput:
         def boom(*args, **kwargs):
             raise AssertionError("replay ran the search")
 
-        for name in ("_curve_point_candidates", "_fallback", "auto_test", "test_small_n",
-                     "test_large_n"):
+        for name in ("_curve_point_candidates", "_curve_route", "_fallback", "auto_test"):
             monkeypatch.setattr(primality, name, boom)
         replayed = 0
         for line in record_lines():

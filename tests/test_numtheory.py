@@ -159,6 +159,31 @@ class TestGates:
                 if gate_large_n(c):
                     assert (1 << k) * (r + 2) ** 2 <= c.p
 
+    def test_gates_never_both_hold(self):
+        # both gates would give (p + 1) * r^4 <= p^2 for r = iroot4(p) + 2,
+        # so r^4 < p, yet r^4 > p; n near 2^k is where both come closest
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        seen = set()
+
+        @st.composite
+        def candidates(draw):
+            k = draw(st.integers(2, 400))
+            half = 1 << (k // 2 + 3)
+            n = draw(st.one_of(st.integers(0, 2**20).map(lambda h: 2 * h + 1),
+                               st.integers(-half, half).map(lambda d: (1 << k) + 2 * d + 1)))
+            return FormCandidate(k=k, n=max(n, 1))
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+        @hypothesis.given(candidates())
+        def check(c):
+            small, large = gate_small_n(c), gate_large_n(c)
+            assert not (small and large), c
+            seen.add((small, large))
+
+        check()
+        assert seen == {(True, False), (False, True), (False, False)}
+
 
 class TestReduceSpecial:
     def test_edge_values(self):

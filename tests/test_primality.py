@@ -12,6 +12,7 @@ from ecriesel.numtheory import (
     PSI_13,
     FormCandidate,
     gate_large_n,
+    gate_small_n,
     is_prime_oracle,
     jacobi,
     lucas_lehmer,
@@ -32,10 +33,8 @@ from ecriesel.primality import (
     replay_verdict,
 )
 
-# aliased so pytest does not collect the library's test_* entry points
-from ecriesel.primality import test_large_n as large_n_test
+# aliased so pytest does not collect the library's test_* entry point
 from ecriesel.primality import test_mersenne as mersenne_test
-from ecriesel.primality import test_small_n as small_n_test
 
 # two-prime fixtures: smallest gate-passing instances of p = 4*q1*q2 - 1,
 # and the smallest at or above 10^6, all selected by trial division
@@ -48,6 +47,9 @@ THREE_PRIME_PRIME = FormCandidate(k=3, n=3 * 23 * 199, n_factors=(3, 23, 199))  
 THREE_PRIME_COMPOSITE = FormCandidate(k=3, n=3 * 29 * 157, n_factors=(3, 29, 157))  # p = 109271
 # n = 3^53 is composite and p = 4n - 1 lies above psi_13: nothing decides it
 UNDECIDED = FormCandidate(k=2, n=3**53)
+DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
+    "type": "gate-failure", "gate": "dispatch",
+    "reason": "no applicable route: gates fail or n needs an unavailable factorization"})
 # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the first 12
 # primes (Sorenson-Webster 2017); psi_13 passes it on the first 13
 PSI_12 = 318665857834031151167461
@@ -84,7 +86,7 @@ class TestConstructCurvePoint:
 class TestSmallN:
     def test_prime_383(self):
         c = FormCandidate(k=7, n=3)
-        v = small_n_test(c)
+        v = auto_test(c)
         assert v.status == PRIME
         assert v.algorithm == "small-n"
         assert v.certificate["type"] == "sequence"
@@ -92,7 +94,7 @@ class TestSmallN:
 
     def test_composite_1791(self):
         c = FormCandidate(k=8, n=7)  # 1791 = 3^2 * 199
-        v = small_n_test(c)
+        v = auto_test(c)
         assert v.status == COMPOSITE
         w = factor_witness(v)
         assert w is not None and 1 < w < c.p and c.p % w == 0
@@ -100,31 +102,19 @@ class TestSmallN:
 
     def test_gate_failure_falls_back_to_oracle(self):
         c = FormCandidate(k=3, n=5)  # p = 39 fails the gate
-        v = small_n_test(c)
+        v = auto_test(c)
         assert v.status == COMPOSITE
         assert v.algorithm == "trial-division"
         assert v.certificate["least_factor"] == 3
 
-    def test_gate_failure_above_bound_is_not_applicable(self):
-        assert UNDECIDED.p >= PSI_13
-        v = small_n_test(UNDECIDED)
-        assert (v.status, v.algorithm) == (NOT_APPLICABLE, "small-n")
-        assert v.certificate["type"] == "gate-failure"
-        # below psi_13 the gate failure is settled by Miller-Rabin
-        c = FormCandidate(k=2, n=10395)  # p = 41579, prime
-        v = small_n_test(c)
-        assert v == Verdict(PRIME, "miller-rabin", {"type": "oracle"})
-        assert replay_verdict(c, v)
-
     def test_agrees_with_oracle_on_gate_passing_range(self):
-        from ecriesel.numtheory import gate_small_n
-
         for k in range(4, 10):
             for n in range(1, 32, 2):
                 c = FormCandidate(k=k, n=n)
                 if not (c.p > 6 and gate_small_n(c)):
                     continue
-                v = small_n_test(c)
+                # the small-n route itself, also on the Mersenne candidates n = 1
+                v = primality._curve_route(c, "small-n", primality._small_n_verdict)
                 truth = PRIME if trial_division(c.p) == c.p else COMPOSITE
                 assert v.status == truth, (k, n, c.p)
                 assert replay_verdict(c, v)
@@ -134,7 +124,7 @@ class TestSmallN:
         c = FormCandidate(k=7, n=3)
         assert jacobi(2, c.p) == 1
         monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
-        v = small_n_test(c)
+        v = auto_test(c)
         assert (v.status, v.algorithm) == (INCONCLUSIVE, "small-n")
         assert v.certificate == {"type": "retries-exhausted", "attempts": 0}
         assert replay_verdict(c, v)
@@ -163,7 +153,7 @@ class TestMersenne:
 class TestLargePrimeN:
     def test_prime_10531(self):
         c = FormCandidate(k=2, n=2633)
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v.status == PRIME
         assert v.algorithm == "large-n"
         assert v.certificate["factors"] == [2633]
@@ -171,26 +161,25 @@ class TestLargePrimeN:
 
     def test_composite_10011(self):
         c = FormCandidate(k=2, n=2503)
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v.status == COMPOSITE
         assert replay_verdict(c, v)
 
     def test_gate_failure_falls_back(self):
         c = FormCandidate(k=2, n=5)  # p = 19
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v.status == PRIME
         assert v.algorithm == "trial-division"
 
     def test_rejects_composite_n(self):
-        v = large_n_test(UNDECIDED)
-        assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
-        assert v.certificate["type"] == "gate-failure"
-        assert v.certificate["gate"] == "large-n"
-        assert f"factor {3**53} " in v.certificate["reason"]
+        # the large-n gate holds, but n = 3^53 is no prime factor
+        assert gate_large_n(UNDECIDED)
+        v = auto_test(UNDECIDED)
+        assert v == DISPATCH
         assert replay_verdict(UNDECIDED, v)
         # below psi_13 the fallback decides: p = 10003 = 7 * 1429
         c = FormCandidate(k=2, n=2501)  # 2501 = 41 * 61
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v == Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
         assert replay_verdict(c, v)
 
@@ -200,7 +189,7 @@ class TestLargePrimeN:
         c = FormCandidate(k=2, n=2503)
         assert jacobi(2, c.p) == -1 and jacobi(2**3 - 1, c.p) == -1
         monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v.status == INCONCLUSIVE
         assert v.certificate["type"] == "retries-exhausted"
         assert replay_verdict(c, v)
@@ -208,54 +197,55 @@ class TestLargePrimeN:
 
 class TestTwoPrimeN:
     def test_smallest_gate_passing_instances(self):
-        v = large_n_test(TWO_PRIME_SMALL_PRIME)
+        v = auto_test(TWO_PRIME_SMALL_PRIME)
         assert v.status == PRIME
         assert trial_division(TWO_PRIME_SMALL_PRIME.p) == 131
         assert replay_verdict(TWO_PRIME_SMALL_PRIME, v)
 
-        v = large_n_test(TWO_PRIME_SMALL_COMPOSITE)
+        v = auto_test(TWO_PRIME_SMALL_COMPOSITE)
         assert v.status == COMPOSITE
         assert trial_division(TWO_PRIME_SMALL_COMPOSITE.p) == 5
         assert replay_verdict(TWO_PRIME_SMALL_COMPOSITE, v)
 
     def test_million_scale_instances(self):
-        v = large_n_test(TWO_PRIME_BIG_PRIME)
+        v = auto_test(TWO_PRIME_BIG_PRIME)
         assert v.status == PRIME
         assert trial_division(TWO_PRIME_BIG_PRIME.p) == TWO_PRIME_BIG_PRIME.p
         assert replay_verdict(TWO_PRIME_BIG_PRIME, v)
 
-        v = large_n_test(TWO_PRIME_BIG_COMPOSITE)
+        v = auto_test(TWO_PRIME_BIG_COMPOSITE)
         assert v.status == COMPOSITE
         assert trial_division(TWO_PRIME_BIG_COMPOSITE.p) < TWO_PRIME_BIG_COMPOSITE.p
         assert replay_verdict(TWO_PRIME_BIG_COMPOSITE, v)
 
     def test_gate_failing_tiny_candidate(self):
         c = FormCandidate(k=2, n=9, n_factors=(3, 3))  # p = 35
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v.status == COMPOSITE and v.algorithm == "trial-division"
-        c = FormCandidate(k=90, n=27, n_factors=(3, 3, 3))  # p above psi_13
-        assert c.p >= PSI_13 and not gate_large_n(c)
-        v = large_n_test(c)
-        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "large-n"
-        # 5 divides 2^90 * 9 - 1, which the fallback's presieve finds
-        c = FormCandidate(k=90, n=9, n_factors=(3, 3))
-        assert not gate_large_n(c)
-        v = large_n_test(c)
-        assert v.algorithm == "sieve" and factor_witness(v) == 5 and replay_verdict(c, v)
+        # n = 2^90 + 1 and 2^90 + 3 with their prime factors, p above psi_13:
+        # neither gate holds, so the factors go unused
+        c = FormCandidate(k=90, n=(1 << 90) + 1, n_factors=(
+            5, 5, 13, 37, 41, 61, 109, 181, 1321, 54001, 29247661))
+        assert c.p >= PSI_13 and not gate_small_n(c) and not gate_large_n(c)
+        v = auto_test(c)
+        assert v == DISPATCH and replay_verdict(c, v)
+        # 3 divides 2^90 * (2^90 + 3) - 1, which the fallback's presieve finds
+        c = FormCandidate(k=90, n=(1 << 90) + 3,
+                          n_factors=(193, 1879, 22546069333, 151406556577))
+        assert not gate_small_n(c) and not gate_large_n(c)
+        v = auto_test(c)
+        assert v.algorithm == "sieve" and factor_witness(v) == 3 and replay_verdict(c, v)
 
     def test_requires_supplied_factors(self):
         # p = 131 and 179 are prime: the oracle decides them, and above
         # psi_13 the non-prime factor makes the route inapplicable
         for c in (FormCandidate(k=2, n=33), FormCandidate(k=2, n=45, n_factors=(3, 15))):
-            v = large_n_test(c)
+            v = auto_test(c)
             assert v.status == PRIME and v.algorithm == "trial-division"
             assert replay_verdict(c, v)
-        for c, factor in ((UNDECIDED, 3**53),
-                          (FormCandidate(k=2, n=3**53, n_factors=(27, 3**50)), 27)):
-            v = large_n_test(c)
-            assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
-            assert v.certificate["gate"] == "large-n"
-            assert f"factor {factor} " in v.certificate["reason"]
+        for c in (UNDECIDED, FormCandidate(k=2, n=3**53, n_factors=(27, 3**50))):
+            v = auto_test(c)
+            assert v == DISPATCH
             assert replay_verdict(c, v)
 
     def test_full_multiple_reuses_the_last_check(self, monkeypatch):
@@ -272,7 +262,7 @@ class TestTwoPrimeN:
         for c, status in ((TWO_PRIME_BIG_PRIME, PRIME), (THREE_PRIME_PRIME, PRIME),
                           (THREE_PRIME_COMPOSITE, COMPOSITE)):
             scalars.clear()
-            v = large_n_test(c)
+            v = auto_test(c)
             assert (v.status, v.certificate["type"]) == (status, "order")
             qs = c.n_factors
             full = qs[-1] if status == PRIME else c.n
@@ -333,7 +323,7 @@ class TestTwoPrimeN:
 
     def test_repeated_prime_factor(self):
         c = FormCandidate(k=4, n=121, n_factors=(11, 11))  # p = 1935 = 3 * 645
-        v = large_n_test(c)
+        v = auto_test(c)
         truth = PRIME if trial_division(c.p) == c.p else COMPOSITE
         assert v.status == truth
         assert replay_verdict(c, v)
@@ -351,8 +341,6 @@ class TestAutoTest:
         assert v.algorithm == "small-n" and v.status == PRIME
 
     def test_routes_large_prime(self):
-        from ecriesel.numtheory import gate_large_n, gate_small_n
-
         c = FormCandidate(k=2, n=2633)
         assert not gate_small_n(c) and gate_large_n(c)
         v = auto_test(c)
@@ -391,8 +379,8 @@ class TestAutoTest:
         assert replay_verdict(c, v)
 
     def test_unroutable_candidate_runs_the_fallback_once(self, monkeypatch):
-        # the large-n route's fallback has run the oracle and the presieve;
-        # the dispatch verdict only relabels the gate
+        # the large-n gate holds but n is no prime: the fallback runs the
+        # oracle and the presieve once
         calls = []
 
         def counted(name):
@@ -404,9 +392,7 @@ class TestAutoTest:
         counted("_oracle_verdict")
         v = auto_test(UNDECIDED)
         assert sorted(calls) == ["_oracle_verdict", "presieve"]
-        assert v == Verdict(NOT_APPLICABLE, "auto", {
-            "type": "gate-failure", "gate": "dispatch",
-            "reason": "no applicable route: gates fail or n needs an unavailable factorization"})
+        assert v == DISPATCH
 
     def test_verdict_statuses_cover_exit_codes(self):
         assert {PRIME, COMPOSITE, INCONCLUSIVE, NOT_APPLICABLE} == {
@@ -430,9 +416,9 @@ class TestDeterminismAndConfig:
     def test_retry_cap_bounds_the_pairs_tried(self, monkeypatch):
         # p = 2671: the first scanned pair decides nothing, the second decides
         c = FormCandidate(k=4, n=167)
-        assert large_n_test(c).iterations == 2
+        assert auto_test(c).iterations == 2
         monkeypatch.setattr(primality, "RETRY_CAP", 1)
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted",
                                                        "attempts": 1})
         assert replay_verdict(c, v)
@@ -442,13 +428,13 @@ class TestReplayRejectsTampering:
     def test_flipped_sequence_value(self):
         # one certificate per outcome, so each outcome field is present in one
         cases = [
-            (FormCandidate(k=7, n=3), small_n_test),  # final-zero
-            (FormCandidate(k=7, n=7), small_n_test),  # gcd-hit: step, divisor
-            (FormCandidate(k=7, n=37), small_n_test),  # final-nonzero
-            (FormCandidate(k=4, n=1), lambda c: mersenne_test(c.k)),  # final-nonzero
+            FormCandidate(k=7, n=3),  # final-zero
+            FormCandidate(k=7, n=7),  # gcd-hit: step, divisor
+            FormCandidate(k=7, n=37),  # final-nonzero
+            FormCandidate(k=4, n=1),  # Mersenne, final-nonzero
         ]
-        for c, route in cases:
-            v = route(c)
+        for c in cases:
+            v = auto_test(c)
             assert v.certificate["type"] == "sequence" and replay_verdict(c, v)
             # x0 and residue are derived on replay, so the certificate carries neither
             for field in ("x0", "outcome", "step", "divisor", "residue"):
@@ -463,7 +449,7 @@ class TestReplayRejectsTampering:
 
     def test_flipped_status(self):
         c = FormCandidate(k=7, n=3)
-        v = small_n_test(c)
+        v = auto_test(c)
         assert not replay_verdict(c, Verdict(COMPOSITE, v.algorithm, v.certificate))
 
     def test_bogus_factor_witness(self):
@@ -475,7 +461,7 @@ class TestReplayRejectsTampering:
 
     def test_wrong_candidate(self):
         c = FormCandidate(k=2, n=2633)
-        v = large_n_test(c)
+        v = auto_test(c)
         other = FormCandidate(k=2, n=2503)
         assert not replay_verdict(other, v)
 
@@ -488,7 +474,7 @@ class TestReplayRejectsTampering:
             FormCandidate(k=2, n=105, n_factors=(3, 5, 7)),
         ]
         for c in cases:
-            v = large_n_test(c)
+            v = auto_test(c)
             assert v.certificate["type"] == "order" and replay_verdict(c, v)
             x, y = v.certificate["base_point"]
             residue_x = next(t for t in range(2, c.p) if jacobi(t, c.p) == 1)
@@ -511,7 +497,7 @@ class TestReplayRejectsTampering:
         # p = 10531 is prime: (2, 2) is not the scan's point, yet with
         # (x/p) = (m/p) = -1 its order walk proves p on its own curve
         c = FormCandidate(k=2, n=2633)
-        v = large_n_test(c)
+        v = auto_test(c)
         assert v.certificate["base_point"] != [2, 2]
         assert jacobi(2, c.p) == jacobi(curve_coefficient(c.p, Point(2, 2)), c.p) == -1
         other = Verdict(PRIME, "large-n", {**v.certificate, "base_point": [2, 2]})
@@ -547,6 +533,47 @@ class TestReplayRejectsTampering:
         for multiplier in (0, 384):
             forged = {**cert, "multiplier": multiplier}
             assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", forged))
+
+    def test_not_applicable_is_the_fallback_verdict(self):
+        assert replay_verdict(UNDECIDED, DISPATCH)
+        cert = DISPATCH.certificate
+        forgeries = [
+            (UNDECIDED, DISPATCH._replace(iterations=2)),
+            (UNDECIDED, DISPATCH._replace(algorithm="large-n")),
+            (UNDECIDED, DISPATCH._replace(certificate={**cert, "gate": "large-n"})),
+            (UNDECIDED, DISPATCH._replace(certificate={**cert, "reason": "anything"})),
+            (UNDECIDED, DISPATCH._replace(certificate={**cert, "attempts": 1})),
+            (FormCandidate(k=2, n=10395), DISPATCH),  # p below psi_13: the oracle decides
+            (FormCandidate(k=2, n=3**54), DISPATCH),  # 5 divides p: the presieve finds it
+            (FormCandidate(k=90, n=3), DISPATCH),  # the small-n gate holds
+            (FormCandidate(k=89, n=1), DISPATCH),  # Mersenne, and the small-n gate holds
+        ]
+        for c, v in forgeries:
+            assert not replay_verdict(c, v), (c, v)
+
+    def test_inconclusive_is_a_curve_route_giving_up(self):
+        # the frozen large-n record: the one scanned pair decided nothing
+        c = FormCandidate(k=4, n=167)
+        v = Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted", "attempts": 1})
+        assert replay_verdict(c, v)
+        cap = primality.RETRY_CAP
+        for attempts in (0, cap):
+            cert = {"type": "retries-exhausted", "attempts": attempts}
+            assert replay_verdict(c, v._replace(certificate=cert, iterations=max(attempts, 1)))
+        forgeries = [
+            (c, v._replace(algorithm="small-n")),  # the small-n gate fails
+            (c, v._replace(algorithm="auto")),
+            (c, v._replace(iterations=2)),
+            (c, v._replace(certificate={"type": "retries-exhausted", "attempts": cap + 1},
+                           iterations=cap + 1)),
+            (c, v._replace(certificate={"type": "retries-exhausted", "attempts": -1})),
+            (c, v._replace(certificate={"type": "retries-exhausted"})),
+            (c, v._replace(certificate={**v.certificate, "gate": "large-n"})),
+            (c, v._replace(certificate=DISPATCH.certificate)),
+            (FormCandidate(k=7, n=3), v),  # the large-n gate fails
+        ]
+        for c, forged in forgeries:
+            assert not replay_verdict(c, forged), (c, forged)
 
     def test_oracle_certificate_must_match_recomputation(self):
         c = FormCandidate(k=3, n=5)
@@ -630,10 +657,10 @@ class TestFactorWitnessExtraction:
         assert factor_witness(v) == 3
 
     def test_from_gcd_hit_sequence(self):
-        c = FormCandidate(k=4, n=1)  # p = 15; scan hits the factor immediately
-        v = small_n_test(c)
-        assert v.status == COMPOSITE
-        assert factor_witness(v) in (3, 5)
+        c = FormCandidate(k=7, n=7)  # p = 895 = 5 * 179; the chain meets a factor
+        v = auto_test(c)
+        assert v.status == COMPOSITE and v.certificate["outcome"] == "gcd-hit"
+        assert factor_witness(v) in (5, 179)
 
     def test_prime_has_no_witness(self):
         v = mersenne_test(5)

@@ -28,11 +28,9 @@ from ecriesel.ecring import (
 from ecriesel.numtheory import FormCandidate, lucas_lehmer, mod_inverse
 from ecriesel.primality import (
     COMPOSITE,
-    NOT_APPLICABLE,
     PRIME,
     auto_test,
     replay_verdict,
-    test_large_n as large_n_test,
     test_mersenne as mersenne_test,
 )
 from ecriesel.sequence import (
@@ -307,14 +305,4 @@ class TestCofactorCheckOnce:
         v = auto_test(c)
         assert v.algorithm == "large-n" and v.status in (PRIME, COMPOSITE)
         assert calls == [1000003]
-        assert replay_verdict(c, v)
-
-    def test_direct_call_still_rejects_composite_factor(self):
-        # n = 101 * 9901 * 3^39, and p = 4n - 1 lies above psi_13 with no
-        # prime factor up to 13, which the fallback's presieve would find
-        c = FormCandidate(k=2, n=1000001 * 3**39)
-        v = large_n_test(c)
-        assert v.status == NOT_APPLICABLE and v.algorithm == "large-n"
-        assert v.certificate["gate"] == "large-n"
-        assert f"factor {c.n} " in v.certificate["reason"]
         assert replay_verdict(c, v)
