@@ -19,12 +19,16 @@ its divisor alone.  build_record gives the same record as a dict, the
 reference the tests compare every line against; the human-readable line is
 written from the Verdict itself.
 
-main parses each call once.  When argv[0] names a command, that command's
-own parser, taken from the one cached build, reads the rest of argv, and
-reports an unrecognized argument as `ecriesel test: error: ...`.  Only a
-call with words left over is parsed again, intermixed, so that positionals
-after an option (`test 7 --json 3`) still land.  The top-level parser reads
-only an empty argv, -h, --version and an unknown command.
+main parses each call once, and a call that repeats the previous call's
+argv not at all: _parse keeps the last successful parse, and each call
+gets its own copy of its Namespace.  A parse that exits (a usage error,
+--help, --version) is never kept, so its output is written on every call.
+When argv[0] names a command, that command's own parser, taken from the
+one cached build, reads the rest of argv, and reports an unrecognized
+argument as `ecriesel test: error: ...`.  Only a call with words left over
+is parsed again, intermixed, so that positionals after an option
+(`test 7 --json 3`) still land.  The top-level parser reads only an empty
+argv, -h, --version and an unknown command.
 
 Exit codes for `test`: 0 prime, 1 composite, 2 inconclusive,
 3 not-applicable or usage error.  Batch commands exit 0 on completion,
@@ -42,7 +46,7 @@ import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from . import __version__
 from .numtheory import FormCandidate, lucas_lehmer, presieve
@@ -481,22 +485,35 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
                 if isinstance(action, argparse._SubParsersAction))
 
 
-def _run(argv, out, err) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # A named command is parsed by its own parser alone: the top-level parser
-    # would only hand the same words on to it, a second parse per call.
+@lru_cache(maxsize=1)
+def _parse(argv: tuple) -> argparse.Namespace:
+    """The Namespace of argv, kept for a call that repeats the last argv.
+
+    A named command is parsed by its own parser alone: the top-level parser
+    would only hand the same words on to it, a second parse per call.  A
+    parse that raises SystemExit (a usage error, --help, --version) is not
+    kept, so its output is written again on every call.
+    """
     command = _command_parsers().get(argv[0]) if argv else None
+    if command is None:
+        return _build_parser().parse_args(argv)
+    args, rest = command.parse_known_args(argv[1:])
+    return command.parse_intermixed_args(argv[1:]) if rest else args
+
+
+def _run(argv, out, err) -> int:
+    argv = tuple(sys.argv[1:] if argv is None else argv)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            if command is None:
-                args = _build_parser().parse_args(argv)
-            else:
-                args, rest = command.parse_known_args(argv[1:])
-                if rest:
-                    args = command.parse_intermixed_args(argv[1:])
+            kept = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return 3 if exc.code not in (0, None) else 0
+    # A fresh Namespace, and fresh lists (--q), so that no call sees what an
+    # earlier one did to its arguments.
+    args = argparse.Namespace()
+    vars(args).update({key: list(value) if isinstance(value, list) else value
+                       for key, value in vars(kept).items()})
     return args.func(args, out, err)
 
 

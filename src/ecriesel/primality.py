@@ -331,7 +331,8 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     not-applicable is _fallback's dispatch verdict, for p >= PSI_13 with
     gate_small_n failing and no prime factor up to 13; inconclusive is a
     curve route's retries-exhausted, with that route's gate holding and at
-    most RETRY_CAP pairs tried.
+    most RETRY_CAP pairs tried.  A decided verdict has iterations 1, or up
+    to RETRY_CAP on large-n, whose evaluator can decline a pair.
     """
     try:
         return _replay(c, verdict)
@@ -357,6 +358,10 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
                 and 0 <= attempts <= RETRY_CAP and verdict.iterations == max(attempts, 1)
                 and gate(c))
     if status not in (PRIME, COMPOSITE):
+        return False
+    # Only large-n's evaluator can decline a pair, so only its verdicts
+    # come after a retry.
+    if not 1 <= verdict.iterations <= (RETRY_CAP if algorithm == "large-n" else 1):
         return False
 
     if cert.get("type") == "factor":

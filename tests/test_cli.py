@@ -412,6 +412,19 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert (code, err) == (1, "") and out.startswith("replay: INVALID")
 
+    # Every route but large-n decides on its first pair; large-n's evaluator
+    # can decline a pair, up to RETRY_CAP of them.  p = 2671 (test 4 167) is
+    # decided on its second pair.
+    @pytest.mark.parametrize("argv, iterations", [
+        (("7", "3"), 999), (("7", "3"), 2), (("4", "167"), 21), (None, 5),
+    ], ids=["small-n-999", "small-n-2", "large-n-21", "sieve-5"])
+    def test_forged_decided_iterations(self, tmp_path, argv, iterations):
+        rec = self.golden("sieve", "factor") if argv is None else self.record(*argv)
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 0
+        rec["iterations"] = iterations
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert (code, err) == (1, "") and out.startswith("replay: INVALID")
+
     # p = 4 * 3^27 - 1 = 157 * 194282738471, whose least witness base is 2
     @pytest.mark.parametrize("forge", [
         lambda r: r["certificate"].update(witness="3"),
@@ -686,10 +699,13 @@ class TestOneParserPerProcess:
             (("mersenne", "3", "13", "--json"), None, None),
             (("test", "3", "5", "--json"), None, None),
             (("test", "--bogus"), None, None),
+            (("test", "--bogus"), None, None),  # an error is never kept: usage again
             (("search", "--k", "7", "--n-max", "15", "--json"), None, "10"),
-            (("test", "--replay", "-"), json.dumps(forged), None),
+            (("test", "--replay", "-"), record, None),
+            (("test", "--replay", "-"), json.dumps(forged), None),  # the kept parse, new stdin
             (("verify", "--p-max", "50"), None, None),
             (("search", "--k", "1", "--n-max", "5"), None, None),
+            (("--version",), None, None),
             (("--version",), None, None),
             (("test", "2", "2633", "--json"), None, "10"),
             (("test", "--replay", "-"), record, None),
@@ -701,12 +717,33 @@ class TestOneParserPerProcess:
             else:
                 monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", env_bound)
             monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text or ""))
-            code, out, _ = run_cli(*argv)
+            code, out, err = run_cli(*argv)
             assert (code, out) == self.fresh_process(argv, stdin_text, env_bound), argv
+            if argv == ("test", "--bogus"):
+                assert err.startswith("usage: ecriesel test "), err
             if env_bound is not None:  # the same output without the variable
                 monkeypatch.delenv("ECRIESEL_ORACLE_BOUND")
                 assert run_cli(*argv)[:2] == (code, out), argv
         assert cli._build_parser.cache_info().misses == builds  # no parser rebuilt
+
+    def test_a_command_cannot_change_the_next_calls_arguments(self, monkeypatch):
+        argv = ("test", "2", "105", "--q", "3", "--q", "5")
+        seen = []
+
+        def mutating(args, out, err):
+            seen.append((args.k, args.n, list(args.q)))
+            args.q.append(7)
+            args.k = 0
+            return 0
+
+        cli._parse.cache_clear()
+        monkeypatch.setitem(cli._command_parsers()["test"]._defaults, "func", mutating)
+        try:
+            assert run_cli(*argv) == run_cli(*argv) == (0, "", "")
+            assert cli._parse.cache_info().hits == 1  # the second call reused the parse
+        finally:
+            cli._parse.cache_clear()  # the kept Namespace names the patched command
+        assert seen == [(2, 105, [3, 5])] * 2
 
     def test_parser_output_goes_to_the_given_streams(self, capsys):
         for argv in (("test", "--bogus"), ("no-such-command",), ("mersenne", "3"),
@@ -774,10 +811,14 @@ class TestDirectCommandParse:
 
     def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
         expected = run_cli("test", "7", "3", "--json")
+        cli._parse.cache_clear()
         progs = self.count_parses(monkeypatch)
         monkeypatch.setattr(sys, "argv", ["ecriesel", "test", "7", "3", "--json"])
         code = main(None)
         assert (code, *capsys.readouterr()) == expected
+        assert progs == ["ecriesel test"]
+        # the same argv again reuses the kept parse
+        assert (main(None), *capsys.readouterr()) == expected
         assert progs == ["ecriesel test"]
 
     def test_other_argvs_go_to_the_top_level_parser(self, monkeypatch):

@@ -575,6 +575,27 @@ class TestReplayRejectsTampering:
         for c, forged in forgeries:
             assert not replay_verdict(c, forged), (c, forged)
 
+    def test_decided_iterations_are_a_decide_paths(self):
+        # every route but large-n decides on its first pair; large-n's
+        # evaluator can decline a pair, so it may take up to RETRY_CAP
+        c = FormCandidate(k=7, n=3)
+        v = auto_test(c)
+        assert replay_verdict(c, v)
+        for iterations in (0, 2, 999):
+            assert not replay_verdict(c, v._replace(iterations=iterations)), iterations
+        c = FormCandidate(k=4, n=167)  # p = 2671: the second pair decides
+        v = auto_test(c)
+        assert (v.algorithm, v.iterations) == ("large-n", 2) and replay_verdict(c, v)
+        assert replay_verdict(c, v._replace(iterations=primality.RETRY_CAP))
+        assert not replay_verdict(c, v._replace(iterations=primality.RETRY_CAP + 1))
+        c = FormCandidate(k=13, n=1)
+        assert replay_verdict(c, mersenne_test(13))
+        assert not replay_verdict(c, mersenne_test(13)._replace(iterations=7))
+        c = FormCandidate(k=2, n=3**54)  # 5 divides p, above psi_13
+        v = auto_test(c)
+        assert v.algorithm == "sieve" and replay_verdict(c, v)
+        assert not replay_verdict(c, v._replace(iterations=5))
+
     def test_oracle_certificate_must_match_recomputation(self):
         c = FormCandidate(k=3, n=5)
         cert = {"type": "oracle", "least_factor": 39}
