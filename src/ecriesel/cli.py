@@ -98,6 +98,15 @@ def _past_digit_limit(convert, value):
             set_limit(saved)
 
 
+def _int_argument(text: str) -> int:
+    """A command-line integer, also past Python's int<->str digit limit."""
+    return _past_digit_limit(int, text)
+
+
+# argparse names the type in its error: "invalid int value: 'x'"
+_int_argument.__name__ = "int"
+
+
 def _decimal(value: int) -> str:
     return _past_digit_limit(str, value)
 
@@ -424,9 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="include elapsed_ms in JSON output (breaks byte-level determinism)")
 
     t = sub.add_parser("test", help="test one candidate 2^k * n - 1")
-    t.add_argument("k", type=int, nargs="?")
-    t.add_argument("n", type=int, nargs="?")
-    t.add_argument("--q", "--q1", "--q2", dest="q", type=int, action="append",
+    t.add_argument("k", type=_int_argument, nargs="?")
+    t.add_argument("n", type=_int_argument, nargs="?")
+    t.add_argument("--q", "--q1", "--q2", dest="q", type=_int_argument, action="append",
                    help="a prime factor of n, once per factor in any order, if known "
                         "(--q1 and --q2 are other spellings)")
     t.add_argument("--replay", metavar="RECORD", default=None,
@@ -436,17 +445,17 @@ def _build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_test)
 
     m = sub.add_parser("mersenne", help="scan Mersenne exponents k_min..k_max")
-    m.add_argument("k_min", type=int)
-    m.add_argument("k_max", type=int)
+    m.add_argument("k_min", type=_int_argument)
+    m.add_argument("k_max", type=_int_argument)
     m.add_argument("--compare-lucas-lehmer", action="store_true",
                    help="also run the classical test and record agreement")
     output_options(m)
     m.set_defaults(func=_cmd_mersenne)
 
     s = sub.add_parser("search", help="test every odd n in a range for fixed k")
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--n-min", type=int, default=1)
-    s.add_argument("--n-max", type=int, required=True)
+    s.add_argument("--k", type=_int_argument, required=True)
+    s.add_argument("--n-min", type=_int_argument, default=1)
+    s.add_argument("--n-max", type=_int_argument, required=True)
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--json", action="store_true", help="emit JSON lines")
     s.set_defaults(func=_cmd_search)

@@ -19,9 +19,33 @@ multiple of this operation's denominator, so the first non-unit Z marks the
 first operation the affine walk cannot complete.  The chain names its step
 and divisor (ChainFailure); scalar_mul hands the walk from there to the
 affine double and add, which meet what an affine walk from the start meets.
-Deferring the gcd hides no failure and no witness.  On N = 2^j - 1, j >= 5,
-the chain's shift-and-fold keeps |X|, |Z| < 2^(j+1).  Curve (checked when
+Deferring the gcd hides no failure and no witness.  Curve (checked when
 built), Point and ChainFailure are immutable named tuples.
+
+Reduction.  On N = 2^j - 1, j >= 5, the chain's shift-and-fold keeps |X|,
+|Z| < 2^(j+1) with no `%`.  Both kernels reduce any other N = c * 2^k - 1
+of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16 (_riesel_fold: k
+is the trailing zeros of N + 1) by the Riesel fold.  As c * 2^k = 1 mod N,
+f(t) = (t >> k) + c * (t & (2^k - 1)) = c * t mod N for t of either sign,
+so two folds and a `%` take t to c^2 * t mod N, in [0, N).  Every kernel
+reduction takes some |t| < 16 N^2; two folds leave it below
+(32 c / 2^k + 2) N in absolute value, so the `%` has a quotient below 2^22,
+one CPython digit, and costs linear time where a full `%` costs quadratic.
+Smaller moduli, where `%` is faster (the crossover table in CHANGES.md),
+and other shapes are reduced by `%`.
+
+Each fold reduction multiplies by the unit c^2.  The chain needs no change
+of representation: (X:Z) is homogeneous, so with m taken times c^-2 =
+2^(2k), X and Z gain the same c^6 per doubling and name the same point.
+Jacobian (X:Y:Z) scale by different powers (x = X/Z^2, y = Y/Z^3), so
+scalar_mul runs in the domain x -> x * 2^(2k) mod N (Montgomery 1985): the
+point and m go in, each reduction of a sum of products of two domain
+values gives the domain value of that sum, and X, Y and Z come out, times
+c^2, before the affine tail.  Either way each Z is a unit multiple of the
+`%` kernel's Z, so every checkpoint gcd, FactorFound divisor, ChainFailure
+step and divisor, the operation order and every record byte stay those of
+the `%` kernels.  The folded kernels copy the `%` formulas instead of
+taking a reducer, which would cost a call per reduction on small moduli.
 """
 
 from __future__ import annotations
@@ -30,6 +54,10 @@ from collections import namedtuple
 from math import gcd
 
 from .numtheory import mod_inverse
+
+# Least bit length of a modulus c * 2^k - 1 that the curve kernels reduce
+# by folding: below it `%` is faster (the crossover table in CHANGES.md).
+RIESEL_FOLD_BITS = 768
 
 
 class FactorFound(Exception):
@@ -152,6 +180,89 @@ def _jacobian_ops(X: int, Y: int, Z: int, ops: str, n: int, m: int,
     return X, Y, Z
 
 
+def _riesel_fold(n: int) -> tuple[int, int] | None:
+    """(k, c) with n = c * 2^k - 1 when n is reduced by folding, else None.
+
+    n qualifies from RIESEL_FOLD_BITS bits on, with k the trailing zeros of
+    n + 1 and c at most k + 16 bits long (see the module docstring).
+    """
+    if n.bit_length() < RIESEL_FOLD_BITS:
+        return None
+    k = ((n + 1) & -(n + 1)).bit_length() - 1
+    c = (n + 1) >> k
+    return (k, c) if c.bit_length() <= k + 16 else None
+
+
+def _jacobian_ops_folded(X: int, Y: int, Z: int, ops: str, n: int, m: int,
+                         px: int, py: int, k: int, c: int) -> tuple[int, int, int]:
+    """_jacobian_ops for n = c * 2^k - 1 in the domain x -> x * 2^(2k) mod n.
+
+    X, Y, Z, m, px, py and the result are domain values.  Each reduction
+    takes a sum of products of two domain values, folds it twice and ends
+    in `%`, which multiplies it by c^2 = 2^(-2k): the domain value of the
+    sum.
+    """
+    mask = (1 << k) - 1
+    for op in ops:
+        if op == "D":
+            t = Y * Y
+            t = (t >> k) + c * (t & mask)
+            yy = ((t >> k) + c * (t & mask)) % n
+            t = Z * Z
+            t = (t >> k) + c * (t & mask)
+            zz = ((t >> k) + c * (t & mask)) % n
+            t = zz * zz
+            t = (t >> k) + c * (t & mask)
+            t = 3 * (X * X) - m * (((t >> k) + c * (t & mask)) % n)
+            t = (t >> k) + c * (t & mask)
+            w = ((t >> k) + c * (t & mask)) % n
+            # 4 X yy stays a product for X', which subtracts it twice
+            xyy = 4 * X * yy
+            t = (xyy >> k) + c * (xyy & mask)
+            v = ((t >> k) + c * (t & mask)) % n
+            t = 2 * Y * Z
+            t = (t >> k) + c * (t & mask)
+            Z = ((t >> k) + c * (t & mask)) % n
+            t = w * w - 2 * xyy
+            t = (t >> k) + c * (t & mask)
+            X = ((t >> k) + c * (t & mask)) % n
+            t = w * (v - X) - 8 * (yy * yy)
+            t = (t >> k) + c * (t & mask)
+            Y = ((t >> k) + c * (t & mask)) % n
+        else:
+            t = Z * Z
+            t = (t >> k) + c * (t & mask)
+            zz = ((t >> k) + c * (t & mask)) % n
+            t = px * zz
+            t = (t >> k) + c * (t & mask)
+            h = ((t >> k) + c * (t & mask)) % n - X
+            t = py * zz
+            t = (t >> k) + c * (t & mask)
+            t = (((t >> k) + c * (t & mask)) % n) * Z
+            t = (t >> k) + c * (t & mask)
+            r = ((t >> k) + c * (t & mask)) % n - Y
+            t = h * h
+            t = (t >> k) + c * (t & mask)
+            hh = ((t >> k) + c * (t & mask)) % n
+            # hh * h and X hh stay products for X'; Y' takes them reduced
+            hhh = hh * h
+            t = (hhh >> k) + c * (hhh & mask)
+            reduced = ((t >> k) + c * (t & mask)) % n
+            xhh = X * hh
+            t = (xhh >> k) + c * (xhh & mask)
+            v = ((t >> k) + c * (t & mask)) % n
+            t = Z * h
+            t = (t >> k) + c * (t & mask)
+            Z = ((t >> k) + c * (t & mask)) % n
+            t = r * r - hhh - 2 * xhh
+            t = (t >> k) + c * (t & mask)
+            X = ((t >> k) + c * (t & mask)) % n
+            t = r * (v - X) - Y * reduced
+            t = (t >> k) + c * (t & mask)
+            Y = ((t >> k) + c * (t & mask)) % n
+    return X, Y, Z
+
+
 def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, int]:
     """(state, done, g): step(state, i, j) applies operations i .. j - 1 to a state ending in Z.
 
@@ -178,7 +289,9 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     """s*P by left-to-right double-and-add (deterministic operation order).
 
     Jacobian coordinates (x = X/Z^2, y = Y/Z^3) under the checkpoint walk,
-    then the affine double and add from the first failing operation on.
+    reduced by the Riesel fold in its domain where _riesel_fold allows and
+    by `%` elsewhere, then the affine double and add from the first failing
+    operation on.
     """
     if s < 0:
         raise ValueError("scalar must be nonnegative")
@@ -189,10 +302,20 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     if not ops:
         return point
     n, m = curve.modulus, curve.m
-    px, py = point.x % n, point.y % n
-    (X, Y, Z), done, _ = _checkpointed(
-        lambda state, i, j: _jacobian_ops(*state, ops[i:j], n, m, px, py),
-        (px, py, 1), len(ops), n)
+    fold = _riesel_fold(n)
+    if fold is None:
+        px, py = point.x % n, point.y % n
+        (X, Y, Z), done, _ = _checkpointed(
+            lambda state, i, j: _jacobian_ops(*state, ops[i:j], n, m, px, py),
+            (px, py, 1), len(ops), n)
+    else:
+        # into the domain x -> x * 2^(2k) mod n and out by c^2 = 2^(-2k)
+        k, c = fold
+        px, py, m = ((v << 2 * k) % n for v in (point.x, point.y, m))
+        (X, Y, Z), done, _ = _checkpointed(
+            lambda state, i, j: _jacobian_ops_folded(*state, ops[i:j], n, m, px, py, k, c),
+            (px, py, (1 << 2 * k) % n), len(ops), n)
+        X, Y, Z = (v * c * c % n for v in (X, Y, Z))
     inv = pow(Z, -1, n)
     inv2 = inv * inv % n
     acc = Point(X * inv2 % n, Y * inv2 % n * inv % n)
@@ -257,19 +380,59 @@ def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) ->
     return X, Z
 
 
+def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, m: int,
+                             k: int, c: int) -> tuple[int, int]:
+    """_x_only_doublings' division branch for n = c * 2^k - 1, where m is
+    the curve's m times 2^(2k) mod n, each `%` replaced by fold, fold, `%`.
+
+    Every reduction multiplies by c^2, so X and Z both gain c^6 per
+    doubling and (X:Z) stays the same point.
+    """
+    mask = (1 << k) - 1
+    for _ in range(times):
+        t = X * X
+        t = (t >> k) + c * (t & mask)
+        xx = ((t >> k) + c * (t & mask)) % n
+        t = Z * Z
+        t = (t >> k) + c * (t & mask)
+        t = m * (((t >> k) + c * (t & mask)) % n)
+        t = (t >> k) + c * (t & mask)
+        mzz = ((t >> k) + c * (t & mask)) % n
+        t = 4 * X * Z
+        t = (t >> k) + c * (t & mask)
+        t = (((t >> k) + c * (t & mask)) % n) * (xx - mzz)
+        t = (t >> k) + c * (t & mask)
+        Z = ((t >> k) + c * (t & mask)) % n
+        t = xx + mzz
+        t = t * t
+        t = (t >> k) + c * (t & mask)
+        X = ((t >> k) + c * (t & mask)) % n
+    return X, Z
+
+
 def double_x_only_chain(curve: Curve, x: int, times: int) -> int | ChainFailure:
     """x-coordinate of 2^times * P from that of P, with one inversion.
 
     (X:Z) under the checkpoint walk, about log2(times) gcds; a failed chain
     names the step and divisor that double_x_only would meet.  A modulus
     2^j - 1 with j >= 5 is reduced by shift-and-fold, which keeps |X| and
-    |Z| below 2^(j+1), any other by division.
+    |Z| below 2^(j+1), one that _riesel_fold allows by the Riesel fold, any
+    other by division.
     """
     n, m = curve.modulus, curve.m % curve.modulus
-    fold = n & (n + 1) == 0 and n.bit_length() >= 5
-    (X, Z), done, g = _checkpointed(
-        lambda state, i, j: _x_only_doublings(*state, j - i, n, m, fold),
-        (x % n, 1), times, n)
+    mersenne = n & (n + 1) == 0 and n.bit_length() >= 5
+    fold = None if mersenne else _riesel_fold(n)
+    if fold is None:
+        (X, Z), done, g = _checkpointed(
+            lambda state, i, j: _x_only_doublings(*state, j - i, n, m, mersenne),
+            (x % n, 1), times, n)
+    else:
+        # m times c^-2 = 2^(2k): m Z^2 then folds to c^2 m Z^2, as X^2 to c^2 X^2
+        k, c = fold
+        m = (m << 2 * k) % n
+        (X, Z), done, g = _checkpointed(
+            lambda state, i, j: _x_only_doublings_folded(*state, j - i, n, m, k, c),
+            (x % n, 1), times, n)
     return ChainFailure(done + 1, g) if g != 1 else X * pow(Z, -1, n) % n
 
 

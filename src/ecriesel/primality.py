@@ -215,7 +215,9 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
     last q checked, reached with no divisor met, gives D order n mod every
     prime l | p, so p is prime and n * D = infinity too.  That walk runs
     where n != q and p is a base-2 probable prime, which spares a composite
-    p a walk it cannot use; any other outcome of it leaves the verdict to
+    p a walk it cannot use (at order-route's 1029-bit p the test takes
+    about 3.5 ms, the walk by a 259-bit q about 9.6 ms under the Riesel
+    fold, 12 ms under `%`); any other outcome of it leaves the verdict to
     the walk of n * D, whose certificate it is."""
     curve = Curve(c.p, m)
     doubled = scalar_mul(curve, 1 << c.k, base)
@@ -237,13 +239,15 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
 
 # --- deciding: search, gates, retries and fallback -------------------------
 
-def _curve_route(c: FormCandidate, algorithm: str, evaluate) -> Verdict:
+def _curve_route(c: FormCandidate, algorithm: str, evaluate,
+                 factors: tuple[int, ...] | None = None) -> Verdict:
     """The first verdict evaluate(c, m, base) gives on the scanned (m, Q) pairs.
 
     evaluate returns None when its pair decides nothing; at most RETRY_CAP
     pairs are tried.  A divisor of p gives a factor verdict: at stage
     parameter-scan when the scan meets it before the first pair, else at
-    scalar-multiplication.  A scan that runs dry gives retries-exhausted.
+    scalar-multiplication.  A scan that runs dry gives retries-exhausted,
+    which carries the given factors of n, so that replay can check them.
     """
     attempts = 0
     try:
@@ -257,6 +261,8 @@ def _curve_route(c: FormCandidate, algorithm: str, evaluate) -> Verdict:
         cert = {"type": "factor", "divisor": exc.divisor, "stage": stage}
         return Verdict(COMPOSITE, algorithm, cert, iterations=max(attempts, 1))
     cert = {"type": "retries-exhausted", "attempts": attempts}
+    if factors is not None:
+        cert["factors"] = list(factors)
     return Verdict(INCONCLUSIVE, algorithm, cert, iterations=max(attempts, 1))
 
 
@@ -279,7 +285,8 @@ def auto_test(c: FormCandidate) -> Verdict:
     Large-n takes c.n_factors, or n itself, as n's factorization; the
     paper's large-prime-n and two-prime-n tests are its one- and two-factor
     cases.  A curve route that finds no deciding pair gives up as
-    inconclusive.  With no route, _fallback decides or reports not-applicable.
+    inconclusive; large-n then records c.n_factors when they were given.
+    With no route, _fallback decides or reports not-applicable.
     """
     if c.n == 1 and c.k >= 3:
         return test_mersenne(c.k)
@@ -287,7 +294,8 @@ def auto_test(c: FormCandidate) -> Verdict:
         return _curve_route(c, "small-n", _small_n_verdict)
     factors = c.n_factors or (c.n,)
     if gate_large_n(c) and all(_probable_prime(q) for q in factors):
-        return _curve_route(c, "large-n", partial(_order_verdict, factors=factors))
+        return _curve_route(c, "large-n", partial(_order_verdict, factors=factors),
+                            c.n_factors)
     return _fallback(c)
 
 
@@ -327,11 +335,13 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     and curve layers alone; the independent references for them are the
     traced walk run_sequence, the oracle and the differential tests.
     An undecided verdict is checked against what auto_test can give up
-    with, by cheap tests alone (no Miller-Rabin, scan or fallback):
-    not-applicable is _fallback's dispatch verdict, for p >= PSI_13 with
-    gate_small_n failing and no prime factor up to 13; inconclusive is a
-    curve route's retries-exhausted, with that route's gate holding and at
-    most RETRY_CAP pairs tried.  A decided verdict has iterations 1, or up
+    with, and no scan or fallback runs: not-applicable is _fallback's
+    dispatch verdict, for p >= PSI_13 with gate_small_n failing and no
+    prime factor up to 13 (no Miller-Rabin); inconclusive is a curve
+    route's retries-exhausted, with that route's gate holding and at most
+    RETRY_CAP pairs tried, and on large-n with the recorded factors, or
+    (n,) without them, multiplying to n and each passing _probable_prime,
+    as large-n's entry requires.  A decided verdict has iterations 1, or up
     to RETRY_CAP on large-n, whose evaluator can decline a pair.
     """
     try:
@@ -354,9 +364,16 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
     gate = gate_small_n if algorithm == "small-n" else gate_large_n
     if status == INCONCLUSIVE:
         attempts = cert.get("attempts")
-        return (curve_route and cert == {"type": "retries-exhausted", "attempts": attempts}
-                and 0 <= attempts <= RETRY_CAP and verdict.iterations == max(attempts, 1)
-                and gate(c))
+        shape = {"type": "retries-exhausted", "attempts": attempts}
+        if algorithm == "large-n" and "factors" in cert:
+            shape["factors"] = cert["factors"]  # given with the candidate
+        if not (curve_route and cert == shape and 0 <= attempts <= RETRY_CAP
+                and verdict.iterations == max(attempts, 1) and gate(c)):
+            return False
+        # auto_test takes large-n only when every factor of n is prime
+        factors = cert.get("factors", (c.n,))
+        return algorithm == "small-n" or (
+            prod(factors) == c.n and all(_probable_prime(q) for q in factors))
     if status not in (PRIME, COMPOSITE):
         return False
     # Only large-n's evaluator can decline a pair, so only its verdicts

@@ -524,6 +524,31 @@ class TestMersenneCommand:
             assert sys.get_int_max_str_digits() == limit
 
 
+    def test_arguments_beyond_the_int_digit_limit(self):
+        # n = 2^14617 + 1 has 4401 digits; p = 2^14617 n - 1 lies between
+        # the gates, and 5 divides it, so the fallback's presieve decides
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        n = (1 << 14617) + 1
+        n_text = cli._decimal(n)
+        assert len(n_text) == 4401
+        code, out, err = run_cli("test", "14617", n_text, "--json")
+        assert (code, err) == (1, "")
+        rec = json_lines(out)[0]
+        assert rec["candidate"]["n"] == n_text
+        assert rec["certificate"] == {"divisor": "5", "stage": "sieve", "type": "factor"}
+        # --q and the bounds of search and mersenne are read alike
+        assert run_cli("test", "14617", n_text, "--q", n_text, "--json")[:2] == (1, out)
+        code, search, _ = run_cli("search", "--k", "14617", "--n-min", n_text,
+                                  "--n-max", n_text, "--json")
+        assert code == 0 and json_lines(search)[0] == rec
+        code, _, err = run_cli("mersenne", n_text, "3")
+        assert code == 3 and err.startswith("mersenne: need")
+        # a word that is no integer keeps argparse's message
+        code, _, err = run_cli("test", "2", "x")
+        assert code == 3 and "argument n: invalid int value: 'x'" in err
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
 class TestSearchCommand:
     def test_odd_n_only_ascending(self):
         code, out, _ = run_cli("search", "--k", "7", "--n-min", "1", "--n-max", "9", "--json")

@@ -575,6 +575,31 @@ class TestReplayRejectsTampering:
         for c, forged in forgeries:
             assert not replay_verdict(c, forged), (c, forged)
 
+    def test_large_n_give_up_checks_the_factors(self, monkeypatch):
+        # n = 3^53 is composite, so auto_test never takes large-n for it,
+        # and a give-up without factors stands for n itself
+        c = FormCandidate(k=2, n=3**53)
+        assert gate_large_n(c) and auto_test(c).algorithm == "auto"
+        forged = Verdict(INCONCLUSIVE, "large-n",
+                         {"type": "retries-exhausted", "attempts": 20}, 20)
+        assert not replay_verdict(c, forged)
+        # factors given with the candidate are recorded, and replay checks
+        # their product and primality: p = 10411 has x = 2 and rejects
+        # y = 1, so a one-value scan dries up before any pair
+        c = FormCandidate(k=2, n=19 * 137, n_factors=(19, 137))
+        monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
+        v = auto_test(c)
+        assert v == Verdict(INCONCLUSIVE, "large-n", {
+            "type": "retries-exhausted", "attempts": 0, "factors": [19, 137]})
+        assert replay_verdict(c, v)
+        for factors in ([19 * 137], [19, 137, 1], [19, 139], [19]):
+            forged = v._replace(certificate={**v.certificate, "factors": factors})
+            assert not replay_verdict(c, forged), factors
+        cert = {"type": "retries-exhausted", "attempts": 0}
+        assert not replay_verdict(c, v._replace(certificate=cert))
+        small = v._replace(algorithm="small-n", certificate={**cert, "factors": [19, 137]})
+        assert not replay_verdict(FormCandidate(k=12, n=19 * 137), small)
+
     def test_decided_iterations_are_a_decide_paths(self):
         # every route but large-n decides on its first pair; large-n's
         # evaluator can decline a pair, so it may take up to RETRY_CAP
