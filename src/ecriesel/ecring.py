@@ -5,22 +5,24 @@ goes through a three-way inversion.  A denominator sharing a proper factor
 with N aborts the operation by raising FactorFound (that divisor is exactly
 the compositeness witness the Goldwasser-Kilian idea extracts); a
 denominator that vanishes mod N counts as reaching the point at infinity,
-which matches the honest group law whenever N is prime.
+which matches the honest group law whenever N is prime.  Adding points
+with equal x gives infinity only for an inverse pair: on a composite N
+their y can agree mod a proper factor, where the sum is a double, and add
+raises that factor.
 
 One backend, two coordinate systems.  The affine double, add and
 double_x_only invert each denominator as it arises.  The fast paths,
-double_x_only_chain on (X:Z) (Montgomery 1987) and scalar_mul in Jacobian
-coordinates, multiply all denominators into Z, and Z is a unit iff every
-denominator was; then the result is the affine one exactly.  Both run one
-checkpoint walk (_checkpointed): a gcd after operations 1, 3, 7, 15, ...,
-the second-to-last and the last, and on a non-unit Z a redo of the run one
-gcd per operation.  While the earlier Z is a unit, the new one is a unit
-multiple of this operation's denominator, so the first non-unit Z marks the
-first operation the affine walk cannot complete.  The chain names its step
-and divisor (ChainFailure); scalar_mul hands the walk from there to the
-affine double and add, which meet what an affine walk from the start meets.
-Deferring the gcd hides no failure and no witness.  Curve (checked when
-built), Point and ChainFailure are immutable named tuples.
+Jacobian ops and x-only doublings on (X:Z) (Montgomery 1987), multiply all
+denominators into Z, and Z is a unit iff every denominator was.  A walk
+(_checkpointed) takes a gcd after runs of 16, 32, 64, ... operations and
+after the last one alone, and redoes a failing run one gcd per operation.
+While the earlier Z is a unit, the new one is a unit multiple of this
+operation's denominator, so the first non-unit Z marks the first operation
+the affine walk cannot complete: deferring the gcd hides no failure and no
+witness.  scalar_mul goes on from there by the affine double and add;
+double_x_only_chain, one walk of s*P and its doublings, names a failing
+doubling (ChainFailure).  Curve (checked when built), Point and
+ChainFailure are immutable named tuples.
 
 Reduction.  On N = 2^j - 1, j >= 5, the chain's shift-and-fold keeps |X|,
 |Z| < 2^(j+1) with no `%`.  Both kernels reduce any other N = c * 2^k - 1
@@ -38,14 +40,15 @@ Each fold reduction multiplies by the unit c^2.  The chain needs no change
 of representation: (X:Z) is homogeneous, so with m taken times c^-2 =
 2^(2k), X and Z gain the same c^6 per doubling and name the same point.
 Jacobian (X:Y:Z) scale by different powers (x = X/Z^2, y = Y/Z^3), so
-scalar_mul runs in the domain x -> x * 2^(2k) mod N (Montgomery 1985): the
-point and m go in, each reduction of a sum of products of two domain
-values gives the domain value of that sum, and X, Y and Z come out, times
-c^2, before the affine tail.  Either way each Z is a unit multiple of the
-`%` kernel's Z, so every checkpoint gcd, FactorFound divisor, ChainFailure
-step and divisor, the operation order and every record byte stay those of
-the `%` kernels.  The folded kernels copy the `%` formulas instead of
-taking a reducer, which would cost a call per reduction on small moduli.
+the Jacobian ops run in the domain x -> x * 2^(2k) mod N (Montgomery
+1985): the point and m go in, each reduction of a sum of products of two
+domain values gives the domain value of that sum, and X, Y and Z leave
+it times c^2, for the affine tail or as (X : c^2 Z^2) for the chain.
+Either way each Z is a unit multiple of the `%` kernel's Z, so every
+checkpoint gcd, FactorFound divisor, ChainFailure step and divisor, the
+operation order and every record byte stay those of the `%` kernels.  The
+folded kernels copy the `%` formulas instead of taking a reducer, which
+would cost a call per reduction on small moduli.
 """
 
 from __future__ import annotations
@@ -143,8 +146,12 @@ def add(curve: Curve, p: Point, q: Point) -> Point:
     if (p.x - q.x) % n == 0:
         if (p.y - q.y) % n == 0:
             return double(curve, p)
-        # inverse pair, or (composite modulus only) equal x with unrelated
-        # y: either way the chord denominator vanishes mod n
+        # Equal x, y != y'.  Unless y = -y' (an inverse pair: infinity), a
+        # point on the curve has y = y' mod a proper factor g of n, where
+        # the sum is a double, not infinity; g = 1 only off the curve.
+        g = gcd(p.y - q.y, n)
+        if (p.y + q.y) % n and g != 1:
+            raise FactorFound(g, n)
         return INFINITY
     inv = _invert(curve, q.x - p.x)
     lam = (q.y - p.y) * inv % n
@@ -181,11 +188,7 @@ def _jacobian_ops(X: int, Y: int, Z: int, ops: str, n: int, m: int,
 
 
 def _riesel_fold(n: int) -> tuple[int, int] | None:
-    """(k, c) with n = c * 2^k - 1 when n is reduced by folding, else None.
-
-    n qualifies from RIESEL_FOLD_BITS bits on, with k the trailing zeros of
-    n + 1 and c at most k + 16 bits long (see the module docstring).
-    """
+    """(k, c) with n = c * 2^k - 1 when the module docstring's fold reduces n, else None."""
     if n.bit_length() < RIESEL_FOLD_BITS:
         return None
     k = ((n + 1) & -(n + 1)).bit_length() - 1
@@ -195,12 +198,8 @@ def _riesel_fold(n: int) -> tuple[int, int] | None:
 
 def _jacobian_ops_folded(X: int, Y: int, Z: int, ops: str, n: int, m: int,
                          px: int, py: int, k: int, c: int) -> tuple[int, int, int]:
-    """_jacobian_ops for n = c * 2^k - 1 in the domain x -> x * 2^(2k) mod n.
-
-    X, Y, Z, m, px, py and the result are domain values.  Each reduction
-    takes a sum of products of two domain values, folds it twice and ends
-    in `%`, which multiplies it by c^2 = 2^(-2k): the domain value of the
-    sum.
+    """_jacobian_ops for n = c * 2^k - 1 in the domain x -> x * 2^(2k) mod n:
+    X, Y, Z, m, px, py and the result are domain values (module docstring).
     """
     mask = (1 << k) - 1
     for op in ops:
@@ -266,10 +265,11 @@ def _jacobian_ops_folded(X: int, Y: int, Z: int, ops: str, n: int, m: int,
 def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, int]:
     """(state, done, g): step(state, i, j) applies operations i .. j - 1 to a state ending in Z.
 
-    A run whose Z is not a unit is redone one operation at a time; then state
-    is the last unit one, done its operation count and g the failing gcd (else 1).
+    Runs of 16, 32, 64, ... operations, then the last alone.  A run whose Z
+    is not a unit is redone one operation at a time; then state is the last
+    unit one, done its operation count and g the failing gcd (else 1).
     """
-    done, run = 0, 1
+    done, run = 0, 16
     while done < count:
         end = count if done == count - 1 else min(done + run, count - 1)
         new = step(state, done, end)
@@ -285,13 +285,25 @@ def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, i
     return state, done, 1
 
 
+def _jacobian(n: int, m: int, point: Point, ops: str):
+    """(step, start, unit): step(state, i, j) applies ops i .. j - 1 from
+    start = point, in the fold's domain where _riesel_fold allows, and a
+    state times unit (c^2 there, else 1) gives its (X, Y, Z)."""
+    fold = _riesel_fold(n)
+    if fold is None:
+        px, py = point.x % n, point.y % n
+        return (lambda state, i, j: _jacobian_ops(*state, ops[i:j], n, m, px, py)), (px, py, 1), 1
+    k, c = fold
+    px, py, m = ((v << 2 * k) % n for v in (point.x, point.y, m))
+    return ((lambda state, i, j: _jacobian_ops_folded(*state, ops[i:j], n, m, px, py, k, c)),
+            (px, py, (1 << 2 * k) % n), c * c % n)
+
+
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     """s*P by left-to-right double-and-add (deterministic operation order).
 
     Jacobian coordinates (x = X/Z^2, y = Y/Z^3) under the checkpoint walk,
-    reduced by the Riesel fold in its domain where _riesel_fold allows and
-    by `%` elsewhere, then the affine double and add from the first failing
-    operation on.
+    then the affine double and add from the first failing operation on.
     """
     if s < 0:
         raise ValueError("scalar must be nonnegative")
@@ -301,21 +313,10 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     ops = bin(s)[3:].replace("1", "DA").replace("0", "D")
     if not ops:
         return point
-    n, m = curve.modulus, curve.m
-    fold = _riesel_fold(n)
-    if fold is None:
-        px, py = point.x % n, point.y % n
-        (X, Y, Z), done, _ = _checkpointed(
-            lambda state, i, j: _jacobian_ops(*state, ops[i:j], n, m, px, py),
-            (px, py, 1), len(ops), n)
-    else:
-        # into the domain x -> x * 2^(2k) mod n and out by c^2 = 2^(-2k)
-        k, c = fold
-        px, py, m = ((v << 2 * k) % n for v in (point.x, point.y, m))
-        (X, Y, Z), done, _ = _checkpointed(
-            lambda state, i, j: _jacobian_ops_folded(*state, ops[i:j], n, m, px, py, k, c),
-            (px, py, (1 << 2 * k) % n), len(ops), n)
-        X, Y, Z = (v * c * c % n for v in (X, Y, Z))
+    n = curve.modulus
+    step, start, unit = _jacobian(n, curve.m, point, ops)
+    state, done, _ = _checkpointed(step, start, len(ops), n)
+    X, Y, Z = (v * unit % n for v in state)
     inv = pow(Z, -1, n)
     inv2 = inv * inv % n
     acc = Point(X * inv2 % n, Y * inv2 % n * inv % n)
@@ -383,11 +384,8 @@ def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) ->
 def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, m: int,
                              k: int, c: int) -> tuple[int, int]:
     """_x_only_doublings' division branch for n = c * 2^k - 1, where m is
-    the curve's m times 2^(2k) mod n, each `%` replaced by fold, fold, `%`.
-
-    Every reduction multiplies by c^2, so X and Z both gain c^6 per
-    doubling and (X:Z) stays the same point.
-    """
+    the curve's m times 2^(2k) mod n, each `%` replaced by fold, fold, `%`
+    (X and Z gain c^6 per doubling)."""
     mask = (1 << k) - 1
     for _ in range(times):
         t = X * X
@@ -410,30 +408,44 @@ def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, m: int,
     return X, Z
 
 
-def double_x_only_chain(curve: Curve, x: int, times: int) -> int | ChainFailure:
-    """x-coordinate of 2^times * P from that of P, with one inversion.
+def double_x_only_chain(curve: Curve, start: Point | int, times: int,
+                        s: int = 1) -> tuple[int, int] | ChainFailure | Point:
+    """(X:Z), Z a unit, of 2^times * s*P, s >= 1, from start = P or, if s = 1, x(P).
 
-    (X:Z) under the checkpoint walk, about log2(times) gcds; a failed chain
-    names the step and divisor that double_x_only would meet.  A modulus
-    2^j - 1 with j >= 5 is reduced by shift-and-fold, which keeps |X| and
-    |Z| below 2^(j+1), one that _riesel_fold allows by the Riesel fold, any
-    other by division.
+    One checkpoint walk: scalar_mul's Jacobian ops, then the doublings from
+    (X : Z^2) = Z^2 (x : 1), by shift-and-fold mod 2^j - 1 (j >= 5), else
+    as the Jacobian ops reduce.  A failing doubling gives double_x_only's
+    step and divisor; a failure within s*P hands over to scalar_mul.
     """
     n, m = curve.modulus, curve.m % curve.modulus
+    ops = bin(s)[3:].replace("1", "DA").replace("0", "D")
+    last = len(ops)
+    if ops:
+        jacobian, state, unit = _jacobian(n, m, start, ops)
+    else:
+        state = ((start.x if isinstance(start, Point) else start) % n, 1)
     mersenne = n & (n + 1) == 0 and n.bit_length() >= 5
     fold = None if mersenne else _riesel_fold(n)
-    if fold is None:
-        (X, Z), done, g = _checkpointed(
-            lambda state, i, j: _x_only_doublings(*state, j - i, n, m, mersenne),
-            (x % n, 1), times, n)
-    else:
-        # m times c^-2 = 2^(2k): m Z^2 then folds to c^2 m Z^2, as X^2 to c^2 X^2
-        k, c = fold
-        m = (m << 2 * k) % n
-        (X, Z), done, g = _checkpointed(
-            lambda state, i, j: _x_only_doublings_folded(*state, j - i, n, m, k, c),
-            (x % n, 1), times, n)
-    return ChainFailure(done + 1, g) if g != 1 else X * pow(Z, -1, n) % n
+    # folded, m times c^-2 = 2^(2k): m Z^2 folds to c^2 m Z^2, as X^2 to c^2 X^2
+    mk = m if fold is None else (m << 2 * fold[0]) % n
+
+    def step(state, i, j):
+        if i < last:
+            X, Y, Z = jacobian(state, i, j)
+            state = (X, Y, Z) if j < last else (X, Z * Z * unit % n)
+        if j <= last:
+            return state
+        if fold is None:
+            return _x_only_doublings(*state, j - max(i, last), n, m, mersenne)
+        return _x_only_doublings_folded(*state, j - max(i, last), n, mk, *fold)
+
+    state, done, g = _checkpointed(step, state, last + times, n)
+    if g == 1:
+        return state
+    if done >= last:
+        return ChainFailure(done - last + 1, g)
+    multiple = scalar_mul(curve, s, start)
+    return multiple if multiple.is_infinity else double_x_only_chain(curve, multiple.x, times)
 
 
 def double_x_only(curve: Curve, x: int) -> int | None:

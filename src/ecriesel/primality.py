@@ -4,7 +4,7 @@ auto_test, the one decide entry, takes the first route that applies:
 
   * mersenne   n = 1, k >= 3: fixed curve and start, pure sequence run;
   * small-n    gate_small_n: construct a curve and point, multiply by n,
-               then run the k-step sequence;
+               then run the k-step sequence, both in one walk;
   * large-n    gate_large_n, every factor of n prime: 2^k * Q has order
                exactly n (Goldwasser-Kilian).
 
@@ -44,12 +44,8 @@ from .numtheory import (
     presieve,
     trial_division,
 )
-from .sequence import (
-    FINAL_ZERO,
-    SequenceOutcome,
-    chain_outcome,
-    run_sequence,  # noqa: F401  (perfbench/tracing.py patches primality.run_sequence)
-)
+from .sequence import FINAL_ZERO, SequenceOutcome, chain_outcome
+from .sequence import run_sequence  # noqa: F401  (perfbench/tracing.py patches it here)
 
 PRIME = "prime"
 COMPOSITE = "composite"
@@ -163,19 +159,6 @@ def _fallback(c: FormCandidate) -> Verdict:
     return _DISPATCH if divisor is None else sieve_verdict(divisor)
 
 
-def _sequence_certificate(outcome: SequenceOutcome, base_point: Point | None = None) -> dict:
-    """Where the chain ended, and a constructed curve's base point: replay
-    recomputes the chain, its start x0 and m."""
-    cert = {"type": "sequence", "outcome": outcome.kind}
-    if outcome.step is not None:
-        cert["step"] = outcome.step
-    if outcome.divisor is not None:
-        cert["divisor"] = outcome.divisor
-    if base_point is not None:
-        cert["base_point"] = [base_point.x, base_point.y]
-    return cert
-
-
 def _probable_prime(q: int) -> bool:
     """Primality of a factor of n: exact below PSI_13 (is_prime_oracle),
     12-base Miller-Rabin at and above it, so a prime verdict resting on
@@ -186,23 +169,28 @@ def _probable_prime(q: int) -> bool:
 
 # --- evaluation on a given curve and point, for deciding and replay -------
 
-def _sequence_verdict(algorithm: str, p: int, m: int, x0: int, k: int,
+def _sequence_verdict(algorithm: str, outcome: SequenceOutcome,
                       base_point: Point | None = None) -> Verdict:
-    """Prime iff the k-step chain from x0 ends in zero."""
-    outcome = chain_outcome(p, m, x0, k)
-    cert = _sequence_certificate(outcome, base_point)
-    status = PRIME if outcome.kind == FINAL_ZERO else COMPOSITE
-    return Verdict(status, algorithm, cert)
+    """Prime iff the chain ended in zero; the certificate holds where, and a
+    constructed curve's base point, from which replay recomputes the rest."""
+    cert = {"type": "sequence", "outcome": outcome.kind}
+    if outcome.step is not None:
+        cert["step"] = outcome.step
+    if outcome.divisor is not None:
+        cert["divisor"] = outcome.divisor
+    if base_point is not None:
+        cert["base_point"] = [base_point.x, base_point.y]
+    return Verdict(PRIME if outcome.kind == FINAL_ZERO else COMPOSITE, algorithm, cert)
 
 
 def _small_n_verdict(c: FormCandidate, m: int, base: Point) -> Verdict:
     """The small-n verdict on (m, base): composite when n * base is already
-    infinity, else the chain from its x-coordinate.  Raises FactorFound."""
-    start = scalar_mul(Curve(c.p, m), c.n, base)
-    if start.is_infinity:
+    infinity, else the chain from it, in one walk.  Raises FactorFound."""
+    outcome = chain_outcome(c.p, m, base, c.k, c.n)
+    if outcome is None:
         cert = {"type": "vanished-multiple", "base_point": [base.x, base.y]}
         return Verdict(COMPOSITE, "small-n", cert)
-    return _sequence_verdict("small-n", c.p, m, start.x, c.k, base)
+    return _sequence_verdict("small-n", outcome, base)
 
 
 def _order_verdict(c: FormCandidate, m: int, base: Point,
@@ -276,7 +264,7 @@ def test_mersenne(k: int) -> Verdict:
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
     p = (1 << k) - 1
-    return _sequence_verdict("mersenne", p, 3, p - 1, k)
+    return _sequence_verdict("mersenne", chain_outcome(p, 3, p - 1, k))
 
 
 def auto_test(c: FormCandidate) -> Verdict:

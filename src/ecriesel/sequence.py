@@ -9,13 +9,13 @@ reads off exactly when the doubled point first hits 2-torsion or infinity.
 A unit c changes no S_i's gcd with N and whether S_k vanishes, so it
 never changes the outcome.
 
-chain_outcome decides a run with projective doubling and a deferred gcd
-(ecring.double_x_only_chain), which also names the first non-unit S_i
-with its step and divisor, and takes c = 1.  run_sequence walks the chain
-affinely step by step and keeps the trace, with the paper's c = 4 by
-default; it is the reference chain_outcome is tested against, and no
-decision or replay path calls it.  SequenceOutcome and STrace are
-immutable named tuples.
+chain_outcome decides a run from x_0 or from s * P in one projective walk
+with a deferred gcd and no inversion (ecring.double_x_only_chain), which
+names the first non-unit S_i with its step and divisor; it takes c = 1.
+run_sequence walks the chain affinely step by step and keeps the trace,
+with the paper's c = 4 by default; it is the reference chain_outcome is
+tested against, and no decision or replay path calls it.  SequenceOutcome
+and STrace are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .ecring import ChainFailure, Curve, double_x_only, double_x_only_chain
+from .ecring import INFINITY, ChainFailure, Curve, Point, double_x_only, double_x_only_chain
 
 # Outcome kinds for a k-step run.
 FINAL_ZERO = "final-zero"  # every S_i (i < k) a unit and S_k = 0: the prime pattern
@@ -97,23 +97,25 @@ def run_sequence(
     return outcome, trace
 
 
-def chain_outcome(modulus: int, m: int, x0: int, k: int) -> SequenceOutcome:
-    """The outcome of run_sequence(modulus, m, x0, k), untraced.
-
-    The k - 1 doublings run projectively with a deferred gcd.  The i-th
-    doubling denominator is a unit multiple of S_i, so the first non-unit
-    one gives the step and divisor of a GCD_HIT, or EARLY_INFINITY when it
-    vanishes mod the modulus; after k - 1 unit steps the run is FINAL_ZERO
-    exactly when x * (x^2 - m), the last x's S_k up to a unit, is 0.
-    """
+def chain_outcome(modulus: int, m: int, start: Point | int, k: int,
+                  s: int = 1) -> SequenceOutcome | None:
+    """run_sequence(modulus, m, x(s * P), k)'s outcome, untraced, from one
+    double_x_only_chain walk (start = P or, if s = 1, x(P)); None when
+    s * P is infinity.  The i-th doubling denominator is a unit multiple of
+    S_i, so the first non-unit one gives a GCD_HIT or, vanishing mod the
+    modulus, EARLY_INFINITY; else FINAL_ZERO iff X (X^2 - m Z^2) = 0, Z^3
+    times the last x's S_k with Z a unit."""
     _check_chain(modulus, k)
     m %= modulus
-    x = double_x_only_chain(Curve(modulus, m), x0, k - 1)
-    if isinstance(x, ChainFailure):
-        if x.divisor == modulus:
-            return SequenceOutcome(EARLY_INFINITY, step=x.step)
-        return SequenceOutcome(GCD_HIT, step=x.step, divisor=x.divisor)
-    return SequenceOutcome(FINAL_ZERO if x * (x * x - m) % modulus == 0 else FINAL_NONZERO)
+    end = double_x_only_chain(Curve(modulus, m), start, k - 1, s)
+    if end == INFINITY:
+        return None
+    if isinstance(end, ChainFailure):
+        if end.divisor == modulus:
+            return SequenceOutcome(EARLY_INFINITY, step=end.step)
+        return SequenceOutcome(GCD_HIT, step=end.step, divisor=end.divisor)
+    X, Z = end
+    return SequenceOutcome(FINAL_ZERO if X * (X * X - m * Z * Z) % modulus == 0 else FINAL_NONZERO)
 
 
 def mersenne_sequence(k: int) -> tuple[SequenceOutcome, STrace]:

@@ -2,10 +2,10 @@
 
 Deciding and replay take a failing step from double_x_only_chain alone:
 no affine re-walk (run_sequence, double_x_only) runs behind them.  The
-fixed cases put the failure at doubling 1, at a gcd checkpoint (3, 7,
-15), just after one (2, 4, 8, 16), inside a run (5, 9, 17), and at the
-second-to-last and the last doubling, on moduli 2^j - 1 (shift-and-fold)
-and on other moduli (division).
+fixed cases put the failure at doubling 1, inside the first run (2 .. 9,
+15), at its end (16), just after it (17), and at the second-to-last and
+the last doubling, on moduli 2^j - 1 (shift-and-fold) and on other moduli
+(division).
 """
 
 from math import prod
@@ -26,6 +26,7 @@ from ecriesel.ecring import (
 from ecriesel.numtheory import FormCandidate, jacobi
 from ecriesel.primality import replay_verdict, test_mersenne as mersenne_test
 from ecriesel.sequence import EARLY_INFINITY, GCD_HIT, chain_outcome
+from test_projective import chain_x
 
 M17 = (1 << 17) - 1
 M187 = (1 << 187) - 1
@@ -112,8 +113,8 @@ def test_chain_names_the_failing_step(name):
 @pytest.mark.parametrize("name, prime", [("fold-infinity", (1 << 61) - 1),
                                          ("division-infinity", 1000003)])
 def test_checkpoint_runs(monkeypatch, name, prime):
-    # runs end after doublings 1, 3, 7, 15, the second-to-last and the last,
-    # and only a failing run is redone, one doubling at a time
+    # runs of 16, 32, ... doublings end before the last doubling, which runs
+    # alone, and only a failing run is redone, one doubling at a time
     runs = []
 
     def spy(X, Z, times, *rest):
@@ -122,15 +123,17 @@ def test_checkpoint_runs(monkeypatch, name, prime):
 
     monkeypatch.setattr(ecring, "_x_only_doublings", spy)
     curve = Curve(prime, 3)
-    assert double_x_only_chain(curve, 5, 20) == affine_first_failure(curve, 5, 20) > 0
-    assert runs == [1, 2, 4, 8, 4, 1]
-    # fail at the last of 17 doublings (a one-doubling run, redone), then at
-    # the second-to-last of 18 (a two-doubling run, redone one at a time)
-    for times, tail in ((17, [1, 1, 1]), (18, [2, 1, 1])):
-        curve, x, want = failing_case(name, 17, times)
+    assert chain_x(curve, 5, 20) == affine_first_failure(curve, 5, 20) > 0
+    assert runs == [16, 3, 1]
+    # fail at the last of 16 doublings (a one-doubling run, redone), at the
+    # second-to-last of 17 (the first run, redone one doubling at a time),
+    # and at the last of 17, past the first checkpoint
+    for step, times, want_runs in ((16, 16, [15, 1, 1]), (16, 17, [16] + [1] * 16),
+                                   (17, 17, [16, 1, 1])):
+        curve, x, want = failing_case(name, step, times)
         runs.clear()
         assert double_x_only_chain(curve, x, times) == want
-        assert runs == [1, 2, 4, 8, *tail]
+        assert runs == want_runs
 
 
 class TestNoAffineFallback:

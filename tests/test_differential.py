@@ -22,10 +22,10 @@ from ecriesel.ecring import (  # noqa: E402
     add,
     double,
     double_x_only,
-    double_x_only_chain,
     scalar_mul,
 )
 from ecriesel.sequence import chain_outcome, run_sequence  # noqa: E402
+from test_projective import chain_x  # noqa: E402
 
 PROFILE = settings(max_examples=400, deadline=None, derandomize=True)
 
@@ -83,8 +83,8 @@ def test_chain_outcome_equals_traced_walk(curve, data, k, four):
     assert chain_outcome(n, curve.m, x0, k) == walked
 
 
-# Chains long enough to pass several of the gcd checkpoints at doublings
-# 1, 3, 7, 15, ... and to fail between any two of them.
+# Chains long enough to pass several of the gcd checkpoints after
+# doublings 16, 48, 112, ... and to fail between any two of them.
 long_chains = st.integers(41, 400)
 
 
@@ -102,7 +102,7 @@ def test_long_chain_outcome_equals_traced_walk(curve, data, k, four):
 def test_long_chain_equals_repeated_doubling(curve, data, times):
     # the division path, failing step and divisor included
     x = data.draw(st.integers(0, curve.modulus - 1))
-    assert double_x_only_chain(curve, x, times) == repeated_doubling(curve, x, times)
+    assert chain_x(curve, x, times) == repeated_doubling(curve, x, times)
 
 
 @PROFILE
@@ -133,7 +133,7 @@ def test_mersenne_fold_equals_division(j, data, times):
     n = (1 << j) - 1
     curve = Curve(n, data.draw(st.integers(1, n - 1)))
     x = data.draw(st.integers(0, n - 1))
-    assert double_x_only_chain(curve, x, times) == repeated_doubling(curve, x, times)
+    assert chain_x(curve, x, times) == repeated_doubling(curve, x, times)
 
 
 @PROFILE
@@ -142,4 +142,4 @@ def test_long_mersenne_fold_equals_division(j, data, times):
     n = (1 << j) - 1
     curve = Curve(n, data.draw(st.integers(1, n - 1)))
     x = data.draw(st.integers(0, n - 1))
-    assert double_x_only_chain(curve, x, times) == repeated_doubling(curve, x, times)
+    assert chain_x(curve, x, times) == repeated_doubling(curve, x, times)

@@ -90,6 +90,24 @@ class TestAdd:
         assert 15 % info.value.divisor == 0
 
 
+    def test_equal_x_with_unrelated_y_exposes_a_factor(self):
+        # on 209 = 11 * 19, 4P = P mod 11 and 4P = -P mod 19: 4P + P is 2P
+        # mod 11, not infinity, so add reports the factor 11
+        curve, pt = Curve(209, 4), Point(102, 178)
+        assert on_curve(curve, pt)
+        four = scalar_mul(curve, 4, pt)
+        assert four == Point(102, 145) and (four.y + pt.y) % 209 == 114
+        with pytest.raises(FactorFound) as info:
+            add(curve, four, pt)
+        assert info.value.divisor == 11
+        # a true inverse pair, and equal x off the curve, stay infinity
+        assert add(curve, pt, Point(102, -178 % 209)).is_infinity
+        assert add(curve, pt, Point(102, 179)).is_infinity
+        # also when y = 0 mod 11 makes gcd(y - y', 209) = gcd(2y, 209) = 11
+        curve, pt = Curve(209, (27 - 22 * 22) * pow(3, -1, 209) % 209), Point(3, 22)
+        assert add(curve, pt, Point(3, -22 % 209)).is_infinity
+
+
 class TestScalarMul:
     def test_zero_scalar(self):
         assert scalar_mul(Curve(7, 3), 0, Point(6, 3)).is_infinity
@@ -104,6 +122,14 @@ class TestScalarMul:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             scalar_mul(Curve(7, 3), -1, Point(6, 3))
+
+    def test_no_infinity_for_a_sum_that_is_finite_mod_a_factor(self):
+        # 5P = O mod 19 but (3, 9) mod 11: the walk meets the factor 11
+        with pytest.raises(FactorFound) as info:
+            scalar_mul(Curve(209, 4), 5, Point(102, 178))
+        assert info.value.divisor == 11
+        assert scalar_mul(Curve(11, 4), 5, Point(102 % 11, 178 % 11)) == Point(3, 9)
+        assert scalar_mul(Curve(19, 4), 5, Point(102 % 19, 178 % 19)).is_infinity
 
     def test_matches_repeated_addition(self):
         rng = random.Random(11)

@@ -1,7 +1,9 @@
 """Golden run records: the CLI's JSON output, frozen byte for byte.
 
 tests/data/golden_records.jsonl is the concatenated stdout of GOLDEN_CALLS,
-in order.  Regenerate the file only for an intended change of record bytes:
+in order, and tests/data/search_k31_40001_40999.jsonl the stdout of
+SEARCH_CALL.  Regenerate both files only for an intended change of record
+bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,6 +25,7 @@ from ecriesel import cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_records.jsonl"
 FROZEN = GOLDEN.with_name("frozen_records.jsonl")
+SEARCH_RANGE = GOLDEN.with_name("search_k31_40001_40999.jsonl")
 
 # (argv, exit code).  Comments name what each call adds to the set.
 GOLDEN_CALLS = [
@@ -49,6 +52,10 @@ GOLDEN_CALLS = [
     (("test", "7", "7", "--json"), 1),  # small-n gcd-hit
 ]
 
+# 500 candidates at k = 31: presieved lines, small-n primes (final-zero)
+# and composites (final-nonzero), then the summary line.
+SEARCH_CALL = ("search", "--k", "31", "--n-min", "40001", "--n-max", "40999", "--json")
+
 
 def record_lines():
     """Every golden and frozen run record line, summary lines left out."""
@@ -68,6 +75,16 @@ def test_records_are_byte_identical():
     codes, text = run_calls()
     assert codes == [code for _, code in GOLDEN_CALLS]
     assert text == GOLDEN.read_text(encoding="utf-8")
+
+
+def search_range_output():
+    out = io.StringIO()
+    assert cli.main(list(SEARCH_CALL), out=out, err=io.StringIO()) == 0
+    return out.getvalue()
+
+
+def test_search_range_is_byte_identical():
+    assert search_range_output() == SEARCH_RANGE.read_text(encoding="utf-8")
 
 
 def test_golden_set_covers_every_reachable_pair():
@@ -115,3 +132,4 @@ def test_every_record_replays_valid(monkeypatch):
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(run_calls()[1], encoding="utf-8")
+    SEARCH_RANGE.write_text(search_range_output(), encoding="utf-8")

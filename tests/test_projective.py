@@ -58,6 +58,16 @@ def affine_multiple(curve, s, pt):
     return acc
 
 
+def chain_x(curve, start, times, s=1):
+    """double_x_only_chain's end as an affine x (its Z must be a unit), or
+    its ChainFailure or infinity as they are."""
+    end = double_x_only_chain(curve, start, times, s)
+    if isinstance(end, ChainFailure) or end == INFINITY:
+        return end
+    X, Z = end
+    return X * pow(Z, -1, curve.modulus) % curve.modulus
+
+
 def affine_ops(s):
     """scalar_mul's operations for s: D per bit after the leading one, A after each 1."""
     return bin(s)[3:].replace("1", "DA").replace("0", "D")
@@ -140,7 +150,7 @@ class TestChainFallback:
         curve = Curve(31, 3)
         x = 30
         for times in range(4):
-            assert double_x_only_chain(curve, 30, times) == x
+            assert chain_x(curve, 30, times) == x
             x = double_x_only(curve, x)
 
     def test_fold_boundaries(self):
@@ -225,6 +235,18 @@ class TestJacobianScalarMul:
                         assert scalar_mul(curve, s, pt) == want
         assert seen > 100
 
+    def test_equal_x_sum_finite_mod_a_factor(self, affine_calls):
+        # 209 = 11 * 19: the last op adds P to 4P, which is P mod 11 and -P
+        # mod 19, so 5P is (3, 9) mod 11 and infinity mod 19 only.  The
+        # Jacobian add fails there and the affine add reports 11.
+        curve, pt = Curve(209, 4), Point(102, 178)
+        assert first_failing_op(curve, 5, pt) == (2, Point(102, 145))
+        for walk in (scalar_mul, affine_multiple):
+            with pytest.raises(FactorFound) as info:
+                walk(curve, 5, pt)
+            assert info.value.divisor == 11
+        assert affine_calls[0] == ("A", Point(102, 145))
+
     def test_unreduced_point(self):
         curve, raw = Curve(31, 6), Point(3 + 31, 3 - 62)
         for s in range(2, 20):
@@ -241,7 +263,20 @@ class TestJacobianScalarMul:
         (1009, 508, 2, 1, 365),
         (10007, 6680, 3, 1, 1669),
         (65537, 39347, 5, 1, 1539),
+        (11 * 1000003, 5500008, 2, 5, 8413),
+        (13 * 1000003, 6500011, 2, 5, 8011114023),
+        (1009, 508, 2, 1, 8919),
+        (65537, 39347, 5, 1, 6424964865),
     ]
+
+    def test_failing_walks_pass_checkpoints(self):
+        # runs end after operations 16, 48, 112, ...: the first seven
+        # fixtures fail inside the first run, the last four just after the
+        # first or the second checkpoint
+        failing = [first_failing_op(Curve(n, m), s, Point(x, y))[0]
+                   for n, m, x, y, s in self.FAILING_WALKS]
+        assert all(7 <= f < 16 for f in failing[:7])
+        assert failing[7:] == [17, 50, 17, 48]
 
     @pytest.mark.parametrize("n, m, x, y, s", FAILING_WALKS)
     def test_affine_tail_starts_at_the_failing_op(self, affine_calls, n, m, x, y, s):
@@ -249,8 +284,9 @@ class TestJacobianScalarMul:
         assert ecring.on_curve(curve, pt)
         ops = affine_ops(s)
         failing, before = first_failing_op(curve, s, pt)
-        # past the checkpoints after ops 1, 3 and 7, and not the last op
-        assert 7 <= failing < len(ops) - 1
+        # a failing run is redone one operation at a time: not the last op,
+        # which runs alone
+        assert failing < len(ops) - 1
         try:
             want = affine_multiple(curve, s, pt)
         except FactorFound as exc:

@@ -196,8 +196,9 @@ class TestAgainstAffine:
     @pytest.mark.parametrize("s", [1, 3, 4, 9, 17])
     def test_scalar_mul_meets_the_divisor(self, c_bits, s):
         # P has order 2^s mod Q18, so 2^s P and (3 * 2^s + 1) P meet Q18 at
-        # the doubling of a point of order 2; s = 9 and 17 put it past the
-        # third checkpoint (after operations 1, 3 and 7)
+        # the doubling of a point of order 2, at operation 7 or later for
+        # s = 9 and 17; s = 17 puts it past the first checkpoint (after
+        # operation 16) or at the last operation, which runs alone
         rng = random.Random(f"{c_bits}/{s}")
         curve, point = point_of_order_2s(c_bits, s, rng)
         for mult in (1 << s, (3 << s) + 1):
