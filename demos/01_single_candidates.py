@@ -2,7 +2,7 @@
 Testing single candidates 2^k * n - 1
 =====================================
 
-A tour of the three decision routes and what their verdicts carry.
+A tour of the two decision routes and what their verdicts carry.
 Run as: python demos/01_single_candidates.py
 """
 
@@ -11,17 +11,17 @@ from ecriesel import (
     FormCandidate,
     Point,
     auto_test,
-    curve_coefficient,
     factor_witness,
+    jacobi,
     replay_verdict,
     run_sequence,
     scalar_mul,
 )
 
 # Each candidate is carried as its decomposition (k, n); p is derived.
-# The dispatcher picks a route from the shape of n and the applicability
-# gates, so the same call covers all three algorithms (plus trial division
-# for tiny p).
+# The dispatcher picks a route from the applicability gates, so the same
+# call covers both algorithms (plus trial division for tiny p).  A Mersenne
+# number is the small-n route's n = 1 case.
 candidates = [
     FormCandidate(k=13, n=1),                            # Mersenne M_13 = 8191
     FormCandidate(k=7, n=3),                             # small n: p = 383
@@ -46,21 +46,22 @@ for c in candidates:
 
 print("\nAll verdicts replayed successfully.")
 
-# A closer look at one certificate: the small-n route records the
-# constructed point and the chain's outcome.  Everything else is derived,
-# by replay and by anyone else: the curve coefficient m from the point,
-# the chain's start x0 = x(n*Q), and the chain itself with run_sequence.
+# A closer look at one certificate: the small-n route records only where
+# the chain ended.  Everything else is derived, by replay and by anyone
+# else: m, the least a >= 2 with (a/p) = -1; the point Q = (-1, y) with
+# y^2 = m - 1, which lies on y^2 = x^3 - m*x because every symbol before
+# m's is +1; the chain's start x0 = x(n*Q); and the chain itself.  Deciding
+# never forms y: it takes x0 from an x-only ladder.
 c = FormCandidate(k=7, n=3)
 verdict = auto_test(c)
 cert = verdict.certificate
-base = Point(*cert["base_point"])
-m = curve_coefficient(c.p, base)
+m = next(a for a in range(2, c.p) if jacobi(a, c.p) != 1)
+base = Point(c.p - 1, pow(m - 1, (c.p + 1) // 4, c.p))
 start = scalar_mul(Curve(c.p, m), c.n, base)
 _, trace = run_sequence(c.p, m, start.x, c.k)
-print(f"\nCertificate for p = {c.p}:")
-print(f"  type       : {cert['type']}")
-print(f"  base point : {tuple(base)}, multiplied by n = {c.n}")
-print(f"  curve      : y^2 = x^3 - {m}x  (mod {c.p}, m derived from the point)")
+print(f"\nCertificate for p = {c.p}: {cert}")
+print(f"  curve      : y^2 = x^3 - {m}x  (mod {c.p}, m from Jacobi symbols)")
+print(f"  point Q    : {tuple(base)}, multiplied by n = {c.n}")
 print(f"  x0         : {start.x}  (derived)")
 print(f"  outcome    : {cert['outcome']}  (zero at step k justifies 'prime')")
 print(f"  S chain    : {list(trace.s_values)}  (recomputed)")

@@ -2,9 +2,11 @@
 Mersenne numbers without a curve search
 =======================================
 
-For M_k = 2^k - 1 the curve y^2 = x^3 - 3x and the start x_0 = -1 work for
-every exponent, so the test collapses to an x-only recursion, just like
-the classical squaring test it parallels.
+M_k = 2^k - 1 is the small-n route's n = 1 case.  For odd k the least a
+with (a/M_k) = -1 is 3, so the curve is y^2 = x^3 - 3x and the start is
+x_0 = -1 for every such exponent, and the test collapses to an x-only
+recursion, just like the classical squaring test it parallels.  For even k
+the symbol (3/M_k) is 0: 3 divides M_k.
 
 Run as: python demos/02_mersenne_scan.py
 """
@@ -30,9 +32,13 @@ for k in range(3, 131):
         print(f"{k:<5}{verdict.status:<13}{classical:<13}{agree}")
 
 print("\nComposite exponents agree too (suppressed above); for example:")
-for k in (4, 11, 23, 29, 37):
+for k in (4, 11, 21, 23, 29, 37):
     verdict = test_mersenne(k)
     cert = verdict.certificate
-    note = f"gcd hit at step {cert['step']}, divisor {cert['divisor']}" \
-        if cert["outcome"] == "gcd-hit" else cert["outcome"]
+    if cert["type"] == "factor":
+        note = f"divisor {cert['divisor']} at {cert['stage']}"
+    elif cert["outcome"] == "gcd-hit":
+        note = f"gcd hit at step {cert['step']}, divisor {cert['divisor']}"
+    else:
+        note = cert["outcome"]
     print(f"  M_{k}: {verdict.status} ({note})")

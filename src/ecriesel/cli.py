@@ -7,10 +7,10 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/3, whose certificates leave out m and
-the chain start x0, which replay derives, and the chain's final residue,
-which no verdict reads.  Replay reads no other schema, and names a
-run-record/2 record as no longer read.
+The schema is ecriesel.run-record/4.  Certificates hold no m (replay
+finds small-n's by a few Jacobi symbols, large-n's from the base point)
+and no small-n point.  Replay reads no other schema, and names a
+run-record/2 or /3 record as no longer read.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -64,7 +64,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/3"
+SCHEMA = "ecriesel.run-record/4"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -178,8 +178,8 @@ def _read(field: str, parse, value):
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema (a run-record/2 record
-    is named as no longer read), a missing top-level key, a verdict,
+    Raises ValueError on a record of another schema (a run-record/2 or /3
+    record is named as no longer read), a missing top-level key, a verdict,
     algorithm or tool_version that is not a string, a candidate that is not
     an object with exactly the keys k, n and p, a certificate key outside
     CERTIFICATE_FIELDS, an integer that is not a canonical decimal string, a
@@ -187,7 +187,7 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     is not a JSON integer >= 1.  A malformed field is named in the message.
     """
     schema = record.get("schema") if isinstance(record, dict) else None
-    if schema == "ecriesel.run-record/2":
+    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3"):
         raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
     if schema != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")

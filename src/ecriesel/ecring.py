@@ -20,9 +20,20 @@ While the earlier Z is a unit, the new one is a unit multiple of this
 operation's denominator, so the first non-unit Z marks the first operation
 the affine walk cannot complete: deferring the gcd hides no failure and no
 witness.  scalar_mul goes on from there by the affine double and add;
-double_x_only_chain, one walk of s*P and its doublings, names a failing
-doubling (ChainFailure).  Curve (checked when built), Point and
-ChainFailure are immutable named tuples.
+double_x_only_chain names a failing doubling (ChainFailure).  Curve
+(checked when built), Point and ChainFailure are immutable named tuples.
+
+The x-only ladder.  double_x_only_chain may first take s * Q, x(Q) = -1,
+by a Montgomery ladder (_x_only_ladder): with R1 - R0 = Q throughout,
+R0 + R1 = ((X0 X1 + m Z0 Z1)^2 : -(X0 Z1 - X1 Z0)^2) (Brier-Joye, PKC
+2002, b = 0), and doubling is the chain's.  Mod a prime l | N at which m
+is a unit, x = -1 lifts to R on the curve or its quadratic twist, and the
+ladder gives x(s R), Z = 0 mod l iff s R is infinity: (0:0) would need
+X^2 + m Z^2 = X Z (X^2 - m Z^2) = 0, or equal x, x^2 = -m and difference
+x = -1.  Its Z is no running product (R0 + R1 is finite again after R0
+meets infinity), so a checkpoint gcd inside it would depend on where runs
+end: it is one kernel call with no gcd, and a non-unit end Z divides the
+first doubling's 4 X Z (X^2 - m Z^2), so the walk names doubling 1.
 
 Reduction.  On N = 2^j - 1, j >= 5, the chain's shift-and-fold keeps |X|,
 |Z| < 2^(j+1) with no `%`.  Both kernels reduce any other N = c * 2^k - 1
@@ -36,14 +47,15 @@ one CPython digit, and costs linear time where a full `%` costs quadratic.
 Smaller moduli, where `%` is faster (the crossover table in CHANGES.md),
 and other shapes are reduced by `%`.
 
-Each fold reduction multiplies by the unit c^2.  The chain needs no change
-of representation: (X:Z) is homogeneous, so with m taken times c^-2 =
-2^(2k), X and Z gain the same c^6 per doubling and name the same point.
+Each fold reduction multiplies by the unit c^2.  The chain and the ladder
+need no change of representation: (X:Z) is homogeneous, so with m taken
+times c^-2 = 2^(2k), X and Z gain the same c^6 per doubling or ladder
+addition and name the same point.
 Jacobian (X:Y:Z) scale by different powers (x = X/Z^2, y = Y/Z^3), so
 the Jacobian ops run in the domain x -> x * 2^(2k) mod N (Montgomery
 1985): the point and m go in, each reduction of a sum of products of two
 domain values gives the domain value of that sum, and X, Y and Z leave
-it times c^2, for the affine tail or as (X : c^2 Z^2) for the chain.
+it times c^2, for the affine tail.
 Either way each Z is a unit multiple of the `%` kernel's Z, so every
 checkpoint gcd, FactorFound divisor, ChainFailure step and divisor, the
 operation order and every record byte stay those of the `%` kernels.  The
@@ -71,7 +83,7 @@ class FactorFound(Exception):
     """
 
     def __init__(self, divisor: int, modulus: int):
-        super().__init__(f"{divisor} divides {modulus}")
+        super().__init__(f"{divisor.bit_length()}-bit divisor of a {modulus.bit_length()}-bit N")
         self.divisor = divisor
         self.modulus = modulus
 
@@ -285,25 +297,12 @@ def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, i
     return state, done, 1
 
 
-def _jacobian(n: int, m: int, point: Point, ops: str):
-    """(step, start, unit): step(state, i, j) applies ops i .. j - 1 from
-    start = point, in the fold's domain where _riesel_fold allows, and a
-    state times unit (c^2 there, else 1) gives its (X, Y, Z)."""
-    fold = _riesel_fold(n)
-    if fold is None:
-        px, py = point.x % n, point.y % n
-        return (lambda state, i, j: _jacobian_ops(*state, ops[i:j], n, m, px, py)), (px, py, 1), 1
-    k, c = fold
-    px, py, m = ((v << 2 * k) % n for v in (point.x, point.y, m))
-    return ((lambda state, i, j: _jacobian_ops_folded(*state, ops[i:j], n, m, px, py, k, c)),
-            (px, py, (1 << 2 * k) % n), c * c % n)
-
-
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     """s*P by left-to-right double-and-add (deterministic operation order).
 
     Jacobian coordinates (x = X/Z^2, y = Y/Z^3) under the checkpoint walk,
-    then the affine double and add from the first failing operation on.
+    in the fold's domain where _riesel_fold allows, then the affine double
+    and add from the first failing operation on.
     """
     if s < 0:
         raise ValueError("scalar must be nonnegative")
@@ -314,9 +313,17 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     if not ops:
         return point
     n = curve.modulus
-    step, start, unit = _jacobian(n, curve.m, point, ops)
-    state, done, _ = _checkpointed(step, start, len(ops), n)
-    X, Y, Z = (v * unit % n for v in state)
+    fold = _riesel_fold(n)
+    k, c = fold or (0, 1)  # without a fold, the domain map is the identity
+    px, py, m, z = ((v << 2 * k) % n for v in (point.x, point.y, curve.m, 1))
+
+    def step(state, i, j):
+        if fold is None:
+            return _jacobian_ops(*state, ops[i:j], n, m, px, py)
+        return _jacobian_ops_folded(*state, ops[i:j], n, m, px, py, k, c)
+
+    state, done, _ = _checkpointed(step, (px, py, z), len(ops), n)
+    X, Y, Z = (v * c * c % n for v in state)
     inv = pow(Z, -1, n)
     inv2 = inv * inv % n
     acc = Point(X * inv2 % n, Y * inv2 % n * inv % n)
@@ -408,44 +415,71 @@ def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, m: int,
     return X, Z
 
 
-def double_x_only_chain(curve: Curve, start: Point | int, times: int,
-                        s: int = 1) -> tuple[int, int] | ChainFailure | Point:
-    """(X:Z), Z a unit, of 2^times * s*P, s >= 1, from start = P or, if s = 1, x(P).
+def _x_only_ladder(s: int, n: int, m: int, fold: tuple[int, int] | None) -> tuple[int, int]:
+    """(X:Z) of s * Q, x(Q) = -1, by the ladder of the module docstring,
+    reduced by `%` or, with fold = (k, c), as _x_only_doublings_folded
+    reduces (m is then the curve's m times 2^(2k) mod n).  From (R0, R1) =
+    (infinity, Q), a 0 bit takes them to (2 R0, R0 + R1) and a 1 bit, the
+    same step on the swapped pair, to (R0 + R1, 2 R1)."""
+    X0, Z0, X1, Z1 = 1, 0, n - 1, 1
+    k, c = fold or (0, 1)
+    mask = (1 << k) - 1
+    for bit in bin(s)[2:]:
+        if bit == "1":
+            X0, Z0, X1, Z1 = X1, Z1, X0, Z0
+        if fold is None:
+            t = (X0 * X1 + m * (Z0 * Z1 % n)) % n
+            u = (X0 * Z1 - X1 * Z0) % n
+            X1, Z1 = t * t % n, -(u * u) % n
+            X0, Z0 = _x_only_doublings(X0, Z0, 1, n, m, False)
+        else:
+            t = Z0 * Z1
+            t = (t >> k) + c * (t & mask)
+            t = X0 * X1 + m * (((t >> k) + c * (t & mask)) % n)
+            t = (t >> k) + c * (t & mask)
+            a = ((t >> k) + c * (t & mask)) % n
+            t = X0 * Z1 - X1 * Z0
+            t = (t >> k) + c * (t & mask)
+            u = ((t >> k) + c * (t & mask)) % n
+            t = a * a
+            t = (t >> k) + c * (t & mask)
+            X1 = ((t >> k) + c * (t & mask)) % n
+            t = -(u * u)
+            t = (t >> k) + c * (t & mask)
+            Z1 = ((t >> k) + c * (t & mask)) % n
+            X0, Z0 = _x_only_doublings_folded(X0, Z0, 1, n, m, k, c)
+        if bit == "1":
+            X0, Z0, X1, Z1 = X1, Z1, X0, Z0
+    return X0, Z0
 
-    One checkpoint walk: scalar_mul's Jacobian ops, then the doublings from
-    (X : Z^2) = Z^2 (x : 1), by shift-and-fold mod 2^j - 1 (j >= 5), else
-    as the Jacobian ops reduce.  A failing doubling gives double_x_only's
-    step and divisor; a failure within s*P hands over to scalar_mul.
-    """
+
+def double_x_only_chain(curve: Curve, x: int, times: int,
+                        s: int = 1) -> tuple[int, int] | ChainFailure:
+    """(X:Z) of 2^times * s*P, s >= 1, from x = x(P), with Z a unit once
+    times >= 1; else the first doubling whose denominator is not a unit.
+
+    s > 1 takes x = -1, and s*P comes from the ladder.  The doublings run
+    under one checkpoint walk, by shift-and-fold mod 2^j - 1 (j >= 5),
+    else by the Riesel fold or `%`."""
     n, m = curve.modulus, curve.m % curve.modulus
-    ops = bin(s)[3:].replace("1", "DA").replace("0", "D")
-    last = len(ops)
-    if ops:
-        jacobian, state, unit = _jacobian(n, m, start, ops)
-    else:
-        state = ((start.x if isinstance(start, Point) else start) % n, 1)
-    mersenne = n & (n + 1) == 0 and n.bit_length() >= 5
-    fold = None if mersenne else _riesel_fold(n)
+    fold = _riesel_fold(n)
     # folded, m times c^-2 = 2^(2k): m Z^2 folds to c^2 m Z^2, as X^2 to c^2 X^2
     mk = m if fold is None else (m << 2 * fold[0]) % n
+    if s == 1:
+        state = (x % n, 1)
+    elif (x + 1) % n:
+        raise ValueError("the ladder starts from x = -1")
+    else:
+        state = _x_only_ladder(s, n, mk, fold)
+    mersenne = n & (n + 1) == 0 and n.bit_length() >= 5
 
     def step(state, i, j):
-        if i < last:
-            X, Y, Z = jacobian(state, i, j)
-            state = (X, Y, Z) if j < last else (X, Z * Z * unit % n)
-        if j <= last:
-            return state
-        if fold is None:
-            return _x_only_doublings(*state, j - max(i, last), n, m, mersenne)
-        return _x_only_doublings_folded(*state, j - max(i, last), n, mk, *fold)
+        if fold is None or mersenne:
+            return _x_only_doublings(*state, j - i, n, m, mersenne)
+        return _x_only_doublings_folded(*state, j - i, n, mk, *fold)
 
-    state, done, g = _checkpointed(step, state, last + times, n)
-    if g == 1:
-        return state
-    if done >= last:
-        return ChainFailure(done - last + 1, g)
-    multiple = scalar_mul(curve, s, start)
-    return multiple if multiple.is_infinity else double_x_only_chain(curve, multiple.x, times)
+    state, done, g = _checkpointed(step, state, times, n)
+    return state if g == 1 else ChainFailure(done + 1, g)
 
 
 def double_x_only(curve: Curve, x: int) -> int | None:

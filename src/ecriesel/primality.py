@@ -2,31 +2,35 @@
 
 auto_test, the one decide entry, takes the first route that applies:
 
-  * mersenne   n = 1, k >= 3: fixed curve and start, pure sequence run;
-  * small-n    gate_small_n: construct a curve and point, multiply by n,
-               then run the k-step sequence, both in one walk;
+  * small-n    gate_small_n, n = 1 included: the k-step x-only chain from
+               x(n * Q), x(Q) = -1, on y^2 = x^3 - m x, where m is the
+               least a >= 2 with (a/p) != +1;
   * large-n    gate_large_n, every factor of n prime: 2^k * Q has order
                exactly n (Goldwasser-Kilian).
 
 The two gates never both hold.  With no route, _fallback decides p by the
 exact oracle or the presieve, or reports not-applicable.
 
-Each route is an evaluator on a given curve and point (_sequence_verdict,
-_small_n_verdict, _order_verdict); both curve routes search through one
-_curve_route: it tries the (m, Q) pairs of one scan until the route's
-evaluator decides, maps a divisor met on the way to a factor verdict and
-gives up as retries-exhausted when the scan runs dry.  The scan is one
-fixed procedure, so a run's certificate is reproducible byte for byte.  A
-Prime/Composite verdict's certificate records the choices the search made
-(the base point, from which curve_coefficient gives m) and where the chain
-ended; replay_verdict checks them and recomputes the verdict with the same
-evaluator.  Verdict is an immutable named tuple.
+Small-n scans no point and forms no y; a zero symbol met finding m is a
+factor at parameter-scan.  Sound: if the chain ends in zero, every prime
+l | p has 2^k <= (sqrt(l) + 1)^2 (sequence docstring; (m/p) = -1 makes m
+a unit), yet a composite p has an l <= sqrt(p), with (p^(1/4) + 1)^2 <
+p / n < 2^k by the gate.  Complete: the symbols before m's are +1, so
+((m - 1)/p) = +1; for a prime p, Q = (-1, sqrt(m - 1)) lies on the curve,
+cyclic of order 2^k n (fact 2 of oracle), and (-1/p) = -1 gives Q an
+order divisible by 2^k (fact 3), so n * Q has order 2^k.  For M_k, k odd,
+(2/p) = +1 and (3/p) = -1 give m = 3 and, as n = 1, no ladder: the
+classical Mersenne chain.
+
+Large-n's _curve_route tries the (m, Q) pairs of one fixed scan until
+_order_verdict decides.  Replay re-runs each route's evaluator
+(_small_n_verdict, _order_verdict) after checking the recorded choices.
+Verdict is an immutable named tuple.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from itertools import islice
 from math import gcd, prod
 
@@ -44,7 +48,7 @@ from .numtheory import (
     presieve,
     trial_division,
 )
-from .sequence import FINAL_ZERO, SequenceOutcome, chain_outcome
+from .sequence import FINAL_ZERO, chain_outcome
 from .sequence import run_sequence  # noqa: F401  (perfbench/tracing.py patches it here)
 
 PRIME = "prime"
@@ -52,8 +56,8 @@ COMPOSITE = "composite"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not-applicable"
 
-# Most x (and y) values one curve/point scan tries, so that a scan over
-# hostile input ends instead of running for ever.
+# Most y values one curve/point scan tries, so that a scan over hostile
+# input ends instead of running for ever.
 SCAN_LIMIT = 100_000
 # Most scanned (m, Q) pairs one curve route tries before it gives up.
 RETRY_CAP = 20
@@ -82,25 +86,26 @@ def curve_coefficient(p: int, base: Point) -> int:
     return (x * x * x - y * y) * pow(x, -1, p) % p
 
 
+def _least_nonresidue(p: int) -> int:
+    """The least a >= 2 with (a/p) = -1, p = 3 (mod 4), which (-1/p) = -1
+    bounds by p - 1; FactorFound on a zero symbol before it."""
+    a = 2
+    while (j := jacobi(a, p)) == 1:
+        a += 1
+    if j == 0:
+        raise FactorFound(gcd(a, p), p)
+    return a
+
+
 def _curve_point_candidates(p: int):
     """Yield (m, Q) pairs: (x/p) = -1, ((x^3 - y^2)/p) = +1, m = curve_coefficient(p, Q).
 
     Q = (x, y) then lies on y^2 = x^3 - m*x with (m/p) = -1 by
-    multiplicativity.  x ascends from 2 and y from 1, up to SCAN_LIMIT
-    values each.  A zero symbol anywhere in the scan means a shared factor
-    with p, raised as FactorFound.  Successive yields keep the same x and
-    move to the next y, which is what _curve_route's retries need.
+    multiplicativity.  x is _least_nonresidue(p), and y ascends from 1, up
+    to SCAN_LIMIT values, one per retry of _curve_route.  A zero symbol
+    means a shared factor with p, raised as FactorFound.
     """
-    x = None
-    for cand in range(2, min(p - 1, 2 + SCAN_LIMIT)):
-        j = jacobi(cand, p)
-        if j == 0:
-            raise FactorFound(gcd(cand, p), p)
-        if j == -1:
-            x = cand
-            break
-    if x is None:
-        return
+    x = _least_nonresidue(p)
     x_cubed = x * x * x % p
     for y in range(1, min(p, 1 + SCAN_LIMIT)):
         # t != 0: x^3 = y^2 would give (x/p)^3 = (y/p)^2, never -1
@@ -167,30 +172,21 @@ def _probable_prime(q: int) -> bool:
     return miller_rabin(q) if prime is None else prime
 
 
-# --- evaluation on a given curve and point, for deciding and replay -------
+# --- the evaluators, for deciding and replay ----------------------------
 
-def _sequence_verdict(algorithm: str, outcome: SequenceOutcome,
-                      base_point: Point | None = None) -> Verdict:
-    """Prime iff the chain ended in zero; the certificate holds where, and a
-    constructed curve's base point, from which replay recomputes the rest."""
-    cert = {"type": "sequence", "outcome": outcome.kind}
-    if outcome.step is not None:
-        cert["step"] = outcome.step
-    if outcome.divisor is not None:
-        cert["divisor"] = outcome.divisor
-    if base_point is not None:
-        cert["base_point"] = [base_point.x, base_point.y]
-    return Verdict(PRIME if outcome.kind == FINAL_ZERO else COMPOSITE, algorithm, cert)
-
-
-def _small_n_verdict(c: FormCandidate, m: int, base: Point) -> Verdict:
-    """The small-n verdict on (m, base): composite when n * base is already
-    infinity, else the chain from it, in one walk.  Raises FactorFound."""
-    outcome = chain_outcome(c.p, m, base, c.k, c.n)
-    if outcome is None:
-        cert = {"type": "vanished-multiple", "base_point": [base.x, base.y]}
+def _small_n_verdict(c: FormCandidate) -> Verdict:
+    """The small-n verdict (module docstring): prime iff the chain from
+    x(n * Q) ends in zero, its certificate where the chain ended."""
+    try:
+        m = _least_nonresidue(c.p)
+    except FactorFound as exc:
+        cert = {"type": "factor", "divisor": exc.divisor, "stage": "parameter-scan"}
         return Verdict(COMPOSITE, "small-n", cert)
-    return _sequence_verdict("small-n", outcome, base)
+    outcome = chain_outcome(c.p, m, -1, c.k, c.n)
+    cert = {key: value for key, value in zip(("outcome", "step", "divisor"), outcome)
+            if value is not None}
+    cert["type"] = "sequence"
+    return Verdict(PRIME if outcome.kind == FINAL_ZERO else COMPOSITE, "small-n", cert)
 
 
 def _order_verdict(c: FormCandidate, m: int, base: Point,
@@ -227,44 +223,35 @@ def _order_verdict(c: FormCandidate, m: int, base: Point,
 
 # --- deciding: search, gates, retries and fallback -------------------------
 
-def _curve_route(c: FormCandidate, algorithm: str, evaluate,
-                 factors: tuple[int, ...] | None = None) -> Verdict:
-    """The first verdict evaluate(c, m, base) gives on the scanned (m, Q) pairs.
-
-    evaluate returns None when its pair decides nothing; at most RETRY_CAP
-    pairs are tried.  A divisor of p gives a factor verdict: at stage
-    parameter-scan when the scan meets it before the first pair, else at
-    scalar-multiplication.  A scan that runs dry gives retries-exhausted,
-    which carries the given factors of n, so that replay can check them.
+def _curve_route(c: FormCandidate, factors: tuple[int, ...]) -> Verdict:
+    """The first verdict _order_verdict gives on the scanned (m, Q) pairs,
+    of which at most RETRY_CAP are tried.  A divisor of p gives a factor
+    verdict: at stage parameter-scan when the scan meets it before the
+    first pair, else at scalar-multiplication.  A scan that runs dry gives
+    retries-exhausted with the factors given with c, for replay to check.
     """
     attempts = 0
     try:
         for m, base in islice(_curve_point_candidates(c.p), RETRY_CAP):
             attempts += 1
-            verdict = evaluate(c, m, base)
+            verdict = _order_verdict(c, m, base, factors)
             if verdict is not None:
                 return verdict if attempts == 1 else verdict._replace(iterations=attempts)
     except FactorFound as exc:
         stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
         cert = {"type": "factor", "divisor": exc.divisor, "stage": stage}
-        return Verdict(COMPOSITE, algorithm, cert, iterations=max(attempts, 1))
+        return Verdict(COMPOSITE, "large-n", cert, iterations=max(attempts, 1))
     cert = {"type": "retries-exhausted", "attempts": attempts}
-    if factors is not None:
-        cert["factors"] = list(factors)
-    return Verdict(INCONCLUSIVE, algorithm, cert, iterations=max(attempts, 1))
+    if c.n_factors is not None:
+        cert["factors"] = list(c.n_factors)
+    return Verdict(INCONCLUSIVE, "large-n", cert, iterations=max(attempts, 1))
 
 
 def test_mersenne(k: int) -> Verdict:
-    """Mersenne route for M_k = 2^k - 1, k >= 3: no curve search at all.
-
-    The fixed start x_0 = -1 on y^2 = x^3 - 3x is valid for every exponent,
-    so the verdict is the sequence classification directly, and replay takes
-    m = 3 and x_0 from here rather than from the certificate.
-    """
+    """auto_test on M_k = 2^k - 1, k >= 3: small-n from k = 4 on."""
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
-    p = (1 << k) - 1
-    return _sequence_verdict("mersenne", chain_outcome(p, 3, p - 1, k))
+    return auto_test(FormCandidate(k=k, n=1))
 
 
 def auto_test(c: FormCandidate) -> Verdict:
@@ -272,18 +259,13 @@ def auto_test(c: FormCandidate) -> Verdict:
 
     Large-n takes c.n_factors, or n itself, as n's factorization; the
     paper's large-prime-n and two-prime-n tests are its one- and two-factor
-    cases.  A curve route that finds no deciding pair gives up as
-    inconclusive; large-n then records c.n_factors when they were given.
-    With no route, _fallback decides or reports not-applicable.
+    cases.  With no route, _fallback decides or reports not-applicable.
     """
-    if c.n == 1 and c.k >= 3:
-        return test_mersenne(c.k)
     if gate_small_n(c):
-        return _curve_route(c, "small-n", _small_n_verdict)
+        return _small_n_verdict(c)
     factors = c.n_factors or (c.n,)
     if gate_large_n(c) and all(_probable_prime(q) for q in factors):
-        return _curve_route(c, "large-n", partial(_order_verdict, factors=factors),
-                            c.n_factors)
+        return _curve_route(c, factors)
     return _fallback(c)
 
 
@@ -292,45 +274,31 @@ def auto_test(c: FormCandidate) -> Verdict:
 # The stages at which each route can meet a divisor of p.
 _FACTOR_STAGES = {
     "sieve": ("sieve",),
-    "small-n": ("parameter-scan", "scalar-multiplication"),
+    "small-n": ("parameter-scan",),
     "large-n": ("parameter-scan", "scalar-multiplication"),
 }
-
-
-def _replay_curve(p: int, base: Point) -> int | None:
-    """The curve coefficient m of a recorded base point, None unless
-    0 <= x, y < p, (x/p) = -1 and (m/p) = -1.
-
-    base lies on y^2 = x^3 - m*x by the choice of m, and m != 0: x^3 = y^2
-    would give (x/p)^3 = (y/p)^2, never -1.
-    """
-    if not (0 <= base.x < p and 0 <= base.y < p and jacobi(base.x, p) == -1):
-        return None
-    m = curve_coefficient(p, base)
-    return m if jacobi(m, p) == -1 else None
 
 
 def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
-    Checks the recorded choices (the base point, whose curve coefficient m
-    it derives, the factors of n, the gate behind a prime verdict), then
-    recomputes the verdict with the route's own evaluator and compares
-    status, algorithm and certificate.  Every chain step, its start and
-    every multiple are recomputed; the multipliers (n, 2^k, n/q, q) come
-    from the candidate and the checked factors, and no scan, retry,
-    fallback or dispatch runs.  The evaluators are built from the integer
-    and curve layers alone; the independent references for them are the
-    traced walk run_sequence, the oracle and the differential tests.
+    Checks the recorded choices (a large-n base point, whose curve
+    coefficient m it derives, the factors of n, the gate behind a prime
+    verdict), then re-runs the route's own evaluator and compares status,
+    algorithm and certificate; small-n records no choice.  The multipliers
+    (n, 2^k, n/q, q) come from the candidate and the checked factors, and
+    no scan, retry, fallback or dispatch runs.  The evaluators use the
+    integer and curve layers alone; the independent references for them
+    are the traced walk run_sequence, the oracle and the differential tests.
     An undecided verdict is checked against what auto_test can give up
     with, and no scan or fallback runs: not-applicable is _fallback's
     dispatch verdict, for p >= PSI_13 with gate_small_n failing and no
-    prime factor up to 13 (no Miller-Rabin); inconclusive is a curve
-    route's retries-exhausted, with that route's gate holding and at most
-    RETRY_CAP pairs tried, and on large-n with the recorded factors, or
-    (n,) without them, multiplying to n and each passing _probable_prime,
-    as large-n's entry requires.  A decided verdict has iterations 1, or up
-    to RETRY_CAP on large-n, whose evaluator can decline a pair.
+    prime factor up to 13 (no Miller-Rabin); inconclusive is large-n's
+    retries-exhausted, with its gate holding, at most RETRY_CAP pairs
+    tried, and the recorded factors, or (n,) without them, multiplying to n
+    and each passing _probable_prime, as large-n's entry requires.  A
+    decided verdict has iterations 1, or up to RETRY_CAP on large-n, whose
+    evaluator can decline a pair.
     """
     try:
         return _replay(c, verdict)
@@ -348,20 +316,17 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
         # at p >= PSI_13, n = 1 passes gate_small_n: a Mersenne candidate fails here
         return (verdict == _DISPATCH and p >= PSI_13 and not gate_small_n(c)
                 and _sieve_divisor(c) is None)
-    curve_route = algorithm in ("small-n", "large-n")
-    gate = gate_small_n if algorithm == "small-n" else gate_large_n
     if status == INCONCLUSIVE:
         attempts = cert.get("attempts")
         shape = {"type": "retries-exhausted", "attempts": attempts}
-        if algorithm == "large-n" and "factors" in cert:
+        if "factors" in cert:
             shape["factors"] = cert["factors"]  # given with the candidate
-        if not (curve_route and cert == shape and 0 <= attempts <= RETRY_CAP
-                and verdict.iterations == max(attempts, 1) and gate(c)):
+        if not (algorithm == "large-n" and cert == shape and 0 <= attempts <= RETRY_CAP
+                and verdict.iterations == max(attempts, 1) and gate_large_n(c)):
             return False
         # auto_test takes large-n only when every factor of n is prime
         factors = cert.get("factors", (c.n,))
-        return algorithm == "small-n" or (
-            prod(factors) == c.n and all(_probable_prime(q) for q in factors))
+        return prod(factors) == c.n and all(_probable_prime(q) for q in factors)
     if status not in (PRIME, COMPOSITE):
         return False
     # Only large-n's evaluator can decline a pair, so only its verdicts
@@ -381,22 +346,23 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
 
     if algorithm in ("trial-division", "miller-rabin"):
         expected = _oracle_verdict(p)
-    elif algorithm == "mersenne":
-        if c.n != 1 or c.k < 3:
+    elif algorithm == "small-n":
+        if status == PRIME and not gate_small_n(c):
             return False
-        expected = test_mersenne(c.k)
-    elif curve_route:
+        expected = _small_n_verdict(c)
+    elif algorithm == "large-n":
+        # base lies on y^2 = x^3 - m x by the choice of m, and m != 0, as
+        # x^3 = y^2 would give (x/p)^3 = (y/p)^2, never -1
         base = Point(*cert["base_point"])
-        m = _replay_curve(p, base)
-        if m is None or (status == PRIME and not gate(c)):
+        if not (0 <= base.x < p and 0 <= base.y < p and jacobi(base.x, p) == -1):
             return False
-        if algorithm == "small-n":
-            expected = _small_n_verdict(c, m, base)
-        else:
-            factors = cert["factors"]
-            if prod(factors) != c.n or not all(_probable_prime(q) for q in factors):
-                return False
-            expected = _order_verdict(c, m, base, factors)
+        m = curve_coefficient(p, base)
+        if jacobi(m, p) != -1 or (status == PRIME and not gate_large_n(c)):
+            return False
+        factors = cert["factors"]
+        if prod(factors) != c.n or not all(_probable_prime(q) for q in factors):
+            return False
+        expected = _order_verdict(c, m, base, factors)
     else:
         return False
     return expected is not None and (

@@ -9,13 +9,17 @@ reads off exactly when the doubled point first hits 2-torsion or infinity.
 A unit c changes no S_i's gcd with N and whether S_k vanishes, so it
 never changes the outcome.
 
-chain_outcome decides a run from x_0 or from s * P in one projective walk
-with a deferred gcd and no inversion (ecring.double_x_only_chain), which
-names the first non-unit S_i with its step and divisor; it takes c = 1.
-run_sequence walks the chain affinely step by step and keeps the trace,
-with the paper's c = 4 by default; it is the reference chain_outcome is
-tested against, and no decision or replay path calls it.  SequenceOutcome
-and STrace are immutable named tuples.
+chain_outcome decides a run from x_0, or from x(s * Q) for x(Q) = -1, in
+one projective walk with a deferred gcd and no inversion, with c = 1
+(ecring.double_x_only_chain names the first non-unit S_i).  A prime
+verdict rests on that chain alone: mod a prime l | N, x_0 lifts to R on
+the curve or its quadratic twist, elliptic curves both when m is a unit
+mod l.  Units S_1 .. S_(k-1) and S_k = 0 give R order 2^k (2^(k-1) R has
+order 2), so the Hasse bound gives 2^k <= (sqrt(l) + 1)^2 on either
+curve.  run_sequence walks the chain affinely step by step and keeps the
+trace, with the paper's c = 4 by default; it is the reference
+chain_outcome is tested against, and no decision or replay path calls it.
+SequenceOutcome and STrace are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .ecring import INFINITY, ChainFailure, Curve, Point, double_x_only, double_x_only_chain
+from .ecring import ChainFailure, Curve, double_x_only, double_x_only_chain
 
 # Outcome kinds for a k-step run.
 FINAL_ZERO = "final-zero"  # every S_i (i < k) a unit and S_k = 0: the prime pattern
@@ -97,19 +101,17 @@ def run_sequence(
     return outcome, trace
 
 
-def chain_outcome(modulus: int, m: int, start: Point | int, k: int,
-                  s: int = 1) -> SequenceOutcome | None:
-    """run_sequence(modulus, m, x(s * P), k)'s outcome, untraced, from one
-    double_x_only_chain walk (start = P or, if s = 1, x(P)); None when
-    s * P is infinity.  The i-th doubling denominator is a unit multiple of
-    S_i, so the first non-unit one gives a GCD_HIT or, vanishing mod the
-    modulus, EARLY_INFINITY; else FINAL_ZERO iff X (X^2 - m Z^2) = 0, Z^3
-    times the last x's S_k with Z a unit."""
+def chain_outcome(modulus: int, m: int, x0: int, k: int, s: int = 1) -> SequenceOutcome:
+    """run_sequence(modulus, m, x(s * P), k)'s outcome for x(P) = x0,
+    untraced, from one double_x_only_chain walk (s > 1 takes x0 = -1).
+    The i-th doubling denominator is a unit multiple of S_i, so the first
+    non-unit one gives a GCD_HIT or, vanishing mod the modulus,
+    EARLY_INFINITY; else FINAL_ZERO iff X (X^2 - m Z^2) = 0, Z^3 times the
+    last x's S_k with Z a unit.  An s * P at infinity mod some prime factor
+    fails at step 1."""
     _check_chain(modulus, k)
     m %= modulus
-    end = double_x_only_chain(Curve(modulus, m), start, k - 1, s)
-    if end == INFINITY:
-        return None
+    end = double_x_only_chain(Curve(modulus, m), x0, k - 1, s)
     if isinstance(end, ChainFailure):
         if end.divisor == modulus:
             return SequenceOutcome(EARLY_INFINITY, step=end.step)
@@ -119,11 +121,8 @@ def chain_outcome(modulus: int, m: int, start: Point | int, k: int,
 
 
 def mersenne_sequence(k: int) -> tuple[SequenceOutcome, STrace]:
-    """The chain specialized to M_k = 2^k - 1: m = 3, x_0 = -1, no 4-factor.
-
-    This fixed starting point works for every exponent, so no curve or
-    point search is involved; k >= 3 required.
-    """
+    """The traced chain of M_k = 2^k - 1, k >= 3: m = 3, x_0 = -1, no
+    4-factor, as small-n takes it for odd k."""
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
     modulus = (1 << k) - 1

@@ -151,11 +151,12 @@ class TestNoAffineFallback:
         monkeypatch.setattr(ecring, "double_x_only", boom)
 
     def test_mersenne_decide_and_replay_to_300(self):
+        # M_3 is the oracle's and 3 divides M_k for even k: no outcome there
         kinds = set()
         for k in range(3, 301):
             v = mersenne_test(k)
             assert replay_verdict(FormCandidate(k=k, n=1), v), k
-            kinds.add(v.certificate["outcome"])
+            kinds.add(v.certificate.get("outcome"))
         assert GCD_HIT in kinds
 
     @pytest.mark.parametrize("name", ["fold-gcd", "division-infinity", "division-gcd"])

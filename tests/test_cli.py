@@ -36,11 +36,12 @@ def json_lines(text):
 
 class TestTestCommand:
     def test_mersenne_route(self):
+        # M_k is small-n's n = 1 corner
         code, out, _ = run_cli("test", "5", "1", "--json")
         assert code == 0
         rec = json_lines(out)[0]
         assert rec["verdict"] == "prime"
-        assert rec["algorithm"] == "mersenne"
+        assert rec["algorithm"] == "small-n"
         assert rec["candidate"] == {"k": "5", "n": "1", "p": "31"}
 
     def test_small_n_route(self):
@@ -84,14 +85,13 @@ class TestTestCommand:
         rec = json_lines(out)[0]
         assert rec["candidate"]["p"] == str((19 << 89) - 1)
         cert = rec["certificate"]
-        # m and x0 are derived on replay, so the record carries neither
-        assert cert.keys() == {"type", "outcome", "base_point"}
-        assert all(isinstance(x, str) for x in cert["base_point"])
+        # small-n scans no point, and replay derives m and x0
+        assert cert == {"type": "sequence", "outcome": "final-zero"}
 
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/3")
+            assert json.loads(line)["schema"].endswith("/4")
 
 
 class TestFactorOption:
@@ -127,11 +127,11 @@ class TestFactorOption:
             f'"p":"{4 * 3**53 - 1}"}},'
             '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
             'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/3","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            '"schema":"ecriesel.run-record/4","tool_version":"0.1.0","verdict":"not-applicable"}\n')
 
     @pytest.mark.parametrize("argv, line", [
         (("5", "3"), "k=5 n=3 p=95: composite [small-n] divisor=5"),  # factor
-        (("7", "7"), "k=7 n=7 p=895: composite [small-n] divisor=5"),  # gcd-hit
+        (("9", "1"), "k=9 n=1 p=511: composite [small-n] divisor=7"),  # gcd-hit
         (("2", "7"), "k=2 n=7 p=27: composite [trial-division] divisor=3"),  # oracle
         (("2", "3"), "k=2 n=3 p=11: prime [trial-division]"),
         (("2", "10395"), "k=2 n=10395 p=41579: prime [miller-rabin]"),
@@ -214,7 +214,8 @@ class TestStrictReplayInput:
         return json.loads(run_cli("test", *argv, "--json")[1])
 
     def test_forged_vanished_multiple(self, tmp_path):
-        # p = 383 is prime; the record claims 3 * Q = infinity
+        # p = 383 is prime; the record claims 3 * Q = infinity, in the
+        # shape the small-n route wrote before it scanned no point
         rec = self.record("7", "3")
         rec["verdict"] = "composite"
         rec["certificate"] = {"type": "vanished-multiple", "base_point": ["5", "1"]}
@@ -255,9 +256,19 @@ class TestStrictReplayInput:
         # the /2 record of the same call, which carried m and x0
         rec = self.record("7", "3")
         rec["schema"] = "ecriesel.run-record/2"
-        rec["certificate"].update(m="178", x0="39")
+        rec["certificate"].update(base_point=["5", "1"], m="178", x0="39")
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", "replay: malformed record: schema: ecriesel.run-record/2 is no longer read; "
+                   "decide the candidate again\n")
+
+    def test_run_record_3_is_no_longer_read(self, tmp_path):
+        # the /3 record of the same call, which carried the scanned point,
+        # with the same message as /2
+        rec = self.record("7", "3")
+        rec["schema"] = "ecriesel.run-record/3"
+        rec["certificate"]["base_point"] = ["5", "1"]
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/3 is no longer read; "
                    "decide the candidate again\n")
 
     def test_one_record_per_input(self, tmp_path):
@@ -350,7 +361,7 @@ class TestStrictReplayInput:
         (("large-n", "order"), "m"),
         (("small-n", "sequence"), "m"),
         (("small-n", "sequence"), "x0"),
-        (("mersenne", "sequence"), "residue"),
+        (("small-n", "sequence"), "residue"),
     ])
     def test_derived_field_is_unknown(self, tmp_path, source, field):
         # run-record/2 carried these; replay derives them now
@@ -479,7 +490,7 @@ class TestStrictReplayInput:
             code, out, _ = self.replay(tmp_path, line)
             assert code == 0 and out.startswith("replay: valid"), line
             replayed += 1
-        assert replayed == 93
+        assert replayed == 92
 
 
 class TestMersenneCommand:
@@ -511,7 +522,8 @@ class TestMersenneCommand:
         code, out, _ = run_cli("mersenne", "14400", "14400", "--json")
         assert code == 0
         rec = json_lines(out)[0]
-        assert rec["verdict"] == "composite" and rec["certificate"]["outcome"] == "gcd-hit"
+        assert rec["verdict"] == "composite"
+        assert rec["certificate"] == {"divisor": "3", "stage": "parameter-scan", "type": "factor"}
         assert len(rec["candidate"]["p"]) == 4335
         assert cli._parse_int(rec["candidate"]["p"]) == (1 << 14400) - 1
         assert run_cli("test", "14400", "1", "--json")[:2] == (1, out)

@@ -7,19 +7,19 @@ bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 
-tests/data/frozen_records.jsonl holds records of outcomes that no call
+tests/data/frozen_records.jsonl holds a record of an outcome that no call
 with the fixed curve/point scan is known to reach: a large-n retries-
-exhausted (written with the retry cap at 1) and two small-n early-infinity
-chains (written with other scanned points).  They are replayed and
-fuzzed, never regenerated; the move to run-record/3 only dropped their m,
-x0 and residue fields and bumped the schema tag.  Together the two files
-reach every certificate type and every sequence outcome the CLI can emit,
-on every route that emits it.
+exhausted, written with the retry cap at 1.  It is replayed and fuzzed,
+never regenerated; each schema move has only changed its tag.  Together
+the two files reach every certificate type and every sequence outcome the
+CLI can emit, on every route that emits it.
 """
 
 import io
 import json
 from pathlib import Path
+
+import pytest
 
 from ecriesel import cli
 
@@ -29,7 +29,8 @@ SEARCH_RANGE = GOLDEN.with_name("search_k31_40001_40999.jsonl")
 
 # (argv, exit code).  Comments name what each call adds to the set.
 GOLDEN_CALLS = [
-    # mersenne: final-zero, final-nonzero, gcd-hit
+    # M_3 by trial division (the small-n gate fails at p = 7), then small-n:
+    # final-zero, final-nonzero, gcd-hit, and the factor 3 of M_k for even k
     (("mersenne", "3", "64", "--json"), 0),
     # sieve factors plus small-n final-zero, then the summary line
     (("search", "--k", "12", "--n-min", "1", "--n-max", "25", "--json"), 0),
@@ -46,10 +47,14 @@ GOLDEN_CALLS = [
     (("test", "2", "37", "--json"), 1),  # large-n factor at parameter-scan
     (("test", "2", "19", "--json"), 1),  # large-n factor at scalar-multiplication
     (("test", "5", "3", "--json"), 1),  # small-n factor at parameter-scan
-    (("test", "6", "5", "--json"), 1),  # small-n factor at scalar-multiplication
+    (("test", "6", "5", "--json"), 1),  # small-n final-nonzero
     (("test", "7", "3", "--json"), 0),  # small-n final-zero
     (("test", "7", "37", "--json"), 1),  # small-n final-nonzero
-    (("test", "7", "7", "--json"), 1),  # small-n gcd-hit
+    (("test", "7", "7", "--json"), 1),  # small-n final-nonzero
+    # small-n early-infinity: p = 13^2 * 409 * 69119, and n * Q is infinity
+    # mod every prime factor.  The only such candidate with 2 <= k <= 100
+    # and odd n < 20000.
+    (("test", "18", "18225", "--json"), 1),
 ]
 
 # 500 candidates at k = 31: presieved lines, small-n primes (final-zero)
@@ -94,11 +99,10 @@ def test_golden_set_covers_every_reachable_pair():
         cert = record["certificate"]
         pairs.add((record["algorithm"], cert["type"],
                    cert.get("outcome") or cert.get("stage") or cert.get("gate")))
-    sequence = {("mersenne", "sequence", o) for o in ("final-zero", "final-nonzero", "gcd-hit")}
-    sequence |= {("small-n", "sequence", o)
-                 for o in ("final-zero", "final-nonzero", "gcd-hit", "early-infinity")}
-    factors = {(a, "factor", s) for a in ("small-n", "large-n")
-               for s in ("parameter-scan", "scalar-multiplication")}
+    sequence = {("small-n", "sequence", o)
+                for o in ("final-zero", "final-nonzero", "gcd-hit", "early-infinity")}
+    factors = {("small-n", "factor", "parameter-scan")}
+    factors |= {("large-n", "factor", s) for s in ("parameter-scan", "scalar-multiplication")}
     assert pairs == sequence | factors | {
         ("sieve", "factor", "sieve"),
         ("trial-division", "oracle", None),
@@ -110,12 +114,27 @@ def test_golden_set_covers_every_reachable_pair():
 
 
 def test_no_certificate_carries_a_derived_field():
-    # replay derives m from the base point and re-runs the chain for x0 and
-    # the final residue, so run-record/3 leaves all three out
+    # replay derives m from a base point or from Jacobi symbols and re-runs
+    # the chain for x0 and the final residue, so no record holds the three;
+    # small-n scans no point, so its records hold none
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/3", line
+        assert record["schema"] == "ecriesel.run-record/4", line
         assert not {"m", "x0", "residue"} & record["certificate"].keys(), line
+        if record["algorithm"] == "small-n":
+            assert "base_point" not in record["certificate"], line
+
+
+def test_decided_verdicts_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    decided = 0
+    for line in record_lines() + SEARCH_RANGE.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record.get("verdict") in ("prime", "composite"):
+            p = int(record["candidate"]["p"])
+            assert (record["verdict"] == "prime") == sympy.isprime(p), line
+            decided += 1
+    assert decided == 62 + 13 + len(GOLDEN_CALLS) - 3 + 500
 
 
 def test_every_record_replays_valid(monkeypatch):
@@ -126,7 +145,7 @@ def test_every_record_replays_valid(monkeypatch):
         assert cli.main(["test", "--replay", "-"], out=out, err=io.StringIO()) == 0, line
         assert out.getvalue().startswith("replay: valid"), line
         replayed += 1
-    assert replayed == 62 + 13 + len(GOLDEN_CALLS) - 2 + 3
+    assert replayed == 62 + 13 + len(GOLDEN_CALLS) - 2 + 1
 
 
 if __name__ == "__main__":

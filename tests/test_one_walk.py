@@ -1,42 +1,35 @@
-"""One walk for the small-n test: s * P and the k - 1 chain doublings.
+"""One walk for the small-n test: x(s * Q), x(Q) = -1, then the k - 1 doublings.
 
-chain_outcome(n, m, P, k, s) runs the Jacobian ops of s * P and the x-only
-doublings under one checkpoint schedule.  It must decide exactly what the
-two walks it replaces decide, scalar_mul then chain_outcome from the
-multiple's x, and what the affine references decide (affine_multiple, then
-run_sequence).  The fixed cases put the first non-unit at an inner
-operation of the multiple (FactorFound), at its last operation (the
-multiple vanishes), at chain step 1 (the phase boundary) and mid-chain
-(GCD_HIT, EARLY_INFINITY), on a product of two primes reduced by `%` and
-on a product of three reduced by the Riesel fold.
+chain_outcome(N, m, -1, k, s) takes x(s * Q) from the x-only ladder, one
+kernel call with no gcd, and runs the doublings under one checkpoint
+schedule.  It must decide what two walks decide: the ladder, then
+chain_outcome from its affine x, where a ladder end at infinity mod a
+prime factor fails the chain at step 1.  Mod each prime factor the
+ladder's end must be x of the affine multiple of (-1, y) that scalar_mul
+gives.  The fixed cases put the first non-unit at the ladder's end (mod
+one factor or mod all), past an infinity inside the ladder, at chain step
+1, mid-chain and at the last step, on a product of two primes reduced by
+`%` and on a product of three reduced by the Riesel fold.
 """
 
 from functools import cache
-from math import prod
+from math import gcd, prod
 
 import pytest
 
 from ecriesel import ecring
 from ecriesel.ecring import (
-    INFINITY,
     ChainFailure,
     Curve,
-    FactorFound,
     Point,
-    _jacobian_ops,
+    _checkpointed,
     _riesel_fold,
-    _x_only_doublings,
+    _x_only_ladder,
     double_x_only_chain,
     scalar_mul,
 )
 from ecriesel.numtheory import FormCandidate, jacobi, miller_rabin
-from ecriesel.primality import (
-    PRIME,
-    _curve_point_candidates,
-    _small_n_verdict,
-    curve_coefficient,
-    replay_verdict,
-)
+from ecriesel.primality import PRIME, _least_nonresidue, auto_test, replay_verdict
 from ecriesel.sequence import (
     EARLY_INFINITY,
     FINAL_NONZERO,
@@ -46,11 +39,18 @@ from ecriesel.sequence import (
     chain_outcome,
     run_sequence,
 )
-from test_chain_walker import crt, order_2s_abscissa
-from test_projective import affine_multiple, affine_ops, first_failing_op
+from test_chain_walker import crt
 from test_riesel_fold import K, Q18
 
 Q18B = 5 * (1 << 18) - 1  # prime, = -1 mod 2^18 like Q18
+M61 = (1 << 61) - 1
+# odd parts of every multiplier a case applies on top of its base: 3, 2^3 + 1
+# and 2^17 + 1, times the 3 of Q18 + 1
+AVOID = 9 * 9 * ((1 << 17) + 1)
+
+
+def odd_part(v):
+    return v >> ((v & -v).bit_length() - 1)
 
 
 @cache
@@ -70,199 +70,217 @@ def primes_of(name):
 
 
 @cache
-def order_2s_point(q, s):
-    """(m, x, y): a point of order exactly 2^s on y^2 = x^3 - m x over F_q."""
-    m, x = order_2s_abscissa(q, s)
-    return m, x, pow((x * x - m) * x % q, (q + 1) // 4, q)
+def minus_one_point(q, full):
+    """(m, y): Q = (-1, y) on y^2 = x^3 - m x over F_q, m = y^2 + 1.  With
+    full, Q's order has 2-part exactly 2^18; else an odd part that
+    AVOID * 2^a does not kill, so no multiple a case takes reaches
+    2-torsion or infinity."""
+    two = (q + 1) & -(q + 1)
+    for y in range(1, q):
+        curve, point = Curve(q, y * y + 1), Point(q - 1, y)
+        if full:
+            p = scalar_mul(curve, (q + 1) // two << 17, point)
+            if not p.is_infinity and scalar_mul(curve, 2, p).is_infinity:
+                return curve.m, y
+        elif not scalar_mul(curve, two * AVOID, point).is_infinity:
+            return curve.m, y
 
 
 @cache
-def odd_order_point(q):
-    """(m, x, y): a point of odd order above 1 on y^2 = x^3 - m x over F_q
-    (order 5 for Q18B), which no multiple by 3 * 2^a and no doubling
-    takes to 2-torsion or infinity."""
-    m = next(a for a in range(2, q) if jacobi(a, q) == -1)
-    for x in range(2, q):
-        rhs = (x * x - m) * x % q
-        if jacobi(rhs, q) == 1:
-            point = scalar_mul(Curve(q, m), (q + 1) & -(q + 1), Point(x, pow(rhs, (q + 1) // 4, q)))
-            if not point.is_infinity:
-                return m, point.x, point.y
+def walk_case(name, everywhere):
+    """(N, m, y, base, kill, points): Q = (-1, y) mod N = prod(primes),
+    points its (m, y) mod each prime.  base is odd, and 2^(18 - s) * base
+    * Q has order exactly 2^s mod the first prime, and mod every prime when
+    everywhere, else an odd order above 1 there.  kill * Q is infinity mod
+    every prime when everywhere."""
+    primes = primes_of(name)
+    points = [minus_one_point(q, i == 0 or everywhere) for i, q in enumerate(primes)]
+    n = prod(primes)
+    m = crt([(mq, q) for (mq, _), q in zip(points, primes)])
+    y = crt([(yq, q) for (_, yq), q in zip(points, primes)])
+    base = prod(odd_part(q + 1) for q in (primes if everywhere else primes[:1]))
+    assert ecring.on_curve(Curve(n, m), Point(n - 1, y))
+    return n, m, y, base, base << 18, tuple(zip(primes, points))
 
 
-def walk_case(primes, s, everywhere):
-    """(curve, point) mod prod(primes): of order exactly 2^s mod the first
-    prime, and mod the others too when everywhere, else of odd order there."""
-    ms, xs, ys = [], [], []
-    for i, q in enumerate(primes):
-        m, x, y = order_2s_point(q, s) if i == 0 or everywhere else odd_order_point(q)
-        ms.append((m, q))
-        xs.append((x, q))
-        ys.append((y, q))
-    curve, point = Curve(prod(primes), crt(ms)), Point(crt(xs), crt(ys))
-    assert ecring.on_curve(curve, point)
-    return curve, point
-
-
-def two_walks(curve, s, point, k):
-    """What the small-n test decided with two walks: None when s * P is
-    infinity, else the chain from its x; raises FactorFound."""
-    start = scalar_mul(curve, s, point)
-    return None if start.is_infinity else chain_outcome(curve.modulus, curve.m, start.x, k)
-
-
-def affine_walks(curve, s, point, k):
-    """The same from the affine references."""
-    start = affine_multiple(curve, s, point)
-    return None if start.is_infinity else run_sequence(curve.modulus, curve.m, start.x, k)[0]
-
-
-# (case, multiplier, k, the point's order 2^s everywhere, expected) for s;
-# the expected failing op of the multiple is given as an index into its
-# ops, or None when the multiple meets no non-unit.
-def cases(s, q):
+def cases(s, q, base, kill):
+    """(multiplier of Q, k, expected outcome): P = 2^(18 - s) * base * Q
+    has order 2^s mod the failing primes."""
     t = 2 if s < 8 else 5  # a mid-chain step
+    p = base << (18 - s)
     return {
-        "multiple-factor": (3 << (s + 2), 4, False, ("factor", q), s + 1),
-        "multiple-vanishes": (1 << s, 4, True, None, s - 1),
-        # 2^s P is infinity, and 2^s P + P goes on to the chain from P
-        "multiple-passes-infinity": ((1 << s) + 1, s + 2, True,
-                                     SequenceOutcome(EARLY_INFINITY, s), s - 1),
-        "boundary-gcd": (3 << (s - 1), 4, False, SequenceOutcome(GCD_HIT, 1, q), None),
-        "boundary-infinity": (3 << (s - 1), 4, True, SequenceOutcome(EARLY_INFINITY, 1), None),
-        "mid-gcd": (3 << (s - t), 2 * t, False, SequenceOutcome(GCD_HIT, t, q), None),
-        "mid-infinity": (3 << (s - t), 2 * t, True, SequenceOutcome(EARLY_INFINITY, t), None),
-        "final-nonzero": (3, s, False, SequenceOutcome(FINAL_NONZERO), None),
-        "final-zero": (3, s, True, SequenceOutcome(FINAL_ZERO), None),
+        # the ladder ends at infinity mod q alone: a factor at doubling 1
+        "multiple-factor": ((3 << (s + 2)) * p, 4, False, SequenceOutcome(GCD_HIT, 1, q)),
+        "multiple-vanishes": ((1 << s) * p, 4, True, SequenceOutcome(EARLY_INFINITY, 1)),
+        # kill * Q is infinity, and the ladder goes on to P
+        "multiple-passes-infinity": ((kill << p.bit_length()) + p, s + 2, True,
+                                     SequenceOutcome(EARLY_INFINITY, s)),
+        "boundary-gcd": ((3 << (s - 1)) * p, 4, False, SequenceOutcome(GCD_HIT, 1, q)),
+        "boundary-infinity": ((3 << (s - 1)) * p, 4, True, SequenceOutcome(EARLY_INFINITY, 1)),
+        "mid-gcd": ((3 << (s - t)) * p, 2 * t, False, SequenceOutcome(GCD_HIT, t, q)),
+        "mid-infinity": ((3 << (s - t)) * p, 2 * t, True, SequenceOutcome(EARLY_INFINITY, t)),
+        "final-nonzero": (3 * p, s, False, SequenceOutcome(FINAL_NONZERO)),
+        "final-zero": (3 * p, s, True, SequenceOutcome(FINAL_ZERO)),
     }
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except FactorFound as exc:
-        return ("factor", exc.divisor)
+def two_walks(n, m, mult, k):
+    """The ladder by `%`, then chain_outcome from its affine x; an end at
+    infinity mod some prime fails the chain at step 1 (no other factor of
+    these moduli is at 2-torsion there)."""
+    X, Z = _x_only_ladder(mult, n, m % n, None)
+    g = gcd(Z, n)
+    if g == n:
+        return SequenceOutcome(EARLY_INFINITY, 1)
+    if g != 1:
+        return SequenceOutcome(GCD_HIT, 1, g)
+    return chain_outcome(n, m, X * pow(Z, -1, n) % n, k)
+
+
+def assert_ladder_per_prime(n, m, mult, points):
+    """The ladder's (X:Z) mod each prime q is x(mult * (-1, y_q)) or, with
+    Z = 0 mod q, infinity, as scalar_mul gives it over F_q."""
+    fold = _riesel_fold(n)
+    mk = m if fold is None else (m << 2 * fold[0]) % n
+    X, Z = _x_only_ladder(mult, n, mk % n, fold)
+    for q, (mq, yq) in points:
+        want = scalar_mul(Curve(q, mq), mult, Point(q - 1, yq))
+        if want.is_infinity:
+            assert Z % q == 0, q
+        else:
+            assert Z % q and (X - want.x * Z) % q == 0, q
 
 
 @pytest.mark.parametrize("name", ["division", "fold"])
 @pytest.mark.parametrize("s", [3, 17])
-@pytest.mark.parametrize("case", sorted(cases(3, 0)))
+@pytest.mark.parametrize("case", sorted(cases(3, 0, 1, 1)))
 def test_one_walk_decides_as_two(name, s, case):
-    primes = primes_of(name)
-    mult, k, everywhere, want, failing_op = cases(s, primes[0])[case]
-    curve, point = walk_case(primes, s, everywhere)
-    assert (_riesel_fold(curve.modulus) is not None) == (name == "fold")
-    assert first_failing_op(curve, mult, point)[0] == failing_op
-    got = outcome(chain_outcome, curve.modulus, curve.m, point, k, mult)
-    assert got == want
-    assert outcome(two_walks, curve, mult, point, k) == want
-    assert outcome(affine_walks, curve, mult, point, k) == want
-
-
-def test_failures_lie_past_the_first_checkpoint():
-    # with s = 17 the combined walk first fails at operation 18 or later,
-    # after the run of operations 0 .. 15; with s = 3 inside that run
-    for s, past in ((3, False), (17, True)):
-        for case, (mult, _, _, want, failing_op) in cases(s, Q18).items():
-            if case.startswith("final"):
-                continue
-            ops = len(affine_ops(mult))
-            at = failing_op if failing_op is not None else ops + want.step - 1
-            assert (at >= 16) == past, (s, case)
+    everywhere = cases(3, 0, 1, 1)[case][2]
+    n, m, y, base, kill, points = walk_case(name, everywhere)
+    mult, k, _, want = cases(s, points[0][0], base, kill)[case]
+    assert (_riesel_fold(n) is not None) == (name == "fold")
+    assert chain_outcome(n, m, -1, k, mult) == want
+    assert two_walks(n, m, mult, k) == want
+    assert_ladder_per_prime(n, m, mult, points)
+    if case == "multiple-passes-infinity":
+        for q, (mq, yq) in points:
+            assert scalar_mul(Curve(q, mq), kill, Point(q - 1, yq)).is_infinity
 
 
 @pytest.fixture
 def runs(monkeypatch):
-    """The kernel runs of every walk: ("J", ops) and ("X", doublings)."""
-    seen = []
+    """The (i, j) runs of every checkpoint walk, and the ladder calls."""
+    seen = {"walk": [], "ladder": 0}
 
-    def jacobian(X, Y, Z, ops, *rest):
-        seen.append(("J", len(ops)))
-        return _jacobian_ops(X, Y, Z, ops, *rest)
+    def checkpointed(step, state, count, n):
+        def recording(state, i, j):
+            seen["walk"].append((i, j))
+            return step(state, i, j)
+        return _checkpointed(recording, state, count, n)
 
-    def doublings(X, Z, times, *rest):
-        seen.append(("X", times))
-        return _x_only_doublings(X, Z, times, *rest)
+    def ladder(*args):
+        seen["ladder"] += 1
+        return _x_only_ladder(*args)
 
-    monkeypatch.setattr(ecring, "_jacobian_ops", jacobian)
-    monkeypatch.setattr(ecring, "_x_only_doublings", doublings)
+    monkeypatch.setattr(ecring, "_checkpointed", checkpointed)
+    monkeypatch.setattr(ecring, "_x_only_ladder", ladder)
     return seen
 
 
+def test_failures_lie_past_the_first_checkpoint(runs):
+    # M61 is prime and (-1, 4) on y^2 = x^3 - 17 x has order 2^61 (17 is a
+    # non-residue, fact 3 of oracle): 2^44 * Q fails doubling 17, operation
+    # 16, just past the first checkpoint, and 2^12 * Q doubling 49,
+    # operation 48, just past the second
+    assert jacobi(17, M61) == -1
+    for mult, step, walk in (
+        (1 << 44, 17, [(0, 16), (16, 48), (16, 17)]),
+        (1 << 12, 49, [(0, 16), (16, 48), (48, 58), (48, 49)]),
+    ):
+        runs["walk"].clear()
+        got = chain_outcome(M61, 17, -1, 60, mult)
+        assert got == SequenceOutcome(EARLY_INFINITY, step)
+        assert runs["walk"] == walk
+        x = scalar_mul(Curve(M61, 17), mult, Point(M61 - 1, 4)).x
+        assert run_sequence(M61, 17, x, 60)[0] == got
+
+
 def test_one_schedule_across_the_phases(runs, monkeypatch):
-    # the small-n test of the prime 40005 * 2^31 - 1 from (23, 1): 21 ops of
-    # the multiple and 30 doublings, in runs of 16 and 32 operations (the
-    # second across the boundary), the rest but one, and the last doubling
-    # alone.  Neither scalar_mul nor an inversion runs.
+    # the small-n test of the prime 40005 * 2^31 - 1: one ladder call, then
+    # 30 doublings in runs of 16 and 13 and the last one alone.  Neither
+    # scalar_mul nor an inversion runs.
     def boom(*args):
         raise AssertionError("called on the success path")
 
     monkeypatch.setattr(ecring, "scalar_mul", boom)
     monkeypatch.setattr(ecring, "pow", boom, raising=False)
-    p, s, base = 40005 * (1 << 31) - 1, 40005, Point(23, 1)
-    assert len(affine_ops(s)) == 21
-    got = chain_outcome(p, curve_coefficient(p, base), base, 31, s)
+    p = 40005 * (1 << 31) - 1
+    got = chain_outcome(p, _least_nonresidue(p), -1, 31, 40005)
     assert got == SequenceOutcome(FINAL_ZERO)
-    assert runs == [("J", 16), ("J", 5), ("X", 27), ("X", 2), ("X", 1)]
+    assert runs == {"walk": [(0, 16), (16, 29), (29, 30)], "ladder": 1}
 
 
 def test_failing_run_redone_one_op_at_a_time(runs):
-    # mid-gcd with s = 17: chain step 5 is operation 18 of the walk, in the
-    # second run, which is redone one operation at a time
-    curve, point = walk_case((Q18, Q18B), 17, False)
-    mult = 3 << 12
-    assert len(affine_ops(mult)) == 14
-    got = double_x_only_chain(curve, point, 9, mult)
+    # mid-gcd with s = 17: doubling 5 fails in the first run of a 9-doubling
+    # chain, which is redone one doubling at a time
+    n, m, _, base, _, _ = walk_case("division", False)
+    got = double_x_only_chain(Curve(n, m), -1, 9, (3 << 12) * (base << 1))
     assert got == ChainFailure(5, Q18)
-    assert runs == [("J", 14), ("X", 2),  # operations 0 .. 15
-                    ("X", 6),  # 16 .. 21, up to the last but one: fails
-                    ("X", 1), ("X", 1), ("X", 1)]  # 16, 17 and the failing 18
+    assert runs == {"walk": [(0, 8), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], "ladder": 1}
 
 
-def test_multiple_failure_hands_over_to_scalar_mul(monkeypatch):
-    # one scalar_mul call, which finds the divisor or infinity; the chain
-    # never starts
-    calls = []
-
-    def spy(*args):
-        calls.append(args[1])
-        return scalar_mul(*args)
-
-    monkeypatch.setattr(ecring, "scalar_mul", spy)
-    curve, point = walk_case((Q18, Q18B), 17, False)
-    with pytest.raises(FactorFound) as info:
-        double_x_only_chain(curve, point, 3, 3 << 19)
-    assert info.value.divisor == Q18 and calls == [3 << 19]
-    calls.clear()
-    curve, point = walk_case((Q18, Q18B), 17, True)
-    assert double_x_only_chain(curve, point, 3, 1 << 17) == INFINITY
-    assert calls == [1 << 17]
+def test_multiple_at_infinity_fails_doubling_1(monkeypatch):
+    # the ladder hands nothing over: a multiple at infinity mod Q18 only, or
+    # mod every factor, is a non-unit end Z, which doubling 1 names
+    monkeypatch.setattr(ecring, "scalar_mul", None)
+    for everywhere, want in ((False, ChainFailure(1, Q18)), (True, ChainFailure(1, Q18 * Q18B))):
+        n, m, _, base, _, _ = walk_case("division", everywhere)
+        assert double_x_only_chain(Curve(n, m), -1, 3, base << 18) == want
 
 
-def test_without_a_multiplier_it_is_the_chain():
-    # s = 1 starts from the point's x, or from x alone, with no Jacobian op
-    curve, point = walk_case((Q18, Q18B), 17, False)
-    for start in (point, point.x):
-        assert double_x_only_chain(curve, start, 20) == ChainFailure(17, Q18)
+def test_without_a_multiplier_it_is_the_chain(runs):
+    # s = 1 starts from x alone, with no ladder; a ladder needs x = -1
+    n, m, y, base, _, _ = walk_case("division", False)
+    P = scalar_mul(Curve(n, m), base << 1, Point(n - 1, y))  # order 2^17 mod Q18
+    assert double_x_only_chain(Curve(n, m), P.x, 20) == ChainFailure(17, Q18)
+    assert runs["ladder"] == 0
+    with pytest.raises(ValueError):
+        double_x_only_chain(Curve(n, m), P.x, 20, 3)
 
 
 @pytest.mark.parametrize("j", [61, 127, 1279])
 def test_mersenne_moduli(j):
-    # 2^j - 1 takes the chain's shift-and-fold after Jacobian ops by `%`
-    # (j < 768) or by the Riesel fold with c = 1 (j = 1279)
+    # 2^j - 1 (prime for these j) takes the chain's shift-and-fold after a
+    # ladder by `%` (j < 768) or by the Riesel fold with c = 1 (j = 1279)
     n = (1 << j) - 1
-    point = Point(3, 5)
-    curve = Curve(n, (27 - 25) * pow(3, -1, n) % n)
+    assert (_riesel_fold(n) is not None) == (j == 1279)
     for s in (3, 40005, (1 << 40) + 12345):
-        assert chain_outcome(n, curve.m, point, 20, s) == two_walks(curve, s, point, 20)
+        assert chain_outcome(n, 5, -1, 20, s) == two_walks(n, 5, s, 20)
+        assert_ladder_per_prime(n, 5, s, [(n, (5, 2))])
+
+
+@pytest.mark.parametrize("k, n", [(31, 40005), (31, 40039), (7, 3), (12, 23), (127, 1),
+                                  (800, 347)])
+def test_ladder_matches_scalar_mul_on_prime_p(k, n):
+    # Q = (-1, sqrt(m - 1)) on y^2 = x^3 - m x with the route's m: the
+    # ladder's (X:Z) is x(s * Q) as the affine scalar_mul gives it
+    p = FormCandidate(k=k, n=n).p
+    assert miller_rabin(p)
+    m = _least_nonresidue(p)
+    y = pow(m - 1, (p + 1) // 4, p)
+    for s in (2, 3, n, 1 << k, (n << k) + 1, 12345):
+        assert_ladder_per_prime(p, m, s, [(p, (m, y))])
 
 
 def test_forged_small_n_record_of_a_mersenne_prime():
-    # n = 1 routes to the Mersenne test, so a small-n record of M_127 is
-    # forged; its walk has no Jacobian op (s = 1) and starts from the base
-    # point's x, and the record replays valid, as the two walks had it
+    # M_127 is small-n's n = 1 corner: its record holds the outcome alone and
+    # replays valid; the old shapes, a scanned base point or the mersenne
+    # label, replay INVALID
     c = FormCandidate(k=127, n=1)
-    m, base = next(_curve_point_candidates(c.p))
-    verdict = _small_n_verdict(c, m, base)
-    assert verdict.status == PRIME and replay_verdict(c, verdict)
-    assert chain_outcome(c.p, m, base.x, c.k) == chain_outcome(c.p, m, base, c.k, 1)
+    v = auto_test(c)
+    assert v.status == PRIME and v.certificate == {"type": "sequence", "outcome": FINAL_ZERO}
+    assert replay_verdict(c, v)
+    forged = v._replace(certificate={**v.certificate, "base_point": [3, 5]})
+    assert not replay_verdict(c, forged)
+    assert not replay_verdict(c, v._replace(algorithm="mersenne"))
+    assert chain_outcome(c.p, 3, -1, c.k) == chain_outcome(c.p, 3, c.p - 1, c.k, 1)

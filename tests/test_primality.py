@@ -114,19 +114,19 @@ class TestSmallN:
                 if not (c.p > 6 and gate_small_n(c)):
                     continue
                 # the small-n route itself, also on the Mersenne candidates n = 1
-                v = primality._curve_route(c, "small-n", primality._small_n_verdict)
+                v = primality._small_n_verdict(c)
                 truth = PRIME if trial_division(c.p) == c.p else COMPOSITE
                 assert v.status == truth, (k, n, c.p)
                 assert replay_verdict(c, v)
 
-    def test_exhausted_scan_is_inconclusive(self, monkeypatch):
-        # (2/383) = +1, so a one-value scan budget finds no x at all
+    def test_scan_limit_does_not_reach_small_n(self, monkeypatch):
+        # (2/383) = +1, and a one-value scan budget once left small-n
+        # inconclusive here; small-n scans no point, so it decides
         c = FormCandidate(k=7, n=3)
         assert jacobi(2, c.p) == 1
         monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
         v = auto_test(c)
-        assert (v.status, v.algorithm) == (INCONCLUSIVE, "small-n")
-        assert v.certificate == {"type": "retries-exhausted", "attempts": 0}
+        assert (v.status, v.algorithm) == (PRIME, "small-n")
         assert replay_verdict(c, v)
 
 
@@ -331,9 +331,10 @@ class TestTwoPrimeN:
 
 class TestAutoTest:
     def test_routes_mersenne(self):
+        # M_k is small-n's n = 1 corner
         c = FormCandidate(k=13, n=1)
         v = auto_test(c)
-        assert v.algorithm == "mersenne" and v.status == PRIME
+        assert v.algorithm == "small-n" and v.status == PRIME
         assert lucas_lehmer(13)
 
     def test_routes_small_n(self):
@@ -429,9 +430,9 @@ class TestReplayRejectsTampering:
         # one certificate per outcome, so each outcome field is present in one
         cases = [
             FormCandidate(k=7, n=3),  # final-zero
-            FormCandidate(k=7, n=7),  # gcd-hit: step, divisor
+            FormCandidate(k=9, n=1),  # gcd-hit: step, divisor
             FormCandidate(k=7, n=37),  # final-nonzero
-            FormCandidate(k=4, n=1),  # Mersenne, final-nonzero
+            FormCandidate(k=11, n=1),  # Mersenne, final-nonzero
         ]
         for c in cases:
             v = auto_test(c)
@@ -703,10 +704,10 @@ class TestFactorWitnessExtraction:
         assert factor_witness(v) == 3
 
     def test_from_gcd_hit_sequence(self):
-        c = FormCandidate(k=7, n=7)  # p = 895 = 5 * 179; the chain meets a factor
+        c = FormCandidate(k=9, n=1)  # p = 511 = 7 * 73; the chain meets a factor
         v = auto_test(c)
         assert v.status == COMPOSITE and v.certificate["outcome"] == "gcd-hit"
-        assert factor_witness(v) in (5, 179)
+        assert factor_witness(v) in (7, 73)
 
     def test_prime_has_no_witness(self):
         v = mersenne_test(5)

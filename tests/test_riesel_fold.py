@@ -1,8 +1,8 @@
 """The Riesel fold against the `%` kernels and the affine walks.
 
 On a modulus n = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with
-bits(c) <= k + 16, scalar_mul and the x-only chain reduce by two folds and
-a `%`, which multiplies every reduction by the unit c^2.  The folded
+bits(c) <= k + 16, scalar_mul, the x-only ladder and the chain reduce by
+two folds and a `%`, which multiplies every reduction by the unit c^2.  The folded
 kernels are pinned to the `%` kernels they copy; scalar_mul and
 chain_outcome are compared with the affine references (affine_multiple,
 run_sequence) on composite moduli of that shape, so no switch forces a
@@ -25,6 +25,7 @@ from ecriesel.ecring import (
     _riesel_fold,
     _x_only_doublings,
     _x_only_doublings_folded,
+    _x_only_ladder,
     double_x_only_chain,
     scalar_mul,
 )
@@ -118,6 +119,30 @@ class TestFoldedKernels:
             unit = pow(c, 2 * (4 ** times - 1), n)
             assert [v % n for v in got] == [v * unit % n for v in want]
 
+    @pytest.mark.parametrize("c_bits", [1, 2, 30, K - 300, K + 16])
+    def test_ladder_copies_agree(self, c_bits):
+        # each folded addition and doubling multiplies its result by c^6
+        # against the `%` ladder's formula on the same inputs, which are of
+        # degree 2 in each summand and 4 in the doubled point: tracking the
+        # exponent of c through the bits gives the unit between the two ends
+        rng = random.Random(1000 + c_bits)
+        n, c = shaped(K, c_bits, rng)
+        for trial in range(20):
+            m = n - 1 if trial == 0 else rng.randrange(1, n)
+            s = rng.getrandbits(rng.randrange(1, 48)) | 1
+            want = _x_only_ladder(s, n, m, None)
+            got = _x_only_ladder(s, n, (m << 2 * K) % n, (K, c))
+            e0 = e1 = 0
+            for bit in bin(s)[2:]:
+                if bit == "1":
+                    e0, e1 = e1, e0
+                e0, e1 = 6 + 4 * e0, 6 + 2 * e0 + 2 * e1
+                if bit == "1":
+                    e0, e1 = e1, e0
+            assert all(0 <= v < n for v in got)
+            unit = pow(c, e0, n)
+            assert list(got) == [v * unit % n for v in want], s
+
 
 class TestThreshold:
     @pytest.fixture
@@ -160,6 +185,7 @@ class TestThreshold:
             except FactorFound:
                 pass
             double_x_only_chain(curve, 2, 20)
+            double_x_only_chain(curve, -1, 20, 12345)  # the ladder's doublings too
             assert kernels == ({"_jacobian_ops_folded", "_x_only_doublings_folded"} if folds
                                else {"_jacobian_ops", "_x_only_doublings"}), n
 

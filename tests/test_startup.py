@@ -25,8 +25,8 @@ HEAVY = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 
 SMALL_PRIME_RECORD = (
     '{"algorithm":"small-n","candidate":{"k":"7","n":"3","p":"383"},'
-    '"certificate":{"base_point":["5","1"],"outcome":"final-zero","type":"sequence"},'
-    '"iterations":1,"schema":"ecriesel.run-record/3","tool_version":"0.1.0","verdict":"prime"}\n'
+    '"certificate":{"outcome":"final-zero","type":"sequence"},'
+    '"iterations":1,"schema":"ecriesel.run-record/4","tool_version":"0.1.0","verdict":"prime"}\n'
 )
 
 
