@@ -65,3 +65,13 @@ print(f"  point Q    : {tuple(base)}, multiplied by n = {c.n}")
 print(f"  x0         : {start.x}  (derived)")
 print(f"  outcome    : {cert['outcome']}  (zero at step k justifies 'prime')")
 print(f"  S chain    : {list(trace.s_values)}  (recomputed)")
+
+# The large-n route records the factors of n and where its order check
+# ended.  Its point is x(Q) = -a for the first a whose check decides, and
+# the record's iterations is that a: here x(Q) = -1 .. -5 leave some
+# (n/q) * D at infinity, so they decide nothing, and x(Q) = -6 proves p.
+c = FormCandidate(k=2, n=33, n_factors=(3, 11))
+verdict = auto_test(c)
+print(f"\nCertificate for p = {c.p}: {verdict.certificate}")
+print(f"  point      : x(Q) = -{verdict.iterations}  (D = 2^{c.k} * Q has order n = {c.n})")
+assert replay_verdict(c, verdict)

@@ -7,17 +7,19 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/4.  Certificates hold no m (replay
-finds small-n's by a few Jacobi symbols, large-n's from the base point)
-and no small-n point.  Replay reads no other schema, and names a
-run-record/2 or /3 record as no longer read.
+The schema is ecriesel.run-record/5.  Certificates hold no m (replay
+finds it by a few Jacobi symbols) and no point: small-n starts from
+x = -1, and large-n from x = -a, a its record's iterations.  Replay reads
+no other schema, and names a run-record/2, /3 or /4 record as no longer
+read.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
 built once.  A presieved search candidate's line is written from k, n and
 its divisor alone.  build_record gives the same record as a dict, the
-reference the tests compare every line against; the human-readable line is
-written from the Verdict itself.
+reference the tests compare every line against (no command calls it;
+perfbench/tracing.py wraps it by name); the human-readable line is written
+from the Verdict itself.
 
 main parses each call once, and a call that repeats the previous call's
 argv not at all: _parse keeps the last successful parse, and each call
@@ -64,11 +66,13 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/4"
+SCHEMA = "ecriesel.run-record/5"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
-ORACLE_BOUND_ENV = "ECRIESEL_ORACLE_BOUND"  # no longer read: the exact oracle has no bound to set
+# No longer read: the exact oracle has no bound to set.  perfbench/run.py
+# still clears it by this name.
+ORACLE_BOUND_ENV = "ECRIESEL_ORACLE_BOUND"
 
 EXIT_CLOSED_PIPE = 141
 
@@ -147,11 +151,12 @@ def _parse_text(value) -> str:
 # How replay reads each certificate field; any other key is malformed.
 CERTIFICATE_FIELDS = {
     **dict.fromkeys(("step", "divisor", "least_factor", "witness", "attempts"), _parse_int),
-    **dict.fromkeys(("base_point", "factors"), _parse_int_list),
+    "factors": _parse_int_list,
     **dict.fromkeys(("type", "outcome", "stage", "gate", "reason"), _parse_text),
 }
 
 
+# No command calls it: the tests' reference, and perfbench/tracing.py wraps it.
 def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = None) -> dict:
     record = {
         "schema": SCHEMA,
@@ -178,8 +183,8 @@ def _read(field: str, parse, value):
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema (a run-record/2 or /3
-    record is named as no longer read), a missing top-level key, a verdict,
+    Raises ValueError on a record of another schema (a run-record/2, /3 or
+    /4 record is named as no longer read), a missing top-level key, a verdict,
     algorithm or tool_version that is not a string, a candidate that is not
     an object with exactly the keys k, n and p, a certificate key outside
     CERTIFICATE_FIELDS, an integer that is not a canonical decimal string, a
@@ -187,7 +192,7 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     is not a JSON integer >= 1.  A malformed field is named in the message.
     """
     schema = record.get("schema") if isinstance(record, dict) else None
-    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3"):
+    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3", "ecriesel.run-record/4"):
         raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
     if schema != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")

@@ -10,57 +10,61 @@ with equal x gives infinity only for an inverse pair: on a composite N
 their y can agree mod a proper factor, where the sum is a double, and add
 raises that factor.
 
-One backend, two coordinate systems.  The affine double, add and
-double_x_only invert each denominator as it arises.  The fast paths,
-Jacobian ops and x-only doublings on (X:Z) (Montgomery 1987), multiply all
-denominators into Z, and Z is a unit iff every denominator was.  A walk
-(_checkpointed) takes a gcd after runs of 16, 32, 64, ... operations and
-after the last one alone, and redoes a failing run one gcd per operation.
-While the earlier Z is a unit, the new one is a unit multiple of this
-operation's denominator, so the first non-unit Z marks the first operation
-the affine walk cannot complete: deferring the gcd hides no failure and no
-witness.  scalar_mul goes on from there by the affine double and add;
-double_x_only_chain names a failing doubling (ChainFailure).  Curve
-(checked when built), Point and ChainFailure are immutable named tuples.
+One backend, two coordinate systems.  The affine double, add,
+double_x_only and scalar_mul invert each denominator as it arises; they
+are the references the fast path is tested against, and no decide or
+replay path calls scalar_mul.  The fast path, x-only doublings on (X:Z)
+(Montgomery 1987), multiplies all denominators into Z, and Z is a unit iff
+every denominator was.  A walk (_checkpointed) takes a gcd after runs of
+16, 32, 64, ... doublings and after the last one alone, and redoes a
+failing run one gcd per doubling.  While the earlier Z is a unit, the new
+one is a unit multiple of this doubling's denominator, so the first
+non-unit Z marks the first doubling the affine walk cannot complete:
+deferring the gcd hides no failure and no witness, and
+double_x_only_chain names that doubling (ChainFailure).  Curve (checked
+when built), Point and ChainFailure are immutable named tuples.
 
-The x-only ladder.  double_x_only_chain may first take s * Q, x(Q) = -1,
-by a Montgomery ladder (_x_only_ladder): with R1 - R0 = Q throughout,
-R0 + R1 = ((X0 X1 + m Z0 Z1)^2 : -(X0 Z1 - X1 Z0)^2) (Brier-Joye, PKC
+The x-only ladder.  double_x_only_chain may first take s * P by a
+Montgomery ladder (_x_only_ladder): with R1 - R0 = P throughout, x(P) = d,
+R0 + R1 = ((X0 X1 + m Z0 Z1)^2 : d (X0 Z1 - X1 Z0)^2) (Brier-Joye, PKC
 2002, b = 0), and doubling is the chain's.  Mod a prime l | N at which m
-is a unit, x = -1 lifts to R on the curve or its quadratic twist, and the
-ladder gives x(s R), Z = 0 mod l iff s R is infinity: (0:0) would need
-X^2 + m Z^2 = X Z (X^2 - m Z^2) = 0, or equal x, x^2 = -m and difference
-x = -1.  Its Z is no running product (R0 + R1 is finite again after R0
-meets infinity), so a checkpoint gcd inside it would depend on where runs
-end: it is one kernel call with no gcd, and a non-unit end Z divides the
-first doubling's 4 X Z (X^2 - m Z^2), so the walk names doubling 1.
+and d are units, d lifts to P on the curve or its quadratic twist, and
+the ladder gives x(s P), Z = 0 mod l iff s P is infinity, for no (X:Z) is
+ever (0:0).  A doubling gives (0:0) only from (0:0), as X^2 + m Z^2 =
+X Z (X^2 - m Z^2) = 0 forces X = Z = 0.  A sum gives it only from R0 =
+-R1 finite with x^2 = -m, where P = 2 R1 has x 0, not the unit d.  So
+small-n's d = -1 and large-n's unit x(D) and x((n/q) D) need no check
+inside the ladder.  Its Z is no running product (R0 + R1 is finite again
+after R0 meets infinity), so a checkpoint gcd inside it would depend on
+where runs end: it is one kernel call with no gcd, and a non-unit end Z
+divides the first doubling's 4 X Z (X^2 - m Z^2), so a chain after it
+names doubling 1.
 
 Reduction.  On N = 2^j - 1, j >= 5, the chain's shift-and-fold keeps |X|,
-|Z| < 2^(j+1) with no `%`.  Both kernels reduce any other N = c * 2^k - 1
-of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16 (_riesel_fold: k
-is the trailing zeros of N + 1) by the Riesel fold.  As c * 2^k = 1 mod N,
-f(t) = (t >> k) + c * (t & (2^k - 1)) = c * t mod N for t of either sign,
-so two folds and a `%` take t to c^2 * t mod N, in [0, N).  Every kernel
-reduction takes some |t| < 16 N^2; two folds leave it below
-(32 c / 2^k + 2) N in absolute value, so the `%` has a quotient below 2^22,
-one CPython digit, and costs linear time where a full `%` costs quadratic.
-Smaller moduli, where `%` is faster (the crossover table in CHANGES.md),
-and other shapes are reduced by `%`.
+|Z| < 2^(j+1) with no `%`.  Both x-only kernels reduce any other N =
+c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
+(_riesel_fold: k is the trailing zeros of N + 1) by the Riesel fold.  As
+c * 2^k = 1 mod N, f(t) = (t >> k) + c * (t & (2^k - 1)) = c * t mod N for
+t of either sign, so two folds and a `%` take t to c^2 * t mod N, in
+[0, N).  m is the curve's own, word-size on both routes: it multiplies an
+already reduced Z^2 (or Z0 Z1 unreduced, in the ladder's sum), with no
+fold of its own.  So every kernel reduction takes some |t| < (m + 1)^2
+N^2 (the square of X^2 + m Z^2 with both terms reduced), and two folds
+leave it below ((m + 1)^2 c / 2^k + 2) N in absolute value: the `%` has a
+quotient below (m + 1)^2 2^16 + 2, a digit or two for a word-size m, and
+costs linear time where a full `%` costs quadratic.  Smaller moduli,
+where `%` is faster (the crossover table in CHANGES.md), and other shapes
+are reduced by `%`.
 
-Each fold reduction multiplies by the unit c^2.  The chain and the ladder
-need no change of representation: (X:Z) is homogeneous, so with m taken
-times c^-2 = 2^(2k), X and Z gain the same c^6 per doubling or ladder
-addition and name the same point.
-Jacobian (X:Y:Z) scale by different powers (x = X/Z^2, y = Y/Z^3), so
-the Jacobian ops run in the domain x -> x * 2^(2k) mod N (Montgomery
-1985): the point and m go in, each reduction of a sum of products of two
-domain values gives the domain value of that sum, and X, Y and Z leave
-it times c^2, for the affine tail.
-Either way each Z is a unit multiple of the `%` kernel's Z, so every
-checkpoint gcd, FactorFound divisor, ChainFailure step and divisor, the
-operation order and every record byte stay those of the `%` kernels.  The
-folded kernels copy the `%` formulas instead of taking a reducer, which
-would cost a call per reduction on small moduli.
+Each fold reduction multiplies by the unit c^2, and the kernels need no
+change of representation: (X:Z) is homogeneous, and X and Z gain the same
+c^6 per doubling or ladder step, so they name the same point.  A ladder
+difference d other than -1 enters times c^-2 = 2^(2k), so that the fold
+of its product gives c^6 too.  Each Z is a unit multiple of the `%`
+kernel's Z, so every checkpoint gcd, ChainFailure step and divisor and
+every record byte stay those of the `%` kernels.  The folded kernels copy
+the `%` formulas instead of taking a reducer, which would cost a call per
+reduction on small moduli.
 """
 
 from __future__ import annotations
@@ -172,33 +176,6 @@ def add(curve: Curve, p: Point, q: Point) -> Point:
     return Point(x3, y3)
 
 
-def _jacobian_ops(X: int, Y: int, Z: int, ops: str, n: int, m: int,
-                  px: int, py: int) -> tuple[int, int, int]:
-    """(X:Y:Z) after the ops: "D" doubles it, "A" adds the affine (px, py)."""
-    for op in ops:
-        if op == "D":
-            # lambda = (3x^2 - m) / (2y): Z gains the factor 2*Y
-            yy = Y * Y % n
-            zz = Z * Z % n
-            w = (3 * (X * X) - m * (zz * zz % n)) % n
-            v = 4 * X * yy % n
-            Z = 2 * Y * Z % n
-            X = (w * w - 2 * v) % n
-            Y = (w * (v - X) - 8 * (yy * yy)) % n
-        else:
-            # lambda = (py - y) / (px - x): Z gains the factor h
-            zz = Z * Z % n
-            h = (px * zz - X) % n
-            r = (py * zz % n * Z - Y) % n
-            hh = h * h % n
-            hhh = hh * h % n
-            v = X * hh % n
-            Z = Z * h % n
-            X = (r * r - hhh - 2 * v) % n
-            Y = (r * (v - X) - Y * hhh) % n
-    return X, Y, Z
-
-
 def _riesel_fold(n: int) -> tuple[int, int] | None:
     """(k, c) with n = c * 2^k - 1 when the module docstring's fold reduces n, else None."""
     if n.bit_length() < RIESEL_FOLD_BITS:
@@ -206,72 +183,6 @@ def _riesel_fold(n: int) -> tuple[int, int] | None:
     k = ((n + 1) & -(n + 1)).bit_length() - 1
     c = (n + 1) >> k
     return (k, c) if c.bit_length() <= k + 16 else None
-
-
-def _jacobian_ops_folded(X: int, Y: int, Z: int, ops: str, n: int, m: int,
-                         px: int, py: int, k: int, c: int) -> tuple[int, int, int]:
-    """_jacobian_ops for n = c * 2^k - 1 in the domain x -> x * 2^(2k) mod n:
-    X, Y, Z, m, px, py and the result are domain values (module docstring).
-    """
-    mask = (1 << k) - 1
-    for op in ops:
-        if op == "D":
-            t = Y * Y
-            t = (t >> k) + c * (t & mask)
-            yy = ((t >> k) + c * (t & mask)) % n
-            t = Z * Z
-            t = (t >> k) + c * (t & mask)
-            zz = ((t >> k) + c * (t & mask)) % n
-            t = zz * zz
-            t = (t >> k) + c * (t & mask)
-            t = 3 * (X * X) - m * (((t >> k) + c * (t & mask)) % n)
-            t = (t >> k) + c * (t & mask)
-            w = ((t >> k) + c * (t & mask)) % n
-            # 4 X yy stays a product for X', which subtracts it twice
-            xyy = 4 * X * yy
-            t = (xyy >> k) + c * (xyy & mask)
-            v = ((t >> k) + c * (t & mask)) % n
-            t = 2 * Y * Z
-            t = (t >> k) + c * (t & mask)
-            Z = ((t >> k) + c * (t & mask)) % n
-            t = w * w - 2 * xyy
-            t = (t >> k) + c * (t & mask)
-            X = ((t >> k) + c * (t & mask)) % n
-            t = w * (v - X) - 8 * (yy * yy)
-            t = (t >> k) + c * (t & mask)
-            Y = ((t >> k) + c * (t & mask)) % n
-        else:
-            t = Z * Z
-            t = (t >> k) + c * (t & mask)
-            zz = ((t >> k) + c * (t & mask)) % n
-            t = px * zz
-            t = (t >> k) + c * (t & mask)
-            h = ((t >> k) + c * (t & mask)) % n - X
-            t = py * zz
-            t = (t >> k) + c * (t & mask)
-            t = (((t >> k) + c * (t & mask)) % n) * Z
-            t = (t >> k) + c * (t & mask)
-            r = ((t >> k) + c * (t & mask)) % n - Y
-            t = h * h
-            t = (t >> k) + c * (t & mask)
-            hh = ((t >> k) + c * (t & mask)) % n
-            # hh * h and X hh stay products for X'; Y' takes them reduced
-            hhh = hh * h
-            t = (hhh >> k) + c * (hhh & mask)
-            reduced = ((t >> k) + c * (t & mask)) % n
-            xhh = X * hh
-            t = (xhh >> k) + c * (xhh & mask)
-            v = ((t >> k) + c * (t & mask)) % n
-            t = Z * h
-            t = (t >> k) + c * (t & mask)
-            Z = ((t >> k) + c * (t & mask)) % n
-            t = r * r - hhh - 2 * xhh
-            t = (t >> k) + c * (t & mask)
-            X = ((t >> k) + c * (t & mask)) % n
-            t = r * (v - X) - Y * reduced
-            t = (t >> k) + c * (t & mask)
-            Y = ((t >> k) + c * (t & mask)) % n
-    return X, Y, Z
 
 
 def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, int]:
@@ -298,37 +209,18 @@ def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, i
 
 
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
-    """s*P by left-to-right double-and-add (deterministic operation order).
-
-    Jacobian coordinates (x = X/Z^2, y = Y/Z^3) under the checkpoint walk,
-    in the fold's domain where _riesel_fold allows, then the affine double
-    and add from the first failing operation on.
-    """
+    """s*P by left-to-right double-and-add with the affine double and add,
+    the reference the x-only kernels are tested against (no decide or
+    replay path calls it)."""
     if s < 0:
         raise ValueError("scalar must be nonnegative")
     if s == 0 or point.is_infinity:
         return INFINITY
-    # one D per bit after the leading one, an A after each 1 bit
-    ops = bin(s)[3:].replace("1", "DA").replace("0", "D")
-    if not ops:
-        return point
-    n = curve.modulus
-    fold = _riesel_fold(n)
-    k, c = fold or (0, 1)  # without a fold, the domain map is the identity
-    px, py, m, z = ((v << 2 * k) % n for v in (point.x, point.y, curve.m, 1))
-
-    def step(state, i, j):
-        if fold is None:
-            return _jacobian_ops(*state, ops[i:j], n, m, px, py)
-        return _jacobian_ops_folded(*state, ops[i:j], n, m, px, py, k, c)
-
-    state, done, _ = _checkpointed(step, (px, py, z), len(ops), n)
-    X, Y, Z = (v * c * c % n for v in state)
-    inv = pow(Z, -1, n)
-    inv2 = inv * inv % n
-    acc = Point(X * inv2 % n, Y * inv2 % n * inv % n)
-    for op in ops[done:]:
-        acc = double(curve, acc) if op == "D" else add(curve, acc, point)
+    acc = point
+    for bit in bin(s)[3:]:
+        acc = double(curve, acc)
+        if bit == "1":
+            acc = add(curve, acc, point)
     return acc
 
 
@@ -390,22 +282,22 @@ def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) ->
 
 def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, m: int,
                              k: int, c: int) -> tuple[int, int]:
-    """_x_only_doublings' division branch for n = c * 2^k - 1, where m is
-    the curve's m times 2^(2k) mod n, each `%` replaced by fold, fold, `%`
-    (X and Z gain c^6 per doubling)."""
+    """_x_only_doublings' division branch for n = c * 2^k - 1, each `%`
+    replaced by fold, fold, `%`, m times the reduced Z^2 left unreduced,
+    and 4 X Z taken from the squares (X and Z gain c^6 per doubling)."""
     mask = (1 << k) - 1
     for _ in range(times):
-        t = X * X
+        x2 = X * X
+        z2 = Z * Z
+        t = X + Z
+        t = 2 * (t * t - x2 - z2)
         t = (t >> k) + c * (t & mask)
+        u = ((t >> k) + c * (t & mask)) % n
+        t = (x2 >> k) + c * (x2 & mask)
         xx = ((t >> k) + c * (t & mask)) % n
-        t = Z * Z
-        t = (t >> k) + c * (t & mask)
-        t = m * (((t >> k) + c * (t & mask)) % n)
-        t = (t >> k) + c * (t & mask)
-        mzz = ((t >> k) + c * (t & mask)) % n
-        t = 4 * X * Z
-        t = (t >> k) + c * (t & mask)
-        t = (((t >> k) + c * (t & mask)) % n) * (xx - mzz)
+        t = (z2 >> k) + c * (z2 & mask)
+        mzz = m * (((t >> k) + c * (t & mask)) % n)
+        t = u * (xx - mzz)
         t = (t >> k) + c * (t & mask)
         Z = ((t >> k) + c * (t & mask)) % n
         t = xx + mzz
@@ -415,38 +307,49 @@ def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, m: int,
     return X, Z
 
 
-def _x_only_ladder(s: int, n: int, m: int, fold: tuple[int, int] | None) -> tuple[int, int]:
-    """(X:Z) of s * Q, x(Q) = -1, by the ladder of the module docstring,
-    reduced by `%` or, with fold = (k, c), as _x_only_doublings_folded
-    reduces (m is then the curve's m times 2^(2k) mod n).  From (R0, R1) =
-    (infinity, Q), a 0 bit takes them to (2 R0, R0 + R1) and a 1 bit, the
-    same step on the swapped pair, to (R0 + R1, 2 R1)."""
-    X0, Z0, X1, Z1 = 1, 0, n - 1, 1
+def _x_only_ladder(s: int, x: int, n: int, m: int,
+                   fold: tuple[int, int] | None) -> tuple[int, int]:
+    """(X:Z) of s * P, x = x(P) a unit in [0, n), by the ladder of the
+    module docstring, reduced by `%` or, with fold = (k, c), as
+    _x_only_doublings_folded reduces.  From (R0, R1) = (infinity, P), a 0
+    bit takes them to (2 R0, R0 + R1) and a 1 bit, the same step on the
+    swapped pair, to (R0 + R1, 2 R1).  x = -1 costs a negation where any
+    other x costs a product."""
+    X0, Z0, X1, Z1 = 1, 0, x, 1
+    minus_one = x == n - 1
     k, c = fold or (0, 1)
     mask = (1 << k) - 1
+    if fold is not None and not minus_one:
+        x = (x << 2 * k) % n  # times c^-2, which the fold of its product undoes
     for bit in bin(s)[2:]:
         if bit == "1":
             X0, Z0, X1, Z1 = X1, Z1, X0, Z0
         if fold is None:
             t = (X0 * X1 + m * (Z0 * Z1 % n)) % n
             u = (X0 * Z1 - X1 * Z0) % n
-            X1, Z1 = t * t % n, -(u * u) % n
+            X1 = t * t % n
+            Z1 = -(u * u) % n if minus_one else x * (u * u % n) % n
             X0, Z0 = _x_only_doublings(X0, Z0, 1, n, m, False)
         else:
-            t = Z0 * Z1
-            t = (t >> k) + c * (t & mask)
-            t = X0 * X1 + m * (((t >> k) + c * (t & mask)) % n)
+            a = X0 * X1
+            b = Z0 * Z1
+            t = a + m * b
+            # X0 Z1 - X1 Z0 from the two products and a third
+            u = (X0 - Z0) * (X1 + Z1) - a + b
             t = (t >> k) + c * (t & mask)
             a = ((t >> k) + c * (t & mask)) % n
-            t = X0 * Z1 - X1 * Z0
-            t = (t >> k) + c * (t & mask)
+            t = (u >> k) + c * (u & mask)
             u = ((t >> k) + c * (t & mask)) % n
             t = a * a
             t = (t >> k) + c * (t & mask)
             X1 = ((t >> k) + c * (t & mask)) % n
-            t = -(u * u)
+            t = -(u * u) if minus_one else u * u
             t = (t >> k) + c * (t & mask)
             Z1 = ((t >> k) + c * (t & mask)) % n
+            if not minus_one:
+                t = x * Z1
+                t = (t >> k) + c * (t & mask)
+                Z1 = ((t >> k) + c * (t & mask)) % n
             X0, Z0 = _x_only_doublings_folded(X0, Z0, 1, n, m, k, c)
         if bit == "1":
             X0, Z0, X1, Z1 = X1, Z1, X0, Z0
@@ -458,25 +361,19 @@ def double_x_only_chain(curve: Curve, x: int, times: int,
     """(X:Z) of 2^times * s*P, s >= 1, from x = x(P), with Z a unit once
     times >= 1; else the first doubling whose denominator is not a unit.
 
-    s > 1 takes x = -1, and s*P comes from the ladder.  The doublings run
-    under one checkpoint walk, by shift-and-fold mod 2^j - 1 (j >= 5),
-    else by the Riesel fold or `%`."""
+    s > 1 takes s*P from the ladder, which needs x a unit; with times = 0
+    its end is returned, Z unchecked.  The doublings run under one
+    checkpoint walk, by shift-and-fold mod 2^j - 1 (j >= 5), else by the
+    Riesel fold or `%`."""
     n, m = curve.modulus, curve.m % curve.modulus
     fold = _riesel_fold(n)
-    # folded, m times c^-2 = 2^(2k): m Z^2 folds to c^2 m Z^2, as X^2 to c^2 X^2
-    mk = m if fold is None else (m << 2 * fold[0]) % n
-    if s == 1:
-        state = (x % n, 1)
-    elif (x + 1) % n:
-        raise ValueError("the ladder starts from x = -1")
-    else:
-        state = _x_only_ladder(s, n, mk, fold)
+    state = (x % n, 1) if s == 1 else _x_only_ladder(s, x % n, n, m, fold)
     mersenne = n & (n + 1) == 0 and n.bit_length() >= 5
 
     def step(state, i, j):
         if fold is None or mersenne:
             return _x_only_doublings(*state, j - i, n, m, mersenne)
-        return _x_only_doublings_folded(*state, j - i, n, mk, *fold)
+        return _x_only_doublings_folded(*state, j - i, n, m, *fold)
 
     state, done, g = _checkpointed(step, state, times, n)
     return state if g == 1 else ChainFailure(done + 1, g)

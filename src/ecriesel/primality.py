@@ -5,36 +5,59 @@ auto_test, the one decide entry, takes the first route that applies:
   * small-n    gate_small_n, n = 1 included: the k-step x-only chain from
                x(n * Q), x(Q) = -1, on y^2 = x^3 - m x, where m is the
                least a >= 2 with (a/p) != +1;
-  * large-n    gate_large_n, every factor of n prime: 2^k * Q has order
-               exactly n (Goldwasser-Kilian).
+  * large-n    gate_large_n, every factor of n prime: on the same curve,
+               D = 2^k * Q has order exactly n (Goldwasser-Kilian), for
+               x(Q) = -a, a = 1, 2, ... up to RETRY_CAP.
 
 The two gates never both hold.  With no route, _fallback decides p by the
-exact oracle or the presieve, or reports not-applicable.
+exact oracle or the presieve, or reports not-applicable.  Neither route
+scans a point, forms a y or runs scalar_mul, and a zero symbol met
+finding m is a factor at parameter-scan.
 
-Small-n scans no point and forms no y; a zero symbol met finding m is a
-factor at parameter-scan.  Sound: if the chain ends in zero, every prime
-l | p has 2^k <= (sqrt(l) + 1)^2 (sequence docstring; (m/p) = -1 makes m
-a unit), yet a composite p has an l <= sqrt(p), with (p^(1/4) + 1)^2 <
-p / n < 2^k by the gate.  Complete: the symbols before m's are +1, so
-((m - 1)/p) = +1; for a prime p, Q = (-1, sqrt(m - 1)) lies on the curve,
-cyclic of order 2^k n (fact 2 of oracle), and (-1/p) = -1 gives Q an
-order divisible by 2^k (fact 3), so n * Q has order 2^k.  For M_k, k odd,
-(2/p) = +1 and (3/p) = -1 give m = 3 and, as n = 1, no ladder: the
-classical Mersenne chain.
+Small-n.  Sound: if the chain ends in zero, every prime l | p has 2^k <=
+(sqrt(l) + 1)^2 (sequence docstring; (m/p) = -1 makes m a unit), yet a
+composite p has an l <= sqrt(p), with (p^(1/4) + 1)^2 < p / n < 2^k by
+the gate.  Complete: the symbols before m's are +1, so ((m - 1)/p) = +1;
+for a prime p, Q = (-1, sqrt(m - 1)) lies on the curve, cyclic of order
+2^k n (fact 2 of oracle), and (-1/p) = -1 gives Q an order divisible by
+2^k (fact 3), so n * Q has order 2^k.  For M_k, k odd, (2/p) = +1 and
+(3/p) = -1 give m = 3 and, as n = 1, no ladder: the classical Mersenne
+chain.
 
-Large-n's _curve_route tries the (m, Q) pairs of one fixed scan until
-_order_verdict decides.  Replay re-runs each route's evaluator
-(_small_n_verdict, _order_verdict) after checking the recorded choices.
+Large-n (_order_verdict) walks x-coordinates alone.  D = 2^k Q comes
+from the k doublings of the chain under one checkpoint walk; each
+(n/q) D, for the distinct q | n, and q ((n/q) D) = n D for the last q
+come from the ecring ladder, whose difference x(D), then x((n/q) D), one
+inversion makes affine.  On the way, a proper gcd of p (the walk's, or
+of a ladder's end Z, or of an X made affine) is a factor at
+scalar-multiplication; a Z of D or of some (n/q) D that vanishes mod p
+declines the attempt, and a + 1 goes next; an x(D) or x((n/q) D) that
+vanishes is final-nonzero, as no point of odd order has x = 0 mod a prime.
+The verdict is prime, final-zero, iff the end Z vanishes mod p.
+  Sound: mod each prime l | p, x(Q) lifts to E_m or its quadratic twist,
+elliptic curves both as m is a unit, and by the ladder's argument (ecring)
+n D = O there while every (n/q) D is finite: D has order n, so Hasse
+gives n <= (sqrt(l) + 1)^2 on either curve.  The gate gives
+(p^(1/4) + 1)^2 < p / 2^k < n, so l > sqrt(p) for every l, and p is
+prime.  A final-nonzero needs no gate: for a prime p, n D = O.
+  Complete: for a prime p, E_m(F_p) is cyclic of order p + 1 = 2^k n
+(fact 2), and its twist is E_m again through x -> -x, as (-1/p) = -1, so
+every x = -a is the x of a point Q of one of them.  D's order divides n,
+so every Z is a unit or zero mod p, and n D = O: an attempt declines
+only when Q's order misses some q | n, and otherwise ends final-zero.
+
+Replay re-runs each route's evaluator (_small_n_verdict, _order_verdict,
+the latter with a = iterations) after checking the recorded choices.
 Verdict is an immutable named tuple.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
 from math import gcd, prod
 
-from .ecring import Curve, FactorFound, Point, scalar_mul
+from .ecring import ChainFailure, Curve, FactorFound, Point, double_x_only_chain
+from .ecring import scalar_mul  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .numtheory import (
     ORACLE_BASES,
     PSI_13,
@@ -48,7 +71,7 @@ from .numtheory import (
     presieve,
     trial_division,
 )
-from .sequence import FINAL_ZERO, chain_outcome
+from .sequence import FINAL_NONZERO, FINAL_ZERO, chain_outcome
 from .sequence import run_sequence  # noqa: F401  (perfbench/tracing.py patches it here)
 
 PRIME = "prime"
@@ -56,10 +79,9 @@ COMPOSITE = "composite"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not-applicable"
 
-# Most y values one curve/point scan tries, so that a scan over hostile
-# input ends instead of running for ever.
+# Most y values one _curve_point_candidates scan tries.
 SCAN_LIMIT = 100_000
-# Most scanned (m, Q) pairs one curve route tries before it gives up.
+# Most x(Q) = -a attempts the large-n route makes before it gives up.
 RETRY_CAP = 20
 
 
@@ -102,8 +124,9 @@ def _curve_point_candidates(p: int):
 
     Q = (x, y) then lies on y^2 = x^3 - m*x with (m/p) = -1 by
     multiplicativity.  x is _least_nonresidue(p), and y ascends from 1, up
-    to SCAN_LIMIT values, one per retry of _curve_route.  A zero symbol
-    means a shared factor with p, raised as FactorFound.
+    to SCAN_LIMIT values.  A zero symbol means a shared factor with p,
+    raised as FactorFound.  No route calls it; perfbench/tracing.py wraps
+    it by name.
     """
     x = _least_nonresidue(p)
     x_cubed = x * x * x % p
@@ -138,9 +161,13 @@ def _oracle_verdict(p: int) -> Verdict | None:
     return Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": witness})
 
 
+def _factor_verdict(algorithm: str, divisor: int, stage: str) -> Verdict:
+    return Verdict(COMPOSITE, algorithm, {"type": "factor", "divisor": divisor, "stage": stage})
+
+
 def sieve_verdict(divisor: int) -> Verdict:
     """The composite verdict of a small prime factor the presieve found."""
-    return Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": divisor, "stage": "sieve"})
+    return _factor_verdict("sieve", divisor, "sieve")
 
 
 _DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
@@ -172,6 +199,26 @@ def _probable_prime(q: int) -> bool:
     return miller_rabin(q) if prime is None else prime
 
 
+def _large_n_applies(c: FormCandidate, factors) -> bool:
+    """Whether auto_test takes large-n for c with these factors of n."""
+    return gate_large_n(c) and prod(factors) == c.n and all(_probable_prime(q) for q in factors)
+
+
+def _vanishes(t: int, p: int) -> bool:
+    """Whether t = 0 mod p; FactorFound when gcd(t, p) is a proper divisor."""
+    g = gcd(t, p)
+    if 1 < g < p:
+        raise FactorFound(g, p)
+    return g == p
+
+
+def _affine_x(point: tuple[int, int], p: int) -> int | None:
+    """X / Z mod p for (X:Z) with Z a unit, None when X = 0 mod p;
+    FactorFound when gcd(X, p) is a proper divisor."""
+    X, Z = point
+    return None if _vanishes(X, p) else X * pow(Z, -1, p) % p
+
+
 # --- the evaluators, for deciding and replay ----------------------------
 
 def _small_n_verdict(c: FormCandidate) -> Verdict:
@@ -180,8 +227,7 @@ def _small_n_verdict(c: FormCandidate) -> Verdict:
     try:
         m = _least_nonresidue(c.p)
     except FactorFound as exc:
-        cert = {"type": "factor", "divisor": exc.divisor, "stage": "parameter-scan"}
-        return Verdict(COMPOSITE, "small-n", cert)
+        return _factor_verdict("small-n", exc.divisor, "parameter-scan")
     outcome = chain_outcome(c.p, m, -1, c.k, c.n)
     cert = {key: value for key, value in zip(("outcome", "step", "divisor"), outcome)
             if value is not None}
@@ -189,62 +235,50 @@ def _small_n_verdict(c: FormCandidate) -> Verdict:
     return Verdict(PRIME if outcome.kind == FINAL_ZERO else COMPOSITE, "small-n", cert)
 
 
-def _order_verdict(c: FormCandidate, m: int, base: Point,
-                   factors: tuple[int, ...] | list[int]) -> Verdict | None:
-    """The order verdict on (m, base) for n = prod(factors): with
-    D = 2^k * base, prime iff n * D = infinity.  None when some (n/q) * D
-    is already infinity, which decides nothing.  Raises FactorFound.
-
-    With prime factors and the gate, q * ((n/q) * D) = infinity for the
-    last q checked, reached with no divisor met, gives D order n mod every
-    prime l | p, so p is prime and n * D = infinity too.  That walk runs
-    where n != q and p is a base-2 probable prime, which spares a composite
-    p a walk it cannot use (at order-route's 1029-bit p the test takes
-    about 3.5 ms, the walk by a 259-bit q about 9.6 ms under the Riesel
-    fold, 12 ms under `%`); any other outcome of it leaves the verdict to
-    the walk of n * D, whose certificate it is."""
-    curve = Curve(c.p, m)
-    doubled = scalar_mul(curve, 1 << c.k, base)
-    q, multiple = c.n, doubled  # kept only by an empty factor list, where n = 1
-    for q in dict.fromkeys(factors):
-        multiple = scalar_mul(curve, c.n // q, doubled)
-        if multiple.is_infinity:
+def _order_verdict(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int]) -> Verdict | None:
+    """The large-n verdict of attempt a, x(Q) = -a, for n = prod(factors)
+    (module docstring); None when the attempt declines."""
+    p = c.p
+    try:
+        curve = Curve(p, _least_nonresidue(p))
+    except FactorFound as exc:
+        return _factor_verdict("large-n", exc.divisor, "parameter-scan")
+    cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(factors)}
+    try:
+        end = double_x_only_chain(curve, -a, c.k)
+        if isinstance(end, ChainFailure):
+            if end.divisor != p:
+                raise FactorFound(end.divisor, p)
             return None
-    cert = {"type": "order", "base_point": [base.x, base.y], "factors": list(factors)}
-    if q != c.n and gate_large_n(c) and miller_rabin(c.p, (2,)):
-        try:
-            if scalar_mul(curve, q, multiple).is_infinity:
-                return Verdict(PRIME, "large-n", cert)
-        except FactorFound:
-            pass
-    status = PRIME if scalar_mul(curve, c.n, doubled).is_infinity else COMPOSITE
-    return Verdict(status, "large-n", cert)
+        x = _affine_x(end, p)
+        if x is not None:
+            for q in dict.fromkeys(factors):
+                multiple = double_x_only_chain(curve, x, 0, c.n // q)
+                if _vanishes(multiple[1], p):
+                    return None
+            # q * ((n/q) * D) = n * D for the last q
+            x = _affine_x(multiple, p)
+            if x is not None and _vanishes(double_x_only_chain(curve, x, 0, q)[1], p):
+                cert["outcome"] = FINAL_ZERO
+    except FactorFound as exc:
+        return _factor_verdict("large-n", exc.divisor, "scalar-multiplication")
+    return Verdict(PRIME if cert["outcome"] == FINAL_ZERO else COMPOSITE, "large-n", cert)
 
 
-# --- deciding: search, gates, retries and fallback -------------------------
+# --- deciding: gates, retries and fallback ---------------------------------
 
 def _curve_route(c: FormCandidate, factors: tuple[int, ...]) -> Verdict:
-    """The first verdict _order_verdict gives on the scanned (m, Q) pairs,
-    of which at most RETRY_CAP are tried.  A divisor of p gives a factor
-    verdict: at stage parameter-scan when the scan meets it before the
-    first pair, else at scalar-multiplication.  A scan that runs dry gives
-    retries-exhausted with the factors given with c, for replay to check.
-    """
-    attempts = 0
-    try:
-        for m, base in islice(_curve_point_candidates(c.p), RETRY_CAP):
-            attempts += 1
-            verdict = _order_verdict(c, m, base, factors)
-            if verdict is not None:
-                return verdict if attempts == 1 else verdict._replace(iterations=attempts)
-    except FactorFound as exc:
-        stage = "parameter-scan" if attempts == 0 else "scalar-multiplication"
-        cert = {"type": "factor", "divisor": exc.divisor, "stage": stage}
-        return Verdict(COMPOSITE, "large-n", cert, iterations=max(attempts, 1))
-    cert = {"type": "retries-exhausted", "attempts": attempts}
+    """The first verdict _order_verdict gives for a = 1 .. RETRY_CAP, with
+    iterations a.  When every attempt declines, retries-exhausted with the
+    factors given with c, for replay to check."""
+    for a in range(1, RETRY_CAP + 1):
+        verdict = _order_verdict(c, a, factors)
+        if verdict is not None:
+            return verdict._replace(iterations=a)
+    cert = {"type": "retries-exhausted", "attempts": RETRY_CAP}
     if c.n_factors is not None:
         cert["factors"] = list(c.n_factors)
-    return Verdict(INCONCLUSIVE, "large-n", cert, iterations=max(attempts, 1))
+    return Verdict(INCONCLUSIVE, "large-n", cert, iterations=max(RETRY_CAP, 1))
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -264,7 +298,7 @@ def auto_test(c: FormCandidate) -> Verdict:
     if gate_small_n(c):
         return _small_n_verdict(c)
     factors = c.n_factors or (c.n,)
-    if gate_large_n(c) and all(_probable_prime(q) for q in factors):
+    if _large_n_applies(c, factors):
         return _curve_route(c, factors)
     return _fallback(c)
 
@@ -282,23 +316,22 @@ _FACTOR_STAGES = {
 def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
-    Checks the recorded choices (a large-n base point, whose curve
-    coefficient m it derives, the factors of n, the gate behind a prime
-    verdict), then re-runs the route's own evaluator and compares status,
-    algorithm and certificate; small-n records no choice.  The multipliers
-    (n, 2^k, n/q, q) come from the candidate and the checked factors, and
-    no scan, retry, fallback or dispatch runs.  The evaluators use the
-    integer and curve layers alone; the independent references for them
-    are the traced walk run_sequence, the oracle and the differential tests.
-    An undecided verdict is checked against what auto_test can give up
-    with, and no scan or fallback runs: not-applicable is _fallback's
-    dispatch verdict, for p >= PSI_13 with gate_small_n failing and no
-    prime factor up to 13 (no Miller-Rabin); inconclusive is large-n's
-    retries-exhausted, with its gate holding, at most RETRY_CAP pairs
-    tried, and the recorded factors, or (n,) without them, multiplying to n
-    and each passing _probable_prime, as large-n's entry requires.  A
-    decided verdict has iterations 1, or up to RETRY_CAP on large-n, whose
-    evaluator can decline a pair.
+    Checks the recorded choices (the factors of n and the gates behind a
+    large-n verdict, the gate behind a small-n prime), then re-runs the
+    route's own evaluator and compares status, algorithm and certificate;
+    small-n records no choice, and large-n's x(Q) = -a is a = iterations.
+    The multipliers (n, 2^k, n/q, q) come from the candidate and the checked
+    factors, and no retry, fallback or dispatch runs.  The evaluators use
+    the integer and curve layers alone; the independent references for them
+    are the traced walk run_sequence, the affine scalar_mul, the oracle and
+    the differential tests.  An undecided verdict is checked against what
+    auto_test can give up with, and no walk or fallback runs:
+    not-applicable is _fallback's dispatch verdict, for p >= PSI_13 with
+    gate_small_n failing and no prime factor up to 13 (no Miller-Rabin);
+    inconclusive is large-n's retries-exhausted, with at most RETRY_CAP
+    attempts and large-n's entry holding for the recorded factors, or (n,)
+    without them.  A decided verdict has iterations 1, or up to RETRY_CAP
+    on large-n, whose evaluator can decline an attempt.
     """
     try:
         return _replay(c, verdict)
@@ -321,15 +354,12 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
         shape = {"type": "retries-exhausted", "attempts": attempts}
         if "factors" in cert:
             shape["factors"] = cert["factors"]  # given with the candidate
-        if not (algorithm == "large-n" and cert == shape and 0 <= attempts <= RETRY_CAP
-                and verdict.iterations == max(attempts, 1) and gate_large_n(c)):
-            return False
-        # auto_test takes large-n only when every factor of n is prime
-        factors = cert.get("factors", (c.n,))
-        return prod(factors) == c.n and all(_probable_prime(q) for q in factors)
+        return (algorithm == "large-n" and cert == shape and 0 <= attempts <= RETRY_CAP
+                and verdict.iterations == max(attempts, 1)
+                and _large_n_applies(c, cert.get("factors", (c.n,))))
     if status not in (PRIME, COMPOSITE):
         return False
-    # Only large-n's evaluator can decline a pair, so only its verdicts
+    # Only large-n's evaluator can decline an attempt, so only its verdicts
     # come after a retry.
     if not 1 <= verdict.iterations <= (RETRY_CAP if algorithm == "large-n" else 1):
         return False
@@ -351,18 +381,9 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
             return False
         expected = _small_n_verdict(c)
     elif algorithm == "large-n":
-        # base lies on y^2 = x^3 - m x by the choice of m, and m != 0, as
-        # x^3 = y^2 would give (x/p)^3 = (y/p)^2, never -1
-        base = Point(*cert["base_point"])
-        if not (0 <= base.x < p and 0 <= base.y < p and jacobi(base.x, p) == -1):
+        if not _large_n_applies(c, cert["factors"]):
             return False
-        m = curve_coefficient(p, base)
-        if jacobi(m, p) != -1 or (status == PRIME and not gate_large_n(c)):
-            return False
-        factors = cert["factors"]
-        if prod(factors) != c.n or not all(_probable_prime(q) for q in factors):
-            return False
-        expected = _order_verdict(c, m, base, factors)
+        expected = _order_verdict(c, verdict.iterations, cert["factors"])
     else:
         return False
     return expected is not None and (

@@ -91,7 +91,7 @@ class TestTestCommand:
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/4")
+            assert json.loads(line)["schema"].endswith("/5")
 
 
 class TestFactorOption:
@@ -127,7 +127,7 @@ class TestFactorOption:
             f'"p":"{4 * 3**53 - 1}"}},'
             '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
             'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/4","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            '"schema":"ecriesel.run-record/5","tool_version":"0.1.0","verdict":"not-applicable"}\n')
 
     @pytest.mark.parametrize("argv, line", [
         (("5", "3"), "k=5 n=3 p=95: composite [small-n] divisor=5"),  # factor
@@ -215,10 +215,11 @@ class TestStrictReplayInput:
 
     def test_forged_vanished_multiple(self, tmp_path):
         # p = 383 is prime; the record claims 3 * Q = infinity, in the
-        # shape the small-n route wrote before it scanned no point
+        # shape the small-n route wrote before it ran the ladder, less the
+        # base point that no certificate holds now
         rec = self.record("7", "3")
         rec["verdict"] = "composite"
-        rec["certificate"] = {"type": "vanished-multiple", "base_point": ["5", "1"]}
+        rec["certificate"] = {"type": "vanished-multiple"}
         code, out, _ = self.replay(tmp_path, json.dumps(rec))
         assert code == 1 and "INVALID" in out
         for multiplier in ("0", "384"):
@@ -228,15 +229,15 @@ class TestStrictReplayInput:
     def test_non_canonical_decimals(self, tmp_path):
         for x in ("\u0665", "05", "+5", " 5", "5.0"):
             rec = self.record("7", "3")
-            rec["certificate"]["base_point"] = [x, "1"]
+            rec["certificate"]["step"] = x
             code, _, err = self.replay(tmp_path, json.dumps(rec))
-            assert code == 3 and "malformed" in err, x
+            assert code == 3 and "malformed" in err and "certificate.step" in err, x
         rec = self.record("7", "3")
         rec["candidate"]["n"] = "03"
         assert self.replay(tmp_path, json.dumps(rec))[0] == 3
 
     def test_field_types(self, tmp_path):
-        for field, value in (("base_point", [5, 1]), ("base_point", "5"),
+        for field, value in (("factors", [5, 1]), ("factors", "5"),
                              ("outcome", ["final-zero"])):
             rec = self.record("7", "3")
             rec["certificate"][field] = value
@@ -329,7 +330,7 @@ class TestStrictReplayInput:
         "order-with-step": (("large-n", "order"), lambda r: r["certificate"].update(step="5"), 1),
         "order-with-x0": (("large-n", "order"), lambda r: r["certificate"].update(x0="5"), 3),
         "order-with-outcome": (("large-n", "order"),
-                               lambda r: r["certificate"].update(outcome="final-zero"), 1),
+                               lambda r: r["certificate"].update(outcome="final-nonzero"), 1),
         "oracle-as-small-n": (("trial-division", "oracle"),
                               lambda r: r.update(algorithm="small-n"), 1),
         "oracle-null-algorithm": (("trial-division", "oracle"),
@@ -423,9 +424,9 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert (code, err) == (1, "") and out.startswith("replay: INVALID")
 
-    # Every route but large-n decides on its first pair; large-n's evaluator
-    # can decline a pair, up to RETRY_CAP of them.  p = 2671 (test 4 167) is
-    # decided on its second pair.
+    # Every route but large-n decides on its first attempt; large-n's
+    # evaluator can decline one, up to RETRY_CAP of them, so 21 attempts at
+    # p = 2671 (test 4 167) are more than it makes.
     @pytest.mark.parametrize("argv, iterations", [
         (("7", "3"), 999), (("7", "3"), 2), (("4", "167"), 21), (None, 5),
     ], ids=["small-n-999", "small-n-2", "large-n-21", "sieve-5"])
@@ -490,7 +491,7 @@ class TestStrictReplayInput:
             code, out, _ = self.replay(tmp_path, line)
             assert code == 0 and out.startswith("replay: valid"), line
             replayed += 1
-        assert replayed == 92
+        assert replayed == 94
 
 
 class TestMersenneCommand:

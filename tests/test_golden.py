@@ -8,13 +8,14 @@ bytes:
     PYTHONPATH=src python tests/test_golden.py
 
 tests/data/frozen_records.jsonl holds a record of an outcome that no call
-with the fixed curve/point scan is known to reach: a large-n retries-
-exhausted, written with the retry cap at 1.  It is replayed and fuzzed,
-never regenerated; each schema move has only changed its tag.  Together
-the two files reach every certificate type and every sequence outcome the
-CLI can emit, on every route that emits it.
+is known to reach: a large-n retries-exhausted, written with the retry
+cap at 1.  It is replayed and fuzzed, never regenerated; each schema move
+has only changed its tag.  Together the two files reach every certificate
+type and every sequence or order outcome the CLI can emit, on every route
+that emits it.
 """
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -41,11 +42,15 @@ GOLDEN_CALLS = [
     (("test", "2", "10395", "--json"), 0),
     (("test", "2", "7625597484987", "--json"), 1),
     (("test", "2", "19383245667680019896796723", "--json"), 3),
-    (("test", "2", "17", "--json"), 0),  # order, one factor, prime
-    (("test", "2", "257", "--json"), 1),  # order, one factor, composite
+    (("test", "2", "17", "--json"), 0),  # order, one factor, final-zero
+    (("test", "2", "257", "--json"), 1),  # order, one factor, final-nonzero
     (("test", "2", "250127", "--q1", "389", "--q2", "643", "--json"), 0),  # order, two factors
-    (("test", "2", "37", "--json"), 1),  # large-n factor at parameter-scan
+    # p = 131 is prime: x(Q) = -1 .. -5 decline, x(Q) = -6 decides
+    (("test", "2", "33", "--q", "3", "--q", "11", "--json"), 0),
+    # p = 147 = 3 * 7^2: two attempts decline, the third meets 21
+    (("test", "2", "37", "--json"), 1),
     (("test", "2", "19", "--json"), 1),  # large-n factor at scalar-multiplication
+    (("test", "3", "29", "--json"), 1),  # large-n factor at parameter-scan: (3/231) = 0
     (("test", "5", "3", "--json"), 1),  # small-n factor at parameter-scan
     (("test", "6", "5", "--json"), 1),  # small-n final-nonzero
     (("test", "7", "3", "--json"), 0),  # small-n final-zero
@@ -60,6 +65,14 @@ GOLDEN_CALLS = [
 # 500 candidates at k = 31: presieved lines, small-n primes (final-zero)
 # and composites (final-nonzero), then the summary line.
 SEARCH_CALL = ("search", "--k", "31", "--n-min", "40001", "--n-max", "40999", "--json")
+
+# SHA-256 of the run-record/4 lines of each file other than the large-n
+# records, joined by newlines: the lines the x-only large-n route left as
+# they were, but for their schema tag.
+RECORD_4_DIGESTS = {
+    GOLDEN: "4589225ca7d100403ce862b3782e4d607c88cbd346b4301f15d6c9a5ba2c701b",
+    SEARCH_RANGE: "0035c08ef09e6ddb7fde76ee046c80fd9bc80901192907acda0a77ccddb0832a",
+}
 
 
 def record_lines():
@@ -92,6 +105,15 @@ def test_search_range_is_byte_identical():
     assert search_range_output() == SEARCH_RANGE.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("path", sorted(RECORD_4_DIGESTS), ids=lambda p: p.name)
+def test_lines_off_large_n_kept_their_bytes(path):
+    lines = [line.replace("ecriesel.run-record/5", "ecriesel.run-record/4")
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if json.loads(line).get("algorithm") != "large-n"]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RECORD_4_DIGESTS[path]
+
+
 def test_golden_set_covers_every_reachable_pair():
     pairs = set()
     for line in record_lines():
@@ -108,21 +130,20 @@ def test_golden_set_covers_every_reachable_pair():
         ("trial-division", "oracle", None),
         ("miller-rabin", "oracle", None),
         ("auto", "gate-failure", "dispatch"),
-        ("large-n", "order", None),
+        ("large-n", "order", "final-zero"),
+        ("large-n", "order", "final-nonzero"),
         ("large-n", "retries-exhausted", None),
     }
 
 
 def test_no_certificate_carries_a_derived_field():
-    # replay derives m from a base point or from Jacobi symbols and re-runs
-    # the chain for x0 and the final residue, so no record holds the three;
-    # small-n scans no point, so its records hold none
+    # replay derives m from Jacobi symbols and re-runs the chain for x0 and
+    # the final residue, so no record holds the three; neither route scans
+    # a point, so no record holds one
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/4", line
-        assert not {"m", "x0", "residue"} & record["certificate"].keys(), line
-        if record["algorithm"] == "small-n":
-            assert "base_point" not in record["certificate"], line
+        assert record["schema"] == "ecriesel.run-record/5", line
+        assert not {"m", "x0", "residue", "base_point"} & record["certificate"].keys(), line
 
 
 def test_decided_verdicts_agree_with_sympy():

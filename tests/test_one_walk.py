@@ -128,7 +128,7 @@ def two_walks(n, m, mult, k):
     """The ladder by `%`, then chain_outcome from its affine x; an end at
     infinity mod some prime fails the chain at step 1 (no other factor of
     these moduli is at 2-torsion there)."""
-    X, Z = _x_only_ladder(mult, n, m % n, None)
+    X, Z = _x_only_ladder(mult, n - 1, n, m % n, None)
     g = gcd(Z, n)
     if g == n:
         return SequenceOutcome(EARLY_INFINITY, 1)
@@ -140,9 +140,7 @@ def two_walks(n, m, mult, k):
 def assert_ladder_per_prime(n, m, mult, points):
     """The ladder's (X:Z) mod each prime q is x(mult * (-1, y_q)) or, with
     Z = 0 mod q, infinity, as scalar_mul gives it over F_q."""
-    fold = _riesel_fold(n)
-    mk = m if fold is None else (m << 2 * fold[0]) % n
-    X, Z = _x_only_ladder(mult, n, mk % n, fold)
+    X, Z = _x_only_ladder(mult, n - 1, n, m % n, _riesel_fold(n))
     for q, (mq, yq) in points:
         want = scalar_mul(Curve(q, mq), mult, Point(q - 1, yq))
         if want.is_infinity:
@@ -239,13 +237,14 @@ def test_multiple_at_infinity_fails_doubling_1(monkeypatch):
 
 
 def test_without_a_multiplier_it_is_the_chain(runs):
-    # s = 1 starts from x alone, with no ladder; a ladder needs x = -1
+    # s = 1 starts from x alone, with no ladder; s = 3 runs the ladder from
+    # the same x, and 3 P has the same order 2^17 mod Q18
     n, m, y, base, _, _ = walk_case("division", False)
     P = scalar_mul(Curve(n, m), base << 1, Point(n - 1, y))  # order 2^17 mod Q18
     assert double_x_only_chain(Curve(n, m), P.x, 20) == ChainFailure(17, Q18)
     assert runs["ladder"] == 0
-    with pytest.raises(ValueError):
-        double_x_only_chain(Curve(n, m), P.x, 20, 3)
+    assert double_x_only_chain(Curve(n, m), P.x, 20, 3) == ChainFailure(17, Q18)
+    assert runs["ladder"] == 1
 
 
 @pytest.mark.parametrize("j", [61, 127, 1279])

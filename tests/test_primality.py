@@ -5,8 +5,8 @@ from math import prod
 
 import pytest
 
-from ecriesel import numtheory, primality
-from ecriesel.ecring import Curve, FactorFound, Point, scalar_mul
+from ecriesel import ecring, numtheory, primality
+from ecriesel.ecring import FactorFound, Point
 from ecriesel.numtheory import (
     ORACLE_BASES,
     PSI_13,
@@ -184,14 +184,13 @@ class TestLargePrimeN:
         assert replay_verdict(c, v)
 
     def test_exhausted_scan_is_inconclusive(self, monkeypatch):
-        # at p = 10011 the scan picks x = 2 but rejects y = 1, so a
-        # one-value scan budget dries up before any candidate point
-        c = FormCandidate(k=2, n=2503)
-        assert jacobi(2, c.p) == -1 and jacobi(2**3 - 1, c.p) == -1
-        monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
+        # at p = 131 the attempts x(Q) = -1 .. -5 decline, so a scan of x
+        # capped at five runs dry, with the factors given recorded
+        c = TWO_PRIME_SMALL_PRIME
+        monkeypatch.setattr(primality, "RETRY_CAP", 5)
         v = auto_test(c)
-        assert v.status == INCONCLUSIVE
-        assert v.certificate["type"] == "retries-exhausted"
+        assert v == Verdict(INCONCLUSIVE, "large-n", {
+            "type": "retries-exhausted", "attempts": 5, "factors": [3, 11]}, 5)
         assert replay_verdict(c, v)
 
 
@@ -249,54 +248,55 @@ class TestTwoPrimeN:
             assert replay_verdict(c, v)
 
     def test_full_multiple_reuses_the_last_check(self, monkeypatch):
-        # a prime p needs no multiple by n: q * ((n/q) * D) proves it; a
-        # composite p is decided by the walk of n * D, as without the reuse
+        # q * ((n/q) * D) is n * D, so no ladder runs by n for either verdict:
+        # one ladder per distinct q (none for n/q = 1), then one by the last q
         scalars = []
-        original = primality.scalar_mul
+        original = ecring._x_only_ladder
 
-        def recording(curve, s, point):
+        def recording(s, *rest):
             scalars.append(s)
-            return original(curve, s, point)
+            return original(s, *rest)
 
-        monkeypatch.setattr(primality, "scalar_mul", recording)
+        monkeypatch.setattr(ecring, "_x_only_ladder", recording)
         for c, status in ((TWO_PRIME_BIG_PRIME, PRIME), (THREE_PRIME_PRIME, PRIME),
-                          (THREE_PRIME_COMPOSITE, COMPOSITE)):
+                          (THREE_PRIME_COMPOSITE, COMPOSITE),
+                          (FormCandidate(k=2, n=2633), PRIME),
+                          (FormCandidate(k=4, n=121, n_factors=(11, 11)), None)):
             scalars.clear()
             v = auto_test(c)
+            qs = list(dict.fromkeys(c.n_factors or (c.n,)))
+            want = [c.n // q for q in qs if q != c.n] + [qs[-1]]
+            if status is None:
+                # p = 1935: (3/p) = 0 is a factor before any walk
+                assert v.certificate["stage"] == "parameter-scan" and scalars == []
+                continue
             assert (v.status, v.certificate["type"]) == (status, "order")
-            qs = c.n_factors
-            full = qs[-1] if status == PRIME else c.n
-            assert scalars == [1 << c.k] + [c.n // q for q in qs] + [full]
+            assert scalars == want and c.n not in scalars[:-1]
             scalars.clear()
             assert replay_verdict(c, v)
-            assert scalars[-1] == full and (status == COMPOSITE) == (c.n in scalars)
+            assert scalars == want
 
-    # Composite p with order certificates on which q * ((n/q) * D) meets a
-    # divisor (41, 157) that the walk of n * D does not: found by comparing
-    # both walks over random curves, points valid, gate holding.
+    # Composite p with order certificates on which, with the Jacobian walk,
+    # q * ((n/q) * D) met a divisor (41, 157) that the walk of n * D did not.
     ORDER_NOT_FACTOR = (
-        (FormCandidate(k=3, n=5851351, n_factors=(11, 521, 1021)), 8098281, (31282030, 3020741)),
-        (FormCandidate(k=3, n=231341443, n_factors=(241, 409, 2347)), 567813339,
-         (1001341953, 954129596)),
+        FormCandidate(k=3, n=5851351, n_factors=(11, 521, 1021)),
+        FormCandidate(k=3, n=231341443, n_factors=(241, 409, 2347)),
     )
 
     @pytest.mark.parametrize("probable_prime", [False, True], ids=["as-is", "forced-prp"])
     def test_composite_order_certificates_keep_replaying(self, monkeypatch, probable_prime):
-        # forcing the base-2 probable-prime test to pass sends each through
-        # the q * ((n/q) * D) walk first, whose FactorFound must not leak
+        # the order route runs no Miller-Rabin on p: with the base-2 test
+        # forced to pass, each composite p still ends final-nonzero
         if probable_prime:
             monkeypatch.setattr(primality, "miller_rabin", lambda n, bases=(): True)
-        for c, m, xy in self.ORDER_NOT_FACTOR:
-            # run-record/2 stored m; replay now derives the same m from the point
-            assert curve_coefficient(c.p, Point(*xy)) == m
-            cert = {"type": "order", "base_point": list(xy), "factors": list(c.n_factors)}
-            v = Verdict(COMPOSITE, "large-n", cert)
+        for c in self.ORDER_NOT_FACTOR:
+            v = auto_test(c)
+            cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(c.n_factors)}
+            assert v == Verdict(COMPOSITE, "large-n", cert)
+            assert primality._order_verdict(c, 1, c.n_factors) == v
             assert replay_verdict(c, v)
-            assert primality._order_verdict(c, m, Point(*xy), c.n_factors) == v
-            curve, q = Curve(c.p, m), c.n_factors[-1]
-            multiple = scalar_mul(curve, c.n // q, scalar_mul(curve, 1 << c.k, Point(*xy)))
-            with pytest.raises(FactorFound):
-                scalar_mul(curve, q, multiple)
+            assert not replay_verdict(c, v._replace(status=PRIME, certificate={
+                **cert, "outcome": FINAL_ZERO}))
 
     @pytest.mark.parametrize("p_prime", [True, False], ids=["p-prime", "p-composite"])
     @pytest.mark.parametrize("r", [2, 3])
@@ -415,13 +415,17 @@ class TestDeterminismAndConfig:
             )
 
     def test_retry_cap_bounds_the_pairs_tried(self, monkeypatch):
-        # p = 2671: the first scanned pair decides nothing, the second decides
-        c = FormCandidate(k=4, n=167)
-        assert auto_test(c).iterations == 2
+        # p = 131: x(Q) = -1 .. -5 decline and x(Q) = -6 decides
+        c = TWO_PRIME_SMALL_PRIME
+        for a in range(1, 6):
+            assert primality._order_verdict(c, a, c.n_factors) is None, a
+        assert auto_test(c).iterations == 6
+        monkeypatch.setattr(primality, "RETRY_CAP", 6)
+        assert auto_test(c).iterations == 6
         monkeypatch.setattr(primality, "RETRY_CAP", 1)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted",
-                                                       "attempts": 1})
+                                                       "attempts": 1, "factors": [3, 11]})
         assert replay_verdict(c, v)
 
 
@@ -467,42 +471,50 @@ class TestReplayRejectsTampering:
         assert not replay_verdict(other, v)
 
     def test_tampered_order_point(self):
-        # replay derives m from the point, so a point counts only through the
-        # symbols (x/p) = (m/p) = -1 and the order walk it gives
+        # the record's point is x(Q) = -iterations; a forged outcome, a
+        # point that declines or decides otherwise, forged factors and a
+        # field no order certificate holds all fail
         cases = [
             FormCandidate(k=2, n=2633),
             TWO_PRIME_BIG_PRIME,
             FormCandidate(k=2, n=105, n_factors=(3, 5, 7)),
+            TWO_PRIME_SMALL_PRIME,
+            THREE_PRIME_COMPOSITE,
         ]
         for c in cases:
             v = auto_test(c)
             assert v.certificate["type"] == "order" and replay_verdict(c, v)
-            x, y = v.certificate["base_point"]
-            residue_x = next(t for t in range(2, c.p) if jacobi(t, c.p) == 1)
-            residue_m_y = next(t for t in range(1, c.p)
-                               if jacobi(curve_coefficient(c.p, Point(x, t)), c.p) == 1)
+            flipped = FINAL_NONZERO if v.status == PRIME else FINAL_ZERO
+            factors = v.certificate["factors"]
             forgeries = [
-                {"base_point": [residue_x, y]},  # (x/p) = +1
-                {"base_point": [x, residue_m_y]},  # (m/p) = +1
-                {"base_point": [x + c.p, y]},
-                {"base_point": [x, y, 1]},
-                {"m": curve_coefficient(c.p, Point(x, y))},  # no certificate field
-                {"factors": [c.n]} if len(v.certificate["factors"]) > 1 else {"factors": [1, c.n]},
-                {"factors": v.certificate["factors"][1:]},
+                {"outcome": flipped},
+                {"base_point": [2, 2]},
+                {"m": primality._least_nonresidue(c.p)},
+                {"factors": [c.n]} if len(factors) > 1 else {"factors": [1, c.n]},
+                {"factors": factors[1:]},
+                {"factors": factors + [1]},
             ]
             for change in forgeries:
                 cert = {**v.certificate, **change}
-                assert not replay_verdict(c, Verdict(v.status, v.algorithm, cert)), (c, change)
+                assert not replay_verdict(c, v._replace(certificate=cert)), (c, change)
+            assert not replay_verdict(c, v._replace(status=(COMPOSITE if v.status == PRIME
+                                                            else PRIME)))
+        # p = 131 declines x(Q) = -1 .. -5: no record may name them
+        v = auto_test(TWO_PRIME_SMALL_PRIME)
+        for a in range(1, 6):
+            assert not replay_verdict(TWO_PRIME_SMALL_PRIME, v._replace(iterations=a)), a
 
     def test_any_point_with_both_symbols_certifies_a_prime(self):
-        # p = 10531 is prime: (2, 2) is not the scan's point, yet with
-        # (x/p) = (m/p) = -1 its order walk proves p on its own curve
+        # p = 10531 is prime: every x(Q) = -a that does not decline proves
+        # it, so a record naming another a than the route's replays valid
         c = FormCandidate(k=2, n=2633)
         v = auto_test(c)
-        assert v.certificate["base_point"] != [2, 2]
-        assert jacobi(2, c.p) == jacobi(curve_coefficient(c.p, Point(2, 2)), c.p) == -1
-        other = Verdict(PRIME, "large-n", {**v.certificate, "base_point": [2, 2]})
-        assert replay_verdict(c, other)
+        assert v.iterations == 1
+        decided = [a for a in range(1, primality.RETRY_CAP + 1)
+                   if primality._order_verdict(c, a, [c.n]) is not None]
+        assert len(decided) > 15
+        for a in decided:
+            assert replay_verdict(c, v._replace(iterations=a)), a
 
     @pytest.mark.parametrize("c, algorithm", [
         (FormCandidate(k=2, n=2503), "large-n"),  # p = 10011 = 3 * 47 * 71
@@ -512,19 +524,16 @@ class TestReplayRejectsTampering:
         (FormCandidate(k=7, n=37), "small-n"),  # p = 4735 = 5 * 947
     ], ids=lambda v: str(getattr(v, "p", v)))
     def test_prime_claim_on_a_composite_fails_with_any_point(self, c, algorithm):
+        # every x(Q) = -a a large-n record can name; small-n has one point
         if algorithm == "large-n":
-            cert = {"type": "order", "factors": list(c.n_factors or (c.n,))}
+            cert = {"type": "order", "outcome": FINAL_ZERO, "factors": list(c.n_factors or (c.n,))}
+            attempts = range(1, primality.RETRY_CAP + 1)
         else:
             cert = {"type": "sequence", "outcome": FINAL_ZERO}
-        tried = 0
-        for x in range(2, 40):
-            for y in range(1, 40):
-                forged = {**cert, "base_point": [x, y]}
-                assert not replay_verdict(c, Verdict(PRIME, algorithm, forged)), (x, y)
-                # the points that reach the order walk
-                tried += (jacobi(x, c.p) == -1
-                          and jacobi(curve_coefficient(c.p, Point(x, y)), c.p) == -1)
-        assert tried > 50
+            attempts = (1,)
+        for a in attempts:
+            assert not replay_verdict(c, Verdict(PRIME, algorithm, cert, a)), a
+            assert not replay_verdict(c, Verdict(PRIME, algorithm, {**cert, "base_point": [2, a]}, a))
 
     def test_vanished_multiple_multiplies_by_n(self):
         # p = 383 is prime, so 3 * Q is finite whatever the record claims
@@ -585,10 +594,10 @@ class TestReplayRejectsTampering:
                          {"type": "retries-exhausted", "attempts": 20}, 20)
         assert not replay_verdict(c, forged)
         # factors given with the candidate are recorded, and replay checks
-        # their product and primality: p = 10411 has x = 2 and rejects
-        # y = 1, so a one-value scan dries up before any pair
+        # their product and primality: with no attempt allowed, the route
+        # gives up on p = 10411 at once
         c = FormCandidate(k=2, n=19 * 137, n_factors=(19, 137))
-        monkeypatch.setattr(primality, "SCAN_LIMIT", 1)
+        monkeypatch.setattr(primality, "RETRY_CAP", 0)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {
             "type": "retries-exhausted", "attempts": 0, "factors": [19, 137]})
@@ -602,18 +611,19 @@ class TestReplayRejectsTampering:
         assert not replay_verdict(FormCandidate(k=12, n=19 * 137), small)
 
     def test_decided_iterations_are_a_decide_paths(self):
-        # every route but large-n decides on its first pair; large-n's
-        # evaluator can decline a pair, so it may take up to RETRY_CAP
+        # every route but large-n decides on its first attempt; large-n's
+        # evaluator can decline one, so it may take up to RETRY_CAP
         c = FormCandidate(k=7, n=3)
         v = auto_test(c)
         assert replay_verdict(c, v)
         for iterations in (0, 2, 999):
             assert not replay_verdict(c, v._replace(iterations=iterations)), iterations
-        c = FormCandidate(k=4, n=167)  # p = 2671: the second pair decides
+        c = TWO_PRIME_SMALL_PRIME  # p = 131: the sixth attempt decides
         v = auto_test(c)
-        assert (v.algorithm, v.iterations) == ("large-n", 2) and replay_verdict(c, v)
+        assert (v.algorithm, v.iterations) == ("large-n", 6) and replay_verdict(c, v)
         assert replay_verdict(c, v._replace(iterations=primality.RETRY_CAP))
         assert not replay_verdict(c, v._replace(iterations=primality.RETRY_CAP + 1))
+        assert not replay_verdict(c, v._replace(iterations=0))
         c = FormCandidate(k=13, n=1)
         assert replay_verdict(c, mersenne_test(13))
         assert not replay_verdict(c, mersenne_test(13)._replace(iterations=7))
@@ -682,7 +692,7 @@ class TestExactOracleBoundary:
         assert v == Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
         assert replay_verdict(c, v)
         # the order certificate that 12-base Miller-Rabin let through
-        order = {"type": "order", "base_point": [3, 1], "factors": [PSI_12]}
+        order = {"type": "order", "outcome": FINAL_NONZERO, "factors": [PSI_12]}
         assert not replay_verdict(c, Verdict(COMPOSITE, "large-n", order))
 
     @pytest.mark.parametrize("k", [4, 6])

@@ -1,10 +1,10 @@
-"""The deferred-gcd backend against the affine walks it replaces.
+"""The deferred-gcd backend against the affine walks.
 
-double_x_only_chain and the Jacobian scalar_mul must return exactly what
-the step-by-step affine code returns.  The chain names a non-unit
-doubling's step and divisor itself; scalar_mul finds its first non-unit
-operation the same way and hands the walk from there to the affine double
-and add.  These fixtures pin both and the routes built on them.
+double_x_only_chain must return exactly what the step-by-step affine code
+returns: it names a non-unit doubling's step and divisor itself.
+scalar_mul is the affine double-and-add, the reference the x-only ladder
+is tested against; these fixtures pin its operation order, its divisors
+and the routes built on the chain.
 """
 
 from math import gcd
@@ -47,7 +47,7 @@ FOLD_MIN_BITS = 5
 
 
 def affine_multiple(curve, s, pt):
-    """Left-to-right affine double-and-add, the reference for scalar_mul."""
+    """Left-to-right affine double-and-add, written out apart from scalar_mul."""
     if s == 0 or pt.is_infinity:
         return INFINITY
     acc = pt
@@ -209,6 +209,9 @@ class TestChainFallback:
 
 
 class TestJacobianScalarMul:
+    """scalar_mul, once a Jacobian walk with an affine tail, is the affine
+    walk from its first operation on."""
+
     def test_partial_multiple_at_infinity(self):
         # (6, 3) has order 8 on y^2 = x^3 - 3x over F_7
         curve, pt = Curve(7, 3), Point(6, 3)
@@ -238,14 +241,14 @@ class TestJacobianScalarMul:
     def test_equal_x_sum_finite_mod_a_factor(self, affine_calls):
         # 209 = 11 * 19: the last op adds P to 4P, which is P mod 11 and -P
         # mod 19, so 5P is (3, 9) mod 11 and infinity mod 19 only.  The
-        # Jacobian add fails there and the affine add reports 11.
+        # affine add reports 11.
         curve, pt = Curve(209, 4), Point(102, 178)
         assert first_failing_op(curve, 5, pt) == (2, Point(102, 145))
         for walk in (scalar_mul, affine_multiple):
             with pytest.raises(FactorFound) as info:
                 walk(curve, 5, pt)
             assert info.value.divisor == 11
-        assert affine_calls[0] == ("A", Point(102, 145))
+        assert affine_calls[-1] == ("A", Point(102, 145))
 
     def test_unreduced_point(self):
         curve, raw = Curve(31, 6), Point(3 + 31, 3 - 62)
@@ -270,9 +273,8 @@ class TestJacobianScalarMul:
     ]
 
     def test_failing_walks_pass_checkpoints(self):
-        # runs end after operations 16, 48, 112, ...: the first seven
-        # fixtures fail inside the first run, the last four just after the
-        # first or the second checkpoint
+        # the first seven fixtures fail at operations 7 to 15, the last four
+        # later, at 17 to 50
         failing = [first_failing_op(Curve(n, m), s, Point(x, y))[0]
                    for n, m, x, y, s in self.FAILING_WALKS]
         assert all(7 <= f < 16 for f in failing[:7])
@@ -280,12 +282,13 @@ class TestJacobianScalarMul:
 
     @pytest.mark.parametrize("n, m, x, y, s", FAILING_WALKS)
     def test_affine_tail_starts_at_the_failing_op(self, affine_calls, n, m, x, y, s):
+        # the walk makes every operation in order up to the failing one,
+        # which starts from the partial multiple before it, and raises
+        # there or goes on to the last
         curve, pt = Curve(n, m), Point(x, y)
         assert ecring.on_curve(curve, pt)
         ops = affine_ops(s)
         failing, before = first_failing_op(curve, s, pt)
-        # a failing run is redone one operation at a time: not the last op,
-        # which runs alone
         assert failing < len(ops) - 1
         try:
             want = affine_multiple(curve, s, pt)
@@ -294,23 +297,11 @@ class TestJacobianScalarMul:
             with pytest.raises(FactorFound) as info:
                 scalar_mul(curve, s, pt)
             assert info.value.divisor == exc.divisor
-            assert [op for op, _ in affine_calls] == [ops[failing]]
+            assert [op for op, _ in affine_calls] == list(ops[:failing + 1])
         else:
             assert scalar_mul(curve, s, pt) == want
-            assert [op for op, _ in affine_calls] == list(ops[failing:])
-        assert affine_calls[0][1] == before
-
-    def test_affine_ops_run_only_from_a_failing_op(self, affine_calls):
-        # a prime modulus far above every multiplier: no partial multiple is infinity
-        n = (1 << 127) - 1
-        curve, pt = Curve(n, 7 * pow(2, -1, n) % n), Point(2, 1)
-        for s in (2, 3, 1 << 40, (1 << 61) - 1):
-            assert scalar_mul(curve, s, pt) == affine_multiple(curve, s, pt)
-        assert affine_calls == []
-        # (6, 3) has order 8 over F_7: 8 * P is infinity at the last operation
-        curve, pt = Curve(7, 3), Point(6, 3)
-        assert scalar_mul(curve, 8, pt).is_infinity
-        assert affine_calls == [("D", affine_multiple(curve, 4, pt))]
+            assert [op for op, _ in affine_calls] == list(ops)
+        assert affine_calls[failing][1] == before
 
 
 class TestModInverse:

@@ -1,12 +1,13 @@
 """The Riesel fold against the `%` kernels and the affine walks.
 
 On a modulus n = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with
-bits(c) <= k + 16, scalar_mul, the x-only ladder and the chain reduce by
-two folds and a `%`, which multiplies every reduction by the unit c^2.  The folded
-kernels are pinned to the `%` kernels they copy; scalar_mul and
-chain_outcome are compared with the affine references (affine_multiple,
-run_sequence) on composite moduli of that shape, so no switch forces a
-path: the same point, infinity, divisor or failing step.
+bits(c) <= k + 16, the x-only ladder and the chain reduce by two folds
+and a `%`, which multiplies every reduction by the unit c^2.  The folded
+kernels are pinned to the `%` kernels they copy; chain_outcome is
+compared with the affine reference run_sequence, and scalar_mul, the
+affine reference the ladder is tested against, with affine_multiple, on
+composite moduli of that shape: the same point, infinity, divisor or
+failing step.
 """
 
 import random
@@ -20,8 +21,6 @@ from ecriesel.ecring import (
     Curve,
     FactorFound,
     Point,
-    _jacobian_ops,
-    _jacobian_ops_folded,
     _riesel_fold,
     _x_only_doublings,
     _x_only_doublings_folded,
@@ -68,53 +67,39 @@ def prime_shaped(k, c_bits, rng):
 class TestFoldedKernels:
     @pytest.mark.parametrize("c_bits", [1, 2, 30, K - 300, K + 16])
     def test_one_reduction(self, c_bits):
-        # a doubling's Z' is the one reduction of t = 2 Y Z: c^2 t mod n, in
-        # [0, n), for t of either sign up to 2 (n - 1)^2 in absolute value
+        # one doubling at the largest inputs of either sign, with word-size
+        # m up to 2^16 multiplying a reduced Z^2: each reduction, the
+        # largest |t| < (m + 1)^2 n^2, gives c^2 t mod n in [0, n), so X'
+        # and Z' are c^6 times the `%` formula's
         rng = random.Random(c_bits)
         n, c = shaped(K, c_bits, rng)
         edge = n - 1
         pairs = [(edge, edge), (-edge, edge), (edge, -edge), (-edge, -edge), (0, edge)]
-        pairs += [(rng.randrange(-edge, n), rng.randrange(-edge, n)) for _ in range(40)]
-        for Y, Z in pairs:
-            _, _, got = _jacobian_ops_folded(1, Y, Z, "D", n, 1, 0, 0, K, c)
-            assert 0 <= got < n and got == c * c * 2 * Y * Z % n, (Y, Z)
-
-    @pytest.mark.parametrize("c_bits", [1, 2, 30, K - 300, K + 16])
-    def test_jacobian_copies_agree(self, c_bits):
-        # the folded ops on domain values (x * 2^(2k)) give the domain value
-        # of the `%` ops' result, every coordinate in [0, n)
-        rng = random.Random(c_bits)
-        n, c = shaped(K, c_bits, rng)
-        assert _riesel_fold(n) == (K, c)
-
-        def into(v):
-            return (v << 2 * K) % n
-
-        for trial in range(40):
-            X, Y, Z, m, px, py = (rng.randrange(-n + 1, n) for _ in range(6))
-            if trial < 4:  # every input at the largest magnitude of one sign
-                X = Y = Z = m = px = py = (n - 1) * (-1) ** trial
-            ops = "".join(rng.choice("DA") for _ in range(rng.randrange(1, 8)))
-            want = _jacobian_ops(X, Y, Z, ops, n, m, px, py)
-            got = _jacobian_ops_folded(*map(into, (X, Y, Z)), ops, n, into(m),
-                                       into(px), into(py), K, c)
-            assert all(0 <= v < n for v in got)
-            assert [v * c * c % n for v in got] == [v % n for v in want], ops
+        pairs += [(rng.randrange(-edge, n), rng.randrange(-edge, n)) for _ in range(20)]
+        unit = pow(c, 6, n)
+        for m in (1, 3, 29, (1 << 16) - 1):
+            for X, Z in pairs:
+                got = _x_only_doublings_folded(X, Z, 1, n, m, K, c)
+                want = _x_only_doublings(X, Z, 1, n, m, False)
+                assert all(0 <= v < n for v in got), (X, Z, m)
+                assert list(got) == [v * unit % n for v in want], (X, Z, m)
 
     @pytest.mark.parametrize("c_bits", [1, 2, 30, K - 300, K + 16])
     def test_x_only_copies_agree(self, c_bits):
         # each folded doubling multiplies X and Z by c^6 against division's
         # formula on the same inputs, so t doublings by c^(2 (4^t - 1)), for
-        # inputs of either sign, and leaves both in [0, n)
+        # inputs of either sign and the curve's own m, word-size or not, and
+        # leaves both in [0, n)
         rng = random.Random(-c_bits)
         n, c = shaped(K, c_bits, rng)
         for trial in range(40):
-            X, Z, m = (rng.randrange(-n + 1, n) for _ in range(3))
+            X, Z = (rng.randrange(-n + 1, n) for _ in range(2))
+            m = rng.randrange(1, n) if trial % 2 else rng.randrange(1, 1 << 16)
             if trial < 4:
                 X, Z = (n - 1) * (-1) ** trial, (n - 1) * (-1) ** (trial // 2)
             times = rng.randrange(1, 6)
-            want = _x_only_doublings(X, Z, times, n, m % n, False)
-            got = _x_only_doublings_folded(X, Z, times, n, (m << 2 * K) % n, K, c)
+            want = _x_only_doublings(X, Z, times, n, m, False)
+            got = _x_only_doublings_folded(X, Z, times, n, m, K, c)
             assert all(0 <= v < n for v in got)
             unit = pow(c, 2 * (4 ** times - 1), n)
             assert [v % n for v in got] == [v * unit % n for v in want]
@@ -124,14 +109,16 @@ class TestFoldedKernels:
         # each folded addition and doubling multiplies its result by c^6
         # against the `%` ladder's formula on the same inputs, which are of
         # degree 2 in each summand and 4 in the doubled point: tracking the
-        # exponent of c through the bits gives the unit between the two ends
+        # exponent of c through the bits gives the unit between the two ends.
+        # The difference is -1 (a negation) or any other x (a product).
         rng = random.Random(1000 + c_bits)
         n, c = shaped(K, c_bits, rng)
         for trial in range(20):
-            m = n - 1 if trial == 0 else rng.randrange(1, n)
+            m = n - 1 if trial == 0 else rng.randrange(1, 1 << 16 if trial % 2 else n)
+            x = n - 1 if trial < 10 else rng.randrange(1, n)
             s = rng.getrandbits(rng.randrange(1, 48)) | 1
-            want = _x_only_ladder(s, n, m, None)
-            got = _x_only_ladder(s, n, (m << 2 * K) % n, (K, c))
+            want = _x_only_ladder(s, x, n, m, None)
+            got = _x_only_ladder(s, x, n, m, (K, c))
             e0 = e1 = 0
             for bit in bin(s)[2:]:
                 if bit == "1":
@@ -147,10 +134,9 @@ class TestFoldedKernels:
 class TestThreshold:
     @pytest.fixture
     def kernels(self, monkeypatch):
-        """The names of the kernels that scalar_mul and the chain call."""
+        """The names of the kernels that the chain and the ladder call."""
         seen = set()
-        for name in ("_jacobian_ops", "_jacobian_ops_folded",
-                     "_x_only_doublings", "_x_only_doublings_folded"):
+        for name in ("_x_only_doublings", "_x_only_doublings_folded"):
             def spy(*args, _name=name, _kernel=getattr(ecring, name)):
                 seen.add(_name)
                 return _kernel(*args)
@@ -179,15 +165,11 @@ class TestThreshold:
     def test_kernels_taken(self, kernels):
         for n, folds in self.moduli():
             curve = Curve(n, 5)
-            kernels.clear()
-            try:
-                scalar_mul(curve, 12345, Point(2, 3))
-            except FactorFound:
-                pass
-            double_x_only_chain(curve, 2, 20)
-            double_x_only_chain(curve, -1, 20, 12345)  # the ladder's doublings too
-            assert kernels == ({"_jacobian_ops_folded", "_x_only_doublings_folded"} if folds
-                               else {"_jacobian_ops", "_x_only_doublings"}), n
+            for start, s in ((2, 1), (-1, 12345), (2, 12345)):  # the ladder's doublings too
+                kernels.clear()
+                double_x_only_chain(curve, start, 20, s)
+                assert kernels == ({"_x_only_doublings_folded"} if folds
+                                   else {"_x_only_doublings"}), (n, start, s)
 
     def test_mersenne_keeps_its_fold(self, kernels):
         # the chain's shift-and-fold, with no `%`, stays on 2^j - 1
@@ -238,7 +220,9 @@ class TestAgainstAffine:
 
     @pytest.mark.parametrize("c_bits", [2, 30, K + 16])
     def test_scalar_mul_same_point_and_infinity(self, c_bits):
-        # a prime n: the group has n + 1 points, so (n + 1) P is infinity
+        # a prime n: the group has n + 1 points, so the folded ladder from
+        # x(P), a unit other than -1, ends at infinity for (n + 1) P, and at
+        # x(s P) as scalar_mul gives it
         rng = random.Random(c_bits)
         n, c = prime_shaped(K, c_bits, rng)
         assert _riesel_fold(n) == (K, c)
@@ -248,10 +232,12 @@ class TestAgainstAffine:
             x += 1
         point = Point(x, pow((x ** 3 - m * x) % n, (n + 1) // 4, n))
         curve = Curve(n, m)
-        assert scalar_mul(curve, n + 1, point).is_infinity
-        assert affine_multiple(curve, n + 1, point).is_infinity
-        for mult in (2, 3, 1 << 40, rng.getrandbits(300), n):
-            assert scalar_mul(curve, mult, point) == affine_multiple(curve, mult, point)
+        assert _x_only_ladder(n + 1, x, n, m, (K, c))[1] == 0
+        for mult in (2, 3, 1 << 40, rng.getrandbits(300)):
+            want = scalar_mul(curve, mult, point)
+            assert want == affine_multiple(curve, mult, point)
+            X, Z = _x_only_ladder(mult, x, n, m, (K, c))
+            assert Z and (X - want.x * Z) % n == 0
 
     @pytest.mark.parametrize("c_bits", [30, K + 16])
     @pytest.mark.parametrize("s", [1, 3, 4, 9, 17])
