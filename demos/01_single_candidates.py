@@ -17,6 +17,7 @@ from ecriesel import (
     run_sequence,
     scalar_mul,
 )
+from ecriesel.sequence import start_x
 
 # Each candidate is carried as its decomposition (k, n); p is derived.
 # The dispatcher picks a route from the applicability gates, so the same
@@ -46,32 +47,37 @@ for c in candidates:
 
 print("\nAll verdicts replayed successfully.")
 
-# A closer look at one certificate: the small-n route records only where
-# the chain ended.  Everything else is derived, by replay and by anyone
-# else: m, the least a >= 2 with (a/p) = -1; the point Q = (-1, y) with
-# y^2 = m - 1, which lies on y^2 = x^3 - m*x because every symbol before
-# m's is +1; the chain's start x0 = x(n*Q); and the chain itself.  Deciding
-# never forms y: it takes x0 from an x-only ladder.
+# A closer look at one certificate: both routes walk the one curve
+# y^2 = x^3 + x, and the small-n route records only where the chain
+# ended.  Everything else is derived, by replay and by anyone else: u, the
+# least u >= 2 with ((u^2 + 1)/p) = -1; the point Q of the curve with
+# x = u or -u, whichever is a non-residue (then x^3 + x is a square); the
+# chain's start x0 = x(n*Q); and the chain itself.  Deciding never forms
+# y: it takes x0 from an x-only ladder from u, whose walk vanishes as the
+# one from -u does.
 c = FormCandidate(k=7, n=3)
 verdict = auto_test(c)
 cert = verdict.certificate
-m = next(a for a in range(2, c.p) if jacobi(a, c.p) != 1)
-base = Point(c.p - 1, pow(m - 1, (c.p + 1) // 4, c.p))
-start = scalar_mul(Curve(c.p, m), c.n, base)
-_, trace = run_sequence(c.p, m, start.x, c.k)
+u = start_x(c.p)
+x = u if jacobi(u, c.p) == -1 else c.p - u
+base = Point(x, pow(x * (x * x + 1), (c.p + 1) // 4, c.p))
+start = scalar_mul(Curve(c.p, -1), c.n, base)
+_, trace = run_sequence(c.p, -1, start.x, c.k)
 print(f"\nCertificate for p = {c.p}: {cert}")
-print(f"  curve      : y^2 = x^3 - {m}x  (mod {c.p}, m from Jacobi symbols)")
+print(f"  curve      : y^2 = x^3 + x  (mod {c.p})")
+print(f"  start u    : {u}  (from Jacobi symbols of u^2 + 1)")
 print(f"  point Q    : {tuple(base)}, multiplied by n = {c.n}")
 print(f"  x0         : {start.x}  (derived)")
 print(f"  outcome    : {cert['outcome']}  (zero at step k justifies 'prime')")
 print(f"  S chain    : {list(trace.s_values)}  (recomputed)")
 
 # The large-n route records the factors of n and where its order check
-# ended.  Its point is x(Q) = -a for the first a whose check decides, and
-# the record's iterations is that a: here x(Q) = -1 .. -5 leave some
-# (n/q) * D at infinity, so they decide nothing, and x(Q) = -6 proves p.
-c = FormCandidate(k=2, n=33, n_factors=(3, 11))
+# ended.  Its point is x(Q) = -(a + 1) for the first a whose check
+# decides, and the record's iterations is that a: here x(Q) = -2 .. -5
+# leave some (n/q) * D at infinity, so they decide nothing, and
+# x(Q) = -6 proves p.
+c = FormCandidate(k=2, n=237, n_factors=(3, 79))
 verdict = auto_test(c)
 print(f"\nCertificate for p = {c.p}: {verdict.certificate}")
-print(f"  point      : x(Q) = -{verdict.iterations}  (D = 2^{c.k} * Q has order n = {c.n})")
+print(f"  point      : x(Q) = -{verdict.iterations + 1}  (D = 2^{c.k} * Q has order n = {c.n})")
 assert replay_verdict(c, verdict)

@@ -2,19 +2,19 @@
 Mersenne numbers without a curve search
 =======================================
 
-M_k = 2^k - 1 is the small-n route's n = 1 case.  For odd k the least a
-with (a/M_k) = -1 is 3, so the curve is y^2 = x^3 - 3x and the start is
-x_0 = -1 for every such exponent, and the test collapses to an x-only
-recursion, just like the classical squaring test it parallels.  For even k
-the symbol (3/M_k) is 0: 3 divides M_k.
+M_k = 2^k - 1 is the small-n route's n = 1 case.  The curve is always
+y^2 = x^3 + x, and the start x_0 is the least u >= 2 with
+((u^2 + 1)/M_k) = -1, a few Jacobi symbols away, so the test collapses to
+an x-only recursion, just like the classical squaring test it parallels.
+A zero symbol on the way is a factor: 5 = 2^2 + 1 divides M_k when 4 | k.
 
 Run as: python demos/02_mersenne_scan.py
 """
 
 from ecriesel import lucas_lehmer, mersenne_sequence, test_mersenne
 
-# The recursion for M_5 = 31, step by step.  S_i is the doubling
-# denominator; all steps coprime to p plus a final zero means prime.
+# The recursion for M_5 = 31, step by step, from x_0 = 4.  S_i is the
+# doubling denominator; all steps coprime to p plus a final zero means prime.
 outcome, trace = mersenne_sequence(5)
 print("M_5 = 31:")
 print(f"  x chain: {trace.x_values}")

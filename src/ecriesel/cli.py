@@ -7,11 +7,11 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/5.  Certificates hold no m (replay
-finds it by a few Jacobi symbols) and no point: small-n starts from
-x = -1, and large-n from x = -a, a its record's iterations.  Replay reads
-no other schema, and names a run-record/2, /3 or /4 record as no longer
-read.
+The schema is ecriesel.run-record/6.  Certificates hold no curve and no
+point: both routes walk y^2 = x^3 + x, small-n from the x that replay
+finds by a few Jacobi symbols, and large-n from x = -(a + 1), a its
+record's iterations.  Replay reads no other schema, and names a
+run-record/2, /3, /4 or /5 record as no longer read.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -66,7 +66,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/5"
+SCHEMA = "ecriesel.run-record/6"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -183,8 +183,8 @@ def _read(field: str, parse, value):
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema (a run-record/2, /3 or
-    /4 record is named as no longer read), a missing top-level key, a verdict,
+    Raises ValueError on a record of another schema (a run-record/2 to /5
+    record is named as no longer read), a missing top-level key, a verdict,
     algorithm or tool_version that is not a string, a candidate that is not
     an object with exactly the keys k, n and p, a certificate key outside
     CERTIFICATE_FIELDS, an integer that is not a canonical decimal string, a
@@ -192,7 +192,8 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     is not a JSON integer >= 1.  A malformed field is named in the message.
     """
     schema = record.get("schema") if isinstance(record, dict) else None
-    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3", "ecriesel.run-record/4"):
+    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3",
+                  "ecriesel.run-record/4", "ecriesel.run-record/5"):
         raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
     if schema != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")

@@ -1,4 +1,5 @@
-"""Chord-and-tangent arithmetic on y^2 = x^3 - m*x over Z_N, N odd.
+"""Arithmetic on y^2 = x^3 - m*x over Z_N, N odd: affine references for
+any m, and x-only kernels on E: y^2 = x^3 + x (m = -1).
 
 N may be composite: the formulas are applied blindly, and every division
 goes through a three-way inversion.  A denominator sharing a proper factor
@@ -13,58 +14,63 @@ raises that factor.
 One backend, two coordinate systems.  The affine double, add,
 double_x_only and scalar_mul invert each denominator as it arises; they
 are the references the fast path is tested against, and no decide or
-replay path calls scalar_mul.  The fast path, x-only doublings on (X:Z)
-(Montgomery 1987), multiplies all denominators into Z, and Z is a unit iff
-every denominator was.  A walk (_checkpointed) takes a gcd after runs of
-16, 32, 64, ... doublings and after the last one alone, and redoes a
-failing run one gcd per doubling.  While the earlier Z is a unit, the new
-one is a unit multiple of this doubling's denominator, so the first
-non-unit Z marks the first doubling the affine walk cannot complete:
-deferring the gcd hides no failure and no witness, and
-double_x_only_chain names that doubling (ChainFailure).  Curve (checked
-when built), Point and ChainFailure are immutable named tuples.
+replay path calls them.  The fast path, x-only doublings on (X:Z) of E,
+multiplies all denominators into Z, and Z is a unit iff every
+denominator was.  A walk (_checkpointed) takes a gcd after runs of 16,
+32, 64, ... doublings and after the last one alone, and redoes a failing
+run one gcd per doubling.  While the earlier Z is a unit, the new one is
+a unit multiple of this doubling's denominator, so the first non-unit Z
+marks the first doubling the affine walk cannot complete, which
+double_x_only_chain names (ChainFailure).  Curve (checked when built),
+Point and ChainFailure are immutable named tuples.
+
+E is Montgomery's curve with A = 0 (Math. Comp. 48, 1987, 10.3.1),
+elliptic mod every odd prime (its discriminant is -64).  With
+t1 = (X + Z)^2 and t2 = (X - Z)^2, a doubling is X' = 2 t1 t2,
+Z' = (t1 - t2)(t1 + t2) = 8 X Z (X^2 + Z^2): twice the tangent's
+x' = (x^2 - 1)^2 / (4 x (x^2 + 1)).  It gives (0:0) only from (0:0), as
+X^2 = Z^2 and X Z (X^2 + Z^2) = 0 force X = Z = 0.
 
 The x-only ladder.  double_x_only_chain may first take s * P by a
-Montgomery ladder (_x_only_ladder): with R1 - R0 = P throughout, x(P) = d,
-R0 + R1 = ((X0 X1 + m Z0 Z1)^2 : d (X0 Z1 - X1 Z0)^2) (Brier-Joye, PKC
-2002, b = 0), and doubling is the chain's.  Mod a prime l | N at which m
-and d are units, d lifts to P on the curve or its quadratic twist, and
-the ladder gives x(s P), Z = 0 mod l iff s P is infinity, for no (X:Z) is
-ever (0:0).  A doubling gives (0:0) only from (0:0), as X^2 + m Z^2 =
-X Z (X^2 - m Z^2) = 0 forces X = Z = 0.  A sum gives it only from R0 =
--R1 finite with x^2 = -m, where P = 2 R1 has x 0, not the unit d.  So
-small-n's d = -1 and large-n's unit x(D) and x((n/q) D) need no check
-inside the ladder.  Its Z is no running product (R0 + R1 is finite again
-after R0 meets infinity), so a checkpoint gcd inside it would depend on
-where runs end: it is one kernel call with no gcd, and a non-unit end Z
-divides the first doubling's 4 X Z (X^2 - m Z^2), so a chain after it
-names doubling 1.
+Montgomery ladder (_x_only_ladder): with R1 - R0 = P throughout and
+x(P) = d, a = (X0 - Z0)(X1 + Z1) and b = (X0 + Z0)(X1 - Z1) give
+R0 + R1 = ((a + b)^2 : d (a - b)^2), as a + b = 2 (X0 X1 - Z0 Z1) and
+a - b = 2 (X0 Z1 - X1 Z0).  Mod a prime l | N at which d is a unit, d
+lifts to P on E or its quadratic twist, and the ladder gives x(s P),
+Z = 0 mod l iff s P is infinity, for no (X:Z) is ever (0:0): a sum gives
+it only from X0 X1 = Z0 Z1 and X0 Z1 = X1 Z0, which with R0 or R1
+infinity make the other (0:0), and else give x0 = x1 = +-1, so R1 = -R0
+and P = 2 R1 has x 0, not d.  A d that vanishes mod l makes R0 (0:0) mod
+l from the leading bit on, so the end Z vanishes mod l.  Its Z is no
+running product (R0 + R1 is finite again after R0 meets infinity), so a
+checkpoint gcd inside it would depend on where runs end: it is one kernel
+call with no gcd, and a non-unit end Z divides the first doubling's Z',
+so a chain after it names doubling 1.
 
-Reduction.  On N = 2^j - 1, j >= 5, the chain's shift-and-fold keeps |X|,
-|Z| < 2^(j+1) with no `%`.  Both x-only kernels reduce any other N =
-c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
+Reduction.  On N = 2^j - 1, j >= 16, the chain's shift-and-fold
+f(t) = (t & N) + (t >> j) = t mod N, t of either sign, needs no `%`.  Let
+B = 2^j.  If X is in [0, N + 64] and Z in [-32, N + 32], |X +- Z| <=
+2B + 94, so one fold takes each square to t1, t2 in [0, 5B + 376]; then
+2 t1 t2 is in [0, 50B^2 + 7520B + 282752], t1^2 - t2^2 within half that
+of 0, and two folds give X in [0, N + 51] and Z in [-26, N + 26] (as
+B >= 2^16), the same ranges again.  Both x-only kernels reduce any other
+N = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
 (_riesel_fold: k is the trailing zeros of N + 1) by the Riesel fold.  As
-c * 2^k = 1 mod N, f(t) = (t >> k) + c * (t & (2^k - 1)) = c * t mod N for
-t of either sign, so two folds and a `%` take t to c^2 * t mod N, in
-[0, N).  m is the curve's own, word-size on both routes: it multiplies an
-already reduced Z^2 (or Z0 Z1 unreduced, in the ladder's sum), with no
-fold of its own.  So every kernel reduction takes some |t| < (m + 1)^2
-N^2 (the square of X^2 + m Z^2 with both terms reduced), and two folds
-leave it below ((m + 1)^2 c / 2^k + 2) N in absolute value: the `%` has a
-quotient below (m + 1)^2 2^16 + 2, a digit or two for a word-size m, and
-costs linear time where a full `%` costs quadratic.  Smaller moduli,
-where `%` is faster (the crossover table in CHANGES.md), and other shapes
-are reduced by `%`.
+c * 2^k = 1 mod N, f(t) = (t >> k) + c * (t & (2^k - 1)) = c * t mod N
+for t of either sign, so two folds and a `%` take t to c^2 * t mod N, in
+[0, N).  Each product the folded kernels reduce has factors in [0, N) or
+sums or differences of two such, so |t| < 4 N^2, and two folds leave it
+below (4 c / 2^k + 2)(N + 1) in absolute value: the `%` has a quotient
+below 2^18 + 3, a digit, and costs linear time where a full `%` costs
+quadratic.  Smaller moduli, where `%` is faster (the crossover table in
+CHANGES.md), and other shapes are reduced by `%`.
 
-Each fold reduction multiplies by the unit c^2, and the kernels need no
-change of representation: (X:Z) is homogeneous, and X and Z gain the same
-c^6 per doubling or ladder step, so they name the same point.  A ladder
-difference d other than -1 enters times c^-2 = 2^(2k), so that the fold
-of its product gives c^6 too.  Each Z is a unit multiple of the `%`
-kernel's Z, so every checkpoint gcd, ChainFailure step and divisor and
-every record byte stay those of the `%` kernels.  The folded kernels copy
-the `%` formulas instead of taking a reducer, which would cost a call per
-reduction on small moduli.
+Each fold reduction multiplies by the unit c^2, and (X:Z) is
+homogeneous: X and Z gain the same c^6 per doubling or ladder step (the
+ladder's d enters times c^-2 = 2^(2k)), so they name the same point, and
+every checkpoint gcd, ChainFailure and record byte stays the `%`
+kernels'.  The folded kernels copy the `%` formulas instead of taking a
+reducer, which would cost a call per reduction on small moduli.
 """
 
 from __future__ import annotations
@@ -234,146 +240,128 @@ class ChainFailure(namedtuple("ChainFailure", "step divisor")):
     __slots__ = ()
 
 
-def _x_only_doublings(X: int, Z: int, times: int, n: int, m: int, fold: bool) -> tuple[int, int]:
-    """(X:Z) doubled `times` times: X' = (X^2 + m Z^2)^2, Z' = 4 X Z (X^2 - m Z^2).
-
-    With fold, n = 2^j - 1 with j >= 5 and 1 <= m < n, and every product is
-    reduced by shift-and-fold, since 2^j = 1 there; otherwise by division.
+def _x_only_doublings(X: int, Z: int, times: int, n: int, fold: bool) -> tuple[int, int]:
+    """(X:Z) doubled `times` times on E: with t1 = (X + Z)^2 and
+    t2 = (X - Z)^2, X' = 2 t1 t2 and Z' = (t1 - t2)(t1 + t2).  With fold,
+    n = 2^j - 1 with j >= 16, reduced by the module docstring's
+    shift-and-fold (one fold for t1 and t2, two for X' and Z'), which
+    keeps X in [0, n + 64] and Z in [-32, n + 32]; otherwise by division.
     """
     if fold:
         j = n.bit_length()
-        # f(t) = (t & n) + (t >> j) keeps t mod n for t of either sign.  If
-        # |t| < 8 * 4^j, t >> j is in [-8 * 2^j, 8 * 2^j), so f(t) >> j is in
-        # [-8, 8] and f(f(t)) in [-8, n + 8], in [0, n + 8] if t >= 0.  From
-        # |X|, |Z| < 2^(j+1): X^2, Z^2 and 2XZ = (X + Z)^2 - X^2 - Z^2 are
-        # below 8 * 4^j, so xx, zz and mzz (m * zz < n(n + 8)) lie in
-        # [0, n + 8] and u in [-8, n + 8]; then |2u(xx - mzz)| <= 2(n + 8)^2
-        # and (xx + mzz)^2 <= (2n + 16)^2 are below 8 * 4^j for j >= 5, so
-        # Z is in [-8, n + 8] and X in [0, n + 8], below 2^(j+1) again.
         for _ in range(times):
-            x2 = X * X
-            z2 = Z * Z
             t = X + Z
-            t = t * t - x2 - z2
-            t = (t & n) + (t >> j)
-            u = (t & n) + (t >> j)
-            t = (x2 & n) + (x2 >> j)
-            xx = (t & n) + (t >> j)
-            t = (z2 & n) + (z2 >> j)
-            t = m * ((t & n) + (t >> j))
-            t = (t & n) + (t >> j)
-            mzz = (t & n) + (t >> j)
-            t = 2 * u * (xx - mzz)
-            t = (t & n) + (t >> j)
-            Z = (t & n) + (t >> j)
-            t = xx + mzz
             t = t * t
+            t1 = (t & n) + (t >> j)
+            t = X - Z
+            t = t * t
+            t2 = (t & n) + (t >> j)
+            t = 2 * t1 * t2
             t = (t & n) + (t >> j)
             X = (t & n) + (t >> j)
+            t = (t1 - t2) * (t1 + t2)
+            t = (t & n) + (t >> j)
+            Z = (t & n) + (t >> j)
     else:
         for _ in range(times):
-            xx = X * X % n
-            mzz = m * (Z * Z % n) % n
-            Z = 4 * X * Z % n * (xx - mzz) % n
-            t = xx + mzz
-            X = t * t % n
+            t1 = X + Z
+            t1 = t1 * t1 % n
+            t2 = X - Z
+            t2 = t2 * t2 % n
+            X = 2 * t1 * t2 % n
+            Z = (t1 - t2) * (t1 + t2) % n
     return X, Z
 
 
-def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, m: int,
-                             k: int, c: int) -> tuple[int, int]:
+def _x_only_doublings_folded(X: int, Z: int, times: int, n: int, k: int, c: int) -> tuple[int, int]:
     """_x_only_doublings' division branch for n = c * 2^k - 1, each `%`
-    replaced by fold, fold, `%`, m times the reduced Z^2 left unreduced,
-    and 4 X Z taken from the squares (X and Z gain c^6 per doubling)."""
+    replaced by fold, fold, `%` (X and Z gain c^6 per doubling)."""
     mask = (1 << k) - 1
     for _ in range(times):
-        x2 = X * X
-        z2 = Z * Z
         t = X + Z
-        t = 2 * (t * t - x2 - z2)
-        t = (t >> k) + c * (t & mask)
-        u = ((t >> k) + c * (t & mask)) % n
-        t = (x2 >> k) + c * (x2 & mask)
-        xx = ((t >> k) + c * (t & mask)) % n
-        t = (z2 >> k) + c * (z2 & mask)
-        mzz = m * (((t >> k) + c * (t & mask)) % n)
-        t = u * (xx - mzz)
-        t = (t >> k) + c * (t & mask)
-        Z = ((t >> k) + c * (t & mask)) % n
-        t = xx + mzz
         t = t * t
         t = (t >> k) + c * (t & mask)
+        t1 = ((t >> k) + c * (t & mask)) % n
+        t = X - Z
+        t = t * t
+        t = (t >> k) + c * (t & mask)
+        t2 = ((t >> k) + c * (t & mask)) % n
+        t = 2 * t1 * t2
+        t = (t >> k) + c * (t & mask)
         X = ((t >> k) + c * (t & mask)) % n
+        t = (t1 - t2) * (t1 + t2)
+        t = (t >> k) + c * (t & mask)
+        Z = ((t >> k) + c * (t & mask)) % n
     return X, Z
 
 
-def _x_only_ladder(s: int, x: int, n: int, m: int,
-                   fold: tuple[int, int] | None) -> tuple[int, int]:
-    """(X:Z) of s * P, x = x(P) a unit in [0, n), by the ladder of the
-    module docstring, reduced by `%` or, with fold = (k, c), as
+def _x_only_ladder(s: int, x: int, n: int, fold: tuple[int, int] | None) -> tuple[int, int]:
+    """(X:Z) of s * P, x = x(P) in [0, n), by the ladder of the module
+    docstring, reduced by `%` or, with fold = (k, c), as
     _x_only_doublings_folded reduces.  From (R0, R1) = (infinity, P), a 0
     bit takes them to (2 R0, R0 + R1) and a 1 bit, the same step on the
-    swapped pair, to (R0 + R1, 2 R1).  x = -1 costs a negation where any
-    other x costs a product."""
+    swapped pair, to (R0 + R1, 2 R1).  Under `%`, a word-size x costs a
+    word-size product and the doubling reuses X0 +- Z0; folded, the
+    doubling is _x_only_doublings_folded."""
     X0, Z0, X1, Z1 = 1, 0, x, 1
-    minus_one = x == n - 1
     k, c = fold or (0, 1)
     mask = (1 << k) - 1
-    if fold is not None and not minus_one:
+    if fold is not None:
         x = (x << 2 * k) % n  # times c^-2, which the fold of its product undoes
     for bit in bin(s)[2:]:
         if bit == "1":
             X0, Z0, X1, Z1 = X1, Z1, X0, Z0
+        u = X0 + Z0
+        v = X0 - Z0
         if fold is None:
-            t = (X0 * X1 + m * (Z0 * Z1 % n)) % n
-            u = (X0 * Z1 - X1 * Z0) % n
-            X1 = t * t % n
-            Z1 = -(u * u) % n if minus_one else x * (u * u % n) % n
-            X0, Z0 = _x_only_doublings(X0, Z0, 1, n, m, False)
+            a = v * (X1 + Z1) % n
+            b = u * (X1 - Z1) % n
+            X1 = a + b
+            X1 = X1 * X1 % n
+            Z1 = a - b
+            Z1 = x * (Z1 * Z1 % n) % n
+            u = u * u % n
+            v = v * v % n
+            X0 = 2 * u * v % n
+            Z0 = (u - v) * (u + v) % n
         else:
-            a = X0 * X1
-            b = Z0 * Z1
-            t = a + m * b
-            # X0 Z1 - X1 Z0 from the two products and a third
-            u = (X0 - Z0) * (X1 + Z1) - a + b
+            t = v * (X1 + Z1)
             t = (t >> k) + c * (t & mask)
             a = ((t >> k) + c * (t & mask)) % n
-            t = (u >> k) + c * (u & mask)
-            u = ((t >> k) + c * (t & mask)) % n
-            t = a * a
+            t = u * (X1 - Z1)
+            t = (t >> k) + c * (t & mask)
+            b = ((t >> k) + c * (t & mask)) % n
+            t = a + b
+            t = t * t
             t = (t >> k) + c * (t & mask)
             X1 = ((t >> k) + c * (t & mask)) % n
-            t = -(u * u) if minus_one else u * u
+            t = a - b
+            t = t * t
+            t = (t >> k) + c * (t & mask)
+            t = x * (((t >> k) + c * (t & mask)) % n)
             t = (t >> k) + c * (t & mask)
             Z1 = ((t >> k) + c * (t & mask)) % n
-            if not minus_one:
-                t = x * Z1
-                t = (t >> k) + c * (t & mask)
-                Z1 = ((t >> k) + c * (t & mask)) % n
-            X0, Z0 = _x_only_doublings_folded(X0, Z0, 1, n, m, k, c)
+            X0, Z0 = _x_only_doublings_folded(X0, Z0, 1, n, k, c)
         if bit == "1":
             X0, Z0, X1, Z1 = X1, Z1, X0, Z0
     return X0, Z0
 
 
-def double_x_only_chain(curve: Curve, x: int, times: int,
-                        s: int = 1) -> tuple[int, int] | ChainFailure:
-    """(X:Z) of 2^times * s*P, s >= 1, from x = x(P), with Z a unit once
-    times >= 1; else the first doubling whose denominator is not a unit.
-
-    s > 1 takes s*P from the ladder, which needs x a unit; with times = 0
-    its end is returned, Z unchecked.  The doublings run under one
-    checkpoint walk, by shift-and-fold mod 2^j - 1 (j >= 5), else by the
-    Riesel fold or `%`."""
-    n, m = curve.modulus, curve.m % curve.modulus
+def double_x_only_chain(n: int, x: int, times: int, s: int = 1) -> tuple[int, int] | ChainFailure:
+    """(X:Z) on E mod n (odd, >= 3) of 2^times * s*P, s >= 1, from
+    x = x(P), with Z a unit once times >= 1; else the first doubling whose
+    denominator is not a unit.  s > 1 takes s*P from the ladder; with
+    times = 0 its end is returned, Z unchecked.  The doublings run under
+    one checkpoint walk, by shift-and-fold mod 2^j - 1 (j >= 16), else by
+    the Riesel fold or `%`."""
     fold = _riesel_fold(n)
-    state = (x % n, 1) if s == 1 else _x_only_ladder(s, x % n, n, m, fold)
-    mersenne = n & (n + 1) == 0 and n.bit_length() >= 5
+    state = (x % n, 1) if s == 1 else _x_only_ladder(s, x % n, n, fold)
+    mersenne = n & (n + 1) == 0 and n.bit_length() >= 16
 
     def step(state, i, j):
         if fold is None or mersenne:
-            return _x_only_doublings(*state, j - i, n, m, mersenne)
-        return _x_only_doublings_folded(*state, j - i, n, m, *fold)
+            return _x_only_doublings(*state, j - i, n, mersenne)
+        return _x_only_doublings_folded(*state, j - i, n, *fold)
 
     state, done, g = _checkpointed(step, state, times, n)
     return state if g == 1 else ChainFailure(done + 1, g)

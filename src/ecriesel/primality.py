@@ -1,28 +1,32 @@
 """Decision procedures for p = 2^k * n - 1 and their replayable certificates.
 
-auto_test, the one decide entry, takes the first route that applies:
+auto_test, the one decide entry, takes the first route that applies, both
+on E: y^2 = x^3 + x, the paper's y^2 = x^3 - m x at m = -1, a non-residue
+mod p = 3 (mod 4) (every other such curve is isomorphic to E by
+x -> x / lambda, lambda^2 = -m):
 
   * small-n    gate_small_n, n = 1 included: the k-step x-only chain from
-               x(n * Q), x(Q) = -1, on y^2 = x^3 - m x, where m is the
-               least a >= 2 with (a/p) != +1;
-  * large-n    gate_large_n, every factor of n prime: on the same curve,
-               D = 2^k * Q has order exactly n (Goldwasser-Kilian), for
-               x(Q) = -a, a = 1, 2, ... up to RETRY_CAP.
+               x(n * Q), x(Q) = u = start_x(p), the least u >= 2 with
+               ((u^2 + 1)/p) = -1;
+  * large-n    gate_large_n, every factor of n prime: D = 2^k * Q has
+               order exactly n (Goldwasser-Kilian), for x(Q) = -(a + 1),
+               a = 1, 2, ... up to RETRY_CAP.
 
 The two gates never both hold.  With no route, _fallback decides p by the
 exact oracle or the presieve, or reports not-applicable.  Neither route
-scans a point, forms a y or runs scalar_mul, and a zero symbol met
-finding m is a factor at parameter-scan.
+scans a point, forms a y or runs scalar_mul, and a zero symbol small-n
+meets finding u is a factor at parameter-scan.
 
 Small-n.  Sound: if the chain ends in zero, every prime l | p has 2^k <=
-(sqrt(l) + 1)^2 (sequence docstring; (m/p) = -1 makes m a unit), yet a
-composite p has an l <= sqrt(p), with (p^(1/4) + 1)^2 < p / n < 2^k by
-the gate.  Complete: the symbols before m's are +1, so ((m - 1)/p) = +1;
-for a prime p, Q = (-1, sqrt(m - 1)) lies on the curve, cyclic of order
-2^k n (fact 2 of oracle), and (-1/p) = -1 gives Q an order divisible by
-2^k (fact 3), so n * Q has order 2^k.  For M_k, k odd, (2/p) = +1 and
-(3/p) = -1 give m = 3 and, as n = 1, no ladder: the classical Mersenne
-chain.
+(sqrt(l) + 1)^2 (sequence docstring; E is elliptic mod every odd l), yet
+a composite p has an l <= sqrt(p), with (p^(1/4) + 1)^2 < p / n < 2^k by
+the gate.  Complete: for a prime p, E(F_p) is cyclic of order 2^k n
+(fact 2 of oracle at m = -1), and its twist is E again through x -> -x,
+as (-1/p) = -1, so x = u or -u is the x of a point Q of E.  Its
+x (x^2 + 1) is a square and x^2 + 1 = u^2 + 1, so (x/p) = -1: Q has an
+order divisible by 2^k (fact 3), and n * Q order 2^k.  The doubling map
+x -> (x^2 - 1)^2 / (4 x (x^2 + 1)) and the ladder are odd in x, so the
+walks from u and -u vanish alike.  For M_k, n = 1: no ladder.
 
 Large-n (_order_verdict) walks x-coordinates alone.  D = 2^k Q comes
 from the k doublings of the chain under one checkpoint walk; each
@@ -33,18 +37,18 @@ of a ladder's end Z, or of an X made affine) is a factor at
 scalar-multiplication; a Z of D or of some (n/q) D that vanishes mod p
 declines the attempt, and a + 1 goes next; an x(D) or x((n/q) D) that
 vanishes is final-nonzero, as no point of odd order has x = 0 mod a prime.
-The verdict is prime, final-zero, iff the end Z vanishes mod p.
-  Sound: mod each prime l | p, x(Q) lifts to E_m or its quadratic twist,
-elliptic curves both as m is a unit, and by the ladder's argument (ecring)
-n D = O there while every (n/q) D is finite: D has order n, so Hasse
-gives n <= (sqrt(l) + 1)^2 on either curve.  The gate gives
-(p^(1/4) + 1)^2 < p / 2^k < n, so l > sqrt(p) for every l, and p is
-prime.  A final-nonzero needs no gate: for a prime p, n D = O.
-  Complete: for a prime p, E_m(F_p) is cyclic of order p + 1 = 2^k n
-(fact 2), and its twist is E_m again through x -> -x, as (-1/p) = -1, so
-every x = -a is the x of a point Q of one of them.  D's order divides n,
-so every Z is a unit or zero mod p, and n D = O: an attempt declines
-only when Q's order misses some q | n, and otherwise ends final-zero.
+The verdict is prime, final-zero, iff the end Z vanishes mod p.  The
+starts skip x = 0 (order 2) and x = +-1 (order 4).
+  Sound: mod each prime l | p, x(Q) lifts to E or its quadratic twist,
+and by the ladder's argument (ecring) n D = O there while every (n/q) D
+is finite: D has order n, so Hasse gives n <= (sqrt(l) + 1)^2.  The gate
+gives (p^(1/4) + 1)^2 < p / 2^k < n, so l > sqrt(p) for every l, and p
+is prime.  A final-nonzero needs no gate: for a prime p, n D = O.
+  Complete: for a prime p, E(F_p) is cyclic of order p + 1 = 2^k n
+(fact 2), and its twist is E, so every x is the x of a point Q of E.
+D's order divides n, so every Z is a unit or zero mod p, and n D = O:
+an attempt declines only when Q's order misses some q | n, and otherwise
+ends final-zero.
 
 Replay re-runs each route's evaluator (_small_n_verdict, _order_verdict,
 the latter with a = iterations) after checking the recorded choices.
@@ -56,7 +60,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, prod
 
-from .ecring import ChainFailure, Curve, FactorFound, Point, double_x_only_chain
+from .ecring import ChainFailure, FactorFound, Point, double_x_only_chain
 from .ecring import scalar_mul  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .numtheory import (
     ORACLE_BASES,
@@ -71,7 +75,7 @@ from .numtheory import (
     presieve,
     trial_division,
 )
-from .sequence import FINAL_NONZERO, FINAL_ZERO, chain_outcome
+from .sequence import FINAL_NONZERO, FINAL_ZERO, chain_outcome, start_x
 from .sequence import run_sequence  # noqa: F401  (perfbench/tracing.py patches it here)
 
 PRIME = "prime"
@@ -108,27 +112,18 @@ def curve_coefficient(p: int, base: Point) -> int:
     return (x * x * x - y * y) * pow(x, -1, p) % p
 
 
-def _least_nonresidue(p: int) -> int:
-    """The least a >= 2 with (a/p) = -1, p = 3 (mod 4), which (-1/p) = -1
-    bounds by p - 1; FactorFound on a zero symbol before it."""
-    a = 2
-    while (j := jacobi(a, p)) == 1:
-        a += 1
-    if j == 0:
-        raise FactorFound(gcd(a, p), p)
-    return a
-
-
 def _curve_point_candidates(p: int):
     """Yield (m, Q) pairs: (x/p) = -1, ((x^3 - y^2)/p) = +1, m = curve_coefficient(p, Q).
 
     Q = (x, y) then lies on y^2 = x^3 - m*x with (m/p) = -1 by
-    multiplicativity.  x is _least_nonresidue(p), and y ascends from 1, up
-    to SCAN_LIMIT values.  A zero symbol means a shared factor with p,
-    raised as FactorFound.  No route calls it; perfbench/tracing.py wraps
-    it by name.
+    multiplicativity.  x is the least a >= 2 with (a/p) = -1, p = 3 (mod 4),
+    and y ascends from 1, up to SCAN_LIMIT values.  A zero symbol means a
+    shared factor with p, raised as FactorFound.  No route calls it;
+    perfbench/tracing.py wraps it by name.
     """
-    x = _least_nonresidue(p)
+    x = next(a for a in range(2, p) if jacobi(a, p) != 1)
+    if gcd(x, p) != 1:
+        raise FactorFound(gcd(x, p), p)
     x_cubed = x * x * x % p
     for y in range(1, min(p, 1 + SCAN_LIMIT)):
         # t != 0: x^3 = y^2 would give (x/p)^3 = (y/p)^2, never -1
@@ -225,10 +220,10 @@ def _small_n_verdict(c: FormCandidate) -> Verdict:
     """The small-n verdict (module docstring): prime iff the chain from
     x(n * Q) ends in zero, its certificate where the chain ended."""
     try:
-        m = _least_nonresidue(c.p)
+        u = start_x(c.p)
     except FactorFound as exc:
         return _factor_verdict("small-n", exc.divisor, "parameter-scan")
-    outcome = chain_outcome(c.p, m, -1, c.k, c.n)
+    outcome = chain_outcome(c.p, u, c.k, c.n)
     cert = {key: value for key, value in zip(("outcome", "step", "divisor"), outcome)
             if value is not None}
     cert["type"] = "sequence"
@@ -236,16 +231,12 @@ def _small_n_verdict(c: FormCandidate) -> Verdict:
 
 
 def _order_verdict(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int]) -> Verdict | None:
-    """The large-n verdict of attempt a, x(Q) = -a, for n = prod(factors)
-    (module docstring); None when the attempt declines."""
+    """The large-n verdict of attempt a, x(Q) = -(a + 1), for
+    n = prod(factors) (module docstring); None when the attempt declines."""
     p = c.p
-    try:
-        curve = Curve(p, _least_nonresidue(p))
-    except FactorFound as exc:
-        return _factor_verdict("large-n", exc.divisor, "parameter-scan")
     cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(factors)}
     try:
-        end = double_x_only_chain(curve, -a, c.k)
+        end = double_x_only_chain(p, -(a + 1), c.k)
         if isinstance(end, ChainFailure):
             if end.divisor != p:
                 raise FactorFound(end.divisor, p)
@@ -253,12 +244,12 @@ def _order_verdict(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int
         x = _affine_x(end, p)
         if x is not None:
             for q in dict.fromkeys(factors):
-                multiple = double_x_only_chain(curve, x, 0, c.n // q)
+                multiple = double_x_only_chain(p, x, 0, c.n // q)
                 if _vanishes(multiple[1], p):
                     return None
             # q * ((n/q) * D) = n * D for the last q
             x = _affine_x(multiple, p)
-            if x is not None and _vanishes(double_x_only_chain(curve, x, 0, q)[1], p):
+            if x is not None and _vanishes(double_x_only_chain(p, x, 0, q)[1], p):
                 cert["outcome"] = FINAL_ZERO
     except FactorFound as exc:
         return _factor_verdict("large-n", exc.divisor, "scalar-multiplication")
@@ -309,7 +300,7 @@ def auto_test(c: FormCandidate) -> Verdict:
 _FACTOR_STAGES = {
     "sieve": ("sieve",),
     "small-n": ("parameter-scan",),
-    "large-n": ("parameter-scan", "scalar-multiplication"),
+    "large-n": ("scalar-multiplication",),
 }
 
 
@@ -319,7 +310,7 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     Checks the recorded choices (the factors of n and the gates behind a
     large-n verdict, the gate behind a small-n prime), then re-runs the
     route's own evaluator and compares status, algorithm and certificate;
-    small-n records no choice, and large-n's x(Q) = -a is a = iterations.
+    small-n records no choice, and large-n's x(Q) = -(a + 1) is a = iterations.
     The multipliers (n, 2^k, n/q, q) come from the candidate and the checked
     factors, and no retry, fallback or dispatch runs.  The evaluators use
     the integer and curve layers alone; the independent references for them

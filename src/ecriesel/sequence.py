@@ -9,17 +9,17 @@ reads off exactly when the doubled point first hits 2-torsion or infinity.
 A unit c changes no S_i's gcd with N and whether S_k vanishes, so it
 never changes the outcome.
 
-chain_outcome decides a run from x_0, or from x(s * Q) for x(Q) = -1, in
-one projective walk with a deferred gcd and no inversion, with c = 1
-(ecring.double_x_only_chain names the first non-unit S_i).  A prime
-verdict rests on that chain alone: mod a prime l | N, x_0 lifts to R on
-the curve or its quadratic twist, elliptic curves both when m is a unit
-mod l.  Units S_1 .. S_(k-1) and S_k = 0 give R order 2^k (2^(k-1) R has
-order 2), so the Hasse bound gives 2^k <= (sqrt(l) + 1)^2 on either
-curve.  run_sequence walks the chain affinely step by step and keeps the
-trace, with the paper's c = 4 by default; it is the reference
-chain_outcome is tested against, and no decision or replay path calls it.
-SequenceOutcome and STrace are immutable named tuples.
+chain_outcome decides a run on E: y^2 = x^3 + x (m = -1) from x_0, or
+from x(s * Q) for x(Q) = x_0, in one projective walk with a deferred gcd
+and no inversion, with c = 1 (ecring.double_x_only_chain names the first
+non-unit S_i).  A prime verdict rests on that chain alone: mod a prime
+l | N, E is elliptic, and the chain's start lifts to R on E or its
+quadratic twist.  Units S_1 .. S_(k-1) and S_k = 0 give R order 2^k, so
+the Hasse bound gives 2^k <= (sqrt(l) + 1)^2 on either curve.
+run_sequence walks the chain affinely on any y^2 = x^3 - m x and keeps
+the trace, with the paper's c = 4 by default; it is the reference
+chain_outcome is tested against, and no decision or replay path calls
+it.  SequenceOutcome and STrace are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .ecring import ChainFailure, Curve, double_x_only, double_x_only_chain
+from .ecring import ChainFailure, Curve, FactorFound, double_x_only, double_x_only_chain
+from .numtheory import jacobi
 
 # Outcome kinds for a k-step run.
 FINAL_ZERO = "final-zero"  # every S_i (i < k) a unit and S_k = 0: the prime pattern
@@ -101,29 +102,48 @@ def run_sequence(
     return outcome, trace
 
 
-def chain_outcome(modulus: int, m: int, x0: int, k: int, s: int = 1) -> SequenceOutcome:
-    """run_sequence(modulus, m, x(s * P), k)'s outcome for x(P) = x0,
-    untraced, from one double_x_only_chain walk (s > 1 takes x0 = -1).
-    The i-th doubling denominator is a unit multiple of S_i, so the first
-    non-unit one gives a GCD_HIT or, vanishing mod the modulus,
-    EARLY_INFINITY; else FINAL_ZERO iff X (X^2 - m Z^2) = 0, Z^3 times the
-    last x's S_k with Z a unit.  An s * P at infinity mod some prime factor
-    fails at step 1."""
+def start_x(p: int) -> int:
+    """The least u >= 2 with ((u^2 + 1)/p) = -1, for p = 3 (mod 4);
+    FactorFound with gcd(u^2 + 1, p) on a zero symbol before it.
+
+    That divisor is proper: p has a prime factor l = 3 (mod 4) to an odd
+    power e, and -1 is no square mod l, so l never divides u^2 + 1.  The
+    search ends below p: the (l + 1)/2 values of u^2 + 1 mod l are nonzero
+    and outnumber the nonzero squares, so ((u_l^2 + 1)/l) = -1 for some
+    u_l, and for p = l^e r, u = u_l (mod l), u = 0 (mod r) has
+    ((u^2 + 1)/p) = (-1)^e (1/r) = -1.  That u is not 0 and shares its
+    symbol with p - u, so one of the two lies in [2, p - 1].
+    """
+    u = 2
+    while (j := jacobi(u * u + 1, p)) == 1:
+        u += 1
+    if j == 0:
+        raise FactorFound(gcd(u * u + 1, p), p)
+    return u
+
+
+def chain_outcome(modulus: int, x0: int, k: int, s: int = 1) -> SequenceOutcome:
+    """run_sequence(modulus, -1, x(s * P), k)'s outcome for x(P) = x0,
+    from one double_x_only_chain walk.  The i-th doubling denominator is a
+    unit multiple of S_i, so the first non-unit one gives a GCD_HIT or,
+    vanishing mod the modulus, EARLY_INFINITY; else FINAL_ZERO iff
+    X (X^2 + Z^2) = 0, Z^3 times the last S_k with Z a unit.  An s * P at
+    infinity mod some prime factor fails at step 1."""
     _check_chain(modulus, k)
-    m %= modulus
-    end = double_x_only_chain(Curve(modulus, m), x0, k - 1, s)
+    end = double_x_only_chain(modulus, x0, k - 1, s)
     if isinstance(end, ChainFailure):
         if end.divisor == modulus:
             return SequenceOutcome(EARLY_INFINITY, step=end.step)
         return SequenceOutcome(GCD_HIT, step=end.step, divisor=end.divisor)
     X, Z = end
-    return SequenceOutcome(FINAL_ZERO if X * (X * X - m * Z * Z) % modulus == 0 else FINAL_NONZERO)
+    return SequenceOutcome(FINAL_ZERO if X * (X * X + Z * Z) % modulus == 0 else FINAL_NONZERO)
 
 
 def mersenne_sequence(k: int) -> tuple[SequenceOutcome, STrace]:
-    """The traced chain of M_k = 2^k - 1, k >= 3: m = 3, x_0 = -1, no
-    4-factor, as small-n takes it for odd k."""
+    """The traced chain of M_k = 2^k - 1, k >= 3, as small-n takes it: on
+    E from x_0 = start_x(M_k), no 4-factor; FactorFound where start_x
+    meets a zero symbol."""
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
     modulus = (1 << k) - 1
-    return run_sequence(modulus, 3, modulus - 1, k, four_factor=False)
+    return run_sequence(modulus, -1, start_x(modulus), k, four_factor=False)

@@ -189,27 +189,29 @@ def test_criterion_3_mersenne_agreement(mersenne_stats):
 def test_criterion_4_hand_trace_fixture():
     outcome, trace = ec.mersenne_sequence(5)
     assert outcome.kind == ec.FINAL_ZERO
-    assert trace.s_values == (2, 2, 9, 4, 0)
-    assert trace.x_values == (30, 2, 10, 20, 0)
+    assert trace.s_values == (6, 13, 11, 29, 0)
+    assert trace.x_values == (4, 21, 15, 30, 0)
 
-    # independent recomputation: lift x = 30 to (30, 8) on y^2 = x^3 - 3x
-    # over F_31 and follow full tangent doublings
-    curve = ec.Curve(31, 3)
-    pt = ec.Point(30, 8)
+    # independent recomputation: x = 4 lies on the twist of y^2 = x^3 + x
+    # over F_31, so lift -4 to (27, 5) on the curve and follow full tangent
+    # doublings; the doubling map is odd, so they give the x-chain negated
+    curve = ec.Curve(31, -1)
+    pt = ec.Point(27, 5)
     assert ec.on_curve(curve, pt)
     xs = []
     for _ in range(5):
         xs.append(pt.x if not pt.is_infinity else None)
         pt = ec.double(curve, pt)
-    assert tuple(xs) == trace.x_values
+    assert tuple(xs) == tuple(-x % 31 for x in trace.x_values)
     assert all(
-        s == (x**3 - 3 * x) % 31 for s, x in zip(trace.s_values, trace.x_values)
+        s == (x**3 + x) % 31 for s, x in zip(trace.s_values, trace.x_values)
     )
 
-    outcome4, trace4 = ec.mersenne_sequence(4)
-    assert outcome4.kind == ec.FINAL_NONZERO
-    assert trace4.s_values[-1] == 2
-    _report(4, "k=5 trace (2,2,9,4,0) on x-chain (30,2,10,20,0); k=4 final residue 2")
+    # M_4 = 15: the start search meets (5/15) = 0 at u = 2
+    with pytest.raises(ec.FactorFound) as info:
+        ec.mersenne_sequence(4)
+    assert info.value.divisor == 5
+    _report(4, "k=5 trace (6,13,11,29,0) on x-chain (4,21,15,30,0); k=4 start search meets 5")
 
 
 def test_criterion_5_section6_fixtures(section6_stats):

@@ -1,4 +1,4 @@
-"""The projective chain names a failed chain's exact step and divisor.
+"""The projective chain on E: y^2 = x^3 + x names a failed chain's exact step and divisor.
 
 Deciding and replay take a failing step from double_x_only_chain alone:
 no affine re-walk (run_sequence, double_x_only) runs behind them.  The
@@ -45,7 +45,8 @@ STEPS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17)
 
 
 def affine_first_failure(curve, x, times):
-    """double_x_only step by step: the first non-unit doubling, else x."""
+    """double_x_only step by step: the first non-unit doubling, else x.
+    curve is E, y^2 = x^3 - m x at m = -1."""
     for step in range(1, times + 1):
         try:
             x = double_x_only(curve, x)
@@ -57,20 +58,19 @@ def affine_first_failure(curve, x, times):
 
 
 def order_2s_abscissa(q, s):
-    """(m, x): x of a point of order exactly 2^s on y^2 = x^3 - m x over F_q.
+    """x of a point of order exactly 2^s on E over F_q.
 
-    q = 3 (mod 4) is prime with 2^s | q + 1, and m is the least
-    non-residue, so the group is cyclic of order q + 1.
+    q = 3 (mod 4) is prime with 2^s | q + 1, and -1 is a non-residue, so
+    the group is cyclic of order q + 1.
     """
-    m = next(a for a in range(2, q) if jacobi(a, q) == -1)
-    curve = Curve(q, m)
+    curve = Curve(q, -1)
     for x in range(2, q):
-        rhs = (x * x - m) * x % q
+        rhs = (x * x + 1) * x % q
         if jacobi(rhs, q) != 1:
             continue
         point = scalar_mul(curve, (q + 1) >> s, Point(x, pow(rhs, (q + 1) // 4, q)))
         if not point.is_infinity and not scalar_mul(curve, 1 << (s - 1), point).is_infinity:
-            return m, point.x
+            return point.x
     raise AssertionError("no point of order 2^s")
 
 
@@ -81,21 +81,16 @@ def crt(residues):
 
 
 def failing_case(name, step, times):
-    """(curve, x, expected ChainFailure) for a chain that first fails at step."""
+    """(E mod n, x, expected ChainFailure) for a chain that first fails at step."""
     n, target, quiet = MODULI[name]
     failing = [target] if target else list(P18)
-    ms, xs = [], []
-    for q in failing:
-        m, x = order_2s_abscissa(q, step)
-        ms.append((m, q))
-        xs.append((x, q))
+    xs = [(order_2s_abscissa(q, step), q) for q in failing]
     for f in quiet:
         x = next(x for x in range(1, f)
-                 if not isinstance(affine_first_failure(Curve(f, 1), x, times), ChainFailure))
-        ms.append((1, f))
+                 if not isinstance(affine_first_failure(Curve(f, -1), x, times), ChainFailure))
         xs.append((x, f))
-    assert prod(q for _, q in ms) == n
-    return Curve(n, crt(ms)), crt(xs), ChainFailure(step, target or n)
+    assert prod(q for _, q in xs) == n
+    return Curve(n, -1), crt(xs), ChainFailure(step, target or n)
 
 
 @pytest.mark.parametrize("name", sorted(MODULI))
@@ -106,7 +101,7 @@ def test_chain_names_the_failing_step(name):
         # the last doubling, the second-to-last, then mid-chain
         for times in (step, step + 1, 2 * step + 3):
             curve, x, want = failing_case(name, step, times)
-            assert double_x_only_chain(curve, x, times) == want, (step, times)
+            assert double_x_only_chain(curve.modulus, x, times) == want, (step, times)
             assert affine_first_failure(curve, x, times) == want, (step, times)
 
 
@@ -122,8 +117,7 @@ def test_checkpoint_runs(monkeypatch, name, prime):
         return _x_only_doublings(X, Z, times, *rest)
 
     monkeypatch.setattr(ecring, "_x_only_doublings", spy)
-    curve = Curve(prime, 3)
-    assert chain_x(curve, 5, 20) == affine_first_failure(curve, 5, 20) > 0
+    assert chain_x(prime, 5, 20) == affine_first_failure(Curve(prime, -1), 5, 20) > 0
     assert runs == [16, 3, 1]
     # fail at the last of 16 doublings (a one-doubling run, redone), at the
     # second-to-last of 17 (the first run, redone one doubling at a time),
@@ -132,7 +126,7 @@ def test_checkpoint_runs(monkeypatch, name, prime):
                                    (17, 17, [16, 1, 1])):
         curve, x, want = failing_case(name, step, times)
         runs.clear()
-        assert double_x_only_chain(curve, x, times) == want
+        assert double_x_only_chain(curve.modulus, x, times) == want
         assert runs == want_runs
 
 
@@ -151,7 +145,8 @@ class TestNoAffineFallback:
         monkeypatch.setattr(ecring, "double_x_only", boom)
 
     def test_mersenne_decide_and_replay_to_300(self):
-        # M_3 is the oracle's and 3 divides M_k for even k: no outcome there
+        # M_3 is the oracle's, and a zero symbol of start_x (5 divides M_k
+        # for 4 | k) is a factor: no outcome there
         kinds = set()
         for k in range(3, 301):
             v = mersenne_test(k)
@@ -163,8 +158,8 @@ class TestNoAffineFallback:
     @pytest.mark.parametrize("step", [1, 4, 9, 17])
     def test_composite_moduli(self, name, step):
         curve, x, want = failing_case(name, step, step)
-        n, m, k = curve.modulus, curve.m, step + 1
+        n, k = curve.modulus, step + 1
         kind = EARLY_INFINITY if want.divisor == n else GCD_HIT
         divisor = None if kind == EARLY_INFINITY else want.divisor
-        out = chain_outcome(n, m, x, k)
+        out = chain_outcome(n, x, k)
         assert (out.kind, out.step, out.divisor) == (kind, step, divisor)

@@ -75,9 +75,9 @@ class TestTestCommand:
         assert run_cli("no-such-command")[0] == 3
 
     def test_human_output_mentions_divisor(self):
-        code, out, _ = run_cli("test", "8", "7")
+        code, out, _ = run_cli("test", "8", "7")  # p = 1791 = 3^2 * 199
         assert code == 1
-        assert "divisor=3" in out
+        assert "divisor=9" in out
 
     def test_big_integers_are_decimal_strings(self):
         code, out, _ = run_cli("test", "89", "19", "--json")
@@ -85,13 +85,13 @@ class TestTestCommand:
         rec = json_lines(out)[0]
         assert rec["candidate"]["p"] == str((19 << 89) - 1)
         cert = rec["certificate"]
-        # small-n scans no point, and replay derives m and x0
+        # small-n scans no point, and replay derives its start x0
         assert cert == {"type": "sequence", "outcome": "final-zero"}
 
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/5")
+            assert json.loads(line)["schema"].endswith("/6")
 
 
 class TestFactorOption:
@@ -127,7 +127,7 @@ class TestFactorOption:
             f'"p":"{4 * 3**53 - 1}"}},'
             '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
             'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/5","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            '"schema":"ecriesel.run-record/6","tool_version":"0.1.0","verdict":"not-applicable"}\n')
 
     @pytest.mark.parametrize("argv, line", [
         (("5", "3"), "k=5 n=3 p=95: composite [small-n] divisor=5"),  # factor
@@ -270,6 +270,15 @@ class TestStrictReplayInput:
         rec["certificate"]["base_point"] = ["5", "1"]
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", "replay: malformed record: schema: ecriesel.run-record/3 is no longer read; "
+                   "decide the candidate again\n")
+
+    def test_run_record_5_is_no_longer_read(self, tmp_path):
+        # the /5 record of the same call walked another curve from x = -1:
+        # the same message as /2 to /4
+        rec = self.record("7", "3")
+        rec["schema"] = "ecriesel.run-record/5"
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/5 is no longer read; "
                    "decide the candidate again\n")
 
     def test_one_record_per_input(self, tmp_path):
@@ -491,7 +500,7 @@ class TestStrictReplayInput:
             code, out, _ = self.replay(tmp_path, line)
             assert code == 0 and out.startswith("replay: valid"), line
             replayed += 1
-        assert replayed == 94
+        assert replayed == 97
 
 
 class TestMersenneCommand:
@@ -524,7 +533,7 @@ class TestMersenneCommand:
         assert code == 0
         rec = json_lines(out)[0]
         assert rec["verdict"] == "composite"
-        assert rec["certificate"] == {"divisor": "3", "stage": "parameter-scan", "type": "factor"}
+        assert rec["certificate"] == {"divisor": "5", "stage": "parameter-scan", "type": "factor"}
         assert len(rec["candidate"]["p"]) == 4335
         assert cli._parse_int(rec["candidate"]["p"]) == (1 << 14400) - 1
         assert run_cli("test", "14400", "1", "--json")[:2] == (1, out)

@@ -31,7 +31,8 @@ SEARCH_RANGE = GOLDEN.with_name("search_k31_40001_40999.jsonl")
 # (argv, exit code).  Comments name what each call adds to the set.
 GOLDEN_CALLS = [
     # M_3 by trial division (the small-n gate fails at p = 7), then small-n:
-    # final-zero, final-nonzero, gcd-hit, and the factor 3 of M_k for even k
+    # final-zero, final-nonzero, gcd-hit, and start_x's factor 5 of M_k for
+    # 4 | k
     (("mersenne", "3", "64", "--json"), 0),
     # sieve factors plus small-n final-zero, then the summary line
     (("search", "--k", "12", "--n-min", "1", "--n-max", "25", "--json"), 0),
@@ -45,20 +46,22 @@ GOLDEN_CALLS = [
     (("test", "2", "17", "--json"), 0),  # order, one factor, final-zero
     (("test", "2", "257", "--json"), 1),  # order, one factor, final-nonzero
     (("test", "2", "250127", "--q1", "389", "--q2", "643", "--json"), 0),  # order, two factors
-    # p = 131 is prime: x(Q) = -1 .. -5 decline, x(Q) = -6 decides
-    (("test", "2", "33", "--q", "3", "--q", "11", "--json"), 0),
-    # p = 147 = 3 * 7^2: two attempts decline, the third meets 21
-    (("test", "2", "37", "--json"), 1),
+    (("test", "2", "33", "--q", "3", "--q", "11", "--json"), 0),  # p = 131, prime
+    # p = 947 is prime: x(Q) = -2 .. -5 decline, x(Q) = -6 decides
+    (("test", "2", "237", "--q", "3", "--q", "79", "--json"), 0),
+    (("test", "2", "37", "--json"), 1),  # p = 147 = 3 * 7^2: the walk of D meets 3
     (("test", "2", "19", "--json"), 1),  # large-n factor at scalar-multiplication
-    (("test", "3", "29", "--json"), 1),  # large-n factor at parameter-scan: (3/231) = 0
-    (("test", "5", "3", "--json"), 1),  # small-n factor at parameter-scan
-    (("test", "6", "5", "--json"), 1),  # small-n final-nonzero
+    (("test", "3", "29", "--json"), 1),  # p = 231: the walk of D meets 3
+    (("test", "5", "3", "--json"), 1),  # small-n factor at parameter-scan: 5 = 2^2 + 1
+    (("test", "6", "5", "--json"), 1),  # small-n gcd-hit
     (("test", "7", "3", "--json"), 0),  # small-n final-zero
-    (("test", "7", "37", "--json"), 1),  # small-n final-nonzero
-    (("test", "7", "7", "--json"), 1),  # small-n final-nonzero
-    # small-n early-infinity: p = 13^2 * 409 * 69119, and n * Q is infinity
-    # mod every prime factor.  The only such candidate with 2 <= k <= 100
-    # and odd n < 20000.
+    (("test", "7", "37", "--json"), 1),  # small-n factor at parameter-scan
+    (("test", "7", "7", "--json"), 1),  # small-n factor at parameter-scan
+    (("test", "7", "61", "--json"), 1),  # small-n final-nonzero
+    # small-n early-infinity: p = 831 = 3 * 277, and n * Q is infinity mod
+    # both.  The only such candidate with 2 <= k <= 40 and odd n < 400.
+    (("test", "6", "13", "--json"), 1),
+    # p = 13^2 * 409 * 69119: a gcd-hit at doubling 1, n * Q infinity mod 13^2
     (("test", "18", "18225", "--json"), 1),
 ]
 
@@ -66,13 +69,22 @@ GOLDEN_CALLS = [
 # and composites (final-nonzero), then the summary line.
 SEARCH_CALL = ("search", "--k", "31", "--n-min", "40001", "--n-max", "40999", "--json")
 
-# SHA-256 of the run-record/4 lines of each file other than the large-n
-# records, joined by newlines: the lines the x-only large-n route left as
-# they were, but for their schema tag.
-RECORD_4_DIGESTS = {
-    GOLDEN: "4589225ca7d100403ce862b3782e4d607c88cbd346b4301f15d6c9a5ba2c701b",
-    SEARCH_RANGE: "0035c08ef09e6ddb7fde76ee046c80fd9bc80901192907acda0a77ccddb0832a",
+# SHA-256 of the run-record/5 lines of each file other than the large-n
+# records and the small-n composites, joined by newlines: the lines that
+# moving both routes onto y^2 = x^3 + x left as they were, but for their
+# schema tag (a start decides where a composite's walk fails, and which
+# large-n attempt decides).
+RECORD_5_DIGESTS = {
+    GOLDEN: "a105a759de3155cf4189983ff2bd4e20521c502c2e7cfa2a7b85760be51cb27b",
+    SEARCH_RANGE: "0aae0d41399e2293955e1ba2fcd6cd671743cbd589f0da06e5c287f1eca2d89f",
 }
+
+
+def off_the_starts(line):
+    """Whether a record line is neither large-n nor a small-n composite."""
+    record = json.loads(line)
+    return record.get("algorithm") != "large-n" and (
+        record.get("algorithm"), record.get("verdict")) != ("small-n", "composite")
 
 
 def record_lines():
@@ -105,13 +117,12 @@ def test_search_range_is_byte_identical():
     assert search_range_output() == SEARCH_RANGE.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("path", sorted(RECORD_4_DIGESTS), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(RECORD_5_DIGESTS), ids=lambda p: p.name)
 def test_lines_off_large_n_kept_their_bytes(path):
-    lines = [line.replace("ecriesel.run-record/5", "ecriesel.run-record/4")
-             for line in path.read_text(encoding="utf-8").splitlines()
-             if json.loads(line).get("algorithm") != "large-n"]
+    lines = [line.replace("ecriesel.run-record/6", "ecriesel.run-record/5")
+             for line in path.read_text(encoding="utf-8").splitlines() if off_the_starts(line)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == RECORD_4_DIGESTS[path]
+    assert digest == RECORD_5_DIGESTS[path]
 
 
 def test_golden_set_covers_every_reachable_pair():
@@ -123,8 +134,7 @@ def test_golden_set_covers_every_reachable_pair():
                    cert.get("outcome") or cert.get("stage") or cert.get("gate")))
     sequence = {("small-n", "sequence", o)
                 for o in ("final-zero", "final-nonzero", "gcd-hit", "early-infinity")}
-    factors = {("small-n", "factor", "parameter-scan")}
-    factors |= {("large-n", "factor", s) for s in ("parameter-scan", "scalar-multiplication")}
+    factors = {("small-n", "factor", "parameter-scan"), ("large-n", "factor", "scalar-multiplication")}
     assert pairs == sequence | factors | {
         ("sieve", "factor", "sieve"),
         ("trial-division", "oracle", None),
@@ -137,12 +147,13 @@ def test_golden_set_covers_every_reachable_pair():
 
 
 def test_no_certificate_carries_a_derived_field():
-    # replay derives m from Jacobi symbols and re-runs the chain for x0 and
-    # the final residue, so no record holds the three; neither route scans
-    # a point, so no record holds one
+    # both routes walk one curve, replay finds small-n's start by Jacobi
+    # symbols and re-runs the chain for the final residue, so no record
+    # holds m, x0 or the residue; neither route scans a point, so no record
+    # holds one
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/5", line
+        assert record["schema"] == "ecriesel.run-record/6", line
         assert not {"m", "x0", "residue", "base_point"} & record["certificate"].keys(), line
 
 

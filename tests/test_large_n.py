@@ -1,10 +1,10 @@
-"""The large-n route from x = -a: an x-only walk, ladders, no point.
+"""The large-n route from x = -(a + 1): an x-only walk on E, ladders, no point.
 
 D = 2^k * Q comes from the chain's doublings, each (n/q) * D and the last
 q * ((n/q) * D) from the ladder with the unit difference x(D), resp.
 x((n/q) * D).  Its verdicts are compared with sympy on every gate-passing
-candidate of a window; the ladder with a difference other than -1 is
-pinned to the affine scalar_mul mod each prime factor; and neither
+candidate of a window; the ladder with any unit difference is pinned to
+the affine scalar_mul at m = -1 mod each prime factor; and neither
 deciding nor replay reaches the point scan, a curve coefficient or
 scalar_mul.
 """
@@ -20,14 +20,14 @@ from ecriesel.ecring import Curve, Point, _riesel_fold, _x_only_ladder, scalar_m
 from ecriesel.numtheory import FormCandidate, gate_large_n
 from ecriesel.primality import COMPOSITE, PRIME, Verdict, auto_test, replay_verdict
 from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
-from test_one_walk import fold_primes
+from test_one_walk import fold_primes, lift
 
 ORDER_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "order_pool.json"
 
 
 def test_agrees_with_sympy_on_the_sweep():
     # every gate-passing candidate with 2 <= k < 40 and odd n < 3001, n's
-    # factors from sympy: none undecided, 604 after a declined attempt
+    # factors from sympy: none undecided, 633 after a declined attempt
     sympy = pytest.importorskip("sympy")
     kinds, retried, decided = set(), 0, 0
     for k in range(2, 40):
@@ -43,34 +43,25 @@ def test_agrees_with_sympy_on_the_sweep():
             kinds.add(v.certificate.get("outcome") or v.certificate["stage"])
             retried += v.iterations > 1
             decided += 1
-    assert (decided, retried) == (12476, 604)
-    assert kinds == {"final-zero", "final-nonzero", "parameter-scan", "scalar-multiplication"}
+    assert (decided, retried) == (12476, 633)
+    assert kinds == {"final-zero", "final-nonzero", "scalar-multiplication"}
 
 
-def lift(q, m, x):
-    """(sign, P): P on y^2 = x^3 - m x over F_q, q = 3 (mod 4), and x(P) =
-    sign * x.  x lifts to the curve or else to its twist, which x -> -x
-    maps onto the curve."""
-    rhs = (x * x - m) * x % q
-    sign = 1 if pow(rhs, (q - 1) // 2, q) in (0, 1) else -1
-    return sign, Point(sign * x % q, pow(sign * rhs % q, (q + 1) // 4, q))
-
-
-def order_of(q, m, x):
+def order_of(q, x):
     """The order of the lift of x, the least divisor d of q + 1 with d P = O."""
-    curve, point = Curve(q, m), lift(q, m, x)[1]
+    curve, point = Curve(q, -1), lift(q, x)[1]
     return next(d for d in range(1, q + 2)
                 if (q + 1) % d == 0 and scalar_mul(curve, d, point).is_infinity)
 
 
-def assert_ladder_per_prime(primes, m, x, s):
+def assert_ladder_per_prime(primes, x, s):
     """The ladder's (X:Z) mod each prime q is x(s * P), P the lift of x
     mod q, as the affine scalar_mul gives it, or, Z = 0 mod q, infinity."""
     n = prod(primes)
-    X, Z = _x_only_ladder(s, x % n, n, m % n, _riesel_fold(n))
+    X, Z = _x_only_ladder(s, x % n, n, _riesel_fold(n))
     for q in primes:
-        sign, point = lift(q, m % q, x % q)
-        want = scalar_mul(Curve(q, m % q), s, point)
+        sign, point = lift(q, x % q)
+        want = scalar_mul(Curve(q, -1), s, point)
         if want.is_infinity:
             assert Z % q == 0, (q, s)
         else:
@@ -84,54 +75,53 @@ def test_ladder_with_any_unit_difference(primes):
     # (R0 = O again, as at its start) and that are finite everywhere
     n = prod(primes)
     tried = 0
-    for m in (2, 3, 7, n - 5):
-        for x in (n - 1, 2, 5, n - 3, 1234567 % n):
-            if any(gcd(v, q) != 1 for v in (x, m) for q in primes):
-                continue
-            orders = [order_of(q, m % q, x % q) for q in primes]
-            for s in (1, 2, 3, 17, orders[0], 3 * orders[0], (orders[0] << 5) + 7,
-                      prod(orders), prod(orders) + 1, 2**40 + 12345):
-                assert_ladder_per_prime(primes, m, x, s)
-                tried += 1
-    assert tried > 100
+    for x in (n - 1, 2, 5, 7, n - 3, n - 5, 1234567 % n, 7654321 % n, n // 3, n // 7):
+        if any(gcd(x, q) != 1 for q in primes):
+            continue
+        orders = [order_of(q, x % q) for q in primes]
+        for s in (1, 2, 3, 17, orders[0], 3 * orders[0], (orders[0] << 5) + 7,
+                  prod(orders), prod(orders) + 1, 2**40 + 12345):
+            assert_ladder_per_prime(primes, x, s)
+            tried += 1
+    assert tried > 60
 
 
 def test_folded_ladder_with_any_unit_difference():
-    # N = Q18 * Q18B * r is reduced by the Riesel fold, from an x other
-    # than -1; multiples at infinity mod Q18 and past it
+    # N = Q18 * Q18B * r is reduced by the Riesel fold, from a word-size
+    # and a full-size x; multiples at infinity mod Q18 and past it
     primes = fold_primes()
     n = prod(primes)
     assert _riesel_fold(n) is not None
-    for x in (2, 5, n - 3):
-        order = order_of(primes[0], 3, x)
+    for x in (2, 5, n - 3, n // 3):
+        order = order_of(primes[0], x)
         for s in (3, 1 << 20, 12345678901, order, (order << 3) + 1):
-            assert_ladder_per_prime(primes, 3, x, s)
+            assert_ladder_per_prime(primes, x, s)
 
 
 def test_non_unit_x_of_d_is_rejected_before_any_ladder(monkeypatch):
-    # p = 1243 = 11 * 113: x(D) from x(Q) = -1 shares 113 with p, a factor
-    # found before the ladder by n = 311 would run from it
+    # p = 403 = 13 * 31: x(D) from x(Q) = -2 shares 31 with p, a factor
+    # found before the ladder by n = 101 would run from it
     def boom(*args):
         raise AssertionError("a ladder ran from a non-unit difference")
 
     monkeypatch.setattr(ecring, "_x_only_ladder", boom)
-    c = FormCandidate(k=2, n=311)
+    c = FormCandidate(k=2, n=101)
     v = auto_test(c)
-    assert v == Verdict(COMPOSITE, "large-n", {"type": "factor", "divisor": 113,
+    assert v == Verdict(COMPOSITE, "large-n", {"type": "factor", "divisor": 31,
                                                "stage": "scalar-multiplication"})
     assert replay_verdict(c, v)
 
 
 def test_a_declined_attempt_replays_with_its_iterations():
-    # p = 131: x(Q) = -1 .. -5 decline (some (n/q) D is infinity), -6
-    # decides; replay takes x(Q) = -iterations, and no other a will do
-    c = FormCandidate(k=2, n=33, n_factors=(3, 11))
+    # p = 947: x(Q) = -2 .. -5 decline (some (n/q) D is infinity), -6
+    # decides; replay takes x(Q) = -(iterations + 1), and no other a will do
+    c = FormCandidate(k=2, n=237, n_factors=(3, 79))
     v = auto_test(c)
     assert v == Verdict(PRIME, "large-n", {"type": "order", "outcome": FINAL_ZERO,
-                                           "factors": [3, 11]}, 6)
+                                           "factors": [3, 79]}, 5)
     assert replay_verdict(c, v)
-    assert [primality._order_verdict(c, a, [3, 11]) for a in range(1, 6)] == [None] * 5
-    for a in range(1, 6):
+    assert [primality._order_verdict(c, a, [3, 79]) for a in range(1, 5)] == [None] * 4
+    for a in range(1, 5):
         assert not replay_verdict(c, v._replace(iterations=a)), a
 
 
@@ -164,7 +154,7 @@ def test_no_scan_no_point_no_scalar_mul(monkeypatch):
         v = auto_test(c)
         assert (v.algorithm, v.status) == ("large-n", status), c
         assert replay_verdict(c, v), c
-    assert v.certificate["stage"] == "parameter-scan"
+    assert v.certificate["stage"] == "scalar-multiplication"
 
 
 def test_order_pool_certificates():

@@ -42,6 +42,8 @@ TWO_PRIME_SMALL_PRIME = FormCandidate(k=2, n=33, n_factors=(3, 11))  # p = 131
 TWO_PRIME_SMALL_COMPOSITE = FormCandidate(k=2, n=39, n_factors=(3, 13))  # p = 155
 TWO_PRIME_BIG_PRIME = FormCandidate(k=2, n=250127, n_factors=(389, 643))  # p = 1000507
 TWO_PRIME_BIG_COMPOSITE = FormCandidate(k=2, n=250003, n_factors=(13, 19231))  # p = 1000011
+# p = 4 * 3 * 79 - 1 = 947 is prime, and x(Q) = -2 .. -5 decline
+DECLINING = FormCandidate(k=2, n=237, n_factors=(3, 79))
 # three-prime fixtures whose verdicts rest on an order certificate
 THREE_PRIME_PRIME = FormCandidate(k=3, n=3 * 23 * 199, n_factors=(3, 23, 199))  # p = 109847
 THREE_PRIME_COMPOSITE = FormCandidate(k=3, n=3 * 29 * 157, n_factors=(3, 29, 157))  # p = 109271
@@ -184,13 +186,13 @@ class TestLargePrimeN:
         assert replay_verdict(c, v)
 
     def test_exhausted_scan_is_inconclusive(self, monkeypatch):
-        # at p = 131 the attempts x(Q) = -1 .. -5 decline, so a scan of x
-        # capped at five runs dry, with the factors given recorded
-        c = TWO_PRIME_SMALL_PRIME
-        monkeypatch.setattr(primality, "RETRY_CAP", 5)
+        # at p = 947 the attempts x(Q) = -2 .. -5 decline, so a scan of x
+        # capped at four runs dry, with the factors given recorded
+        c = DECLINING
+        monkeypatch.setattr(primality, "RETRY_CAP", 4)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {
-            "type": "retries-exhausted", "attempts": 5, "factors": [3, 11]}, 5)
+            "type": "retries-exhausted", "attempts": 4, "factors": [3, 79]}, 4)
         assert replay_verdict(c, v)
 
 
@@ -267,8 +269,10 @@ class TestTwoPrimeN:
             qs = list(dict.fromkeys(c.n_factors or (c.n,)))
             want = [c.n // q for q in qs if q != c.n] + [qs[-1]]
             if status is None:
-                # p = 1935: (3/p) = 0 is a factor before any walk
-                assert v.certificate["stage"] == "parameter-scan" and scalars == []
+                # p = 1935 = 3^2 * 5 * 43: the walk of D meets 5 before any ladder
+                assert v.certificate == {"type": "factor", "divisor": 5,
+                                         "stage": "scalar-multiplication"}
+                assert scalars == []
                 continue
             assert (v.status, v.certificate["type"]) == (status, "order")
             assert scalars == want and c.n not in scalars[:-1]
@@ -276,11 +280,11 @@ class TestTwoPrimeN:
             assert replay_verdict(c, v)
             assert scalars == want
 
-    # Composite p with order certificates on which, with the Jacobian walk,
-    # q * ((n/q) * D) met a divisor (41, 157) that the walk of n * D did not.
+    # Composite p whose walk from x(Q) = -2 meets no divisor of p: their
+    # order certificates end final-nonzero at the first attempt.
     ORDER_NOT_FACTOR = (
-        FormCandidate(k=3, n=5851351, n_factors=(11, 521, 1021)),
-        FormCandidate(k=3, n=231341443, n_factors=(241, 409, 2347)),
+        FormCandidate(k=3, n=29431243, n_factors=(37, 877, 907)),
+        FormCandidate(k=3, n=6135484843, n_factors=(853, 2579, 2789)),
     )
 
     @pytest.mark.parametrize("probable_prime", [False, True], ids=["as-is", "forced-prp"])
@@ -415,17 +419,17 @@ class TestDeterminismAndConfig:
             )
 
     def test_retry_cap_bounds_the_pairs_tried(self, monkeypatch):
-        # p = 131: x(Q) = -1 .. -5 decline and x(Q) = -6 decides
-        c = TWO_PRIME_SMALL_PRIME
-        for a in range(1, 6):
+        # p = 947: x(Q) = -2 .. -5 decline and x(Q) = -6 decides
+        c = DECLINING
+        for a in range(1, 5):
             assert primality._order_verdict(c, a, c.n_factors) is None, a
-        assert auto_test(c).iterations == 6
-        monkeypatch.setattr(primality, "RETRY_CAP", 6)
-        assert auto_test(c).iterations == 6
+        assert auto_test(c).iterations == 5
+        monkeypatch.setattr(primality, "RETRY_CAP", 5)
+        assert auto_test(c).iterations == 5
         monkeypatch.setattr(primality, "RETRY_CAP", 1)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted",
-                                                       "attempts": 1, "factors": [3, 11]})
+                                                       "attempts": 1, "factors": [3, 79]})
         assert replay_verdict(c, v)
 
 
@@ -435,7 +439,7 @@ class TestReplayRejectsTampering:
         cases = [
             FormCandidate(k=7, n=3),  # final-zero
             FormCandidate(k=9, n=1),  # gcd-hit: step, divisor
-            FormCandidate(k=7, n=37),  # final-nonzero
+            FormCandidate(k=7, n=61),  # final-nonzero
             FormCandidate(k=11, n=1),  # Mersenne, final-nonzero
         ]
         for c in cases:
@@ -471,14 +475,14 @@ class TestReplayRejectsTampering:
         assert not replay_verdict(other, v)
 
     def test_tampered_order_point(self):
-        # the record's point is x(Q) = -iterations; a forged outcome, a
+        # the record's point is x(Q) = -(iterations + 1); a forged outcome, a
         # point that declines or decides otherwise, forged factors and a
         # field no order certificate holds all fail
         cases = [
             FormCandidate(k=2, n=2633),
             TWO_PRIME_BIG_PRIME,
             FormCandidate(k=2, n=105, n_factors=(3, 5, 7)),
-            TWO_PRIME_SMALL_PRIME,
+            DECLINING,
             THREE_PRIME_COMPOSITE,
         ]
         for c in cases:
@@ -489,7 +493,7 @@ class TestReplayRejectsTampering:
             forgeries = [
                 {"outcome": flipped},
                 {"base_point": [2, 2]},
-                {"m": primality._least_nonresidue(c.p)},
+                {"m": c.p - 1},
                 {"factors": [c.n]} if len(factors) > 1 else {"factors": [1, c.n]},
                 {"factors": factors[1:]},
                 {"factors": factors + [1]},
@@ -499,13 +503,13 @@ class TestReplayRejectsTampering:
                 assert not replay_verdict(c, v._replace(certificate=cert)), (c, change)
             assert not replay_verdict(c, v._replace(status=(COMPOSITE if v.status == PRIME
                                                             else PRIME)))
-        # p = 131 declines x(Q) = -1 .. -5: no record may name them
-        v = auto_test(TWO_PRIME_SMALL_PRIME)
-        for a in range(1, 6):
-            assert not replay_verdict(TWO_PRIME_SMALL_PRIME, v._replace(iterations=a)), a
+        # p = 947 declines x(Q) = -2 .. -5: no record may name them
+        v = auto_test(DECLINING)
+        for a in range(1, 5):
+            assert not replay_verdict(DECLINING, v._replace(iterations=a)), a
 
     def test_any_point_with_both_symbols_certifies_a_prime(self):
-        # p = 10531 is prime: every x(Q) = -a that does not decline proves
+        # p = 10531 is prime: every x(Q) = -(a + 1) that does not decline proves
         # it, so a record naming another a than the route's replays valid
         c = FormCandidate(k=2, n=2633)
         v = auto_test(c)
@@ -524,7 +528,7 @@ class TestReplayRejectsTampering:
         (FormCandidate(k=7, n=37), "small-n"),  # p = 4735 = 5 * 947
     ], ids=lambda v: str(getattr(v, "p", v)))
     def test_prime_claim_on_a_composite_fails_with_any_point(self, c, algorithm):
-        # every x(Q) = -a a large-n record can name; small-n has one point
+        # every x(Q) = -(a + 1) a large-n record can name; small-n has one point
         if algorithm == "large-n":
             cert = {"type": "order", "outcome": FINAL_ZERO, "factors": list(c.n_factors or (c.n,))}
             attempts = range(1, primality.RETRY_CAP + 1)
@@ -618,9 +622,9 @@ class TestReplayRejectsTampering:
         assert replay_verdict(c, v)
         for iterations in (0, 2, 999):
             assert not replay_verdict(c, v._replace(iterations=iterations)), iterations
-        c = TWO_PRIME_SMALL_PRIME  # p = 131: the sixth attempt decides
+        c = DECLINING  # p = 947: the fifth attempt decides
         v = auto_test(c)
-        assert (v.algorithm, v.iterations) == ("large-n", 6) and replay_verdict(c, v)
+        assert (v.algorithm, v.iterations) == ("large-n", 5) and replay_verdict(c, v)
         assert replay_verdict(c, v._replace(iterations=primality.RETRY_CAP))
         assert not replay_verdict(c, v._replace(iterations=primality.RETRY_CAP + 1))
         assert not replay_verdict(c, v._replace(iterations=0))

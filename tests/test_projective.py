@@ -7,6 +7,7 @@ is tested against; these fixtures pin its operation order, its divisors
 and the routes built on the chain.
 """
 
+import random
 from math import gcd
 
 import pytest
@@ -40,10 +41,11 @@ from ecriesel.sequence import (
     GCD_HIT,
     chain_outcome,
     run_sequence,
+    start_x,
 )
 
-# the least j for which the bound proved in _x_only_doublings holds
-FOLD_MIN_BITS = 5
+# the least j for which the bound proved in the ecring docstring holds
+FOLD_MIN_BITS = 16
 
 
 def affine_multiple(curve, s, pt):
@@ -58,14 +60,14 @@ def affine_multiple(curve, s, pt):
     return acc
 
 
-def chain_x(curve, start, times, s=1):
-    """double_x_only_chain's end as an affine x (its Z must be a unit), or
-    its ChainFailure or infinity as they are."""
-    end = double_x_only_chain(curve, start, times, s)
-    if isinstance(end, ChainFailure) or end == INFINITY:
+def chain_x(n, start, times, s=1):
+    """double_x_only_chain's end on E mod n as an affine x (its Z must be a
+    unit), or its ChainFailure as it is."""
+    end = double_x_only_chain(n, start, times, s)
+    if isinstance(end, ChainFailure):
         return end
     X, Z = end
-    return X * pow(Z, -1, curve.modulus) % curve.modulus
+    return X * pow(Z, -1, n) % n
 
 
 def affine_ops(s):
@@ -109,11 +111,16 @@ def affine_calls(monkeypatch):
 
 class TestMersenneSweep:
     def test_chain_outcome_matches_walk_to_600(self):
+        # from the route's start, or from 3 where start_x meets a factor
         kinds = set()
         for k in range(3, 601):
             n = (1 << k) - 1
-            walked, _ = run_sequence(n, 3, n - 1, k, four_factor=False)
-            assert chain_outcome(n, 3, n - 1, k) == walked, k
+            try:
+                x0 = start_x(n)
+            except FactorFound:
+                x0 = 3
+            walked, _ = run_sequence(n, -1, x0, k, four_factor=False)
+            assert chain_outcome(n, x0, k) == walked, k
             kinds.add(walked.kind)
         # composite exponents make the chain name its failing step
         assert {GCD_HIT, FINAL_NONZERO, FINAL_ZERO} <= kinds
@@ -127,81 +134,81 @@ class TestMersenneSweep:
 
 class TestChainFallback:
     def test_early_infinity_found_by_walk(self):
-        # x0 = 0 is 2-torsion: S_1 = 0 on y^2 = x^3 - 3x over F_31
-        assert double_x_only_chain(Curve(31, 3), 0, 4) == ChainFailure(1, 31)
-        out = chain_outcome(31, 3, 0, 5)
+        # x0 = 0 is 2-torsion: S_1 = 0 on E over F_31
+        assert double_x_only_chain(31, 0, 4) == ChainFailure(1, 31)
+        out = chain_outcome(31, 0, 5)
         assert out.kind == EARLY_INFINITY and out.step == 1
-        assert out == run_sequence(31, 3, 0, 5)[0]
+        assert out == run_sequence(31, -1, 0, 5)[0]
 
     def test_gcd_hit_found_by_walk(self):
-        # S_1 = 5 * (25 - 3) shares the factor 5 with 35
-        assert double_x_only_chain(Curve(35, 3), 5, 3) == ChainFailure(1, 5)
-        out = chain_outcome(35, 3, 5, 4)
-        assert out == run_sequence(35, 3, 5, 4, four_factor=False)[0]
+        # S_1 = 5 * (25 + 1) shares the factor 5 with 35
+        assert double_x_only_chain(35, 5, 3) == ChainFailure(1, 5)
+        out = chain_outcome(35, 5, 4)
+        assert out == run_sequence(35, -1, 5, 4, four_factor=False)[0]
         assert out.kind == GCD_HIT and (out.step, out.divisor) == (1, 5)
 
     def test_failed_chain_stops_at_a_checkpoint(self):
         # x0 = 0 makes Z = 0 at doubling 1; all 10^7 doublings would take
         # minutes, so only the gcd after doubling 1 can end this in time
         for n in ((1 << 61) - 1, 1001):  # shift-and-fold, then division
-            assert double_x_only_chain(Curve(n, 3), 0, 10**7) == ChainFailure(1, n)
+            assert double_x_only_chain(n, 0, 10**7) == ChainFailure(1, n)
 
     def test_unit_chain_is_repeated_doubling(self):
-        curve = Curve(31, 3)
-        x = 30
+        curve = Curve(31, -1)
+        x = 4
         for times in range(4):
-            assert chain_x(curve, 30, times) == x
+            assert chain_x(31, 4, times) == x
             x = double_x_only(curve, x)
 
     def test_fold_boundaries(self):
-        # x = N - 1 and m = N - 1 put every folded product at its largest
-        for j in (3, 4, 5, 7, 13, 61, 127):
+        # x = N - 1 and N - 2 put the first folded products at their largest
+        for j in (FOLD_MIN_BITS, 17, 31, 61, 127, 521):
             n = (1 << j) - 1
-            for m in (1, 3, n - 1):
-                for x0 in (n - 1, n - 2, 2):
-                    assert chain_outcome(n, m, x0, 9) == run_sequence(n, m, x0, 9)[0]
+            for x0 in (n - 1, n - 2, 2, 3):
+                assert chain_outcome(n, x0, 9) == run_sequence(n, -1, x0, 9)[0]
 
         # the fold leaves X and Z partly reduced, not equal to the division's
-        # X and Z: congruent to them mod N, X in [0, N + 8] and Z in
-        # [-8, N + 8], from any |X|, |Z| < 2^(j+1) once j >= FOLD_MIN_BITS
-        def step_both(fold_xz, div_xz, n, m):
-            fold_xz = _x_only_doublings(*fold_xz, 1, n, m, True)
-            div_xz = _x_only_doublings(*div_xz, 1, n, m, False)
+        # X and Z: congruent to them mod N, and from X in [0, N + 64] and Z
+        # in [-32, N + 32] (the ranges |X +- Z| is largest at) to X in
+        # [0, N + 51] and Z in [-26, N + 26], once j >= FOLD_MIN_BITS
+        def step_both(fold_xz, div_xz, n):
+            fold_xz = _x_only_doublings(*fold_xz, 1, n, True)
+            div_xz = _x_only_doublings(*div_xz, 1, n, False)
             X, Z = fold_xz
             assert (X - div_xz[0]) % n == 0 and (Z - div_xz[1]) % n == 0
-            assert 0 <= X <= n + 8 and -8 <= Z <= n + 8
+            assert 0 <= X <= n + 51 and -26 <= Z <= n + 26
             return fold_xz, div_xz
 
-        for j in range(FOLD_MIN_BITS, 128):
-            n, edge = (1 << j) - 1, (1 << (j + 1)) - 1
-            for m in (1, 3, n - 1):
-                for xz in ((edge, -edge), (edge, edge), (-edge, edge), (n - 1, n - 1)):
-                    fold_xz = div_xz = xz
+        for j in range(FOLD_MIN_BITS, 130):
+            n = (1 << j) - 1
+            for X in (0, 1, n - 1, n, n + 64):
+                for Z in (-32, -1, 0, n - 1, n + 32):
+                    fold_xz = div_xz = (X, Z)
                     for _ in range(4):
-                        fold_xz, div_xz = step_both(fold_xz, div_xz, n, m)
-        # every (X, Z, m) with |X|, |Z| < 2^(j+1) at the smallest fold modulus
-        j = FOLD_MIN_BITS
-        n, edge = (1 << j) - 1, 1 << (j + 1)
-        for m in range(1, n):
-            for X in range(1 - edge, edge):
-                for Z in range(1 - edge, edge):
-                    step_both((X, Z), (X, Z), n, m)
+                        fold_xz, div_xz = step_both(fold_xz, div_xz, n)
+        # random inputs of those ranges at the smallest fold modulus
+        rng = random.Random(16)
+        n = (1 << FOLD_MIN_BITS) - 1
+        for _ in range(20000):
+            xz = (rng.randrange(n + 65), rng.randrange(-32, n + 33))
+            step_both(xz, xz, n)
 
     def test_fold_starts_at_its_proved_modulus(self, monkeypatch):
         # 2^j - 1 below 2^FOLD_MIN_BITS is reduced by division
         seen = set()
 
-        def spy(X, Z, times, n, m, fold):
+        def spy(X, Z, times, n, fold):
             seen.add((n.bit_length(), fold))
-            return _x_only_doublings(X, Z, times, n, m, fold)
+            return _x_only_doublings(X, Z, times, n, fold)
 
         monkeypatch.setattr(ecring, "_x_only_doublings", spy)
         for j in range(2, FOLD_MIN_BITS + 2):
-            double_x_only_chain(Curve((1 << j) - 1, 1), 2, 1)
+            double_x_only_chain((1 << j) - 1, 2, 1)
         assert seen == {(j, j >= FOLD_MIN_BITS) for j in range(2, FOLD_MIN_BITS + 2)}
 
     def test_replay_recomputes_fallback_outcomes(self):
-        # gcd-hit (k = 4: M_4 = 15) and final-nonzero (k = 11) records
+        # parameter-scan (k = 4: 5 | M_4 = 15), gcd-hit (k = 6, 9) and
+        # final-nonzero (k = 11) records
         for k in (4, 6, 9, 11):
             v = mersenne_test(k)
             assert v.status == COMPOSITE

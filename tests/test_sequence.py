@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from ecriesel.ecring import Curve, scalar_mul
+from ecriesel.ecring import Curve, FactorFound, scalar_mul
 from ecriesel.numtheory import jacobi, sieve_primes, trial_division
 from ecriesel.oracle import enumerate_points, point_order
+from ecriesel.primality import PRIME
+from ecriesel.primality import test_mersenne as mersenne_test
 from ecriesel.sequence import (
     EARLY_INFINITY,
     FINAL_NONZERO,
@@ -100,8 +102,12 @@ class TestMersenneSequence:
     def test_known_small_exponents(self):
         outcome, _ = mersenne_sequence(5)
         assert outcome.kind == FINAL_ZERO
-        outcome, trace = mersenne_sequence(4)
-        assert outcome.kind == FINAL_NONZERO and trace.s_values[-1] == 2
+        outcome, trace = mersenne_sequence(11)
+        assert outcome.kind == FINAL_NONZERO and trace.s_values[-1] == 544
+        # start_x(15) meets (5/15) = 0 at u = 2: no chain
+        with pytest.raises(FactorFound) as info:
+            mersenne_sequence(4)
+        assert info.value.divisor == 5
 
     def test_composite_exponent_is_never_final_zero(self):
         m = (1 << 11) - 1
@@ -114,8 +120,28 @@ class TestMersenneSequence:
             mersenne_sequence(2)
 
     def test_uses_fixed_parameters(self):
+        # E (m = -1) from start_x(127) = 2, with no 4-factor
         _, trace = mersenne_sequence(7)
         assert trace.modulus == 127
-        assert trace.m == 3
-        assert trace.x_values[0] == 126
+        assert trace.m == 126
+        assert trace.x_values[0] == 2
         assert not trace.four_factor
+
+    def test_follows_the_decision_to_300(self):
+        # the traced chain ends as test_mersenne's certificate says: the
+        # same outcome, the same start-search factor, or, for M_3 (the
+        # oracle's), final-zero for a prime
+        for k in range(3, 301):
+            v = mersenne_test(k)
+            cert = v.certificate
+            if cert["type"] == "factor":
+                with pytest.raises(FactorFound) as info:
+                    mersenne_sequence(k)
+                assert info.value.divisor == cert["divisor"], k
+                continue
+            outcome, _ = mersenne_sequence(k)
+            if cert["type"] == "sequence":
+                assert outcome.kind == cert["outcome"], k
+                assert (outcome.step, outcome.divisor) == (cert.get("step"), cert.get("divisor"))
+            else:
+                assert (outcome.kind == FINAL_ZERO) == (v.status == PRIME), k

@@ -1,9 +1,11 @@
-"""The small-n route from x = -1, Mersenne numbers included as n = 1.
+"""The small-n route on E from x = start_x(p), Mersenne numbers included as n = 1.
 
-m is the least a >= 2 with (a/p) != +1 and the chain starts from
-x(n * Q), x(Q) = -1, so the route scans no point, forms no y and makes no
-retry.  Its verdicts are compared with sympy on every gate-passing
-candidate of a window and with Lucas-Lehmer on Mersenne numbers.
+u = start_x(p) is the least u >= 2 with ((u^2 + 1)/p) != +1 and the chain
+on E: y^2 = x^3 + x starts from x(n * Q), x(Q) = u, so the route scans
+no point, forms no y and makes no retry.  Its verdicts are compared with
+sympy on every gate-passing candidate of a window and with Lucas-Lehmer
+on Mersenne numbers, and the start search ends properly on every odd
+composite p = 3 (mod 4) of a window.
 """
 
 import pytest
@@ -14,24 +16,22 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ecriesel import ecring, primality  # noqa: E402
+from ecriesel.ecring import FactorFound  # noqa: E402
 from ecriesel.numtheory import (  # noqa: E402
     FormCandidate,
     gate_small_n,
     jacobi,
     lucas_lehmer,
     miller_rabin,
+    sieve_primes,
 )
-from ecriesel.primality import (  # noqa: E402
-    COMPOSITE,
-    PRIME,
-    _least_nonresidue,
-    auto_test,
-    replay_verdict,
-)
+from ecriesel.primality import COMPOSITE, PRIME, auto_test, replay_verdict  # noqa: E402
+from ecriesel.sequence import start_x  # noqa: E402
 
 
 def test_agrees_with_sympy_on_a_window():
-    # every gate-passing candidate with 2 <= k <= 40 and odd n < 400
+    # every gate-passing candidate with 2 <= k <= 40 and odd n < 400; the
+    # one early-infinity is p = 831 = 3 * 277, n * Q at infinity mod both
     sympy = pytest.importorskip("sympy")
     kinds = set()
     decided = 0
@@ -47,45 +47,72 @@ def test_agrees_with_sympy_on_a_window():
             kinds.add(v.certificate.get("outcome") or v.certificate["stage"])
             decided += 1
     assert decided == 6519
-    assert kinds == {"final-zero", "final-nonzero", "gcd-hit", "parameter-scan"}
+    assert kinds == {"final-zero", "final-nonzero", "gcd-hit", "early-infinity", "parameter-scan"}
 
 
 def test_mersenne_agrees_with_lucas_lehmer():
-    # odd k: m = 3 and no ladder, the classical chain; even k: 3 divides M_k
+    # n = 1: no ladder, the chain from u alone; a zero symbol, such as
+    # 5 | M_k for 4 | k at u = 2, is a factor at parameter-scan
+    factors = 0
     for k in range(4, 401):
         c = FormCandidate(k=k, n=1)
         v = auto_test(c)
         assert v.algorithm == "small-n", k
         assert (v.status == PRIME) == lucas_lehmer(k), k
-        if k % 2 == 0:
-            assert v.certificate == {"type": "factor", "divisor": 3, "stage": "parameter-scan"}
+        if v.certificate["type"] == "factor":
+            factors += 1
+            with pytest.raises(FactorFound) as info:
+                start_x(c.p)
+            assert v.certificate == {"type": "factor", "divisor": info.value.divisor,
+                                     "stage": "parameter-scan"}
         else:
-            assert _least_nonresidue(c.p) == 3
+            assert jacobi(start_x(c.p) ** 2 + 1, c.p) == -1
+        if k % 4 == 0:
+            assert v.certificate["divisor"] % 5 == 0, k
+    assert factors > 99
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(k=st.integers(2, 64), n=st.integers(0, 2**20).map(lambda h: 2 * h + 1))
-def test_m_is_the_least_nonresidue(k, n):
-    # for a prime p every a < m is a residue, so m - 1 is one too, and
-    # Q = (-1, sqrt(m - 1)) lies on y^2 = x^3 - m x
+def test_u_is_the_least_start(k, n):
+    # for a prime p every smaller u has ((u^2 + 1)/p) = +1, and u or -u is
+    # the x of a point of E with (x/p) = -1
     while not miller_rabin(FormCandidate(k=k, n=n).p):
         n += 2
     p = FormCandidate(k=k, n=n).p
-    m = _least_nonresidue(p)
-    assert jacobi(m, p) == -1
-    assert all(jacobi(a, p) == 1 for a in range(2, m))
-    assert jacobi(m - 1, p) == 1
-    y = pow(m - 1, (p + 1) // 4, p)
-    assert (y * y - (-1) ** 3 + m * -1) % p == 0
+    u = start_x(p)
+    assert jacobi(u * u + 1, p) == -1
+    assert all(jacobi(a * a + 1, p) == 1 for a in range(2, u))
+    x = u if jacobi(u, p) == -1 else p - u
+    assert jacobi(x, p) == -1 and jacobi(x * (x * x + 1), p) == 1
+
+
+def test_start_search_ends_properly_on_composites():
+    # every odd composite p = 3 (mod 4) below 2 * 10^5: a -1 symbol below
+    # p, or a zero symbol whose gcd is a proper divisor, never p itself
+    primes = set(sieve_primes(200_000))
+    seen = {"start": 0, "factor": 0}
+    for p in range(15, 200_000, 4):
+        if p in primes:
+            continue
+        try:
+            u = start_x(p)
+        except FactorFound as exc:
+            assert 1 < exc.divisor < p and p % exc.divisor == 0, p
+            seen["factor"] += 1
+        else:
+            assert 2 <= u < p and jacobi(u * u + 1, p) == -1, p
+            seen["start"] += 1
+    assert min(seen.values()) > 10_000
 
 
 def test_zero_symbol_is_a_parameter_scan_factor():
-    # p = 2^5 * 3 - 1 = 95 = 5 * 19: (2/95) = (3/95) = (4/95) = +1, then
-    # (5/95) = 0
-    c = FormCandidate(k=5, n=3)
-    assert [jacobi(a, c.p) for a in range(2, 6)] == [1, 1, 1, 0]
+    # p = 2^7 * 19 - 1 = 2431 = 11 * 13 * 17: ((u^2 + 1)/p) = +1 for u = 2
+    # and 3, then 4^2 + 1 = 17 gives 0
+    c = FormCandidate(k=7, n=19)
+    assert [jacobi(u * u + 1, c.p) for u in range(2, 5)] == [1, 1, 0]
     v = auto_test(c)
-    assert v.certificate == {"type": "factor", "divisor": 5, "stage": "parameter-scan"}
+    assert v.certificate == {"type": "factor", "divisor": 17, "stage": "parameter-scan"}
     assert replay_verdict(c, v)
 
 
