@@ -85,7 +85,7 @@ NOT_APPLICABLE = "not-applicable"
 
 # Most y values one _curve_point_candidates scan tries.
 SCAN_LIMIT = 100_000
-# Most x(Q) = -a attempts the large-n route makes before it gives up.
+# Most x(Q) = -(a + 1) attempts the large-n route makes before it gives up.
 RETRY_CAP = 20
 
 

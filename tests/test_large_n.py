@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ecriesel import ecring, primality
-from ecriesel.ecring import Curve, Point, _riesel_fold, _x_only_ladder, scalar_mul
+from ecriesel.ecring import Curve, _riesel_fold, _x_only_ladder, scalar_mul
 from ecriesel.numtheory import FormCandidate, gate_large_n
 from ecriesel.primality import COMPOSITE, PRIME, Verdict, auto_test, replay_verdict
 from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
