@@ -7,11 +7,14 @@ y^2 = x^3 + x, and the start x_0 is the least u >= 2 with
 ((u^2 + 1)/M_k) = -1, a few Jacobi symbols away, so the test collapses to
 an x-only recursion, just like the classical squaring test it parallels.
 A zero symbol on the way is a factor: 5 = 2^2 + 1 divides M_k when 4 | k.
+Deciding runs the presieve and one strong test to base 3 first, so a
+composite M_k ends there; the walk it skips still ends nonzero, as the
+traced chain shows below.
 
 Run as: python demos/02_mersenne_scan.py
 """
 
-from ecriesel import lucas_lehmer, mersenne_sequence, test_mersenne
+from ecriesel import FactorFound, lucas_lehmer, mersenne_sequence, test_mersenne
 
 # The recursion for M_5 = 31, step by step, from x_0 = 4.  S_i is the
 # doubling denominator; all steps coprime to p plus a final zero means prime.
@@ -35,10 +38,15 @@ print("\nComposite exponents agree too (suppressed above); for example:")
 for k in (4, 11, 21, 23, 29, 37):
     verdict = test_mersenne(k)
     cert = verdict.certificate
-    if cert["type"] == "factor":
-        note = f"divisor {cert['divisor']} at {cert['stage']}"
-    elif cert["outcome"] == "gcd-hit":
-        note = f"gcd hit at step {cert['step']}, divisor {cert['divisor']}"
+    decided = (f"divisor {cert['divisor']}" if "divisor" in cert
+               else f"witness {cert['witness']}")
+    # the chain the witness skipped, walked by the traced reference
+    try:
+        outcome, _ = mersenne_sequence(k)
+    except FactorFound as exc:
+        chain = f"start search meets divisor {exc.divisor}"
     else:
-        note = cert["outcome"]
-    print(f"  M_{k}: {verdict.status} ({note})")
+        chain = outcome.kind
+        if outcome.kind == "gcd-hit":
+            chain += f" at step {outcome.step}, divisor {outcome.divisor}"
+    print(f"  M_{k}: {verdict.status} via {verdict.algorithm} ({decided}); chain: {chain}")

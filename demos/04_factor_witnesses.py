@@ -29,28 +29,33 @@ try:
 except FactorFound as exc:
     print(f"chord denominator over Z_15: gcd({7 - 2}, 15) -> divisor {exc.divisor}\n")
 
-# The same side-channel at the verdict level.  These composites are
-# caught with a divisor in hand, not just a yes/no answer.
-print("candidate                verdict     divisor   p / divisor")
-for k, n in ((8, 7), (4, 1), (5, 9), (2, 1043)):
+# The same side-channel at the verdict level.  Deciding runs the presieve
+# and one strong test to base 3 before any curve, so most composites end
+# there; p = 1772611 = 31 * 211 * 271 is a base-3 strong pseudoprime, and
+# the large-n walk catches it with a divisor in hand.
+print("candidate                  verdict     via       divisor   p / divisor")
+for k, n in ((8, 7), (4, 1), (5, 9), (2, 443153), (2, 1043)):
     c = FormCandidate(k=k, n=n)
     verdict = auto_test(c)
     w = factor_witness(verdict)
+    assert replay_verdict(c, verdict)
+    head = f"k={k} n={n:<6} p={c.p:<10} {verdict.status:<11} {verdict.algorithm:<9}"
     if w is None:
-        print(f"k={k} n={n:<6} p={c.p:<8} {verdict.status:<11} (no witness on this route)")
+        print(f"{head} (witness {verdict.certificate['witness']}, no divisor)")
         continue
     assert c.p % w == 0
-    print(f"k={k} n={n:<6} p={c.p:<8} {verdict.status:<11} {w:<9} {c.p // w}")
-    assert replay_verdict(c, verdict)
+    print(f"{head} {w:<9} {c.p // w}")
 
 # Not every composite detection yields a divisor: an order-pattern failure
 # or a nonzero final denominator proves compositeness without factoring.
-c = FormCandidate(k=2, n=2531)  # p = 10123 = 53 * 191
+# p = 16531 = 61 * 271 passes the strong test to base 3, so it reaches the
+# order check.
+c = FormCandidate(k=2, n=4133)
 verdict = auto_test(c)
 assert verdict.certificate["type"] == "order"
 assert factor_witness(verdict) is None
 print(
-    f"\nk=2 n=2531 p={c.p}: {verdict.status} via {verdict.algorithm}, "
+    f"\nk=2 n=4133 p={c.p}: {verdict.status} via {verdict.algorithm}, "
     f"no divisor in hand; the recorded multiple of 2^k * Q failing to reach "
     f"infinity is the whole proof"
 )

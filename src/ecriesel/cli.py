@@ -7,11 +7,13 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/6.  Certificates hold no curve and no
+The schema is ecriesel.run-record/7.  Certificates hold no curve and no
 point: both routes walk y^2 = x^3 + x, small-n from the x that replay
 finds by a few Jacobi symbols, and large-n from x = -(a + 1), a its
-record's iterations.  Replay reads no other schema, and names a
-run-record/2, /3, /4 or /5 record as no longer read.
+record's iterations.  A composite p that base 3 witnesses carries the
+oracle's certificate with witness 3 instead of a curve certificate.
+Replay reads no other schema, and names a run-record/2 to /6 record as
+no longer read.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -60,13 +62,14 @@ from .primality import (
     PRIME,
     Verdict,
     auto_test,
+    decide_unsieved,
     factor_witness,
     replay_verdict,
     sieve_verdict,
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/6"
+SCHEMA = "ecriesel.run-record/7"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -183,7 +186,7 @@ def _read(field: str, parse, value):
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema (a run-record/2 to /5
+    Raises ValueError on a record of another schema (a run-record/2 to /6
     record is named as no longer read), a missing top-level key, a verdict,
     algorithm or tool_version that is not a string, a candidate that is not
     an object with exactly the keys k, n and p, a certificate key outside
@@ -192,8 +195,8 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     is not a JSON integer >= 1.  A malformed field is named in the message.
     """
     schema = record.get("schema") if isinstance(record, dict) else None
-    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3",
-                  "ecriesel.run-record/4", "ecriesel.run-record/5"):
+    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3", "ecriesel.run-record/4",
+                  "ecriesel.run-record/5", "ecriesel.run-record/6"):
         raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
     if schema != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")
@@ -346,7 +349,7 @@ def _cmd_mersenne(args, out, err) -> int:
 
 
 def _search_candidate(n: int, k: int) -> Verdict:
-    return auto_test(FormCandidate(k=k, n=n))
+    return decide_unsieved(FormCandidate(k=k, n=n))
 
 
 def _sieve_line(k_text: str, k: int, n: int, divisor: int) -> str:
@@ -360,7 +363,8 @@ def _cmd_search(args, out, err) -> int:
         err.write("search: need k >= 2, 1 <= n-min <= n-max and workers >= 1\n")
         return 3
     ns = range(args.n_min | 1, args.n_max + 1, 2)
-    # A small prime factor settles n here; only the rest reach the curve routes.
+    # A small prime factor settles n here; only the rest reach the witness
+    # test and the curve routes, and are not sieved again.
     sieved = presieve(args.k, ns)
     unsieved = [n for n in ns if n not in sieved]
     counts = {PRIME: 0, COMPOSITE: 0, INCONCLUSIVE: 0, NOT_APPLICABLE: 0}

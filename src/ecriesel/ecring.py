@@ -58,18 +58,25 @@ N = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
 (_riesel_fold: k is the trailing zeros of N + 1) by the Riesel fold.  As
 c * 2^k = 1 mod N, f(t) = (t >> k) + c * (t & (2^k - 1)) = c * t mod N
 for t of either sign, so two folds and a `%` take t to c^2 * t mod N, in
-[0, N).  Each product the folded kernels reduce has factors in [0, N) or
-sums or differences of two such, so |t| < 4 N^2, and two folds leave it
-below (4 c / 2^k + 2)(N + 1) in absolute value: the `%` has a quotient
-below 2^18 + 3, a digit, and costs linear time where a full `%` costs
-quadratic.  Smaller moduli, where `%` is faster (the crossover table in
-CHANGES.md), and other shapes are reduced by `%`.
+[0, N).  From |t| < L N^2, as c (2^k - 1) <= N and N / 2^k < c, one fold
+leaves |t| <= L N^2 / 2^k + N + 1 and two leave it below
+(L c / 2^k + 2)(N + 1).  Each product the folded kernels reduce has
+factors in [0, N) or sums or differences of two such, so L = 4, and the
+`%` has a quotient below 2^18 + 3, a digit, and costs linear time where
+a full `%` costs quadratic.  The one exception is the ladder from a
+word-size difference d < 2^16 (small-n's start): its sum's Z is
+d * ((a - b)^2 reduced), a word-size product left unreduced in
+[0, d N), so every sum or difference has |.| < (d + 1) N, L = (d + 1)^2
+and the quotient stays below 2^49, two digits.  Smaller moduli, where `%`
+is faster (the crossover table in CHANGES.md), and other shapes are
+reduced by `%`.
 
 Each fold reduction multiplies by the unit c^2, and (X:Z) is
-homogeneous: X and Z gain the same c^6 per doubling or ladder step (the
-ladder's d enters times c^-2 = 2^(2k)), so they name the same point, and
-every checkpoint gcd, ChainFailure and record byte stays the `%`
-kernels'.  The folded kernels copy the `%` formulas instead of taking a
+homogeneous: X and Z gain the same c^6 per doubling or ladder step (a
+full-size d enters the ladder times c^-2 = 2^(2k), which the fold of its
+product undoes, and a word-size d multiplies a reduced c^2 (a - b)^2), so
+they name the same point, and every checkpoint gcd, ChainFailure and
+record byte stays the `%` kernels'.  The folded kernels copy the `%` formulas instead of taking a
 reducer, which would cost a call per reduction on small moduli.
 """
 
@@ -300,13 +307,15 @@ def _x_only_ladder(s: int, x: int, n: int, fold: tuple[int, int] | None) -> tupl
     docstring, reduced by `%` or, with fold = (k, c), as
     _x_only_doublings_folded reduces.  From (R0, R1) = (infinity, P), a 0
     bit takes them to (2 R0, R0 + R1) and a 1 bit, the same step on the
-    swapped pair, to (R0 + R1, 2 R1).  Under `%`, a word-size x costs a
-    word-size product and the doubling reuses X0 +- Z0; folded, the
-    doubling is _x_only_doublings_folded."""
+    swapped pair, to (R0 + R1, 2 R1).  A word-size x costs a word-size
+    product; under `%` the doubling reuses X0 +- Z0, folded it is
+    _x_only_doublings_folded.  Folded, a word-size x leaves the sum's Z
+    unreduced, in [0, x n), so the end Z may be too."""
     X0, Z0, X1, Z1 = 1, 0, x, 1
     k, c = fold or (0, 1)
     mask = (1 << k) - 1
-    if fold is not None:
+    scaled = fold is not None and x >> 16
+    if scaled:
         x = (x << 2 * k) % n  # times c^-2, which the fold of its product undoes
     for bit in bin(s)[2:]:
         if bit == "1":
@@ -338,9 +347,10 @@ def _x_only_ladder(s: int, x: int, n: int, fold: tuple[int, int] | None) -> tupl
             t = a - b
             t = t * t
             t = (t >> k) + c * (t & mask)
-            t = x * (((t >> k) + c * (t & mask)) % n)
-            t = (t >> k) + c * (t & mask)
-            Z1 = ((t >> k) + c * (t & mask)) % n
+            Z1 = x * (((t >> k) + c * (t & mask)) % n)
+            if scaled:
+                t = (Z1 >> k) + c * (Z1 & mask)
+                Z1 = ((t >> k) + c * (t & mask)) % n
             X0, Z0 = _x_only_doublings_folded(X0, Z0, 1, n, k, c)
         if bit == "1":
             X0, Z0, X1, Z1 = X1, Z1, X0, Z0

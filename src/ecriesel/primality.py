@@ -1,9 +1,13 @@
 """Decision procedures for p = 2^k * n - 1 and their replayable certificates.
 
-auto_test, the one decide entry, takes the first route that applies, both
-on E: y^2 = x^3 + x, the paper's y^2 = x^3 - m x at m = -1, a non-residue
-mod p = 3 (mod 4) (every other such curve is isomorphic to E by
-x -> x / lambda, lambda^2 = -m):
+auto_test, the one decide entry, first runs the presieve on p (a prime
+factor up to 13 is a sieve verdict), then one strong test of p to base
+WITNESS_BASE = 3 (a witness proves p composite at any size, Miller 1976,
+Rabin 1980; base 2 witnesses no M_k of prime k, as 2^k = 1 mod M_k).
+Only a strong probable prime, where a proof is needed, goes on to the
+first route that applies, both on E: y^2 = x^3 + x, the paper's
+y^2 = x^3 - m x at m = -1, a non-residue mod p = 3 (mod 4) (every other
+such curve is isomorphic to E by x -> x / lambda, lambda^2 = -m):
 
   * small-n    gate_small_n, n = 1 included: the k-step x-only chain from
                x(n * Q), x(Q) = u = start_x(p), the least u >= 2 with
@@ -13,9 +17,11 @@ x -> x / lambda, lambda^2 = -m):
                a = 1, 2, ... up to RETRY_CAP.
 
 The two gates never both hold.  With no route, _fallback decides p by the
-exact oracle or the presieve, or reports not-applicable.  Neither route
+exact oracle below PSI_13, or reports not-applicable.  Neither route
 scans a point, forms a y or runs scalar_mul, and a zero symbol small-n
-meets finding u is a factor at parameter-scan.
+meets finding u is a factor at parameter-scan.  The routes keep their
+composite outcomes: they are part of the proof, and a base-3 strong
+pseudoprime (p = 703 = 2^6 * 11 - 1 on small-n) still reaches them.
 
 Small-n.  Sound: if the chain ends in zero, every prime l | p has 2^k <=
 (sqrt(l) + 1)^2 (sequence docstring; E is elliptic mod every odd l), yet
@@ -51,8 +57,10 @@ an attempt declines only when Q's order misses some q | n, and otherwise
 ends final-zero.
 
 Replay re-runs each route's evaluator (_small_n_verdict, _order_verdict,
-the latter with a = iterations) after checking the recorded choices.
-Verdict is an immutable named tuple.
+the latter with a = iterations) after checking the recorded choices and
+that p passed the presieve and the witness test; a witness record costs
+one presieve and one modular power, and walks nothing.  Verdict is an
+immutable named tuple.
 """
 
 from __future__ import annotations
@@ -87,6 +95,8 @@ NOT_APPLICABLE = "not-applicable"
 SCAN_LIMIT = 100_000
 # Most x(Q) = -(a + 1) attempts the large-n route makes before it gives up.
 RETRY_CAP = 20
+# The one base auto_test's strong test takes before any curve walk.
+WITNESS_BASE = 3
 
 
 class Verdict(namedtuple("Verdict", "status algorithm certificate iterations", defaults=(1,))):
@@ -169,6 +179,9 @@ _DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
     "type": "gate-failure", "gate": "dispatch",
     "reason": "no applicable route: gates fail or n needs an unavailable factorization"})
 
+# The verdict of a strong witness: the oracle's certificate, with the base.
+_WITNESSED = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": WITNESS_BASE})
+
 
 def _sieve_divisor(c: FormCandidate) -> int | None:
     """The least prime factor of p up to 13 that the presieve finds, if any."""
@@ -177,13 +190,8 @@ def _sieve_divisor(c: FormCandidate) -> int | None:
 
 def _fallback(c: FormCandidate) -> Verdict:
     """The verdict when no route applies to c: the exact oracle's below
-    PSI_13; above it a sieve verdict when the presieve finds a small prime
-    factor of p, otherwise not-applicable at dispatch."""
-    verdict = _oracle_verdict(c.p)
-    if verdict is not None:
-        return verdict
-    divisor = _sieve_divisor(c)
-    return _DISPATCH if divisor is None else sieve_verdict(divisor)
+    PSI_13, otherwise not-applicable at dispatch."""
+    return _oracle_verdict(c.p) or _DISPATCH
 
 
 def _probable_prime(q: int) -> bool:
@@ -280,12 +288,23 @@ def test_mersenne(k: int) -> Verdict:
 
 
 def auto_test(c: FormCandidate) -> Verdict:
-    """Decide c by the first route that applies (see the module docstring).
+    """Decide c (see the module docstring): a sieve verdict when the
+    presieve finds a prime factor of p up to 13, else decide_unsieved."""
+    divisor = _sieve_divisor(c)
+    return decide_unsieved(c) if divisor is None else sieve_verdict(divisor)
+
+
+def decide_unsieved(c: FormCandidate) -> Verdict:
+    """auto_test on a c whose p the presieve found no factor of (search
+    presieves its whole range first): composite on a strong witness to
+    WITNESS_BASE, else the first route that applies.
 
     Large-n takes c.n_factors, or n itself, as n's factorization; the
     paper's large-prime-n and two-prime-n tests are its one- and two-factor
     cases.  With no route, _fallback decides or reports not-applicable.
     """
+    if not miller_rabin(c.p, (WITNESS_BASE,)):
+        return _WITNESSED
     if gate_small_n(c):
         return _small_n_verdict(c)
     factors = c.n_factors or (c.n,)
@@ -307,27 +326,40 @@ _FACTOR_STAGES = {
 def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
-    Checks the recorded choices (the factors of n and the gates behind a
-    large-n verdict, the gate behind a small-n prime), then re-runs the
-    route's own evaluator and compares status, algorithm and certificate;
-    small-n records no choice, and large-n's x(Q) = -(a + 1) is a = iterations.
-    The multipliers (n, 2^k, n/q, q) come from the candidate and the checked
-    factors, and no retry, fallback or dispatch runs.  The evaluators use
-    the integer and curve layers alone; the independent references for them
-    are the traced walk run_sequence, the affine scalar_mul, the oracle and
-    the differential tests.  An undecided verdict is checked against what
-    auto_test can give up with, and no walk or fallback runs:
-    not-applicable is _fallback's dispatch verdict, for p >= PSI_13 with
-    gate_small_n failing and no prime factor up to 13 (no Miller-Rabin);
+    A witness record (composite, miller-rabin, witness WITNESS_BASE) is
+    valid iff the presieve finds no factor of p and WITNESS_BASE is a
+    strong witness for p: one presieve and one modular power, no walk.
+    Every other record that is neither prime nor a sieve verdict needs the
+    presieve to find no factor and WITNESS_BASE to be no witness, as
+    auto_test stops at either (a prime passes both).  Then replay checks
+    the recorded choices (the factors of n
+    and the gates behind a large-n verdict, the gate behind a small-n
+    prime), re-runs the route's own evaluator and compares status,
+    algorithm and certificate; small-n records no choice, and large-n's
+    x(Q) = -(a + 1) is a = iterations.  The multipliers (n, 2^k, n/q, q)
+    come from the candidate and the checked factors, and no retry,
+    fallback or dispatch runs.  The evaluators use the integer and curve
+    layers alone; the independent references for them are the traced walk
+    run_sequence, the affine scalar_mul, the oracle and the differential
+    tests.  An undecided verdict is checked against what auto_test can give
+    up with, and no walk or fallback runs: not-applicable is _fallback's
+    dispatch verdict, for p >= PSI_13 with gate_small_n failing;
     inconclusive is large-n's retries-exhausted, with at most RETRY_CAP
     attempts and large-n's entry holding for the recorded factors, or (n,)
     without them.  A decided verdict has iterations 1, or up to RETRY_CAP
-    on large-n, whose evaluator can decline an attempt.
+    on large-n, whose evaluator can decline an attempt.  The shape of a
+    record is checked before its presieve, and the presieve before its
+    modular power.
     """
     try:
         return _replay(c, verdict)
     except (FactorFound, ValueError, KeyError, IndexError, TypeError):
         return False
+
+
+def _passed_witness(c: FormCandidate) -> bool:
+    """Whether auto_test takes c past its presieve and its witness test."""
+    return _sieve_divisor(c) is None and miller_rabin(c.p, (WITNESS_BASE,))
 
 
 def _replay(c: FormCandidate, verdict: Verdict) -> bool:
@@ -336,10 +368,12 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
     algorithm = verdict.algorithm
     p = c.p
 
+    if verdict == _WITNESSED:
+        return _sieve_divisor(c) is None and not miller_rabin(p, (WITNESS_BASE,))
     if status == NOT_APPLICABLE:
         # at p >= PSI_13, n = 1 passes gate_small_n: a Mersenne candidate fails here
         return (verdict == _DISPATCH and p >= PSI_13 and not gate_small_n(c)
-                and _sieve_divisor(c) is None)
+                and _passed_witness(c))
     if status == INCONCLUSIVE:
         attempts = cert.get("attempts")
         shape = {"type": "retries-exhausted", "attempts": attempts}
@@ -347,7 +381,7 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
             shape["factors"] = cert["factors"]  # given with the candidate
         return (algorithm == "large-n" and cert == shape and 0 <= attempts <= RETRY_CAP
                 and verdict.iterations == max(attempts, 1)
-                and _large_n_applies(c, cert.get("factors", (c.n,))))
+                and _large_n_applies(c, cert.get("factors", (c.n,))) and _passed_witness(c))
     if status not in (PRIME, COMPOSITE):
         return False
     # Only large-n's evaluator can decline an attempt, so only its verdicts
@@ -363,7 +397,12 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
             and cert["stage"] in _FACTOR_STAGES.get(algorithm, ())
             and 1 < d < p
             and p % d == 0
+            and (algorithm == "sieve" or _passed_witness(c))
         )
+    if algorithm not in ("trial-division", "miller-rabin", "small-n", "large-n"):
+        return False
+    if status == COMPOSITE and not _passed_witness(c):
+        return False
 
     if algorithm in ("trial-division", "miller-rabin"):
         expected = _oracle_verdict(p)
@@ -371,12 +410,10 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
         if status == PRIME and not gate_small_n(c):
             return False
         expected = _small_n_verdict(c)
-    elif algorithm == "large-n":
+    else:
         if not _large_n_applies(c, cert["factors"]):
             return False
         expected = _order_verdict(c, verdict.iterations, cert["factors"])
-    else:
-        return False
     return expected is not None and (
         (expected.status, expected.algorithm, expected.certificate) == (status, algorithm, cert)
     )

@@ -144,9 +144,10 @@ class TestNoAffineFallback:
         monkeypatch.setattr(primality, "double_x_only", boom, raising=False)
         monkeypatch.setattr(ecring, "double_x_only", boom)
 
-    def test_mersenne_decide_and_replay_to_300(self):
+    def test_mersenne_decide_and_replay_to_300(self, routes_decide_composites):
         # M_3 is the oracle's, and a zero symbol of start_x (5 divides M_k
-        # for 4 | k) is a factor: no outcome there
+        # for 4 | k) is a factor: no outcome there.  With the presieve and
+        # the witness test out of the way, every composite takes the chain
         kinds = set()
         for k in range(3, 301):
             v = mersenne_test(k)

@@ -17,9 +17,13 @@ from test_golden import GOLDEN, record_lines
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# n = 3^53: p = 4n - 1 lies above psi_13, where the exact oracle stops, and
-# n is composite, so no route and no oracle decides it
-UNDECIDED_N = str(3**53)
+# n = 3 * 5 * 24799 * 52107600219578799943: p = 4n - 1 is prime, lies above
+# psi_13, where the exact oracle stops, and n is composite, so no route and
+# no oracle decides it
+UNDECIDED_N = "19383245667680019896796855"
+UNDECIDED_P = str(4 * int(UNDECIDED_N) - 1)
+# n = 3^53: p = 4n - 1 lies above psi_13 too, and base 3 witnesses it
+WITNESSED_N = str(3**53)
 DISPATCH_CERTIFICATE = {"gate": "dispatch", "type": "gate-failure", "reason": (
     "no applicable route: gates fail or n needs an unavailable factorization")}
 
@@ -66,6 +70,8 @@ class TestTestCommand:
     def test_not_applicable_exit_code(self):
         code, _, _ = run_cli("test", "2", UNDECIDED_N)
         assert code == 3
+        # composite above psi_13: the witness decides, exit 1
+        assert run_cli("test", "2", WITNESSED_N)[0] == 1
 
     def test_usage_errors(self):
         assert run_cli("test", "5")[0] == 3  # missing n
@@ -75,9 +81,14 @@ class TestTestCommand:
         assert run_cli("no-such-command")[0] == 3
 
     def test_human_output_mentions_divisor(self):
+        # p = 1772611 = 31 * 211 * 271 is a base-3 strong pseudoprime whose
+        # large-n walk meets 31
+        code, out, _ = run_cli("test", "2", "443153")
+        assert code == 1
+        assert "[large-n] divisor=31" in out
         code, out, _ = run_cli("test", "8", "7")  # p = 1791 = 3^2 * 199
         assert code == 1
-        assert "divisor=9" in out
+        assert "[sieve] divisor=3" in out
 
     def test_big_integers_are_decimal_strings(self):
         code, out, _ = run_cli("test", "89", "19", "--json")
@@ -91,7 +102,7 @@ class TestTestCommand:
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/6")
+            assert json.loads(line)["schema"].endswith("/7")
 
 
 class TestFactorOption:
@@ -117,17 +128,17 @@ class TestFactorOption:
         assert code == 0 and json_lines(out)[0]["certificate"]["factors"] == ["643", "389"]
 
     def test_composite_factor_is_not_applicable(self):
-        # 27 is not prime and p = 4 * 3^53 - 1 is above psi_13: the record is
-        # the dispatch gate failure of the same n with no factors given
-        code, out, err = run_cli("test", "2", UNDECIDED_N, "--q", "27", "--q", str(3**50),
-                                 "--json")
+        # 15 is not prime and p = 4n - 1 is above psi_13: the record is the
+        # dispatch gate failure of the same n with no factors given
+        code, out, err = run_cli("test", "2", UNDECIDED_N, "--q", "15",
+                                 "--q", str(int(UNDECIDED_N) // 15), "--json")
         assert (code, err) == (3, "")
         assert out == (
             f'{{"algorithm":"auto","candidate":{{"k":"2","n":"{UNDECIDED_N}",'
-            f'"p":"{4 * 3**53 - 1}"}},'
+            f'"p":"{UNDECIDED_P}"}},'
             '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
             'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/6","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            '"schema":"ecriesel.run-record/7","tool_version":"0.1.0","verdict":"not-applicable"}\n')
 
     @pytest.mark.parametrize("argv, line", [
         (("5", "3"), "k=5 n=3 p=95: composite [small-n] divisor=5"),  # factor
@@ -136,9 +147,28 @@ class TestFactorOption:
         (("2", "3"), "k=2 n=3 p=11: prime [trial-division]"),
         (("2", "10395"), "k=2 n=10395 p=41579: prime [miller-rabin]"),
         (("2", "7625597484987"), "k=2 n=7625597484987 p=30502389939947: composite [miller-rabin]"),
-        (("2", UNDECIDED_N), f"k=2 n={UNDECIDED_N} p={4 * 3**53 - 1}: not-applicable [auto]"),
+        (("2", WITNESSED_N), f"k=2 n={WITNESSED_N} p={4 * 3**53 - 1}: not-applicable [auto]"),
     ])
-    def test_human_line(self, monkeypatch, argv, line):
+    def test_human_line(self, monkeypatch, routes_decide_composites, argv, line):
+        # the line of each route's and the fallback's verdicts, reached with
+        # the presieve and the witness test out of the way
+        ticks = iter((2.0, 2.0 + 1 / 3))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+        assert run_cli("test", *argv)[1] == line + " (333.33 ms)\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        (("5", "3"), "k=5 n=3 p=95: composite [sieve] divisor=5"),
+        (("9", "1"), "k=9 n=1 p=511: composite [sieve] divisor=7"),
+        (("2", "7"), "k=2 n=7 p=27: composite [sieve] divisor=3"),
+        (("2", "7625597484987"), "k=2 n=7625597484987 p=30502389939947: composite [miller-rabin]"),
+        (("2", WITNESSED_N), f"k=2 n={WITNESSED_N} p={4 * 3**53 - 1}: composite [miller-rabin]"),
+        (("6", "11"), "k=6 n=11 p=703: composite [small-n]"),
+        (("2", "473"), "k=2 n=473 p=1891: composite [trial-division] divisor=31"),
+        (("2", UNDECIDED_N), f"k=2 n={UNDECIDED_N} p={UNDECIDED_P}: not-applicable [auto]"),
+    ])
+    def test_human_line_as_decided(self, monkeypatch, argv, line):
+        # the presieve and the witness decide most composites; a base-3
+        # strong pseudoprime reaches a route or the fallback
         ticks = iter((2.0, 2.0 + 1 / 3))
         monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
         assert run_cli("test", *argv)[1] == line + " (333.33 ms)\n"
@@ -281,6 +311,16 @@ class TestStrictReplayInput:
             3, "", "replay: malformed record: schema: ecriesel.run-record/5 is no longer read; "
                    "decide the candidate again\n")
 
+    @pytest.mark.parametrize("argv", [("7", "3"), ("7", "61")], ids=["prime", "composite"])
+    def test_run_record_6_is_no_longer_read(self, tmp_path, argv):
+        # a /6 record ran no witness test: a composite carried a curve
+        # certificate; the same message as /2 to /5, prime or not
+        rec = self.record(*argv)
+        rec["schema"] = "ecriesel.run-record/6"
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/6 is no longer read; "
+                   "decide the candidate again\n")
+
     def test_one_record_per_input(self, tmp_path):
         good = json.dumps(self.record("7", "3"))
         bad = self.record("7", "3")
@@ -333,7 +373,7 @@ class TestStrictReplayInput:
         "factor-with-m": (("sieve", "factor"), lambda r: r["certificate"].update(m="3"), 3),
         "sieve-at-parameter-scan": (("sieve", "factor"),
                                     lambda r: r["certificate"].update(stage="parameter-scan"), 1),
-        "factor-long-algorithm": (("small-n", "factor"), lambda r: r.update(algorithm="9" * 50), 1),
+        "factor-long-algorithm": (("large-n", "factor"), lambda r: r.update(algorithm="9" * 50), 1),
         "factor-null-algorithm": (("sieve", "factor"), lambda r: r.update(algorithm=None), 3),
         "tool-version-list": (("sieve", "factor"), lambda r: r.update(tool_version=[1]), 3),
         "order-with-step": (("large-n", "order"), lambda r: r["certificate"].update(step="5"), 1),
@@ -351,10 +391,10 @@ class TestStrictReplayInput:
                                    lambda r: r.update(algorithm="miller-rabin"), 1),
         "prime-oracle-with-witness": (("miller-rabin", "oracle"),
                                       lambda r: r["certificate"].update(witness="2"), 1),
-        "verdict-int": (("small-n", "factor"), lambda r: r.update(verdict=5), 3),
+        "verdict-int": (("large-n", "factor"), lambda r: r.update(verdict=5), 3),
         "verdict-null": (("sieve", "factor"), lambda r: r.update(verdict=None), 3),
         "verdict-list": (("large-n", "order"), lambda r: r.update(verdict=["prime"]), 3),
-        "verdict-object": (("small-n", "factor"), lambda r: r.update(verdict={"a": 1}), 3),
+        "verdict-object": (("large-n", "factor"), lambda r: r.update(verdict={"a": 1}), 3),
     }
 
     @pytest.mark.parametrize("name", FORGERIES)
@@ -385,7 +425,7 @@ class TestStrictReplayInput:
                                        "candidate.k"])
     def test_malformed_field_is_named(self, tmp_path, field):
         rec = self.record("2", "7625597484987")
-        assert rec["certificate"] == {"type": "oracle", "witness": "2"}
+        assert rec["certificate"] == {"type": "oracle", "witness": "3"}
         *outer, key = field.split(".")
         (rec[outer[0]] if outer else rec)[key] = 5
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -446,7 +486,8 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert (code, err) == (1, "") and out.startswith("replay: INVALID")
 
-    # p = 4 * 3^27 - 1 = 157 * 194282738471, whose least witness base is 2
+    # p = 4 * 3101 - 1 = 79 * 157, a base-3 strong pseudoprime that no route
+    # takes: the fallback's Miller-Rabin, whose least witness base is 2
     @pytest.mark.parametrize("forge", [
         lambda r: r["certificate"].update(witness="3"),
         lambda r: r["certificate"].update(witness="157"),
@@ -458,8 +499,9 @@ class TestStrictReplayInput:
     ], ids=["witness-3", "witness-157", "no-witness", "prime", "with-least-factor",
             "as-trial-division"])
     def test_forged_oracle_record(self, tmp_path, forge):
-        rec = self.record("2", "7625597484987")
+        rec = self.record("2", "3101")
         assert rec["algorithm"] == "miller-rabin"
+        assert rec["certificate"] == {"type": "oracle", "witness": "2"}
         assert self.replay(tmp_path, json.dumps(rec))[0] == 0
         forge(rec)
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -493,14 +535,15 @@ class TestStrictReplayInput:
         def boom(*args, **kwargs):
             raise AssertionError("replay ran the search")
 
-        for name in ("_curve_point_candidates", "_curve_route", "_fallback", "auto_test"):
+        for name in ("_curve_point_candidates", "_curve_route", "_fallback", "auto_test",
+                     "decide_unsieved"):
             monkeypatch.setattr(primality, name, boom)
         replayed = 0
         for line in record_lines():
             code, out, _ = self.replay(tmp_path, line)
             assert code == 0 and out.startswith("replay: valid"), line
             replayed += 1
-        assert replayed == 97
+        assert replayed == 106
 
 
 class TestMersenneCommand:
@@ -533,7 +576,7 @@ class TestMersenneCommand:
         assert code == 0
         rec = json_lines(out)[0]
         assert rec["verdict"] == "composite"
-        assert rec["certificate"] == {"divisor": "5", "stage": "parameter-scan", "type": "factor"}
+        assert rec["certificate"] == {"divisor": "3", "stage": "sieve", "type": "factor"}
         assert len(rec["candidate"]["p"]) == 4335
         assert cli._parse_int(rec["candidate"]["p"]) == (1 << 14400) - 1
         assert run_cli("test", "14400", "1", "--json")[:2] == (1, out)
@@ -713,12 +756,13 @@ class TestDeterminismAndEnv:
         assert expected[0] == (1 if argv[0] == "test" else 0)
 
     def test_oracle_bound_env(self, monkeypatch):
-        # p = 39 fails both gates and is composite, whatever the variable says
-        expected = run_cli("test", "3", "5", "--json")
+        # p = 1891 = 31 * 61 fails both gates, passes the presieve and base 3,
+        # and is composite, whatever the variable says
+        expected = run_cli("test", "2", "473", "--json")
         assert expected[0] == 1 and json_lines(expected[1])[0]["algorithm"] == "trial-division"
         for value in ("10", "abc"):
             monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", value)
-            assert run_cli("test", "3", "5", "--json") == expected
+            assert run_cli("test", "2", "473", "--json") == expected
 
 
 class TestOneParserPerProcess:

@@ -11,8 +11,8 @@ tests/data/frozen_records.jsonl holds a record of an outcome that no call
 is known to reach: a large-n retries-exhausted, written with the retry
 cap at 1.  It is replayed and fuzzed, never regenerated; each schema move
 has only changed its tag.  Together the two files reach every certificate
-type and every sequence or order outcome the CLI can emit, on every route
-that emits it.
+type and every sequence or order outcome that a known call of the CLI
+reaches, on every route that emits it.
 """
 
 import hashlib
@@ -28,63 +28,70 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_records.jsonl"
 FROZEN = GOLDEN.with_name("frozen_records.jsonl")
 SEARCH_RANGE = GOLDEN.with_name("search_k31_40001_40999.jsonl")
 
-# (argv, exit code).  Comments name what each call adds to the set.
+# (argv, exit code).  Comments name what each call adds to the set.  A
+# composite p meets the presieve first, then the base-3 witness; only a
+# base-3 strong pseudoprime reaches a curve route's composite outcomes.
 GOLDEN_CALLS = [
-    # M_3 by trial division (the small-n gate fails at p = 7), then small-n:
-    # final-zero, final-nonzero, gcd-hit, and start_x's factor 5 of M_k for
-    # 4 | k
+    # M_3 by trial division (the small-n gate fails at p = 7), then small-n
+    # final-zero; each composite M_k ends at the presieve or on the witness
     (("mersenne", "3", "64", "--json"), 0),
-    # sieve factors plus small-n final-zero, then the summary line
+    # sieve factors, witnesses and small-n final-zero, then the summary line
     (("search", "--k", "12", "--n-min", "1", "--n-max", "25", "--json"), 0),
     (("test", "2", "3", "--json"), 0),  # oracle, prime
-    (("test", "2", "7", "--json"), 1),  # oracle, composite
-    # no route: Miller-Rabin, prime; p = 4 * 3^27 - 1, composite (witness 2);
-    # above psi_13, gate-failure at dispatch
+    (("test", "2", "7", "--json"), 1),  # presieve: 3 divides p = 27
+    # no route: Miller-Rabin, prime; p = 4 * 3^27 - 1 and, above psi_13,
+    # p = 4 * 3^53 - 1 end on the witness
     (("test", "2", "10395", "--json"), 0),
     (("test", "2", "7625597484987", "--json"), 1),
-    (("test", "2", "19383245667680019896796723", "--json"), 3),
+    (("test", "2", "19383245667680019896796723", "--json"), 1),
+    # p prime above psi_13, n = 3 * 5 * 24799 * 52107600219578799943 with no
+    # factors given: gate-failure at dispatch
+    (("test", "2", "19383245667680019896796855", "--json"), 3),
+    # base-3 strong pseudoprimes with no route: p = 1891 = 31 * 61 by trial
+    # division, p = 12403 = 79 * 157 by Miller-Rabin (witness 2)
+    (("test", "2", "473", "--json"), 1),
+    (("test", "2", "3101", "--json"), 1),
     (("test", "2", "17", "--json"), 0),  # order, one factor, final-zero
-    (("test", "2", "257", "--json"), 1),  # order, one factor, final-nonzero
+    (("test", "2", "257", "--json"), 1),  # presieve: 13 divides p = 1027
+    # base-3 strong pseudoprimes on large-n: p = 16531 = 61 * 271 and
+    # p = 97567 = 43 * 2269 end final-nonzero; the walk of D meets 31 in
+    # p = 1772611 = 31 * 211 * 271, and in p = 1891 with n's factors
+    (("test", "2", "4133", "--json"), 1),
+    (("test", "5", "3049", "--json"), 1),
+    (("test", "2", "443153", "--json"), 1),
+    (("test", "2", "473", "--q", "11", "--q", "43", "--json"), 1),
     (("test", "2", "250127", "--q1", "389", "--q2", "643", "--json"), 0),  # order, two factors
     (("test", "2", "33", "--q", "3", "--q", "11", "--json"), 0),  # p = 131, prime
     # p = 947 is prime: x(Q) = -2 .. -5 decline, x(Q) = -6 decides
     (("test", "2", "237", "--q", "3", "--q", "79", "--json"), 0),
-    (("test", "2", "37", "--json"), 1),  # p = 147 = 3 * 7^2: the walk of D meets 3
-    (("test", "2", "19", "--json"), 1),  # large-n factor at scalar-multiplication
-    (("test", "3", "29", "--json"), 1),  # p = 231: the walk of D meets 3
-    (("test", "5", "3", "--json"), 1),  # small-n factor at parameter-scan: 5 = 2^2 + 1
-    (("test", "6", "5", "--json"), 1),  # small-n gcd-hit
+    (("test", "2", "37", "--json"), 1),  # presieve: 3 divides p = 147
+    (("test", "2", "19", "--json"), 1),  # presieve: 3 divides p = 75
+    (("test", "3", "29", "--json"), 1),  # presieve: 3 divides p = 231
+    (("test", "5", "3", "--json"), 1),  # presieve: 5 divides p = 95
+    (("test", "6", "5", "--json"), 1),  # presieve: 11 divides p = 319
     (("test", "7", "3", "--json"), 0),  # small-n final-zero
-    (("test", "7", "37", "--json"), 1),  # small-n factor at parameter-scan
-    (("test", "7", "7", "--json"), 1),  # small-n factor at parameter-scan
-    (("test", "7", "61", "--json"), 1),  # small-n final-nonzero
-    # small-n early-infinity: p = 831 = 3 * 277, and n * Q is infinity mod
-    # both.  The only such candidate with 2 <= k <= 40 and odd n < 400.
-    (("test", "6", "13", "--json"), 1),
-    # p = 13^2 * 409 * 69119: a gcd-hit at doubling 1, n * Q infinity mod 13^2
-    (("test", "18", "18225", "--json"), 1),
+    (("test", "7", "37", "--json"), 1),  # presieve: 5 divides p = 4735
+    (("test", "7", "7", "--json"), 1),  # presieve: 5 divides p = 895
+    (("test", "7", "61", "--json"), 1),  # witness: p = 7807 = 37 * 211
+    # base-3 strong pseudoprimes on small-n, final-nonzero: p = 703 = 19 * 37
+    # and p = 2795519 = 683 * 4093
+    (("test", "6", "11", "--json"), 1),
+    (("test", "11", "1365", "--json"), 1),
+    (("test", "6", "13", "--json"), 1),  # presieve: 3 divides p = 831
+    (("test", "18", "18225", "--json"), 1),  # presieve: 13 divides p
 ]
 
 # 500 candidates at k = 31: presieved lines, small-n primes (final-zero)
 # and composites (final-nonzero), then the summary line.
 SEARCH_CALL = ("search", "--k", "31", "--n-min", "40001", "--n-max", "40999", "--json")
 
-# SHA-256 of the run-record/5 lines of each file other than the large-n
-# records and the small-n composites, joined by newlines: the lines that
-# moving both routes onto y^2 = x^3 + x left as they were, but for their
-# schema tag (a start decides where a composite's walk fails, and which
-# large-n attempt decides).
-RECORD_5_DIGESTS = {
-    GOLDEN: "a105a759de3155cf4189983ff2bd4e20521c502c2e7cfa2a7b85760be51cb27b",
-    SEARCH_RANGE: "0aae0d41399e2293955e1ba2fcd6cd671743cbd589f0da06e5c287f1eca2d89f",
+# SHA-256 of the run-record/6 prime lines of each file, joined by newlines:
+# the witness test before the curve routes moved composite records only, so
+# every prime record kept its bytes but for its schema tag.
+RECORD_6_PRIME_DIGESTS = {
+    GOLDEN: "1a9c894978a6722eb9d96fa30e87bc8159b38ac91bab6d8f7ab75e2d2b2e476a",
+    SEARCH_RANGE: "4021ffa58a6856a6fc002160a0fd703092bc1ebd38c50fa5a29e511fab9b23f8",
 }
-
-
-def off_the_starts(line):
-    """Whether a record line is neither large-n nor a small-n composite."""
-    record = json.loads(line)
-    return record.get("algorithm") != "large-n" and (
-        record.get("algorithm"), record.get("verdict")) != ("small-n", "composite")
 
 
 def record_lines():
@@ -117,24 +124,27 @@ def test_search_range_is_byte_identical():
     assert search_range_output() == SEARCH_RANGE.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("path", sorted(RECORD_5_DIGESTS), ids=lambda p: p.name)
-def test_lines_off_large_n_kept_their_bytes(path):
-    lines = [line.replace("ecriesel.run-record/6", "ecriesel.run-record/5")
-             for line in path.read_text(encoding="utf-8").splitlines() if off_the_starts(line)]
+@pytest.mark.parametrize("path", sorted(RECORD_6_PRIME_DIGESTS), ids=lambda p: p.name)
+def test_prime_lines_kept_their_bytes(path):
+    lines = [line.replace("ecriesel.run-record/7", "ecriesel.run-record/6")
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if json.loads(line).get("verdict") == "prime"]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == RECORD_5_DIGESTS[path]
+    assert digest == RECORD_6_PRIME_DIGESTS[path]
 
 
 def test_golden_set_covers_every_reachable_pair():
+    # small-n's gcd-hit, early-infinity and parameter-scan factor need a
+    # base-3 strong pseudoprime that meets them, and none is known: the
+    # evaluator tests reach them (test_small_n, test_chain_walker)
     pairs = set()
     for line in record_lines():
         record = json.loads(line)
         cert = record["certificate"]
         pairs.add((record["algorithm"], cert["type"],
                    cert.get("outcome") or cert.get("stage") or cert.get("gate")))
-    sequence = {("small-n", "sequence", o)
-                for o in ("final-zero", "final-nonzero", "gcd-hit", "early-infinity")}
-    factors = {("small-n", "factor", "parameter-scan"), ("large-n", "factor", "scalar-multiplication")}
+    sequence = {("small-n", "sequence", o) for o in ("final-zero", "final-nonzero")}
+    factors = {("large-n", "factor", "scalar-multiplication")}
     assert pairs == sequence | factors | {
         ("sieve", "factor", "sieve"),
         ("trial-division", "oracle", None),
@@ -153,7 +163,7 @@ def test_no_certificate_carries_a_derived_field():
     # holds one
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/6", line
+        assert record["schema"] == "ecriesel.run-record/7", line
         assert not {"m", "x0", "residue", "base_point"} & record["certificate"].keys(), line
 
 

@@ -10,6 +10,7 @@ scalar_mul.
 """
 
 import json
+from collections import Counter
 from math import gcd, prod
 from pathlib import Path
 
@@ -18,33 +19,54 @@ import pytest
 from ecriesel import ecring, primality
 from ecriesel.ecring import Curve, _riesel_fold, _x_only_ladder, scalar_mul
 from ecriesel.numtheory import FormCandidate, gate_large_n
-from ecriesel.primality import COMPOSITE, PRIME, Verdict, auto_test, replay_verdict
+from ecriesel.primality import (
+    COMPOSITE,
+    PRIME,
+    Verdict,
+    _curve_route,
+    auto_test,
+    replay_verdict,
+    sieve_verdict,
+)
 from ecriesel.sequence import FINAL_NONZERO, FINAL_ZERO
 from test_one_walk import fold_primes, lift
 
 ORDER_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "order_pool.json"
+# What auto_test writes on the sweep's 12476 candidates: the presieve and
+# the base-3 witness end all composites but two base-3 strong pseudoprimes
+# (p = 1891 and 182527), which large-n proves composite.
+ALGORITHMS_ON_THE_SWEEP = {("sieve", COMPOSITE): 7697, ("miller-rabin", COMPOSITE): 2512,
+                           ("large-n", PRIME): 2265, ("large-n", COMPOSITE): 2}
 
 
 def test_agrees_with_sympy_on_the_sweep():
     # every gate-passing candidate with 2 <= k < 40 and odd n < 3001, n's
-    # factors from sympy: none undecided, 633 after a declined attempt
+    # factors from sympy: the route decides all, 633 after a declined
+    # attempt.  auto_test ends most composites at the presieve or on the
+    # witness, and replay accepts the route's record only where auto_test
+    # writes it.
     sympy = pytest.importorskip("sympy")
     kinds, retried, decided = set(), 0, 0
+    algorithms = Counter()
     for k in range(2, 40):
         for n in range(1, 3001, 2):
             factors = tuple(q for q, e in sorted(sympy.factorint(n).items()) for _ in range(e))
             c = FormCandidate(k=k, n=n, n_factors=factors or None)
             if not gate_large_n(c):
                 continue
-            v = auto_test(c)
+            v = _curve_route(c, factors or (n,))
             assert v.algorithm == "large-n", (k, n)
             assert v.status == (PRIME if sympy.isprime(c.p) else COMPOSITE), (k, n)
-            assert replay_verdict(c, v), (k, n)
+            w = auto_test(c)
+            assert w.status == v.status and replay_verdict(c, w), (k, n)
+            assert replay_verdict(c, v) == (w == v), (k, n)
+            algorithms[w.algorithm, w.status] += 1
             kinds.add(v.certificate.get("outcome") or v.certificate["stage"])
             retried += v.iterations > 1
             decided += 1
     assert (decided, retried) == (12476, 633)
     assert kinds == {"final-zero", "final-nonzero", "scalar-multiplication"}
+    assert algorithms == ALGORITHMS_ON_THE_SWEEP
 
 
 def order_of(q, x):
@@ -106,10 +128,12 @@ def test_non_unit_x_of_d_is_rejected_before_any_ladder(monkeypatch):
 
     monkeypatch.setattr(ecring, "_x_only_ladder", boom)
     c = FormCandidate(k=2, n=101)
-    v = auto_test(c)
+    v = _curve_route(c, (c.n,))
     assert v == Verdict(COMPOSITE, "large-n", {"type": "factor", "divisor": 31,
                                                "stage": "scalar-multiplication"})
-    assert replay_verdict(c, v)
+    # auto_test's presieve finds 13 first, and replay accepts only that
+    assert auto_test(c) == sieve_verdict(13)
+    assert not replay_verdict(c, v) and replay_verdict(c, sieve_verdict(13))
 
 
 def test_a_declined_attempt_replays_with_its_iterations():
@@ -137,7 +161,7 @@ def order_pool_candidates():
             (FormCandidate(k=pool["k"], n=q1 * q2, n_factors=(q1, q2)), COMPOSITE)]
 
 
-def test_no_scan_no_point_no_scalar_mul(monkeypatch):
+def test_no_scan_no_point_no_scalar_mul(monkeypatch, routes_decide_composites):
     # deciding and replay on large-n never reach the curve/point scan, the
     # curve coefficient of a point or the affine scalar_mul
     def boom(*args, **kwargs):
@@ -159,12 +183,16 @@ def test_no_scan_no_point_no_scalar_mul(monkeypatch):
 
 def test_order_pool_certificates():
     # p prime: final-zero, by the fold; p composite: final-nonzero, and
-    # the flipped outcome or status replays INVALID
+    # the flipped outcome or status replays INVALID.  auto_test ends the
+    # composite on the base-3 witness, so replay rejects its order record.
     for c, status in order_pool_candidates():
-        v = auto_test(c)
+        v = _curve_route(c, c.n_factors or (c.n,))
         outcome = FINAL_ZERO if status == PRIME else FINAL_NONZERO
         assert v == Verdict(status, "large-n", {"type": "order", "outcome": outcome,
                                                 "factors": list(c.n_factors or (c.n,))})
+        w = auto_test(c)
+        assert w == v if status == PRIME else w.certificate == {"type": "oracle", "witness": 3}
+        assert replay_verdict(c, w) and replay_verdict(c, v) == (status == PRIME)
         flipped = {**v.certificate, "outcome": FINAL_NONZERO if status == PRIME else FINAL_ZERO}
         assert not replay_verdict(c, v._replace(certificate=flipped))
         assert not replay_verdict(c, v._replace(status=COMPOSITE if status == PRIME else PRIME))

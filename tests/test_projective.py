@@ -206,9 +206,10 @@ class TestChainFallback:
             double_x_only_chain((1 << j) - 1, 2, 1)
         assert seen == {(j, j >= FOLD_MIN_BITS) for j in range(2, FOLD_MIN_BITS + 2)}
 
-    def test_replay_recomputes_fallback_outcomes(self):
+    def test_replay_recomputes_fallback_outcomes(self, routes_decide_composites):
         # parameter-scan (k = 4: 5 | M_4 = 15), gcd-hit (k = 6, 9) and
-        # final-nonzero (k = 11) records
+        # final-nonzero (k = 11) records, with the presieve and the witness
+        # test out of the way
         for k in (4, 6, 9, 11):
             v = mersenne_test(k)
             assert v.status == COMPOSITE
@@ -326,7 +327,9 @@ class TestModInverse:
 
 
 class TestCofactorCheckOnce:
-    def test_auto_test_checks_each_factor_once(self, monkeypatch):
+    def test_auto_test_checks_each_factor_once(self, monkeypatch, routes_decide_composites):
+        # p = 4000011 is composite (3 divides it): the route runs with the
+        # presieve and the witness test out of the way
         calls = []
         original = primality._probable_prime
 

@@ -155,3 +155,37 @@ def test_run_record_4_with_a_base_point():
         assert replay(forged) == (3, "", "replay: malformed record: schema: "
                                          "ecriesel.run-record/4 is no longer read; "
                                          "decide the candidate again\n")
+
+
+WITNESS_RECORDS = [json.loads(line) for line in RECORDS if '"witness":"3"' in line]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(record=st.sampled_from(WITNESS_RECORDS),
+       base=st.one_of(st.integers(0, 60), st.integers(0, 2**90)),
+       extra=st.sampled_from([None, ("divisor", "3"), ("least_factor", "3"), ("witness", "3")]))
+def test_forged_witness_base(record, base, extra):
+    # a witness record is valid with base 3 alone, the one base deciding
+    # tests: another base, witness or not, inside [2, p - 2] or outside,
+    # and an extra key replay INVALID
+    forged = json.loads(json.dumps(record))
+    forged["certificate"]["witness"] = str(base)
+    if extra is not None and extra[0] != "witness":
+        forged["certificate"][extra[0]] = extra[1]
+    code, out, err = replay(forged)
+    valid = base == 3 and (extra is None or extra[0] == "witness")
+    assert (code, err) == ((0, "") if valid else (1, "")), (base, extra)
+    assert out.startswith("replay: valid" if valid else "replay: INVALID")
+
+
+def test_witness_records_need_p_past_the_presieve():
+    # the witness certificate on each golden sieve record with a divisor up
+    # to 13: 3 may witness p, but auto_test's presieve finds the divisor.
+    # (search's range presieve goes further; test would witness those p.)
+    for line in RECORDS:
+        record = json.loads(line)
+        if record["algorithm"] != "sieve" or int(record["certificate"]["divisor"]) > 13:
+            continue
+        forged = {**record, "algorithm": "miller-rabin",
+                  "certificate": {"type": "oracle", "witness": "3"}}
+        assert replay(forged)[0] == 1, record["candidate"]

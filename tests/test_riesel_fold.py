@@ -106,11 +106,15 @@ class TestFoldedKernels:
         # against the `%` ladder's formula on the same inputs, which are of
         # degree 2 in each summand and 4 in the doubled point: tracking the
         # exponent of c through the bits gives the unit between the two ends.
-        # The difference is word-size, n - 1 or any other x.
+        # The difference is word-size (below 2^16: it multiplies the folded
+        # (a - b)^2 unreduced, so the end Z lies in [0, x n)), 2^16 (the
+        # least that enters pre-scaled by c^-2), n - 1 or any other x.
         rng = random.Random(1000 + c_bits)
         n, c = shaped(K, c_bits, rng)
-        for trial in range(20):
+        for trial in range(24):
             x = (2 + trial, n - 1)[trial % 2] if trial < 10 else rng.randrange(1, n)
+            if trial >= 20:
+                x = ((1 << 16) - 1, 1 << 16, 3, 65)[trial - 20]
             s = rng.getrandbits(rng.randrange(1, 48)) | 1
             want = _x_only_ladder(s, x, n, None)
             got = _x_only_ladder(s, x, n, (K, c))
@@ -121,9 +125,10 @@ class TestFoldedKernels:
                 e0, e1 = 6 + 4 * e0, 6 + 2 * e0 + 2 * e1
                 if bit == "1":
                     e0, e1 = e1, e0
-            assert all(0 <= v < n for v in got)
+            assert 0 <= got[0] < n
+            assert 0 <= got[1] < (x if x < 1 << 16 else 1) * n
             unit = pow(c, e0, n)
-            assert list(got) == [v * unit % n for v in want], s
+            assert [v % n for v in got] == [v * unit % n for v in want], s
 
 
 class TestThreshold:

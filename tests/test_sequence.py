@@ -3,9 +3,9 @@ import random
 import pytest
 
 from ecriesel.ecring import Curve, FactorFound, scalar_mul
-from ecriesel.numtheory import jacobi, sieve_primes, trial_division
+from ecriesel.numtheory import FormCandidate, jacobi, sieve_primes, trial_division
 from ecriesel.oracle import enumerate_points, point_order
-from ecriesel.primality import PRIME
+from ecriesel.primality import COMPOSITE, PRIME, _small_n_verdict
 from ecriesel.primality import test_mersenne as mersenne_test
 from ecriesel.sequence import (
     EARLY_INFINITY,
@@ -128,11 +128,16 @@ class TestMersenneSequence:
         assert not trace.four_factor
 
     def test_follows_the_decision_to_300(self):
-        # the traced chain ends as test_mersenne's certificate says: the
+        # the traced chain ends as the small-n route's certificate says: the
         # same outcome, the same start-search factor, or, for M_3 (the
-        # oracle's), final-zero for a prime
+        # oracle's), final-zero for a prime.  test_mersenne decides M_3 and
+        # the primes by the same verdict, and every composite M_k at the
+        # presieve or on the witness
         for k in range(3, 301):
             v = mersenne_test(k)
+            if v.status == COMPOSITE:
+                assert v.algorithm in ("sieve", "miller-rabin"), k
+                v = _small_n_verdict(FormCandidate(k=k, n=1))
             cert = v.certificate
             if cert["type"] == "factor":
                 with pytest.raises(FactorFound) as info:

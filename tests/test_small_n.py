@@ -8,6 +8,8 @@ on Mersenne numbers, and the start search ends properly on every odd
 composite p = 3 (mod 4) of a window.
 """
 
+from collections import Counter
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -25,40 +27,63 @@ from ecriesel.numtheory import (  # noqa: E402
     miller_rabin,
     sieve_primes,
 )
-from ecriesel.primality import COMPOSITE, PRIME, auto_test, replay_verdict  # noqa: E402
+from ecriesel.primality import (  # noqa: E402
+    COMPOSITE,
+    PRIME,
+    _small_n_verdict,
+    auto_test,
+    replay_verdict,
+    sieve_verdict,
+)
 from ecriesel.sequence import start_x  # noqa: E402
+
+# What auto_test writes on the window's 6519 candidates: the presieve and
+# the base-3 witness end every composite but p = 703.
+ALGORITHMS_ON_THE_WINDOW = {("sieve", COMPOSITE): 4018, ("miller-rabin", COMPOSITE): 1808,
+                            ("small-n", PRIME): 692, ("small-n", COMPOSITE): 1}
 
 
 def test_agrees_with_sympy_on_a_window():
     # every gate-passing candidate with 2 <= k <= 40 and odd n < 400; the
-    # one early-infinity is p = 831 = 3 * 277, n * Q at infinity mod both
+    # one early-infinity is p = 831 = 3 * 277, n * Q at infinity mod both.
+    # auto_test ends every composite but p = 703 = 19 * 37, a base-3 strong
+    # pseudoprime, at the presieve or on the witness, and replay accepts the
+    # route's record only where auto_test writes it
     sympy = pytest.importorskip("sympy")
     kinds = set()
     decided = 0
+    algorithms = Counter()
     for k in range(2, 41):
         for n in range(1, 400, 2):
             c = FormCandidate(k=k, n=n)
             if not gate_small_n(c):
                 continue
-            v = auto_test(c)
+            v = _small_n_verdict(c)
             assert v.algorithm == "small-n" and v.iterations == 1, (k, n)
             assert v.status == (PRIME if sympy.isprime(c.p) else COMPOSITE), (k, n)
-            assert replay_verdict(c, v), (k, n)
+            w = auto_test(c)
+            assert w.status == v.status and replay_verdict(c, w), (k, n)
+            assert replay_verdict(c, v) == (w == v), (k, n)
+            algorithms[w.algorithm, w.status] += 1
             kinds.add(v.certificate.get("outcome") or v.certificate["stage"])
             decided += 1
     assert decided == 6519
     assert kinds == {"final-zero", "final-nonzero", "gcd-hit", "early-infinity", "parameter-scan"}
+    assert algorithms == ALGORITHMS_ON_THE_WINDOW
 
 
 def test_mersenne_agrees_with_lucas_lehmer():
     # n = 1: no ladder, the chain from u alone; a zero symbol, such as
-    # 5 | M_k for 4 | k at u = 2, is a factor at parameter-scan
+    # 5 | M_k for 4 | k at u = 2, is a factor at parameter-scan.  auto_test
+    # decides every composite M_k at the presieve or on the witness
     factors = 0
     for k in range(4, 401):
         c = FormCandidate(k=k, n=1)
-        v = auto_test(c)
+        v = _small_n_verdict(c)
         assert v.algorithm == "small-n", k
         assert (v.status == PRIME) == lucas_lehmer(k), k
+        w = auto_test(c)
+        assert w == v if lucas_lehmer(k) else w.algorithm in ("sieve", "miller-rabin"), k
         if v.certificate["type"] == "factor":
             factors += 1
             with pytest.raises(FactorFound) as info:
@@ -111,12 +136,14 @@ def test_zero_symbol_is_a_parameter_scan_factor():
     # and 3, then 4^2 + 1 = 17 gives 0
     c = FormCandidate(k=7, n=19)
     assert [jacobi(u * u + 1, c.p) for u in range(2, 5)] == [1, 1, 0]
-    v = auto_test(c)
+    v = _small_n_verdict(c)
     assert v.certificate == {"type": "factor", "divisor": 17, "stage": "parameter-scan"}
-    assert replay_verdict(c, v)
+    # auto_test's presieve finds 11 first, and replay accepts only that
+    assert auto_test(c) == sieve_verdict(11)
+    assert not replay_verdict(c, v) and replay_verdict(c, sieve_verdict(11))
 
 
-def test_no_scan_no_point_no_jacobian_walk(monkeypatch):
+def test_no_scan_no_point_no_jacobian_walk(monkeypatch, routes_decide_composites):
     # deciding and replay on small-n never reach the curve/point scan, the
     # curve coefficient of a point or the affine scalar_mul
     def boom(*args, **kwargs):

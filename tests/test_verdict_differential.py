@@ -4,11 +4,12 @@ k runs over [2, 90] and n over odd integers below 2^41.  Two more
 strategies draw prime n, and prime n with a prime p, so that the large-n
 route sees prime n and proves primes; one more draws candidates near
 n = 2^k, on both sides of psi_13, that no route covers.  Every prime or composite verdict must
-be sympy's and must replay.  A candidate that some route covers is
-decided, or gives up as retries-exhausted; any other candidate is decided
-by the exact oracle when p is below psi_13.  Above it, the presieve
-settles a p with a prime factor up to 13, and any other p is not
-applicable at dispatch.
+be sympy's and must replay.  Every p with a prime factor up to 13 is the
+presieve's, and every other p that base 3 witnesses is composite by that
+witness.  A candidate that some route covers is decided, or gives up as
+retries-exhausted; any other candidate is decided by the exact oracle when
+p is below psi_13.  Above it, it is not applicable at dispatch, and then p
+is prime or a base-3 strong pseudoprime.
 """
 
 import pytest
@@ -19,7 +20,13 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ecriesel.numtheory import PSI_13, FormCandidate, gate_large_n, gate_small_n  # noqa: E402
+from ecriesel.numtheory import (  # noqa: E402
+    PSI_13,
+    FormCandidate,
+    gate_large_n,
+    gate_small_n,
+    miller_rabin,
+)
 from ecriesel.primality import (  # noqa: E402
     COMPOSITE,
     NOT_APPLICABLE,
@@ -72,13 +79,14 @@ def test_auto_test_agrees_with_sympy(kn):
     if v.status in (PRIME, COMPOSITE):
         assert v.status == (PRIME if sympy.isprime(c.p) else COMPOSITE)
         assert replay_verdict(c, v)
-    if routable(c):
+    small = [ell for ell in (3, 5, 7, 11, 13) if c.p % ell == 0]
+    if small:
+        assert v.algorithm == "sieve" and v.certificate["divisor"] == small[0]
+    elif not miller_rabin(c.p, (3,)):
+        assert v == (COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 3}, 1)
+    elif routable(c):
         assert v.status in (PRIME, COMPOSITE) or v.certificate["type"] == "retries-exhausted"
     elif c.p < PSI_13:
         assert v.status in (PRIME, COMPOSITE) and v.algorithm == "miller-rabin"
     else:
-        small = [ell for ell in (3, 5, 7, 11, 13) if c.p % ell == 0]
-        if small:
-            assert v.algorithm == "sieve" and v.certificate["divisor"] == small[0]
-        else:
-            assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
+        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
