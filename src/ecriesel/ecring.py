@@ -76,8 +76,9 @@ homogeneous: X and Z gain the same c^6 per doubling or ladder step (a
 full-size d enters the ladder times c^-2 = 2^(2k), which the fold of its
 product undoes, and a word-size d multiplies a reduced c^2 (a - b)^2), so
 they name the same point, and every checkpoint gcd, ChainFailure and
-record byte stays the `%` kernels'.  The folded kernels copy the `%` formulas instead of taking a
-reducer, which would cost a call per reduction on small moduli.
+record byte stays the `%` kernels'.  The folded kernels copy the `%`
+formulas instead of taking a reducer, which would cost a call per
+reduction on small moduli.
 """
 
 from __future__ import annotations
