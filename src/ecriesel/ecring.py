@@ -315,7 +315,7 @@ def _x_only_ladder(s: int, x: int, n: int, fold: tuple[int, int] | None) -> tupl
     X0, Z0, X1, Z1 = 1, 0, x, 1
     k, c = fold or (0, 1)
     mask = (1 << k) - 1
-    scaled = fold is not None and x >> 16
+    scaled = fold is not None and x >= 1 << 16
     if scaled:
         x = (x << 2 * k) % n  # times c^-2, which the fold of its product undoes
     for bit in bin(s)[2:]:

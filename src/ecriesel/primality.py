@@ -347,9 +347,7 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     inconclusive is large-n's retries-exhausted, with at most RETRY_CAP
     attempts and large-n's entry holding for the recorded factors, or (n,)
     without them.  A decided verdict has iterations 1, or up to RETRY_CAP
-    on large-n, whose evaluator can decline an attempt.  The shape of a
-    record is checked before its presieve, and the presieve before its
-    modular power.
+    on large-n, whose evaluator can decline an attempt.
     """
     try:
         return _replay(c, verdict)
@@ -388,6 +386,8 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
     # come after a retry.
     if not 1 <= verdict.iterations <= (RETRY_CAP if algorithm == "large-n" else 1):
         return False
+    if status == COMPOSITE and algorithm != "sieve" and not _passed_witness(c):
+        return False
 
     if cert.get("type") == "factor":
         d = cert["divisor"]
@@ -397,12 +397,7 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
             and cert["stage"] in _FACTOR_STAGES.get(algorithm, ())
             and 1 < d < p
             and p % d == 0
-            and (algorithm == "sieve" or _passed_witness(c))
         )
-    if algorithm not in ("trial-division", "miller-rabin", "small-n", "large-n"):
-        return False
-    if status == COMPOSITE and not _passed_witness(c):
-        return False
 
     if algorithm in ("trial-division", "miller-rabin"):
         expected = _oracle_verdict(p)
@@ -410,10 +405,12 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
         if status == PRIME and not gate_small_n(c):
             return False
         expected = _small_n_verdict(c)
-    else:
+    elif algorithm == "large-n":
         if not _large_n_applies(c, cert["factors"]):
             return False
         expected = _order_verdict(c, verdict.iterations, cert["factors"])
+    else:
+        return False
     return expected is not None and (
         (expected.status, expected.algorithm, expected.certificate) == (status, algorithm, cert)
     )
