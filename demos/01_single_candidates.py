@@ -58,7 +58,7 @@ print("\nAll verdicts replayed successfully.")
 c = FormCandidate(k=7, n=3)
 verdict = auto_test(c)
 cert = verdict.certificate
-u = start_x(c.p)
+u = start_x(c.p, 1)
 x = u if jacobi(u, c.p) == -1 else c.p - u
 base = Point(x, pow(x * (x * x + 1), (c.p + 1) // 4, c.p))
 start = scalar_mul(Curve(c.p, -1), c.n, base)

@@ -7,12 +7,12 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/7.  Certificates hold no curve and no
-point: both routes walk y^2 = x^3 + x, small-n from the x that replay
-finds by a few Jacobi symbols, and large-n from x = -(a + 1), a its
-record's iterations.  A composite p that base 3 witnesses carries the
-oracle's certificate with witness 3 instead of a curve certificate.
-Replay reads no other schema, and names a run-record/2 to /6 record as
+The schema is ecriesel.run-record/8.  Certificates hold no curve and no
+point: every route walks y^2 = x^3 + x from an x that replay derives from
+iterations, and names the primes of n its proof used (small-n's mixed
+corner, large-n) or the factors given with --q (a give-up).  A composite
+p that base 3 witnesses carries the oracle's certificate with witness 3.
+Replay reads no other schema, and names a run-record/2 to /7 record as
 no longer read.
 
 Each JSON line is written field by field in sorted-key order
@@ -69,7 +69,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/7"
+SCHEMA = "ecriesel.run-record/8"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -186,7 +186,7 @@ def _read(field: str, parse, value):
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema (a run-record/2 to /6
+    Raises ValueError on a record of another schema (a run-record/2 to /7
     record is named as no longer read), a missing top-level key, a verdict,
     algorithm or tool_version that is not a string, a candidate that is not
     an object with exactly the keys k, n and p, a certificate key outside
@@ -196,7 +196,7 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """
     schema = record.get("schema") if isinstance(record, dict) else None
     if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3", "ecriesel.run-record/4",
-                  "ecriesel.run-record/5", "ecriesel.run-record/6"):
+                  "ecriesel.run-record/5", "ecriesel.run-record/6", "ecriesel.run-record/7"):
         raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
     if schema != SCHEMA:
         raise ValueError(f"not an {SCHEMA} record")

@@ -2,7 +2,7 @@
 
 Everything here is exact integer arithmetic: Jacobi symbols, three-way
 modular inversion (the divisor branch doubles as a factor extractor),
-integer roots, the applicability gates for the elliptic tests, the
+integer roots, the applicability gate of the elliptic tests, the
 special-form fast reduction for moduli 2^k*n - 1, the classical
 baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles, and
 the small-prime presieve of a search range.  FormCandidate (checked when
@@ -22,8 +22,8 @@ ORACLE_LIMIT = 10**12
 
 # First 12 primes.  Composite answers are always exact; a probable-prime
 # answer is proven only below psi_12 = 318665857834031151167461
-# (Sorenson-Webster 2017).  The large-n route checks a factor at or above
-# PSI_13 on this test, so its prime verdicts are conditional there.
+# (Sorenson-Webster 2017).  The curve routes check a factor of n at or above
+# PSI_13 on this test, so their prime verdicts are conditional there.
 MR_DEFAULT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # is_prime_oracle: trial division up to TRIAL_LIMIT, then Miller-Rabin on
 # the first 13 primes, a proof below PSI_13 (Sorenson-Webster 2017).
@@ -43,8 +43,8 @@ class FormCandidate(namedtuple("FormCandidate", "k n n_factors")):
     """An integer p = 2^k * n - 1 carried with its decomposition (k, n).
 
     k >= 2 and n odd force p = 3 (mod 4).  ``n_factors`` optionally records
-    a known factorization of n (never computed here; factoring n is out of
-    scope, so the large-n test needs it supplied for composite n).
+    a known factorization of n (never computed here; the mixed corner finds
+    n's prime factors below 2^16 itself, and needs larger ones supplied).
     """
 
     __slots__ = ()
@@ -124,34 +124,25 @@ def iroot4(t: int) -> int:
     return isqrt(isqrt(t))
 
 
-def gate_small_n(c: FormCandidate) -> bool:
-    """Whether the small-n test's prime verdict is justified for c.
-
-    Integer form of the feasibility condition n * (p^(1/4) + 1)^2 < p.
-    Conservative: p = 3 (mod 4) is never a fourth power, so
-    p^(1/4) + 1 < iroot4(p) + 2 strictly, and passing the integer check
-    implies the exact one.  A conservative failure leaves c to the other
-    routes.
-
-    Never holds with gate_large_n: for r = iroot4(p) + 2 > p^(1/4), both
-    would give (p + 1) * r^4 = (n * r^2) * (2^k * r^2) <= p^2, so r^4 < p,
-    yet r^4 > p.
-    """
+def gate(c: FormCandidate, s: int) -> bool:
+    """Whether a point of order s, for s | p + 1, proves p = c.p prime: the
+    integer form of s > (p^(1/4) + 1)^2.  Conservative: p = 3 (mod 4) is
+    never a fourth power, so p^(1/4) + 1 < r = iroot4(p) + 2, and
+    r^2 ((p + 1) / s) <= p gives s > r^2; a failure leaves c to the other
+    corners."""
     p = c.p
     r = iroot4(p) + 2
-    return c.n * r * r <= p
+    return r * r * ((p + 1) // s) <= p
+
+
+def gate_small_n(c: FormCandidate) -> bool:
+    """gate at s = 2^k: n * (p^(1/4) + 1)^2 < p."""
+    return gate(c, 1 << c.k)
 
 
 def gate_large_n(c: FormCandidate) -> bool:
-    """Same idea as gate_small_n for the large-n tests: 2^k (p^(1/4)+1)^2 < p.
-
-    Never holds with gate_small_n: for r = iroot4(p) + 2 > p^(1/4), both
-    would give (p + 1) * r^4 = (n * r^2) * (2^k * r^2) <= p^2, so r^4 < p,
-    yet r^4 > p.
-    """
-    p = c.p
-    r = iroot4(p) + 2
-    return (r * r << c.k) <= p
+    """gate at s = n: 2^k * (p^(1/4) + 1)^2 < p."""
+    return gate(c, c.n)
 
 
 def reduce_special(t: int, c: FormCandidate) -> int:
@@ -255,9 +246,10 @@ def sieve_primes(limit: int) -> list[int]:
     return list(compress(range(limit + 1), mark))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _odd_primes(limit: int) -> list[int]:
-    """The odd primes <= limit; a search repeated in one process builds them once."""
+    """The odd primes <= limit; a search repeated in one process builds them
+    once, and the mixed corner's SIEVE_BOUND survives each presieve."""
     return sieve_primes(limit)[1:]
 
 

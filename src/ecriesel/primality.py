@@ -1,66 +1,53 @@
 """Decision procedures for p = 2^k * n - 1 and their replayable certificates.
 
-auto_test, the one decide entry, first runs the presieve on p (a prime
-factor up to 13 is a sieve verdict), then one strong test of p to base
+auto_test, the one decide entry, runs the presieve on p (a prime factor
+up to 13 is a sieve verdict), then one strong test of p to base
 WITNESS_BASE = 3 (a witness proves p composite at any size, Miller 1976,
-Rabin 1980; base 2 witnesses no M_k of prime k, as 2^k = 1 mod M_k).
-Only a strong probable prime, where a proof is needed, goes on to the
-first route that applies, both on E: y^2 = x^3 + x, the paper's
-y^2 = x^3 - m x at m = -1, a non-residue mod p = 3 (mod 4) (every other
-such curve is isomorphic to E by x -> x / lambda, lambda^2 = -m):
+Rabin 1980; base 2 witnesses no M_k of prime k), then the first corner
+that applies, on E: y^2 = x^3 + x, the paper's y^2 = x^3 - m x at m = -1,
+a non-residue mod p = 3 (mod 4) (every other such curve is isomorphic to
+E by x -> x / lambda, lambda^2 = -m).  With no corner, _fallback decides
+p by the exact oracle below PSI_13, or reports not-applicable.
 
-  * small-n    gate_small_n, n = 1 included: the k-step x-only chain from
-               x(n * Q), x(Q) = u = start_x(p), the least u >= 2 with
-               ((u^2 + 1)/p) = -1;
-  * large-n    gate_large_n, every factor of n prime: D = 2^k * Q has
-               order exactly n (Goldwasser-Kilian), for x(Q) = -(a + 1),
-               a = 1, 2, ... up to RETRY_CAP.
+The corners are one order criterion (Goldwasser-Kilian 1999, Atkin-Morain
+1993): let s | p + 1, and R a point with s R = O and (s/l) R finite for
+each prime l | s.  Mod each prime l | p, x(R) lifts to E or its twist,
+where R has order s, so Hasse gives s <= (sqrt(l) + 1)^2; numtheory.gate
+proves s > (p^(1/4) + 1)^2, so l > sqrt(p), and p is prime.  _evaluate
+takes attempt a and F, the product of the given primes of n:
 
-The two gates never both hold.  With no route, _fallback decides p by the
-exact oracle below PSI_13, or reports not-applicable.  Neither route
-scans a point, forms a y or runs scalar_mul, and a zero symbol small-n
-meets finding u is a factor at parameter-scan.  The routes keep their
-composite outcomes: they are part of the proof, and a base-3 strong
-pseudoprime (p = 703 = 2^6 * 11 - 1 on small-n) still reaches them.
+  * with the chain, s = 2^k F and x(Q) = start_x(p, a).  The k-step
+    x-only chain from x(n Q) ending in zero gives n Q order 2^k mod each
+    l, so R = (n/F) Q has s R = 2^k n Q = O and (s/2) R finite; each
+    distinct q | F then needs (s/q) R = (n/q) D finite, D = 2^k Q.  The
+    small-n corner is F = 1 (n = 1 included), the mixed corner F > 1;
+  * without the chain (large-n), s = F = n, x(Q) = -(a + 1), skipping
+    x = 0 and +-1 (orders 2 and 4), R = D, each (n/q) D must be finite,
+    and the last ladder proves n D = O (final-zero).
 
-Small-n.  Sound: if the chain ends in zero, every prime l | p has 2^k <=
-(sqrt(l) + 1)^2 (sequence docstring; E is elliptic mod every odd l), yet
-a composite p has an l <= sqrt(p), with (p^(1/4) + 1)^2 < p / n < 2^k by
-the gate.  Complete: for a prime p, E(F_p) is cyclic of order 2^k n
-(fact 2 of oracle at m = -1), and its twist is E again through x -> -x,
-as (-1/p) = -1, so x = u or -u is the x of a point Q of E.  Its
-x (x^2 + 1) is a square and x^2 + 1 = u^2 + 1, so (x/p) = -1: Q has an
-order divisible by 2^k (fact 3), and n * Q order 2^k.  The doubling map
-x -> (x^2 - 1)^2 / (4 x (x^2 + 1)) and the ladder are odd in x, so the
-walks from u and -u vanish alike.  For M_k, n = 1: no ladder.
+_corner tries small-n (gate at 2^k), large-n (F from c.n_factors or n
+itself), then mixed (F from c.n_factors, else n's prime factors up to
+SIEVE_BOUND, and n's cofactor when those fail the gate and it is a
+probable prime).  A mixed record is algorithm small-n with factors.
 
-Large-n (_order_verdict) walks x-coordinates alone.  D = 2^k Q comes
-from the k doublings of the chain under one checkpoint walk; each
-(n/q) D, for the distinct q | n, and q ((n/q) D) = n D for the last q
-come from the ecring ladder, whose difference x(D), then x((n/q) D), one
-inversion makes affine.  On the way, a proper gcd of p (the walk's, or
-of a ladder's end Z, or of an X made affine) is a factor at
-scalar-multiplication; a Z of D or of some (n/q) D that vanishes mod p
-declines the attempt, and a + 1 goes next; an x(D) or x((n/q) D) that
-vanishes is final-nonzero, as no point of odd order has x = 0 mod a prime.
-The verdict is prime, final-zero, iff the end Z vanishes mod p.  The
-starts skip x = 0 (order 2) and x = +-1 (order 4).
-  Sound: mod each prime l | p, x(Q) lifts to E or its quadratic twist,
-and by the ladder's argument (ecring) n D = O there while every (n/q) D
-is finite: D has order n, so Hasse gives n <= (sqrt(l) + 1)^2.  The gate
-gives (p^(1/4) + 1)^2 < p / 2^k < n, so l > sqrt(p) for every l, and p
-is prime.  A final-nonzero needs no gate: for a prime p, n D = O.
-  Complete: for a prime p, E(F_p) is cyclic of order p + 1 = 2^k n
-(fact 2), and its twist is E, so every x is the x of a point Q of E.
-D's order divides n, so every Z is a unit or zero mod p, and n D = O:
-an attempt declines only when Q's order misses some q | n, and otherwise
-ends final-zero.
+D = 2^k Q comes from k doublings under one checkpoint walk, each (n/q) D
+from the ecring ladder from x(D), made affine by one inversion; no route
+scans a point, forms a y or runs scalar_mul.  A zero symbol before
+start_x's u is a factor at parameter-scan, a proper gcd of p met later
+(the walk's, a ladder's end Z, an X made affine) one at
+scalar-multiplication.  A Z of D or of some (n/q) D that vanishes mod p
+declines the attempt, and a + 1 goes next, up to RETRY_CAP; an x(D) that
+vanishes is composite, as no point of odd order has x = 0 mod a prime.
+A base-3 strong pseudoprime (703 = 2^6 * 11 - 1) still meets these.
 
-Replay re-runs each route's evaluator (_small_n_verdict, _order_verdict,
-the latter with a = iterations) after checking the recorded choices and
-that p passed the presieve and the witness test; a witness record costs
-one presieve and one modular power, and walks nothing.  Verdict is an
-immutable named tuple.
+Complete.  For a prime p, E(F_p) is cyclic of order 2^k n (fact 2 of
+oracle at m = -1), and its twist is E through x -> -x, so every x is the
+x of a point Q of E.  From x = u or -u, x (x^2 + 1) is a square and
+x^2 + 1 = u^2 + 1, so (x/p) = -1: Q's order is divisible by 2^k (fact 3),
+and the chain ends in zero, so small-n never declines (the doubling map
+and the ladder are odd in x).  D's order divides n, so each Z is a unit
+or zero mod p: an attempt declines only when Q's order misses some q | F.
+Verdict is an immutable named tuple.
 """
 
 from __future__ import annotations
@@ -73,10 +60,11 @@ from .ecring import scalar_mul  # noqa: F401  (perfbench/tracing.py wraps it her
 from .numtheory import (
     ORACLE_BASES,
     PSI_13,
+    SIEVE_BOUND,
     TRIAL_LIMIT,
     FormCandidate,
-    gate_large_n,
-    gate_small_n,
+    _odd_primes,
+    gate,
     is_prime_oracle,
     jacobi,
     miller_rabin,
@@ -93,7 +81,7 @@ NOT_APPLICABLE = "not-applicable"
 
 # Most y values one _curve_point_candidates scan tries.
 SCAN_LIMIT = 100_000
-# Most x(Q) = -(a + 1) attempts the large-n route makes before it gives up.
+# Most attempts a curve route makes before it gives up.
 RETRY_CAP = 20
 # The one base auto_test's strong test takes before any curve walk.
 WITNESS_BASE = 3
@@ -166,13 +154,13 @@ def _oracle_verdict(p: int) -> Verdict | None:
     return Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": witness})
 
 
-def _factor_verdict(algorithm: str, divisor: int, stage: str) -> Verdict:
-    return Verdict(COMPOSITE, algorithm, {"type": "factor", "divisor": divisor, "stage": stage})
+def _factor_verdict(algorithm: str, divisor: int, stage: str, a: int) -> Verdict:
+    return Verdict(COMPOSITE, algorithm, {"type": "factor", "divisor": divisor, "stage": stage}, a)
 
 
 def sieve_verdict(divisor: int) -> Verdict:
     """The composite verdict of a small prime factor the presieve found."""
-    return _factor_verdict("sieve", divisor, "sieve")
+    return _factor_verdict("sieve", divisor, "sieve", 1)
 
 
 _DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
@@ -188,10 +176,16 @@ def _sieve_divisor(c: FormCandidate) -> int | None:
     return presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
 
 
+def _given(c: FormCandidate, give_up: Verdict) -> Verdict:
+    """give_up, naming the factors of n given with c, for replay to check."""
+    return give_up if c.n_factors is None else give_up._replace(
+        certificate={**give_up.certificate, "factors": list(c.n_factors)})
+
+
 def _fallback(c: FormCandidate) -> Verdict:
-    """The verdict when no route applies to c: the exact oracle's below
+    """The verdict when no corner applies to c: the exact oracle's below
     PSI_13, otherwise not-applicable at dispatch."""
-    return _oracle_verdict(c.p) or _DISPATCH
+    return _oracle_verdict(c.p) or _given(c, _DISPATCH)
 
 
 def _probable_prime(q: int) -> bool:
@@ -202,9 +196,37 @@ def _probable_prime(q: int) -> bool:
     return miller_rabin(q) if prime is None else prime
 
 
-def _large_n_applies(c: FormCandidate, factors) -> bool:
-    """Whether auto_test takes large-n for c with these factors of n."""
-    return gate_large_n(c) and prod(factors) == c.n and all(_probable_prime(q) for q in factors)
+def _applies(c: FormCandidate, factors, chain: bool) -> bool:
+    """Whether the corner of these factors of n applies to c: their product F
+    divides n with the chain (s = 2^k F) or is n without it (s = F), the gate
+    holds at s, and every factor is a probable prime."""
+    f = prod(factors)
+    if not (c.n % f == 0 if chain else f == c.n):
+        return False
+    return gate(c, f << c.k if chain else f) and all(_probable_prime(q) for q in factors)
+
+
+def _corner(c: FormCandidate) -> tuple[tuple[int, ...] | list[int], bool] | None:
+    """(factors, chain) of the first corner that applies to c: small-n,
+    large-n, then mixed; None when none does.  Mixed takes c.n_factors,
+    else n's prime factors up to SIEVE_BOUND with multiplicity, and n's
+    cofactor when their s fails the gate (_applies then tests it)."""
+    if gate(c, 1 << c.k):
+        return (), True
+    factors = c.n_factors or (c.n,)
+    if _applies(c, factors, False):
+        return factors, False
+    if c.n_factors is None:
+        factors, m = [], c.n
+        for q in _odd_primes(SIEVE_BOUND):
+            if q > m:
+                break
+            while m % q == 0:
+                factors.append(q)
+                m //= q
+        if m > 1 and not gate(c, prod(factors) << c.k):
+            factors.append(m)
+    return (factors, True) if _applies(c, factors, True) else None
 
 
 def _vanishes(t: int, p: int) -> bool:
@@ -222,62 +244,64 @@ def _affine_x(point: tuple[int, int], p: int) -> int | None:
     return None if _vanishes(X, p) else X * pow(Z, -1, p) % p
 
 
-# --- the evaluators, for deciding and replay ----------------------------
+# --- the evaluator, for deciding and replay --------------------------------
 
-def _small_n_verdict(c: FormCandidate) -> Verdict:
-    """The small-n verdict (module docstring): prime iff the chain from
-    x(n * Q) ends in zero, its certificate where the chain ended."""
-    try:
-        u = start_x(c.p)
-    except FactorFound as exc:
-        return _factor_verdict("small-n", exc.divisor, "parameter-scan")
-    outcome = chain_outcome(c.p, u, c.k, c.n)
-    cert = {key: value for key, value in zip(("outcome", "step", "divisor"), outcome)
-            if value is not None}
-    cert["type"] = "sequence"
-    return Verdict(PRIME if outcome.kind == FINAL_ZERO else COMPOSITE, "small-n", cert)
-
-
-def _order_verdict(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int]) -> Verdict | None:
-    """The large-n verdict of attempt a, x(Q) = -(a + 1), for
-    n = prod(factors) (module docstring); None when the attempt declines."""
+def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
+              chain: bool) -> Verdict | None:
+    """Attempt a's verdict, iterations a, for s = 2^k prod(factors) with the
+    chain, s = prod(factors) = n without (module docstring); None: declined."""
     p = c.p
-    cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(factors)}
+    algorithm = "small-n" if chain else "large-n"
+    stage = "parameter-scan"
     try:
-        end = double_x_only_chain(p, -(a + 1), c.k)
+        if chain:
+            x = start_x(p, a)
+            outcome = chain_outcome(p, x, c.k, c.n)
+            cert = {key: value for key, value in zip(("outcome", "step", "divisor"), outcome)
+                    if value is not None}
+            cert["type"] = "sequence"
+            if factors:
+                cert["factors"] = list(factors)
+            if outcome.kind != FINAL_ZERO or not factors:
+                return Verdict(PRIME if outcome.kind == FINAL_ZERO else COMPOSITE, algorithm,
+                               cert, a)
+        else:
+            x = -(a + 1)
+            cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(factors)}
+        stage = "scalar-multiplication"
+        end = double_x_only_chain(p, x, c.k)
         if isinstance(end, ChainFailure):
             if end.divisor != p:
                 raise FactorFound(end.divisor, p)
             return None
         x = _affine_x(end, p)
-        if x is not None:
-            for q in dict.fromkeys(factors):
-                multiple = double_x_only_chain(p, x, 0, c.n // q)
-                if _vanishes(multiple[1], p):
-                    return None
+        if x is None:  # D of order 2 (never after a chain that ended in zero)
+            return Verdict(COMPOSITE, algorithm, cert, a)
+        for q in dict.fromkeys(factors):
+            multiple = double_x_only_chain(p, x, 0, c.n // q)
+            if _vanishes(multiple[1], p):
+                return None
+        if not chain:
             # q * ((n/q) * D) = n * D for the last q
             x = _affine_x(multiple, p)
             if x is not None and _vanishes(double_x_only_chain(p, x, 0, q)[1], p):
                 cert["outcome"] = FINAL_ZERO
     except FactorFound as exc:
-        return _factor_verdict("large-n", exc.divisor, "scalar-multiplication")
-    return Verdict(PRIME if cert["outcome"] == FINAL_ZERO else COMPOSITE, "large-n", cert)
+        return _factor_verdict(algorithm, exc.divisor, stage, a)
+    return Verdict(PRIME if cert["outcome"] == FINAL_ZERO else COMPOSITE, algorithm, cert, a)
 
 
-# --- deciding: gates, retries and fallback ---------------------------------
+# --- deciding: dispatch, retries and fallback --------------------------------
 
-def _curve_route(c: FormCandidate, factors: tuple[int, ...]) -> Verdict:
-    """The first verdict _order_verdict gives for a = 1 .. RETRY_CAP, with
-    iterations a.  When every attempt declines, retries-exhausted with the
-    factors given with c, for replay to check."""
+def _curve_route(c: FormCandidate, factors: tuple[int, ...] | list[int], chain: bool) -> Verdict:
+    """The first verdict _evaluate gives for a = 1 .. RETRY_CAP, else
+    retries-exhausted."""
     for a in range(1, RETRY_CAP + 1):
-        verdict = _order_verdict(c, a, factors)
+        verdict = _evaluate(c, a, factors, chain)
         if verdict is not None:
-            return verdict._replace(iterations=a)
-    cert = {"type": "retries-exhausted", "attempts": RETRY_CAP}
-    if c.n_factors is not None:
-        cert["factors"] = list(c.n_factors)
-    return Verdict(INCONCLUSIVE, "large-n", cert, iterations=max(RETRY_CAP, 1))
+            return verdict
+    return _given(c, Verdict(INCONCLUSIVE, "small-n" if chain else "large-n",
+                             {"type": "retries-exhausted", "attempts": RETRY_CAP}, RETRY_CAP))
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -297,20 +321,11 @@ def auto_test(c: FormCandidate) -> Verdict:
 def decide_unsieved(c: FormCandidate) -> Verdict:
     """auto_test on a c whose p the presieve found no factor of (search
     presieves its whole range first): composite on a strong witness to
-    WITNESS_BASE, else the first route that applies.
-
-    Large-n takes c.n_factors, or n itself, as n's factorization; the
-    paper's large-prime-n and two-prime-n tests are its one- and two-factor
-    cases.  With no route, _fallback decides or reports not-applicable.
-    """
+    WITNESS_BASE, else the first corner that applies, else _fallback."""
     if not miller_rabin(c.p, (WITNESS_BASE,)):
         return _WITNESSED
-    if gate_small_n(c):
-        return _small_n_verdict(c)
-    factors = c.n_factors or (c.n,)
-    if _large_n_applies(c, factors):
-        return _curve_route(c, factors)
-    return _fallback(c)
+    corner = _corner(c)
+    return _fallback(c) if corner is None else _curve_route(c, *corner)
 
 
 # --- certificate replay ----------------------------------------------------
@@ -318,7 +333,7 @@ def decide_unsieved(c: FormCandidate) -> Verdict:
 # The stages at which each route can meet a divisor of p.
 _FACTOR_STAGES = {
     "sieve": ("sieve",),
-    "small-n": ("parameter-scan",),
+    "small-n": ("parameter-scan", "scalar-multiplication"),
     "large-n": ("scalar-multiplication",),
 }
 
@@ -327,31 +342,22 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
     A witness record (composite, miller-rabin, witness WITNESS_BASE) is
-    valid iff the presieve finds no factor of p and WITNESS_BASE is a
-    strong witness for p: one presieve and one modular power, no walk.
-    Every other record that is neither prime nor a sieve verdict needs the
-    presieve to find no factor and WITNESS_BASE to be no witness, as
-    auto_test stops at either (a prime passes both).  Then replay checks
-    the recorded choices (the factors of n
-    and the gates behind a large-n verdict, the gate behind a small-n
-    prime), re-runs the route's own evaluator and compares status,
-    algorithm and certificate; small-n records no choice, and large-n's
-    x(Q) = -(a + 1) is a = iterations.  The multipliers (n, 2^k, n/q, q)
-    come from the candidate and the checked factors, and no retry,
-    fallback or dispatch runs.  The evaluators use the integer and curve
-    layers alone; the independent references for them are the traced walk
-    run_sequence, the affine scalar_mul, the oracle and the differential
-    tests.  An undecided verdict is checked against what auto_test can give
-    up with, and no walk or fallback runs: not-applicable is _fallback's
-    dispatch verdict, for p >= PSI_13 with gate_small_n failing;
-    inconclusive is large-n's retries-exhausted, with at most RETRY_CAP
-    attempts and large-n's entry holding for the recorded factors, or (n,)
-    without them.  A decided verdict has iterations 1, or up to RETRY_CAP
-    on large-n, whose evaluator can decline an attempt.
+    valid iff the presieve finds no factor of p and WITNESS_BASE witnesses
+    p: one presieve and one modular power.  Any other record that is
+    neither prime nor a sieve verdict needs p past both, as auto_test stops
+    at either.  A curve record needs _applies for its factors (none on the
+    small-n corner, whose a is 1) and _evaluate at a = iterations to give
+    its status, algorithm and certificate; no retry, fallback or dispatch
+    runs (run_sequence, scalar_mul, the oracle and the differential tests
+    are the evaluator's references).  A give-up, with no walk, is valid
+    only as auto_test makes it for the factors it names (those given with
+    --q): not-applicable for p >= PSI_13 when no corner applies,
+    retries-exhausted after at most RETRY_CAP attempts on the first corner
+    that applies, if it can decline.
     """
     try:
         return _replay(c, verdict)
-    except (FactorFound, ValueError, KeyError, IndexError, TypeError):
+    except (FactorFound, ValueError, KeyError, IndexError, TypeError, ZeroDivisionError):
         return False
 
 
@@ -368,23 +374,23 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
 
     if verdict == _WITNESSED:
         return _sieve_divisor(c) is None and not miller_rabin(p, (WITNESS_BASE,))
-    if status == NOT_APPLICABLE:
-        # at p >= PSI_13, n = 1 passes gate_small_n: a Mersenne candidate fails here
-        return (verdict == _DISPATCH and p >= PSI_13 and not gate_small_n(c)
-                and _passed_witness(c))
-    if status == INCONCLUSIVE:
-        attempts = cert.get("attempts")
-        shape = {"type": "retries-exhausted", "attempts": attempts}
+    if status in (NOT_APPLICABLE, INCONCLUSIVE):
         if "factors" in cert:
-            shape["factors"] = cert["factors"]  # given with the candidate
-        return (algorithm == "large-n" and cert == shape and 0 <= attempts <= RETRY_CAP
-                and verdict.iterations == max(attempts, 1)
-                and _large_n_applies(c, cert.get("factors", (c.n,))) and _passed_witness(c))
+            c = FormCandidate(c.k, c.n, tuple(cert["factors"]))
+        if status == NOT_APPLICABLE:
+            return (verdict == _given(c, _DISPATCH) and p >= PSI_13 and _passed_witness(c)
+                    and _corner(c) is None)
+        attempts = cert.get("attempts")
+        corner = _corner(c)
+        # the small-n corner, with no factors, never declines
+        return (corner is not None and bool(corner[0]) and attempts in range(RETRY_CAP + 1)
+                and verdict == _given(c, Verdict(
+                    INCONCLUSIVE, "small-n" if corner[1] else "large-n",
+                    {"type": "retries-exhausted", "attempts": attempts}, max(attempts, 1)))
+                and _passed_witness(c))
     if status not in (PRIME, COMPOSITE):
         return False
-    # Only large-n's evaluator can decline an attempt, so only its verdicts
-    # come after a retry.
-    if not 1 <= verdict.iterations <= (RETRY_CAP if algorithm == "large-n" else 1):
+    if not 1 <= verdict.iterations <= (RETRY_CAP if algorithm in ("small-n", "large-n") else 1):
         return False
     if status == COMPOSITE and algorithm != "sieve" and not _passed_witness(c):
         return False
@@ -401,14 +407,13 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
 
     if algorithm in ("trial-division", "miller-rabin"):
         expected = _oracle_verdict(p)
-    elif algorithm == "small-n":
-        if status == PRIME and not gate_small_n(c):
+    elif algorithm in ("small-n", "large-n"):
+        # the small-n corner, with no factors, never declines
+        factors = cert.get("factors", ())
+        chain = algorithm == "small-n"
+        if not _applies(c, factors, chain) or verdict.iterations > (RETRY_CAP if factors else 1):
             return False
-        expected = _small_n_verdict(c)
-    elif algorithm == "large-n":
-        if not _large_n_applies(c, cert["factors"]):
-            return False
-        expected = _order_verdict(c, verdict.iterations, cert["factors"])
+        expected = _evaluate(c, verdict.iterations, factors, chain)
     else:
         return False
     return expected is not None and (

@@ -102,23 +102,26 @@ def run_sequence(
     return outcome, trace
 
 
-def start_x(p: int) -> int:
-    """The least u >= 2 with ((u^2 + 1)/p) = -1, for p = 3 (mod 4);
-    FactorFound with gcd(u^2 + 1, p) on a zero symbol before it.
+def start_x(p: int, a: int) -> int:
+    """The a-th u >= 2 with ((u^2 + 1)/p) = -1, for p = 3 (mod 4) and
+    a >= 1; FactorFound with gcd(u^2 + 1, p) on a zero symbol before it.
 
     That divisor is proper: p has a prime factor l = 3 (mod 4) to an odd
     power e, and -1 is no square mod l, so l never divides u^2 + 1.  The
-    search ends below p: the (l + 1)/2 values of u^2 + 1 mod l are nonzero
-    and outnumber the nonzero squares, so ((u_l^2 + 1)/l) = -1 for some
-    u_l, and for p = l^e r, u = u_l (mod l), u = 0 (mod r) has
-    ((u^2 + 1)/p) = (-1)^e (1/r) = -1.  That u is not 0 and shares its
-    symbol with p - u, so one of the two lies in [2, p - 1].
+    a-th start lies below a p (below p for a prime p and a <= (p - 1)/2):
+    the symbol has period p, and each [j p + 2, j p + p - 1] holds a u
+    with symbol -1, as the (l + 1)/2 values of u^2 + 1 mod l, all nonzero,
+    outnumber the nonzero squares: for some u_l, ((u_l^2 + 1)/l) = -1, and
+    u = u_l (mod l), u = 0 (mod r), p = l^e r, has ((u^2 + 1)/p) =
+    (-1)^e (1/r) = -1, as has p - u.
     """
-    u = 2
-    while (j := jacobi(u * u + 1, p)) == 1:
+    u = 1
+    for _ in range(a):
         u += 1
-    if j == 0:
-        raise FactorFound(gcd(u * u + 1, p), p)
+        while (j := jacobi(u * u + 1, p)) == 1:
+            u += 1
+        if j == 0:
+            raise FactorFound(gcd(u * u + 1, p), p)
     return u
 
 
@@ -141,9 +144,9 @@ def chain_outcome(modulus: int, x0: int, k: int, s: int = 1) -> SequenceOutcome:
 
 def mersenne_sequence(k: int) -> tuple[SequenceOutcome, STrace]:
     """The traced chain of M_k = 2^k - 1, k >= 3, as small-n takes it: on
-    E from x_0 = start_x(M_k), no 4-factor; FactorFound where start_x
+    E from x_0 = start_x(M_k, 1), no 4-factor; FactorFound where start_x
     meets a zero symbol."""
     if k < 3:
         raise ValueError("Mersenne exponent must be at least 3")
     modulus = (1 << k) - 1
-    return run_sequence(modulus, -1, start_x(modulus), k, four_factor=False)
+    return run_sequence(modulus, -1, start_x(modulus, 1), k, four_factor=False)

@@ -12,16 +12,22 @@ import pytest
 
 from ecriesel import cli, primality
 from ecriesel.cli import main
+from ecriesel.numtheory import gate_small_n
 
 from test_golden import GOLDEN, record_lines
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# n = 3 * 5 * 24799 * 52107600219578799943: p = 4n - 1 is prime, lies above
-# psi_13, where the exact oracle stops, and n is composite, so no route and
-# no oracle decides it
-UNDECIDED_N = "19383245667680019896796855"
-UNDECIDED_P = str(4 * int(UNDECIDED_N) - 1)
+# n = 609403 * 461886431: p = 2^48 n - 1 is prime, lies above psi_13, where
+# the exact oracle stops, and n has no prime factor below 2^16, so with no
+# factors given no corner and no oracle decides it
+UNDECIDED_K = "48"
+UNDECIDED_N = "281474976710693"
+UNDECIDED_P = str((int(UNDECIDED_N) << 48) - 1)
+# p = 2^5 n - 1 = 3851 * 76831835389, a base-3 strong pseudoprime (both
+# factors divide 3^35 - 1), and n's part above 2^16 is composite: no corner
+# takes it, and the fallback's Miller-Rabin finds the least witness base 2
+PSEUDOPRIME_KN = ("5", "9246231190095")
 # n = 3^53: p = 4n - 1 lies above psi_13 too, and base 3 witnesses it
 WITNESSED_N = str(3**53)
 DISPATCH_CERTIFICATE = {"gate": "dispatch", "type": "gate-failure", "reason": (
@@ -68,7 +74,7 @@ class TestTestCommand:
         assert rec["algorithm"] == "large-n"
 
     def test_not_applicable_exit_code(self):
-        code, _, _ = run_cli("test", "2", UNDECIDED_N)
+        code, _, _ = run_cli("test", UNDECIDED_K, UNDECIDED_N)
         assert code == 3
         # composite above psi_13: the witness decides, exit 1
         assert run_cli("test", "2", WITNESSED_N)[0] == 1
@@ -102,7 +108,7 @@ class TestTestCommand:
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/7")
+            assert json.loads(line)["schema"].endswith("/8")
 
 
 class TestFactorOption:
@@ -127,18 +133,20 @@ class TestFactorOption:
         code, out, _ = run_cli("test", "2", "250127", "--q2", "643", "--q1", "389", "--json")
         assert code == 0 and json_lines(out)[0]["certificate"]["factors"] == ["643", "389"]
 
-    def test_composite_factor_is_not_applicable(self):
-        # 15 is not prime and p = 4n - 1 is above psi_13: the record is the
-        # dispatch gate failure of the same n with no factors given
-        code, out, err = run_cli("test", "2", UNDECIDED_N, "--q", "15",
-                                 "--q", str(int(UNDECIDED_N) // 15), "--json")
+    def test_composite_factor_is_not_applicable(self, monkeypatch):
+        # n itself is no prime and p is above psi_13: the record is the
+        # dispatch gate failure, with the factors given, and it replays valid
+        code, out, err = run_cli("test", UNDECIDED_K, UNDECIDED_N, "--q", UNDECIDED_N, "--json")
         assert (code, err) == (3, "")
         assert out == (
-            f'{{"algorithm":"auto","candidate":{{"k":"2","n":"{UNDECIDED_N}",'
+            f'{{"algorithm":"auto","candidate":{{"k":"48","n":"{UNDECIDED_N}",'
             f'"p":"{UNDECIDED_P}"}},'
-            '"certificate":{"gate":"dispatch","reason":"no applicable route: gates fail or n '
-            'needs an unavailable factorization","type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/7","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            f'"certificate":{{"factors":["{UNDECIDED_N}"],"gate":"dispatch","reason":'
+            '"no applicable route: gates fail or n needs an unavailable factorization",'
+            '"type":"gate-failure"},"iterations":1,'
+            '"schema":"ecriesel.run-record/8","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert run_cli("test", "--replay", "-")[0] == 0
 
     @pytest.mark.parametrize("argv, line", [
         (("5", "3"), "k=5 n=3 p=95: composite [small-n] divisor=5"),  # factor
@@ -151,7 +159,10 @@ class TestFactorOption:
     ])
     def test_human_line(self, monkeypatch, routes_decide_composites, argv, line):
         # the line of each route's and the fallback's verdicts, reached with
-        # the presieve and the witness test out of the way
+        # the presieve, the witness test and every corner but small-n out of
+        # the way (the mixed corner decides the last four as they stand)
+        monkeypatch.setattr(primality, "_corner",
+                            lambda c: ((), True) if gate_small_n(c) else None)
         ticks = iter((2.0, 2.0 + 1 / 3))
         monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
         assert run_cli("test", *argv)[1] == line + " (333.33 ms)\n"
@@ -163,8 +174,12 @@ class TestFactorOption:
         (("2", "7625597484987"), "k=2 n=7625597484987 p=30502389939947: composite [miller-rabin]"),
         (("2", WITNESSED_N), f"k=2 n={WITNESSED_N} p={4 * 3**53 - 1}: composite [miller-rabin]"),
         (("6", "11"), "k=6 n=11 p=703: composite [small-n]"),
-        (("2", "473"), "k=2 n=473 p=1891: composite [trial-division] divisor=31"),
-        (("2", UNDECIDED_N), f"k=2 n={UNDECIDED_N} p={UNDECIDED_P}: not-applicable [auto]"),
+        (("2", "473"), "k=2 n=473 p=1891: composite [small-n]"),  # mixed
+        (("2", "19383245667680019896796855"),
+         "k=2 n=19383245667680019896796855 p=77532982670720079587187419: prime [small-n]"),
+        (PSEUDOPRIME_KN, "k=5 n=9246231190095 p=295879398083039: composite [miller-rabin]"),
+        ((UNDECIDED_K, UNDECIDED_N),
+         f"k=48 n={UNDECIDED_N} p={UNDECIDED_P}: not-applicable [auto]"),
     ])
     def test_human_line_as_decided(self, monkeypatch, argv, line):
         # the presieve and the witness decide most composites; a base-3
@@ -309,6 +324,16 @@ class TestStrictReplayInput:
         rec["schema"] = "ecriesel.run-record/5"
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", "replay: malformed record: schema: ecriesel.run-record/5 is no longer read; "
+                   "decide the candidate again\n")
+
+    def test_run_record_7_is_no_longer_read(self, tmp_path):
+        # a /7 give-up recorded no factors given with --q, and a /7
+        # not-applicable stood for primes the mixed corner now decides:
+        # the same message as /2 to /6
+        rec = self.record(UNDECIDED_K, UNDECIDED_N)
+        rec["schema"] = "ecriesel.run-record/7"
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/7 is no longer read; "
                    "decide the candidate again\n")
 
     @pytest.mark.parametrize("argv", [("7", "3"), ("7", "61")], ids=["prime", "composite"])
@@ -486,8 +511,8 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert (code, err) == (1, "") and out.startswith("replay: INVALID")
 
-    # p = 4 * 3101 - 1 = 79 * 157, a base-3 strong pseudoprime that no route
-    # takes: the fallback's Miller-Rabin, whose least witness base is 2
+    # PSEUDOPRIME_KN: the fallback's Miller-Rabin, whose least witness base is
+    # 2; 157 is neither that witness nor a factor of p
     @pytest.mark.parametrize("forge", [
         lambda r: r["certificate"].update(witness="3"),
         lambda r: r["certificate"].update(witness="157"),
@@ -499,7 +524,7 @@ class TestStrictReplayInput:
     ], ids=["witness-3", "witness-157", "no-witness", "prime", "with-least-factor",
             "as-trial-division"])
     def test_forged_oracle_record(self, tmp_path, forge):
-        rec = self.record("2", "3101")
+        rec = self.record(*PSEUDOPRIME_KN)
         assert rec["algorithm"] == "miller-rabin"
         assert rec["certificate"] == {"type": "oracle", "witness": "2"}
         assert self.replay(tmp_path, json.dumps(rec))[0] == 0
@@ -507,7 +532,7 @@ class TestStrictReplayInput:
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert code == 1 and "INVALID" in out and err == ""
 
-    @pytest.mark.parametrize("k, n", [(2, UNDECIDED_N), (3999, "3")], ids=["psi13", "4000-bit"])
+    @pytest.mark.parametrize("k, n", [(48, UNDECIDED_N), (3999, "3")], ids=["psi13", "4000-bit"])
     @pytest.mark.parametrize("algorithm", ["miller-rabin", "trial-division"])
     def test_oracle_record_above_psi13(self, tmp_path, k, n, algorithm):
         # the exact oracle knows nothing at or above psi_13, so nothing replays
@@ -543,7 +568,7 @@ class TestStrictReplayInput:
             code, out, _ = self.replay(tmp_path, line)
             assert code == 0 and out.startswith("replay: valid"), line
             replayed += 1
-        assert replayed == 106
+        assert replayed == 108
 
 
 class TestMersenneCommand:
@@ -756,13 +781,13 @@ class TestDeterminismAndEnv:
         assert expected[0] == (1 if argv[0] == "test" else 0)
 
     def test_oracle_bound_env(self, monkeypatch):
-        # p = 1891 = 31 * 61 fails both gates, passes the presieve and base 3,
-        # and is composite, whatever the variable says
-        expected = run_cli("test", "2", "473", "--json")
-        assert expected[0] == 1 and json_lines(expected[1])[0]["algorithm"] == "trial-division"
+        # PSEUDOPRIME_KN meets no corner, passes the presieve and base 3, and
+        # is composite by the oracle, whatever the variable says
+        expected = run_cli("test", *PSEUDOPRIME_KN, "--json")
+        assert expected[0] == 1 and json_lines(expected[1])[0]["algorithm"] == "miller-rabin"
         for value in ("10", "abc"):
             monkeypatch.setenv("ECRIESEL_ORACLE_BOUND", value)
-            assert run_cli("test", "2", "473", "--json") == expected
+            assert run_cli("test", *PSEUDOPRIME_KN, "--json") == expected
 
 
 class TestOneParserPerProcess:

@@ -31,24 +31,31 @@ SEARCH_RANGE = GOLDEN.with_name("search_k31_40001_40999.jsonl")
 # (argv, exit code).  Comments name what each call adds to the set.  A
 # composite p meets the presieve first, then the base-3 witness; only a
 # base-3 strong pseudoprime reaches a curve route's composite outcomes.
+# Below psi_13 too, a corner comes before the oracle: the mixed corner
+# (a small-n record with factors) takes every p <= 10^4 past the witness.
 GOLDEN_CALLS = [
     # M_3 by trial division (the small-n gate fails at p = 7), then small-n
     # final-zero; each composite M_k ends at the presieve or on the witness
     (("mersenne", "3", "64", "--json"), 0),
     # sieve factors, witnesses and small-n final-zero, then the summary line
     (("search", "--k", "12", "--n-min", "1", "--n-max", "25", "--json"), 0),
-    (("test", "2", "3", "--json"), 0),  # oracle, prime
+    (("test", "2", "3", "--json"), 0),  # mixed, s = p + 1 = 4 * 3, prime
     (("test", "2", "7", "--json"), 1),  # presieve: 3 divides p = 27
-    # no route: Miller-Rabin, prime; p = 4 * 3^27 - 1 and, above psi_13,
-    # p = 4 * 3^53 - 1 end on the witness
+    # mixed, n = 3^3 * 5 * 7 * 11: prime at the fourth start; p = 4 * 3^27 - 1
+    # and, above psi_13, p = 4 * 3^53 - 1 end on the witness
     (("test", "2", "10395", "--json"), 0),
     (("test", "2", "7625597484987", "--json"), 1),
     (("test", "2", "19383245667680019896796723", "--json"), 1),
-    # p prime above psi_13, n = 3 * 5 * 24799 * 52107600219578799943 with no
-    # factors given: gate-failure at dispatch
-    (("test", "2", "19383245667680019896796855", "--json"), 3),
-    # base-3 strong pseudoprimes with no route: p = 1891 = 31 * 61 by trial
-    # division, p = 12403 = 79 * 157 by Miller-Rabin (witness 2)
+    # p prime above psi_13, n = 3 * 5 * 24799 * 52107600219578799943: the
+    # primes below 2^16 fail the gate, so the probable-prime cofactor joins
+    # them, s = p + 1, prime at the third start
+    (("test", "2", "19383245667680019896796855", "--json"), 0),
+    # p prime above psi_13, n = 609403 * 461886431 with no prime factor
+    # below 2^16: gate-failure at dispatch, and with n's factors given, mixed
+    (("test", "48", "281474976710693", "--json"), 3),
+    (("test", "48", "281474976710693", "--q", "609403", "--q", "461886431", "--json"), 0),
+    # base-3 strong pseudoprimes on the mixed corner, final-nonzero:
+    # p = 1891 = 31 * 61 and p = 12403 = 79 * 157
     (("test", "2", "473", "--json"), 1),
     (("test", "2", "3101", "--json"), 1),
     (("test", "2", "17", "--json"), 0),  # order, one factor, final-zero
@@ -85,11 +92,13 @@ GOLDEN_CALLS = [
 # and composites (final-nonzero), then the summary line.
 SEARCH_CALL = ("search", "--k", "31", "--n-min", "40001", "--n-max", "40999", "--json")
 
-# SHA-256 of the run-record/6 prime lines of each file, joined by newlines:
-# the witness test before the curve routes moved composite records only, so
-# every prime record kept its bytes but for its schema tag.
+# SHA-256 of the run-record/6 prime lines of each file, joined by newlines,
+# mixed records left out: the witness test before the curve routes moved
+# composite records only, and the mixed corner moved the oracle's primes
+# p = 11 and p = 41579 only, so every other prime record kept its bytes
+# but for its schema tag.
 RECORD_6_PRIME_DIGESTS = {
-    GOLDEN: "1a9c894978a6722eb9d96fa30e87bc8159b38ac91bab6d8f7ab75e2d2b2e476a",
+    GOLDEN: "b2c26c1dddf8c32989a2311f8dbf508ded5f67970a5116740dd4480bc57f2789",
     SEARCH_RANGE: "4021ffa58a6856a6fc002160a0fd703092bc1ebd38c50fa5a29e511fab9b23f8",
 }
 
@@ -126,9 +135,12 @@ def test_search_range_is_byte_identical():
 
 @pytest.mark.parametrize("path", sorted(RECORD_6_PRIME_DIGESTS), ids=lambda p: p.name)
 def test_prime_lines_kept_their_bytes(path):
-    lines = [line.replace("ecriesel.run-record/7", "ecriesel.run-record/6")
-             for line in path.read_text(encoding="utf-8").splitlines()
-             if json.loads(line).get("verdict") == "prime"]
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record.get("verdict") == "prime" and "factors" not in (
+                record["certificate"] if record["algorithm"] == "small-n" else ()):
+            lines.append(line.replace("ecriesel.run-record/8", "ecriesel.run-record/6"))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == RECORD_6_PRIME_DIGESTS[path]
 
@@ -163,7 +175,7 @@ def test_no_certificate_carries_a_derived_field():
     # holds one
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/7", line
+        assert record["schema"] == "ecriesel.run-record/8", line
         assert not {"m", "x0", "residue", "base_point"} & record["certificate"].keys(), line
 
 

@@ -54,7 +54,7 @@ def test_agrees_with_sympy_on_the_sweep():
             c = FormCandidate(k=k, n=n, n_factors=factors or None)
             if not gate_large_n(c):
                 continue
-            v = _curve_route(c, factors or (n,))
+            v = _curve_route(c, factors or (n,), False)
             assert v.algorithm == "large-n", (k, n)
             assert v.status == (PRIME if sympy.isprime(c.p) else COMPOSITE), (k, n)
             w = auto_test(c)
@@ -128,7 +128,7 @@ def test_non_unit_x_of_d_is_rejected_before_any_ladder(monkeypatch):
 
     monkeypatch.setattr(ecring, "_x_only_ladder", boom)
     c = FormCandidate(k=2, n=101)
-    v = _curve_route(c, (c.n,))
+    v = _curve_route(c, (c.n,), False)
     assert v == Verdict(COMPOSITE, "large-n", {"type": "factor", "divisor": 31,
                                                "stage": "scalar-multiplication"})
     # auto_test's presieve finds 13 first, and replay accepts only that
@@ -144,7 +144,7 @@ def test_a_declined_attempt_replays_with_its_iterations():
     assert v == Verdict(PRIME, "large-n", {"type": "order", "outcome": FINAL_ZERO,
                                            "factors": [3, 79]}, 5)
     assert replay_verdict(c, v)
-    assert [primality._order_verdict(c, a, [3, 79]) for a in range(1, 5)] == [None] * 4
+    assert [primality._evaluate(c, a, [3, 79], False) for a in range(1, 5)] == [None] * 4
     for a in range(1, 5):
         assert not replay_verdict(c, v._replace(iterations=a)), a
 
@@ -186,7 +186,7 @@ def test_order_pool_certificates():
     # the flipped outcome or status replays INVALID.  auto_test ends the
     # composite on the base-3 witness, so replay rejects its order record.
     for c, status in order_pool_candidates():
-        v = _curve_route(c, c.n_factors or (c.n,))
+        v = _curve_route(c, c.n_factors or (c.n,), False)
         outcome = FINAL_ZERO if status == PRIME else FINAL_NONZERO
         assert v == Verdict(status, "large-n", {"type": "order", "outcome": outcome,
                                                 "factors": list(c.n_factors or (c.n,))})

@@ -201,11 +201,11 @@ def runs(monkeypatch):
 
 
 def test_failures_lie_past_the_first_checkpoint(runs):
-    # M61 is prime and Q, the lift of x = start_x(M61), has a non-residue x
+    # M61 is prime and Q, the lift of x = start_x(M61, 1), has a non-residue x
     # and so order 2^61 on E (fact 3 of oracle): 2^44 * Q fails doubling
     # 17, operation 16, just past the first checkpoint, and 2^12 * Q
     # doubling 49, operation 48, just past the second
-    u = start_x(M61)
+    u = start_x(M61, 1)
     sign, point = lift(M61, u)
     assert jacobi(point.x, M61) == -1
     for mult, step, walk in (
@@ -230,7 +230,7 @@ def test_one_schedule_across_the_phases(runs, monkeypatch):
     monkeypatch.setattr(ecring, "scalar_mul", boom)
     monkeypatch.setattr(ecring, "pow", boom, raising=False)
     p = 40005 * (1 << 31) - 1
-    got = chain_outcome(p, start_x(p), 31, 40005)
+    got = chain_outcome(p, start_x(p, 1), 31, 40005)
     assert got == SequenceOutcome(FINAL_ZERO)
     assert runs == {"walk": [(0, 16), (16, 29), (29, 30)], "ladder": 1}
 
@@ -271,7 +271,7 @@ def test_mersenne_moduli(j):
     # from a word-size x and a full-size one
     n = (1 << j) - 1
     assert (_riesel_fold(n) is not None) == (j == 1279)
-    for x in (start_x(n), 3, n // 3):
+    for x in (start_x(n, 1), 3, n // 3):
         for s in (3, 40005, (1 << 40) + 12345):
             assert chain_outcome(n, x, 20, s) == two_walks(n, x, s, 20)
             assert_ladder_per_prime(n, x, s, [n])
@@ -285,7 +285,7 @@ def test_ladder_matches_scalar_mul_on_prime_p(k, n):
     # for s = 2^k n, the group order
     p = FormCandidate(k=k, n=n).p
     assert miller_rabin(p)
-    u = start_x(p)
+    u = start_x(p, 1)
     for s in (2, 3, n, 1 << k, (n << k) + 1, 12345, n << k):
         assert_ladder_per_prime(p, u, s, [p])
     assert _x_only_ladder(n << k, u, p, _riesel_fold(p))[1] == 0
@@ -303,6 +303,6 @@ def test_forged_small_n_record_of_a_mersenne_prime():
     assert not replay_verdict(c, forged)
     assert not replay_verdict(c, v._replace(algorithm="mersenne"))
     # the walks from u and -u vanish alike, the doubling map being odd
-    u = start_x(c.p)
+    u = start_x(c.p, 1)
     assert chain_outcome(c.p, u, c.k) == chain_outcome(c.p, u - c.p, c.k, 1)
     assert chain_outcome(c.p, -u, c.k) == SequenceOutcome(FINAL_ZERO)

@@ -49,10 +49,16 @@ DECLINING = FormCandidate(k=2, n=237, n_factors=(3, 79))
 # three-prime fixtures whose verdicts rest on an order certificate
 THREE_PRIME_PRIME = FormCandidate(k=3, n=3 * 23 * 199, n_factors=(3, 23, 199))  # p = 109847
 THREE_PRIME_COMPOSITE = FormCandidate(k=3, n=3 * 29 * 157, n_factors=(3, 29, 157))  # p = 109271
-# n = 3 * 5 * 24799 * 52107600219578799943 is composite and p = 4n - 1,
-# the first prime from 4 * 3^53 - 1 on with 3 | n, lies above psi_13 and
-# passes the witness test: no route and no oracle decides it
-UNDECIDED = FormCandidate(k=2, n=19383245667680019896796855)
+# n = 609403 * 461886431 has no prime factor below 2^16, and p = 2^48 n - 1
+# is prime above psi_13: with no factors given, no corner and no oracle
+# decides it
+UNDECIDED = FormCandidate(k=48, n=281474976710693)
+# n = 1099511627791 * 4398046511993 and p = 4n - 1 is prime above psi_13:
+# the large-n gate holds, but n is no prime, and no corner decides it
+LARGE_GATE_UNDECIDED = FormCandidate(k=2, n=1099511627791 * 4398046511993)
+# p = 2^5 n - 1 = 3851 * 76831835389 is a base-3 strong pseudoprime, and
+# n's part above 2^16 is composite: no corner takes it, the fallback does
+PSEUDOPRIME = FormCandidate(k=5, n=9246231190095)
 # p = 4 * 3^53 - 1 lies above psi_13 too, but base 3 witnesses it
 WITNESSED = FormCandidate(k=2, n=3**53)
 DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
@@ -125,7 +131,7 @@ class TestSmallN:
                 if not (c.p > 6 and gate_small_n(c)):
                     continue
                 # the small-n route itself, also on the Mersenne candidates n = 1
-                v = primality._small_n_verdict(c)
+                v = primality._evaluate(c, 1, (), True)
                 truth = PRIME if trial_division(c.p) == c.p else COMPOSITE
                 assert v.status == truth, (k, n, c.p)
                 # replay accepts what auto_test writes, and a composite
@@ -182,20 +188,22 @@ class TestLargePrimeN:
         assert replay_verdict(c, v)
 
     def test_gate_failure_falls_back(self):
-        c = FormCandidate(k=2, n=5)  # p = 19
+        # the large-n gate fails at p = 19: the mixed corner, s = p + 1
+        c = FormCandidate(k=2, n=5)
         v = auto_test(c)
-        assert v.status == PRIME
-        assert v.algorithm == "trial-division"
+        assert v == Verdict(PRIME, "small-n", {
+            "type": "sequence", "outcome": FINAL_ZERO, "factors": [5]})
+        assert replay_verdict(c, v)
 
     def test_rejects_composite_n(self):
         # the large-n gate holds, but n is no prime factor
-        assert gate_large_n(UNDECIDED)
-        v = auto_test(UNDECIDED)
+        c = LARGE_GATE_UNDECIDED
+        assert gate_large_n(c)
+        v = auto_test(c)
         assert v == DISPATCH
-        assert replay_verdict(UNDECIDED, v)
-        # below psi_13 the fallback decides: p = 12403 = 79 * 157 is a
-        # base-3 strong pseudoprime, and 2 witnesses it
-        c = FormCandidate(k=2, n=3101)  # 3101 = 7 * 443
+        assert replay_verdict(c, v)
+        # below psi_13 the fallback decides: 2 witnesses the pseudoprime
+        c = PSEUDOPRIME
         assert gate_large_n(c)
         v = auto_test(c)
         assert v == Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
@@ -245,11 +253,13 @@ class TestTwoPrimeN:
         assert v.status == COMPOSITE and v.algorithm == "trial-division"
         assert auto_test(c) == primality.sieve_verdict(5)
         # n = 2^90 + 1 and 2^90 + 3 with their prime factors, p above psi_13:
-        # neither gate holds, so the factors go unused
+        # neither corner gate holds, so the mixed corner takes the factors
         c = FormCandidate(k=90, n=(1 << 90) + 1, n_factors=(
             5, 5, 13, 37, 41, 61, 109, 181, 1321, 54001, 29247661))
         assert c.p >= PSI_13 and not gate_small_n(c) and not gate_large_n(c)
-        assert _fallback(c) == DISPATCH
+        assert primality._corner(c) == (c.n_factors, True)
+        assert _fallback(c) == DISPATCH._replace(certificate={
+            **DISPATCH.certificate, "factors": list(c.n_factors)})
         # base 3 witnesses this p before any route or fallback
         v = auto_test(c)
         assert v == WITNESS and replay_verdict(c, v)
@@ -262,16 +272,23 @@ class TestTwoPrimeN:
         assert v.algorithm == "sieve" and factor_witness(v) == 3 and replay_verdict(c, v)
 
     def test_requires_supplied_factors(self):
-        # p = 131 and 179 are prime: the oracle decides them, and above
-        # psi_13 the non-prime factor makes the route inapplicable
-        for c in (FormCandidate(k=2, n=33), FormCandidate(k=2, n=45, n_factors=(3, 15))):
-            v = auto_test(c)
-            assert v.status == PRIME and v.algorithm == "trial-division"
-            assert replay_verdict(c, v)
-        for c in (UNDECIDED, UNDECIDED._replace(n_factors=(15, UNDECIDED.n // 15))):
-            v = auto_test(c)
-            assert v == DISPATCH
-            assert replay_verdict(c, v)
+        # p = 131 is prime, and the mixed corner proves it from n's small
+        # factors; a non-prime factor given makes every corner inapplicable:
+        # the oracle decides p = 179, and above psi_13 dispatch gives up,
+        # recording the factors given
+        c = FormCandidate(k=2, n=33)
+        v = auto_test(c)
+        assert (v.status, v.algorithm, v.certificate["factors"]) == (PRIME, "small-n", [3, 11])
+        assert replay_verdict(c, v)
+        c = FormCandidate(k=2, n=45, n_factors=(3, 15))
+        v = auto_test(c)
+        assert v.status == PRIME and v.algorithm == "trial-division"
+        assert replay_verdict(c, v)
+        assert auto_test(UNDECIDED) == DISPATCH and replay_verdict(UNDECIDED, DISPATCH)
+        c = FormCandidate(UNDECIDED.k, UNDECIDED.n, (UNDECIDED.n,))
+        v = auto_test(c)
+        assert v == DISPATCH._replace(certificate={**DISPATCH.certificate, "factors": [c.n]})
+        assert replay_verdict(c, v)
 
     def test_full_multiple_reuses_the_last_check(self, monkeypatch):
         # q * ((n/q) * D) is n * D, so no ladder runs by n for either verdict:
@@ -290,7 +307,7 @@ class TestTwoPrimeN:
                           (FormCandidate(k=4, n=121, n_factors=(11, 11)), None)):
             scalars.clear()
             # the route itself: auto_test's presieve or witness ends the composites
-            v = _curve_route(c, c.n_factors or (c.n,))
+            v = _curve_route(c, c.n_factors or (c.n,), False)
             qs = list(dict.fromkeys(c.n_factors or (c.n,)))
             want = [c.n // q for q in qs if q != c.n] + [qs[-1]]
             if status is None:
@@ -328,10 +345,10 @@ class TestTwoPrimeN:
         if probable_prime:
             monkeypatch.setattr(primality, "miller_rabin", lambda n, bases=(): True)
         for c in self.ORDER_NOT_FACTOR:
-            v = _curve_route(c, c.n_factors)
+            v = _curve_route(c, c.n_factors, False)
             cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(c.n_factors)}
             assert v == Verdict(COMPOSITE, "large-n", cert)
-            assert primality._order_verdict(c, 1, c.n_factors) == v
+            assert primality._evaluate(c, 1, c.n_factors, False) == v
             assert auto_test(c) == (v if probable_prime else WITNESS)
             assert replay_verdict(c, v) == probable_prime
             assert not replay_verdict(c, v._replace(status=PRIME, certificate={
@@ -349,7 +366,7 @@ class TestTwoPrimeN:
             if sympy.isprime(c.p) != p_prime or not gate_large_n(c):
                 continue
             # the route itself; auto_test ends most composites before it
-            v = _curve_route(c, c.n_factors)
+            v = _curve_route(c, c.n_factors, False)
             assert v.algorithm == "large-n"
             w = auto_test(c)
             assert replay_verdict(c, w)
@@ -402,7 +419,7 @@ class TestAutoTest:
         assert replay_verdict(c, v)
 
         c = FormCandidate(k=2, n=231, n_factors=(3, 7, 11))  # p = 923 = 13 * 71
-        v = _curve_route(c, c.n_factors)
+        v = _curve_route(c, c.n_factors, False)
         assert v.algorithm == "large-n" and v.status == COMPOSITE
         assert trial_division(c.p) == 13
         # the presieve finds 13 first, and replay accepts only that
@@ -417,15 +434,18 @@ class TestAutoTest:
         v = auto_test(UNDECIDED)
         assert v.status == NOT_APPLICABLE
         assert v.certificate["type"] == "gate-failure" and v.certificate["gate"] == "dispatch"
-        # n = 3^3 * 5 * 7 * 11 with no factorization hint, p = 41579 below psi_13
+        # n = 3^3 * 5 * 7 * 11 with no factorization hint, p = 41579 below
+        # psi_13: the mixed corner takes n's small factors before the oracle
         c = FormCandidate(k=2, n=10395)
         v = auto_test(c)
-        assert v == Verdict(PRIME, "miller-rabin", {"type": "oracle"})
+        assert v == Verdict(PRIME, "small-n", {
+            "type": "sequence", "outcome": FINAL_ZERO, "factors": [3, 3, 3, 5, 7, 11]}, 4)
         assert replay_verdict(c, v)
+        assert primality._oracle_verdict(c.p) == Verdict(PRIME, "miller-rabin", {"type": "oracle"})
 
     def test_unroutable_candidate_runs_the_fallback_once(self, monkeypatch):
-        # the large-n gate holds but n is no prime: auto_test runs the
-        # presieve once, and the fallback the oracle once
+        # no corner applies: auto_test runs the presieve once, and the
+        # fallback the oracle once
         calls = []
 
         def counted(name):
@@ -462,7 +482,7 @@ class TestDeterminismAndConfig:
         # p = 947: x(Q) = -2 .. -5 decline and x(Q) = -6 decides
         c = DECLINING
         for a in range(1, 5):
-            assert primality._order_verdict(c, a, c.n_factors) is None, a
+            assert primality._evaluate(c, a, c.n_factors, False) is None, a
         assert auto_test(c).iterations == 5
         monkeypatch.setattr(primality, "RETRY_CAP", 5)
         assert auto_test(c).iterations == 5
@@ -555,7 +575,7 @@ class TestReplayRejectsTampering:
         v = auto_test(c)
         assert v.iterations == 1
         decided = [a for a in range(1, primality.RETRY_CAP + 1)
-                   if primality._order_verdict(c, a, [c.n]) is not None]
+                   if primality._evaluate(c, a, [c.n], False) is not None]
         assert len(decided) > 15
         for a in decided:
             assert replay_verdict(c, v._replace(iterations=a)), a
@@ -631,32 +651,34 @@ class TestReplayRejectsTampering:
             assert not replay_verdict(c, forged), (c, forged)
 
     def test_large_n_give_up_checks_the_factors(self, monkeypatch):
-        # UNDECIDED's n is composite, so auto_test never takes large-n for
-        # it, and a give-up without factors stands for n itself
-        c = UNDECIDED
+        # LARGE_GATE_UNDECIDED's n is composite, so auto_test never takes
+        # large-n for it, and a give-up without factors stands for n itself
+        c = LARGE_GATE_UNDECIDED
         assert gate_large_n(c) and auto_test(c).algorithm == "auto"
         forged = Verdict(INCONCLUSIVE, "large-n",
                          {"type": "retries-exhausted", "attempts": 20}, 20)
         assert not replay_verdict(c, forged)
         # factors given with the candidate are recorded, and replay checks
-        # their product and primality: with no attempt allowed, the route
-        # gives up on p = 1000507 at once
+        # their product and primality: with every attempt declining, the
+        # route gives up on p = 1000507 after RETRY_CAP of them
         c = TWO_PRIME_BIG_PRIME
-        monkeypatch.setattr(primality, "RETRY_CAP", 0)
+        cap = primality.RETRY_CAP
+        monkeypatch.setattr(primality, "_evaluate", lambda *args: None)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {
-            "type": "retries-exhausted", "attempts": 0, "factors": [389, 643]})
+            "type": "retries-exhausted", "attempts": cap, "factors": [389, 643]}, cap)
         assert replay_verdict(c, v)
         for factors in ([389 * 643], [389, 643, 1], [389, 647], [389]):
             forged = v._replace(certificate={**v.certificate, "factors": factors})
             assert not replay_verdict(c, forged), factors
-        cert = {"type": "retries-exhausted", "attempts": 0}
+        cert = {"type": "retries-exhausted", "attempts": cap}
         assert not replay_verdict(c, v._replace(certificate=cert))
         # p = 10411 = 29 * 359 is large-n's too with its factors, but base 3
         # witnesses it: auto_test never gives up on it
         c = FormCandidate(k=2, n=19 * 137, n_factors=(19, 137))
         assert auto_test(c) == WITNESS
         assert not replay_verdict(c, v._replace(certificate={**cert, "factors": [19, 137]}))
+        # the small-n corner never declines: no give-up stands for it
         small = v._replace(algorithm="small-n", certificate={**cert, "factors": [19, 137]})
         assert not replay_verdict(FormCandidate(k=12, n=19 * 137), small)
 
@@ -684,12 +706,14 @@ class TestReplayRejectsTampering:
 
     def test_oracle_certificate_must_match_recomputation(self):
         # p = 1891 = 31 * 61 passes the presieve and is a base-3 strong
-        # pseudoprime: no route without n's factors, so the fallback decides
+        # pseudoprime: the mixed corner decides it, and no p <= 10^4 past the
+        # witness reaches the fallback, but the oracle's record is a proof
         c = FormCandidate(k=2, n=473)
         cert = {"type": "oracle", "least_factor": 1891}
         assert not replay_verdict(c, Verdict(PRIME, "trial-division", cert))
         cert = {"type": "oracle", "least_factor": 31}
-        assert auto_test(c) == Verdict(COMPOSITE, "trial-division", cert)
+        assert auto_test(c).algorithm == "small-n"
+        assert primality._oracle_verdict(c.p) == Verdict(COMPOSITE, "trial-division", cert)
         assert replay_verdict(c, Verdict(COMPOSITE, "trial-division", cert))
         # p <= 10^4 is trial division's, p above it Miller-Rabin's
         assert not replay_verdict(c, Verdict(COMPOSITE, "miller-rabin",
@@ -775,7 +799,7 @@ class TestFactorWitnessExtraction:
 
     def test_from_gcd_hit_sequence(self):
         c = FormCandidate(k=9, n=1)  # p = 511 = 7 * 73; the chain meets a factor
-        v = primality._small_n_verdict(c)
+        v = primality._evaluate(c, 1, (), True)
         assert v.status == COMPOSITE and v.certificate["outcome"] == "gcd-hit"
         assert factor_witness(v) in (7, 73)
         # auto_test's presieve finds 7 first

@@ -116,7 +116,7 @@ class TestMersenneSweep:
         for k in range(3, 601):
             n = (1 << k) - 1
             try:
-                x0 = start_x(n)
+                x0 = start_x(n, 1)
             except FactorFound:
                 x0 = 3
             walked, _ = run_sequence(n, -1, x0, k, four_factor=False)

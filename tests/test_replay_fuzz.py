@@ -126,7 +126,7 @@ def test_forged_order_record(record):
     for a in range(1, primality.RETRY_CAP + 2):
         if a == record["iterations"]:
             continue
-        verdict = (primality._order_verdict(c, a, [int(q) for q in factors])
+        verdict = (primality._evaluate(c, a, [int(q) for q in factors], False)
                    if a <= primality.RETRY_CAP else None)
         same = verdict is not None and verdict.status == record["verdict"] and (
             cli._stringify(verdict.certificate) == record["certificate"])

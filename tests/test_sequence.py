@@ -5,7 +5,7 @@ import pytest
 from ecriesel.ecring import Curve, FactorFound, scalar_mul
 from ecriesel.numtheory import FormCandidate, jacobi, sieve_primes, trial_division
 from ecriesel.oracle import enumerate_points, point_order
-from ecriesel.primality import COMPOSITE, PRIME, _small_n_verdict
+from ecriesel.primality import COMPOSITE, PRIME, _evaluate
 from ecriesel.primality import test_mersenne as mersenne_test
 from ecriesel.sequence import (
     EARLY_INFINITY,
@@ -104,7 +104,7 @@ class TestMersenneSequence:
         assert outcome.kind == FINAL_ZERO
         outcome, trace = mersenne_sequence(11)
         assert outcome.kind == FINAL_NONZERO and trace.s_values[-1] == 544
-        # start_x(15) meets (5/15) = 0 at u = 2: no chain
+        # start_x(15, 1) meets (5/15) = 0 at u = 2: no chain
         with pytest.raises(FactorFound) as info:
             mersenne_sequence(4)
         assert info.value.divisor == 5
@@ -120,7 +120,7 @@ class TestMersenneSequence:
             mersenne_sequence(2)
 
     def test_uses_fixed_parameters(self):
-        # E (m = -1) from start_x(127) = 2, with no 4-factor
+        # E (m = -1) from start_x(127, 1) = 2, with no 4-factor
         _, trace = mersenne_sequence(7)
         assert trace.modulus == 127
         assert trace.m == 126
@@ -137,7 +137,7 @@ class TestMersenneSequence:
             v = mersenne_test(k)
             if v.status == COMPOSITE:
                 assert v.algorithm in ("sieve", "miller-rabin"), k
-                v = _small_n_verdict(FormCandidate(k=k, n=1))
+                v = _evaluate(FormCandidate(k=k, n=1), 1, (), True)
             cert = v.certificate
             if cert["type"] == "factor":
                 with pytest.raises(FactorFound) as info:

@@ -1,6 +1,6 @@
-"""The small-n route on E from x = start_x(p), Mersenne numbers included as n = 1.
+"""The small-n route on E from x = start_x(p, 1), Mersenne numbers included as n = 1.
 
-u = start_x(p) is the least u >= 2 with ((u^2 + 1)/p) != +1 and the chain
+u = start_x(p, 1) is the least u >= 2 with ((u^2 + 1)/p) != +1 and the chain
 on E: y^2 = x^3 + x starts from x(n * Q), x(Q) = u, so the route scans
 no point, forms no y and makes no retry.  Its verdicts are compared with
 sympy on every gate-passing candidate of a window and with Lucas-Lehmer
@@ -30,7 +30,7 @@ from ecriesel.numtheory import (  # noqa: E402
 from ecriesel.primality import (  # noqa: E402
     COMPOSITE,
     PRIME,
-    _small_n_verdict,
+    _evaluate,
     auto_test,
     replay_verdict,
     sieve_verdict,
@@ -58,7 +58,7 @@ def test_agrees_with_sympy_on_a_window():
             c = FormCandidate(k=k, n=n)
             if not gate_small_n(c):
                 continue
-            v = _small_n_verdict(c)
+            v = _evaluate(c, 1, (), True)
             assert v.algorithm == "small-n" and v.iterations == 1, (k, n)
             assert v.status == (PRIME if sympy.isprime(c.p) else COMPOSITE), (k, n)
             w = auto_test(c)
@@ -79,7 +79,7 @@ def test_mersenne_agrees_with_lucas_lehmer():
     factors = 0
     for k in range(4, 401):
         c = FormCandidate(k=k, n=1)
-        v = _small_n_verdict(c)
+        v = _evaluate(c, 1, (), True)
         assert v.algorithm == "small-n", k
         assert (v.status == PRIME) == lucas_lehmer(k), k
         w = auto_test(c)
@@ -87,11 +87,11 @@ def test_mersenne_agrees_with_lucas_lehmer():
         if v.certificate["type"] == "factor":
             factors += 1
             with pytest.raises(FactorFound) as info:
-                start_x(c.p)
+                start_x(c.p, 1)
             assert v.certificate == {"type": "factor", "divisor": info.value.divisor,
                                      "stage": "parameter-scan"}
         else:
-            assert jacobi(start_x(c.p) ** 2 + 1, c.p) == -1
+            assert jacobi(start_x(c.p, 1) ** 2 + 1, c.p) == -1
         if k % 4 == 0:
             assert v.certificate["divisor"] % 5 == 0, k
     assert factors > 99
@@ -105,11 +105,23 @@ def test_u_is_the_least_start(k, n):
     while not miller_rabin(FormCandidate(k=k, n=n).p):
         n += 2
     p = FormCandidate(k=k, n=n).p
-    u = start_x(p)
+    u = start_x(p, 1)
     assert jacobi(u * u + 1, p) == -1
     assert all(jacobi(a * a + 1, p) == 1 for a in range(2, u))
     x = u if jacobi(u, p) == -1 else p - u
     assert jacobi(x, p) == -1 and jacobi(x * (x * x + 1), p) == 1
+
+
+def test_the_a_th_start():
+    # start_x(p, a) is the a-th u >= 2 with symbol -1, below a * p, also for
+    # a composite p whose primes are all 3 mod 4, which meets no zero symbol
+    # (231 = 3 * 7 * 11, 1463 = 7 * 11 * 19); 15 = 3 * 5 meets one at u = 2
+    for p in (383, 947, 2671, 231, 1463, 79228162514274752167682244607):
+        starts = [u for u in range(2, 10**4) if jacobi(u * u + 1, p) == -1][:20]
+        assert [start_x(p, a) for a in range(1, 21)] == starts, p
+        assert all(u < a * p for a, u in enumerate(starts, 1))
+    with pytest.raises(FactorFound):
+        start_x(15, 3)
 
 
 def test_start_search_ends_properly_on_composites():
@@ -121,7 +133,7 @@ def test_start_search_ends_properly_on_composites():
         if p in primes:
             continue
         try:
-            u = start_x(p)
+            u = start_x(p, 1)
         except FactorFound as exc:
             assert 1 < exc.divisor < p and p % exc.divisor == 0, p
             seen["factor"] += 1
@@ -136,7 +148,7 @@ def test_zero_symbol_is_a_parameter_scan_factor():
     # and 3, then 4^2 + 1 = 17 gives 0
     c = FormCandidate(k=7, n=19)
     assert [jacobi(u * u + 1, c.p) for u in range(2, 5)] == [1, 1, 0]
-    v = _small_n_verdict(c)
+    v = _evaluate(c, 1, (), True)
     assert v.certificate == {"type": "factor", "divisor": 17, "stage": "parameter-scan"}
     # auto_test's presieve finds 11 first, and replay accepts only that
     assert auto_test(c) == sieve_verdict(11)

@@ -26,7 +26,7 @@ HEAVY = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 SMALL_PRIME_RECORD = (
     '{"algorithm":"small-n","candidate":{"k":"7","n":"3","p":"383"},'
     '"certificate":{"outcome":"final-zero","type":"sequence"},'
-    '"iterations":1,"schema":"ecriesel.run-record/7","tool_version":"0.1.0","verdict":"prime"}\n'
+    '"iterations":1,"schema":"ecriesel.run-record/8","tool_version":"0.1.0","verdict":"prime"}\n'
 )
 
 

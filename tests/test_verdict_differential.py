@@ -3,14 +3,18 @@
 k runs over [2, 90] and n over odd integers below 2^41.  Two more
 strategies draw prime n, and prime n with a prime p, so that the large-n
 route sees prime n and proves primes; one more draws candidates near
-n = 2^k, on both sides of psi_13, that no route covers.  Every prime or composite verdict must
-be sympy's and must replay.  Every p with a prime factor up to 13 is the
-presieve's, and every other p that base 3 witnesses is composite by that
-witness.  A candidate that some route covers is decided, or gives up as
-retries-exhausted; any other candidate is decided by the exact oracle when
-p is below psi_13.  Above it, it is not applicable at dispatch, and then p
-is prime or a base-3 strong pseudoprime.
+n = 2^k, on both sides of psi_13, where neither the small-n nor the
+large-n gate holds, so that the mixed corner sees them.  Every prime or
+composite verdict must be sympy's and must replay.  Every p with a prime
+factor up to 13 is the presieve's, and every other p that base 3
+witnesses is composite by that witness.  A candidate that some corner
+covers (routable, from sympy's factorization of n) is decided, or gives
+up as retries-exhausted; any other candidate is decided by the exact
+oracle when p is below psi_13.  Above it, it is not applicable at
+dispatch, and then p is prime or a base-3 strong pseudoprime.
 """
+
+from math import prod
 
 import pytest
 
@@ -23,6 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 from ecriesel.numtheory import (  # noqa: E402
     PSI_13,
     FormCandidate,
+    gate,
     gate_large_n,
     gate_small_n,
     miller_rabin,
@@ -53,9 +58,9 @@ def prime_n_prime_p(draw):
 
 @st.composite
 def unroutable(draw):
-    """(k, n) with n within 2^(k/2 + 1) of 2^k, where neither gate holds:
-    the exact oracle must decide p below psi_13 (k <= 40), and p above it
-    (k >= 42) is not applicable unless it has a prime factor up to 13."""
+    """(k, n) with n within 2^(k/2 + 1) of 2^k, where neither corner gate
+    holds: the mixed corner or, below psi_13 (k <= 40), the exact oracle
+    decides p."""
     k = draw(st.integers(11, 60))
     half = 1 << (k // 2)
     n = (1 << k) + 2 * draw(st.integers(-half, half - 1)) + 1
@@ -65,8 +70,11 @@ def unroutable(draw):
 
 
 def routable(c: FormCandidate) -> bool:
-    return ((c.n == 1 and c.k >= 3) or gate_small_n(c)
-            or (sympy.isprime(c.n) and gate_large_n(c)))
+    if gate_small_n(c) or (sympy.isprime(c.n) and gate_large_n(c)):
+        return True
+    # the mixed corner: n's prime factors below 2^16, and a prime cofactor
+    small = prod(q**e for q, e in sympy.factorint(c.n).items() if q < 2**16)
+    return gate(c, small << c.k) or sympy.isprime(c.n // small)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

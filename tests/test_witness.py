@@ -16,11 +16,10 @@ from ecriesel import cli, ecring, primality
 from ecriesel.numtheory import PSI_13, FormCandidate, miller_rabin, sieve_primes
 from ecriesel.primality import (
     COMPOSITE,
-    NOT_APPLICABLE,
     PRIME,
     Verdict,
     _curve_route,
-    _small_n_verdict,
+    _evaluate,
     auto_test,
     decide_unsieved,
     replay_verdict,
@@ -53,10 +52,17 @@ PSEUDOPRIMES = [
         "type": "factor", "divisor": 31, "stage": "scalar-multiplication"})),
     (2, 473, (11, 43), Verdict(COMPOSITE, "large-n", {
         "type": "factor", "divisor": 31, "stage": "scalar-multiplication"})),
-    # no route: 1891 by trial division, 12403 = 79 * 157 by the oracle's
-    # Miller-Rabin, whose least witness is 2
-    (2, 473, None, Verdict(COMPOSITE, "trial-division", {"type": "oracle", "least_factor": 31})),
-    (2, 3101, None, Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})),
+    # the mixed corner, final-nonzero: 1891 with n = 11 * 43 and
+    # 12403 = 79 * 157 with n = 7 * 443, found by trial division of n
+    (2, 473, None, Verdict(COMPOSITE, "small-n", {
+        "type": "sequence", "outcome": "final-nonzero", "factors": [11, 43]})),
+    (2, 3101, None, Verdict(COMPOSITE, "small-n", {
+        "type": "sequence", "outcome": "final-nonzero", "factors": [7, 443]})),
+    # no corner: 3851 * 76831835389 = 2^5 * 9246231190095 - 1, whose n has
+    # a composite part above 2^16, by the oracle's Miller-Rabin, whose least
+    # witness is 2.  No p <= 10^4 past the witness meets no corner, so the
+    # oracle's trial division decides none.
+    (5, 9246231190095, None, Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})),
 ]
 
 
@@ -145,9 +151,9 @@ def test_base_2_witnesses_no_mersenne_composite():
 
 
 def test_window_at_k64_against_sympy():
-    # the 2000 odd n from 2^64 + 1: neither gate holds and p > psi_13.  Every
-    # composite is decided (1233 by the presieve, 729 by the witness), and
-    # the 38 primes are not applicable
+    # the 2000 odd n from 2^64 + 1: neither corner gate holds and p > psi_13.
+    # Every composite is decided (1233 by the presieve, 729 by the witness),
+    # and the mixed corner proves the 38 primes
     sympy = pytest.importorskip("sympy")
     seen = {}
     for i in range(2000):
@@ -155,10 +161,10 @@ def test_window_at_k64_against_sympy():
         assert c.p >= PSI_13
         v = auto_test(c)
         prime = sympy.isprime(c.p)
-        assert v.status == (NOT_APPLICABLE if prime else COMPOSITE), c.n
+        assert v.status == (PRIME if prime else COMPOSITE), c.n
         assert replay_verdict(c, v)
         seen[v.algorithm] = seen.get(v.algorithm, 0) + 1
-    assert seen == {"sieve": 1233, "miller-rabin": 729, "auto": 38}
+    assert seen == {"sieve": 1233, "miller-rabin": 729, "small-n": 38}
 
 
 def test_search_sieves_each_candidate_once(monkeypatch):
@@ -180,7 +186,7 @@ def test_witness_replay_walks_nothing(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("replay walked a curve")
 
-    for name in ("double_x_only_chain", "chain_outcome", "_small_n_verdict", "_order_verdict"):
+    for name in ("double_x_only_chain", "chain_outcome", "_evaluate"):
         monkeypatch.setattr(primality, name, boom)
     monkeypatch.setattr(ecring, "_x_only_ladder", boom)
     for kn in ((7, 61), (11, 1), (2, 3**53), (1279 - 2, 1)):
@@ -210,11 +216,11 @@ def test_route_and_undecided_records_need_no_witness():
     # a record that auto_test writes after the witness test is INVALID for a
     # p that 3 witnesses: a curve composite, a fallback verdict, a give-up
     c = FormCandidate(k=7, n=61)  # p = 7807 = 37 * 211
-    v = _small_n_verdict(c)
+    v = _evaluate(c, 1, (), True)
     assert v.certificate == {"type": "sequence", "outcome": "final-nonzero"}
     assert not replay_verdict(c, v)
     c = FormCandidate(k=2, n=2531)  # p = 10123 = 53 * 191
-    v = _curve_route(c, (c.n,))
+    v = _curve_route(c, (c.n,), False)
     assert v.certificate["type"] == "order" and not replay_verdict(c, v)
     v = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
     assert primality._oracle_verdict(c.p) == v and not replay_verdict(c, v)
