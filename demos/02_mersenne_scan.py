@@ -42,11 +42,12 @@ for k in (4, 11, 21, 23, 29, 37):
                else f"witness {cert['witness']}")
     # the chain the witness skipped, walked by the traced reference
     try:
-        outcome, _ = mersenne_sequence(k)
+        outcome, trace = mersenne_sequence(k)
     except FactorFound as exc:
         chain = f"start search meets divisor {exc.divisor}"
     else:
         chain = outcome.kind
         if outcome.kind == "gcd-hit":
-            chain += f" at step {outcome.step}, divisor {outcome.divisor}"
+            # the traced walk stops at the first S_i that is no unit
+            chain += f" at step {trace.steps_completed}, divisor {outcome.divisor}"
     print(f"  M_{k}: {verdict.status} via {verdict.algorithm} ({decided}); chain: {chain}")

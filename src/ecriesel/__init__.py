@@ -7,18 +7,17 @@ side-channel (`ecring`), the iterated-doubling denominator sequence
 a brute-force group-structure oracle for small primes (`oracle`), and the
 command-line front end (`cli`).
 
-The value types (Curve, Point, ChainFailure, FormCandidate, InverseOutcome,
-SequenceOutcome, STrace, Verdict, GroupStructure) are immutable
-collections.namedtuple subclasses, not dataclasses, so importing the
-package loads neither dataclasses nor inspect.  Each equals any tuple of
-the same fields; _replace skips the ValueError checks of __new__.
+The value types (Curve, Point, FormCandidate, InverseOutcome, SequenceOutcome,
+STrace, Verdict, GroupStructure) are immutable collections.namedtuple
+subclasses, not dataclasses, so importing the package loads neither
+dataclasses nor inspect.  Each equals any tuple of the same fields;
+_replace skips the ValueError checks of __new__.
 """
 
 __version__ = "0.1.0"
 
 from .ecring import (
     INFINITY,
-    ChainFailure,
     Curve,
     FactorFound,
     Point,

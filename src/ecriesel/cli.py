@@ -7,13 +7,13 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/8.  Certificates hold no curve and no
-point: every route walks y^2 = x^3 + x from an x that replay derives from
-iterations, and names the primes of n its proof used (small-n's mixed
-corner, large-n) or the factors given with --q (a give-up).  A composite
-p that base 3 witnesses carries the oracle's certificate with witness 3.
-Replay reads no other schema, and names a run-record/2 to /7 record as
-no longer read.
+The schema is ecriesel.run-record/9.  Certificates hold no curve, no
+point and no step: every route walks y^2 = x^3 + x from an x that replay
+derives from iterations, and names the primes of n its proof used
+(small-n's mixed corner, large-n) or the factors given with --q (a
+give-up).  A composite p that base 3 witnesses carries the oracle's
+certificate with witness 3.  Replay reads no other schema, and names a
+record of any other run-record/<digits> schema as no longer read.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -69,7 +69,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/8"
+SCHEMA = "ecriesel.run-record/9"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -153,7 +153,7 @@ def _parse_text(value) -> str:
 
 # How replay reads each certificate field; any other key is malformed.
 CERTIFICATE_FIELDS = {
-    **dict.fromkeys(("step", "divisor", "least_factor", "witness", "attempts"), _parse_int),
+    **dict.fromkeys(("divisor", "least_factor", "witness", "attempts"), _parse_int),
     "factors": _parse_int_list,
     **dict.fromkeys(("type", "outcome", "stage", "gate", "reason"), _parse_text),
 }
@@ -186,19 +186,19 @@ def _read(field: str, parse, value):
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     """Rebuild the candidate and verdict held in a JSON run record.
 
-    Raises ValueError on a record of another schema (a run-record/2 to /7
-    record is named as no longer read), a missing top-level key, a verdict,
-    algorithm or tool_version that is not a string, a candidate that is not
-    an object with exactly the keys k, n and p, a certificate key outside
-    CERTIFICATE_FIELDS, an integer that is not a canonical decimal string, a
-    k above the bit length of the record's p, or an iterations count that
-    is not a JSON integer >= 1.  A malformed field is named in the message.
+    Raises ValueError on a record of another schema (another
+    run-record/<digits> is named as no longer read), a missing top-level
+    key, a verdict, algorithm or tool_version that is not a string, a
+    candidate that is not an object with exactly the keys k, n and p, a
+    certificate key outside CERTIFICATE_FIELDS, an integer that is not a
+    canonical decimal string, a k above the bit length of the record's p,
+    or an iterations count that is not a JSON integer >= 1.  A malformed
+    field is named in the message.
     """
     schema = record.get("schema") if isinstance(record, dict) else None
-    if schema in ("ecriesel.run-record/2", "ecriesel.run-record/3", "ecriesel.run-record/4",
-                  "ecriesel.run-record/5", "ecriesel.run-record/6", "ecriesel.run-record/7"):
-        raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
     if schema != SCHEMA:
+        if isinstance(schema, str) and re.fullmatch(r"ecriesel\.run-record/[0-9]+", schema):
+            raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
         raise ValueError(f"not an {SCHEMA} record")
     for key in ("tool_version", "candidate", "certificate", "iterations", "verdict", "algorithm"):
         if key not in record:

@@ -15,14 +15,12 @@ One backend, two coordinate systems.  The affine double, add,
 double_x_only and scalar_mul invert each denominator as it arises; they
 are the references the fast path is tested against, and no decide or
 replay path calls them.  The fast path, x-only doublings on (X:Z) of E,
-multiplies all denominators into Z, and Z is a unit iff every
-denominator was.  A walk (_checkpointed) takes a gcd after runs of 16,
-32, 64, ... doublings and after the last one alone, and redoes a failing
-run one gcd per doubling.  While the earlier Z is a unit, the new one is
-a unit multiple of this doubling's denominator, so the first non-unit Z
-marks the first doubling the affine walk cannot complete, which
-double_x_only_chain names (ChainFailure).  Curve (checked when built),
-Point and ChainFailure are immutable named tuples.
+multiplies all denominators into Z: a doubling's Z' is 8 X Z (X^2 + Z^2),
+so Z is a unit iff every denominator was.  double_x_only_chain returns the
+walk's end (X:Z), Z unchecked, and its caller takes one gcd of Z with N:
+a prime l | N divides it iff the ladder ends at infinity mod l or the
+affine doublings mod l fail within the walk's count.  Curve (checked
+when built) and Point are immutable named tuples.
 
 E is Montgomery's curve with A = 0 (Math. Comp. 48, 1987, 10.3.1),
 elliptic mod every odd prime (its discriminant is -64).  With
@@ -42,10 +40,9 @@ it only from X0 X1 = Z0 Z1 and X0 Z1 = X1 Z0, which with R0 or R1
 infinity make the other (0:0), and else give x0 = x1 = +-1, so R1 = -R0
 and P = 2 R1 has x 0, not d.  A d that vanishes mod l makes R0 (0:0) mod
 l from the leading bit on, so the end Z vanishes mod l.  Its Z is no
-running product (R0 + R1 is finite again after R0 meets infinity), so a
-checkpoint gcd inside it would depend on where runs end: it is one kernel
-call with no gcd, and a non-unit end Z divides the first doubling's Z',
-so a chain after it names doubling 1.
+running product (R0 + R1 is finite again after R0 meets infinity), but
+only its end counts: a Z that vanishes mod l stays zero mod l through
+every doubling after it.
 
 Reduction.  On N = 2^j - 1, j >= 16, the chain's shift-and-fold
 f(t) = (t & N) + (t >> j) = t mod N, t of either sign, needs no `%`.  Let
@@ -75,10 +72,9 @@ Each fold reduction multiplies by the unit c^2, and (X:Z) is
 homogeneous: X and Z gain the same c^6 per doubling or ladder step (a
 full-size d enters the ladder times c^-2 = 2^(2k), which the fold of its
 product undoes, and a word-size d multiplies a reduced c^2 (a - b)^2), so
-they name the same point, and every checkpoint gcd, ChainFailure and
-record byte stays the `%` kernels'.  The folded kernels copy the `%`
-formulas instead of taking a reducer, which would cost a call per
-reduction on small moduli.
+they name the same point, and every gcd and record byte stays the `%`
+kernels'.  The folded kernels copy the `%` formulas instead of taking a
+reducer, which would cost a call per reduction on small moduli.
 """
 
 from __future__ import annotations
@@ -199,29 +195,6 @@ def _riesel_fold(n: int) -> tuple[int, int] | None:
     return (k, c) if c.bit_length() <= k + 16 else None
 
 
-def _checkpointed(step, state: tuple, count: int, n: int) -> tuple[tuple, int, int]:
-    """(state, done, g): step(state, i, j) applies operations i .. j - 1 to a state ending in Z.
-
-    Runs of 16, 32, 64, ... operations, then the last alone.  A run whose Z
-    is not a unit is redone one operation at a time; then state is the last
-    unit one, done its operation count and g the failing gcd (else 1).
-    """
-    done, run = 0, 16
-    while done < count:
-        end = count if done == count - 1 else min(done + run, count - 1)
-        new = step(state, done, end)
-        if gcd(new[-1], n) != 1:
-            for i in range(done, end):
-                new = step(state, i, i + 1)
-                g = gcd(new[-1], n)
-                if g != 1:
-                    return state, i, g
-                state = new
-        state, done = new, end
-        run *= 2
-    return state, done, 1
-
-
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
     """s*P by left-to-right double-and-add with the affine double and add,
     the reference the x-only kernels are tested against (no decide or
@@ -236,16 +209,6 @@ def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
         if bit == "1":
             acc = add(curve, acc, point)
     return acc
-
-
-class ChainFailure(namedtuple("ChainFailure", "step divisor")):
-    """The first doubling of a chain whose denominator is not a unit.
-
-    step counts doublings from 1; divisor is gcd(denominator, modulus),
-    which is the modulus itself when that doubling reaches infinity.
-    """
-
-    __slots__ = ()
 
 
 def _x_only_doublings(X: int, Z: int, times: int, n: int, fold: bool) -> tuple[int, int]:
@@ -358,24 +321,17 @@ def _x_only_ladder(s: int, x: int, n: int, fold: tuple[int, int] | None) -> tupl
     return X0, Z0
 
 
-def double_x_only_chain(n: int, x: int, times: int, s: int = 1) -> tuple[int, int] | ChainFailure:
+def double_x_only_chain(n: int, x: int, times: int, s: int = 1) -> tuple[int, int]:
     """(X:Z) on E mod n (odd, >= 3) of 2^times * s*P, s >= 1, from
-    x = x(P), with Z a unit once times >= 1; else the first doubling whose
-    denominator is not a unit.  s > 1 takes s*P from the ladder; with
-    times = 0 its end is returned, Z unchecked.  The doublings run under
-    one checkpoint walk, by shift-and-fold mod 2^j - 1 (j >= 16), else by
-    the Riesel fold or `%`."""
+    x = x(P), Z unchecked (module docstring).  s > 1 takes s*P from the
+    ladder.  The doublings run by shift-and-fold mod 2^j - 1 (j >= 16),
+    else by the Riesel fold or `%`."""
     fold = _riesel_fold(n)
-    state = (x % n, 1) if s == 1 else _x_only_ladder(s, x % n, n, fold)
+    X, Z = (x % n, 1) if s == 1 else _x_only_ladder(s, x % n, n, fold)
     mersenne = n & (n + 1) == 0 and n.bit_length() >= 16
-
-    def step(state, i, j):
-        if fold is None or mersenne:
-            return _x_only_doublings(*state, j - i, n, mersenne)
-        return _x_only_doublings_folded(*state, j - i, n, *fold)
-
-    state, done, g = _checkpointed(step, state, times, n)
-    return state if g == 1 else ChainFailure(done + 1, g)
+    if fold is None or mersenne:
+        return _x_only_doublings(X, Z, times, n, mersenne)
+    return _x_only_doublings_folded(X, Z, times, n, *fold)
 
 
 def double_x_only(curve: Curve, x: int) -> int | None:

@@ -30,11 +30,11 @@ itself), then mixed (F from c.n_factors, else n's prime factors up to
 SIEVE_BOUND, and n's cofactor when those fail the gate and it is a
 probable prime).  A mixed record is algorithm small-n with factors.
 
-D = 2^k Q comes from k doublings under one checkpoint walk, each (n/q) D
+D = 2^k Q comes from k doublings and one gcd of their end Z, each (n/q) D
 from the ecring ladder from x(D), made affine by one inversion; no route
 scans a point, forms a y or runs scalar_mul.  A zero symbol before
 start_x's u is a factor at parameter-scan, a proper gcd of p met later
-(the walk's, a ladder's end Z, an X made affine) one at
+(D's end Z, a ladder's end Z, an X made affine) one at
 scalar-multiplication.  A Z of D or of some (n/q) D that vanishes mod p
 declines the attempt, and a + 1 goes next, up to RETRY_CAP; an x(D) that
 vanishes is composite, as no point of odd order has x = 0 mod a prime.
@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, prod
 
-from .ecring import ChainFailure, FactorFound, Point, double_x_only_chain
+from .ecring import FactorFound, Point, double_x_only_chain
 from .ecring import scalar_mul  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .numtheory import (
     ORACLE_BASES,
@@ -257,7 +257,7 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
         if chain:
             x = start_x(p, a)
             outcome = chain_outcome(p, x, c.k, c.n)
-            cert = {key: value for key, value in zip(("outcome", "step", "divisor"), outcome)
+            cert = {key: value for key, value in zip(("outcome", "divisor"), outcome)
                     if value is not None}
             cert["type"] = "sequence"
             if factors:
@@ -270,9 +270,7 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
             cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(factors)}
         stage = "scalar-multiplication"
         end = double_x_only_chain(p, x, c.k)
-        if isinstance(end, ChainFailure):
-            if end.divisor != p:
-                raise FactorFound(end.divisor, p)
+        if _vanishes(end[1], p):
             return None
         x = _affine_x(end, p)
         if x is None:  # D of order 2 (never after a chain that ended in zero)
@@ -349,11 +347,12 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     small-n corner, whose a is 1) and _evaluate at a = iterations to give
     its status, algorithm and certificate; no retry, fallback or dispatch
     runs (run_sequence, scalar_mul, the oracle and the differential tests
-    are the evaluator's references).  A give-up, with no walk, is valid
-    only as auto_test makes it for the factors it names (those given with
-    --q): not-applicable for p >= PSI_13 when no corner applies,
-    retries-exhausted after at most RETRY_CAP attempts on the first corner
-    that applies, if it can decline.
+    are the evaluator's references).  A give-up is valid only as auto_test
+    makes it for the factors it names (those given with --q):
+    not-applicable, with no walk, for p >= PSI_13 when no corner applies;
+    retries-exhausted as _curve_route gives it on the first corner that
+    applies, where every attempt a = 1 .. RETRY_CAP declines: at most the
+    walks deciding made.
     """
     try:
         return _replay(c, verdict)
@@ -380,14 +379,8 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
         if status == NOT_APPLICABLE:
             return (verdict == _given(c, _DISPATCH) and p >= PSI_13 and _passed_witness(c)
                     and _corner(c) is None)
-        attempts = cert.get("attempts")
         corner = _corner(c)
-        # the small-n corner, with no factors, never declines
-        return (corner is not None and bool(corner[0]) and attempts in range(RETRY_CAP + 1)
-                and verdict == _given(c, Verdict(
-                    INCONCLUSIVE, "small-n" if corner[1] else "large-n",
-                    {"type": "retries-exhausted", "attempts": attempts}, max(attempts, 1)))
-                and _passed_witness(c))
+        return corner is not None and _passed_witness(c) and verdict == _curve_route(c, *corner)
     if status not in (PRIME, COMPOSITE):
         return False
     if not 1 <= verdict.iterations <= (RETRY_CAP if algorithm in ("small-n", "large-n") else 1):

@@ -10,14 +10,15 @@ A unit c changes no S_i's gcd with N and whether S_k vanishes, so it
 never changes the outcome.
 
 chain_outcome decides a run on E: y^2 = x^3 + x (m = -1) from x_0, or
-from x(s * Q) for x(Q) = x_0, in one projective walk with a deferred gcd
-and no inversion, with c = 1 (ecring.double_x_only_chain names the first
-non-unit S_i).  A prime verdict rests on that chain alone: mod a prime
-l | N, E is elliptic, and the chain's start lifts to R on E or its
-quadratic twist.  Units S_1 .. S_(k-1) and S_k = 0 give R order 2^k, so
-the Hasse bound gives 2^k <= (sqrt(l) + 1)^2 on either curve.
-run_sequence walks the chain affinely on any y^2 = x^3 - m x and keeps
-the trace, with the paper's c = 4 by default; it is the reference
+from x(s * Q) for x(Q) = x_0, in one projective walk with no inversion
+and one gcd, of its end Z, with c = 1: the primes of N that gcd holds are
+those mod which some S_i (i < k) vanishes (ecring).  A prime verdict
+rests on that chain alone: mod a prime l | N, E is elliptic, and the
+chain's start lifts to R on E or its quadratic twist.  Units
+S_1 .. S_(k-1) and S_k = 0 give R order 2^k, so the Hasse bound gives
+2^k <= (sqrt(l) + 1)^2 on either curve.  run_sequence walks the chain
+affinely on any y^2 = x^3 - m x, stops at the first non-unit S_i and
+keeps the trace, with the paper's c = 4 by default; it is the reference
 chain_outcome is tested against, and no decision or replay path calls
 it.  SequenceOutcome and STrace are immutable named tuples.
 """
@@ -27,19 +28,20 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .ecring import ChainFailure, Curve, FactorFound, double_x_only, double_x_only_chain
+from .ecring import Curve, FactorFound, double_x_only, double_x_only_chain
 from .numtheory import jacobi
 
 # Outcome kinds for a k-step run.
 FINAL_ZERO = "final-zero"  # every S_i (i < k) a unit and S_k = 0: the prime pattern
 GCD_HIT = "gcd-hit"  # some S_i (i < k) shares a proper factor with N
-EARLY_INFINITY = "early-infinity"  # some S_i (i < k) vanishes mod N: order too small
+EARLY_INFINITY = "early-infinity"  # the first non-unit S_i (i < k), or the end Z, is 0 mod N
 FINAL_NONZERO = "final-nonzero"  # units throughout but S_k is not 0
 
 
-class SequenceOutcome(namedtuple("SequenceOutcome", "kind step divisor", defaults=(None, None))):
-    """A run's kind, with the 1-based step of a gcd hit or early vanish and
-    the proper factor of a GCD_HIT (None otherwise)."""
+class SequenceOutcome(namedtuple("SequenceOutcome", "kind divisor", defaults=(None,))):
+    """A run's kind, with the proper factor of N of a GCD_HIT (None
+    otherwise): run_sequence's divides the first non-unit S_i,
+    chain_outcome's the walk's end Z."""
 
     __slots__ = ()
 
@@ -71,7 +73,8 @@ def run_sequence(
     """Run k steps of the chain mod modulus and classify the result.
 
     For steps 1..k-1 a proper gcd is GCD_HIT and a vanishing S_i is
-    EARLY_INFINITY; at step k only whether S_k is 0 matters.
+    EARLY_INFINITY, and either ends the run (trace.steps_completed is that
+    step); at step k only whether S_k is 0 matters.
     """
     _check_chain(modulus, k)
     m %= modulus
@@ -88,11 +91,11 @@ def run_sequence(
             outcome = SequenceOutcome(FINAL_ZERO if s == 0 else FINAL_NONZERO)
             break
         if s == 0:
-            outcome = SequenceOutcome(EARLY_INFINITY, step=i)
+            outcome = SequenceOutcome(EARLY_INFINITY)
             break
         g = gcd(s, modulus)
         if g > 1:
-            outcome = SequenceOutcome(GCD_HIT, step=i, divisor=g)
+            outcome = SequenceOutcome(GCD_HIT, g)
             break
         # S_i is a unit, so the doubling denominator (4/c) * S_i is too
         x = double_x_only(curve, x)
@@ -126,19 +129,21 @@ def start_x(p: int, a: int) -> int:
 
 
 def chain_outcome(modulus: int, x0: int, k: int, s: int = 1) -> SequenceOutcome:
-    """run_sequence(modulus, -1, x(s * P), k)'s outcome for x(P) = x0,
-    from one double_x_only_chain walk.  The i-th doubling denominator is a
-    unit multiple of S_i, so the first non-unit one gives a GCD_HIT or,
-    vanishing mod the modulus, EARLY_INFINITY; else FINAL_ZERO iff
-    X (X^2 + Z^2) = 0, Z^3 times the last S_k with Z a unit.  An s * P at
-    infinity mod some prime factor fails at step 1."""
+    """The outcome of the chain from x(s * P), x(P) = x0, by one
+    double_x_only_chain walk of k - 1 doublings and the gcd g of its end Z
+    with the modulus: EARLY_INFINITY for g = modulus, GCD_HIT with divisor g
+    for a proper g; else FINAL_ZERO iff X (X^2 + Z^2) = 0, Z^3 times the
+    last S_k with Z a unit.  It is run_sequence(modulus, -1, x(s * P), k)'s
+    when that run ends at step k; else both fail, and the gcd's primes
+    include those of run_sequence's first non-unit S_i (ecring).  An s * P
+    at infinity mod some prime factor puts that prime in the gcd."""
     _check_chain(modulus, k)
-    end = double_x_only_chain(modulus, x0, k - 1, s)
-    if isinstance(end, ChainFailure):
-        if end.divisor == modulus:
-            return SequenceOutcome(EARLY_INFINITY, step=end.step)
-        return SequenceOutcome(GCD_HIT, step=end.step, divisor=end.divisor)
-    X, Z = end
+    X, Z = double_x_only_chain(modulus, x0, k - 1, s)
+    g = gcd(Z, modulus)
+    if g == modulus:
+        return SequenceOutcome(EARLY_INFINITY)
+    if g != 1:
+        return SequenceOutcome(GCD_HIT, g)
     return SequenceOutcome(FINAL_ZERO if X * (X * X + Z * Z) % modulus == 0 else FINAL_NONZERO)
 
 

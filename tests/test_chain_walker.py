@@ -1,32 +1,40 @@
-"""The projective chain on E: y^2 = x^3 + x names a failed chain's exact step and divisor.
+"""The projective chain on E: y^2 = x^3 + x fails, by one gcd of its end Z,
+at exactly the primes where the affine walk fails.
 
-Deciding and replay take a failing step from double_x_only_chain alone:
-no affine re-walk (run_sequence, double_x_only) runs behind them.  The
-fixed cases put the failure at doubling 1, inside the first run (2 .. 9,
-15), at its end (16), just after it (17), and at the second-to-last and
-the last doubling, on moduli 2^j - 1 (shift-and-fold) and on other moduli
-(division).
+Deciding and replay take a failure from double_x_only_chain's end alone:
+no affine re-walk (run_sequence, double_x_only) runs behind them.  A
+prime l | N divides gcd(Z, N) iff the affine doublings mod l fail within
+the walk's count.  The fixed cases put a failure at doubling 1, in the
+middle (2 .. 9, 15 .. 17) and at the last doubling, one doubling past the
+count, and a second failing prime later than the first, on moduli
+2^j - 1 (shift-and-fold) and on other moduli (division).
 """
 
-from math import prod
+from math import gcd, prod
 
 import pytest
 
 from ecriesel import ecring, primality, sequence
 from ecriesel.ecring import (
-    ChainFailure,
     Curve,
     FactorFound,
     Point,
-    _x_only_doublings,
     double_x_only,
     double_x_only_chain,
     scalar_mul,
 )
 from ecriesel.numtheory import FormCandidate, jacobi
-from ecriesel.primality import replay_verdict, test_mersenne as mersenne_test
-from ecriesel.sequence import EARLY_INFINITY, GCD_HIT, chain_outcome
-from test_projective import chain_x
+from ecriesel.primality import COMPOSITE, replay_verdict, test_mersenne as mersenne_test
+from ecriesel.sequence import (
+    EARLY_INFINITY,
+    FINAL_NONZERO,
+    FINAL_ZERO,
+    GCD_HIT,
+    SequenceOutcome,
+    chain_outcome,
+    mersenne_sequence,
+    run_sequence,
+)
 
 M17 = (1 << 17) - 1
 M187 = (1 << 187) - 1
@@ -44,17 +52,56 @@ MODULI = {
 STEPS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17)
 
 
-def affine_first_failure(curve, x, times):
-    """double_x_only step by step: the first non-unit doubling, else x.
-    curve is E, y^2 = x^3 - m x at m = -1."""
-    for step in range(1, times + 1):
+def affine_failures(n, x, times):
+    """(f, x'): f has the primes of n mod which the affine doublings of x
+    on E (double_x_only, m = -1) fail within `times`, and x' is their end
+    when none does.  A doubling that fails mod g | n takes g's primes out
+    of n, and the walk goes on mod the rest, from the same doubling; no
+    factoring is needed."""
+    failed, x, step = 1, x % n, 0
+    while step < times and n > 1:
         try:
-            x = double_x_only(curve, x)
+            nxt, g = double_x_only(Curve(n, -1), x), n
         except FactorFound as exc:
-            return ChainFailure(step, exc.divisor)
-        if x is None:
-            return ChainFailure(step, curve.modulus)
-    return x
+            nxt, g = None, exc.divisor
+        if nxt is not None:
+            x, step = nxt, step + 1
+            continue
+        failed *= g
+        while (h := gcd(n, failed)) > 1:
+            n //= h
+        x %= n
+    return failed, (x if failed == 1 else None)
+
+
+def same_primes(a, b):
+    """Whether a and b, both >= 1, have the same prime factors."""
+    return pow(a, b.bit_length(), b) == 0 == pow(b, a.bit_length(), a)
+
+
+def agrees_with_affine(n, x0, k, four_factor=True, per_prime=True):
+    """chain_outcome(n, x0, k), checked against the traced walk run_sequence
+    at m = -1: the same outcome when the run ends at step k; else both
+    fail, the end gcd holds the primes of the run's first non-unit S_i,
+    an early infinity stays one, and, with per_prime, the end gcd's
+    primes are those of affine_failures over k - 1 doublings."""
+    got = chain_outcome(n, x0, k)
+    walked, _ = run_sequence(n, -1, x0, k, four_factor=four_factor)
+    if walked.kind in (FINAL_ZERO, FINAL_NONZERO):
+        assert got == walked, (n, x0, k)
+        return got
+    assert got.kind in (GCD_HIT, EARLY_INFINITY), (n, x0, k)
+    assert walked.kind == GCD_HIT or got.kind == EARLY_INFINITY, (n, x0, k)
+    end = got.divisor or n
+    first = walked.divisor or n
+    assert pow(end, first.bit_length(), first) == 0, (n, x0, k)
+    assert not per_prime or same_primes(end, affine_failures(n, x0, k - 1)[0]), (n, x0, k)
+    return got
+
+
+def end_gcd(n, x, times, s=1):
+    """gcd(Z, n) for the end (X:Z) of double_x_only_chain."""
+    return gcd(double_x_only_chain(n, x, times, s)[1], n)
 
 
 def order_2s_abscissa(q, s):
@@ -81,53 +128,67 @@ def crt(residues):
 
 
 def failing_case(name, step, times):
-    """(E mod n, x, expected ChainFailure) for a chain that first fails at step."""
+    """(E mod n, x, the end gcd) for a chain that fails at doubling step
+    mod the failing prime(s), and nowhere within `times` mod the rest."""
     n, target, quiet = MODULI[name]
     failing = [target] if target else list(P18)
     xs = [(order_2s_abscissa(q, step), q) for q in failing]
     for f in quiet:
-        x = next(x for x in range(1, f)
-                 if not isinstance(affine_first_failure(Curve(f, -1), x, times), ChainFailure))
+        x = next(x for x in range(1, f) if affine_failures(f, x, times)[0] == 1)
         xs.append((x, f))
     assert prod(q for _, q in xs) == n
-    return Curve(n, -1), crt(xs), ChainFailure(step, target or n)
+    return Curve(n, -1), crt(xs), target or n
 
 
 @pytest.mark.parametrize("name", sorted(MODULI))
 def test_chain_names_the_failing_step(name):
-    n = MODULI[name][0]
+    # the end gcd holds the failing prime from that doubling on, and only
+    # it, as the affine walk mod each prime says
+    n, _, quiet = MODULI[name]
     assert (n & (n + 1) == 0) == name.startswith("fold")
     for step in STEPS:
-        # the last doubling, the second-to-last, then mid-chain
-        for times in (step, step + 1, 2 * step + 3):
-            curve, x, want = failing_case(name, step, times)
-            assert double_x_only_chain(curve.modulus, x, times) == want, (step, times)
-            assert affine_first_failure(curve, x, times) == want, (step, times)
+        # one doubling short, the last doubling, the second-to-last, then
+        # mid-chain
+        for times in (step - 1, step, step + 1, 2 * step + 3):
+            curve, x, want = failing_case(name, step, max(times, step))
+            got = end_gcd(n, x, times)
+            assert got == (want if times >= step else 1), (step, times)
+            primes = [q for q in M187_FACTORS + P18 + (1000003,) if n % q == 0]
+            assert got == prod(q for q in primes
+                               if affine_failures(q, x, times)[0] == q), (step, times)
+            assert affine_failures(n, x, times)[0] == got, (step, times)
 
 
-@pytest.mark.parametrize("name, prime", [("fold-infinity", (1 << 61) - 1),
-                                         ("division-infinity", 1000003)])
-def test_checkpoint_runs(monkeypatch, name, prime):
-    # runs of 16, 32, ... doublings end before the last doubling, which runs
-    # alone, and only a failing run is redone, one doubling at a time
-    runs = []
+@pytest.mark.parametrize("name", ["fold", "division"])
+def test_one_gcd_holds_every_failing_prime(name):
+    # q1 fails at doubling 3 and q2 at doubling 9: the traced walk stops
+    # at the first, with q1 alone, and the end gcd holds both
+    n, (q1, q2) = {"fold": (M187, (707983, M17)),
+                   "division": (P18[0] * P18[1] * 1000003, P18)}[name]
+    rest = [q for q in M187_FACTORS + P18 + (1000003,) if n % q == 0 and q not in (q1, q2)]
+    xs = [(order_2s_abscissa(q1, 3), q1), (order_2s_abscissa(q2, 9), q2)]
+    xs += [(next(x for x in range(1, f) if affine_failures(f, x, 30)[0] == 1), f) for f in rest]
+    x = crt(xs)
+    for times, want in ((2, 1), (3, q1), (8, q1), (9, q1 * q2), (30, q1 * q2)):
+        assert end_gcd(n, x, times) == want == affine_failures(n, x, times)[0], times
+    walked, trace = run_sequence(n, -1, x, 12)
+    assert walked == SequenceOutcome(GCD_HIT, q1) and trace.steps_completed == 3
+    assert chain_outcome(n, x, 12) == SequenceOutcome(GCD_HIT, q1 * q2)
 
-    def spy(X, Z, times, *rest):
-        runs.append(times)
-        return _x_only_doublings(X, Z, times, *rest)
 
-    monkeypatch.setattr(ecring, "_x_only_doublings", spy)
-    assert chain_x(prime, 5, 20) == affine_first_failure(Curve(prime, -1), 5, 20) > 0
-    assert runs == [16, 3, 1]
-    # fail at the last of 16 doublings (a one-doubling run, redone), at the
-    # second-to-last of 17 (the first run, redone one doubling at a time),
-    # and at the last of 17, past the first checkpoint
-    for step, times, want_runs in ((16, 16, [15, 1, 1]), (16, 17, [16] + [1] * 16),
-                                   (17, 17, [16, 1, 1])):
-        curve, x, want = failing_case(name, step, times)
-        runs.clear()
-        assert double_x_only_chain(curve.modulus, x, times) == want
-        assert runs == want_runs
+def test_small_n_sees_the_end_gcd(routes_decide_composites):
+    # M_6 = 63 = 3^2 * 7: the traced walk stops at S_2 with 9, but the
+    # walk's end Z vanishes mod 63, so the record is early-infinity; replay
+    # recomputes that one gcd
+    c = FormCandidate(k=6, n=1)
+    walked, trace = mersenne_sequence(6)
+    assert walked == SequenceOutcome(GCD_HIT, 9) and trace.steps_completed == 2
+    v = primality._evaluate(c, 1, (), True)
+    assert v.status == COMPOSITE
+    assert v.certificate == {"type": "sequence", "outcome": EARLY_INFINITY}
+    assert replay_verdict(c, v)
+    forged = v._replace(certificate={"type": "sequence", "outcome": GCD_HIT, "divisor": 9})
+    assert not replay_verdict(c, forged)
 
 
 class TestNoAffineFallback:
@@ -160,7 +221,6 @@ class TestNoAffineFallback:
     def test_composite_moduli(self, name, step):
         curve, x, want = failing_case(name, step, step)
         n, k = curve.modulus, step + 1
-        kind = EARLY_INFINITY if want.divisor == n else GCD_HIT
-        divisor = None if kind == EARLY_INFINITY else want.divisor
+        kind = EARLY_INFINITY if want == n else GCD_HIT
         out = chain_outcome(n, x, k)
-        assert (out.kind, out.step, out.divisor) == (kind, step, divisor)
+        assert out == SequenceOutcome(kind, None if kind == EARLY_INFINITY else want)

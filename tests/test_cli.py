@@ -108,7 +108,7 @@ class TestTestCommand:
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/8")
+            assert json.loads(line)["schema"].endswith("/9")
 
 
 class TestFactorOption:
@@ -144,7 +144,7 @@ class TestFactorOption:
             f'"certificate":{{"factors":["{UNDECIDED_N}"],"gate":"dispatch","reason":'
             '"no applicable route: gates fail or n needs an unavailable factorization",'
             '"type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/8","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            '"schema":"ecriesel.run-record/9","tool_version":"0.1.0","verdict":"not-applicable"}\n')
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
         assert run_cli("test", "--replay", "-")[0] == 0
 
@@ -274,9 +274,9 @@ class TestStrictReplayInput:
     def test_non_canonical_decimals(self, tmp_path):
         for x in ("\u0665", "05", "+5", " 5", "5.0"):
             rec = self.record("7", "3")
-            rec["certificate"]["step"] = x
+            rec["certificate"]["divisor"] = x
             code, _, err = self.replay(tmp_path, json.dumps(rec))
-            assert code == 3 and "malformed" in err and "certificate.step" in err, x
+            assert code == 3 and "malformed" in err and "certificate.divisor" in err, x
         rec = self.record("7", "3")
         rec["candidate"]["n"] = "03"
         assert self.replay(tmp_path, json.dumps(rec))[0] == 3
@@ -334,6 +334,16 @@ class TestStrictReplayInput:
         rec["schema"] = "ecriesel.run-record/7"
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", "replay: malformed record: schema: ecriesel.run-record/7 is no longer read; "
+                   "decide the candidate again\n")
+
+    def test_run_record_8_is_no_longer_read(self, tmp_path):
+        # a /8 record could name the failing step of a chain, which /9
+        # records do not hold: the schema is named before the field
+        rec = self.record("7", "3")
+        rec["schema"] = "ecriesel.run-record/8"
+        rec["certificate"]["step"] = "1"
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/8 is no longer read; "
                    "decide the candidate again\n")
 
     @pytest.mark.parametrize("argv", [("7", "3"), ("7", "61")], ids=["prime", "composite"])
@@ -401,7 +411,8 @@ class TestStrictReplayInput:
         "factor-long-algorithm": (("large-n", "factor"), lambda r: r.update(algorithm="9" * 50), 1),
         "factor-null-algorithm": (("sieve", "factor"), lambda r: r.update(algorithm=None), 3),
         "tool-version-list": (("sieve", "factor"), lambda r: r.update(tool_version=[1]), 3),
-        "order-with-step": (("large-n", "order"), lambda r: r["certificate"].update(step="5"), 1),
+        # a step is no certificate field since run-record/9: malformed
+        "order-with-step": (("large-n", "order"), lambda r: r["certificate"].update(step="5"), 3),
         "order-with-x0": (("large-n", "order"), lambda r: r["certificate"].update(x0="5"), 3),
         "order-with-outcome": (("large-n", "order"),
                                lambda r: r["certificate"].update(outcome="final-nonzero"), 1),
@@ -568,7 +579,7 @@ class TestStrictReplayInput:
             code, out, _ = self.replay(tmp_path, line)
             assert code == 0 and out.startswith("replay: valid"), line
             replayed += 1
-        assert replayed == 108
+        assert replayed == 107
 
 
 class TestMersenneCommand:

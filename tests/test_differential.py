@@ -2,9 +2,10 @@
 
 Moduli are random odd integers, composites included, so non-unit
 denominators, factor witnesses and infinities all occur: the chain on E,
-m = -1, must name the same failing step and divisor as the affine walk,
-and scalar_mul, on any curve y^2 = x^3 - m x, must reach its affine
-fallback.
+m = -1, must end where the affine walk ends, and else fail at the primes
+where it fails (test_chain_walker.affine_failures, which needs no
+factoring), and scalar_mul, on any curve y^2 = x^3 - m x, must reach its
+affine fallback.
 """
 
 import pytest
@@ -16,16 +17,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ecriesel.ecring import (  # noqa: E402
     INFINITY,
-    ChainFailure,
     Curve,
     FactorFound,
     Point,
     add,
     double,
-    double_x_only,
     scalar_mul,
 )
-from ecriesel.sequence import chain_outcome, run_sequence  # noqa: E402
+from test_chain_walker import affine_failures, agrees_with_affine, same_primes  # noqa: E402
 from test_projective import chain_x  # noqa: E402
 
 PROFILE = settings(max_examples=400, deadline=None, derandomize=True)
@@ -66,18 +65,12 @@ def affine_multiple(curve, s, pt):
     return acc
 
 
-def repeated_doubling(curve, x, times):
-    """Affine reference for double_x_only_chain: the first non-unit step
-    ends it, with its divisor, or the modulus when it reaches infinity."""
-    x %= curve.modulus
-    for step in range(1, times + 1):
-        try:
-            x = double_x_only(curve, x)
-        except FactorFound as exc:
-            return ChainFailure(step, exc.divisor)
-        if x is None:
-            return ChainFailure(step, curve.modulus)
-    return x
+def assert_chain_is_repeated_doubling(n, x, times):
+    """double_x_only_chain's end against the affine walk: the same x while
+    every doubling is a unit, else an end gcd with the failing primes."""
+    g, end = chain_x(n, x, times)
+    failed, want = affine_failures(n, x, times)
+    assert end == want and same_primes(g, failed), (n, x, times)
 
 
 @PROFILE
@@ -85,12 +78,9 @@ def repeated_doubling(curve, x, times):
 def test_chain_outcome_equals_traced_walk(curve, data, k, four):
     n = curve.modulus
     x0 = data.draw(st.integers(0, 2 * n))
-    walked, _ = run_sequence(n, curve.m, x0, k, four_factor=four)
-    assert chain_outcome(n, x0, k) == walked
+    agrees_with_affine(n, x0, k, four)
 
 
-# Chains long enough to pass several of the gcd checkpoints after
-# doublings 16, 48, 112, ... and to fail between any two of them.
 long_chains = st.integers(41, 400)
 
 
@@ -99,8 +89,7 @@ long_chains = st.integers(41, 400)
 def test_long_chain_outcome_equals_traced_walk(curve, data, k, four):
     n = curve.modulus
     x0 = data.draw(st.integers(0, 2 * n))
-    walked, _ = run_sequence(n, curve.m, x0, k, four_factor=four)
-    assert chain_outcome(n, x0, k) == walked
+    agrees_with_affine(n, x0, k, four)
 
 
 @PROFILE
@@ -108,7 +97,7 @@ def test_long_chain_outcome_equals_traced_walk(curve, data, k, four):
 def test_long_chain_equals_repeated_doubling(curve, data, times):
     # the division path, failing step and divisor included
     x = data.draw(st.integers(0, curve.modulus - 1))
-    assert chain_x(curve.modulus, x, times) == repeated_doubling(curve, x, times)
+    assert_chain_is_repeated_doubling(curve.modulus, x, times)
 
 
 @PROFILE
@@ -138,7 +127,7 @@ def test_scalar_mul_small_moduli_hit_every_outcome(curve, data, s):
 def test_mersenne_fold_equals_division(j, data, times):
     n = (1 << j) - 1
     x = data.draw(st.integers(0, n - 1))
-    assert chain_x(n, x, times) == repeated_doubling(Curve(n, -1), x, times)
+    assert_chain_is_repeated_doubling(n, x, times)
 
 
 @PROFILE
@@ -146,4 +135,4 @@ def test_mersenne_fold_equals_division(j, data, times):
 def test_long_mersenne_fold_equals_division(j, data, times):
     n = (1 << j) - 1
     x = data.draw(st.integers(0, n - 1))
-    assert chain_x(n, x, times) == repeated_doubling(Curve(n, -1), x, times)
+    assert_chain_is_repeated_doubling(n, x, times)

@@ -1,10 +1,11 @@
 """One walk for the small-n test: x(s * Q), then the k - 1 doublings, on E.
 
 chain_outcome(N, x, k, s) takes x(s * Q), x(Q) = x, from the x-only
-ladder on E: y^2 = x^3 + x, one kernel call with no gcd, and runs the
-doublings under one checkpoint schedule.  It must decide what two walks
-decide: the ladder, then chain_outcome from its affine x, where a ladder
-end at infinity mod a prime factor fails the chain at step 1.  Mod each
+ladder on E: y^2 = x^3 + x, one kernel call, runs the doublings from its
+end and takes one gcd of the last Z.  It must decide what two walks
+decide: the ladder, then chain_outcome from its affine x mod the primes
+where the ladder's end is finite; a ladder end at infinity mod a prime
+puts that prime in the end gcd.  Mod each
 prime factor the ladder's end must be x of the affine multiple of Q that
 scalar_mul gives at m = -1, for a full-size x and for a word-size one,
 which the ladder takes by a word-size product.  The fixed cases put the
@@ -21,16 +22,13 @@ import pytest
 
 from ecriesel import ecring
 from ecriesel.ecring import (
-    ChainFailure,
     Curve,
     Point,
-    _checkpointed,
     _riesel_fold,
     _x_only_ladder,
-    double_x_only_chain,
     scalar_mul,
 )
-from ecriesel.numtheory import FormCandidate, jacobi, miller_rabin
+from ecriesel.numtheory import FormCandidate, miller_rabin
 from ecriesel.primality import PRIME, auto_test, replay_verdict
 from ecriesel.sequence import (
     EARLY_INFINITY,
@@ -39,14 +37,12 @@ from ecriesel.sequence import (
     GCD_HIT,
     SequenceOutcome,
     chain_outcome,
-    run_sequence,
     start_x,
 )
-from test_chain_walker import crt
+from test_chain_walker import crt, end_gcd
 from test_riesel_fold import K, Q18
 
 Q18B = 5 * (1 << 18) - 1  # prime, = -1 mod 2^18 like Q18
-M61 = (1 << 61) - 1
 # odd parts of every multiplier a case applies on top of its base: 3, 2^3 + 1
 # and 2^17 + 1, times the 3 of Q18 + 1
 AVOID = 9 * 9 * ((1 << 17) + 1)
@@ -122,32 +118,36 @@ def cases(s, q, base, kill):
     t = 2 if s < 8 else 5  # a mid-chain step
     p = base << (18 - s)
     return {
-        # the ladder ends at infinity mod q alone: a factor at doubling 1
-        "multiple-factor": ((3 << (s + 2)) * p, 4, False, SequenceOutcome(GCD_HIT, 1, q)),
-        "multiple-vanishes": ((1 << s) * p, 4, True, SequenceOutcome(EARLY_INFINITY, 1)),
-        # kill * Q is infinity, and the ladder goes on to P
+        # the ladder ends at infinity mod q alone: q joins the end gcd there
+        "multiple-factor": ((3 << (s + 2)) * p, 4, False, SequenceOutcome(GCD_HIT, q)),
+        "multiple-vanishes": ((1 << s) * p, 4, True, SequenceOutcome(EARLY_INFINITY)),
+        # kill * Q is infinity, and the ladder goes on to P, which fails at
+        # doubling s
         "multiple-passes-infinity": ((kill << p.bit_length()) + p, s + 2, True,
-                                     SequenceOutcome(EARLY_INFINITY, s)),
-        "boundary-gcd": ((3 << (s - 1)) * p, 4, False, SequenceOutcome(GCD_HIT, 1, q)),
-        "boundary-infinity": ((3 << (s - 1)) * p, 4, True, SequenceOutcome(EARLY_INFINITY, 1)),
-        "mid-gcd": ((3 << (s - t)) * p, 2 * t, False, SequenceOutcome(GCD_HIT, t, q)),
-        "mid-infinity": ((3 << (s - t)) * p, 2 * t, True, SequenceOutcome(EARLY_INFINITY, t)),
+                                     SequenceOutcome(EARLY_INFINITY)),
+        # doubling 1 fails, then doubling t, mid-chain
+        "boundary-gcd": ((3 << (s - 1)) * p, 4, False, SequenceOutcome(GCD_HIT, q)),
+        "boundary-infinity": ((3 << (s - 1)) * p, 4, True, SequenceOutcome(EARLY_INFINITY)),
+        "mid-gcd": ((3 << (s - t)) * p, 2 * t, False, SequenceOutcome(GCD_HIT, q)),
+        "mid-infinity": ((3 << (s - t)) * p, 2 * t, True, SequenceOutcome(EARLY_INFINITY)),
         "final-nonzero": (3 * p, s, False, SequenceOutcome(FINAL_NONZERO)),
         "final-zero": (3 * p, s, True, SequenceOutcome(FINAL_ZERO)),
     }
 
 
 def two_walks(n, x, mult, k):
-    """The ladder by `%`, then chain_outcome from its affine x; an end at
-    infinity mod some prime fails the chain at step 1 (no other factor of
-    these moduli is at 2-torsion there)."""
+    """The ladder by `%`, then chain_outcome from its affine x mod the part
+    r of n (squarefree) where the ladder's end is finite; the primes where
+    it is infinity, g = n / r, join the end gcd of the chain mod r."""
     X, Z = _x_only_ladder(mult, x % n, n, None)
     g = gcd(Z, n)
-    if g == n:
-        return SequenceOutcome(EARLY_INFINITY, 1)
-    if g != 1:
-        return SequenceOutcome(GCD_HIT, 1, g)
-    return chain_outcome(n, X * pow(Z, -1, n) % n, k)
+    r = n // g
+    if r > 1:
+        rest = chain_outcome(r, X * pow(Z, -1, r) % r, k)
+        if g == 1:
+            return rest
+        g *= {EARLY_INFINITY: r, GCD_HIT: rest.divisor}.get(rest.kind, 1)
+    return SequenceOutcome(EARLY_INFINITY) if g == n else SequenceOutcome(GCD_HIT, g)
 
 
 def assert_ladder_per_prime(n, x, mult, primes):
@@ -181,49 +181,21 @@ def test_one_walk_decides_as_two(name, s, case):
 
 
 @pytest.fixture
-def runs(monkeypatch):
-    """The (i, j) runs of every checkpoint walk, and the ladder calls."""
-    seen = {"walk": [], "ladder": 0}
-
-    def checkpointed(step, state, count, n):
-        def recording(state, i, j):
-            seen["walk"].append((i, j))
-            return step(state, i, j)
-        return _checkpointed(recording, state, count, n)
+def ladders(monkeypatch):
+    """The count of ladder calls."""
+    seen = {"ladder": 0}
 
     def ladder(*args):
         seen["ladder"] += 1
         return _x_only_ladder(*args)
 
-    monkeypatch.setattr(ecring, "_checkpointed", checkpointed)
     monkeypatch.setattr(ecring, "_x_only_ladder", ladder)
     return seen
 
 
-def test_failures_lie_past_the_first_checkpoint(runs):
-    # M61 is prime and Q, the lift of x = start_x(M61, 1), has a non-residue x
-    # and so order 2^61 on E (fact 3 of oracle): 2^44 * Q fails doubling
-    # 17, operation 16, just past the first checkpoint, and 2^12 * Q
-    # doubling 49, operation 48, just past the second
-    u = start_x(M61, 1)
-    sign, point = lift(M61, u)
-    assert jacobi(point.x, M61) == -1
-    for mult, step, walk in (
-        (1 << 44, 17, [(0, 16), (16, 48), (16, 17)]),
-        (1 << 12, 49, [(0, 16), (16, 48), (48, 58), (48, 49)]),
-    ):
-        runs["walk"].clear()
-        got = chain_outcome(M61, u, 60, mult)
-        assert got == SequenceOutcome(EARLY_INFINITY, step)
-        assert runs["walk"] == walk
-        x = scalar_mul(Curve(M61, -1), mult, point).x
-        assert run_sequence(M61, -1, x, 60)[0] == got
-
-
-def test_one_schedule_across_the_phases(runs, monkeypatch):
+def test_one_schedule_across_the_phases(ladders, monkeypatch):
     # the small-n test of the prime 40005 * 2^31 - 1: one ladder call, then
-    # 30 doublings in runs of 16 and 13 and the last one alone.  Neither
-    # scalar_mul nor an inversion runs.
+    # 30 doublings and one gcd.  Neither scalar_mul nor an inversion runs.
     def boom(*args):
         raise AssertionError("called on the success path")
 
@@ -232,36 +204,29 @@ def test_one_schedule_across_the_phases(runs, monkeypatch):
     p = 40005 * (1 << 31) - 1
     got = chain_outcome(p, start_x(p, 1), 31, 40005)
     assert got == SequenceOutcome(FINAL_ZERO)
-    assert runs == {"walk": [(0, 16), (16, 29), (29, 30)], "ladder": 1}
-
-
-def test_failing_run_redone_one_op_at_a_time(runs):
-    # mid-gcd with s = 17: doubling 5 fails in the first run of a 9-doubling
-    # chain, which is redone one doubling at a time
-    n, x, _, base, _, _ = walk_case("division", False)
-    got = double_x_only_chain(n, x, 9, (3 << 12) * (base << 1))
-    assert got == ChainFailure(5, Q18)
-    assert runs == {"walk": [(0, 8), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], "ladder": 1}
+    assert ladders == {"ladder": 1}
 
 
 def test_multiple_at_infinity_fails_doubling_1(monkeypatch):
     # the ladder hands nothing over: a multiple at infinity mod Q18 only, or
-    # mod every factor, is a non-unit end Z, which doubling 1 names
+    # mod every factor, is a non-unit Z from the ladder's end on
     monkeypatch.setattr(ecring, "scalar_mul", None)
-    for everywhere, want in ((False, ChainFailure(1, Q18)), (True, ChainFailure(1, Q18 * Q18B))):
+    for everywhere, want in ((False, Q18), (True, Q18 * Q18B)):
         n, x, _, base, _, _ = walk_case("division", everywhere)
-        assert double_x_only_chain(n, x, 3, base << 18) == want
+        for times in (0, 1, 3):
+            assert end_gcd(n, x, times, base << 18) == want, (everywhere, times)
 
 
-def test_without_a_multiplier_it_is_the_chain(runs):
+def test_without_a_multiplier_it_is_the_chain(ladders):
     # s = 1 starts from x alone, with no ladder; s = 3 runs the ladder from
-    # the same x, and 3 P has the same order 2^17 mod Q18
+    # the same x, and 3 P has the same order 2^17 mod Q18, so Q18 joins the
+    # end gcd at doubling 17
     n, x, y, base, _, _ = walk_case("division", False)
     P = scalar_mul(Curve(n, -1), base << 1, Point(x, y))  # order 2^17 mod Q18
-    assert double_x_only_chain(n, P.x, 20) == ChainFailure(17, Q18)
-    assert runs["ladder"] == 0
-    assert double_x_only_chain(n, P.x, 20, 3) == ChainFailure(17, Q18)
-    assert runs["ladder"] == 1
+    assert (end_gcd(n, P.x, 16), end_gcd(n, P.x, 20)) == (1, Q18)
+    assert ladders["ladder"] == 0
+    assert (end_gcd(n, P.x, 16, 3), end_gcd(n, P.x, 20, 3)) == (1, Q18)
+    assert ladders["ladder"] == 2
 
 
 @pytest.mark.parametrize("j", [61, 127, 1279])

@@ -311,8 +311,10 @@ class TestTwoPrimeN:
             qs = list(dict.fromkeys(c.n_factors or (c.n,)))
             want = [c.n // q for q in qs if q != c.n] + [qs[-1]]
             if status is None:
-                # p = 1935 = 3^2 * 5 * 43: the walk of D meets 5 before any ladder
-                assert v.certificate == {"type": "factor", "divisor": 5,
+                # p = 1935 = 3^2 * 5 * 43: the walk of D fails mod 5 at
+                # doubling 1 and mod 3 at doubling 2, so its end Z shares
+                # 45 = 3^2 * 5 with p, before any ladder
+                assert v.certificate == {"type": "factor", "divisor": 45,
                                          "stage": "scalar-multiplication"}
                 assert scalars == []
                 continue
@@ -626,16 +628,23 @@ class TestReplayRejectsTampering:
         for c, v in forgeries:
             assert not replay_verdict(c, v), (c, v)
 
-    def test_inconclusive_is_a_curve_route_giving_up(self):
-        # the frozen large-n record: the one scanned pair decided nothing
+    def test_inconclusive_is_a_curve_route_giving_up(self, monkeypatch):
+        # p = 2671 = 2^4 * 167 - 1 is a large-n prime that attempt 1
+        # decides, so no give-up for it replays valid
         c = FormCandidate(k=4, n=167)
-        v = Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted", "attempts": 1})
-        assert replay_verdict(c, v)
         cap = primality.RETRY_CAP
-        for attempts in (0, cap):
-            cert = {"type": "retries-exhausted", "attempts": attempts}
-            assert replay_verdict(c, v._replace(certificate=cert, iterations=max(attempts, 1)))
+        v = Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted", "attempts": cap}, cap)
+        assert primality._evaluate(c, 1, (167,), False).status == PRIME
+        assert not replay_verdict(c, v)
+        # with every attempt declining, deciding gives up after RETRY_CAP of
+        # them, and that record alone replays valid
+        monkeypatch.setattr(primality, "_evaluate", lambda *args: None)
+        assert auto_test(c) == v and replay_verdict(c, v)
         forgeries = [
+            (c, v._replace(certificate={"type": "retries-exhausted", "attempts": 1},
+                           iterations=1)),
+            (c, v._replace(certificate={"type": "retries-exhausted", "attempts": 0})),
+            (c, v._replace(iterations=1)),
             (c, v._replace(algorithm="small-n")),  # the small-n gate fails
             (c, v._replace(algorithm="auto")),
             (c, v._replace(iterations=2)),
@@ -658,11 +667,15 @@ class TestReplayRejectsTampering:
         forged = Verdict(INCONCLUSIVE, "large-n",
                          {"type": "retries-exhausted", "attempts": 20}, 20)
         assert not replay_verdict(c, forged)
+        # the small-n corner never declines: no give-up stands for it
+        cap = primality.RETRY_CAP
+        small = Verdict(INCONCLUSIVE, "small-n", {
+            "type": "retries-exhausted", "attempts": cap, "factors": [19, 137]}, cap)
+        assert not replay_verdict(FormCandidate(k=12, n=19 * 137), small)
         # factors given with the candidate are recorded, and replay checks
         # their product and primality: with every attempt declining, the
         # route gives up on p = 1000507 after RETRY_CAP of them
         c = TWO_PRIME_BIG_PRIME
-        cap = primality.RETRY_CAP
         monkeypatch.setattr(primality, "_evaluate", lambda *args: None)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {
@@ -678,9 +691,6 @@ class TestReplayRejectsTampering:
         c = FormCandidate(k=2, n=19 * 137, n_factors=(19, 137))
         assert auto_test(c) == WITNESS
         assert not replay_verdict(c, v._replace(certificate={**cert, "factors": [19, 137]}))
-        # the small-n corner never declines: no give-up stands for it
-        small = v._replace(algorithm="small-n", certificate={**cert, "factors": [19, 137]})
-        assert not replay_verdict(FormCandidate(k=12, n=19 * 137), small)
 
     def test_decided_iterations_are_a_decide_paths(self):
         # every route but large-n decides on its first attempt; large-n's

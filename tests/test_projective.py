@@ -1,8 +1,9 @@
 """The deferred-gcd backend against the affine walks.
 
-double_x_only_chain must return exactly what the step-by-step affine code
-returns: it names a non-unit doubling's step and divisor itself.
-scalar_mul is the affine double-and-add, the reference the x-only ladder
+double_x_only_chain's end must be what the step-by-step affine code
+gives: the same x while every doubling is a unit, and else a Z whose gcd
+with N holds the primes mod which a doubling fails.  scalar_mul is the
+affine double-and-add, the reference the x-only ladder
 is tested against; these fixtures pin its operation order, its divisors
 and the routes built on the chain.
 """
@@ -15,7 +16,6 @@ import pytest
 from ecriesel import ecring, primality
 from ecriesel.ecring import (
     INFINITY,
-    ChainFailure,
     Curve,
     FactorFound,
     Point,
@@ -39,10 +39,13 @@ from ecriesel.sequence import (
     FINAL_NONZERO,
     FINAL_ZERO,
     GCD_HIT,
+    SequenceOutcome,
     chain_outcome,
     run_sequence,
     start_x,
 )
+
+from test_chain_walker import agrees_with_affine
 
 # the least j for which the bound proved in the ecring docstring holds
 FOLD_MIN_BITS = 16
@@ -61,13 +64,11 @@ def affine_multiple(curve, s, pt):
 
 
 def chain_x(n, start, times, s=1):
-    """double_x_only_chain's end on E mod n as an affine x (its Z must be a
-    unit), or its ChainFailure as it is."""
-    end = double_x_only_chain(n, start, times, s)
-    if isinstance(end, ChainFailure):
-        return end
-    X, Z = end
-    return X * pow(Z, -1, n) % n
+    """(g, x) for double_x_only_chain's end (X:Z) on E mod n: g = gcd(Z, n),
+    and x = X / Z mod n when g = 1, else None."""
+    X, Z = double_x_only_chain(n, start, times, s)
+    g = gcd(Z, n)
+    return g, (X * pow(Z, -1, n) % n if g == 1 else None)
 
 
 def affine_ops(s):
@@ -111,7 +112,9 @@ def affine_calls(monkeypatch):
 
 class TestMersenneSweep:
     def test_chain_outcome_matches_walk_to_600(self):
-        # from the route's start, or from 3 where start_x meets a factor
+        # from the route's start, or from 3 where start_x meets a factor;
+        # the prime-by-prime affine walk, a full walk with an inversion per
+        # doubling, up to k = 300
         kinds = set()
         for k in range(3, 601):
             n = (1 << k) - 1
@@ -119,10 +122,8 @@ class TestMersenneSweep:
                 x0 = start_x(n, 1)
             except FactorFound:
                 x0 = 3
-            walked, _ = run_sequence(n, -1, x0, k, four_factor=False)
-            assert chain_outcome(n, x0, k) == walked, k
-            kinds.add(walked.kind)
-        # composite exponents make the chain name its failing step
+            kinds.add(agrees_with_affine(n, x0, k, False, per_prime=k <= 300).kind)
+        # composite exponents make the chain fail
         assert {GCD_HIT, FINAL_NONZERO, FINAL_ZERO} <= kinds
 
     def test_verdicts_and_replay_to_300(self):
@@ -134,30 +135,30 @@ class TestMersenneSweep:
 
 class TestChainFallback:
     def test_early_infinity_found_by_walk(self):
-        # x0 = 0 is 2-torsion: S_1 = 0 on E over F_31
-        assert double_x_only_chain(31, 0, 4) == ChainFailure(1, 31)
+        # x0 = 0 is 2-torsion: S_1 = 0 on E over F_31, and Z stays 0
+        for times in (1, 4):
+            assert chain_x(31, 0, times) == (31, None)
         out = chain_outcome(31, 0, 5)
-        assert out.kind == EARLY_INFINITY and out.step == 1
-        assert out == run_sequence(31, -1, 0, 5)[0]
+        assert out == SequenceOutcome(EARLY_INFINITY)
+        walked, trace = run_sequence(31, -1, 0, 5)
+        assert out == walked and trace.steps_completed == 1
 
     def test_gcd_hit_found_by_walk(self):
-        # S_1 = 5 * (25 + 1) shares the factor 5 with 35
-        assert double_x_only_chain(35, 5, 3) == ChainFailure(1, 5)
-        out = chain_outcome(35, 5, 4)
-        assert out == run_sequence(35, -1, 5, 4, four_factor=False)[0]
-        assert out.kind == GCD_HIT and (out.step, out.divisor) == (1, 5)
-
-    def test_failed_chain_stops_at_a_checkpoint(self):
-        # x0 = 0 makes Z = 0 at doubling 1; all 10^7 doublings would take
-        # minutes, so only the gcd after doubling 1 can end this in time
-        for n in ((1 << 61) - 1, 1001):  # shift-and-fold, then division
-            assert double_x_only_chain(n, 0, 10**7) == ChainFailure(1, n)
+        # S_1 = 5 * (25 + 1) shares the factor 5 with 35.  Mod 7, x = 5 runs
+        # 5 -> 1 -> 0 -> infinity, so 7 joins the end gcd at doubling 3,
+        # where the traced walk, stopped at S_1, still holds 5 alone
+        assert chain_x(35, 5, 2) == (5, None)
+        assert chain_x(35, 5, 3) == (35, None)
+        walked, trace = run_sequence(35, -1, 5, 4, four_factor=False)
+        assert walked == SequenceOutcome(GCD_HIT, 5) and trace.steps_completed == 1
+        assert chain_outcome(35, 5, 3) == walked
+        assert chain_outcome(35, 5, 4) == SequenceOutcome(EARLY_INFINITY)
 
     def test_unit_chain_is_repeated_doubling(self):
         curve = Curve(31, -1)
         x = 4
         for times in range(4):
-            assert chain_x(31, 4, times) == x
+            assert chain_x(31, 4, times) == (1, x)
             x = double_x_only(curve, x)
 
     def test_fold_boundaries(self):
@@ -165,7 +166,7 @@ class TestChainFallback:
         for j in (FOLD_MIN_BITS, 17, 31, 61, 127, 521):
             n = (1 << j) - 1
             for x0 in (n - 1, n - 2, 2, 3):
-                assert chain_outcome(n, x0, 9) == run_sequence(n, -1, x0, 9)[0]
+                agrees_with_affine(n, x0, 9)
 
         # the fold leaves X and Z partly reduced, not equal to the division's
         # X and Z: congruent to them mod N, and from X in [0, N + 64] and Z

@@ -1,17 +1,19 @@
 """Replay of mutated run records ends in a verdict or a malformed-record exit.
 
-Each example takes a golden or frozen record, edits it one to three times (drops a
+Each example takes a golden record, edits it one to three times (drops a
 key or list entry, swaps in a value of another JSON type, truncates or
 extends a list, inserts a 50-digit decimal) and pipes it through
 `test --replay -`.  Whatever the edit, replay must exit 0 (valid),
 1 (INVALID) or 3 (malformed) and no exception may escape.  The order
 records are also forged field by field: their outcome, their factors, a
-composite factor, another x(Q) = -iterations and the retired /4 shape.
+composite factor, another x(Q) = -iterations and the retired /4 shape,
+and a give-up is forged for primes that deciding proves.
 """
 
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from ecriesel.numtheory import FormCandidate  # noqa: E402
 from test_golden import record_lines  # noqa: E402
 
 RECORDS = record_lines()
+ORDER_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "order_pool.json"
 
 junk = st.one_of(
     st.sampled_from([True, None, -5, 1.5, "", "007"]),
@@ -155,6 +158,26 @@ def test_run_record_4_with_a_base_point():
         assert replay(forged) == (3, "", "replay: malformed record: schema: "
                                          "ecriesel.run-record/4 is no longer read; "
                                          "decide the candidate again\n")
+
+
+def test_forged_give_up_of_a_prime():
+    # replay walks a give-up as deciding does: valid only when every attempt
+    # a = 1 .. RETRY_CAP declines.  p = 2671 = 2^4 * 167 - 1 and the order
+    # pool's first prime p = 2^512 q - 1 are large-n primes decided at
+    # attempt 1, so a retries-exhausted for either, after one attempt or
+    # after RETRY_CAP, replays INVALID
+    q = json.loads(ORDER_POOL.read_text(encoding="utf-8"))["candidates"][0]["q"]
+    for k, n in (("4", "167"), ("512", q)):
+        c = FormCandidate(k=int(k), n=int(n))
+        assert primality._evaluate(c, 1, (c.n,), False).status == "prime"
+        for attempts in (1, primality.RETRY_CAP):
+            forged = {"algorithm": "large-n",
+                      "candidate": {"k": k, "n": n, "p": str(c.p)},
+                      "certificate": {"attempts": str(attempts), "type": "retries-exhausted"},
+                      "iterations": attempts, "schema": cli.SCHEMA, "tool_version": "0.1.0",
+                      "verdict": "inconclusive"}
+            code, out, err = replay(forged)
+            assert (code, err) == (1, "") and out.startswith("replay: INVALID"), (k, attempts)
 
 
 WITNESS_RECORDS = [json.loads(line) for line in RECORDS if '"witness":"3"' in line]

@@ -7,7 +7,8 @@ unit c^2.  The folded kernels are pinned to the `%` kernels they copy;
 chain_outcome is compared with the affine reference run_sequence at
 m = -1, and scalar_mul, the affine reference the ladder is tested
 against, with affine_multiple, on composite moduli of that shape: the
-same point, infinity, divisor or failing step.
+same point, infinity or divisor, and the chain's end gcd holds the prime
+mod which the affine walk fails.
 """
 
 import random
@@ -17,7 +18,6 @@ import pytest
 from ecriesel import ecring
 from ecriesel.ecring import (
     RIESEL_FOLD_BITS,
-    ChainFailure,
     Curve,
     FactorFound,
     Point,
@@ -29,8 +29,8 @@ from ecriesel.ecring import (
     scalar_mul,
 )
 from ecriesel.numtheory import miller_rabin
-from ecriesel.sequence import EARLY_INFINITY, GCD_HIT, chain_outcome, run_sequence
-from test_chain_walker import crt, order_2s_abscissa
+from ecriesel.sequence import EARLY_INFINITY, GCD_HIT, SequenceOutcome, chain_outcome, run_sequence
+from test_chain_walker import agrees_with_affine, crt, end_gcd, order_2s_abscissa
 from test_projective import affine_multiple, first_failing_op
 
 # q = 3 * 2^18 - 1 is prime, so E over F_q has points of order 2^s, s <= 18
@@ -205,8 +205,7 @@ class TestAgainstAffine:
     def test_scalar_mul_meets_the_divisor(self, c_bits, s):
         # P has order 2^s mod Q18, so 2^s P and (3 * 2^s + 1) P meet Q18 at
         # the doubling of a point of order 2, at operation 7 or later for
-        # s = 9 and 17; s = 17 puts it past the first checkpoint (after
-        # operation 16) or at the last operation, which runs alone
+        # s = 9 and 17, and s = 17 past operation 16 or at the last one
         rng = random.Random(f"{c_bits}/{s}")
         curve, point = point_of_order_2s(c_bits, s, rng)
         for mult in (1 << s, (3 << s) + 1):
@@ -241,22 +240,24 @@ class TestAgainstAffine:
     @pytest.mark.parametrize("c_bits", [30, K + 16])
     @pytest.mark.parametrize("s", [1, 3, 4, 9, 17])
     def test_chain_names_the_step(self, c_bits, s):
-        # x0 has order 2^s on E mod Q18: S_s vanishes mod Q18 alone, a gcd hit
+        # x0 has order 2^s on E mod Q18: S_s vanishes mod Q18 alone, a gcd
+        # hit, and Q18 divides the end Z from doubling s on, not before
         rng = random.Random(f"chain/{c_bits}/{s}")
         curve, point = point_of_order_2s(c_bits, s, rng)
         n = curve.modulus
         for steps in (s + 1, s + 5):
-            want, _ = run_sequence(n, -1, point.x, steps)
-            assert chain_outcome(n, point.x, steps) == want
-            assert (want.kind, want.step, want.divisor) == (GCD_HIT, s, Q18)
-        assert double_x_only_chain(n, point.x, s) == ChainFailure(s, Q18)
+            want, trace = run_sequence(n, -1, point.x, steps)
+            assert chain_outcome(n, point.x, steps) == want == SequenceOutcome(GCD_HIT, Q18)
+            assert trace.steps_completed == s
+        assert end_gcd(n, point.x, s) == Q18
+        assert end_gcd(n, point.x, s - 1) == 1
 
     def test_chain_early_infinity(self):
         # x0 = 0 is 2-torsion modulo every factor: S_1 = 0
         n, _ = shaped(K, 30, random.Random(3))
-        want, _ = run_sequence(n, -1, 0, 6)
-        assert chain_outcome(n, 0, 6) == want
-        assert (want.kind, want.step) == (EARLY_INFINITY, 1)
+        want, trace = run_sequence(n, -1, 0, 6)
+        assert chain_outcome(n, 0, 6) == want == SequenceOutcome(EARLY_INFINITY)
+        assert trace.steps_completed == 1
 
     def test_random_walks_match(self):
         # composite moduli with small factors: every outcome agrees, the
@@ -277,6 +278,5 @@ class TestAgainstAffine:
                 assert got.value.divisor == exc.divisor
             else:
                 assert scalar_mul(curve, mult, point) == want
-            steps = rng.randrange(2, 40)
-            assert chain_outcome(n, x, steps) == run_sequence(n, -1, x, steps)[0]
+            agrees_with_affine(n, x, rng.randrange(2, 40))
         assert divisors > 0

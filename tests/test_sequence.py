@@ -34,14 +34,14 @@ class TestRunSequence:
     def test_two_torsion_start_vanishes_immediately(self):
         outcome, trace = run_sequence(31, 3, 0, 5)
         assert outcome.kind == EARLY_INFINITY
-        assert outcome.step == 1
+        assert trace.steps_completed == 1
         assert trace.s_values == (0,)
 
     def test_gcd_hit_carries_proper_divisor(self):
         # x = 5 on modulus 35: S_1 = 5^3 - 3*5 = 110, gcd(110, 35) = 5
         outcome, trace = run_sequence(35, 3, 5, 4, four_factor=False)
         assert outcome.kind == GCD_HIT
-        assert outcome.step == 1 and outcome.divisor == 5
+        assert trace.steps_completed == 1 and outcome.divisor == 5
         assert 35 % outcome.divisor == 0
 
     def test_validation(self):
@@ -61,10 +61,10 @@ class TestRunSequence:
                 continue
             x0 = rng.randrange(0, n)
             k = rng.randrange(2, 9)
-            with_four, _ = run_sequence(n, m, x0, k, four_factor=True)
-            without, _ = run_sequence(n, m, x0, k, four_factor=False)
+            with_four, trace_four = run_sequence(n, m, x0, k, four_factor=True)
+            without, trace = run_sequence(n, m, x0, k, four_factor=False)
             assert with_four.kind == without.kind
-            assert with_four.step == without.step
+            assert trace_four.steps_completed == trace.steps_completed
             assert with_four.divisor == without.divisor
 
     def test_denominator_is_scaled_y_square(self):
@@ -129,10 +129,13 @@ class TestMersenneSequence:
 
     def test_follows_the_decision_to_300(self):
         # the traced chain ends as the small-n route's certificate says: the
-        # same outcome, the same start-search factor, or, for M_3 (the
-        # oracle's), final-zero for a prime.  test_mersenne decides M_3 and
-        # the primes by the same verdict, and every composite M_k at the
-        # presieve or on the witness
+        # same final outcome, a failure whose primes the route's one gcd
+        # holds, the same start-search factor, or, for M_3 (the oracle's),
+        # final-zero for a prime.  test_mersenne decides M_3 and the primes
+        # by the same verdict, and every composite M_k at the presieve or on
+        # the witness
+        failed = {GCD_HIT, EARLY_INFINITY}
+        kinds = set()
         for k in range(3, 301):
             v = mersenne_test(k)
             if v.status == COMPOSITE:
@@ -145,8 +148,17 @@ class TestMersenneSequence:
                 assert info.value.divisor == cert["divisor"], k
                 continue
             outcome, _ = mersenne_sequence(k)
-            if cert["type"] == "sequence":
-                assert outcome.kind == cert["outcome"], k
-                assert (outcome.step, outcome.divisor) == (cert.get("step"), cert.get("divisor"))
+            if cert["type"] == "sequence" and outcome.kind in failed:
+                # the first non-unit S_i's primes divide the walk's end Z
+                p = (1 << k) - 1
+                first, end = outcome.divisor or p, cert.get("divisor", p)
+                assert cert["outcome"] in failed and pow(end, first.bit_length(), first) == 0, k
+                kinds.add((outcome.kind, cert["outcome"], first == end))
+            elif cert["type"] == "sequence":
+                assert (outcome.kind, None) == (cert["outcome"], cert.get("divisor")), k
             else:
                 assert (outcome.kind == FINAL_ZERO) == (v.status == PRIME), k
+        # M_6 = 63: the run stops at S_2, which 9 divides, and the walk's
+        # end Z vanishes mod 63; mostly the end gcd holds more primes
+        assert kinds == {(GCD_HIT, GCD_HIT, True), (GCD_HIT, GCD_HIT, False),
+                         (GCD_HIT, EARLY_INFINITY, False)}

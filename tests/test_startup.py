@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ecriesel.ecring import ChainFailure, Curve, Point
+from ecriesel.ecring import Curve, Point
 from ecriesel.numtheory import FormCandidate, InverseOutcome
 from ecriesel.oracle import GroupStructure
 from ecriesel.primality import Verdict
@@ -26,7 +26,7 @@ HEAVY = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 SMALL_PRIME_RECORD = (
     '{"algorithm":"small-n","candidate":{"k":"7","n":"3","p":"383"},'
     '"certificate":{"outcome":"final-zero","type":"sequence"},'
-    '"iterations":1,"schema":"ecriesel.run-record/8","tool_version":"0.1.0","verdict":"prime"}\n'
+    '"iterations":1,"schema":"ecriesel.run-record/9","tool_version":"0.1.0","verdict":"prime"}\n'
 )
 
 
@@ -69,7 +69,6 @@ def test_one_test_command_loads_no_pool_or_dataclasses():
 RECORDS = [
     Curve(7, 3),
     Point(1, 2),
-    ChainFailure(3, 5),
     FormCandidate(3, 5),
     InverseOutcome(inverse=3),
     SequenceOutcome(FINAL_ZERO),
