@@ -52,7 +52,9 @@ B = 2^j.  If X is in [0, N + 64] and Z in [-32, N + 32], |X +- Z| <=
 of 0, and two folds give X in [0, N + 51] and Z in [-26, N + 26] (as
 B >= 2^16), the same ranges again.  Both x-only kernels reduce any other
 N = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
-(_riesel_fold: k is the trailing zeros of N + 1) by the Riesel fold.  As
+(_riesel_fold: k is the trailing zeros of N + 1) by the Riesel fold.
+The shape rule, with RIESEL_FOLD_BITS and _riesel_fold, is
+numtheory.fold_shape, by which miller_rabin chooses its reducer too.  As
 c * 2^k = 1 mod N, f(t) = (t >> k) + c * (t & (2^k - 1)) = c * t mod N
 for t of either sign, so two folds and a `%` take t to c^2 * t mod N, in
 [0, N).  From |t| < L N^2, as c (2^k - 1) <= N and N / 2^k < c, one fold
@@ -82,11 +84,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .numtheory import mod_inverse
-
-# Least bit length of a modulus c * 2^k - 1 that the curve kernels reduce
-# by folding: below it `%` is faster (the crossover table in CHANGES.md).
-RIESEL_FOLD_BITS = 768
+from .numtheory import fold_shape, mod_inverse
+from .numtheory import RIESEL_FOLD_BITS, _riesel_fold  # noqa: F401  (tests import them from here)
 
 
 class FactorFound(Exception):
@@ -184,15 +183,6 @@ def add(curve: Curve, p: Point, q: Point) -> Point:
     x3 = (lam * lam - p.x - q.x) % n
     y3 = (lam * (p.x - x3) - p.y) % n
     return Point(x3, y3)
-
-
-def _riesel_fold(n: int) -> tuple[int, int] | None:
-    """(k, c) with n = c * 2^k - 1 when the module docstring's fold reduces n, else None."""
-    if n.bit_length() < RIESEL_FOLD_BITS:
-        return None
-    k = ((n + 1) & -(n + 1)).bit_length() - 1
-    c = (n + 1) >> k
-    return (k, c) if c.bit_length() <= k + 16 else None
 
 
 def scalar_mul(curve: Curve, s: int, point: Point) -> Point:
@@ -326,9 +316,8 @@ def double_x_only_chain(n: int, x: int, times: int, s: int = 1) -> tuple[int, in
     x = x(P), Z unchecked (module docstring).  s > 1 takes s*P from the
     ladder.  The doublings run by shift-and-fold mod 2^j - 1 (j >= 16),
     else by the Riesel fold or `%`."""
-    fold = _riesel_fold(n)
+    mersenne, fold = fold_shape(n)
     X, Z = (x % n, 1) if s == 1 else _x_only_ladder(s, x % n, n, fold)
-    mersenne = n & (n + 1) == 0 and n.bit_length() >= 16
     if fold is None or mersenne:
         return _x_only_doublings(X, Z, times, n, mersenne)
     return _x_only_doublings_folded(X, Z, times, n, *fold)

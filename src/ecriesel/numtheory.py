@@ -7,6 +7,33 @@ special-form fast reduction for moduli 2^k*n - 1, the classical
 baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles, and
 the small-prime presieve of a search range.  FormCandidate (checked when
 built) and InverseOutcome are immutable named tuples.
+
+The fold shapes.  fold_shape(n) is the one rule by which the curve kernels
+(ecring.double_x_only_chain) and miller_rabin choose how to reduce mod n:
+the shift-and-fold on n = 2^j - 1 with j >= 16, the Riesel fold on
+n = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
+(_riesel_fold; k is the trailing zeros of n + 1, so c is odd), and `%`
+everywhere else.  Both shapes have k >= 16 (a Riesel n of 768 bits or more
+has k + bits(c) >= 768 and bits(c) <= k + 16), so n - 1 = 2 (c 2^(k-1) - 1)
+with an odd cofactor d = c 2^(k-1) - 1: r = 1, and the strong test to a
+base b is b^d = +-1 (mod n).  For b a unit this is b^(c 2^(k-1)) = +-b,
+one pow(b, c, n) and k - 1 squarings; a b that shares a factor with n has
+no unit power, so it is a witness, and miller_rabin says so by a gcd
+before the squarings (the +-b form alone passes some: a b that is 0 mod
+one prime power of n and 1 mod the rest has b^e = b for every e >= 1).
+One folded squaring:
+
+  * shift-and-fold, n = 2^j - 1, B = 2^j: f(t) = (t & n) + (t >> j) = t
+    mod n.  From x in [0, n + 2], x^2 <= B^2 + 2B + 1, one fold gives at
+    most (B - 1) + (B + 2) = 2B + 1, and a second at most (B - 1) + 2 =
+    n + 2: x stays in [0, n + 2] with two folds and no `%`, and a last `%`
+    gives the residue;
+  * Riesel fold, as ecring's docstring proves with L = 1 (x in [0, n), so
+    x^2 < n^2): two folds leave t below (c / 2^k + 2)(n + 1), so the `%`
+    that follows has a quotient below 2^16 + 2, one digit, and costs
+    linear time where a full `%` costs quadratic.  Each step multiplies by
+    the unit c^2, so the start is scaled by c^-2 = 2^(2k): x stays
+    c^-2 times the true power, and is compared with +-(b 2^(2k) mod n).
 """
 
 from __future__ import annotations
@@ -30,6 +57,11 @@ MR_DEFAULT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 TRIAL_LIMIT = 10**4
 ORACLE_BASES = MR_DEFAULT_BASES + (41,)
 PSI_13 = 3317044064679887385961981
+
+# Least bit length of a modulus c * 2^k - 1 that the curve kernels and
+# miller_rabin reduce by the Riesel fold: below it `%` is faster (the
+# crossover table in CHANGES.md).
+RIESEL_FOLD_BITS = 768
 
 # Largest prime that presieves a search range.
 SIEVE_BOUND = 1 << 16
@@ -191,14 +223,64 @@ def is_prime_oracle(n: int) -> bool | None:
     return n % 2 == 1 and miller_rabin(n, ORACLE_BASES)
 
 
+def _riesel_fold(n: int) -> tuple[int, int] | None:
+    """(k, c) with n = c * 2^k - 1 when the Riesel fold reduces n (module
+    docstring), else None."""
+    if n.bit_length() < RIESEL_FOLD_BITS:
+        return None
+    k = ((n + 1) & -(n + 1)).bit_length() - 1
+    c = (n + 1) >> k
+    return (k, c) if c.bit_length() <= k + 16 else None
+
+
+def fold_shape(n: int) -> tuple[bool, tuple[int, int] | None]:
+    """(mersenne, fold) for odd n: mersenne when n = 2^j - 1 with j >= 16
+    (the shift-and-fold reduces it), fold = _riesel_fold(n).  The module
+    docstring's one rule for the curve kernels and miller_rabin."""
+    return n & (n + 1) == 0 and n.bit_length() >= 16, _riesel_fold(n)
+
+
 def miller_rabin(n: int, bases: tuple[int, ...] = MR_DEFAULT_BASES) -> bool:
     """Strong probable-prime test of odd n >= 3 against the given bases.
 
     False is always correct (some base is a compositeness witness); True
     means no listed base is a witness.  Bases outside [2, n-2] are skipped.
+    An n = c * 2^k - 1 of a fold shape has k >= 16, so n - 1 = 2 d with
+    d = c * 2^(k-1) - 1 odd: r = 1, and b passes iff b^d = +-1, that is
+    iff b is a unit and b^(c * 2^(k-1)) = +-b.  So each base costs a gcd,
+    one pow(b, c, n) and k - 1 squarings reduced by the folds, whose
+    bounds the module docstring proves.  Any other n runs the textbook
+    loop: pow(b, d, n) with n - 1 = 2^r d, then r - 1 squarings by `%`.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
+    mersenne, fold = fold_shape(n)
+    if mersenne or fold is not None:
+        k, c = fold or (n.bit_length(), 1)
+        mask = (1 << k) - 1
+        for b in bases:
+            if not 2 <= b <= n - 2:
+                continue
+            if gcd(b, n) != 1:
+                return False
+            x = pow(b, c, n)
+            if mersenne:
+                for _ in range(k - 1):
+                    t = x * x
+                    t = (t & n) + (t >> k)
+                    x = (t & n) + (t >> k)
+                x %= n
+                target = b
+            else:
+                x = (x << 2 * k) % n  # times c^-2, which each fold's c^2 keeps
+                for _ in range(k - 1):
+                    t = x * x
+                    t = (t >> k) + c * (t & mask)
+                    x = ((t >> k) + c * (t & mask)) % n
+                target = (b << 2 * k) % n
+            if x != target and x != n - target:
+                return False
+        return True
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r

@@ -3,10 +3,12 @@
 auto_test, the one decide entry, runs the presieve on p (a prime factor
 up to 13 is a sieve verdict), then one strong test of p to base
 WITNESS_BASE = 3 (a witness proves p composite at any size, Miller 1976,
-Rabin 1980; base 2 witnesses no M_k of prime k), then the first corner
-that applies, on E: y^2 = x^3 + x, the paper's y^2 = x^3 - m x at m = -1,
-a non-residue mod p = 3 (mod 4) (every other such curve is isomorphic to
-E by x -> x / lambda, lambda^2 = -m).  With no corner, _fallback decides
+Rabin 1980; base 2 witnesses no M_k of prime k; on p = c 2^k - 1 of a
+numtheory.fold_shape it is one pow(3, c, p) and k - 1 folded squarings,
+elsewhere one modular power), then the first corner that applies, on
+E: y^2 = x^3 + x, the paper's y^2 = x^3 - m x at m = -1, a non-residue
+mod p = 3 (mod 4) (every other such curve is isomorphic to E by
+x -> x / lambda, lambda^2 = -m).  With no corner, _fallback decides
 p by the exact oracle below PSI_13, or reports not-applicable.
 
 The corners are one order criterion (Goldwasser-Kilian 1999, Atkin-Morain
@@ -341,11 +343,13 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
 
     A witness record (composite, miller-rabin, witness WITNESS_BASE) is
     valid iff the presieve finds no factor of p and WITNESS_BASE witnesses
-    p: one presieve and one modular power.  Any other record that is
-    neither prime nor a sieve verdict needs p past both, as auto_test stops
-    at either.  A curve record needs _applies for its factors (none on the
-    small-n corner, whose a is 1) and _evaluate at a = iterations to give
-    its status, algorithm and certificate; no retry, fallback or dispatch
+    p: one presieve and the same strong test (one pow(3, c, p) and k - 1
+    folded squarings where p has a numtheory.fold_shape, one modular power
+    elsewhere).  Any other record that is neither prime nor a sieve
+    verdict needs p past both, as auto_test stops at either.  A curve
+    record needs _applies for its factors (none on the small-n corner,
+    whose a is 1) and _evaluate at a = iterations to give its status,
+    algorithm and certificate; no retry, fallback or dispatch
     runs (run_sequence, scalar_mul, the oracle and the differential tests
     are the evaluator's references).  A give-up is valid only as auto_test
     makes it for the factors it names (those given with --q):

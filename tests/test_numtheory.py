@@ -1,9 +1,13 @@
 import random
+from math import gcd
 
 import pytest
 
 from ecriesel.numtheory import (
+    MR_DEFAULT_BASES,
+    RIESEL_FOLD_BITS,
     FormCandidate,
+    fold_shape,
     gate_large_n,
     gate_small_n,
     iroot4,
@@ -17,6 +21,12 @@ from ecriesel.numtheory import (
     sieve_primes,
     trial_division,
 )
+
+try:  # only the property test needs hypothesis
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    given = None
 
 
 class TestFormCandidate:
@@ -251,6 +261,141 @@ class TestMillerRabin:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             miller_rabin(10)
+
+
+def textbook_strong(n, bases):
+    """The textbook strong test, a frozen reference: pow(b, d, n) with
+    n - 1 = 2^r d, d odd, then r - 1 squarings by `%` (miller_rabin's loop
+    for an n of no fold shape)."""
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for b in bases:
+        if not 2 <= b <= n - 2:
+            continue
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def plus_minus_b(n, b):
+    """The strong test's r = 1 form without its gcd: b^(c 2^(k-1)) = +-b."""
+    x = pow(b, (n + 1) >> 1, n)
+    return x == b % n or x == n - b % n
+
+
+def idempotent(n, ell):
+    """The b in [2, n - 2] with b = 0 mod ell's part of n and 1 mod the rest:
+    b^e = b for every e >= 1, so b passes the +-b form, yet shares ell with n."""
+    part = ell
+    while n % (part * ell) == 0:
+        part *= ell
+    rest = n // part
+    return part * pow(part, -1, rest) % n
+
+
+def riesel(c, k):
+    return (c << k) - 1
+
+
+# (k, bits(c)) of n = c 2^k - 1: bits(c) = k + 16 (folded) and k + 17
+# (not), with n of 2k + 16 and 2k + 17 bits on either side of
+# RIESEL_FOLD_BITS; c small and c about 2^k below, at and above it.
+# riesel_cases takes the least odd c of that length and the next ones.
+FOLD_EDGES = [
+    (375, 391), (375, 392), (376, 392), (376, 393), (400, 416), (400, 417), (507, 523),
+    (766, 2), (765, 2), (767, 2), (1028, 2), (760, 9), (761, 9),
+    (383, 384), (384, 384), (383, 385), (515, 515),
+]
+
+
+def riesel_cases(count=6):
+    for k, cbits in FOLD_EDGES:
+        for i in range(count):
+            c = (1 << (cbits - 1)) + 1 + 2 * i
+            yield riesel(c, k)
+
+
+class TestStrongTestOnTheFolds:
+    """miller_rabin on n of a fold shape (one pow(b, c, n), k - 1 folded
+    squarings) against the textbook loop it replaces there."""
+
+    @pytest.mark.parametrize("bases", [(3,), MR_DEFAULT_BASES], ids=["3", "default"])
+    def test_mersenne_numbers(self, bases):
+        # the shift-and-fold from j = 16, `%` below
+        for k in range(3, 701):
+            n = (1 << k) - 1
+            assert fold_shape(n) == (k >= 16, (k, 1) if k >= RIESEL_FOLD_BITS else None)
+            assert miller_rabin(n, bases) == textbook_strong(n, bases), k
+
+    @pytest.mark.parametrize("bases", [(3,), MR_DEFAULT_BASES], ids=["3", "default"])
+    def test_riesel_shapes(self, bases):
+        folded = 0
+        for n in riesel_cases():
+            k = ((n + 1) & -(n + 1)).bit_length() - 1
+            c = (n + 1) >> k
+            shape = n.bit_length() >= RIESEL_FOLD_BITS and c.bit_length() <= k + 16
+            assert fold_shape(n) == (False, (k, c) if shape else None), (c, k)
+            folded += shape
+            assert miller_rabin(n, bases) == textbook_strong(n, bases), (c, k)
+        assert folded == 71  # 5 of (765, 2): c = 3 gives 767 bits
+
+    @pytest.mark.parametrize("c, k", [
+        (3, 827), (347, 800), ((1 << 391) + 915, 376), ((1 << 383) + 75, 384),
+    ], ids=["3", "347", "2^391", "2^383"])
+    def test_probable_primes_pass(self, c, k):
+        # 3 2^827 - 1 is a Riesel prime, 347 2^800 - 1 is prime (the CLI
+        # smoke test's), and the last two c are the least above 2^391 and
+        # 2^383 that give 768-bit strong probable primes to base 3
+        n = riesel(c, k)
+        assert fold_shape(n)[1] == (k, c)
+        assert textbook_strong(n, (3,))
+        assert miller_rabin(n, (3,)) and miller_rabin(n)
+
+    @pytest.mark.parametrize("n, ell", [
+        ((1 << 768) - 1, 3), ((1 << 768) - 1, 5), ((1 << 1280) - 1, 3), ((1 << 20) - 1, 5),
+        (riesel(3, 769), 5), (riesel(3, 772), 11),
+    ], ids=["M768-3", "M768-5", "M1280-3", "M20-5", "3*2^769-1-5", "3*2^772-1-11"])
+    def test_bases_that_share_a_factor(self, n, ell):
+        assert any(fold_shape(n)) and n % ell == 0
+        b = idempotent(n, ell)
+        # such a base passes the +-b form; the gcd makes it the witness it is
+        assert plus_minus_b(n, b)
+        shared = [b, ell, ell * ell, 3 * ell, 9, 15]
+        for base in shared:
+            if 2 <= base <= n - 2 and gcd(base, n) > 1:
+                assert miller_rabin(n, (base,)) is False, base
+                assert textbook_strong(n, (base,)) is False, base
+        assert miller_rabin(n, (2, b)) is False
+
+    def test_bases_outside_the_range_are_skipped(self):
+        for n in [(1 << 607) - 1, (1 << 1279) - 1, riesel(347, 800), riesel(9, 765)]:
+            assert any(fold_shape(n))
+            outside = (-3, 0, 1, n - 1, n, n + 3, 2 * n)
+            assert miller_rabin(n, outside) is True
+            assert miller_rabin(n, outside + (3,)) == textbook_strong(n, (3,))
+
+
+if given is not None:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(k=st.integers(16, 900), data=st.data())
+    def test_folds_match_the_textbook_loop(k, data):
+        sizes = st.integers(1, k + 16)
+        if RIESEL_FOLD_BITS - k <= k + 16:  # a Riesel fold shape exists: draw it half the time
+            sizes = st.one_of(sizes, st.integers(max(1, RIESEL_FOLD_BITS - k), k + 16))
+        cbits = data.draw(sizes)
+        c = data.draw(st.integers(1 << (cbits - 1), (1 << cbits) - 1)) | 1
+        n = riesel(c, k)
+        base = data.draw(st.integers(2, 1000))
+        assert miller_rabin(n, (3,)) == textbook_strong(n, (3,))
+        assert miller_rabin(n, (base,)) == textbook_strong(n, (base,))
 
 
 class TestLucasLehmer:

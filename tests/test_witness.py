@@ -3,16 +3,20 @@
 auto_test runs the one-candidate presieve, then one strong test of p to
 WITNESS_BASE = 3, then the curve routes, then the fallback.  A witness
 ends p composite with the oracle's certificate {"type": "oracle",
-"witness": 3}; replay checks it with one presieve and one modular power,
-and walks nothing.  Base-3 strong pseudoprimes still reach the routes'
-composite outcomes, found by a search over p = 3 (mod 4) below 2 * 10^7.
+"witness": 3}; replay checks it with one presieve and the same strong
+test, and walks nothing.  On p = c * 2^k - 1 of a fold shape
+(numtheory.fold_shape: M_k with k >= 16, or 768 bits or more with
+bits(c) <= k + 16) that test is one pow(3, c, p) and k - 1 folded
+squarings, elsewhere one modular power.  Base-3 strong pseudoprimes still
+reach the routes' composite outcomes, found by a search over p = 3
+(mod 4) below 2 * 10^7.
 """
 
 import io
 
 import pytest
 
-from ecriesel import cli, ecring, primality
+from ecriesel import cli, ecring, numtheory, primality
 from ecriesel.numtheory import PSI_13, FormCandidate, miller_rabin, sieve_primes
 from ecriesel.primality import (
     COMPOSITE,
@@ -191,6 +195,28 @@ def test_witness_replay_walks_nothing(monkeypatch):
     monkeypatch.setattr(ecring, "_x_only_ladder", boom)
     for kn in ((7, 61), (11, 1), (2, 3**53), (1279 - 2, 1)):
         assert replay_verdict(FormCandidate(*kn), WITNESS), kn
+
+
+def test_the_witness_runs_on_the_folds(monkeypatch):
+    # on a p of a fold shape the strong test to base 3 takes one
+    # pow(3, c, p) and k - 1 folded squarings, deciding and replaying; a
+    # fall back to the textbook pow(3, (p - 1) / 2, p) would keep every
+    # verdict, and only this test would see it
+    calls = []
+
+    def recorded(base, exp, mod=None):
+        calls.append((base, exp, mod))
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(numtheory, "pow", recorded, raising=False)
+    c = FormCandidate(1279, 1)
+    v = mersenne_test(1279)
+    assert v.status == PRIME and replay_verdict(c, v)  # a prime replays no witness
+    assert [call for call in calls if call[::2] == (3, c.p)] == [(3, 1, c.p)]
+    calls.clear()
+    c = FormCandidate(3000, 5)
+    assert auto_test(c) == WITNESS and replay_verdict(c, WITNESS)
+    assert [call for call in calls if call[::2] == (3, c.p)] == [(3, 5, c.p)] * 2
 
 
 @pytest.mark.parametrize("kn, verdict", [
