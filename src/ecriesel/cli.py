@@ -2,18 +2,25 @@
 group-structure verification, and certificate replay.
 
 Machine output is JSON lines, one self-contained object per record, with
-every certificate integer and the candidate's n and p rendered as decimal
+every certificate integer and the candidate's k and n rendered as decimal
 strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/9.  Certificates hold no curve, no
-point and no step: every route walks y^2 = x^3 + x from an x that replay
-derives from iterations, and names the primes of n its proof used
-(small-n's mixed corner, large-n) or the factors given with --q (a
-give-up).  A composite p that base 3 witnesses carries the oracle's
-certificate with witness 3.  Replay reads no other schema, and names a
-record of any other run-record/<digits> schema as no longer read.
+The schema is ecriesel.run-record/10.  A record holds nothing that k and
+n give: its candidate is k and n, not p = 2^k n - 1, which replay forms
+(FormCandidate refuses k + bits(n) above numtheory.MAX_P_BITS first, so
+a forged huge k is malformed, not a 2^k-bit allocation), and replay
+checks no record above REPLAY_MAX_P_BITS, which bounds its work now that
+a record's size does not.  Certificates
+hold no curve, no point and no step: every route walks y^2 = x^3 + x
+from an x that replay derives from iterations, and names the primes of n
+its proof used (small-n's mixed corner, large-n when n is not its own
+single factor) or the factors given with --q (a give-up).  A composite p
+that base 3 witnesses carries the oracle's certificate with witness 3.
+Replay reads no other schema, and names a record of any other
+run-record/<digits> schema as no longer read.  The human-readable line
+and replay's line still print p.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -69,7 +76,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/9"
+SCHEMA = "ecriesel.run-record/10"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -153,10 +160,19 @@ def _parse_text(value) -> str:
 
 # How replay reads each certificate field; any other key is malformed.
 CERTIFICATE_FIELDS = {
-    **dict.fromkeys(("divisor", "least_factor", "witness", "attempts"), _parse_int),
+    **dict.fromkeys(("divisor", "least_factor", "witness"), _parse_int),
     "factors": _parse_int_list,
     **dict.fromkeys(("type", "outcome", "stage", "gate", "reason"), _parse_text),
 }
+
+
+# Most bits of p = 2^k * n - 1, counted as k + bits(n), whose record replay
+# checks; a larger one is refused as malformed.  A record names k and n, not
+# p, so its size no longer bounds replay's work, and this limit does: replay
+# re-runs at most what deciding the candidate ran, and at the limit that
+# takes from seconds (the base-3 witness) to minutes (a large-n record whose
+# n is itself a prime of that size, which _applies tests to 12 bases).
+REPLAY_MAX_P_BITS = 1 << 14
 
 
 # No command calls it: the tests' reference, and perfbench/tracing.py wraps it.
@@ -164,7 +180,7 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
     record = {
         "schema": SCHEMA,
         "tool_version": __version__,
-        "candidate": {"k": _decimal(c.k), "n": _decimal(c.n), "p": _decimal(c.p)},
+        "candidate": {"k": _decimal(c.k), "n": _decimal(c.n)},
         "algorithm": verdict.algorithm,
         "verdict": verdict.status,
         "iterations": verdict.iterations,
@@ -189,9 +205,11 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     Raises ValueError on a record of another schema (another
     run-record/<digits> is named as no longer read), a missing top-level
     key, a verdict, algorithm or tool_version that is not a string, a
-    candidate that is not an object with exactly the keys k, n and p, a
-    certificate key outside CERTIFICATE_FIELDS, an integer that is not a
-    canonical decimal string, a k above the bit length of the record's p,
+    candidate that is not an object with exactly the keys k and n (a p is
+    an unknown field: replay forms p from them), a certificate key outside
+    CERTIFICATE_FIELDS, an integer that is not a canonical decimal string,
+    a k and n that FormCandidate refuses (k + bits(n) above MAX_P_BITS
+    among them, before p is formed), a k + bits(n) above REPLAY_MAX_P_BITS,
     or an iterations count that is not a JSON integer >= 1.  A malformed
     field is named in the message.
     """
@@ -207,17 +225,15 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     cand = record["candidate"]
     if not isinstance(cand, dict):
         raise ValueError("candidate: not a JSON object")
-    if cand.keys() != set("knp"):
-        key = min(cand.keys() ^ set("knp"))
+    if cand.keys() != set("kn"):
+        key = min(cand.keys() ^ set("kn"))
         raise ValueError(f"candidate.{key}: missing" if key not in cand
                          else f"unknown candidate field {key!r}")
-    k, n, p = (_read(f"candidate.{key}", _parse_int, cand[key]) for key in "knp")
-    # p = 2^k * n - 1 has at least k bits, so this bounds the cost of forming c.p
-    if k > p.bit_length():
-        raise ValueError("record k exceeds the bit length of its p")
-    c = FormCandidate(k=k, n=n)
-    if c.p != p:
-        raise ValueError("record p does not match 2^k * n - 1")
+    c = FormCandidate(k=_read("candidate.k", _parse_int, cand["k"]),
+                      n=_read("candidate.n", _parse_int, cand["n"]))
+    if c.k + c.n.bit_length() > REPLAY_MAX_P_BITS:
+        raise ValueError(f"candidate: 2^k * n - 1 would have more than "
+                         f"REPLAY_MAX_P_BITS = {REPLAY_MAX_P_BITS} bits, the most replay checks")
     fields = record["certificate"]
     if not isinstance(fields, dict):
         raise ValueError("certificate must be a JSON object")
@@ -241,19 +257,19 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
 _RECORD_TAIL = f'"schema":"{SCHEMA}","tool_version":"{__version__}","verdict":'
 
 
-def _record_line(k: str, n: str, p: str, algorithm: str, status: str, iterations: int,
+def _record_line(k: str, n: str, algorithm: str, status: str, iterations: int,
                  certificate: str, elapsed_ms: float | None = None,
                  lucas_lehmer: str | None = None) -> str:
     """The JSON line of one run record, the only writer of record lines.
 
     Byte for byte json.dumps(record, sort_keys=True, separators=(",", ":"))
     plus a newline, where record is build_record's dict, with lucas_lehmer
-    and match added when the classical verdict is given.  k, n and p are
-    decimal strings and certificate is the certificate's JSON; algorithm,
-    status and lucas_lehmer are the package's own names, which JSON writes
-    unescaped.
+    and match added when the classical verdict is given.  k and n are
+    decimal strings (the record holds no p, which they give) and
+    certificate is the certificate's JSON; algorithm, status and
+    lucas_lehmer are the package's own names, which JSON writes unescaped.
     """
-    line = (f'{{"algorithm":"{algorithm}","candidate":{{"k":"{k}","n":"{n}","p":"{p}"}},'
+    line = (f'{{"algorithm":"{algorithm}","candidate":{{"k":"{k}","n":"{n}"}},'
             f'"certificate":{certificate},')
     if elapsed_ms is not None:
         line += f'"elapsed_ms":{elapsed_ms!r},'
@@ -268,7 +284,7 @@ def _emit(out, as_json: bool, c: FormCandidate, verdict: Verdict,
           elapsed_ms: float | None = None, lucas_lehmer: str | None = None) -> None:
     """Write one run record: its JSON line, or the human-readable line."""
     if as_json:
-        out.write(_record_line(_decimal(c.k), _decimal(c.n), _decimal(c.p), verdict.algorithm,
+        out.write(_record_line(_decimal(c.k), _decimal(c.n), verdict.algorithm,
                                verdict.status, verdict.iterations,
                                _ENCODE(_stringify(verdict.certificate)), elapsed_ms,
                                lucas_lehmer))
@@ -333,6 +349,11 @@ def _cmd_mersenne(args, out, err) -> int:
     if not 3 <= args.k_min <= args.k_max:
         err.write("mersenne: need 3 <= k_min <= k_max\n")
         return 3
+    try:
+        FormCandidate(k=args.k_max, n=1)  # the largest p of the range
+    except ValueError as exc:
+        err.write(f"mersenne: {exc}\n")
+        return 3
     mismatches = 0
     for k in range(args.k_min, args.k_max + 1):
         verdict, elapsed = _timed(test_mersenne, k)
@@ -352,15 +373,21 @@ def _search_candidate(n: int, k: int) -> Verdict:
     return decide_unsieved(FormCandidate(k=k, n=n))
 
 
-def _sieve_line(k_text: str, k: int, n: int, divisor: int) -> str:
+def _sieve_line(k_text: str, n: int, divisor: int) -> str:
     """The JSON line of n's sieve_verdict, written from k, n and the divisor alone."""
-    return _record_line(k_text, _decimal(n), _decimal((n << k) - 1), "sieve", COMPOSITE, 1,
+    return _record_line(k_text, _decimal(n), "sieve", COMPOSITE, 1,
                         f'{{"divisor":"{_decimal(divisor)}","stage":"sieve","type":"factor"}}')
 
 
 def _cmd_search(args, out, err) -> int:
     if args.k < 2 or args.n_min < 1 or args.n_min > args.n_max or args.workers < 1:
         err.write("search: need k >= 2, 1 <= n-min <= n-max and workers >= 1\n")
+        return 3
+    try:
+        # the largest p of the range, before presieve forms it
+        FormCandidate(k=args.k, n=args.n_max | 1)
+    except ValueError as exc:
+        err.write(f"search: {exc}\n")
         return 3
     ns = range(args.n_min | 1, args.n_max + 1, 2)
     # A small prime factor settles n here; only the rest reach the witness
@@ -376,7 +403,7 @@ def _cmd_search(args, out, err) -> int:
         for n in ns:
             divisor = sieved.get(n)
             if divisor is not None and args.json:
-                out.write(_sieve_line(k_text, args.k, n, divisor))
+                out.write(_sieve_line(k_text, n, divisor))
                 counts[COMPOSITE] += 1
                 continue
             verdict = next(tested) if divisor is None else sieve_verdict(divisor)

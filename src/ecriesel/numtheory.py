@@ -63,6 +63,13 @@ PSI_13 = 3317044064679887385961981
 # crossover table in CHANGES.md).
 RIESEL_FOLD_BITS = 768
 
+# Most bits of p = 2^k * n - 1, counted as k + bits(n), that FormCandidate
+# accepts: a 2 MiB integer, far past any p this package can decide, so a
+# forged k in a record is refused before 2^k * n - 1 is formed.  It bounds
+# the size of p, not the work of deciding it (cli.REPLAY_MAX_P_BITS bounds
+# replay's).
+MAX_P_BITS = 1 << 24
+
 # Largest prime that presieves a search range.
 SIEVE_BOUND = 1 << 16
 # Sieving bound per candidate of the range, so that a narrow range builds
@@ -77,6 +84,8 @@ class FormCandidate(namedtuple("FormCandidate", "k n n_factors")):
     k >= 2 and n odd force p = 3 (mod 4).  ``n_factors`` optionally records
     a known factorization of n (never computed here; the mixed corner finds
     n's prime factors below 2^16 itself, and needs larger ones supplied).
+    k + bits(n) above MAX_P_BITS raises ValueError before p is formed:
+    p has at most that many bits, and a record names k and n, not p.
     """
 
     __slots__ = ()
@@ -86,6 +95,8 @@ class FormCandidate(namedtuple("FormCandidate", "k n n_factors")):
             raise ValueError("k must be at least 2")
         if n < 1 or n % 2 == 0:
             raise ValueError("n must be a positive odd integer")
+        if k + n.bit_length() > MAX_P_BITS:
+            raise ValueError(f"2^k * n - 1 would have more than MAX_P_BITS = {MAX_P_BITS} bits")
         if n_factors is not None:
             if math.prod(n_factors) != n:
                 raise ValueError("n_factors does not multiply out to n")

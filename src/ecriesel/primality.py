@@ -269,7 +269,9 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
                                cert, a)
         else:
             x = -(a + 1)
-            cert = {"type": "order", "outcome": FINAL_NONZERO, "factors": list(factors)}
+            cert = {"type": "order", "outcome": FINAL_NONZERO}
+            if len(factors) > 1:  # one factor is n itself, which replay takes
+                cert["factors"] = list(factors)
         stage = "scalar-multiplication"
         end = double_x_only_chain(p, x, c.k)
         if _vanishes(end[1], p):
@@ -301,7 +303,7 @@ def _curve_route(c: FormCandidate, factors: tuple[int, ...] | list[int], chain: 
         if verdict is not None:
             return verdict
     return _given(c, Verdict(INCONCLUSIVE, "small-n" if chain else "large-n",
-                             {"type": "retries-exhausted", "attempts": RETRY_CAP}, RETRY_CAP))
+                             {"type": "retries-exhausted"}, RETRY_CAP))
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -348,10 +350,12 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     elsewhere).  Any other record that is neither prime nor a sieve
     verdict needs p past both, as auto_test stops at either.  A curve
     record needs _applies for its factors (none on the small-n corner,
-    whose a is 1) and _evaluate at a = iterations to give its status,
-    algorithm and certificate; no retry, fallback or dispatch
-    runs (run_sequence, scalar_mul, the oracle and the differential tests
-    are the evaluator's references).  A give-up is valid only as auto_test
+    whose a is 1; a large-n record with no factors has the one factor n,
+    which _evaluate leaves out, so one that names [n] is INVALID) and
+    _evaluate at a = iterations to give its status, algorithm and
+    certificate; no retry, fallback or dispatch runs (run_sequence,
+    scalar_mul, the oracle and the differential tests are the evaluator's
+    references).  A give-up is valid only as auto_test
     makes it for the factors it names (those given with --q):
     not-applicable, with no walk, for p >= PSI_13 when no corner applies;
     retries-exhausted as _curve_route gives it on the first corner that
@@ -405,9 +409,10 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
     if algorithm in ("trial-division", "miller-rabin"):
         expected = _oracle_verdict(p)
     elif algorithm in ("small-n", "large-n"):
-        # the small-n corner, with no factors, never declines
-        factors = cert.get("factors", ())
+        # the small-n corner, with no factors, never declines; large-n's
+        # one factor n goes unwritten
         chain = algorithm == "small-n"
+        factors = cert.get("factors", () if chain else (c.n,))
         if not _applies(c, factors, chain) or verdict.iterations > (RETRY_CAP if factors else 1):
             return False
         expected = _evaluate(c, verdict.iterations, factors, chain)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from ecriesel import cli, primality
-from ecriesel.cli import main
-from ecriesel.numtheory import gate_small_n
+from ecriesel.cli import REPLAY_MAX_P_BITS, main
+from ecriesel.numtheory import MAX_P_BITS, gate_small_n
 
 from test_golden import GOLDEN, record_lines
 
@@ -52,7 +52,7 @@ class TestTestCommand:
         rec = json_lines(out)[0]
         assert rec["verdict"] == "prime"
         assert rec["algorithm"] == "small-n"
-        assert rec["candidate"] == {"k": "5", "n": "1", "p": "31"}
+        assert rec["candidate"] == {"k": "5", "n": "1"}
 
     def test_small_n_route(self):
         code, out, _ = run_cli("test", "7", "3", "--json")
@@ -60,7 +60,7 @@ class TestTestCommand:
         rec = json_lines(out)[0]
         assert rec["verdict"] == "prime"
         assert rec["algorithm"] == "small-n"
-        assert rec["candidate"]["p"] == "383"
+        assert rec["candidate"] == {"k": "7", "n": "3"}
 
     def test_composite_exit_code(self):
         code, out, _ = run_cli("test", "2", "2503")
@@ -100,7 +100,7 @@ class TestTestCommand:
         code, out, _ = run_cli("test", "89", "19", "--json")
         assert code == 0
         rec = json_lines(out)[0]
-        assert rec["candidate"]["p"] == str((19 << 89) - 1)
+        assert rec["candidate"] == {"k": "89", "n": "19"}
         cert = rec["certificate"]
         # small-n scans no point, and replay derives its start x0
         assert cert == {"type": "sequence", "outcome": "final-zero"}
@@ -108,7 +108,7 @@ class TestTestCommand:
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/9")
+            assert json.loads(line)["schema"].endswith("/10")
 
 
 class TestFactorOption:
@@ -139,12 +139,11 @@ class TestFactorOption:
         code, out, err = run_cli("test", UNDECIDED_K, UNDECIDED_N, "--q", UNDECIDED_N, "--json")
         assert (code, err) == (3, "")
         assert out == (
-            f'{{"algorithm":"auto","candidate":{{"k":"48","n":"{UNDECIDED_N}",'
-            f'"p":"{UNDECIDED_P}"}},'
+            f'{{"algorithm":"auto","candidate":{{"k":"48","n":"{UNDECIDED_N}"}},'
             f'"certificate":{{"factors":["{UNDECIDED_N}"],"gate":"dispatch","reason":'
             '"no applicable route: gates fail or n needs an unavailable factorization",'
             '"type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/9","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            '"schema":"ecriesel.run-record/10","tool_version":"0.1.0","verdict":"not-applicable"}\n')
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
         assert run_cli("test", "--replay", "-")[0] == 0
 
@@ -346,6 +345,16 @@ class TestStrictReplayInput:
             3, "", "replay: malformed record: schema: ecriesel.run-record/8 is no longer read; "
                    "decide the candidate again\n")
 
+    def test_run_record_9_is_no_longer_read(self, tmp_path):
+        # a /9 record named p beside k and n, which /10 records leave out:
+        # the schema is named before the candidate
+        rec = self.record("7", "3")
+        rec["schema"] = "ecriesel.run-record/9"
+        rec["candidate"]["p"] = "383"
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/9 is no longer read; "
+                   "decide the candidate again\n")
+
     @pytest.mark.parametrize("argv", [("7", "3"), ("7", "61")], ids=["prime", "composite"])
     def test_run_record_6_is_no_longer_read(self, tmp_path, argv):
         # a /6 record ran no witness test: a composite carried a curve
@@ -365,14 +374,43 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, "\n" + good + "\n\n")[0] == 0
         assert self.replay(tmp_path, "")[0] == 3
 
-    @pytest.mark.parametrize("k", [10**20, 18], ids=["huge", "bit-length-plus-one"])
-    def test_k_above_the_bit_length_of_p(self, tmp_path, k):
-        # p = 86015 has 17 bits; 2^k * 21 - 1 is never formed for such a k
-        rec = self.record("12", "21")
-        assert rec["candidate"]["p"] == "86015"
-        rec["candidate"]["k"] = str(k)
+    CAP = f"2^k * n - 1 would have more than MAX_P_BITS = {MAX_P_BITS} bits"
+    LIMIT = (f"candidate: 2^k * n - 1 would have more than REPLAY_MAX_P_BITS = "
+             f"{REPLAY_MAX_P_BITS} bits, the most replay checks")
+
+    @pytest.mark.parametrize("k, n, message", [
+        (10**20, "21", CAP), (10**12, "21", CAP), (MAX_P_BITS, "1", CAP),
+        (REPLAY_MAX_P_BITS, "1", LIMIT), (REPLAY_MAX_P_BITS - 3, "9", LIMIT),
+        (100003, "1", LIMIT),
+    ], ids=["huge", "10^12", "cap-plus-one", "limit-plus-one", "limit-plus-one-n-9", "100003"])
+    def test_k_past_the_cap(self, tmp_path, k, n, message):
+        # a 200-byte witness record: above MAX_P_BITS 2^k * n - 1 is never
+        # formed, and above REPLAY_MAX_P_BITS neither the presieve nor the
+        # strong test runs on it, so a forged k costs no more than the
+        # record's own text
+        rec = self.record("2", WITNESSED_N)
+        assert rec["certificate"] == {"type": "oracle", "witness": "3"}
+        rec["candidate"] = {"k": str(k), "n": n}
+        start = time.perf_counter()
         code, out, err = self.replay(tmp_path, json.dumps(rec))
-        assert code == 3 and out == "" and "malformed" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (3, "", f"replay: malformed record: {message}\n")
+
+    def test_at_the_replay_limit(self, tmp_path):
+        # p = 9 * 2^16380 - 1 has REPLAY_MAX_P_BITS bits and no prime up to
+        # 13 divides it, so replay runs the presieve and the base-3 strong
+        # test on all of it: the same forged record, at the largest p
+        # replay checks, ends (in about 2 s on a 2-vCPU VM)
+        k = REPLAY_MAX_P_BITS - 4
+        assert k + (9).bit_length() == REPLAY_MAX_P_BITS
+        assert all(((9 << k) - 1) % q for q in (3, 5, 7, 11, 13))
+        rec = self.record("2", WITNESSED_N)
+        rec["candidate"] = {"k": str(k), "n": "9"}
+        start = time.perf_counter()
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert time.perf_counter() - start < 60.0
+        assert (code, err) == (0, "")
+        assert out.startswith("replay: valid (composite via miller-rabin for p=")
 
     def test_deeply_nested_json(self, tmp_path):
         code, out, err = self.replay(tmp_path, "[" * 200000 + "]" * 200000)
@@ -470,11 +508,13 @@ class TestStrictReplayInput:
 
     @pytest.mark.parametrize("forge, message", [
         (lambda c: "7", "candidate: not a JSON object"),
-        (lambda c: [c["k"], c["n"], c["p"]], "candidate: not a JSON object"),
-        (lambda c: {"k": c["k"], "n": c["n"]}, "candidate.p: missing"),
-        (lambda c: {"n": c["n"], "p": c["p"]}, "candidate.k: missing"),
+        (lambda c: [c["k"], c["n"]], "candidate: not a JSON object"),
+        # replay forms p from k and n, and a record holds none
+        (lambda c: {**c, "p": "383"}, "unknown candidate field 'p'"),
+        (lambda c: {"n": c["n"]}, "candidate.k: missing"),
+        (lambda c: {"k": c["k"]}, "candidate.n: missing"),
         (lambda c: {**c, "x": "1"}, "unknown candidate field 'x'"),
-    ], ids=["string", "list", "no-p", "no-k", "extra-x"])
+    ], ids=["string", "list", "with-p", "no-k", "no-n", "extra-x"])
     def test_malformed_candidate_is_named(self, tmp_path, forge, message):
         rec = self.record("7", "3")
         rec["candidate"] = forge(rec["candidate"])
@@ -497,7 +537,7 @@ class TestStrictReplayInput:
         ("inconclusive", "sieve", {"type": "gate-failure", "gate": "dispatch",
                                    "reason": "anything"}, 1),
         ("not-applicable", "auto", {"type": "retries-exhausted"}, 1),
-        ("inconclusive", "small-n", {"type": "retries-exhausted", "attempts": "999"}, 999),
+        ("inconclusive", "small-n", {"type": "retries-exhausted"}, 999),
         ("not-applicable", "auto", DISPATCH_CERTIFICATE, 1),
     ], ids=["mersenne-gate-failure", "sieve-inconclusive", "auto-retries-exhausted",
             "999-attempts", "dispatch-below-psi13"])
@@ -549,9 +589,8 @@ class TestStrictReplayInput:
         # the exact oracle knows nothing at or above psi_13, so nothing replays
         # there and nothing long is computed: no trial division, no Miller-Rabin
         rec = self.record("7", "3")
-        p = (int(n) << k) - 1
         rec.update(algorithm=algorithm, verdict="prime", certificate={"type": "oracle"},
-                   candidate={"k": str(k), "n": n, "p": str(p)})
+                   candidate={"k": str(k), "n": n})
         start = time.perf_counter()
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert (code, err) == (1, "") and "INVALID" in out
@@ -606,21 +645,23 @@ class TestMersenneCommand:
         assert run_cli("mersenne", "9", "5")[0] == 3
 
     def test_beyond_the_int_digit_limit(self, tmp_path):
-        # p = 2^14400 - 1 has 4335 digits, past Python's default 4300
+        # p = 2^14400 - 1 has 4335 digits, past Python's default 4300: the
+        # record holds k and n only, the human line and replay's print p
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        p_text = cli._decimal((1 << 14400) - 1)
+        assert len(p_text) == 4335
         code, out, _ = run_cli("mersenne", "14400", "14400", "--json")
         assert code == 0
         rec = json_lines(out)[0]
-        assert rec["verdict"] == "composite"
+        assert rec["verdict"] == "composite" and rec["candidate"] == {"k": "14400", "n": "1"}
         assert rec["certificate"] == {"divisor": "3", "stage": "sieve", "type": "factor"}
-        assert len(rec["candidate"]["p"]) == 4335
-        assert cli._parse_int(rec["candidate"]["p"]) == (1 << 14400) - 1
         assert run_cli("test", "14400", "1", "--json")[:2] == (1, out)
         path = tmp_path / "record.json"
         path.write_text(out)
         code, out, _ = run_cli("test", "--replay", str(path))
-        assert code == 0 and out.startswith("replay: valid")
-        assert run_cli("mersenne", "14400", "14400")[0] == 0
+        assert (code, out) == (0, f"replay: valid (composite via sieve for p={p_text})\n")
+        code, out, _ = run_cli("mersenne", "14400", "14400")
+        assert code == 0 and out.startswith(f"k=14400 n=1 p={p_text}: composite [sieve]")
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit
 
@@ -662,7 +703,7 @@ class TestSearchCommand:
         code, out, _ = run_cli("search", "--k", "2", "--n-min", "3", "--n-max", "3", "--json")
         assert code == 0
         rec = json_lines(out)[0]
-        assert rec["candidate"]["p"] == "11"
+        assert rec["candidate"] == {"k": "2", "n": "3"}  # p = 11
         assert rec["verdict"] == "prime"
 
     def test_summary_counts(self):
@@ -671,7 +712,7 @@ class TestSearchCommand:
         summary = recs[-1]["summary"]
         assert sum(summary.values()) == len(recs) - 1
         # p = 4n - 1; the presieve runs to 9, so p = 3 is a sieving prime and stays prime
-        by_p = {int(r["candidate"]["p"]): r for r in recs[:-1]}
+        by_p = {4 * int(r["candidate"]["n"]) - 1: r for r in recs[:-1]}
         primes = [p for p, r in by_p.items() if r["verdict"] == "prime"]
         assert primes == [3, 11, 19, 43, 59, 67, 83] and summary["prime"] == len(primes)
         sieved = {p: r["certificate"] for p, r in by_p.items() if r["algorithm"] == "sieve"}
@@ -741,6 +782,37 @@ class TestSearchCommand:
         one = ("search", "--k", "7", "--n-min", "3", "--n-max", "3", "--json")
         assert run_cli(*one, "--workers", "64") == run_cli(*one, "--workers", "1")
         assert sizes == []
+
+
+class TestSizeCap:
+    """A candidate whose k + bits(n) passes MAX_P_BITS is a usage error of
+    every command, found before 2^k * n - 1 is formed: exit 3, one line."""
+
+    CAP_MESSAGE = f"2^k * n - 1 would have more than MAX_P_BITS = {MAX_P_BITS} bits"
+
+    @pytest.mark.parametrize("argv", [
+        ("test", str(MAX_P_BITS), "1"),
+        ("test", str(MAX_P_BITS - 1), "3", "--json"),
+        ("test", str(10**12), "3"),
+        ("mersenne", "3", str(MAX_P_BITS), "--json"),
+        ("mersenne", str(MAX_P_BITS), str(MAX_P_BITS)),
+        ("search", "--k", str(MAX_P_BITS), "--n-max", "1", "--json"),
+        # the largest n of the range counts: n-max 2 stands for n = 3
+        ("search", "--k", str(MAX_P_BITS - 1), "--n-min", "1", "--n-max", "2"),
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_one_bit_past_the_cap(self, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"{argv[0]}: {self.CAP_MESSAGE}\n"
+
+    def test_search_below_the_cap_is_not_refused(self):
+        # k at the cap less n's bits: the check passes, and only then does
+        # the range go on to its usual checks (none here: it is empty)
+        code, out, err = run_cli("search", "--k", str(MAX_P_BITS - 2), "--n-min", "2",
+                                 "--n-max", "2", "--json")
+        assert (code, err) == (0, "") and json_lines(out)[0]["summary"]["prime"] == 0
 
 
 class TestVerifyCommand:

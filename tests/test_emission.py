@@ -96,20 +96,22 @@ def test_search_one_worker_and_pool(workers):
 
 
 def test_sieve_line_past_the_digit_limit(tmp_path):
-    # 3 divides p = 2^14400 - 1 (4335 digits), so the presieve settles it
+    # 3 divides p = 2^14400 - 1 (4335 digits), so the presieve settles it;
+    # the line holds k and n, and replay's line prints p
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     code, (line, summary) = check_lines("search", "--k", "14400", "--n-min", "1",
                                         "--n-max", "1", "--json")
     assert code == 0 and json.loads(summary)["summary"][COMPOSITE] == 1
     record = json.loads(line)
     assert record["algorithm"] == "sieve" and record["certificate"]["divisor"] == "3"
-    assert cli._parse_int(record["candidate"]["p"]) == (1 << 14400) - 1
+    assert record["candidate"] == {"k": "14400", "n": "1"}
     assert replay_verdict(*cli.record_to_inputs(record))
     path = tmp_path / "record.json"
     path.write_text(line)
     out = io.StringIO()
     assert cli.main(["test", "--replay", str(path)], out=out, err=io.StringIO()) == 0
-    assert out.getvalue().startswith("replay: valid")
+    p_text = out.getvalue().removeprefix("replay: valid (composite via sieve for p=")
+    assert cli._parse_int(p_text.removesuffix(")\n")) == (1 << 14400) - 1
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
 

@@ -100,6 +100,32 @@ RECORD_6_PRIME_DIGESTS = {
     SEARCH_RANGE: "4021ffa58a6856a6fc002160a0fd703092bc1ebd38c50fa5a29e511fab9b23f8",
 }
 
+# SHA-256 and size of each whole file as run-record/9 wrote it, which
+# as_record_9 rebuilds from today's lines: every /10 line is its /9 line
+# less p, a large-n order certificate's lone factor n, and a give-up's
+# attempts, with its schema tag changed.
+RECORD_9_FILES = {
+    GOLDEN: ("067a0efa4165bdce3cd40513b143ebf7023ede34aba5be2c74666e792ae54ea5", 24279),
+    SEARCH_RANGE: ("450d772488392d0dcadc52bd695b47111d15bfa288bf7c7eb76d0f1d03fc7e85", 116342),
+}
+
+
+def as_record_9(line):
+    """The run-record/9 line of a run-record/10 line (a summary line is
+    unchanged): p put back in the candidate, factors [n] on a large-n
+    order certificate without factors, attempts 20 on a give-up."""
+    record = json.loads(line)
+    if "summary" in record:
+        return line
+    candidate, cert = record["candidate"], record["certificate"]
+    candidate["p"] = str((int(candidate["n"]) << int(candidate["k"])) - 1)
+    if record["algorithm"] == "large-n" and cert["type"] == "order":
+        cert.setdefault("factors", [candidate["n"]])
+    if cert["type"] == "retries-exhausted":
+        cert["attempts"] = "20"
+    record["schema"] = "ecriesel.run-record/9"
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
 
 def record_lines():
     """Every golden run record line, summary lines left out."""
@@ -131,10 +157,24 @@ def test_search_range_is_byte_identical():
     assert search_range_output() == SEARCH_RANGE.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("path", sorted(RECORD_9_FILES), ids=lambda p: p.name)
+def test_records_derive_from_run_record_9(path):
+    # each line differs from its /9 line only by the fields replay forms
+    # from k and n and by its tag: no other byte of either file moved
+    text = path.read_text(encoding="utf-8")
+    assert '"p":' not in text and '"attempts":' not in text
+    old = "".join(as_record_9(line) + "\n" for line in text.splitlines())
+    digest, size = RECORD_9_FILES[path]
+    assert (hashlib.sha256(old.encode()).hexdigest(), len(old)) == (digest, size)
+    if path == GOLDEN:
+        assert (text.count('"factors"'), old.count('"factors"')) == (9, 12)
+
+
 @pytest.mark.parametrize("path", sorted(RECORD_6_PRIME_DIGESTS), ids=lambda p: p.name)
 def test_prime_lines_kept_their_bytes(path):
     lines = []
     for line in path.read_text(encoding="utf-8").splitlines():
+        line = as_record_9(line)
         record = json.loads(line)
         if record.get("verdict") == "prime" and "factors" not in (
                 record["certificate"] if record["algorithm"] == "small-n" else ()):
@@ -170,11 +210,16 @@ def test_no_certificate_carries_a_derived_field():
     # both routes walk one curve, replay finds small-n's start by Jacobi
     # symbols and re-runs the chain for the final residue, so no record
     # holds m, x0 or the residue; neither route scans a point, so no record
-    # holds one
+    # holds one; replay forms p from k and n, takes a large-n record with
+    # no factors as n's own, and a give-up's attempts from its iterations
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/9", line
-        assert not {"m", "x0", "residue", "base_point"} & record["certificate"].keys(), line
+        assert record["schema"] == "ecriesel.run-record/10", line
+        assert record["candidate"].keys() == {"k", "n"}, line
+        cert = record["certificate"]
+        assert not {"m", "x0", "residue", "base_point", "attempts"} & cert.keys(), line
+        assert cert.get("factors") != [record["candidate"]["n"]] or (
+            record["algorithm"] != "large-n"), line
 
 
 def test_decided_verdicts_agree_with_sympy():
@@ -183,7 +228,7 @@ def test_decided_verdicts_agree_with_sympy():
     for line in record_lines() + SEARCH_RANGE.read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
         if record.get("verdict") in ("prime", "composite"):
-            p = int(record["candidate"]["p"])
+            p = (int(record["candidate"]["n"]) << int(record["candidate"]["k"])) - 1
             assert (record["verdict"] == "prime") == sympy.isprime(p), line
             decided += 1
     assert decided == 62 + 13 + len(GOLDEN_CALLS) - 3 + 500

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from ecriesel.numtheory import (
+    MAX_P_BITS,
     MR_DEFAULT_BASES,
     RIESEL_FOLD_BITS,
     FormCandidate,
@@ -44,6 +45,16 @@ class TestFormCandidate:
         with pytest.raises(ValueError):
             FormCandidate(k=2, n=15, n_factors=(3, 7))
         FormCandidate(k=2, n=15, n_factors=(3, 5))
+
+    def test_size_cap(self):
+        # k + bits(n) is checked before p is formed, and p is not formed
+        # here: at the cap a candidate is accepted, one bit past it refused
+        for k, n in ((MAX_P_BITS - 1, 1), (MAX_P_BITS - 2, 3), (2, (1 << (MAX_P_BITS - 2)) - 1)):
+            assert FormCandidate(k=k, n=n).k + n.bit_length() == MAX_P_BITS
+        for k, n in ((MAX_P_BITS, 1), (MAX_P_BITS - 1, 3), (10**12, 1), (10**20, 21),
+                     (3, (1 << (MAX_P_BITS - 2)) - 1)):
+            with pytest.raises(ValueError, match="MAX_P_BITS"):
+                FormCandidate(k=k, n=n)
 
     def test_p_is_3_mod_4(self):
         for k in range(2, 8):

@@ -178,8 +178,11 @@ class TestLargePrimeN:
         v = auto_test(c)
         assert v.status == PRIME
         assert v.algorithm == "large-n"
-        assert v.certificate["factors"] == [2633]
+        # n is its own one factor: the record leaves it out, replay takes
+        # (n,), and a record that names [n] is not what deciding writes
+        assert v.certificate == {"type": "order", "outcome": FINAL_ZERO}
         assert replay_verdict(c, v)
+        assert not replay_verdict(c, v._replace(certificate={**v.certificate, "factors": [2633]}))
 
     def test_composite_10011(self):
         c = FormCandidate(k=2, n=2503)
@@ -220,7 +223,7 @@ class TestLargePrimeN:
         monkeypatch.setattr(primality, "RETRY_CAP", 4)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {
-            "type": "retries-exhausted", "attempts": 4, "factors": [3, 79]}, 4)
+            "type": "retries-exhausted", "factors": [3, 79]}, 4)
         assert replay_verdict(c, v)
 
 
@@ -491,7 +494,7 @@ class TestDeterminismAndConfig:
         monkeypatch.setattr(primality, "RETRY_CAP", 1)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted",
-                                                       "attempts": 1, "factors": [3, 79]})
+                                                       "factors": [3, 79]})
         assert replay_verdict(c, v)
 
 
@@ -551,12 +554,14 @@ class TestReplayRejectsTampering:
             v = auto_test(c)
             assert v.certificate["type"] == "order" and replay_verdict(c, v)
             flipped = FINAL_NONZERO if v.status == PRIME else FINAL_ZERO
-            factors = v.certificate["factors"]
+            factors = v.certificate.get("factors", [c.n])
             forgeries = [
                 {"outcome": flipped},
                 {"base_point": [2, 2]},
                 {"m": c.p - 1},
-                {"factors": [c.n]} if len(factors) > 1 else {"factors": [1, c.n]},
+                # n is no prime, or is the one factor, which goes unwritten
+                {"factors": [c.n]},
+                {"factors": [1, c.n]},
                 {"factors": factors[1:]},
                 {"factors": factors + [1]},
             ]
@@ -592,7 +597,9 @@ class TestReplayRejectsTampering:
     def test_prime_claim_on_a_composite_fails_with_any_point(self, c, algorithm):
         # every x(Q) = -(a + 1) a large-n record can name; small-n has one point
         if algorithm == "large-n":
-            cert = {"type": "order", "outcome": FINAL_ZERO, "factors": list(c.n_factors or (c.n,))}
+            cert = {"type": "order", "outcome": FINAL_ZERO}
+            if c.n_factors:
+                cert["factors"] = list(c.n_factors)
             attempts = range(1, primality.RETRY_CAP + 1)
         else:
             cert = {"type": "sequence", "outcome": FINAL_ZERO}
@@ -633,7 +640,7 @@ class TestReplayRejectsTampering:
         # decides, so no give-up for it replays valid
         c = FormCandidate(k=4, n=167)
         cap = primality.RETRY_CAP
-        v = Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted", "attempts": cap}, cap)
+        v = Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted"}, cap)
         assert primality._evaluate(c, 1, (167,), False).status == PRIME
         assert not replay_verdict(c, v)
         # with every attempt declining, deciding gives up after RETRY_CAP of
@@ -651,7 +658,8 @@ class TestReplayRejectsTampering:
             (c, v._replace(certificate={"type": "retries-exhausted", "attempts": cap + 1},
                            iterations=cap + 1)),
             (c, v._replace(certificate={"type": "retries-exhausted", "attempts": -1})),
-            (c, v._replace(certificate={"type": "retries-exhausted"})),
+            # the run-record/9 certificate, which iterations already said
+            (c, v._replace(certificate={"type": "retries-exhausted", "attempts": cap})),
             (c, v._replace(certificate={**v.certificate, "gate": "large-n"})),
             (c, v._replace(certificate=DISPATCH.certificate)),
             (FormCandidate(k=7, n=3), v),  # the large-n gate fails
@@ -664,13 +672,12 @@ class TestReplayRejectsTampering:
         # large-n for it, and a give-up without factors stands for n itself
         c = LARGE_GATE_UNDECIDED
         assert gate_large_n(c) and auto_test(c).algorithm == "auto"
-        forged = Verdict(INCONCLUSIVE, "large-n",
-                         {"type": "retries-exhausted", "attempts": 20}, 20)
+        forged = Verdict(INCONCLUSIVE, "large-n", {"type": "retries-exhausted"}, 20)
         assert not replay_verdict(c, forged)
         # the small-n corner never declines: no give-up stands for it
         cap = primality.RETRY_CAP
         small = Verdict(INCONCLUSIVE, "small-n", {
-            "type": "retries-exhausted", "attempts": cap, "factors": [19, 137]}, cap)
+            "type": "retries-exhausted", "factors": [19, 137]}, cap)
         assert not replay_verdict(FormCandidate(k=12, n=19 * 137), small)
         # factors given with the candidate are recorded, and replay checks
         # their product and primality: with every attempt declining, the
@@ -679,12 +686,12 @@ class TestReplayRejectsTampering:
         monkeypatch.setattr(primality, "_evaluate", lambda *args: None)
         v = auto_test(c)
         assert v == Verdict(INCONCLUSIVE, "large-n", {
-            "type": "retries-exhausted", "attempts": cap, "factors": [389, 643]}, cap)
+            "type": "retries-exhausted", "factors": [389, 643]}, cap)
         assert replay_verdict(c, v)
         for factors in ([389 * 643], [389, 643, 1], [389, 647], [389]):
             forged = v._replace(certificate={**v.certificate, "factors": factors})
             assert not replay_verdict(c, forged), factors
-        cert = {"type": "retries-exhausted", "attempts": cap}
+        cert = {"type": "retries-exhausted"}
         assert not replay_verdict(c, v._replace(certificate=cert))
         # p = 10411 = 29 * 359 is large-n's too with its factors, but base 3
         # witnesses it: auto_test never gives up on it

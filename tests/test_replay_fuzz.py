@@ -108,15 +108,18 @@ ORDER_RECORDS = [json.loads(line) for line in RECORDS if '"type":"order"' in lin
 @pytest.mark.parametrize("record", ORDER_RECORDS,
                          ids=lambda r: "{k}-{n}".format(**r["candidate"]))
 def test_forged_order_record(record):
-    # the order shape: outcome, factors and x(Q) = -iterations
+    # the order shape: outcome, factors (none when n is the one factor)
+    # and x(Q) = -iterations
     cand = record["candidate"]
     c = FormCandidate(k=int(cand["k"]), n=int(cand["n"]))
-    factors = record["certificate"]["factors"]
+    factors = record["certificate"].get("factors", [cand["n"]])
     assert replay(record)[0] == 0
     flipped = {"final-zero": "final-nonzero", "final-nonzero": "final-zero"}
     forged_certificates = [
         {"outcome": flipped[record["certificate"]["outcome"]]},
-        {"factors": [cand["n"]]} if len(factors) > 1 else {"factors": ["1", cand["n"]]},
+        # n is no prime, or n is the one factor, which goes unwritten
+        {"factors": [cand["n"]]},
+        {"factors": ["1", cand["n"]]},
         {"factors": factors + ["1"]},
         {"factors": factors[1:] or [str(c.n + 2)]},
     ]
@@ -140,7 +143,7 @@ def test_forged_composite_prime_factor():
     # 250127 = 389 * 643 and 33 = 3 * 11 are no primes: a record naming
     # either as n's one factor replays INVALID, whatever its outcome
     for record in ORDER_RECORDS:
-        if len(record["certificate"]["factors"]) < 2:
+        if len(record["certificate"].get("factors", ())) < 2:
             continue
         for outcome in ("final-zero", "final-nonzero"):
             forged = json.loads(json.dumps(record))
@@ -165,19 +168,22 @@ def test_forged_give_up_of_a_prime():
     # a = 1 .. RETRY_CAP declines.  p = 2671 = 2^4 * 167 - 1 and the order
     # pool's first prime p = 2^512 q - 1 are large-n primes decided at
     # attempt 1, so a retries-exhausted for either, after one attempt or
-    # after RETRY_CAP, replays INVALID
+    # after RETRY_CAP, replays INVALID; an attempts field, which iterations
+    # already gives, is no certificate field (exit 3)
     q = json.loads(ORDER_POOL.read_text(encoding="utf-8"))["candidates"][0]["q"]
     for k, n in (("4", "167"), ("512", q)):
         c = FormCandidate(k=int(k), n=int(n))
         assert primality._evaluate(c, 1, (c.n,), False).status == "prime"
         for attempts in (1, primality.RETRY_CAP):
-            forged = {"algorithm": "large-n",
-                      "candidate": {"k": k, "n": n, "p": str(c.p)},
-                      "certificate": {"attempts": str(attempts), "type": "retries-exhausted"},
+            forged = {"algorithm": "large-n", "candidate": {"k": k, "n": n},
+                      "certificate": {"type": "retries-exhausted"},
                       "iterations": attempts, "schema": cli.SCHEMA, "tool_version": "0.1.0",
                       "verdict": "inconclusive"}
             code, out, err = replay(forged)
             assert (code, err) == (1, "") and out.startswith("replay: INVALID"), (k, attempts)
+            forged["certificate"]["attempts"] = str(attempts)
+            assert replay(forged) == (
+                3, "", "replay: malformed record: unknown certificate field 'attempts'\n")
 
 
 WITNESS_RECORDS = [json.loads(line) for line in RECORDS if '"witness":"3"' in line]

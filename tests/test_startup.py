@@ -24,9 +24,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 HEAVY = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 
 SMALL_PRIME_RECORD = (
-    '{"algorithm":"small-n","candidate":{"k":"7","n":"3","p":"383"},'
+    '{"algorithm":"small-n","candidate":{"k":"7","n":"3"},'
     '"certificate":{"outcome":"final-zero","type":"sequence"},'
-    '"iterations":1,"schema":"ecriesel.run-record/9","tool_version":"0.1.0","verdict":"prime"}\n'
+    '"iterations":1,"schema":"ecriesel.run-record/10","tool_version":"0.1.0","verdict":"prime"}\n'
 )
 
 
