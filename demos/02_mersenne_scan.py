@@ -7,9 +7,10 @@ y^2 = x^3 + x, and the start x_0 is the least u >= 2 with
 ((u^2 + 1)/M_k) = -1, a few Jacobi symbols away, so the test collapses to
 an x-only recursion, just like the classical squaring test it parallels.
 A zero symbol on the way is a factor: 5 = 2^2 + 1 divides M_k when 4 | k.
-Deciding runs the presieve and one strong test to base 3 first, so a
-composite M_k ends there; the walk it skips still ends nonzero, as the
-traced chain shows below.
+Deciding runs the sieve (the primes up to 13, and from k = 65 on, for a
+prime k, M_k's factors q = 2jk + 1 below k^2 / 4) and one strong test to
+base 3 first, so a composite M_k ends there; the walk it skips still ends
+nonzero, as the traced chain shows below.
 
 Run as: python demos/02_mersenne_scan.py
 """
@@ -35,12 +36,12 @@ for k in range(3, 131):
         print(f"{k:<5}{verdict.status:<13}{classical:<13}{agree}")
 
 print("\nComposite exponents agree too (suppressed above); for example:")
-for k in (4, 11, 21, 23, 29, 37):
+for k in (4, 11, 21, 23, 29, 37, 73):  # 439 = 2 * 3 * 73 + 1 divides M_73
     verdict = test_mersenne(k)
     cert = verdict.certificate
     decided = (f"divisor {cert['divisor']}" if "divisor" in cert
                else f"witness {cert['witness']}")
-    # the chain the witness skipped, walked by the traced reference
+    # the chain the sieve or the witness skipped, walked by the traced reference
     try:
         outcome, trace = mersenne_sequence(k)
     except FactorFound as exc:

@@ -60,7 +60,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, lru_cache, partial
 
 from . import __version__
-from .numtheory import FormCandidate, lucas_lehmer, presieve
+from .numtheory import FormCandidate, lucas_lehmer, mersenne_trial_factor, presieve
 from .oracle import verify_theorems
 from .primality import (
     COMPOSITE,
@@ -390,9 +390,14 @@ def _cmd_search(args, out, err) -> int:
         err.write(f"search: {exc}\n")
         return 3
     ns = range(args.n_min | 1, args.n_max + 1, 2)
-    # A small prime factor settles n here; only the rest reach the witness
-    # test and the curve routes, and are not sieved again.
+    # A small prime factor settles n here, and so does M_k's trial factor,
+    # as auto_test's sieve finds it; only the rest reach the witness test
+    # and the curve routes, and are not sieved again.
     sieved = presieve(args.k, ns)
+    if 1 in ns and 1 not in sieved:
+        divisor = mersenne_trial_factor(args.k)
+        if divisor is not None:
+            sieved[1] = divisor
     unsieved = [n for n in ns if n not in sieved]
     counts = {PRIME: 0, COMPOSITE: 0, INCONCLUSIVE: 0, NOT_APPLICABLE: 0}
     worker = partial(_search_candidate, k=args.k)

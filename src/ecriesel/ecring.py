@@ -50,7 +50,9 @@ B = 2^j.  If X is in [0, N + 64] and Z in [-32, N + 32], |X +- Z| <=
 2B + 94, so one fold takes each square to t1, t2 in [0, 5B + 376]; then
 2 t1 t2 is in [0, 50B^2 + 7520B + 282752], t1^2 - t2^2 within half that
 of 0, and two folds give X in [0, N + 51] and Z in [-26, N + 26] (as
-B >= 2^16), the same ranges again.  Both x-only kernels reduce any other
+B >= 2^16), the same ranges again.  The doublings take it from
+j = numtheory.MERSENNE_FOLD_BITS (100) on, where it overtakes `%` (the
+crossover figures in CHANGES.md).  Both x-only kernels reduce any other
 N = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
 (_riesel_fold: k is the trailing zeros of N + 1) by the Riesel fold.
 The shape rule, with RIESEL_FOLD_BITS and _riesel_fold, is
@@ -314,8 +316,8 @@ def _x_only_ladder(s: int, x: int, n: int, fold: tuple[int, int] | None) -> tupl
 def double_x_only_chain(n: int, x: int, times: int, s: int = 1) -> tuple[int, int]:
     """(X:Z) on E mod n (odd, >= 3) of 2^times * s*P, s >= 1, from
     x = x(P), Z unchecked (module docstring).  s > 1 takes s*P from the
-    ladder.  The doublings run by shift-and-fold mod 2^j - 1 (j >= 16),
-    else by the Riesel fold or `%`."""
+    ladder.  The doublings run by shift-and-fold mod 2^j - 1
+    (j >= MERSENNE_FOLD_BITS), else by the Riesel fold or `%`."""
     mersenne, fold = fold_shape(n)
     X, Z = (x % n, 1) if s == 1 else _x_only_ladder(s, x % n, n, fold)
     if fold is None or mersenne:

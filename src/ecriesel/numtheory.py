@@ -4,18 +4,20 @@ Everything here is exact integer arithmetic: Jacobi symbols, three-way
 modular inversion (the divisor branch doubles as a factor extractor),
 integer roots, the applicability gate of the elliptic tests, the
 special-form fast reduction for moduli 2^k*n - 1, the classical
-baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles, and
-the small-prime presieve of a search range.  FormCandidate (checked when
+baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles,
+the small-prime presieve of a search range, and the trial factoring of a
+Mersenne number 2^k - 1 by its q = 2jk + 1.  FormCandidate (checked when
 built) and InverseOutcome are immutable named tuples.
 
 The fold shapes.  fold_shape(n) is the one rule by which the curve kernels
 (ecring.double_x_only_chain) and miller_rabin choose how to reduce mod n:
-the shift-and-fold on n = 2^j - 1 with j >= 16, the Riesel fold on
-n = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with bits(c) <= k + 16
-(_riesel_fold; k is the trailing zeros of n + 1, so c is odd), and `%`
-everywhere else.  Both shapes have k >= 16 (a Riesel n of 768 bits or more
-has k + bits(c) >= 768 and bits(c) <= k + 16), so n - 1 = 2 (c 2^(k-1) - 1)
-with an odd cofactor d = c 2^(k-1) - 1: r = 1, and the strong test to a
+the shift-and-fold on n = 2^j - 1 with j >= MERSENNE_FOLD_BITS, the Riesel
+fold on n = c * 2^k - 1 of at least RIESEL_FOLD_BITS bits with
+bits(c) <= k + 16 (_riesel_fold; k is the trailing zeros of n + 1, so c is
+odd), and `%` everywhere else.  Both shapes have k >= 16 (a Riesel n of
+768 bits or more has k + bits(c) >= 768 and bits(c) <= k + 16), so
+n - 1 = 2 (c 2^(k-1) - 1) with an odd cofactor d = c 2^(k-1) - 1: r = 1,
+and the strong test to a
 base b is b^d = +-1 (mod n).  For b a unit this is b^(c 2^(k-1)) = +-b,
 one pow(b, c, n) and k - 1 squarings; a b that shares a factor with n has
 no unit power, so it is a witness, and miller_rabin says so by a gcd
@@ -24,7 +26,8 @@ one prime power of n and 1 mod the rest has b^e = b for every e >= 1).
 One folded squaring:
 
   * shift-and-fold, n = 2^j - 1, B = 2^j: f(t) = (t & n) + (t >> j) = t
-    mod n.  From x in [0, n + 2], x^2 <= B^2 + 2B + 1, one fold gives at
+    mod n (taken from j = MERSENNE_FOLD_BITS on, below which `%` is
+    faster).  From x in [0, n + 2], x^2 <= B^2 + 2B + 1, one fold gives at
     most (B - 1) + (B + 2) = 2B + 1, and a second at most (B - 1) + 2 =
     n + 2: x stays in [0, n + 2] with two folds and no `%`, and a last `%`
     gives the residue;
@@ -62,6 +65,10 @@ PSI_13 = 3317044064679887385961981
 # miller_rabin reduce by the Riesel fold: below it `%` is faster (the
 # crossover table in CHANGES.md).
 RIESEL_FOLD_BITS = 768
+# Least j for which they reduce 2^j - 1 by the shift-and-fold: below it the
+# chain's doublings and the strong test are faster by `%` and pow (the
+# crossover figures in CHANGES.md).
+MERSENNE_FOLD_BITS = 100
 
 # Most bits of p = 2^k * n - 1, counted as k + bits(n), that FormCandidate
 # accepts: a 2 MiB integer, far past any p this package can decide, so a
@@ -76,6 +83,11 @@ SIEVE_BOUND = 1 << 16
 # and walks few primes: a prime costs about one modular power (a microsecond),
 # a candidate that reaches the curve routes tens of microseconds or more.
 SIEVE_BOUND_PER_CANDIDATE = 16
+# Least exponent k whose M_k = 2^k - 1 mersenne_trial_factor divides by its
+# q = 2jk + 1 below k^2 / 4.  On average over prime k the step saves more
+# witness time than it costs from about k = 32 on (CHANGES.md); 65 leaves
+# M_k up to k = 64 to the witness, as before.
+MERSENNE_TRIAL_MIN_K = 65
 
 
 class FormCandidate(namedtuple("FormCandidate", "k n n_factors")):
@@ -245,10 +257,11 @@ def _riesel_fold(n: int) -> tuple[int, int] | None:
 
 
 def fold_shape(n: int) -> tuple[bool, tuple[int, int] | None]:
-    """(mersenne, fold) for odd n: mersenne when n = 2^j - 1 with j >= 16
-    (the shift-and-fold reduces it), fold = _riesel_fold(n).  The module
-    docstring's one rule for the curve kernels and miller_rabin."""
-    return n & (n + 1) == 0 and n.bit_length() >= 16, _riesel_fold(n)
+    """(mersenne, fold) for odd n: mersenne when n = 2^j - 1 with
+    j >= MERSENNE_FOLD_BITS (the shift-and-fold reduces it), fold =
+    _riesel_fold(n).  The module docstring's one rule for the curve kernels
+    and miller_rabin."""
+    return n & (n + 1) == 0 and n.bit_length() >= MERSENNE_FOLD_BITS, _riesel_fold(n)
 
 
 def miller_rabin(n: int, bases: tuple[int, ...] = MR_DEFAULT_BASES) -> bool:
@@ -384,3 +397,31 @@ def presieve(k: int, ns: range) -> dict[int, int]:
         if i < count:
             least[i::ell] = [ell] * len(range(i, count, ell))
     return {start + 2 * i: ell for i, ell in enumerate(least) if ell}
+
+
+def mersenne_trial_factor(k: int) -> int | None:
+    """The least prime factor of M_k = 2^k - 1 below k^2 / 4, for a prime
+    k >= MERSENNE_TRIAL_MIN_K; None when M_k has none there, and for any
+    other k.
+
+    For an odd prime k, 2 has order k mod each prime q | M_k, so q = 2jk + 1,
+    and 2 = (2^((k+1)/2))^2 is a square mod q, so q = +-1 (mod 8).  A prime
+    factor of a composite q of that shape dividing M_k is a smaller one, so
+    the least such q is prime.  As k is odd, q = 1 (mod 8) iff 4 | j, and
+    q = 7 (mod 8) iff j = 3k (mod 4): two progressions of step 8k, walked
+    in turn, the second only below the first one's divisor.  That is about
+    k / 16 remainders of M_k by a one-digit q (j < k / 8).  The bound gives
+    up the factors with k / 8 <= j < k / 2 that k^2 would catch, which
+    leaves M_1741 (least factor 1002817, j = 288) to the witness like
+    M_1733 .. M_1759 around it (the trade is in CHANGES.md).
+    """
+    if k < MERSENNE_TRIAL_MIN_K or trial_division(k) != k:
+        return None
+    p = (1 << k) - 1
+    least = None
+    for start in (8 * k + 1, 2 * k * (3 * k % 4) + 1):
+        for q in range(start, least or k * k // 4, 8 * k):
+            if p % q == 0:
+                least = q
+                break
+    return least

@@ -1,15 +1,18 @@
 """Decision procedures for p = 2^k * n - 1 and their replayable certificates.
 
-auto_test, the one decide entry, runs the presieve on p (a prime factor
-up to 13 is a sieve verdict), then one strong test of p to base
-WITNESS_BASE = 3 (a witness proves p composite at any size, Miller 1976,
-Rabin 1980; base 2 witnesses no M_k of prime k; on p = c 2^k - 1 of a
-numtheory.fold_shape it is one pow(3, c, p) and k - 1 folded squarings,
-elsewhere one modular power), then the first corner that applies, on
-E: y^2 = x^3 + x, the paper's y^2 = x^3 - m x at m = -1, a non-residue
-mod p = 3 (mod 4) (every other such curve is isomorphic to E by
-x -> x / lambda, lambda^2 = -m).  With no corner, _fallback decides
-p by the exact oracle below PSI_13, or reports not-applicable.
+auto_test, the one decide entry, runs the sieve on p (_sieve_divisor: a
+prime factor up to 13 by the presieve, and for p = M_k with k a prime of
+at least numtheory.MERSENNE_TRIAL_MIN_K its least prime factor below k^2 / 4
+by numtheory.mersenne_trial_factor, is a sieve verdict), then one strong
+test of p to base WITNESS_BASE = 3 (a witness proves p composite at any
+size, Miller 1976, Rabin 1980; base 2 witnesses no M_k of prime k; on
+p = c 2^k - 1 of a numtheory.fold_shape it is one pow(3, c, p) and k - 1
+folded squarings, elsewhere one modular power), then the first corner
+that applies, on E: y^2 = x^3 + x, the paper's y^2 = x^3 - m x at
+m = -1, a non-residue mod p = 3 (mod 4) (every other such curve is
+isomorphic to E by x -> x / lambda, lambda^2 = -m).  With no corner,
+_fallback decides p by the exact oracle below PSI_13, or reports
+not-applicable.
 
 The corners are one order criterion (Goldwasser-Kilian 1999, Atkin-Morain
 1993): let s | p + 1, and R a point with s R = O and (s/l) R finite for
@@ -69,6 +72,7 @@ from .numtheory import (
     gate,
     is_prime_oracle,
     jacobi,
+    mersenne_trial_factor,
     miller_rabin,
     presieve,
     trial_division,
@@ -161,7 +165,7 @@ def _factor_verdict(algorithm: str, divisor: int, stage: str, a: int) -> Verdict
 
 
 def sieve_verdict(divisor: int) -> Verdict:
-    """The composite verdict of a small prime factor the presieve found."""
+    """The composite verdict of a prime factor the sieve found."""
     return _factor_verdict("sieve", divisor, "sieve", 1)
 
 
@@ -174,8 +178,10 @@ _WITNESSED = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": WI
 
 
 def _sieve_divisor(c: FormCandidate) -> int | None:
-    """The least prime factor of p up to 13 that the presieve finds, if any."""
-    return presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
+    """The sieve of deciding, replay and search: p's least prime factor up
+    to 13 by the presieve, else, for n = 1, mersenne_trial_factor(k)."""
+    divisor = presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
+    return mersenne_trial_factor(c.k) if divisor is None and c.n == 1 else divisor
 
 
 def _given(c: FormCandidate, give_up: Verdict) -> Verdict:
@@ -314,16 +320,17 @@ def test_mersenne(k: int) -> Verdict:
 
 
 def auto_test(c: FormCandidate) -> Verdict:
-    """Decide c (see the module docstring): a sieve verdict when the
-    presieve finds a prime factor of p up to 13, else decide_unsieved."""
+    """Decide c (see the module docstring): a sieve verdict when
+    _sieve_divisor finds a prime factor of p, else decide_unsieved."""
     divisor = _sieve_divisor(c)
     return decide_unsieved(c) if divisor is None else sieve_verdict(divisor)
 
 
 def decide_unsieved(c: FormCandidate) -> Verdict:
-    """auto_test on a c whose p the presieve found no factor of (search
-    presieves its whole range first): composite on a strong witness to
-    WITNESS_BASE, else the first corner that applies, else _fallback."""
+    """auto_test on a c whose p the sieve found no factor of (search
+    presieves its whole range, and trial-factors M_k, first): composite
+    on a strong witness to WITNESS_BASE, else the first corner that
+    applies, else _fallback."""
     if not miller_rabin(c.p, (WITNESS_BASE,)):
         return _WITNESSED
     corner = _corner(c)
@@ -344,14 +351,15 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
     A witness record (composite, miller-rabin, witness WITNESS_BASE) is
-    valid iff the presieve finds no factor of p and WITNESS_BASE witnesses
-    p: one presieve and the same strong test (one pow(3, c, p) and k - 1
-    folded squarings where p has a numtheory.fold_shape, one modular power
-    elsewhere).  Any other record that is neither prime nor a sieve
-    verdict needs p past both, as auto_test stops at either.  A curve
-    record needs _applies for its factors (none on the small-n corner,
-    whose a is 1; a large-n record with no factors has the one factor n,
-    which _evaluate leaves out, so one that names [n] is INVALID) and
+    valid iff the sieve finds no factor of p and WITNESS_BASE witnesses
+    p: one presieve (and for M_k its trial factoring) and the same strong
+    test (one pow(3, c, p) and k - 1 folded squarings where p has a
+    numtheory.fold_shape, one modular power elsewhere).  Any other record
+    that is neither prime nor a sieve verdict needs p past both, as
+    auto_test stops at either.  A curve record needs _applies for its
+    factors (none on the small-n corner, whose a is 1; a large-n record
+    with no factors has the one factor n, which _evaluate leaves out, so
+    one that names [n] is INVALID) and
     _evaluate at a = iterations to give its status, algorithm and
     certificate; no retry, fallback or dispatch runs (run_sequence,
     scalar_mul, the oracle and the differential tests are the evaluator's
@@ -369,7 +377,7 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
 
 
 def _passed_witness(c: FormCandidate) -> bool:
-    """Whether auto_test takes c past its presieve and its witness test."""
+    """Whether auto_test takes c past its sieve and its witness test."""
     return _sieve_divisor(c) is None and miller_rabin(c.p, (WITNESS_BASE,))
 
 

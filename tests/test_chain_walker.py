@@ -207,11 +207,13 @@ class TestNoAffineFallback:
 
     def test_mersenne_decide_and_replay_to_300(self, routes_decide_composites):
         # M_3 is the oracle's, and a zero symbol of start_x (5 divides M_k
-        # for 4 | k) is a factor: no outcome there.  With the presieve and
-        # the witness test out of the way, every composite takes the chain
+        # for 4 | k) is a factor: no outcome there.  With the sieve (the
+        # presieve and M_k's trial factoring) and the witness test out of
+        # the way, every composite takes the chain
         kinds = set()
         for k in range(3, 301):
             v = mersenne_test(k)
+            assert v.algorithm != "sieve", k
             assert replay_verdict(FormCandidate(k=k, n=1), v), k
             kinds.add(v.certificate.get("outcome"))
         assert GCD_HIT in kinds

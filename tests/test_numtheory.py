@@ -5,6 +5,7 @@ import pytest
 
 from ecriesel.numtheory import (
     MAX_P_BITS,
+    MERSENNE_FOLD_BITS,
     MR_DEFAULT_BASES,
     RIESEL_FOLD_BITS,
     FormCandidate,
@@ -340,10 +341,11 @@ class TestStrongTestOnTheFolds:
 
     @pytest.mark.parametrize("bases", [(3,), MR_DEFAULT_BASES], ids=["3", "default"])
     def test_mersenne_numbers(self, bases):
-        # the shift-and-fold from j = 16, `%` below
+        # the shift-and-fold from j = MERSENNE_FOLD_BITS, `%` below
         for k in range(3, 701):
             n = (1 << k) - 1
-            assert fold_shape(n) == (k >= 16, (k, 1) if k >= RIESEL_FOLD_BITS else None)
+            assert fold_shape(n) == (k >= MERSENNE_FOLD_BITS,
+                                     (k, 1) if k >= RIESEL_FOLD_BITS else None)
             assert miller_rabin(n, bases) == textbook_strong(n, bases), k
 
     @pytest.mark.parametrize("bases", [(3,), MR_DEFAULT_BASES], ids=["3", "default"])
@@ -371,9 +373,9 @@ class TestStrongTestOnTheFolds:
         assert miller_rabin(n, (3,)) and miller_rabin(n)
 
     @pytest.mark.parametrize("n, ell", [
-        ((1 << 768) - 1, 3), ((1 << 768) - 1, 5), ((1 << 1280) - 1, 3), ((1 << 20) - 1, 5),
-        (riesel(3, 769), 5), (riesel(3, 772), 11),
-    ], ids=["M768-3", "M768-5", "M1280-3", "M20-5", "3*2^769-1-5", "3*2^772-1-11"])
+        ((1 << 768) - 1, 3), ((1 << 768) - 1, 5), ((1 << 1280) - 1, 3),
+        ((1 << MERSENNE_FOLD_BITS) - 1, 5), (riesel(3, 769), 5), (riesel(3, 772), 11),
+    ], ids=["M768-3", "M768-5", "M1280-3", "M100-5", "3*2^769-1-5", "3*2^772-1-11"])
     def test_bases_that_share_a_factor(self, n, ell):
         assert any(fold_shape(n)) and n % ell == 0
         b = idempotent(n, ell)

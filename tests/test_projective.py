@@ -26,7 +26,7 @@ from ecriesel.ecring import (
     double_x_only_chain,
     scalar_mul,
 )
-from ecriesel.numtheory import FormCandidate, lucas_lehmer, mod_inverse
+from ecriesel.numtheory import MERSENNE_FOLD_BITS, FormCandidate, lucas_lehmer, mod_inverse
 from ecriesel.primality import (
     COMPOSITE,
     PRIME,
@@ -195,7 +195,10 @@ class TestChainFallback:
             step_both(xz, xz, n)
 
     def test_fold_starts_at_its_proved_modulus(self, monkeypatch):
-        # 2^j - 1 below 2^FOLD_MIN_BITS is reduced by division
+        # 2^j - 1 below 2^MERSENNE_FOLD_BITS is reduced by division: the
+        # fold is proved from FOLD_MIN_BITS on, and pays from the dispatch
+        # bound on
+        assert MERSENNE_FOLD_BITS >= FOLD_MIN_BITS
         seen = set()
 
         def spy(X, Z, times, n, fold):
@@ -203,9 +206,10 @@ class TestChainFallback:
             return _x_only_doublings(X, Z, times, n, fold)
 
         monkeypatch.setattr(ecring, "_x_only_doublings", spy)
-        for j in range(2, FOLD_MIN_BITS + 2):
+        js = range(2, MERSENNE_FOLD_BITS + 2)
+        for j in js:
             double_x_only_chain((1 << j) - 1, 2, 1)
-        assert seen == {(j, j >= FOLD_MIN_BITS) for j in range(2, FOLD_MIN_BITS + 2)}
+        assert seen == {(j, j >= MERSENNE_FOLD_BITS) for j in js}
 
     def test_replay_recomputes_fallback_outcomes(self, routes_decide_composites):
         # parameter-scan (k = 4: 5 | M_4 = 15), gcd-hit (k = 6, 9) and

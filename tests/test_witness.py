@@ -5,7 +5,7 @@ WITNESS_BASE = 3, then the curve routes, then the fallback.  A witness
 ends p composite with the oracle's certificate {"type": "oracle",
 "witness": 3}; replay checks it with one presieve and the same strong
 test, and walks nothing.  On p = c * 2^k - 1 of a fold shape
-(numtheory.fold_shape: M_k with k >= 16, or 768 bits or more with
+(numtheory.fold_shape: M_k with k >= 100, or 768 bits or more with
 bits(c) <= k + 16) that test is one pow(3, c, p) and k - 1 folded
 squarings, elsewhere one modular power.  Base-3 strong pseudoprimes still
 reach the routes' composite outcomes, found by a search over p = 3
@@ -185,6 +185,17 @@ def test_search_sieves_each_candidate_once(monkeypatch):
         c = FormCandidate(k=31, n=n)
         if primality._sieve_divisor(c) is None:
             assert decide_unsieved(c) == auto_test(c)
+    # n = 1 at a prime k >= MERSENNE_TRIAL_MIN_K as well, where the sieve
+    # trial-factors M_k (search does so itself, before decide_unsieved)
+    assert numtheory.MERSENNE_TRIAL_MIN_K <= 67
+    for k in (67, 71, 73, 1277, 1279, 1459):
+        c = FormCandidate(k=k, n=1)
+        divisor = primality._sieve_divisor(c)
+        assert (divisor is None) == (k not in (73, 1459)), k
+        if divisor is None:
+            assert decide_unsieved(c) == auto_test(c)
+        else:
+            assert auto_test(c) == sieve_verdict(divisor)
 
 
 def test_witness_replay_walks_nothing(monkeypatch):
