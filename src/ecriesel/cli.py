@@ -7,17 +7,18 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/10.  A record holds nothing that k and
+The schema is ecriesel.run-record/11.  A record holds nothing that k and
 n give: its candidate is k and n, not p = 2^k n - 1, which replay forms
 (FormCandidate refuses k + bits(n) above numtheory.MAX_P_BITS first, so
 a forged huge k is malformed, not a 2^k-bit allocation), and replay
 checks no record above REPLAY_MAX_P_BITS, which bounds its work now that
-a record's size does not.  Certificates
-hold no curve, no point and no step: every route walks y^2 = x^3 + x
-from an x that replay derives from iterations, and names the primes of n
-its proof used (small-n's mixed corner, large-n when n is not its own
-single factor) or the factors given with --q (a give-up).  A composite p
-that base 3 witnesses carries the oracle's certificate with witness 3.
+a record's size does not.  Certificates hold no curve, no point, no step
+and no constant: every route walks y^2 = x^3 + x from an x that replay
+derives from iterations, and names the primes of n its proof used
+(small-n's mixed corner, large-n when n is not its own single factor) or
+the factors given with --q (a give-up); a factor certificate is its
+divisor alone, and the dispatch give-up its type.  A composite p that
+base 3 witnesses carries the oracle's certificate with witness 3.
 Replay reads no other schema, and names a record of any other
 run-record/<digits> schema as no longer read.  The human-readable line
 and replay's line still print p.
@@ -60,7 +61,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, lru_cache, partial
 
 from . import __version__
-from .numtheory import FormCandidate, lucas_lehmer, mersenne_trial_factor, presieve
+from .numtheory import FormCandidate, lucas_lehmer, sieve_divisors
 from .oracle import verify_theorems
 from .primality import (
     COMPOSITE,
@@ -76,7 +77,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/10"
+SCHEMA = "ecriesel.run-record/11"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -162,7 +163,7 @@ def _parse_text(value) -> str:
 CERTIFICATE_FIELDS = {
     **dict.fromkeys(("divisor", "least_factor", "witness"), _parse_int),
     "factors": _parse_int_list,
-    **dict.fromkeys(("type", "outcome", "stage", "gate", "reason"), _parse_text),
+    **dict.fromkeys(("type", "outcome"), _parse_text),
 }
 
 
@@ -376,7 +377,7 @@ def _search_candidate(n: int, k: int) -> Verdict:
 def _sieve_line(k_text: str, n: int, divisor: int) -> str:
     """The JSON line of n's sieve_verdict, written from k, n and the divisor alone."""
     return _record_line(k_text, _decimal(n), "sieve", COMPOSITE, 1,
-                        f'{{"divisor":"{_decimal(divisor)}","stage":"sieve","type":"factor"}}')
+                        f'{{"divisor":"{_decimal(divisor)}","type":"factor"}}')
 
 
 def _cmd_search(args, out, err) -> int:
@@ -390,14 +391,9 @@ def _cmd_search(args, out, err) -> int:
         err.write(f"search: {exc}\n")
         return 3
     ns = range(args.n_min | 1, args.n_max + 1, 2)
-    # A small prime factor settles n here, and so does M_k's trial factor,
-    # as auto_test's sieve finds it; only the rest reach the witness test
-    # and the curve routes, and are not sieved again.
-    sieved = presieve(args.k, ns)
-    if 1 in ns and 1 not in sieved:
-        divisor = mersenne_trial_factor(args.k)
-        if divisor is not None:
-            sieved[1] = divisor
+    # auto_test's sieve on the whole range settles n here; only the rest
+    # reach the witness test and the curve routes, and are not sieved again.
+    sieved = sieve_divisors(args.k, ns)
     unsieved = [n for n in ns if n not in sieved]
     counts = {PRIME: 0, COMPOSITE: 0, INCONCLUSIVE: 0, NOT_APPLICABLE: 0}
     worker = partial(_search_candidate, k=args.k)

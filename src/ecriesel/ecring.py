@@ -87,7 +87,6 @@ from collections import namedtuple
 from math import gcd
 
 from .numtheory import fold_shape, mod_inverse
-from .numtheory import RIESEL_FOLD_BITS, _riesel_fold  # noqa: F401  (tests import them from here)
 
 
 class FactorFound(Exception):

@@ -5,9 +5,9 @@ modular inversion (the divisor branch doubles as a factor extractor),
 integer roots, the applicability gate of the elliptic tests, the
 special-form fast reduction for moduli 2^k*n - 1, the classical
 baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles,
-the small-prime presieve of a search range, and the trial factoring of a
-Mersenne number 2^k - 1 by its q = 2jk + 1.  FormCandidate (checked when
-built) and InverseOutcome are immutable named tuples.
+the small-prime presieve of a search range and the trial factoring of a
+Mersenne number 2^k - 1 by its q = 2jk + 1 (sieve_divisors runs both).
+FormCandidate (checked when built) and InverseOutcome are named tuples.
 
 The fold shapes.  fold_shape(n) is the one rule by which the curve kernels
 (ecring.double_x_only_chain) and miller_rabin choose how to reduce mod n:
@@ -397,6 +397,15 @@ def presieve(k: int, ns: range) -> dict[int, int]:
         if i < count:
             least[i::ell] = [ell] * len(range(i, count, ell))
     return {start + 2 * i: ell for i, ell in enumerate(least) if ell}
+
+
+def sieve_divisors(k: int, ns: range) -> dict[int, int]:
+    """presieve(k, ns), and M_k's mersenne_trial_factor for n = 1 where the
+    presieve finds none: the one sieve of deciding, replay and search."""
+    sieved = presieve(k, ns)
+    if 1 in ns and 1 not in sieved and (divisor := mersenne_trial_factor(k)):
+        sieved[1] = divisor
+    return sieved
 
 
 def mersenne_trial_factor(k: int) -> int | None:

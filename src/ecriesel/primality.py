@@ -38,12 +38,12 @@ probable prime).  A mixed record is algorithm small-n with factors.
 D = 2^k Q comes from k doublings and one gcd of their end Z, each (n/q) D
 from the ecring ladder from x(D), made affine by one inversion; no route
 scans a point, forms a y or runs scalar_mul.  A zero symbol before
-start_x's u is a factor at parameter-scan, a proper gcd of p met later
-(D's end Z, a ladder's end Z, an X made affine) one at
-scalar-multiplication.  A Z of D or of some (n/q) D that vanishes mod p
-declines the attempt, and a + 1 goes next, up to RETRY_CAP; an x(D) that
-vanishes is composite, as no point of odd order has x = 0 mod a prime.
-A base-3 strong pseudoprime (703 = 2^6 * 11 - 1) still meets these.
+start_x's u, or a proper gcd of p met later (D's end Z, a ladder's end Z,
+an X made affine), is a factor record, the divisor alone.  A Z of D or of
+some (n/q) D that vanishes mod p declines the attempt, and a + 1 goes
+next, up to RETRY_CAP; an x(D) that vanishes is composite, as no point of
+odd order has x = 0 mod a prime.  A base-3 strong pseudoprime (703 =
+2^6 * 11 - 1) still meets these.
 
 Complete.  For a prime p, E(F_p) is cyclic of order 2^k n (fact 2 of
 oracle at m = -1), and its twist is E through x -> -x, so every x is the
@@ -72,9 +72,8 @@ from .numtheory import (
     gate,
     is_prime_oracle,
     jacobi,
-    mersenne_trial_factor,
     miller_rabin,
-    presieve,
+    sieve_divisors,
     trial_division,
 )
 from .sequence import FINAL_NONZERO, FINAL_ZERO, chain_outcome, start_x
@@ -160,28 +159,22 @@ def _oracle_verdict(p: int) -> Verdict | None:
     return Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": witness})
 
 
-def _factor_verdict(algorithm: str, divisor: int, stage: str, a: int) -> Verdict:
-    return Verdict(COMPOSITE, algorithm, {"type": "factor", "divisor": divisor, "stage": stage}, a)
-
-
 def sieve_verdict(divisor: int) -> Verdict:
     """The composite verdict of a prime factor the sieve found."""
-    return _factor_verdict("sieve", divisor, "sieve", 1)
+    return Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": divisor})
 
 
-_DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
-    "type": "gate-failure", "gate": "dispatch",
-    "reason": "no applicable route: gates fail or n needs an unavailable factorization"})
+# No corner applies and the oracle stops below p: nothing decides p.
+_DISPATCH = Verdict(NOT_APPLICABLE, "auto", {"type": "gate-failure"})
 
 # The verdict of a strong witness: the oracle's certificate, with the base.
 _WITNESSED = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": WITNESS_BASE})
 
 
 def _sieve_divisor(c: FormCandidate) -> int | None:
-    """The sieve of deciding, replay and search: p's least prime factor up
-    to 13 by the presieve, else, for n = 1, mersenne_trial_factor(k)."""
-    divisor = presieve(c.k, range(c.n, c.n + 1, 2)).get(c.n)
-    return mersenne_trial_factor(c.k) if divisor is None and c.n == 1 else divisor
+    """sieve_divisors on c's one n (search runs it on its whole range):
+    p's least prime factor up to 13, else M_k's trial factor."""
+    return sieve_divisors(c.k, range(c.n, c.n + 1, 2)).get(c.n)
 
 
 def _given(c: FormCandidate, give_up: Verdict) -> Verdict:
@@ -260,7 +253,6 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
     chain, s = prod(factors) = n without (module docstring); None: declined."""
     p = c.p
     algorithm = "small-n" if chain else "large-n"
-    stage = "parameter-scan"
     try:
         if chain:
             x = start_x(p, a)
@@ -278,7 +270,6 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
             cert = {"type": "order", "outcome": FINAL_NONZERO}
             if len(factors) > 1:  # one factor is n itself, which replay takes
                 cert["factors"] = list(factors)
-        stage = "scalar-multiplication"
         end = double_x_only_chain(p, x, c.k)
         if _vanishes(end[1], p):
             return None
@@ -295,7 +286,7 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
             if x is not None and _vanishes(double_x_only_chain(p, x, 0, q)[1], p):
                 cert["outcome"] = FINAL_ZERO
     except FactorFound as exc:
-        return _factor_verdict(algorithm, exc.divisor, stage, a)
+        return Verdict(COMPOSITE, algorithm, {"type": "factor", "divisor": exc.divisor}, a)
     return Verdict(PRIME if cert["outcome"] == FINAL_ZERO else COMPOSITE, algorithm, cert, a)
 
 
@@ -339,14 +330,6 @@ def decide_unsieved(c: FormCandidate) -> Verdict:
 
 # --- certificate replay ----------------------------------------------------
 
-# The stages at which each route can meet a divisor of p.
-_FACTOR_STAGES = {
-    "sieve": ("sieve",),
-    "small-n": ("parameter-scan", "scalar-multiplication"),
-    "large-n": ("scalar-multiplication",),
-}
-
-
 def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
@@ -356,7 +339,10 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     test (one pow(3, c, p) and k - 1 folded squarings where p has a
     numtheory.fold_shape, one modular power elsewhere).  Any other record
     that is neither prime nor a sieve verdict needs p past both, as
-    auto_test stops at either.  A curve record needs _applies for its
+    auto_test stops at either.  A factor record (type and divisor alone,
+    on sieve, small-n or large-n) needs its divisor to be a proper divisor
+    of p, and iterations 1 on small-n where the gate at 2^k holds, as that
+    corner never declines.  Any other curve record needs _applies for its
     factors (none on the small-n corner, whose a is 1; a large-n record
     with no factors has the one factor n, which _evaluate leaves out, so
     one that names [n] is INVALID) and
@@ -408,8 +394,9 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
         d = cert["divisor"]
         return (
             status == COMPOSITE
-            and cert.keys() == {"type", "divisor", "stage"}
-            and cert["stage"] in _FACTOR_STAGES.get(algorithm, ())
+            and cert.keys() == {"type", "divisor"}
+            and algorithm in ("sieve", "small-n", "large-n")
+            and not (algorithm == "small-n" and verdict.iterations > 1 and gate(c, 1 << c.k))
             and 1 < d < p
             and p % d == 0
         )

@@ -18,6 +18,5 @@ def routes_decide_composites(monkeypatch):
     def no_witness_to_3(n, bases=MR_DEFAULT_BASES):
         return bases == (primality.WITNESS_BASE,) or strong(n, bases)
 
-    monkeypatch.setattr(primality, "presieve", lambda k, ns: {})
-    monkeypatch.setattr(primality, "mersenne_trial_factor", lambda k: None)
+    monkeypatch.setattr(primality, "sieve_divisors", lambda k, ns: {})
     monkeypatch.setattr(primality, "miller_rabin", no_witness_to_3)

@@ -30,8 +30,7 @@ UNDECIDED_P = str((int(UNDECIDED_N) << 48) - 1)
 PSEUDOPRIME_KN = ("5", "9246231190095")
 # n = 3^53: p = 4n - 1 lies above psi_13 too, and base 3 witnesses it
 WITNESSED_N = str(3**53)
-DISPATCH_CERTIFICATE = {"gate": "dispatch", "type": "gate-failure", "reason": (
-    "no applicable route: gates fail or n needs an unavailable factorization")}
+DISPATCH_CERTIFICATE = {"type": "gate-failure"}
 
 
 def run_cli(*argv):
@@ -108,7 +107,7 @@ class TestTestCommand:
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/10")
+            assert json.loads(line)["schema"].endswith("/11")
 
 
 class TestFactorOption:
@@ -140,10 +139,8 @@ class TestFactorOption:
         assert (code, err) == (3, "")
         assert out == (
             f'{{"algorithm":"auto","candidate":{{"k":"48","n":"{UNDECIDED_N}"}},'
-            f'"certificate":{{"factors":["{UNDECIDED_N}"],"gate":"dispatch","reason":'
-            '"no applicable route: gates fail or n needs an unavailable factorization",'
-            '"type":"gate-failure"},"iterations":1,'
-            '"schema":"ecriesel.run-record/10","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            f'"certificate":{{"factors":["{UNDECIDED_N}"],"type":"gate-failure"}},"iterations":1,'
+            '"schema":"ecriesel.run-record/11","tool_version":"0.1.0","verdict":"not-applicable"}\n')
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
         assert run_cli("test", "--replay", "-")[0] == 0
 
@@ -355,6 +352,17 @@ class TestStrictReplayInput:
             3, "", "replay: malformed record: schema: ecriesel.run-record/9 is no longer read; "
                    "decide the candidate again\n")
 
+    def test_run_record_10_is_no_longer_read(self, tmp_path):
+        # a /10 factor record named the stage its divisor surfaced at, which
+        # /11 records leave out: the schema is named before the field
+        rec = self.record("2", "7")
+        assert rec["certificate"] == {"divisor": "3", "type": "factor"}
+        rec["schema"] = "ecriesel.run-record/10"
+        rec["certificate"]["stage"] = "sieve"
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/10 is no longer read; "
+                   "decide the candidate again\n")
+
     @pytest.mark.parametrize("argv", [("7", "3"), ("7", "61")], ids=["prime", "composite"])
     def test_run_record_6_is_no_longer_read(self, tmp_path, argv):
         # a /6 record ran no witness test: a composite carried a curve
@@ -438,14 +446,15 @@ class TestStrictReplayInput:
 
     # (algorithm, certificate type) of a golden record, its forgery, exit code
     FORGERIES = {
-        "factor-without-stage": (("large-n", "factor"),
-                                 lambda r: r["certificate"].pop("stage"), 1),
+        # a stage is no certificate field since run-record/11: malformed
+        "factor-with-stage": (("large-n", "factor"),
+                              lambda r: r["certificate"].update(stage="scalar-multiplication"), 3),
         "factor-with-witness": (("sieve", "factor"),
                                 lambda r: r["certificate"].update(witness="3"), 1),
         # m and x0 are no certificate fields since run-record/3: malformed
         "factor-with-m": (("sieve", "factor"), lambda r: r["certificate"].update(m="3"), 3),
         "sieve-at-parameter-scan": (("sieve", "factor"),
-                                    lambda r: r["certificate"].update(stage="parameter-scan"), 1),
+                                    lambda r: r["certificate"].update(stage="parameter-scan"), 3),
         "factor-long-algorithm": (("large-n", "factor"), lambda r: r.update(algorithm="9" * 50), 1),
         "factor-null-algorithm": (("sieve", "factor"), lambda r: r.update(algorithm=None), 3),
         "tool-version-list": (("sieve", "factor"), lambda r: r.update(tool_version=[1]), 3),
@@ -494,6 +503,21 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", f"replay: malformed record: unknown certificate field '{field}'\n")
 
+    @pytest.mark.parametrize("source, field, value", [
+        (("sieve", "factor"), "stage", "sieve"),
+        (("large-n", "factor"), "stage", "scalar-multiplication"),
+        (("auto", "gate-failure"), "gate", "dispatch"),
+        (("auto", "gate-failure"), "reason", "no applicable route"),
+    ])
+    def test_run_record_10_field_is_unknown(self, tmp_path, source, field, value):
+        # run-record/10 carried these: a factor's stage, which replay never
+        # needed, and the dispatch give-up's constant gate and reason
+        rec = self.golden(*source)
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 0
+        rec["certificate"][field] = value
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", f"replay: malformed record: unknown certificate field '{field}'\n")
+
     @pytest.mark.parametrize("field", ["verdict", "algorithm", "tool_version",
                                        "certificate.type", "certificate.witness",
                                        "candidate.k"])
@@ -532,10 +556,8 @@ class TestStrictReplayInput:
     # p = 383 is prime, so no route gives up on it and nothing sends it to
     # the fallback: each undecided record replays INVALID
     @pytest.mark.parametrize("verdict, algorithm, certificate, iterations", [
-        ("not-applicable", "mersenne",
-         {"type": "gate-failure", "gate": "made-up", "reason": "anything"}, 1),
-        ("inconclusive", "sieve", {"type": "gate-failure", "gate": "dispatch",
-                                   "reason": "anything"}, 1),
+        ("not-applicable", "mersenne", {"type": "gate-failure"}, 1),
+        ("inconclusive", "sieve", {"type": "gate-failure"}, 1),
         ("not-applicable", "auto", {"type": "retries-exhausted"}, 1),
         ("inconclusive", "small-n", {"type": "retries-exhausted"}, 999),
         ("not-applicable", "auto", DISPATCH_CERTIFICATE, 1),
@@ -554,9 +576,14 @@ class TestStrictReplayInput:
     # p = 2671 (test 4 167) are more than it makes.
     @pytest.mark.parametrize("argv, iterations", [
         (("7", "3"), 999), (("7", "3"), 2), (("4", "167"), 21), (None, 5),
-    ], ids=["small-n-999", "small-n-2", "large-n-21", "sieve-5"])
+        (("6", "11"), 7),
+    ], ids=["small-n-999", "small-n-2", "large-n-21", "sieve-5", "small-n-factor-7"])
     def test_forged_decided_iterations(self, tmp_path, argv, iterations):
         rec = self.golden("sieve", "factor") if argv is None else self.record(*argv)
+        if argv == ("6", "11"):
+            # p = 703 = 19 * 37, a base-3 strong pseudoprime on the small-n
+            # corner, which never declines: a factor at attempt 1 is a proof
+            rec["certificate"] = {"divisor": "19", "type": "factor"}
         assert self.replay(tmp_path, json.dumps(rec))[0] == 0
         rec["iterations"] = iterations
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -654,7 +681,7 @@ class TestMersenneCommand:
         assert code == 0
         rec = json_lines(out)[0]
         assert rec["verdict"] == "composite" and rec["candidate"] == {"k": "14400", "n": "1"}
-        assert rec["certificate"] == {"divisor": "3", "stage": "sieve", "type": "factor"}
+        assert rec["certificate"] == {"divisor": "3", "type": "factor"}
         assert run_cli("test", "14400", "1", "--json")[:2] == (1, out)
         path = tmp_path / "record.json"
         path.write_text(out)
@@ -677,7 +704,7 @@ class TestMersenneCommand:
         assert (code, err) == (1, "")
         rec = json_lines(out)[0]
         assert rec["candidate"]["n"] == n_text
-        assert rec["certificate"] == {"divisor": "5", "stage": "sieve", "type": "factor"}
+        assert rec["certificate"] == {"divisor": "5", "type": "factor"}
         # --q and the bounds of search and mersenne are read alike
         assert run_cli("test", "14617", n_text, "--q", n_text, "--json")[:2] == (1, out)
         code, search, _ = run_cli("search", "--k", "14617", "--n-min", n_text,
@@ -716,7 +743,7 @@ class TestSearchCommand:
         primes = [p for p, r in by_p.items() if r["verdict"] == "prime"]
         assert primes == [3, 11, 19, 43, 59, 67, 83] and summary["prime"] == len(primes)
         sieved = {p: r["certificate"] for p, r in by_p.items() if r["algorithm"] == "sieve"}
-        assert sieved == {p: {"type": "factor", "divisor": str(d), "stage": "sieve"}
+        assert sieved == {p: {"type": "factor", "divisor": str(d)}
                           for p, d in ((27, 3), (35, 5), (51, 3), (75, 3), (91, 7), (99, 3))}
         assert all(by_p[p]["verdict"] == "composite" for p in sieved)
 

@@ -100,21 +100,53 @@ RECORD_6_PRIME_DIGESTS = {
     SEARCH_RANGE: "4021ffa58a6856a6fc002160a0fd703092bc1ebd38c50fa5a29e511fab9b23f8",
 }
 
-# SHA-256 and size of each whole file as run-record/9 wrote it, which
-# as_record_9 rebuilds from today's lines: every /10 line is its /9 line
+# SHA-256 and size of each whole file as run-record/10 and run-record/9
+# wrote it, which as_record_10 and as_record_9 rebuild from today's lines:
+# every /11 line is its /10 line less a factor certificate's stage and the
+# dispatch give-up's gate and reason, and every /10 line is its /9 line
 # less p, a large-n order certificate's lone factor n, and a give-up's
-# attempts, with its schema tag changed.
+# attempts, each with its schema tag changed.
+RECORD_10_FILES = {
+    GOLDEN: ("fc22a544e4a1da1039b4c15b93809dc91a8528cce498491a3f170eb1b804ec48", 22628),
+    SEARCH_RANGE: ("b36e7f0dc86f69a9b76c35b36491125a706c273464571546f815ab6e8f94ce0e", 106342),
+}
 RECORD_9_FILES = {
     GOLDEN: ("067a0efa4165bdce3cd40513b143ebf7023ede34aba5be2c74666e792ae54ea5", 24279),
     SEARCH_RANGE: ("450d772488392d0dcadc52bd695b47111d15bfa288bf7c7eb76d0f1d03fc7e85", 116342),
 }
 
+# The stage a run-record/10 factor certificate named on each algorithm the
+# files hold one on (they hold no small-n factor record).
+_STAGES = {"sieve": "sieve", "large-n": "scalar-multiplication"}
+
+
+def _dumps(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def as_record_10(line):
+    """The run-record/10 line of a run-record/11 line (a summary line is
+    unchanged): the stage put back on a factor certificate, from its
+    algorithm, and the constant gate and reason on the dispatch give-up."""
+    record = json.loads(line)
+    if "summary" in record:
+        return line
+    cert = record["certificate"]
+    if cert["type"] == "factor":
+        cert["stage"] = _STAGES[record["algorithm"]]
+    if cert["type"] == "gate-failure":
+        cert["gate"] = "dispatch"
+        cert["reason"] = "no applicable route: gates fail or n needs an unavailable factorization"
+    record["schema"] = "ecriesel.run-record/10"
+    return _dumps(record)
+
 
 def as_record_9(line):
-    """The run-record/9 line of a run-record/10 line (a summary line is
-    unchanged): p put back in the candidate, factors [n] on a large-n
-    order certificate without factors, attempts 20 on a give-up."""
-    record = json.loads(line)
+    """The run-record/9 line of a run-record/11 line (a summary line is
+    unchanged): as_record_10's line, then p put back in the candidate,
+    factors [n] on a large-n order certificate without factors, attempts 20
+    on a give-up."""
+    record = json.loads(as_record_10(line))
     if "summary" in record:
         return line
     candidate, cert = record["candidate"], record["certificate"]
@@ -124,7 +156,7 @@ def as_record_9(line):
     if cert["type"] == "retries-exhausted":
         cert["attempts"] = "20"
     record["schema"] = "ecriesel.run-record/9"
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _dumps(record)
 
 
 def record_lines():
@@ -157,6 +189,18 @@ def test_search_range_is_byte_identical():
     assert search_range_output() == SEARCH_RANGE.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("path", sorted(RECORD_10_FILES), ids=lambda p: p.name)
+def test_records_derive_from_run_record_10(path):
+    # each line differs from its /10 line only by the fields replay never
+    # read (a factor's stage) or that were constants (the dispatch gate
+    # and reason) and by its tag: no other byte of either file moved
+    text = path.read_text(encoding="utf-8")
+    assert not any(field in text for field in ('"stage":', '"gate":', '"reason":'))
+    old = "".join(as_record_10(line) + "\n" for line in text.splitlines())
+    digest, size = RECORD_10_FILES[path]
+    assert (hashlib.sha256(old.encode()).hexdigest(), len(old)) == (digest, size)
+
+
 @pytest.mark.parametrize("path", sorted(RECORD_9_FILES), ids=lambda p: p.name)
 def test_records_derive_from_run_record_9(path):
     # each line differs from its /9 line only by the fields replay forms
@@ -184,7 +228,7 @@ def test_prime_lines_kept_their_bytes(path):
 
 
 def test_golden_set_covers_every_reachable_pair():
-    # small-n's gcd-hit, early-infinity and parameter-scan factor need a
+    # small-n's gcd-hit, early-infinity and factor (a zero symbol) need a
     # base-3 strong pseudoprime that meets them, and none is known: the
     # evaluator tests reach them (test_small_n, test_chain_walker), as
     # they reach a give-up (test_primality)
@@ -192,15 +236,14 @@ def test_golden_set_covers_every_reachable_pair():
     for line in record_lines():
         record = json.loads(line)
         cert = record["certificate"]
-        pairs.add((record["algorithm"], cert["type"],
-                   cert.get("outcome") or cert.get("stage") or cert.get("gate")))
+        pairs.add((record["algorithm"], cert["type"], cert.get("outcome")))
     sequence = {("small-n", "sequence", o) for o in ("final-zero", "final-nonzero")}
-    factors = {("large-n", "factor", "scalar-multiplication")}
-    assert pairs == sequence | factors | {
-        ("sieve", "factor", "sieve"),
+    assert pairs == sequence | {
+        ("large-n", "factor", None),
+        ("sieve", "factor", None),
         ("trial-division", "oracle", None),
         ("miller-rabin", "oracle", None),
-        ("auto", "gate-failure", "dispatch"),
+        ("auto", "gate-failure", None),
         ("large-n", "order", "final-zero"),
         ("large-n", "order", "final-nonzero"),
     }
@@ -211,13 +254,16 @@ def test_no_certificate_carries_a_derived_field():
     # symbols and re-runs the chain for the final residue, so no record
     # holds m, x0 or the residue; neither route scans a point, so no record
     # holds one; replay forms p from k and n, takes a large-n record with
-    # no factors as n's own, and a give-up's attempts from its iterations
+    # no factors as n's own, and a give-up's attempts from its iterations;
+    # a factor's divisor is checked by one remainder wherever it surfaced,
+    # so no record names a stage, and the dispatch give-up is its type
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/10", line
+        assert record["schema"] == "ecriesel.run-record/11", line
         assert record["candidate"].keys() == {"k", "n"}, line
         cert = record["certificate"]
-        assert not {"m", "x0", "residue", "base_point", "attempts"} & cert.keys(), line
+        assert not {"m", "x0", "residue", "base_point", "attempts", "stage", "gate",
+                    "reason"} & cert.keys(), line
         assert cert.get("factors") != [record["candidate"]["n"]] or (
             record["algorithm"] != "large-n"), line
 

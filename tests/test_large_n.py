@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from ecriesel import ecring, primality
-from ecriesel.ecring import Curve, _riesel_fold, _x_only_ladder, scalar_mul
-from ecriesel.numtheory import FormCandidate, gate_large_n
+from ecriesel.ecring import Curve, _x_only_ladder, scalar_mul
+from ecriesel.numtheory import FormCandidate, _riesel_fold, gate_large_n
 from ecriesel.primality import (
     COMPOSITE,
     PRIME,
@@ -63,11 +63,11 @@ def test_agrees_with_sympy_on_the_sweep():
             assert w.status == v.status and replay_verdict(c, w), (k, n)
             assert replay_verdict(c, v) == (w == v), (k, n)
             algorithms[w.algorithm, w.status] += 1
-            kinds.add(v.certificate.get("outcome") or v.certificate["stage"])
+            kinds.add(v.certificate.get("outcome") or v.certificate["type"])
             retried += v.iterations > 1
             decided += 1
     assert (decided, retried) == (12476, 646)
-    assert kinds == {"final-zero", "final-nonzero", "scalar-multiplication"}
+    assert kinds == {"final-zero", "final-nonzero", "factor"}
     assert algorithms == ALGORITHMS_ON_THE_SWEEP
 
 
@@ -131,8 +131,7 @@ def test_non_unit_x_of_d_is_rejected_before_any_ladder(monkeypatch):
     monkeypatch.setattr(ecring, "_x_only_ladder", boom)
     c = FormCandidate(k=2, n=101)
     v = _curve_route(c, (c.n,), False)
-    assert v == Verdict(COMPOSITE, "large-n", {"type": "factor", "divisor": 31,
-                                               "stage": "scalar-multiplication"})
+    assert v == Verdict(COMPOSITE, "large-n", {"type": "factor", "divisor": 31})
     # auto_test's presieve finds 13 first, and replay accepts only that
     assert auto_test(c) == sieve_verdict(13)
     assert not replay_verdict(c, v) and replay_verdict(c, sieve_verdict(13))
@@ -180,7 +179,7 @@ def test_no_scan_no_point_no_scalar_mul(monkeypatch, routes_decide_composites):
         v = auto_test(c)
         assert (v.algorithm, v.status) == ("large-n", status), c
         assert replay_verdict(c, v), c
-    assert v.certificate["stage"] == "scalar-multiplication"
+    assert v.certificate == {"type": "factor", "divisor": 21}  # p = 231 = 3 * 7 * 11
 
 
 def test_order_pool_certificates():

@@ -24,11 +24,10 @@ from ecriesel import ecring
 from ecriesel.ecring import (
     Curve,
     Point,
-    _riesel_fold,
     _x_only_ladder,
     scalar_mul,
 )
-from ecriesel.numtheory import FormCandidate, miller_rabin
+from ecriesel.numtheory import FormCandidate, _riesel_fold, miller_rabin
 from ecriesel.primality import PRIME, auto_test, replay_verdict
 from ecriesel.sequence import (
     EARLY_INFINITY,

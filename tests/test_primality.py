@@ -61,9 +61,7 @@ LARGE_GATE_UNDECIDED = FormCandidate(k=2, n=1099511627791 * 4398046511993)
 PSEUDOPRIME = FormCandidate(k=5, n=9246231190095)
 # p = 4 * 3^53 - 1 lies above psi_13 too, but base 3 witnesses it
 WITNESSED = FormCandidate(k=2, n=3**53)
-DISPATCH = Verdict(NOT_APPLICABLE, "auto", {
-    "type": "gate-failure", "gate": "dispatch",
-    "reason": "no applicable route: gates fail or n needs an unavailable factorization"})
+DISPATCH = Verdict(NOT_APPLICABLE, "auto", {"type": "gate-failure"})
 WITNESS = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 3})
 # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the first 12
 # primes (Sorenson-Webster 2017); psi_13 passes it on the first 13
@@ -317,8 +315,7 @@ class TestTwoPrimeN:
                 # p = 1935 = 3^2 * 5 * 43: the walk of D fails mod 5 at
                 # doubling 1 and mod 3 at doubling 2, so its end Z shares
                 # 45 = 3^2 * 5 with p, before any ladder
-                assert v.certificate == {"type": "factor", "divisor": 45,
-                                         "stage": "scalar-multiplication"}
+                assert v.certificate == {"type": "factor", "divisor": 45}
                 assert scalars == []
                 continue
             assert (v.status, v.certificate["type"]) == (status, "order")
@@ -438,7 +435,7 @@ class TestAutoTest:
     def test_unroutable_candidate_is_not_applicable(self):
         v = auto_test(UNDECIDED)
         assert v.status == NOT_APPLICABLE
-        assert v.certificate["type"] == "gate-failure" and v.certificate["gate"] == "dispatch"
+        assert v == DISPATCH
         # n = 3^3 * 5 * 7 * 11 with no factorization hint, p = 41579 below
         # psi_13: the mixed corner takes n's small factors before the oracle
         c = FormCandidate(k=2, n=10395)
@@ -449,7 +446,7 @@ class TestAutoTest:
         assert primality._oracle_verdict(c.p) == Verdict(PRIME, "miller-rabin", {"type": "oracle"})
 
     def test_unroutable_candidate_runs_the_fallback_once(self, monkeypatch):
-        # no corner applies: auto_test runs the presieve once, and the
+        # no corner applies: auto_test runs the sieve once, and the
         # fallback the oracle once
         calls = []
 
@@ -458,10 +455,10 @@ class TestAutoTest:
             monkeypatch.setattr(primality, name,
                                 lambda *args: calls.append(name) or inner(*args))
 
-        counted("presieve")
+        counted("sieve_divisors")
         counted("_oracle_verdict")
         v = auto_test(UNDECIDED)
-        assert sorted(calls) == ["_oracle_verdict", "presieve"]
+        assert sorted(calls) == ["_oracle_verdict", "sieve_divisors"]
         assert v == DISPATCH
 
     def test_verdict_statuses_cover_exit_codes(self):
@@ -528,10 +525,28 @@ class TestReplayRejectsTampering:
 
     def test_bogus_factor_witness(self, routes_decide_composites):
         c = FormCandidate(k=8, n=7)
-        cert = {"type": "factor", "divisor": 7, "stage": "parameter-scan"}
+        cert = {"type": "factor", "divisor": 7}
         assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))  # 7 does not divide 1791
-        cert = {"type": "factor", "divisor": 3, "stage": "parameter-scan"}
+        cert = {"type": "factor", "divisor": 3}
         assert replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
+        # the run-record/10 certificate, whose stage named where 3 surfaced
+        assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", {**cert, "stage": "sieve"}))
+
+    def test_small_n_factor_is_met_at_the_first_attempt(self):
+        # p = 703 = 2^6 * 11 - 1 = 19 * 37 is a base-3 strong pseudoprime
+        # where the gate at 2^k holds: the small-n corner never declines,
+        # so deciding meets any divisor at a = 1, and a factor record at a
+        # later attempt is INVALID though 19 divides p
+        c = FormCandidate(k=6, n=11)
+        assert gate_small_n(c) and miller_rabin(c.p, (3,))
+        cert = {"type": "factor", "divisor": 19}
+        assert replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
+        for a in (2, 7, primality.RETRY_CAP):
+            assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert, a)), a
+        # on large-n, whose attempts can decline, the divisor alone is checked
+        c = FormCandidate(k=2, n=443153)  # p = 31 * 211 * 271
+        cert = {"type": "factor", "divisor": 31}
+        assert replay_verdict(c, Verdict(COMPOSITE, "large-n", cert, 7))
 
     def test_wrong_candidate(self):
         c = FormCandidate(k=2, n=2633)
@@ -803,15 +818,14 @@ class TestExactOracleBoundary:
         c = FormCandidate(k=k, n=PSI_12)
         assert c.p >= PSI_13 and c.p % 3 == 0
         v = auto_test(c)
-        assert v == Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": 3,
-                                                 "stage": "sieve"})
+        assert v == Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": 3})
         assert factor_witness(v) == 3
         assert replay_verdict(c, v)
 
 
 class TestFactorWitnessExtraction:
     def test_from_factor_certificate(self):
-        v = Verdict(COMPOSITE, "small-n", {"type": "factor", "divisor": 3, "stage": "x"})
+        v = Verdict(COMPOSITE, "small-n", {"type": "factor", "divisor": 3})
         assert factor_witness(v) == 3
 
     def test_from_gcd_hit_sequence(self):

@@ -17,18 +17,16 @@ import pytest
 
 from ecriesel import ecring
 from ecriesel.ecring import (
-    RIESEL_FOLD_BITS,
     Curve,
     FactorFound,
     Point,
-    _riesel_fold,
     _x_only_doublings,
     _x_only_doublings_folded,
     _x_only_ladder,
     double_x_only_chain,
     scalar_mul,
 )
-from ecriesel.numtheory import miller_rabin
+from ecriesel.numtheory import RIESEL_FOLD_BITS, _riesel_fold, miller_rabin
 from ecriesel.sequence import EARLY_INFINITY, GCD_HIT, SequenceOutcome, chain_outcome, run_sequence
 from test_chain_walker import agrees_with_affine, crt, end_gcd, order_2s_abscissa
 from test_projective import affine_multiple, first_failing_op

@@ -3,9 +3,10 @@
 numtheory.mersenne_trial_factor walks only the q = +-1 (mod 8) and takes
 the least that divides M_k as its least prime factor.  The reference here
 walks every q = 1 (mod 2k) below k^2 / 4 and checks each divisor for
-primality.  auto_test, replay and search run the step through one sieve
-(primality._sieve_divisor, and search's own call for n = 1), so an M_k it
-catches ends on the sieve record and a witness record for it is INVALID.
+primality.  auto_test, replay and search run the step through one sieve,
+numtheory.sieve_divisors (on one n in primality._sieve_divisor, on the
+whole range in search), so an M_k it catches ends on the sieve record and
+a witness record for it is INVALID.
 """
 
 import io
@@ -18,6 +19,8 @@ from ecriesel.numtheory import (
     MERSENNE_TRIAL_MIN_K,
     FormCandidate,
     mersenne_trial_factor,
+    presieve,
+    sieve_divisors,
     sieve_primes,
     trial_division,
 )
@@ -69,6 +72,20 @@ def test_other_exponents_are_left_alone():
     assert mersenne_trial_factor(1461) is None and mersenne_trial_factor(1460) is None
 
 
+@pytest.mark.parametrize("k, ns, m_k", [
+    (1459, range(1, 10, 2), 14591),  # the presieve leaves M_1459 to the trial factor
+    (73, range(1, 2, 2), 439),
+    (1277, range(1, 10, 2), None),  # M_1277 has no factor below k^2 / 4
+    (1462, range(1, 10, 2), 3),  # the presieve's 3 divides M_1462
+    (1459, range(3, 42, 2), None),  # no n = 1 in the range
+])
+def test_sieve_divisors_is_the_presieve_and_the_step(k, ns, m_k):
+    sieved = sieve_divisors(k, ns)
+    assert sieved.get(1) == m_k
+    sieved.pop(1, None)
+    assert sieved == {n: d for n, d in presieve(k, ns).items() if n != 1}
+
+
 @pytest.mark.parametrize("k", [1277, 1741, 1759])
 def test_uncaught_composites_end_on_the_witness(k):
     c = FormCandidate(k, 1)
@@ -103,7 +120,7 @@ def test_search_runs_the_step_on_n_1():
     records = [json.loads(line) for line in lines]
     assert [r["candidate"]["n"] for r in records] == ["1", "3", "5"]
     assert records[0]["algorithm"] == "sieve"
-    assert records[0]["certificate"] == {"divisor": "14591", "stage": "sieve", "type": "factor"}
+    assert records[0]["certificate"] == {"divisor": "14591", "type": "factor"}
     assert json.loads(summary) == {"summary": {"composite": 3, "inconclusive": 0,
                                                "not-applicable": 0, "prime": 0}}
     assert all(replay_verdict(*cli.record_to_inputs(r)) for r in records)

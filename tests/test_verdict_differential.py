@@ -97,4 +97,4 @@ def test_auto_test_agrees_with_sympy(kn):
     elif c.p < PSI_13:
         assert v.status in (PRIME, COMPOSITE) and v.algorithm == "miller-rabin"
     else:
-        assert v.status == NOT_APPLICABLE and v.certificate["gate"] == "dispatch"
+        assert v.status == NOT_APPLICABLE and v.certificate["type"] == "gate-failure"

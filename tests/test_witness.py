@@ -54,9 +54,9 @@ PSEUDOPRIMES = [
     # large-n, the walk of D meets 31: 1772611 = 31 * 211 * 271, and
     # 1891 = 31 * 61 with n = 11 * 43 given
     (2, 443153, None, Verdict(COMPOSITE, "large-n", {
-        "type": "factor", "divisor": 31, "stage": "scalar-multiplication"})),
+        "type": "factor", "divisor": 31})),
     (2, 473, (11, 43), Verdict(COMPOSITE, "large-n", {
-        "type": "factor", "divisor": 31, "stage": "scalar-multiplication"})),
+        "type": "factor", "divisor": 31})),
     # the mixed corner, final-nonzero: 1891 with n = 11 * 43 and
     # 12403 = 79 * 157 with n = 7 * 443, found by trial division of n
     (2, 473, None, Verdict(COMPOSITE, "small-n", {
@@ -173,20 +173,23 @@ def test_window_at_k64_against_sympy():
 
 
 def test_search_sieves_each_candidate_once(monkeypatch):
-    # search's range presieve leaves the rest to decide_unsieved, which runs
-    # no presieve of its own, and its records are auto_test's
+    # search sieves its whole range once and leaves the rest to
+    # decide_unsieved, which runs no sieve of its own, and its records are
+    # auto_test's
     runs = []
-    sieve = primality.presieve
-    monkeypatch.setattr(primality, "presieve", lambda k, ns: runs.append(ns) or sieve(k, ns))
+    sieve = numtheory.sieve_divisors
+    for module in (primality, cli):
+        monkeypatch.setattr(module, "sieve_divisors",
+                            lambda k, ns, module=module: runs.append(module) or sieve(k, ns))
     argv = ["search", "--k", "31", "--n-min", "40001", "--n-max", "40999", "--json"]
     assert cli.main(argv, out=io.StringIO(), err=io.StringIO()) == 0
-    assert runs == []
+    assert runs == [cli]
     for n in (40025, 40095, 40999):
         c = FormCandidate(k=31, n=n)
         if primality._sieve_divisor(c) is None:
             assert decide_unsieved(c) == auto_test(c)
     # n = 1 at a prime k >= MERSENNE_TRIAL_MIN_K as well, where the sieve
-    # trial-factors M_k (search does so itself, before decide_unsieved)
+    # trial-factors M_k (search's range sieve does so, before decide_unsieved)
     assert numtheory.MERSENNE_TRIAL_MIN_K <= 67
     for k in (67, 71, 73, 1277, 1279, 1459):
         c = FormCandidate(k=k, n=1)
