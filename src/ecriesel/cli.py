@@ -23,6 +23,15 @@ Replay reads no other schema, and names a record of any other
 run-record/<digits> schema as no longer read.  The human-readable line
 and replay's line still print p.
 
+`test --replay` reads its input one line at a time (lines as
+str.splitlines splits them) and writes one `replay: valid` or
+`replay: INVALID` line per record line, each costing its JSON decode and
+its check: a whole run replays in one call.  A search summary line after
+records is checked against the verdicts those records claim.  A line
+that is not a record, or repeats a key, is malformed: its message, on
+stderr, names its line number when the input has more than one record
+line, so one-line input gives the same bytes as before.
+
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
 built once.  A presieved search candidate's line is written from k, n and
@@ -33,17 +42,21 @@ from the Verdict itself.
 
 main parses each call once, and a call that repeats the previous call's
 argv not at all: _parse keeps the last successful parse, and each call
-gets its own copy of its Namespace.  A parse that exits (a usage error,
---help, --version) is never kept, so its output is written on every call.
-When argv[0] names a command, that command's own parser, taken from the
-one cached build, reads the rest of argv, and reports an unrecognized
-argument as `ecriesel test: error: ...`.  Only a call with words left over
+gets its own copy of its Namespace (and of its lists).  argparse's output
+goes to the call's streams: sys.stdout and sys.stderr point at them for
+the parse alone.  A parse that exits (a usage error, --help, --version)
+is never kept, so its output is written on every call.  When argv[0]
+names a command, that command's own parser, taken from the one cached
+build, reads the rest of argv, and reports an unrecognized argument as
+`ecriesel test: error: ...`.  Only a call with words left over
 is parsed again, intermixed, so that positionals after an option
 (`test 7 --json 3`) still land.  The top-level parser reads only an empty
 argv, -h, --version and an unknown command.
 
 Exit codes for `test`: 0 prime, 1 composite, 2 inconclusive,
-3 not-applicable or usage error.  Batch commands exit 0 on completion,
+3 not-applicable or usage error; for `test --replay`, 3 if any line is
+malformed (or the input cannot be read, or holds no record), else 1 if any
+line is INVALID, else 0.  Batch commands exit 0 on completion,
 1 on an internal mismatch or violation, 3 on usage errors.  Every command
 exits 141 (128 + SIGPIPE, as a shell reports a filter killed by a closed
 pipe) when the reader of stdout goes away, and writes nothing to stderr.
@@ -57,7 +70,6 @@ import os
 import re
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, lru_cache, partial
 
 from . import __version__
@@ -137,25 +149,30 @@ def _stringify(value):
     return value
 
 
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+class _FieldError(ValueError):
+    """A record field's value that its reader refuses; record_to_inputs
+    names the field."""
 
 
 def _parse_int(text) -> int:
-    """A canonical ASCII decimal string, as _stringify writes it."""
-    if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
-        raise ValueError(f"not a canonical decimal string: {text!r}")
+    """A canonical ASCII decimal string, as _stringify writes it: ASCII
+    digits (str.isdigit alone also takes other scripts' digits and
+    superscripts), and no leading zero."""
+    if (not isinstance(text, str) or not (text.isascii() and text.isdigit())
+            or (text[0] == "0" and len(text) > 1)):
+        raise _FieldError(f"not a canonical decimal string: {text!r}")
     return _past_digit_limit(int, text)
 
 
 def _parse_int_list(values) -> list[int]:
     if not isinstance(values, list):
-        raise ValueError(f"not a list: {values!r}")
+        raise _FieldError(f"not a list: {values!r}")
     return [_parse_int(v) for v in values]
 
 
 def _parse_text(value) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"not a string: {value!r}")
+        raise _FieldError(f"not a string: {value!r}")
     return value
 
 
@@ -176,6 +193,13 @@ CERTIFICATE_FIELDS = {
 REPLAY_MAX_P_BITS = 1 << 14
 
 
+# A record's keys (each one named, in this order, when it is missing) and
+# its candidate's.
+_RECORD_KEYS = dict.fromkeys(("tool_version", "candidate", "certificate", "iterations",
+                              "verdict", "algorithm")).keys()
+_CANDIDATE_KEYS = frozenset("kn")
+
+
 # No command calls it: the tests' reference, and perfbench/tracing.py wraps it.
 def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = None) -> dict:
     record = {
@@ -190,14 +214,6 @@ def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = 
     if elapsed_ms is not None:
         record["elapsed_ms"] = elapsed_ms
     return record
-
-
-def _read(field: str, parse, value):
-    """parse(value), with the record field's name in the error it raises."""
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
 
 
 def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
@@ -219,40 +235,47 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
         if isinstance(schema, str) and re.fullmatch(r"ecriesel\.run-record/[0-9]+", schema):
             raise ValueError(f"schema: {schema} is no longer read; decide the candidate again")
         raise ValueError(f"not an {SCHEMA} record")
-    for key in ("tool_version", "candidate", "certificate", "iterations", "verdict", "algorithm"):
-        if key not in record:
-            raise ValueError(f"{key}: missing")
-    _read("tool_version", _parse_text, record["tool_version"])
-    cand = record["candidate"]
-    if not isinstance(cand, dict):
-        raise ValueError("candidate: not a JSON object")
-    if cand.keys() != set("kn"):
-        key = min(cand.keys() ^ set("kn"))
-        raise ValueError(f"candidate.{key}: missing" if key not in cand
-                         else f"unknown candidate field {key!r}")
-    c = FormCandidate(k=_read("candidate.k", _parse_int, cand["k"]),
-                      n=_read("candidate.n", _parse_int, cand["n"]))
-    if c.k + c.n.bit_length() > REPLAY_MAX_P_BITS:
-        raise ValueError(f"candidate: 2^k * n - 1 would have more than "
-                         f"REPLAY_MAX_P_BITS = {REPLAY_MAX_P_BITS} bits, the most replay checks")
-    fields = record["certificate"]
-    if not isinstance(fields, dict):
-        raise ValueError("certificate must be a JSON object")
-    cert = {}
-    for key, value in fields.items():
-        if key not in CERTIFICATE_FIELDS:
-            raise ValueError(f"unknown certificate field {key!r}")
-        cert[key] = _read(f"certificate.{key}", CERTIFICATE_FIELDS[key], value)
-    iterations = record["iterations"]
-    if type(iterations) is not int or iterations < 1:
-        raise ValueError(f"iterations must be a JSON integer >= 1: {iterations!r}")
-    verdict = Verdict(
-        status=_read("verdict", _parse_text, record["verdict"]),
-        algorithm=_read("algorithm", _parse_text, record["algorithm"]),
-        certificate=cert,
-        iterations=iterations,
-    )
-    return c, verdict
+    if not _RECORD_KEYS <= record.keys():
+        raise ValueError(f"{next(key for key in _RECORD_KEYS if key not in record)}: missing")
+    # field: the one a reader's _FieldError is about
+    field = "tool_version"
+    try:
+        _parse_text(record["tool_version"])
+        cand = record["candidate"]
+        if not isinstance(cand, dict):
+            raise ValueError("candidate: not a JSON object")
+        if cand.keys() != _CANDIDATE_KEYS:
+            key = min(cand.keys() ^ _CANDIDATE_KEYS)
+            raise ValueError(f"candidate.{key}: missing" if key not in cand
+                             else f"unknown candidate field {key!r}")
+        field = "candidate.k"
+        k = _parse_int(cand["k"])
+        field = "candidate.n"
+        c = FormCandidate(k, _parse_int(cand["n"]))
+        if c.k + c.n.bit_length() > REPLAY_MAX_P_BITS:
+            raise ValueError(f"candidate: 2^k * n - 1 would have more than "
+                             f"REPLAY_MAX_P_BITS = {REPLAY_MAX_P_BITS} bits, "
+                             f"the most replay checks")
+        fields = record["certificate"]
+        if not isinstance(fields, dict):
+            raise ValueError("certificate must be a JSON object")
+        cert = {}
+        for field, value in fields.items():
+            parse = CERTIFICATE_FIELDS.get(field)
+            if parse is None:
+                raise ValueError(f"unknown certificate field {field!r}")
+            cert[field] = parse(value)
+        iterations = record["iterations"]
+        if type(iterations) is not int or iterations < 1:
+            raise ValueError(f"iterations must be a JSON integer >= 1: {iterations!r}")
+        field = "verdict"
+        status = _parse_text(record["verdict"])
+        field = "algorithm"
+        algorithm = _parse_text(record["algorithm"])
+    except _FieldError as exc:
+        where = f"certificate.{field}" if field in CERTIFICATE_FIELDS else field
+        raise ValueError(f"{where}: {exc}") from None
+    return c, Verdict(status, algorithm, cert, iterations)
 
 
 _RECORD_TAIL = f'"schema":"{SCHEMA}","tool_version":"{__version__}","verdict":'
@@ -324,26 +347,140 @@ def _cmd_test(args, out, err) -> int:
     return EXIT_BY_VERDICT[verdict.status]
 
 
-def _cmd_replay(args, out, err) -> int:
-    source = args.replay
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a key that it repeats: a reader that
+    keeps the first of two keys would read another record than replay."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# One decoder for every record line, built at import (json.loads with a
+# hook builds a decoder per call).
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _load(line: str):
+    """The JSON value of one line, as json.loads reads it, but with no key
+    repeated.  A line that is one JSON value alone is only scanned: the
+    whitespace matches of decode and the BOM test of json.loads run on
+    the other lines, and raise json's own messages."""
     try:
-        if source == "-":
-            text = sys.stdin.read()
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        lines = [line for line in text.splitlines() if line.strip()]
-        if len(lines) != 1:
-            raise ValueError(f"expected one record line, found {len(lines)}")
-        c, verdict = record_to_inputs(json.loads(lines[0]))
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        # RecursionError: JSON nested deeper than the decoder can follow
+        value, end = _DECODER.scan_once(line, 0)
+        if end == len(line):
+            return value
+    except StopIteration:  # no value at 0: whitespace or a BOM first, or none
+        pass
+    if line.startswith("\ufeff"):
+        return json.loads(line)  # raises json.loads's BOM error
+    return _DECODER.decode(line)
+
+
+def _check_summary(summary, claimed: list) -> str:
+    """replay's line for a search summary, which must count the verdicts
+    claimed by the records since the previous summary."""
+    if (not isinstance(summary, dict) or summary.keys() != EXIT_BY_VERDICT.keys()
+            or any(type(v) is not int or v < 0 for v in summary.values())):
+        raise ValueError("summary: not a JSON object of the four verdicts' counts")
+    tally = dict.fromkeys(EXIT_BY_VERDICT, 0)
+    for status in claimed:
+        tally[status] = tally.get(status, 0) + 1
+    if summary == tally:
+        return f"replay: valid (summary: {_counts(summary)})\n"
+    return f"replay: INVALID (summary: {_counts(summary)}; records: {_counts(tally)})\n"
+
+
+def _counts(counts: dict) -> str:
+    """Verdict counts as search's human-readable summary writes them."""
+    return " ".join(f"{v}={counts[v]}" for v in sorted(counts))
+
+
+def _cmd_replay(args, out, err) -> int:
+    if args.replay == "-":
+        return _replay_lines(sys.stdin, out, err)
+    try:
+        stream = open(args.replay, encoding="utf-8")
+    except OSError as exc:
         err.write(f"replay: malformed record: {exc}\n")
         return 3
-    ok = replay_verdict(c, verdict)
-    out.write(f"replay: {'valid' if ok else 'INVALID'} "
-              f"({verdict.status} via {verdict.algorithm} for p={_decimal(c.p)})\n")
-    return 0 if ok else 1
+    with stream:
+        return _replay_lines(stream, out, err)
+
+
+class _ReadError(Exception):
+    """Reading the replay input failed: text that does not decode, say."""
+
+
+def _record_lines(stream):
+    """(number, line) of each line of stream that is not blank, read one
+    line at a time and split as str.splitlines splits (number: that of the
+    newline-ended line it is on).  A failure to read raises _ReadError."""
+    try:
+        for number, text in enumerate(stream, 1):
+            for line in text.splitlines():
+                if line.strip():
+                    yield number, line
+    except (OSError, ValueError) as exc:
+        raise _ReadError(exc) from None
+
+
+def _replay_record(line: str, claimed: list) -> str:
+    """replay's answer to one record line: its JSON decode and its check.
+    claimed holds the verdicts of the records since the previous summary; a
+    search summary (a {"summary": ...} line after a record) is checked
+    against them."""
+    record = _load(line)
+    if claimed and isinstance(record, dict) and record.keys() == {"summary"}:
+        answer = _check_summary(record["summary"], claimed)
+        claimed.clear()
+        return answer
+    c, verdict = record_to_inputs(record)
+    claimed.append(verdict.status)
+    return (f"replay: {'valid' if replay_verdict(c, verdict) else 'INVALID'} "
+            f"({verdict.status} via {verdict.algorithm} for p={_decimal(c.p)})\n")
+
+
+def _replay_lines(stream, out, err) -> int:
+    """Write replay's answer to each record line of stream as it is read.
+    A malformed line's message goes to err, with its line number when the
+    input has more than one record line.  3 if a line was malformed or the
+    input could not be read, else 1 if a line was INVALID, else 0."""
+    claimed = []
+    seen = 0  # record lines
+    held = None  # the first line's refusal, numbered once a second line comes
+    malformed = invalid = False
+    try:
+        for number, line in _record_lines(stream):
+            seen += 1
+            if held is not None:
+                err.write(f"replay: malformed record at line {held[0]}: {held[1]}\n")
+                held = None
+            try:
+                answer = _replay_record(line, claimed)
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                # RecursionError: JSON nested deeper than the decoder can follow
+                malformed = True
+                if seen == 1:
+                    held = number, exc
+                else:
+                    err.write(f"replay: malformed record at line {number}: {exc}\n")
+                continue
+            invalid = invalid or answer.startswith("replay: INVALID")
+            out.write(answer)
+    except _ReadError as exc:
+        if held is not None:
+            err.write(f"replay: malformed record at line {held[0]}: {held[1]}\n")
+        err.write(f"replay: malformed record: {exc}\n")
+        return 3
+    if held is not None or not seen:
+        err.write(f"replay: malformed record: {held[1] if held else 'no record line'}\n")
+        return 3
+    return 3 if malformed else 1 if invalid else 0
 
 
 def _cmd_mersenne(args, out, err) -> int:
@@ -430,11 +567,7 @@ def _cmd_search(args, out, err) -> int:
     if args.json:
         out.write(_ENCODE({"summary": counts}) + "\n")
     else:
-        out.write(
-            "summary: "
-            + " ".join(f"{v}={counts[v]}" for v in sorted(counts))
-            + "\n"
-        )
+        out.write(f"summary: {_counts(counts)}\n")
     return 0
 
 
@@ -533,8 +666,9 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
 
 
 @lru_cache(maxsize=1)
-def _parse(argv: tuple) -> argparse.Namespace:
-    """The Namespace of argv, kept for a call that repeats the last argv.
+def _parse(argv: tuple) -> tuple[argparse.Namespace, tuple[str, ...]]:
+    """The Namespace of argv and the names of its list values (--q), kept
+    for a call that repeats the last argv.
 
     A named command is parsed by its own parser alone: the top-level parser
     would only hand the same words on to it, a second parse per call.  A
@@ -543,24 +677,33 @@ def _parse(argv: tuple) -> argparse.Namespace:
     """
     command = _command_parsers().get(argv[0]) if argv else None
     if command is None:
-        return _build_parser().parse_args(argv)
-    args, rest = command.parse_known_args(argv[1:])
-    return command.parse_intermixed_args(argv[1:]) if rest else args
+        args = _build_parser().parse_args(argv)
+    else:
+        args, rest = command.parse_known_args(argv[1:])
+        if rest:
+            args = command.parse_intermixed_args(argv[1:])
+    return args, tuple(key for key, value in vars(args).items() if isinstance(value, list))
 
 
 def _run(argv, out, err) -> int:
     argv = tuple(sys.argv[1:] if argv is None else argv)
+    # argparse writes usage, errors, --help and --version to sys.stdout and
+    # sys.stderr; point them at out and err for the parse alone
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
     try:
-        with redirect_stdout(out), redirect_stderr(err):
-            kept = _parse(argv)
+        kept, lists = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return 3 if exc.code not in (0, None) else 0
+    finally:
+        sys.stdout, sys.stderr = saved
     # A fresh Namespace, and fresh lists (--q), so that no call sees what an
     # earlier one did to its arguments.
     args = argparse.Namespace()
-    vars(args).update({key: list(value) if isinstance(value, list) else value
-                       for key, value in vars(kept).items()})
+    vars(args).update(vars(kept))
+    for key in lists:
+        setattr(args, key, list(getattr(kept, key)))
     return args.func(args, out, err)
 
 

@@ -341,20 +341,20 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     that is neither prime nor a sieve verdict needs p past both, as
     auto_test stops at either.  A factor record (type and divisor alone,
     on sieve, small-n or large-n) needs its divisor to be a proper divisor
-    of p, and iterations 1 on small-n where the gate at 2^k holds, as that
-    corner never declines.  Any other curve record needs _applies for its
-    factors (none on the small-n corner, whose a is 1; a large-n record
-    with no factors has the one factor n, which _evaluate leaves out, so
-    one that names [n] is INVALID) and
-    _evaluate at a = iterations to give its status, algorithm and
-    certificate; no retry, fallback or dispatch runs (run_sequence,
-    scalar_mul, the oracle and the differential tests are the evaluator's
-    references).  A give-up is valid only as auto_test
-    makes it for the factors it names (those given with --q):
-    not-applicable, with no walk, for p >= PSI_13 when no corner applies;
-    retries-exhausted as _curve_route gives it on the first corner that
-    applies, where every attempt a = 1 .. RETRY_CAP declines: at most the
-    walks deciding made.
+    of p; where the gate at 2^k holds, deciding takes the small-n corner
+    (with or without given factors), which never declines, so there it
+    needs small-n at iterations 1.  Any other curve record needs _applies
+    for its factors (none on the small-n corner, whose a is 1; a large-n
+    record with no factors has the one factor n, which _evaluate leaves
+    out, so one that names [n] is INVALID) and _evaluate at a = iterations
+    to give its status, algorithm and certificate; no retry, fallback or
+    dispatch runs (run_sequence, scalar_mul, the oracle and the
+    differential tests are the evaluator's references).  A give-up is
+    valid only as auto_test makes it for the factors it names (those
+    given with --q): not-applicable, with no walk, for p >= PSI_13 when no
+    corner applies; retries-exhausted as _curve_route gives it on the
+    first corner that applies, where every attempt a = 1 .. RETRY_CAP
+    declines: at most the walks deciding made.
     """
     try:
         return _replay(c, verdict)
@@ -396,7 +396,9 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
             status == COMPOSITE
             and cert.keys() == {"type", "divisor"}
             and algorithm in ("sieve", "small-n", "large-n")
-            and not (algorithm == "small-n" and verdict.iterations > 1 and gate(c, 1 << c.k))
+            and not ((algorithm == "large-n"
+                      or (algorithm == "small-n" and verdict.iterations > 1))
+                     and gate(c, 1 << c.k))
             and 1 < d < p
             and p % d == 0
         )

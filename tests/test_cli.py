@@ -241,8 +241,115 @@ class TestReplayCommand:
         assert sys.stdin.read() == record  # the record was not even read
 
 
+class TestReplayManyRecords:
+    """One `test --replay` call answers every record line of its input."""
+
+    LINES = (Path(__file__).parent / "data" / "search_k31_40001_40999.jsonl").read_text().splitlines()
+
+    @staticmethod
+    def replay(tmp_path, lines):
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return run_cli("test", "--replay", str(path))
+
+    def test_a_search_replays_in_one_call(self, tmp_path):
+        *records, summary = self.LINES
+        code, out, err = self.replay(tmp_path, self.LINES)
+        assert (code, err) == (0, "")
+        answers = out.splitlines()
+        assert len(answers) == len(records) + 1 == 501
+        assert all(a.startswith("replay: valid (") for a in answers)
+        assert answers[-1] == ("replay: valid (summary: composite=469 inconclusive=0 "
+                               "not-applicable=0 prime=31)")
+        # each answer is what the record replays to alone
+        for line, answer in zip(records[::50], answers[::50]):
+            assert self.replay(tmp_path, [line]) == (0, answer + "\n", "")
+
+    def test_a_forged_record_is_the_one_invalid_line(self, tmp_path):
+        lines = list(self.LINES)
+        middle = len(lines) // 2
+        forged = json.loads(lines[middle])
+        assert forged["certificate"] == {"divisor": "13", "type": "factor"}
+        forged["certificate"]["divisor"] = "11"  # p's least prime factor is 13
+        lines[middle] = json.dumps(forged)
+        code, out, err = self.replay(tmp_path, lines)
+        assert (code, err) == (1, "")
+        answers = out.splitlines()
+        assert len(answers) == 501
+        assert [i for i, a in enumerate(answers) if "INVALID" in a] == [middle]
+        # a flipped verdict is INVALID, and the summary no longer counts the
+        # verdicts the records claim
+        forged["verdict"] = "prime"
+        lines[middle] = json.dumps(forged)
+        code, out, err = self.replay(tmp_path, lines)
+        assert (code, err) == (1, "")
+        answers = out.splitlines()
+        assert [i for i, a in enumerate(answers) if "INVALID" in a] == [middle, 500]
+
+    def test_a_malformed_line_is_named(self, tmp_path):
+        lines = list(self.LINES)
+        lines[10] = lines[10].replace('"iterations":1', '"iterations":0')
+        lines[20] = "{not json"
+        code, out, err = self.replay(tmp_path, lines)
+        assert code == 3
+        assert err == ("replay: malformed record at line 11: iterations must be a JSON "
+                       "integer >= 1: 0\n"
+                       "replay: malformed record at line 21: Expecting property name enclosed "
+                       "in double quotes: line 1 column 2 (char 1)\n")
+        # every other line is answered, and the summary no longer agrees
+        answers = out.splitlines()
+        assert len(answers) == 499 and "INVALID" in answers[-1]
+        assert all(a.startswith("replay: valid") for a in answers[:-1])
+        # the first record line is named too when others follow it
+        code, out, err = self.replay(tmp_path, ["", "{not json", self.LINES[0]])
+        assert code == 3 and err.startswith("replay: malformed record at line 2: ")
+        assert out.startswith("replay: valid")
+
+    def test_a_tampered_summary_is_invalid(self, tmp_path):
+        *records, summary = self.LINES
+        counts = json.loads(summary)["summary"]
+        assert counts == {"composite": 469, "inconclusive": 0, "not-applicable": 0,
+                          "prime": 31}
+        tampered = json.dumps({"summary": {**counts, "composite": 468, "prime": 32}})
+        code, out, err = self.replay(tmp_path, [*records, tampered])
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == (
+            "replay: INVALID (summary: composite=468 inconclusive=0 not-applicable=0 prime=32; "
+            "records: composite=469 inconclusive=0 not-applicable=0 prime=31)")
+        # a summary counts the records since the previous one
+        code, out, _ = self.replay(tmp_path, [*records, summary, *records, summary])
+        assert code == 0 and out.count("(summary: composite=469 ") == 2
+        code, out, _ = self.replay(tmp_path, [*records, *records, summary])
+        assert code == 1 and out.splitlines()[-1].startswith("replay: INVALID (summary: ")
+        # a summary that counts something else, or with no record before it,
+        # is malformed (alone, as before, it is no record)
+        for bad in ({"composite": 469, "prime": 31}, {**counts, "prime": -1},
+                    {**counts, "prime": 31.0}, [469, 0, 0, 31]):
+            code, _, err = self.replay(tmp_path, [*records, json.dumps({"summary": bad})])
+            assert code == 3 and err.startswith("replay: malformed record at line 501: summary: ")
+        assert self.replay(tmp_path, [summary]) == (
+            3, "", f"replay: malformed record: not an {cli.SCHEMA} record\n")
+        code, out, err = self.replay(tmp_path, [summary, *records[:2]])
+        assert (code, out.count("replay: valid")) == (3, 2)
+        assert err == f"replay: malformed record at line 1: not an {cli.SCHEMA} record\n"
+
+    def test_stdin_is_read_line_by_line(self, monkeypatch):
+        # the answer to a line is written before the next line is read
+        answers = []
+
+        class Lines(io.StringIO):
+            def __next__(self):
+                answers.append(out.getvalue().count("\n"))
+                return super().__next__()
+
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", Lines("\n".join(self.LINES[:3]) + "\n"))
+        assert main(["test", "--replay", "-"], out=out, err=io.StringIO()) == 0
+        assert answers == [0, 1, 2, 3]
+
+
 class TestStrictReplayInput:
-    """Replay reads each certificate field by name and takes one record."""
+    """Replay reads each certificate field by name, one record per line."""
 
     @staticmethod
     def replay(tmp_path, text):
@@ -268,14 +375,20 @@ class TestStrictReplayInput:
             assert self.replay(tmp_path, json.dumps(rec))[0] == 3
 
     def test_non_canonical_decimals(self, tmp_path):
-        for x in ("\u0665", "05", "+5", " 5", "5.0"):
-            rec = self.record("7", "3")
-            rec["certificate"]["divisor"] = x
-            code, _, err = self.replay(tmp_path, json.dumps(rec))
-            assert code == 3 and "malformed" in err and "certificate.divisor" in err, x
-        rec = self.record("7", "3")
-        rec["candidate"]["n"] = "03"
-        assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+        # str.isdigit takes the Arabic-Indic 5, the fullwidth 5 and a
+        # superscript 2, and int("\uff15") is 5: only ASCII digits with no
+        # leading zero are read
+        for x in ("\u0665", "05", "+5", " 5", "5.0", "\uff15", "\u00b2", "", "00", "03"):
+            for field in ("candidate.k", "candidate.n", "certificate.divisor",
+                          "certificate.witness", "certificate.least_factor",
+                          "certificate.factors"):
+                rec = self.record("7", "3")
+                outer, key = field.split(".")
+                rec[outer][key] = ["5", x] if key == "factors" else x
+                code, out, err = self.replay(tmp_path, json.dumps(rec))
+                assert (code, out) == (3, ""), (field, x)
+                assert err == (f"replay: malformed record: {field}: "
+                               f"not a canonical decimal string: {x!r}\n"), (field, x)
 
     def test_field_types(self, tmp_path):
         for field, value in (("factors", [5, 1]), ("factors", "5"),
@@ -373,14 +486,31 @@ class TestStrictReplayInput:
             3, "", "replay: malformed record: schema: ecriesel.run-record/6 is no longer read; "
                    "decide the candidate again\n")
 
-    def test_one_record_per_input(self, tmp_path):
+    def test_one_answer_per_record_line(self, tmp_path):
         good = json.dumps(self.record("7", "3"))
         bad = self.record("7", "3")
         bad["verdict"] = "composite"
-        assert self.replay(tmp_path, good + "\n" + json.dumps(bad) + "\n")[0] == 3
-        assert self.replay(tmp_path, good + "\n" + good)[0] == 3
-        assert self.replay(tmp_path, "\n" + good + "\n\n")[0] == 0
-        assert self.replay(tmp_path, "")[0] == 3
+        valid = "replay: valid (prime via small-n for p=383)\n"
+        invalid = "replay: INVALID (composite via small-n for p=383)\n"
+        assert self.replay(tmp_path, good + "\n" + json.dumps(bad) + "\n") == (
+            1, valid + invalid, "")
+        assert self.replay(tmp_path, good + "\n" + good) == (0, valid * 2, "")
+        assert self.replay(tmp_path, "\n" + good + "\n\n") == (0, valid, "")
+        assert self.replay(tmp_path, "") == (3, "", "replay: malformed record: no record line\n")
+        assert self.replay(tmp_path, " \n\n") == (
+            3, "", "replay: malformed record: no record line\n")
+
+    def test_duplicate_key_is_malformed(self, tmp_path):
+        # a reader that keeps the first of two keys reads composite here,
+        # json.loads the prime that replay checks
+        line = run_cli("test", "7", "3", "--json")[1]
+        forged = '{"verdict":"composite",' + line[1:]
+        assert json.loads(forged) == json.loads(line)
+        assert self.replay(tmp_path, forged) == (
+            3, "", "replay: malformed record: duplicate key 'verdict'\n")
+        forged = line.replace('{"k":"7",', '{"k":"7","k":"8",')
+        assert self.replay(tmp_path, forged) == (
+            3, "", "replay: malformed record: duplicate key 'k'\n")
 
     CAP = f"2^k * n - 1 would have more than MAX_P_BITS = {MAX_P_BITS} bits"
     LIMIT = (f"candidate: 2^k * n - 1 would have more than REPLAY_MAX_P_BITS = "

@@ -543,7 +543,13 @@ class TestReplayRejectsTampering:
         assert replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
         for a in (2, 7, primality.RETRY_CAP):
             assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert, a)), a
-        # on large-n, whose attempts can decline, the divisor alone is checked
+        # nor does deciding reach large-n there, given factors or not
+        assert primality._corner(c) == ((), True)
+        assert primality._corner(FormCandidate(k=6, n=11, n_factors=(11,))) == ((), True)
+        for a in (1, 7, primality.RETRY_CAP):
+            assert not replay_verdict(c, Verdict(COMPOSITE, "large-n", cert, a)), a
+        # where that gate fails, large-n's attempts can decline: the divisor
+        # alone is checked
         c = FormCandidate(k=2, n=443153)  # p = 31 * 211 * 271
         cert = {"type": "factor", "divisor": 31}
         assert replay_verdict(c, Verdict(COMPOSITE, "large-n", cert, 7))
