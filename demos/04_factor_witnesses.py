@@ -52,7 +52,7 @@ for k, n in ((8, 7), (4, 1), (5, 9), (2, 443153), (2, 1043)):
 # order check.
 c = FormCandidate(k=2, n=4133)
 verdict = auto_test(c)
-assert verdict.certificate["type"] == "order"
+assert (verdict.algorithm, verdict.certificate) == ("large-n", {"outcome": "final-nonzero"})
 assert factor_witness(verdict) is None
 print(
     f"\nk=2 n=4133 p={c.p}: {verdict.status} via {verdict.algorithm}, "

@@ -7,30 +7,26 @@ strings (they outgrow every fixed-width consumer).  Records are
 deterministic byte for byte; wall-clock timing is therefore only emitted
 by test and mersenne, on request (--timings) or in human-readable mode.
 
-The schema is ecriesel.run-record/11.  A record holds nothing that k and
-n give: its candidate is k and n, not p = 2^k n - 1, which replay forms
-(FormCandidate refuses k + bits(n) above numtheory.MAX_P_BITS first, so
-a forged huge k is malformed, not a 2^k-bit allocation), and replay
-checks no record above REPLAY_MAX_P_BITS, which bounds its work now that
-a record's size does not.  Certificates hold no curve, no point, no step
-and no constant: every route walks y^2 = x^3 + x from an x that replay
-derives from iterations, and names the primes of n its proof used
-(small-n's mixed corner, large-n when n is not its own single factor) or
-the factors given with --q (a give-up); a factor certificate is its
-divisor alone, and the dispatch give-up its type.  A composite p that
-base 3 witnesses carries the oracle's certificate with witness 3.
-Replay reads no other schema, and names a record of any other
-run-record/<digits> schema as no longer read.  The human-readable line
-and replay's line still print p.
+The schema is ecriesel.run-record/12.  A record holds nothing that k and
+n give and no constant: its candidate is k and n, not p = 2^k n - 1
+(FormCandidate refuses k + bits(n) above numtheory.MAX_P_BITS before p
+is formed, and replay checks no record above REPLAY_MAX_P_BITS, which
+bounds its work now that a record's size does not).  A certificate holds
+only its evidence, whose kind the algorithm and verdict name (the
+primality docstring lists the shapes): no curve, point, step or type.
+Beside the schema and _RECORD_KEYS a record holds only --timings'
+elapsed_ms and, for n = 1, --compare-lucas-lehmer's lucas_lehmer and
+match.  Replay names a record of any other run-record/<digits> schema as
+no longer read.  The human-readable line and replay's line print p.
 
 `test --replay` reads its input one line at a time (lines as
 str.splitlines splits them) and writes one `replay: valid` or
 `replay: INVALID` line per record line, each costing its JSON decode and
-its check: a whole run replays in one call.  A search summary line after
-records is checked against the verdicts those records claim.  A line
-that is not a record, or repeats a key, is malformed: its message, on
-stderr, names its line number when the input has more than one record
-line, so one-line input gives the same bytes as before.
+its check: a whole run replays in one call.  A search summary line must
+count the verdicts that the records since the previous summary (or the
+start of input) claim.  A line that is not a record, or repeats a key,
+is malformed: its message, on stderr, names its line number when the
+input has more than one record line.
 
 Each JSON line is written field by field in sorted-key order
 (_record_line); only a certificate goes through the JSON encoder, which is
@@ -89,7 +85,7 @@ from .primality import (
     test_mersenne,
 )
 
-SCHEMA = "ecriesel.run-record/11"
+SCHEMA = "ecriesel.run-record/12"
 
 EXIT_BY_VERDICT = {PRIME: 0, COMPOSITE: 1, INCONCLUSIVE: 2, NOT_APPLICABLE: 3}
 
@@ -180,7 +176,7 @@ def _parse_text(value) -> str:
 CERTIFICATE_FIELDS = {
     **dict.fromkeys(("divisor", "least_factor", "witness"), _parse_int),
     "factors": _parse_int_list,
-    **dict.fromkeys(("type", "outcome"), _parse_text),
+    "outcome": _parse_text,
 }
 
 
@@ -195,8 +191,8 @@ REPLAY_MAX_P_BITS = 1 << 14
 
 # A record's keys (each one named, in this order, when it is missing) and
 # its candidate's.
-_RECORD_KEYS = dict.fromkeys(("tool_version", "candidate", "certificate", "iterations",
-                              "verdict", "algorithm")).keys()
+_RECORD_KEYS = dict.fromkeys(("candidate", "certificate", "iterations", "verdict",
+                              "algorithm")).keys()
 _CANDIDATE_KEYS = frozenset("kn")
 
 
@@ -204,7 +200,6 @@ _CANDIDATE_KEYS = frozenset("kn")
 def build_record(c: FormCandidate, verdict: Verdict, elapsed_ms: float | None = None) -> dict:
     record = {
         "schema": SCHEMA,
-        "tool_version": __version__,
         "candidate": {"k": _decimal(c.k), "n": _decimal(c.n)},
         "algorithm": verdict.algorithm,
         "verdict": verdict.status,
@@ -221,14 +216,14 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
 
     Raises ValueError on a record of another schema (another
     run-record/<digits> is named as no longer read), a missing top-level
-    key, a verdict, algorithm or tool_version that is not a string, a
-    candidate that is not an object with exactly the keys k and n (a p is
-    an unknown field: replay forms p from them), a certificate key outside
-    CERTIFICATE_FIELDS, an integer that is not a canonical decimal string,
-    a k and n that FormCandidate refuses (k + bits(n) above MAX_P_BITS
-    among them, before p is formed), a k + bits(n) above REPLAY_MAX_P_BITS,
-    or an iterations count that is not a JSON integer >= 1.  A malformed
-    field is named in the message.
+    key or one that no writer adds, a verdict or algorithm that is not a
+    string, a candidate that is not an object with exactly the keys k and
+    n (a p is an unknown field: replay forms p from them), a certificate
+    key outside CERTIFICATE_FIELDS, an integer that is not a canonical
+    decimal string, a k and n that FormCandidate refuses (k + bits(n)
+    above MAX_P_BITS among them, before p is formed), a k + bits(n) above
+    REPLAY_MAX_P_BITS, or an iterations count that is not a JSON integer
+    >= 1.  A malformed field is named in the message.
     """
     schema = record.get("schema") if isinstance(record, dict) else None
     if schema != SCHEMA:
@@ -238,9 +233,8 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     if not _RECORD_KEYS <= record.keys():
         raise ValueError(f"{next(key for key in _RECORD_KEYS if key not in record)}: missing")
     # field: the one a reader's _FieldError is about
-    field = "tool_version"
+    field = "candidate.k"
     try:
-        _parse_text(record["tool_version"])
         cand = record["candidate"]
         if not isinstance(cand, dict):
             raise ValueError("candidate: not a JSON object")
@@ -248,7 +242,6 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
             key = min(cand.keys() ^ _CANDIDATE_KEYS)
             raise ValueError(f"candidate.{key}: missing" if key not in cand
                              else f"unknown candidate field {key!r}")
-        field = "candidate.k"
         k = _parse_int(cand["k"])
         field = "candidate.n"
         c = FormCandidate(k, _parse_int(cand["n"]))
@@ -275,10 +268,24 @@ def record_to_inputs(record: dict) -> tuple[FormCandidate, Verdict]:
     except _FieldError as exc:
         where = f"certificate.{field}" if field in CERTIFICATE_FIELDS else field
         raise ValueError(f"{where}: {exc}") from None
+    if len(record) > 1 + len(_RECORD_KEYS):
+        # only --timings and, for n = 1, --compare-lucas-lehmer add keys
+        for key in sorted(record.keys() - _RECORD_KEYS - {"schema"}):
+            value = record[key]
+            if key == "elapsed_ms":
+                added = type(value) in (int, float) and value >= 0
+            elif key in ("lucas_lehmer", "match"):
+                classical = record.get("lucas_lehmer")
+                added = (c.n == 1 and classical in (PRIME, COMPOSITE)
+                         and record.get("match") is (classical == status))
+            else:
+                raise ValueError(f"unknown record field {key!r}")
+            if not added:
+                raise ValueError(f"{key}: not as a writer adds it: {value!r}")
     return c, Verdict(status, algorithm, cert, iterations)
 
 
-_RECORD_TAIL = f'"schema":"{SCHEMA}","tool_version":"{__version__}","verdict":'
+_RECORD_TAIL = f'"schema":"{SCHEMA}","verdict":'
 
 
 def _record_line(k: str, n: str, algorithm: str, status: str, iterations: int,
@@ -431,11 +438,11 @@ def _record_lines(stream):
 
 def _replay_record(line: str, claimed: list) -> str:
     """replay's answer to one record line: its JSON decode and its check.
-    claimed holds the verdicts of the records since the previous summary; a
-    search summary (a {"summary": ...} line after a record) is checked
-    against them."""
+    claimed holds the verdicts of the records since the previous summary
+    or the start of input; a search summary (a {"summary": ...} line) is
+    checked against them."""
     record = _load(line)
-    if claimed and isinstance(record, dict) and record.keys() == {"summary"}:
+    if isinstance(record, dict) and record.keys() == {"summary"}:
         answer = _check_summary(record["summary"], claimed)
         claimed.clear()
         return answer
@@ -514,7 +521,7 @@ def _search_candidate(n: int, k: int) -> Verdict:
 def _sieve_line(k_text: str, n: int, divisor: int) -> str:
     """The JSON line of n's sieve_verdict, written from k, n and the divisor alone."""
     return _record_line(k_text, _decimal(n), "sieve", COMPOSITE, 1,
-                        f'{{"divisor":"{_decimal(divisor)}","type":"factor"}}')
+                        f'{{"divisor":"{_decimal(divisor)}"}}')
 
 
 def _cmd_search(args, out, err) -> int:

@@ -38,12 +38,15 @@ probable prime).  A mixed record is algorithm small-n with factors.
 D = 2^k Q comes from k doublings and one gcd of their end Z, each (n/q) D
 from the ecring ladder from x(D), made affine by one inversion; no route
 scans a point, forms a y or runs scalar_mul.  A zero symbol before
-start_x's u, or a proper gcd of p met later (D's end Z, a ladder's end Z,
-an X made affine), is a factor record, the divisor alone.  A Z of D or of
-some (n/q) D that vanishes mod p declines the attempt, and a + 1 goes
+start_x's u, or a proper gcd of p met later (the chain's end Z, D's end
+Z, a ladder's end Z, an X made affine), is a factor record.  A Z of D or
+of some (n/q) D that vanishes mod p declines the attempt, and a + 1 goes
 next, up to RETRY_CAP; an x(D) that vanishes is composite, as no point of
 odd order has x = 0 mod a prime.  A base-3 strong pseudoprime (703 =
-2^6 * 11 - 1) still meets these.
+2^6 * 11 - 1) still meets these.  A certificate is its evidence, whose
+kind the algorithm and status name: {divisor} (sieve, small-n, large-n),
+the oracle's {witness}, {least_factor} or {}, a walk's {outcome} with
+the factors it used, a give-up's {} with the factors given.
 
 Complete.  For a prime p, E(F_p) is cyclic of order 2^k n (fact 2 of
 oracle at m = -1), and its twist is E through x -> -x, so every x is the
@@ -76,7 +79,7 @@ from .numtheory import (
     sieve_divisors,
     trial_division,
 )
-from .sequence import FINAL_NONZERO, FINAL_ZERO, chain_outcome, start_x
+from .sequence import FINAL_NONZERO, FINAL_ZERO, GCD_HIT, chain_outcome, start_x
 from .sequence import run_sequence  # noqa: F401  (perfbench/tracing.py patches it here)
 
 PRIME = "prime"
@@ -100,12 +103,8 @@ class Verdict(namedtuple("Verdict", "status algorithm certificate iterations", d
 
 def factor_witness(verdict: Verdict) -> int | None:
     """The proper-divisor witness carried by a composite verdict, if any."""
-    d = verdict.certificate.get("divisor")
-    if d is None and verdict.certificate.get("type") == "oracle":
-        f = verdict.certificate.get("least_factor")
-        if verdict.status == COMPOSITE:
-            return f
-    return d
+    cert = verdict.certificate
+    return cert.get("divisor", cert.get("least_factor")) if verdict.status == COMPOSITE else None
 
 
 def curve_coefficient(p: int, base: Point) -> int:
@@ -149,26 +148,25 @@ def _oracle_verdict(p: int) -> Verdict | None:
     """
     if p <= TRIAL_LIMIT:
         f = trial_division(p)
-        return Verdict(PRIME if f == p else COMPOSITE, "trial-division",
-                       {"type": "oracle", "least_factor": f})
+        return Verdict(PRIME if f == p else COMPOSITE, "trial-division", {"least_factor": f})
     if p >= PSI_13:
         return None
     witness = next((b for b in ORACLE_BASES if not miller_rabin(p, (b,))), None)
     if witness is None:
-        return Verdict(PRIME, "miller-rabin", {"type": "oracle"})
-    return Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": witness})
+        return Verdict(PRIME, "miller-rabin", {})
+    return Verdict(COMPOSITE, "miller-rabin", {"witness": witness})
 
 
 def sieve_verdict(divisor: int) -> Verdict:
     """The composite verdict of a prime factor the sieve found."""
-    return Verdict(COMPOSITE, "sieve", {"type": "factor", "divisor": divisor})
+    return Verdict(COMPOSITE, "sieve", {"divisor": divisor})
 
 
 # No corner applies and the oracle stops below p: nothing decides p.
-_DISPATCH = Verdict(NOT_APPLICABLE, "auto", {"type": "gate-failure"})
+_DISPATCH = Verdict(NOT_APPLICABLE, "auto", {})
 
 # The verdict of a strong witness: the oracle's certificate, with the base.
-_WITNESSED = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": WITNESS_BASE})
+_WITNESSED = Verdict(COMPOSITE, "miller-rabin", {"witness": WITNESS_BASE})
 
 
 def _sieve_divisor(c: FormCandidate) -> int | None:
@@ -254,22 +252,19 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
     p = c.p
     algorithm = "small-n" if chain else "large-n"
     try:
+        kind = FINAL_NONZERO
         if chain:
             x = start_x(p, a)
-            outcome = chain_outcome(p, x, c.k, c.n)
-            cert = {key: value for key, value in zip(("outcome", "divisor"), outcome)
-                    if value is not None}
-            cert["type"] = "sequence"
-            if factors:
-                cert["factors"] = list(factors)
-            if outcome.kind != FINAL_ZERO or not factors:
-                return Verdict(PRIME if outcome.kind == FINAL_ZERO else COMPOSITE, algorithm,
-                               cert, a)
+            kind, divisor = chain_outcome(p, x, c.k, c.n)
+            if kind == GCD_HIT:
+                raise FactorFound(divisor, p)
         else:
             x = -(a + 1)
-            cert = {"type": "order", "outcome": FINAL_NONZERO}
-            if len(factors) > 1:  # one factor is n itself, which replay takes
-                cert["factors"] = list(factors)
+        cert = {"outcome": kind}
+        if len(factors) > (0 if chain else 1):  # large-n's lone factor is n, which replay takes
+            cert["factors"] = list(factors)
+        if chain and (kind != FINAL_ZERO or not factors):
+            return Verdict(PRIME if kind == FINAL_ZERO else COMPOSITE, algorithm, cert, a)
         end = double_x_only_chain(p, x, c.k)
         if _vanishes(end[1], p):
             return None
@@ -286,7 +281,7 @@ def _evaluate(c: FormCandidate, a: int, factors: tuple[int, ...] | list[int],
             if x is not None and _vanishes(double_x_only_chain(p, x, 0, q)[1], p):
                 cert["outcome"] = FINAL_ZERO
     except FactorFound as exc:
-        return Verdict(COMPOSITE, algorithm, {"type": "factor", "divisor": exc.divisor}, a)
+        return Verdict(COMPOSITE, algorithm, {"divisor": exc.divisor}, a)
     return Verdict(PRIME if cert["outcome"] == FINAL_ZERO else COMPOSITE, algorithm, cert, a)
 
 
@@ -299,8 +294,7 @@ def _curve_route(c: FormCandidate, factors: tuple[int, ...] | list[int], chain: 
         verdict = _evaluate(c, a, factors, chain)
         if verdict is not None:
             return verdict
-    return _given(c, Verdict(INCONCLUSIVE, "small-n" if chain else "large-n",
-                             {"type": "retries-exhausted"}, RETRY_CAP))
+    return _given(c, Verdict(INCONCLUSIVE, "small-n" if chain else "large-n", {}, RETRY_CAP))
 
 
 def test_mersenne(k: int) -> Verdict:
@@ -339,22 +333,22 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     test (one pow(3, c, p) and k - 1 folded squarings where p has a
     numtheory.fold_shape, one modular power elsewhere).  Any other record
     that is neither prime nor a sieve verdict needs p past both, as
-    auto_test stops at either.  A factor record (type and divisor alone,
-    on sieve, small-n or large-n) needs its divisor to be a proper divisor
-    of p; where the gate at 2^k holds, deciding takes the small-n corner
-    (with or without given factors), which never declines, so there it
-    needs small-n at iterations 1.  Any other curve record needs _applies
-    for its factors (none on the small-n corner, whose a is 1; a large-n
-    record with no factors has the one factor n, which _evaluate leaves
-    out, so one that names [n] is INVALID) and _evaluate at a = iterations
+    auto_test stops at either.  A factor record ({divisor} on sieve,
+    small-n or large-n) needs a proper divisor of p; where the gate at 2^k
+    holds, deciding takes the small-n corner (with or without given
+    factors), which never declines, so there it needs small-n at
+    iterations 1.  Any other curve record needs _applies for its factors
+    (none on the small-n corner, whose a is 1; a large-n record with no
+    factors has the one factor n, which _evaluate leaves out, so one that
+    names [n] is INVALID) and _evaluate at a = iterations
     to give its status, algorithm and certificate; no retry, fallback or
     dispatch runs (run_sequence, scalar_mul, the oracle and the
     differential tests are the evaluator's references).  A give-up is
     valid only as auto_test makes it for the factors it names (those
     given with --q): not-applicable, with no walk, for p >= PSI_13 when no
-    corner applies; retries-exhausted as _curve_route gives it on the
-    first corner that applies, where every attempt a = 1 .. RETRY_CAP
-    declines: at most the walks deciding made.
+    corner applies; inconclusive as _curve_route gives it on the first
+    corner that applies, where every attempt a = 1 .. RETRY_CAP declines:
+    at most the walks deciding made.
     """
     try:
         return _replay(c, verdict)
@@ -390,17 +384,15 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
     if status == COMPOSITE and algorithm != "sieve" and not _passed_witness(c):
         return False
 
-    if cert.get("type") == "factor":
+    if cert.keys() == {"divisor"}:
         d = cert["divisor"]
         return (
             status == COMPOSITE
-            and cert.keys() == {"type", "divisor"}
             and algorithm in ("sieve", "small-n", "large-n")
             and not ((algorithm == "large-n"
                       or (algorithm == "small-n" and verdict.iterations > 1))
                      and gate(c, 1 << c.k))
-            and 1 < d < p
-            and p % d == 0
+            and 1 < d < p and p % d == 0
         )
 
     if algorithm in ("trial-division", "miller-rabin"):

@@ -185,9 +185,9 @@ def test_small_n_sees_the_end_gcd(routes_decide_composites):
     assert walked == SequenceOutcome(GCD_HIT, 9) and trace.steps_completed == 2
     v = primality._evaluate(c, 1, (), True)
     assert v.status == COMPOSITE
-    assert v.certificate == {"type": "sequence", "outcome": EARLY_INFINITY}
+    assert v.certificate == {"outcome": EARLY_INFINITY}
     assert replay_verdict(c, v)
-    forged = v._replace(certificate={"type": "sequence", "outcome": GCD_HIT, "divisor": 9})
+    forged = v._replace(certificate={"outcome": GCD_HIT, "divisor": 9})
     assert not replay_verdict(c, forged)
 
 
@@ -209,14 +209,23 @@ class TestNoAffineFallback:
         # M_3 is the oracle's, and a zero symbol of start_x (5 divides M_k
         # for 4 | k) is a factor: no outcome there.  With the sieve (the
         # presieve and M_k's trial factoring) and the witness test out of
-        # the way, every composite takes the chain
-        kinds = set()
+        # the way, every composite takes the chain, and a proper gcd of its
+        # end Z is a factor record of that gcd alone, at the first attempt
+        kinds, gcds = set(), 0
         for k in range(3, 301):
             v = mersenne_test(k)
             assert v.algorithm != "sieve", k
             assert replay_verdict(FormCandidate(k=k, n=1), v), k
             kinds.add(v.certificate.get("outcome"))
-        assert GCD_HIT in kinds
+            p = (1 << k) - 1
+            try:
+                walked = chain_outcome(p, primality.start_x(p, 1), k)
+            except FactorFound:
+                continue
+            if walked.kind == GCD_HIT:
+                assert v == (COMPOSITE, "small-n", {"divisor": walked.divisor}, 1), k
+                gcds += 1
+        assert gcds > 0 and GCD_HIT not in kinds
 
     @pytest.mark.parametrize("name", ["fold-gcd", "division-infinity", "division-gcd"])
     @pytest.mark.parametrize("step", [1, 4, 9, 17])

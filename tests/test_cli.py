@@ -14,7 +14,7 @@ from ecriesel import cli, primality
 from ecriesel.cli import REPLAY_MAX_P_BITS, main
 from ecriesel.numtheory import MAX_P_BITS, gate_small_n
 
-from test_golden import GOLDEN, record_lines
+from test_golden import GOLDEN, certificate_type, record_lines
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -30,7 +30,7 @@ UNDECIDED_P = str((int(UNDECIDED_N) << 48) - 1)
 PSEUDOPRIME_KN = ("5", "9246231190095")
 # n = 3^53: p = 4n - 1 lies above psi_13 too, and base 3 witnesses it
 WITNESSED_N = str(3**53)
-DISPATCH_CERTIFICATE = {"type": "gate-failure"}
+DISPATCH_CERTIFICATE = {}
 
 
 def run_cli(*argv):
@@ -102,12 +102,12 @@ class TestTestCommand:
         assert rec["candidate"] == {"k": "89", "n": "19"}
         cert = rec["certificate"]
         # small-n scans no point, and replay derives its start x0
-        assert cert == {"type": "sequence", "outcome": "final-zero"}
+        assert cert == {"outcome": "final-zero"}
 
     def test_json_records_parse_standalone(self):
         _, out, _ = run_cli("test", "2", "2633", "--json")
         for line in out.splitlines():
-            assert json.loads(line)["schema"].endswith("/11")
+            assert json.loads(line)["schema"].endswith("/12")
 
 
 class TestFactorOption:
@@ -139,8 +139,8 @@ class TestFactorOption:
         assert (code, err) == (3, "")
         assert out == (
             f'{{"algorithm":"auto","candidate":{{"k":"48","n":"{UNDECIDED_N}"}},'
-            f'"certificate":{{"factors":["{UNDECIDED_N}"],"type":"gate-failure"}},"iterations":1,'
-            '"schema":"ecriesel.run-record/11","tool_version":"0.1.0","verdict":"not-applicable"}\n')
+            f'"certificate":{{"factors":["{UNDECIDED_N}"]}},"iterations":1,'
+            '"schema":"ecriesel.run-record/12","verdict":"not-applicable"}\n')
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
         assert run_cli("test", "--replay", "-")[0] == 0
 
@@ -269,7 +269,7 @@ class TestReplayManyRecords:
         lines = list(self.LINES)
         middle = len(lines) // 2
         forged = json.loads(lines[middle])
-        assert forged["certificate"] == {"divisor": "13", "type": "factor"}
+        assert forged["certificate"] == {"divisor": "13"}
         forged["certificate"]["divisor"] = "11"  # p's least prime factor is 13
         lines[middle] = json.dumps(forged)
         code, out, err = self.replay(tmp_path, lines)
@@ -321,17 +321,30 @@ class TestReplayManyRecords:
         assert code == 0 and out.count("(summary: composite=469 ") == 2
         code, out, _ = self.replay(tmp_path, [*records, *records, summary])
         assert code == 1 and out.splitlines()[-1].startswith("replay: INVALID (summary: ")
-        # a summary that counts something else, or with no record before it,
-        # is malformed (alone, as before, it is no record)
+        # a summary that counts something else is malformed
         for bad in ({"composite": 469, "prime": 31}, {**counts, "prime": -1},
                     {**counts, "prime": 31.0}, [469, 0, 0, 31]):
             code, _, err = self.replay(tmp_path, [*records, json.dumps({"summary": bad})])
             assert code == 3 and err.startswith("replay: malformed record at line 501: summary: ")
+        # a summary with no record before it counts none
+        none = "composite=0 inconclusive=0 not-applicable=0 prime=0"
         assert self.replay(tmp_path, [summary]) == (
-            3, "", f"replay: malformed record: not an {cli.SCHEMA} record\n")
+            1, "replay: INVALID (summary: composite=469 inconclusive=0 not-applicable=0 "
+               f"prime=31; records: {none})\n", "")
         code, out, err = self.replay(tmp_path, [summary, *records[:2]])
-        assert (code, out.count("replay: valid")) == (3, 2)
-        assert err == f"replay: malformed record at line 1: not an {cli.SCHEMA} record\n"
+        assert (code, out.count("replay: valid"), err) == (1, 2, "")
+
+    def test_an_empty_search_replays(self, monkeypatch):
+        # a range with no odd n writes only its summary line, which counts
+        # no record: the whole output replays valid in one call
+        code, out, err = run_cli("search", "--k", "2", "--n-min", "4", "--n-max", "4", "--json")
+        assert (code, err) == (0, "")
+        assert out == ('{"summary":{"composite":0,"inconclusive":0,"not-applicable":0,'
+                       '"prime":0}}\n')
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert run_cli("test", "--replay", "-") == (
+            0, "replay: valid (summary: composite=0 inconclusive=0 not-applicable=0 "
+               "prime=0)\n", "")
 
     def test_stdin_is_read_line_by_line(self, monkeypatch):
         # the answer to a line is written before the next line is read
@@ -364,15 +377,27 @@ class TestStrictReplayInput:
     def test_forged_vanished_multiple(self, tmp_path):
         # p = 383 is prime; the record claims 3 * Q = infinity, in the
         # shape the small-n route wrote before it ran the ladder, less the
-        # base point that no certificate holds now
+        # base point and the type that no certificate holds now
         rec = self.record("7", "3")
         rec["verdict"] = "composite"
-        rec["certificate"] = {"type": "vanished-multiple"}
+        rec["certificate"] = {"outcome": "vanished-multiple"}
         code, out, _ = self.replay(tmp_path, json.dumps(rec))
         assert code == 1 and "INVALID" in out
         for multiplier in ("0", "384"):
             rec["certificate"]["multiplier"] = multiplier
             assert self.replay(tmp_path, json.dumps(rec))[0] == 3
+
+    def test_forged_gcd_hit_record(self, tmp_path):
+        # a gcd that the chain meets is a certificate of the divisor alone:
+        # an outcome beside a divisor is what no route writes.  p = 703 =
+        # 19 * 37 passes base 3 and takes the chain
+        rec = self.record("6", "11")
+        assert rec["certificate"] == {"outcome": "final-nonzero"}
+        rec["certificate"] = {"outcome": "gcd-hit", "divisor": "19"}
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert (code, err) == (1, "") and out.startswith("replay: INVALID")
+        del rec["certificate"]["outcome"]  # the divisor alone proves p composite
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 0
 
     def test_non_canonical_decimals(self, tmp_path):
         # str.isdigit takes the Arabic-Indic 5, the fullwidth 5 and a
@@ -396,6 +421,61 @@ class TestStrictReplayInput:
             rec = self.record("7", "3")
             rec["certificate"][field] = value
             assert self.replay(tmp_path, json.dumps(rec))[0] == 3, field
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"bogus": [1, 2]}, "unknown record field 'bogus'"),
+        ({"p": "383"}, "unknown record field 'p'"),
+        # p = 383 is no Mersenne number, and match contradicts the verdict
+        ({"lucas_lehmer": "composite", "match": True},
+         "lucas_lehmer: not as a writer adds it: 'composite'"),
+        ({"lucas_lehmer": "prime", "match": True},
+         "lucas_lehmer: not as a writer adds it: 'prime'"),
+        ({"lucas_lehmer": "prime"}, "lucas_lehmer: not as a writer adds it: 'prime'"),
+        ({"match": True}, "match: not as a writer adds it: True"),
+        ({"elapsed_ms": "1.5"}, "elapsed_ms: not as a writer adds it: '1.5'"),
+        ({"elapsed_ms": True}, "elapsed_ms: not as a writer adds it: True"),
+        ({"elapsed_ms": -1.0}, "elapsed_ms: not as a writer adds it: -1.0"),
+    ], ids=["bogus", "p", "lucas-lehmer-contradicts", "lucas-lehmer-not-mersenne",
+            "no-match", "no-lucas-lehmer", "elapsed-string", "elapsed-bool",
+            "elapsed-negative"])
+    def test_unknown_top_level_key_is_malformed(self, tmp_path, extra, message):
+        rec = self.record("7", "3")
+        rec.update(extra)
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", f"replay: malformed record: {message}\n")
+
+    @pytest.mark.parametrize("classical, match, message", [
+        ("prime", False, "lucas_lehmer: not as a writer adds it: 'prime'"),
+        ("composite", True, "lucas_lehmer: not as a writer adds it: 'composite'"),
+        ("composite", 0, "lucas_lehmer: not as a writer adds it: 'composite'"),
+        ("probable-prime", True, "lucas_lehmer: not as a writer adds it: 'probable-prime'"),
+        (["prime"], True, "lucas_lehmer: not as a writer adds it: ['prime']"),
+    ])
+    def test_forged_lucas_lehmer_pair_is_malformed(self, tmp_path, classical, match, message):
+        # M_7 = 127 is prime; the pair must say what the writer writes
+        code, out, _ = run_cli("mersenne", "7", "7", "--json", "--compare-lucas-lehmer")
+        rec = json.loads(out)
+        assert (rec["lucas_lehmer"], rec["match"]) == ("prime", True)
+        rec.update(lucas_lehmer=classical, match=match)
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", f"replay: malformed record: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("mersenne", "3", "13", "--json", "--timings", "--compare-lucas-lehmer"),
+        ("mersenne", "3", "13", "--json", "--compare-lucas-lehmer"),
+        ("mersenne", "3", "13", "--json", "--timings"),
+        ("test", "7", "3", "--json", "--timings"),
+    ])
+    def test_written_extra_keys_replay(self, tmp_path, argv):
+        # the keys --timings and --compare-lucas-lehmer add are read
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        code, answers, err = self.replay(tmp_path, out)
+        assert (code, err) == (0, "")
+        assert answers.count("replay: valid") == out.count("\n") > 0
+        # a composite M_k's pair says composite, and match true
+        if "--compare-lucas-lehmer" in argv:
+            assert '"lucas_lehmer":"composite","match":true' in out
 
     def test_unknown_key_and_schema(self, tmp_path):
         rec = self.record("7", "3")
@@ -465,11 +545,21 @@ class TestStrictReplayInput:
             3, "", "replay: malformed record: schema: ecriesel.run-record/9 is no longer read; "
                    "decide the candidate again\n")
 
+    def test_run_record_11_is_no_longer_read(self, tmp_path):
+        # the /11 line of the same call named its certificate's type and the
+        # tool version: the schema is named before either field
+        line = ('{"algorithm":"small-n","candidate":{"k":"7","n":"3"},'
+                '"certificate":{"outcome":"final-zero","type":"sequence"},"iterations":1,'
+                '"schema":"ecriesel.run-record/11","tool_version":"0.1.0","verdict":"prime"}')
+        assert self.replay(tmp_path, line) == (
+            3, "", "replay: malformed record: schema: ecriesel.run-record/11 is no longer read; "
+                   "decide the candidate again\n")
+
     def test_run_record_10_is_no_longer_read(self, tmp_path):
         # a /10 factor record named the stage its divisor surfaced at, which
         # /11 records leave out: the schema is named before the field
         rec = self.record("2", "7")
-        assert rec["certificate"] == {"divisor": "3", "type": "factor"}
+        assert rec["certificate"] == {"divisor": "3"}
         rec["schema"] = "ecriesel.run-record/10"
         rec["certificate"]["stage"] = "sieve"
         assert self.replay(tmp_path, json.dumps(rec)) == (
@@ -527,7 +617,7 @@ class TestStrictReplayInput:
         # strong test runs on it, so a forged k costs no more than the
         # record's own text
         rec = self.record("2", WITNESSED_N)
-        assert rec["certificate"] == {"type": "oracle", "witness": "3"}
+        assert rec["certificate"] == {"witness": "3"}
         rec["candidate"] = {"k": str(k), "n": n}
         start = time.perf_counter()
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -570,11 +660,12 @@ class TestStrictReplayInput:
     def golden(algorithm, kind):
         for line in GOLDEN.read_text(encoding="utf-8").splitlines():
             rec = json.loads(line)
-            if rec.get("algorithm") == algorithm and rec["certificate"]["type"] == kind:
+            if rec.get("algorithm") == algorithm and certificate_type(rec) == kind:
                 return rec
         raise LookupError((algorithm, kind))
 
-    # (algorithm, certificate type) of a golden record, its forgery, exit code
+    # (algorithm, run-record/11 certificate type) of a golden record, its
+    # forgery, exit code
     FORGERIES = {
         # a stage is no certificate field since run-record/11: malformed
         "factor-with-stage": (("large-n", "factor"),
@@ -587,6 +678,7 @@ class TestStrictReplayInput:
                                     lambda r: r["certificate"].update(stage="parameter-scan"), 3),
         "factor-long-algorithm": (("large-n", "factor"), lambda r: r.update(algorithm="9" * 50), 1),
         "factor-null-algorithm": (("sieve", "factor"), lambda r: r.update(algorithm=None), 3),
+        # a tool_version is no record field since run-record/12: malformed
         "tool-version-list": (("sieve", "factor"), lambda r: r.update(tool_version=[1]), 3),
         # a step is no certificate field since run-record/9: malformed
         "order-with-step": (("large-n", "order"), lambda r: r["certificate"].update(step="5"), 3),
@@ -648,12 +740,30 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", f"replay: malformed record: unknown certificate field '{field}'\n")
 
-    @pytest.mark.parametrize("field", ["verdict", "algorithm", "tool_version",
-                                       "certificate.type", "certificate.witness",
+    @pytest.mark.parametrize("kind", ["factor", "oracle", "sequence", "order", "gate-failure"])
+    def test_run_record_11_type_is_unknown(self, tmp_path, kind):
+        # run-record/11 certificates named a type, which the algorithm,
+        # verdict and keys give
+        rec = next(json.loads(line) for line in record_lines()
+                   if certificate_type(json.loads(line)) == kind)
+        assert self.replay(tmp_path, json.dumps(rec))[0] == 0
+        rec["certificate"]["type"] = kind
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: unknown certificate field 'type'\n")
+
+    @pytest.mark.parametrize("value", ["0.1.0", 5])
+    def test_tool_version_is_unknown(self, tmp_path, value):
+        # run-record/11 records named tool_version, a constant replay never read
+        rec = self.record("7", "3")
+        rec["tool_version"] = value
+        assert self.replay(tmp_path, json.dumps(rec)) == (
+            3, "", "replay: malformed record: unknown record field 'tool_version'\n")
+
+    @pytest.mark.parametrize("field", ["verdict", "algorithm", "certificate.witness",
                                        "candidate.k"])
     def test_malformed_field_is_named(self, tmp_path, field):
         rec = self.record("2", "7625597484987")
-        assert rec["certificate"] == {"type": "oracle", "witness": "3"}
+        assert rec["certificate"] == {"witness": "3"}
         *outer, key = field.split(".")
         (rec[outer[0]] if outer else rec)[key] = 5
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -675,8 +785,8 @@ class TestStrictReplayInput:
         assert self.replay(tmp_path, json.dumps(rec)) == (
             3, "", f"replay: malformed record: {message}\n")
 
-    @pytest.mark.parametrize("key", ["tool_version", "candidate", "certificate", "iterations",
-                                     "verdict", "algorithm"])
+    @pytest.mark.parametrize("key", ["candidate", "certificate", "iterations", "verdict",
+                                     "algorithm"])
     def test_missing_field_is_named(self, tmp_path, key):
         rec = self.record("7", "3")
         del rec[key]
@@ -686,10 +796,10 @@ class TestStrictReplayInput:
     # p = 383 is prime, so no route gives up on it and nothing sends it to
     # the fallback: each undecided record replays INVALID
     @pytest.mark.parametrize("verdict, algorithm, certificate, iterations", [
-        ("not-applicable", "mersenne", {"type": "gate-failure"}, 1),
-        ("inconclusive", "sieve", {"type": "gate-failure"}, 1),
-        ("not-applicable", "auto", {"type": "retries-exhausted"}, 1),
-        ("inconclusive", "small-n", {"type": "retries-exhausted"}, 999),
+        ("not-applicable", "mersenne", {}, 1),
+        ("inconclusive", "sieve", {}, 1),
+        ("not-applicable", "auto", {}, 1),
+        ("inconclusive", "small-n", {}, 999),
         ("not-applicable", "auto", DISPATCH_CERTIFICATE, 1),
     ], ids=["mersenne-gate-failure", "sieve-inconclusive", "auto-retries-exhausted",
             "999-attempts", "dispatch-below-psi13"])
@@ -713,7 +823,7 @@ class TestStrictReplayInput:
         if argv == ("6", "11"):
             # p = 703 = 19 * 37, a base-3 strong pseudoprime on the small-n
             # corner, which never declines: a factor at attempt 1 is a proof
-            rec["certificate"] = {"divisor": "19", "type": "factor"}
+            rec["certificate"] = {"divisor": "19"}
         assert self.replay(tmp_path, json.dumps(rec))[0] == 0
         rec["iterations"] = iterations
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -734,7 +844,7 @@ class TestStrictReplayInput:
     def test_forged_oracle_record(self, tmp_path, forge):
         rec = self.record(*PSEUDOPRIME_KN)
         assert rec["algorithm"] == "miller-rabin"
-        assert rec["certificate"] == {"type": "oracle", "witness": "2"}
+        assert rec["certificate"] == {"witness": "2"}
         assert self.replay(tmp_path, json.dumps(rec))[0] == 0
         forge(rec)
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -746,7 +856,7 @@ class TestStrictReplayInput:
         # the exact oracle knows nothing at or above psi_13, so nothing replays
         # there and nothing long is computed: no trial division, no Miller-Rabin
         rec = self.record("7", "3")
-        rec.update(algorithm=algorithm, verdict="prime", certificate={"type": "oracle"},
+        rec.update(algorithm=algorithm, verdict="prime", certificate={},
                    candidate={"k": str(k), "n": n})
         start = time.perf_counter()
         code, out, err = self.replay(tmp_path, json.dumps(rec))
@@ -754,12 +864,11 @@ class TestStrictReplayInput:
         assert time.perf_counter() - start < 1.0
 
     def test_scan_exhausted_record_is_malformed(self, tmp_path):
-        # both curve routes give up with retries-exhausted: scan-exhausted
-        # is no certificate type, and detail is no certificate field
+        # both curve routes give up with retries-exhausted, whose
+        # certificate names only factors: detail is no certificate field
         rec = self.record("7", "3")
         rec["verdict"] = "inconclusive"
-        rec["certificate"] = {"type": "scan-exhausted",
-                              "detail": "no curve/point pair found for 383"}
+        rec["certificate"] = {"detail": "no curve/point pair found for 383"}
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert code == 3 and out == "" and "malformed" in err and "'detail'" in err
 
@@ -811,7 +920,7 @@ class TestMersenneCommand:
         assert code == 0
         rec = json_lines(out)[0]
         assert rec["verdict"] == "composite" and rec["candidate"] == {"k": "14400", "n": "1"}
-        assert rec["certificate"] == {"divisor": "3", "type": "factor"}
+        assert rec["certificate"] == {"divisor": "3"}
         assert run_cli("test", "14400", "1", "--json")[:2] == (1, out)
         path = tmp_path / "record.json"
         path.write_text(out)
@@ -834,7 +943,7 @@ class TestMersenneCommand:
         assert (code, err) == (1, "")
         rec = json_lines(out)[0]
         assert rec["candidate"]["n"] == n_text
-        assert rec["certificate"] == {"divisor": "5", "type": "factor"}
+        assert rec["certificate"] == {"divisor": "5"}
         # --q and the bounds of search and mersenne are read alike
         assert run_cli("test", "14617", n_text, "--q", n_text, "--json")[:2] == (1, out)
         code, search, _ = run_cli("search", "--k", "14617", "--n-min", n_text,
@@ -873,7 +982,7 @@ class TestSearchCommand:
         primes = [p for p, r in by_p.items() if r["verdict"] == "prime"]
         assert primes == [3, 11, 19, 43, 59, 67, 83] and summary["prime"] == len(primes)
         sieved = {p: r["certificate"] for p, r in by_p.items() if r["algorithm"] == "sieve"}
-        assert sieved == {p: {"type": "factor", "divisor": str(d)}
+        assert sieved == {p: {"divisor": str(d)}
                           for p, d in ((27, 3), (35, 5), (51, 3), (75, 3), (91, 7), (99, 3))}
         assert all(by_p[p]["verdict"] == "composite" for p in sieved)
 

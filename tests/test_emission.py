@@ -45,7 +45,7 @@ def decided(args):
         for n in ns:
             c = FormCandidate(k=args.k, n=n)
             if n in sieved:
-                cert = {"type": "factor", "divisor": sieved[n]}
+                cert = {"divisor": sieved[n]}
                 yield c, Verdict(COMPOSITE, "sieve", cert), {}
             else:
                 yield c, auto_test(c), {}

@@ -7,7 +7,7 @@ bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 
-Together the two files reach every certificate type and every sequence
+Together the two files reach every certificate shape and every sequence
 or order outcome that a known call of the CLI reaches, on every route
 that emits it.  No known call gives up after RETRY_CAP attempts: the
 evaluator tests reach retries-exhausted with every attempt made to
@@ -100,12 +100,18 @@ RECORD_6_PRIME_DIGESTS = {
     SEARCH_RANGE: "4021ffa58a6856a6fc002160a0fd703092bc1ebd38c50fa5a29e511fab9b23f8",
 }
 
-# SHA-256 and size of each whole file as run-record/10 and run-record/9
-# wrote it, which as_record_10 and as_record_9 rebuild from today's lines:
-# every /11 line is its /10 line less a factor certificate's stage and the
-# dispatch give-up's gate and reason, and every /10 line is its /9 line
-# less p, a large-n order certificate's lone factor n, and a give-up's
-# attempts, each with its schema tag changed.
+# SHA-256 and size of each whole file as run-record/11, /10 and /9 wrote
+# it, which as_record_11, as_record_10 and as_record_9 rebuild from
+# today's lines: every /12 line is its /11 line less the certificate's
+# type and the constant tool_version, every /11 line is its /10 line less
+# a factor certificate's stage and the dispatch give-up's gate and reason,
+# and every /10 line is its /9 line less p, a large-n order certificate's
+# lone factor n, and a give-up's attempts, each with its schema tag
+# changed.
+RECORD_11_FILES = {
+    GOLDEN: ("ff042dada91faea2b77df05697c966d824ec8c442c88fc6a9ce96307a5db0665", 21455),
+    SEARCH_RANGE: ("afeac7943aced795639311a3e153e47ea80b0d79d83192aaba8be937ee934487", 99302),
+}
 RECORD_10_FILES = {
     GOLDEN: ("fc22a544e4a1da1039b4c15b93809dc91a8528cce498491a3f170eb1b804ec48", 22628),
     SEARCH_RANGE: ("b36e7f0dc86f69a9b76c35b36491125a706c273464571546f815ab6e8f94ce0e", 106342),
@@ -124,11 +130,35 @@ def _dumps(record):
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def as_record_10(line):
-    """The run-record/10 line of a run-record/11 line (a summary line is
-    unchanged): the stage put back on a factor certificate, from its
-    algorithm, and the constant gate and reason on the dispatch give-up."""
+def certificate_type(record):
+    """The type a run-record/11 certificate named, from the record's
+    algorithm, verdict and certificate keys."""
+    if record["certificate"].keys() == {"divisor"}:
+        return "factor"
+    give_up = {"not-applicable": "gate-failure", "inconclusive": "retries-exhausted"}
+    if record["verdict"] in give_up:
+        return give_up[record["verdict"]]
+    return {"small-n": "sequence", "large-n": "order"}.get(record["algorithm"], "oracle")
+
+
+def as_record_11(line):
+    """The run-record/11 line of a run-record/12 line (a summary line is
+    unchanged): the certificate's type put back, and tool_version 0.1.0."""
     record = json.loads(line)
+    if "summary" in record:
+        return line
+    record["certificate"]["type"] = certificate_type(record)
+    record["tool_version"] = "0.1.0"
+    record["schema"] = "ecriesel.run-record/11"
+    return _dumps(record)
+
+
+def as_record_10(line):
+    """The run-record/10 line of a run-record/12 line (a summary line is
+    unchanged): as_record_11's line, then the stage put back on a factor
+    certificate, from its algorithm, and the constant gate and reason on
+    the dispatch give-up."""
+    record = json.loads(as_record_11(line))
     if "summary" in record:
         return line
     cert = record["certificate"]
@@ -142,7 +172,7 @@ def as_record_10(line):
 
 
 def as_record_9(line):
-    """The run-record/9 line of a run-record/11 line (a summary line is
+    """The run-record/9 line of a run-record/12 line (a summary line is
     unchanged): as_record_10's line, then p put back in the candidate,
     factors [n] on a large-n order certificate without factors, attempts 20
     on a give-up."""
@@ -189,6 +219,18 @@ def test_search_range_is_byte_identical():
     assert search_range_output() == SEARCH_RANGE.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("path", sorted(RECORD_11_FILES), ids=lambda p: p.name)
+def test_records_derive_from_run_record_11(path):
+    # each line differs from its /11 line only by the certificate's type,
+    # which its algorithm, verdict and keys give, the constant tool_version
+    # and its tag: no other byte of either file moved
+    text = path.read_text(encoding="utf-8")
+    assert '"type":' not in text and '"tool_version":' not in text
+    old = "".join(as_record_11(line) + "\n" for line in text.splitlines())
+    digest, size = RECORD_11_FILES[path]
+    assert (hashlib.sha256(old.encode()).hexdigest(), len(old)) == (digest, size)
+
+
 @pytest.mark.parametrize("path", sorted(RECORD_10_FILES), ids=lambda p: p.name)
 def test_records_derive_from_run_record_10(path):
     # each line differs from its /10 line only by the fields replay never
@@ -228,24 +270,31 @@ def test_prime_lines_kept_their_bytes(path):
 
 
 def test_golden_set_covers_every_reachable_pair():
-    # small-n's gcd-hit, early-infinity and factor (a zero symbol) need a
-    # base-3 strong pseudoprime that meets them, and none is known: the
-    # evaluator tests reach them (test_small_n, test_chain_walker), as
-    # they reach a give-up (test_primality)
-    pairs = set()
+    # small-n's divisor (a zero symbol or a gcd of the chain's end Z) and
+    # early-infinity need a base-3 strong pseudoprime that meets them, and
+    # none is known: the evaluator tests reach them (test_small_n,
+    # test_chain_walker), as they reach a give-up (test_primality)
+    shapes = set()
     for line in record_lines():
         record = json.loads(line)
         cert = record["certificate"]
-        pairs.add((record["algorithm"], cert["type"], cert.get("outcome")))
-    sequence = {("small-n", "sequence", o) for o in ("final-zero", "final-nonzero")}
-    assert pairs == sequence | {
-        ("large-n", "factor", None),
-        ("sieve", "factor", None),
-        ("trial-division", "oracle", None),
-        ("miller-rabin", "oracle", None),
-        ("auto", "gate-failure", None),
-        ("large-n", "order", "final-zero"),
-        ("large-n", "order", "final-nonzero"),
+        shapes.add((record["algorithm"], record["verdict"], tuple(sorted(cert)),
+                    cert.get("outcome")))
+    walk = ("outcome",)
+    factored = ("factors", "outcome")
+    assert shapes == {
+        ("sieve", "composite", ("divisor",), None),
+        ("large-n", "composite", ("divisor",), None),
+        ("trial-division", "prime", ("least_factor",), None),
+        ("miller-rabin", "composite", ("witness",), None),
+        ("auto", "not-applicable", (), None),
+        ("small-n", "prime", walk, "final-zero"),
+        ("small-n", "composite", walk, "final-nonzero"),
+        ("small-n", "prime", factored, "final-zero"),
+        ("small-n", "composite", factored, "final-nonzero"),
+        ("large-n", "prime", walk, "final-zero"),
+        ("large-n", "prime", factored, "final-zero"),
+        ("large-n", "composite", walk, "final-nonzero"),
     }
 
 
@@ -256,14 +305,17 @@ def test_no_certificate_carries_a_derived_field():
     # holds one; replay forms p from k and n, takes a large-n record with
     # no factors as n's own, and a give-up's attempts from its iterations;
     # a factor's divisor is checked by one remainder wherever it surfaced,
-    # so no record names a stage, and the dispatch give-up is its type
+    # so no record names a stage; the algorithm and verdict name the
+    # certificate's kind, so none names a type; and no record carries the
+    # constant tool_version
     for line in record_lines():
         record = json.loads(line)
-        assert record["schema"] == "ecriesel.run-record/11", line
+        assert record["schema"] == "ecriesel.run-record/12", line
+        assert "tool_version" not in record, line
         assert record["candidate"].keys() == {"k", "n"}, line
         cert = record["certificate"]
         assert not {"m", "x0", "residue", "base_point", "attempts", "stage", "gate",
-                    "reason"} & cert.keys(), line
+                    "reason", "type"} & cert.keys(), line
         assert cert.get("factors") != [record["candidate"]["n"]] or (
             record["algorithm"] != "large-n"), line
 

@@ -120,7 +120,7 @@ def test_split_n_needs_its_factors():
     # gives up, and both records replay valid
     v = auto_test(SPLIT)
     assert v == Verdict(PRIME, "small-n", {
-        "type": "sequence", "outcome": "final-zero", "factors": [609403, 461886431]})
+        "outcome": "final-zero", "factors": [609403, 461886431]})
     assert replay_verdict(SPLIT, v)
     bare = FormCandidate(SPLIT.k, SPLIT.n)
     assert auto_test(bare) == DISPATCH and replay_verdict(bare, DISPATCH)
@@ -131,7 +131,7 @@ def test_split_n_needs_its_factors():
 
 def mixed(kn, factors, iterations=1, outcome="final-zero", status=PRIME):
     return FormCandidate(*kn), Verdict(status, "small-n", {
-        "type": "sequence", "outcome": outcome, "factors": factors}, iterations)
+        "outcome": outcome, "factors": factors}, iterations)
 
 
 def test_forged_mixed_records():

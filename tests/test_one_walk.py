@@ -261,7 +261,7 @@ def test_forged_small_n_record_of_a_mersenne_prime():
     # label, replay INVALID
     c = FormCandidate(k=127, n=1)
     v = auto_test(c)
-    assert v.status == PRIME and v.certificate == {"type": "sequence", "outcome": FINAL_ZERO}
+    assert v.status == PRIME and v.certificate == {"outcome": FINAL_ZERO}
     assert replay_verdict(c, v)
     forged = v._replace(certificate={**v.certificate, "base_point": [3, 5]})
     assert not replay_verdict(c, forged)

@@ -102,7 +102,8 @@ def replay(record):
     return code, out.getvalue(), err.getvalue()
 
 
-ORDER_RECORDS = [json.loads(line) for line in RECORDS if '"type":"order"' in line]
+ORDER_RECORDS = [json.loads(line) for line in RECORDS
+                 if '"algorithm":"large-n"' in line and '"outcome":' in line]
 
 
 @pytest.mark.parametrize("record", ORDER_RECORDS,
@@ -176,8 +177,8 @@ def test_forged_give_up_of_a_prime():
         assert primality._evaluate(c, 1, (c.n,), False).status == "prime"
         for attempts in (1, primality.RETRY_CAP):
             forged = {"algorithm": "large-n", "candidate": {"k": k, "n": n},
-                      "certificate": {"type": "retries-exhausted"},
-                      "iterations": attempts, "schema": cli.SCHEMA, "tool_version": "0.1.0",
+                      "certificate": {},
+                      "iterations": attempts, "schema": cli.SCHEMA,
                       "verdict": "inconclusive"}
             code, out, err = replay(forged)
             assert (code, err) == (1, "") and out.startswith("replay: INVALID"), (k, attempts)
@@ -216,5 +217,5 @@ def test_witness_records_need_p_past_the_presieve():
         if record["algorithm"] != "sieve" or int(record["certificate"]["divisor"]) > 13:
             continue
         forged = {**record, "algorithm": "miller-rabin",
-                  "certificate": {"type": "oracle", "witness": "3"}}
+                  "certificate": {"witness": "3"}}
         assert replay(forged)[0] == 1, record["candidate"]

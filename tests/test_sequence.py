@@ -142,20 +142,22 @@ class TestMersenneSequence:
                 assert v.algorithm in ("sieve", "miller-rabin"), k
                 v = _evaluate(FormCandidate(k=k, n=1), 1, (), True)
             cert = v.certificate
-            if cert["type"] == "factor":
-                with pytest.raises(FactorFound) as info:
-                    mersenne_sequence(k)
-                assert info.value.divisor == cert["divisor"], k
+            try:
+                outcome, _ = mersenne_sequence(k)
+            except FactorFound as exc:  # a zero symbol of the start search
+                assert cert == {"divisor": exc.divisor}, k
                 continue
-            outcome, _ = mersenne_sequence(k)
-            if cert["type"] == "sequence" and outcome.kind in failed:
-                # the first non-unit S_i's primes divide the walk's end Z
+            if v.algorithm == "small-n" and outcome.kind in failed:
+                # the first non-unit S_i's primes divide the walk's end Z,
+                # whose proper gcd with p is the record's divisor alone
                 p = (1 << k) - 1
+                ended = cert.get("outcome", GCD_HIT)
                 first, end = outcome.divisor or p, cert.get("divisor", p)
-                assert cert["outcome"] in failed and pow(end, first.bit_length(), first) == 0, k
-                kinds.add((outcome.kind, cert["outcome"], first == end))
-            elif cert["type"] == "sequence":
-                assert (outcome.kind, None) == (cert["outcome"], cert.get("divisor")), k
+                assert ended in failed and pow(end, first.bit_length(), first) == 0, k
+                assert cert == ({"divisor": end} if ended == GCD_HIT else {"outcome": ended}), k
+                kinds.add((outcome.kind, ended, first == end))
+            elif v.algorithm == "small-n":
+                assert cert == {"outcome": outcome.kind}, k
             else:
                 assert (outcome.kind == FINAL_ZERO) == (v.status == PRIME), k
         # M_6 = 63: the run stops at S_2, which 9 divides, and the walk's

@@ -35,7 +35,7 @@ from ecriesel.primality import (  # noqa: E402
     replay_verdict,
     sieve_verdict,
 )
-from ecriesel.sequence import start_x  # noqa: E402
+from ecriesel.sequence import GCD_HIT, chain_outcome, start_x  # noqa: E402
 
 # What auto_test writes on the window's 6519 candidates: the presieve and
 # the base-3 witness end every composite but p = 703.
@@ -65,13 +65,27 @@ def test_agrees_with_sympy_on_a_window():
             assert w.status == v.status and replay_verdict(c, w), (k, n)
             assert replay_verdict(c, v) == (w == v), (k, n)
             algorithms[w.algorithm, w.status] += 1
-            kinds.add(v.certificate.get("outcome") or v.certificate["type"])
+            kinds.add(v.certificate.get("outcome") or divisor_source(c, v.certificate))
             decided += 1
     assert decided == 6519
     # with no factors of n there is no ladder: a small-n factor is a zero
-    # symbol of start_x's search
-    assert kinds == {"final-zero", "final-nonzero", "gcd-hit", "early-infinity", "factor"}
+    # symbol of start_x's search or a proper gcd of the chain's end Z
+    assert kinds == {"final-zero", "final-nonzero", GCD_HIT, "early-infinity", "zero-symbol"}
     assert algorithms == ALGORITHMS_ON_THE_WINDOW
+
+
+def divisor_source(c, cert):
+    """Where attempt 1 of small-n met the divisor of cert, its one field:
+    a zero symbol of start_x's search, or the chain's end gcd, which is
+    then that divisor at the same attempt."""
+    try:
+        x = start_x(c.p, 1)
+    except FactorFound as exc:
+        assert cert == {"divisor": exc.divisor}, c
+        return "zero-symbol"
+    walked = chain_outcome(c.p, x, c.k, c.n)
+    assert walked.kind == GCD_HIT and cert == {"divisor": walked.divisor}, c
+    return GCD_HIT
 
 
 def test_mersenne_agrees_with_lucas_lehmer():
@@ -86,11 +100,8 @@ def test_mersenne_agrees_with_lucas_lehmer():
         assert (v.status == PRIME) == lucas_lehmer(k), k
         w = auto_test(c)
         assert w == v if lucas_lehmer(k) else w.algorithm in ("sieve", "miller-rabin"), k
-        if v.certificate["type"] == "factor":
-            factors += 1
-            with pytest.raises(FactorFound) as info:
-                start_x(c.p, 1)
-            assert v.certificate == {"type": "factor", "divisor": info.value.divisor}
+        if "divisor" in v.certificate:
+            factors += divisor_source(c, v.certificate) == "zero-symbol"
         else:
             assert jacobi(start_x(c.p, 1) ** 2 + 1, c.p) == -1
         if k % 4 == 0:
@@ -150,7 +161,7 @@ def test_zero_symbol_is_a_parameter_scan_factor():
     c = FormCandidate(k=7, n=19)
     assert [jacobi(u * u + 1, c.p) for u in range(2, 5)] == [1, 1, 0]
     v = _evaluate(c, 1, (), True)
-    assert v.certificate == {"type": "factor", "divisor": 17}
+    assert v.certificate == {"divisor": 17}
     # auto_test's presieve finds 11 first, and replay accepts only that
     assert auto_test(c) == sieve_verdict(11)
     assert not replay_verdict(c, v) and replay_verdict(c, sieve_verdict(11))

@@ -25,8 +25,8 @@ HEAVY = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
 
 SMALL_PRIME_RECORD = (
     '{"algorithm":"small-n","candidate":{"k":"7","n":"3"},'
-    '"certificate":{"outcome":"final-zero","type":"sequence"},'
-    '"iterations":1,"schema":"ecriesel.run-record/11","tool_version":"0.1.0","verdict":"prime"}\n'
+    '"certificate":{"outcome":"final-zero"},'
+    '"iterations":1,"schema":"ecriesel.run-record/12","verdict":"prime"}\n'
 )
 
 

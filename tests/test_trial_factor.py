@@ -33,7 +33,7 @@ from ecriesel.primality import (
     sieve_verdict,
 )
 
-WITNESS = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 3})
+WITNESS = Verdict(COMPOSITE, "miller-rabin", {"witness": 3})
 
 
 def least_prime_factor_below_bound(k):
@@ -120,7 +120,7 @@ def test_search_runs_the_step_on_n_1():
     records = [json.loads(line) for line in lines]
     assert [r["candidate"]["n"] for r in records] == ["1", "3", "5"]
     assert records[0]["algorithm"] == "sieve"
-    assert records[0]["certificate"] == {"divisor": "14591", "type": "factor"}
+    assert records[0]["certificate"] == {"divisor": "14591"}
     assert json.loads(summary) == {"summary": {"composite": 3, "inconclusive": 0,
                                                "not-applicable": 0, "prime": 0}}
     assert all(replay_verdict(*cli.record_to_inputs(r)) for r in records)
@@ -136,7 +136,7 @@ def test_mersenne_range_ends_on_the_sieve(tmp_path):
     assert all(replay_verdict(*cli.record_to_inputs(r)) for r in records)
     # the witness record of M_1459 is refused at the command line too
     forged = dict(records[-1], algorithm="miller-rabin",
-                  certificate={"type": "oracle", "witness": "3"})
+                  certificate={"witness": "3"})
     path = tmp_path / "forged.jsonl"
     path.write_text(json.dumps(forged) + "\n")
     out = io.StringIO()

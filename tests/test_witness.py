@@ -2,9 +2,8 @@
 
 auto_test runs the one-candidate presieve, then one strong test of p to
 WITNESS_BASE = 3, then the curve routes, then the fallback.  A witness
-ends p composite with the oracle's certificate {"type": "oracle",
-"witness": 3}; replay checks it with one presieve and the same strong
-test, and walks nothing.  On p = c * 2^k - 1 of a fold shape
+ends p composite with the oracle's certificate {"witness": 3}; replay
+checks it with one presieve and the same strong test, and walks nothing.  On p = c * 2^k - 1 of a fold shape
 (numtheory.fold_shape: M_k with k >= 100, or 768 bits or more with
 bits(c) <= k + 16) that test is one pow(3, c, p) and k - 1 folded
 squarings, elsewhere one modular power.  Base-3 strong pseudoprimes still
@@ -31,13 +30,13 @@ from ecriesel.primality import (
 )
 from ecriesel.primality import test_mersenne as mersenne_test
 
-WITNESS = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 3})
+WITNESS = Verdict(COMPOSITE, "miller-rabin", {"witness": 3})
 PRIME_EXPONENTS = set(sieve_primes(400))
 
 
 def order(outcome):
     """A large-n order certificate for prime n, which goes unwritten."""
-    return {"type": "order", "outcome": outcome}
+    return {"outcome": outcome}
 
 
 # (k, n, n's factors or None, the verdict auto_test writes): base-3 strong
@@ -45,29 +44,27 @@ def order(outcome):
 # such a p is known to reach
 PSEUDOPRIMES = [
     # small-n, final-nonzero: 703 = 19 * 37 and 2795519 = 683 * 4093
-    (6, 11, None, Verdict(COMPOSITE, "small-n", {"type": "sequence", "outcome": "final-nonzero"})),
+    (6, 11, None, Verdict(COMPOSITE, "small-n", {"outcome": "final-nonzero"})),
     (11, 1365, None, Verdict(COMPOSITE, "small-n",
-                             {"type": "sequence", "outcome": "final-nonzero"})),
+                             {"outcome": "final-nonzero"})),
     # large-n, final-nonzero: 16531 = 61 * 271 and 97567 = 43 * 2269
     (2, 4133, None, Verdict(COMPOSITE, "large-n", order("final-nonzero"))),
     (5, 3049, None, Verdict(COMPOSITE, "large-n", order("final-nonzero"))),
     # large-n, the walk of D meets 31: 1772611 = 31 * 211 * 271, and
     # 1891 = 31 * 61 with n = 11 * 43 given
-    (2, 443153, None, Verdict(COMPOSITE, "large-n", {
-        "type": "factor", "divisor": 31})),
-    (2, 473, (11, 43), Verdict(COMPOSITE, "large-n", {
-        "type": "factor", "divisor": 31})),
+    (2, 443153, None, Verdict(COMPOSITE, "large-n", {"divisor": 31})),
+    (2, 473, (11, 43), Verdict(COMPOSITE, "large-n", {"divisor": 31})),
     # the mixed corner, final-nonzero: 1891 with n = 11 * 43 and
     # 12403 = 79 * 157 with n = 7 * 443, found by trial division of n
     (2, 473, None, Verdict(COMPOSITE, "small-n", {
-        "type": "sequence", "outcome": "final-nonzero", "factors": [11, 43]})),
+        "outcome": "final-nonzero", "factors": [11, 43]})),
     (2, 3101, None, Verdict(COMPOSITE, "small-n", {
-        "type": "sequence", "outcome": "final-nonzero", "factors": [7, 443]})),
+        "outcome": "final-nonzero", "factors": [7, 443]})),
     # no corner: 3851 * 76831835389 = 2^5 * 9246231190095 - 1, whose n has
     # a composite part above 2^16, by the oracle's Miller-Rabin, whose least
     # witness is 2.  No p <= 10^4 past the witness meets no corner, so the
     # oracle's trial division decides none.
-    (5, 9246231190095, None, Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})),
+    (5, 9246231190095, None, Verdict(COMPOSITE, "miller-rabin", {"witness": 2})),
 ]
 
 
@@ -240,10 +237,10 @@ def test_the_witness_runs_on_the_folds(monkeypatch):
     ((4, 3**27), WITNESS),  # p = 16 * 3^27 - 1: 11 divides it, the presieve's
     ((2, 7), WITNESS),  # p = 27: 3 witnesses it, but the presieve finds 3
     ((2, 1), WITNESS),  # p = 3: base 3 lies outside [2, p - 2]
-    ((2, 3**53), WITNESS._replace(certificate={"type": "oracle", "witness": 2})),
-    ((2, 3**53), WITNESS._replace(certificate={"type": "oracle", "witness": 4 * 3**53 - 2})),
-    ((2, 3**53), WITNESS._replace(certificate={"type": "oracle", "witness": 1})),
-    ((2, 3**53), WITNESS._replace(certificate={"type": "oracle", "witness": 3, "divisor": 5})),
+    ((2, 3**53), WITNESS._replace(certificate={"witness": 2})),
+    ((2, 3**53), WITNESS._replace(certificate={"witness": 4 * 3**53 - 2})),
+    ((2, 3**53), WITNESS._replace(certificate={"witness": 1})),
+    ((2, 3**53), WITNESS._replace(certificate={"witness": 3, "divisor": 5})),
     ((2, 3**53), WITNESS._replace(iterations=2)),
     ((2, 3**53), WITNESS._replace(status=PRIME)),
     ((2, 3**53), WITNESS._replace(algorithm="trial-division")),
@@ -258,16 +255,15 @@ def test_route_and_undecided_records_need_no_witness():
     # p that 3 witnesses: a curve composite, a fallback verdict, a give-up
     c = FormCandidate(k=7, n=61)  # p = 7807 = 37 * 211
     v = _evaluate(c, 1, (), True)
-    assert v.certificate == {"type": "sequence", "outcome": "final-nonzero"}
+    assert v.certificate == {"outcome": "final-nonzero"}
     assert not replay_verdict(c, v)
     c = FormCandidate(k=2, n=2531)  # p = 10123 = 53 * 191
     v = _curve_route(c, (c.n,), False)
-    assert v.certificate["type"] == "order" and not replay_verdict(c, v)
-    v = Verdict(COMPOSITE, "miller-rabin", {"type": "oracle", "witness": 2})
+    assert v.certificate == {"outcome": "final-nonzero"} and not replay_verdict(c, v)
+    v = Verdict(COMPOSITE, "miller-rabin", {"witness": 2})
     assert primality._oracle_verdict(c.p) == v and not replay_verdict(c, v)
     c = FormCandidate(k=2, n=3**53)
     assert not replay_verdict(c, primality._DISPATCH)
     c = FormCandidate(k=2, n=19 * 137, n_factors=(19, 137))  # p = 10411 = 29 * 359
-    give_up = Verdict("inconclusive", "large-n", {
-        "type": "retries-exhausted", "factors": [19, 137]})
+    give_up = Verdict("inconclusive", "large-n", {"factors": [19, 137]})
     assert not replay_verdict(c, give_up)
