@@ -33,6 +33,7 @@ from .numtheory import (
     ORACLE_LIMIT,
     FormCandidate,
     InverseOutcome,
+    bpsw,
     gate_large_n,
     gate_small_n,
     iroot4,

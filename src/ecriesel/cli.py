@@ -184,8 +184,8 @@ CERTIFICATE_FIELDS = {
 # checks; a larger one is refused as malformed.  A record names k and n, not
 # p, so its size no longer bounds replay's work, and this limit does: replay
 # re-runs at most what deciding the candidate ran, and at the limit that
-# takes from seconds (the base-3 witness) to minutes (a large-n record whose
-# n is itself a prime of that size, which _applies tests to 12 bases).
+# takes from seconds (the base-3 witness) to about a minute (a large-n record
+# whose n is itself a prime of that size, which _applies tests by BPSW).
 REPLAY_MAX_P_BITS = 1 << 14
 
 

@@ -5,7 +5,9 @@ modular inversion (the divisor branch doubles as a factor extractor),
 integer roots, the applicability gate of the elliptic tests, the
 special-form fast reduction for moduli 2^k*n - 1, the classical
 baselines (trial division, Miller-Rabin, Lucas-Lehmer) used as oracles,
-the small-prime presieve of a search range and the trial factoring of a
+the Baillie-PSW test (bpsw) that checks a factor of n at or above PSI_13,
+so that a prime verdict resting on one is conditional on BPSW, the
+small-prime presieve of a search range and the trial factoring of a
 Mersenne number 2^k - 1 by its q = 2jk + 1 (sieve_divisors runs both).
 FormCandidate (checked when built) and InverseOutcome are named tuples.
 
@@ -53,7 +55,8 @@ ORACLE_LIMIT = 10**12
 # First 12 primes.  Composite answers are always exact; a probable-prime
 # answer is proven only below psi_12 = 318665857834031151167461
 # (Sorenson-Webster 2017).  The curve routes check a factor of n at or above
-# PSI_13 on this test, so their prime verdicts are conditional there.
+# PSI_13 by bpsw, not on these bases, which composites built for the
+# purpose pass (psi_13 itself does).
 MR_DEFAULT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # is_prime_oracle: trial division up to TRIAL_LIMIT, then Miller-Rabin on
 # the first 13 primes, a proof below PSI_13 (Sorenson-Webster 2017).
@@ -321,6 +324,53 @@ def miller_rabin(n: int, bases: tuple[int, ...] = MR_DEFAULT_BASES) -> bool:
         else:
             return False
     return True
+
+
+def bpsw(n: int) -> bool:
+    """Baillie-PSW probable-prime test of odd n >= 3: a strong test to base
+    2, then the strong Lucas test with Selfridge's parameters.
+
+    False is always correct; no composite is known to pass both (Baillie-
+    Wagstaff 1980), and none below 2^64 does.  A square n has (D/n) >= 0
+    for every D prime to it, so it is refused before D is sought.  D is the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D) / 4;
+    with n + 1 = 2^s d, d odd, n passes iff U_d = 0 or V_(d 2^r) = 0 for
+    some r < s.  U_d, V_d and Q^d come from one left-to-right pass over d:
+    U_2m = U_m V_m, V_2m = V_m^2 - 2 Q^m, then for a set bit
+    U_(m+1) = (U_m + V_m) / 2 and V_(m+1) = (D U_m + V_m) / 2, each halved
+    mod n by adding n to an odd value and shifting.
+    """
+    if not miller_rabin(n, (2,)):
+        return False
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4 % n
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    U, V, Qm = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qm) % n
+        Qm = Qm * Qm % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qm = Qm * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qm) % n
+        if V == 0:
+            return True
+        Qm = Qm * Qm % n
+    return False
 
 
 def lucas_lehmer(k: int) -> bool:

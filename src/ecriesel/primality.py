@@ -72,6 +72,7 @@ from .numtheory import (
     TRIAL_LIMIT,
     FormCandidate,
     _odd_primes,
+    bpsw,
     gate,
     is_prime_oracle,
     jacobi,
@@ -189,10 +190,10 @@ def _fallback(c: FormCandidate) -> Verdict:
 
 def _probable_prime(q: int) -> bool:
     """Primality of a factor of n: exact below PSI_13 (is_prime_oracle),
-    12-base Miller-Rabin at and above it, so a prime verdict resting on
-    such a factor is conditional on that test."""
+    numtheory.bpsw at and above it, so a prime verdict resting on such a
+    factor is conditional on BPSW."""
     prime = is_prime_oracle(q)
-    return miller_rabin(q) if prime is None else prime
+    return bpsw(q) if prime is None else prime
 
 
 def _applies(c: FormCandidate, factors, chain: bool) -> bool:
@@ -216,16 +217,23 @@ def _corner(c: FormCandidate) -> tuple[tuple[int, ...] | list[int], bool] | None
     if _applies(c, factors, False):
         return factors, False
     if c.n_factors is None:
-        factors, m = [], c.n
-        for q in _odd_primes(SIEVE_BOUND):
-            if q > m:
-                break
-            while m % q == 0:
-                factors.append(q)
-                m //= q
+        factors, m = _split(c.n)
         if m > 1 and not gate(c, prod(factors) << c.k):
             factors.append(m)
     return (factors, True) if _applies(c, factors, True) else None
+
+
+def _split(n: int) -> tuple[list[int], int]:
+    """n's prime factors up to SIEVE_BOUND, ascending with multiplicity,
+    and the cofactor they leave."""
+    factors, m = [], n
+    for q in _odd_primes(SIEVE_BOUND):
+        if q > m:
+            break
+        while m % q == 0:
+            factors.append(q)
+            m //= q
+    return factors, m
 
 
 def _vanishes(t: int, p: int) -> bool:
@@ -327,6 +335,10 @@ def decide_unsieved(c: FormCandidate) -> Verdict:
 def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate from scratch.
 
+    The contract: a record is valid iff it is the record deciding writes
+    for its candidate (and the factors of n given with it).  What replay
+    does not re-run is named below.
+
     A witness record (composite, miller-rabin, witness WITNESS_BASE) is
     valid iff the sieve finds no factor of p and WITNESS_BASE witnesses
     p: one presieve (and for M_k its trial factoring) and the same strong
@@ -334,15 +346,20 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
     numtheory.fold_shape, one modular power elsewhere).  Any other record
     that is neither prime nor a sieve verdict needs p past both, as
     auto_test stops at either.  A factor record ({divisor} on sieve,
-    small-n or large-n) needs a proper divisor of p; where the gate at 2^k
-    holds, deciding takes the small-n corner (with or without given
-    factors), which never declines, so there it needs small-n at
-    iterations 1.  Any other curve record needs _applies for its factors
-    (none on the small-n corner, whose a is 1; a large-n record with no
-    factors has the one factor n, which _evaluate leaves out, so one that
-    names [n] is INVALID) and _evaluate at a = iterations
-    to give its status, algorithm and certificate; no retry, fallback or
-    dispatch runs (run_sequence, scalar_mul, the oracle and the
+    small-n or large-n) needs a proper divisor of p; a sieve one needs no
+    more (the least prime factor is not re-checked).  A curve one is valid
+    iff _corner's corner declines attempts 1 .. a - 1 and _evaluate gives
+    the record at a = iterations: at most the walks deciding made.  It
+    names no factors of n, so for a composite n replay also takes the
+    --q call that names n's primes in ascending order, where _split finds
+    them all (primes up to SIEVE_BOUND and a probable-prime cofactor);
+    where it does not, the gate at 2^k alone says which corner ran (small-n
+    at iterations 1 where it holds).  Any other curve record needs _applies
+    for its factors (none on the small-n corner, whose a is 1; a large-n
+    record with no factors has the one factor n, which _evaluate leaves
+    out, so one that names [n] is INVALID) and _evaluate at a = iterations
+    to give its status, algorithm and certificate; no earlier attempt,
+    fallback or dispatch runs (run_sequence, scalar_mul, the oracle and the
     differential tests are the evaluator's references).  A give-up is
     valid only as auto_test makes it for the factors it names (those
     given with --q): not-applicable, with no walk, for p >= PSI_13 when no
@@ -359,6 +376,16 @@ def replay_verdict(c: FormCandidate, verdict: Verdict) -> bool:
 def _passed_witness(c: FormCandidate) -> bool:
     """Whether auto_test takes c past its sieve and its witness test."""
     return _sieve_divisor(c) is None and miller_rabin(c.p, (WITNESS_BASE,))
+
+
+def _met(c: FormCandidate, verdict: Verdict) -> bool:
+    """Whether deciding c writes the factor record verdict: the corner
+    _corner takes declines attempts 1 .. a - 1 and meets its divisor at
+    a = verdict.iterations."""
+    corner = _corner(c)
+    a = verdict.iterations
+    return (corner is not None and all(_evaluate(c, b, *corner) is None for b in range(1, a))
+            and _evaluate(c, a, *corner) == verdict)
 
 
 def _replay(c: FormCandidate, verdict: Verdict) -> bool:
@@ -386,14 +413,23 @@ def _replay(c: FormCandidate, verdict: Verdict) -> bool:
 
     if cert.keys() == {"divisor"}:
         d = cert["divisor"]
-        return (
-            status == COMPOSITE
-            and algorithm in ("sieve", "small-n", "large-n")
-            and not ((algorithm == "large-n"
-                      or (algorithm == "small-n" and verdict.iterations > 1))
-                     and gate(c, 1 << c.k))
-            and 1 < d < p and p % d == 0
-        )
+        if status != COMPOSITE or not (1 < d < p and p % d == 0):
+            return False
+        if algorithm == "sieve":
+            return True
+        if algorithm not in ("small-n", "large-n"):
+            return False
+        if _met(c, verdict):
+            return True
+        if c.n_factors is not None or _probable_prime(c.n):
+            return False
+        # a composite n's record names no factors, and a --q call walks n's
+        # primes: replay gives them ascending where _split finds them all
+        factors, m = _split(c.n)
+        if m > 1 and not _probable_prime(m):
+            return not ((algorithm == "large-n" or verdict.iterations > 1)
+                        and gate(c, 1 << c.k))
+        return _met(FormCandidate(c.k, c.n, (*factors, m) if m > 1 else tuple(factors)), verdict)
 
     if algorithm in ("trial-division", "miller-rabin"):
         expected = _oracle_verdict(p)

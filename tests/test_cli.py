@@ -31,6 +31,10 @@ PSEUDOPRIME_KN = ("5", "9246231190095")
 # n = 3^53: p = 4n - 1 lies above psi_13 too, and base 3 witnesses it
 WITNESSED_N = str(3**53)
 DISPATCH_CERTIFICATE = {}
+# psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin on the first
+# 12 prime bases, and p = 2^25 psi_13 - 1 is prime above psi_13
+PSI_13 = "3317044064679887385961981"
+PSI_13_FACTORS = ("1287836182261", "2575672364521")
 
 
 def run_cli(*argv):
@@ -183,6 +187,41 @@ class TestFactorOption:
         ticks = iter((2.0, 2.0 + 1 / 3))
         monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
         assert run_cli("test", *argv)[1] == line + " (333.33 ms)\n"
+
+
+class TestPsi13IsNoPrimeFactor:
+    """psi_13, composite, was taken as large-n's prime n on 12 bases; BPSW
+    refuses it, and its factors given prove the same p prime."""
+
+    def test_no_corner_without_the_factors(self, monkeypatch):
+        code, out, err = run_cli("test", "25", PSI_13, "--json")
+        assert (code, err) == (3, "")
+        assert json_lines(out)[0] == {
+            "algorithm": "auto", "candidate": {"k": "25", "n": PSI_13}, "certificate": {},
+            "iterations": 1, "schema": "ecriesel.run-record/12", "verdict": "not-applicable"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert run_cli("test", "--replay", "-")[0] == 0
+
+    @pytest.mark.parametrize("k", ["25", "29", "33", "45", "75"])
+    def test_the_old_prime_record_is_invalid(self, monkeypatch, k):
+        # the record the 12-base test let through, whose proof rests on n
+        old = (f'{{"algorithm":"large-n","candidate":{{"k":"{k}","n":"{PSI_13}"}},'
+               '"certificate":{"outcome":"final-zero"},"iterations":1,'
+               '"schema":"ecriesel.run-record/12","verdict":"prime"}\n')
+        monkeypatch.setattr("sys.stdin", io.StringIO(old))
+        code, out, err = run_cli("test", "--replay", "-")
+        assert (code, err) == (1, "") and out.startswith("replay: INVALID")
+
+    def test_the_factors_given_decide_prime(self, monkeypatch):
+        q1, q2 = PSI_13_FACTORS
+        code, out, err = run_cli("test", "25", PSI_13, "--q", q1, "--q", q2, "--json")
+        assert (code, err) == (0, "")
+        rec = json_lines(out)[0]
+        assert rec["algorithm"] == "large-n" and rec["verdict"] == "prime"
+        assert rec["certificate"] == {"factors": [q1, q2], "outcome": "final-zero"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, out, _ = run_cli("test", "--replay", "-")
+        assert code == 0 and out.startswith("replay: valid (prime via large-n")
 
 
 class TestReplayCommand:
@@ -396,8 +435,11 @@ class TestStrictReplayInput:
         rec["certificate"] = {"outcome": "gcd-hit", "divisor": "19"}
         code, out, err = self.replay(tmp_path, json.dumps(rec))
         assert (code, err) == (1, "") and out.startswith("replay: INVALID")
-        del rec["certificate"]["outcome"]  # the divisor alone proves p composite
-        assert self.replay(tmp_path, json.dumps(rec))[0] == 0
+        # the divisor alone proves p composite, but the chain meets none at
+        # p = 703: deciding never writes that record either
+        del rec["certificate"]["outcome"]
+        code, out, err = self.replay(tmp_path, json.dumps(rec))
+        assert (code, err) == (1, "") and out.startswith("replay: INVALID")
 
     def test_non_canonical_decimals(self, tmp_path):
         # str.isdigit takes the Arabic-Indic 5, the fullwidth 5 and a
@@ -816,14 +858,12 @@ class TestStrictReplayInput:
     # p = 2671 (test 4 167) are more than it makes.
     @pytest.mark.parametrize("argv, iterations", [
         (("7", "3"), 999), (("7", "3"), 2), (("4", "167"), 21), (None, 5),
-        (("6", "11"), 7),
+        (("4", "72017"), 7),
     ], ids=["small-n-999", "small-n-2", "large-n-21", "sieve-5", "small-n-factor-7"])
     def test_forged_decided_iterations(self, tmp_path, argv, iterations):
+        # p = 2^4 * 72017 - 1 = 43 * 127 * 211, a base-3 strong pseudoprime
+        # on the mixed corner, whose chain meets 43 at its first attempt
         rec = self.golden("sieve", "factor") if argv is None else self.record(*argv)
-        if argv == ("6", "11"):
-            # p = 703 = 19 * 37, a base-3 strong pseudoprime on the small-n
-            # corner, which never declines: a factor at attempt 1 is a proof
-            rec["certificate"] = {"divisor": "19"}
         assert self.replay(tmp_path, json.dumps(rec))[0] == 0
         rec["iterations"] = iterations
         code, out, err = self.replay(tmp_path, json.dumps(rec))

@@ -1,14 +1,17 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+from ecriesel import numtheory
 from ecriesel.numtheory import (
     MAX_P_BITS,
     MERSENNE_FOLD_BITS,
     MR_DEFAULT_BASES,
+    PSI_13,
     RIESEL_FOLD_BITS,
     FormCandidate,
+    bpsw,
     fold_shape,
     gate_large_n,
     gate_small_n,
@@ -409,6 +412,70 @@ if given is not None:
         base = data.draw(st.integers(2, 1000))
         assert miller_rabin(n, (3,)) == textbook_strong(n, (3,))
         assert miller_rabin(n, (base,)) == textbook_strong(n, (base,))
+
+
+# psi_12 = 399165290221 * 798330580441 and psi_13 = 1287836182261 *
+# 2575672364521 pass Miller-Rabin on the first 12 prime bases
+PSI_12 = 318665857834031151167461
+
+
+def mr_random(n, rng, count=40):
+    """Miller-Rabin on count seeded random bases, the reference bpsw is
+    checked against above 2^64 (sympy.isprime is itself BPSW there)."""
+    return miller_rabin(n, tuple(rng.randrange(2, n - 1) for _ in range(count)))
+
+
+def random_prime(bits, rng):
+    """The first odd n from a random bits-bit start that passes mr_random."""
+    small = prod(sieve_primes(1000)[1:])
+    n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    while gcd(n, small) != 1 or not mr_random(n, rng):
+        n += 2
+    return n
+
+
+class TestBPSW:
+    def test_agrees_with_trial_division(self):
+        primes = set(sieve_primes(2 * 10**5))
+        for n in range(3, 2 * 10**5, 2):
+            assert bpsw(n) == (n in primes), n
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_strong_lucas_pseudoprimes_fail_base_2(self, monkeypatch, n):
+        # with base 2 passing every n, bpsw is the Lucas step alone
+        assert not miller_rabin(n, (2,)) and not bpsw(n)
+        monkeypatch.setattr(numtheory, "miller_rabin", lambda n, bases: True)
+        assert bpsw(n)
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033])
+    def test_base_2_pseudoprimes_fail_the_lucas_step(self, n):
+        assert miller_rabin(n, (2,)) and not bpsw(n)
+
+    @pytest.mark.parametrize("n", [1093**2, 3511**2])
+    def test_squares_are_refused_before_the_search_for_d(self, monkeypatch, n):
+        # squares of the Wieferich primes pass base 2.  (D/n) is never -1 on
+        # a square, so the search for D would run up to n's least prime
+        # factor: a square of a 128-bit prime, past base 2, is refused too
+        assert miller_rabin(n, (2,)) and not bpsw(n)
+        monkeypatch.setattr(numtheory, "miller_rabin", lambda n, bases: True)
+        assert not bpsw(random_prime(128, random.Random(n)) ** 2)
+
+    @pytest.mark.parametrize("n", [PSI_12, PSI_13])
+    def test_psi_12_and_psi_13_are_refused(self, n):
+        assert miller_rabin(n) and not bpsw(n)
+
+    @pytest.mark.parametrize("bits", [128, 516, 1028])
+    def test_agrees_with_random_bases(self, bits):
+        rng = random.Random(bits)
+        for _ in range(20):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            assert bpsw(n) == mr_random(n, rng), n
+        for _ in range(3):
+            assert bpsw(random_prime(bits, rng))
+
+    def test_rejects_even(self):
+        with pytest.raises(ValueError):
+            bpsw(10)
 
 
 class TestLucasLehmer:

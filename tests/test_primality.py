@@ -524,32 +524,69 @@ class TestReplayRejectsTampering:
         c = FormCandidate(k=8, n=7)
         cert = {"divisor": 7}
         assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))  # 7 does not divide 1791
+        # the chain meets 9 at the first attempt; 3 divides p = 1791 = 3^2 * 199
+        # too, but a record is valid only as deciding writes it
+        assert auto_test(c) == Verdict(COMPOSITE, "small-n", {"divisor": 9})
+        assert replay_verdict(c, Verdict(COMPOSITE, "small-n", {"divisor": 9}))
         cert = {"divisor": 3}
-        assert replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
-        # the run-record/10 certificate, whose stage named where 3 surfaced
-        assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", {**cert, "stage": "sieve"}))
+        assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
+        # the run-record/10 certificate, whose stage named where 9 surfaced
+        assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", {"divisor": 9, "stage": "sieve"}))
 
     def test_small_n_factor_is_met_at_the_first_attempt(self):
         # p = 703 = 2^6 * 11 - 1 = 19 * 37 is a base-3 strong pseudoprime
         # where the gate at 2^k holds: the small-n corner never declines,
-        # so deciding meets any divisor at a = 1, and a factor record at a
-        # later attempt is INVALID though 19 divides p
+        # and its chain ends final-nonzero, so a factor record is INVALID at
+        # every attempt though 19 divides p
         c = FormCandidate(k=6, n=11)
         assert gate_small_n(c) and miller_rabin(c.p, (3,))
+        assert auto_test(c) == Verdict(COMPOSITE, "small-n", {"outcome": FINAL_NONZERO})
         cert = {"divisor": 19}
-        assert replay_verdict(c, Verdict(COMPOSITE, "small-n", cert))
-        for a in (2, 7, primality.RETRY_CAP):
+        for a in (1, 2, 7, primality.RETRY_CAP):
             assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert, a)), a
         # nor does deciding reach large-n there, given factors or not
         assert primality._corner(c) == ((), True)
         assert primality._corner(FormCandidate(k=6, n=11, n_factors=(11,))) == ((), True)
         for a in (1, 7, primality.RETRY_CAP):
             assert not replay_verdict(c, Verdict(COMPOSITE, "large-n", cert, a)), a
-        # where that gate fails, large-n's attempts can decline: the divisor
-        # alone is checked
+        # where that gate fails, large-n's attempts can decline, but deciding
+        # meets 31 at its first: a record at any other attempt, or on the
+        # chain, is INVALID
         c = FormCandidate(k=2, n=443153)  # p = 31 * 211 * 271
         cert = {"divisor": 31}
-        assert replay_verdict(c, Verdict(COMPOSITE, "large-n", cert, 7))
+        assert auto_test(c) == Verdict(COMPOSITE, "large-n", cert)
+        assert replay_verdict(c, Verdict(COMPOSITE, "large-n", cert))
+        for a in (2, 7, 13):
+            assert not replay_verdict(c, Verdict(COMPOSITE, "large-n", cert, a)), a
+        for a in (1, 13):
+            assert not replay_verdict(c, Verdict(COMPOSITE, "small-n", cert, a)), a
+
+    def test_factor_record_of_a_composite_n(self):
+        # p = 2^4 * 72017 - 1 = 43 * 127 * 211 with n = 11 * 6547: deciding
+        # takes the mixed corner, whose chain meets 43, and with n's primes
+        # given large-n applies, whose walk meets 43.  The record names no
+        # factors, so replay takes both calls, at no other attempt
+        c = FormCandidate(k=4, n=72017)
+        given = FormCandidate(k=4, n=72017, n_factors=(11, 6547))
+        chain = Verdict(COMPOSITE, "small-n", {"divisor": 43})
+        walk = Verdict(COMPOSITE, "large-n", {"divisor": 43})
+        assert auto_test(c) == chain and auto_test(given) == walk
+        for v in (chain, walk):
+            assert replay_verdict(c, v)
+            for a in (2, 7, primality.RETRY_CAP):
+                assert not replay_verdict(c, v._replace(iterations=a)), (v, a)
+        # with the factors given, replay takes that call alone
+        assert replay_verdict(given, walk) and not replay_verdict(given, chain)
+
+    def test_factor_record_of_an_unsplit_n(self, routes_decide_composites):
+        # n = 65537 * 65539 has no prime factor up to SIEVE_BOUND, so replay
+        # cannot give the primes a --q call walked: where the gate at 2^k
+        # fails, the divisor alone is checked
+        c = FormCandidate(k=4, n=65537 * 65539)  # p = 43 * 101 * 349 * 45341
+        assert not gate_small_n(c)
+        for algorithm in ("small-n", "large-n"):
+            assert replay_verdict(c, Verdict(COMPOSITE, algorithm, {"divisor": 43}, 9))
+        assert not replay_verdict(c, Verdict(COMPOSITE, "large-n", {"divisor": 7}, 9))
 
     def test_wrong_candidate(self):
         c = FormCandidate(k=2, n=2633)
@@ -776,6 +813,23 @@ class TestExactOracleBoundary:
         assert miller_rabin(PSI_13, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
         assert is_prime_oracle(PSI_13) is None
         assert is_prime_oracle(PSI_13 - 2) is not None
+
+    def test_psi_13_is_no_prime_factor(self):
+        # psi_13 = 1287836182261 * 2575672364521 passes the 12 default
+        # bases, on which a factor at or above PSI_13 was once checked; BPSW
+        # refuses it
+        assert miller_rabin(PSI_13)
+        assert primality._probable_prime(PSI_13) is False
+        # p = 2^25 psi_13 - 1 is prime: no corner without n's factors, and
+        # the large-n record that rested on psi_13 replays INVALID
+        c = FormCandidate(k=25, n=PSI_13)
+        assert auto_test(c) == DISPATCH and replay_verdict(c, DISPATCH)
+        assert not replay_verdict(c, Verdict(PRIME, "large-n", {"outcome": FINAL_ZERO}))
+        c = FormCandidate(k=25, n=PSI_13, n_factors=(1287836182261, 2575672364521))
+        v = auto_test(c)
+        assert v == Verdict(PRIME, "large-n", {
+            "outcome": FINAL_ZERO, "factors": [1287836182261, 2575672364521]})
+        assert replay_verdict(c, v)
 
     def test_edges(self):
         assert [is_prime_oracle(n) for n in (-7, 0, 1, 2, 3, 4)] == [
